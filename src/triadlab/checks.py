@@ -35,11 +35,10 @@ from .connections import (
     triad_connection,
 )
 from .contact import ContactTriad
-from .engine import solve
+from .engine import dot, solve
 
 TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
-TOL_EXACT = 1e-12
 
 STRICTNESS_TOL = 1e-9
 
@@ -186,11 +185,11 @@ def xi_vector(triad: ContactTriad, p, rng) -> np.ndarray:
 def xi_section(triad: ContactTriad, w) -> Callable:
     """Smooth distribution section q -> Pi(q) w for a frozen chart vector."""
     w = np.asarray(w, dtype=float)
-    return lambda q: np.dot(triad.pi_any(q), w)
+    return lambda q: dot(triad.pi_any(q), w)
 
 
 def j_image(triad: ContactTriad, Yf: Callable) -> Callable:
-    return lambda q: np.dot(triad.j_any(q), Yf(q))
+    return lambda q: dot(triad.j_any(q), Yf(q))
 
 
 def const_field(w) -> Callable:
@@ -331,8 +330,9 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
     the requirement that both Reeb slots agree exactly; it pins the whole
     relationship rather than a projection of it.
     """
+    if not a > 0:
+        raise ValueError("scale factor must be positive")
     p = np.asarray(p, dtype=float)
-    assert a > 0
     conn_s = triad_connection(triad.scaled(a), 1.0)
     conn_b = triad_connection(triad, a)
     rng = field_rng(seed, "scaling", triad.label, a)
@@ -393,7 +393,7 @@ def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
     def j_pull(q):
         dphi = cmap.differential(q)
         Jq = triad.j_any(cmap.forward(q))
-        return solve(np.asarray(dphi), np.dot(Jq, dphi))
+        return solve(dphi, dot(Jq, dphi))
 
     return ContactTriad(triad.dim, triad.lam, j_pull, triad.domain,
                         engine=triad.engine,

@@ -133,3 +133,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

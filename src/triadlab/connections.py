@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contact import ContactTriad, TriadMetric
-from .engine import is_float_point, solve
+from .engine import dot, is_float_point, solve
 
 
 class AffineConnection:
@@ -177,10 +177,10 @@ def nijenhuis(triad: ContactTriad, Xf, Yf, p):
     engine = triad.engine
 
     def JX(q):
-        return np.dot(triad.j_any(q), Xf(q))
+        return dot(triad.j_any(q), Xf(q))
 
     def JY(q):
-        return np.dot(triad.j_any(q), Yf(q))
+        return dot(triad.j_any(q), Yf(q))
 
     J = triad.j_any(p)
     t1 = engine.lie_bracket(JX, JY, p)

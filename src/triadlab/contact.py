@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DiffEngine, as_float_array, inv, is_float_point, outer, solve
+from .engine import DiffEngine, dot, is_float_point, outer, solve
 
 REEB_RESIDUAL_TOL = 1e-10
 
@@ -79,20 +79,15 @@ class ContactTriad:
         triad = cls(dim, lam, None, domain, engine=engine, label=label)
 
         def j_full(q):
+            # J B = JB for the frame matrix B = [Pi F | X]; solve B^T J^T = JB^T.
             F = xi_frame(q)
             P = triad.pi_any(q)
             X = triad.reeb_any(q)
             C = frame_j(q)
-            m = F.shape[1]
-            B = np.empty((dim, dim), dtype=object)
-            PF = np.dot(P, F)
-            for a in range(m):
-                B[:, a] = PF[:, a]
-            B[:, m] = X
-            D = np.zeros((dim, dim), dtype=object)
-            D[:m, :m] = C
-            JB = np.dot(B, D)
-            return as_float_array(np.dot(JB, inv(B)))
+            PF = dot(P, F)
+            B = np.column_stack([PF, X])
+            JB = np.column_stack([dot(PF, C), np.zeros(dim)])
+            return np.ascontiguousarray(solve(B.T, JB.T).T)
 
         triad._j_closure = j_full
         return triad
@@ -120,7 +115,7 @@ class ContactTriad:
     def _reeb_impl(self, q):
         lam = self.lam_any(q)
         A = self.dlam_any(q)
-        M = A + outer(lam, lam)
+        M = outer(lam, lam, A)
         X = solve(M, lam)
         if is_float_point(q):
             r1 = abs(float(np.dot(lam, X)) - 1.0)
@@ -136,7 +131,7 @@ class ContactTriad:
 
     def pi_any(self, q):
         def impl(x):
-            return np.eye(self.dim) - outer(self.reeb_any(x), self.lam_any(x))
+            return outer(-self.reeb_any(x), self.lam_any(x), np.eye(self.dim))
         return self._cached("pi", q, impl)
 
     def j_any(self, q):
@@ -148,8 +143,7 @@ class ContactTriad:
             A = self.dlam_any(x)
             P = self.pi_any(x)
             J = self.j_any(x)
-            JP = np.dot(J, P)
-            return outer(lam, lam) + np.dot(P.T, np.dot(A, JP))
+            return outer(lam, lam, dot(P.T, dot(A, dot(J, P))))
         return self._cached("metric", q, impl)
 
     # -- float-point tables ----------------------------------------------

@@ -7,10 +7,14 @@ closures into derivatives either with nested dual numbers (``mode="ad"``,
 exact to rounding, supports second-order nesting) or with central finite
 differences (``mode="fd"``, an independent cross-check path).
 
-The linear algebra helpers (:func:`solve`, :func:`inv`) dispatch between
-``numpy.linalg`` for float matrices and a hand-rolled LU factorisation with
-partial pivoting that works elementwise over dual scalars, so the same
-geometric pipelines run unchanged inside a differentiation pass.
+The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
+:func:`outer`) take float or dual-valued arrays, so the same geometric
+pipelines run unchanged inside a differentiation pass.  Float arrays, and
+object arrays that hold only floats, go straight to ``numpy.linalg.solve`` /
+``np.dot``.  Dual-valued arrays are differentiated with the forward-mode
+matrix rules, one perturbation level at a time: the value and the tangent
+are each solved or multiplied as whole arrays, so no elimination runs over
+dual scalars.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ad import Dual, pop_level, push_level, value
+from .ad import Dual, pop_level, push_level
 
 Point = np.ndarray
 ScalarField = Callable[[np.ndarray], object]
@@ -170,51 +174,126 @@ class DiffEngine:
 
 
 # -- dense linear algebra over float or dual scalars ----------------------
+#
+# Forward-mode matrix rules (Giles 2008): X = A^-1 B has tangent
+# A^-1 (dB - dA X), and C = A B has tangent dA B + A dB.  They are applied one
+# perturbation level at a time: the top level of a dual array is split into a
+# value array and a tangent array (tangent axes trailing), both are handled
+# recursively with the tangent axes folded into extra columns, and the
+# recursion ends in numpy.linalg.solve / np.dot on float arrays.
 
 
-def _lu_solve_generic(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    M = np.array(A, dtype=object, copy=True)
-    one_d = B.ndim == 1
-    R = np.array(B if not one_d else B[:, None], dtype=object, copy=True)
-    for k in range(n):
-        piv, best = k, abs(value(M[k, k]))
-        for i in range(k + 1, n):
-            m = abs(value(M[i, k]))
-            if m > best:
-                piv, best = i, m
-        if best < 1e-300:
-            raise np.linalg.LinAlgError("singular system in generic LU solve")
-        if piv != k:
-            M[[k, piv]] = M[[piv, k]]
-            R[[k, piv]] = R[[piv, k]]
-        inv_p = 1.0 / M[k, k]
-        for i in range(k + 1, n):
-            f = M[i, k] * inv_p
-            M[i, k + 1:] = M[i, k + 1:] - f * M[k, k + 1:]
-            R[i] = R[i] - f * R[k]
-    X = np.empty_like(R)
-    for i in range(n - 1, -1, -1):
-        acc = R[i]
-        if i + 1 < n:
-            acc = acc - np.dot(M[i, i + 1:], X[i + 1:])
-        X[i] = acc / M[i, i]
-    X = as_float_array(X)
-    return X[:, 0] if one_d else X
+def _level(*arrays: np.ndarray) -> int:
+    """Top perturbation level among the entries (0 when none is a dual)."""
+    return max([e.lvl for a in arrays if a.dtype == np.dtype(object)
+                for e in a.ravel().tolist() if isinstance(e, Dual)], default=0)
+
+
+def _array(items: list) -> np.ndarray:
+    """``items`` as a float array, or as an object array if any is a dual."""
+    out = np.array(items)
+    return out if out.dtype == np.dtype(object) else out.astype(float, copy=False)
+
+
+def _split(a: np.ndarray, lvl: int):
+    """Value array and tangent array (None if constant) of ``a`` at ``lvl``."""
+    if a.dtype != np.dtype(object):
+        return a, None
+    items = a.ravel().tolist()
+    on = [isinstance(e, Dual) and e.lvl == lvl for e in items]
+    re = _array([e.re if o else e for e, o in zip(items, on)]).reshape(a.shape)
+    ids = [i for i, o in enumerate(on) if o]
+    if not ids:
+        return re, None
+    slots = _array([items[i].du for i in ids])
+    du = np.full((a.size,) + slots.shape[1:], 0.0, dtype=slots.dtype)
+    du[ids] = slots
+    return re, du.reshape(a.shape + slots.shape[1:])
+
+
+def _join(lvl: int, re: np.ndarray, du):
+    """Inverse of :func:`_split`; entries whose tangent is zero stay as they are."""
+    if du is None:
+        return re
+    tangents = du.reshape((re.size,) + du.shape[re.ndim:])
+    live = np.flatnonzero(np.any(_fold(tangents != 0.0, 1), axis=1))
+    if not len(live):
+        return re
+    out = re.astype(object).ravel()
+    if du.ndim == re.ndim:
+        tangents = tangents.tolist()
+    values = out.tolist()
+    out[live] = [Dual(lvl, values[i], tangents[i]) for i in live.tolist()]
+    return out.reshape(re.shape)
+
+
+def _fold(t: np.ndarray, lead: int) -> np.ndarray:
+    """Fold every axis of ``t`` after the first ``lead`` into one column axis."""
+    return t.reshape(t.shape[:lead] + (-1,))
+
+
+def _dot_tangent(A1: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """dA X for a tangent array ``A1`` of shape (p, q) + t; result X-shaped + t."""
+    p, q = A1.shape[:2]
+    rows = _fold(A1, 2).swapaxes(1, 2).reshape(-1, q)
+    Y = _dot(rows, X).reshape((p, -1) + X.shape[1:])
+    if X.ndim == 2:
+        Y = Y.swapaxes(1, 2)
+    return Y.reshape((p,) + X.shape[1:] + A1.shape[2:])
+
+
+def _dot(A: np.ndarray, B: np.ndarray, C=None) -> np.ndarray:
+    """A B, plus C when given (C shaped like the product)."""
+    lvl = _level(A, B) if C is None else _level(A, B, C)
+    if lvl == 0:
+        AB = np.dot(as_float_array(A), as_float_array(B))
+        return AB if C is None else AB + as_float_array(C)
+    A0, A1 = _split(A, lvl)
+    B0, B1 = _split(B, lvl)
+    C0, C1 = (None, None) if C is None else _split(C, lvl)
+    AB0 = _dot(A0, B0, C0)
+    if A1 is not None:
+        AB1 = _dot_tangent(A1, B0)
+        C1 = AB1 if C1 is None else C1 + AB1
+    if B1 is not None:
+        AdB = _dot(A0, _fold(B1, 1)).reshape(AB0.shape + B1.shape[B.ndim:])
+        C1 = AdB if C1 is None else C1 + AdB
+    return _join(lvl, AB0, C1)
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    lvl = _level(A, B)
+    if lvl == 0:
+        return np.linalg.solve(as_float_array(A), as_float_array(B))
+    A0, A1 = _split(A, lvl)
+    B0, B1 = _split(B, lvl)
+    X0 = _solve(A0, B0)
+    R = B1
+    if A1 is not None:
+        AX = _dot_tangent(A1, X0)
+        R = -AX if R is None else R - AX
+    X1 = _solve(A0, _fold(R, 1)).reshape(R.shape)
+    return _join(lvl, X0, X1)
 
 
 def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A x = B; works for float and dual-valued systems."""
-    if A.dtype != np.dtype(object) and B.dtype != np.dtype(object):
-        return np.linalg.solve(A, B)
-    return _lu_solve_generic(A, B)
+    return _solve(np.asarray(A), np.asarray(B))
 
 
 def inv(A: np.ndarray) -> np.ndarray:
-    if A.dtype != np.dtype(object):
-        return np.linalg.inv(A)
-    return _lu_solve_generic(A, np.eye(A.shape[0]))
+    A = np.asarray(A)
+    return _solve(A, np.eye(A.shape[0]))
 
 
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, None] * b[None, :]
+def dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.dot(A, B)`` for a matrix or vector A; works for dual-valued arrays."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim == 1:
+        return _dot(A[None, :], B)[0]
+    return _dot(A, B)
+
+
+def outer(a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
+    """The outer product a b^T, plus c when given; dual-aware like dot."""
+    return _dot(a[:, None], b[None, :], c)

@@ -5,10 +5,15 @@ the Levi-Civita oracle uses only metric pairings and plain directional
 derivatives, and the Lie-derivative oracle integrates the actual flow with
 a fixed-step RK4 and differentiates the pullback in the flow time.  Their
 job is to catch a bug that the engine would otherwise propagate into every
-check simultaneously.
+check simultaneously.  The dual-scalar LU solve is the engine's former
+linear algebra, kept as an oracle for the forward-mode matrix rules that
+replaced it: it runs Gaussian elimination over ``Dual`` objects directly.
 """
 
 import numpy as np
+
+from triadlab.ad import value
+from triadlab.engine import as_float_array
 
 
 def numeric_directional(f, p, v, h=1e-5):
@@ -85,3 +90,35 @@ def fd_jacobian(field, q, h=1e-6):
         lo = np.asarray(field(q - h * e), dtype=float)
         cols.append((hi - lo) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def lu_solve_generic(A, B):
+    """Solve A X = B by LU with partial pivoting, elementwise over dual scalars."""
+    n = A.shape[0]
+    M = np.array(A, dtype=object, copy=True)
+    one_d = B.ndim == 1
+    R = np.array(B if not one_d else B[:, None], dtype=object, copy=True)
+    for k in range(n):
+        piv, best = k, abs(value(M[k, k]))
+        for i in range(k + 1, n):
+            m = abs(value(M[i, k]))
+            if m > best:
+                piv, best = i, m
+        if best < 1e-300:
+            raise np.linalg.LinAlgError("singular system in generic LU solve")
+        if piv != k:
+            M[[k, piv]] = M[[piv, k]]
+            R[[k, piv]] = R[[piv, k]]
+        inv_p = 1.0 / M[k, k]
+        for i in range(k + 1, n):
+            f = M[i, k] * inv_p
+            M[i, k + 1:] = M[i, k + 1:] - f * M[k, k + 1:]
+            R[i] = R[i] - f * R[k]
+    X = np.empty_like(R)
+    for i in range(n - 1, -1, -1):
+        acc = R[i]
+        if i + 1 < n:
+            acc = acc - np.dot(M[i, i + 1:], X[i + 1:])
+        X[i] = acc / M[i, i]
+    X = as_float_array(X)
+    return X[:, 0] if one_d else X

@@ -76,8 +76,9 @@ def test_scaling_transfer_law():
 
 def test_scaling_rejects_nonpositive_factor():
     t = standard_triad(1)
-    with pytest.raises(AssertionError):
-        check_scaling(t, -1.0, np.zeros(3))
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            check_scaling(t, a, np.zeros(3))
 
 
 def test_naturality_all_catalog_maps():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from triadlab import DiffEngine, catalog
-from triadlab.ad import cos, exp, sin, sqrt
+from triadlab.ad import Dual, cos, exp, sin, sqrt
+from triadlab.engine import dot, inv, solve
 
-from oracles import fd_jacobian, flow_lie_derivative_endo, numeric_directional
+from oracles import (fd_jacobian, flow_lie_derivative_endo, lu_solve_generic,
+                     numeric_directional)
 
 
 def test_engine_rejects_bad_mode_and_step():
@@ -168,3 +170,167 @@ def test_jacobian_fd_vs_ad_on_catalog_reeb():
         J_ad = triad.engine.jacobian(triad.reeb_any, p)
         J_fd = fd.jacobian(triad.reeb_any, p)
         assert np.max(np.abs(J_ad - J_fd)) < 1e-6, ex_id
+
+
+# -- linear algebra over dual scalars --------------------------------------
+
+
+def _a_of(q):
+    """A well-conditioned 3x3 matrix field, evaluable at dual points."""
+    return np.array([[3.0 + sin(q[0]), q[1] * q[2], 0.5],
+                     [q[0] * q[1], 2.5 + q[2] * q[2], cos(q[1])],
+                     [0.25 * q[2], -q[0], 4.0 + q[0] * q[1]]], dtype=object)
+
+
+def _b_of(q):
+    return np.array([cos(q[2]), q[0] * q[0], 1.0 + q[1]], dtype=object)
+
+
+def _bm_of(q):
+    return np.array([[q[0], 1.0], [sin(q[1]), q[2] * q[0]],
+                     [2.0, q[1] - q[2]]], dtype=object)
+
+
+def _float_solve(q):
+    return np.linalg.solve(_a_of(q).astype(float), _b_of(q).astype(float))
+
+
+def _float_dot(q):
+    return np.dot(_a_of(q).astype(float), _bm_of(q).astype(float))
+
+
+_P = np.array([0.3, -0.8, 0.6])
+_AD = DiffEngine("ad")
+
+
+def test_solve_scalar_tangent_matches_forward_rule():
+    v = np.array([0.4, 1.0, -0.7])
+    got = _AD.deriv(lambda q: solve(_a_of(q), _b_of(q)), _P, v)
+    A = _a_of(_P).astype(float)
+    dA = numeric_directional(lambda q: _a_of(q).astype(float), _P, v)
+    db = numeric_directional(lambda q: _b_of(q).astype(float), _P, v)
+    X = np.linalg.solve(A, _b_of(_P).astype(float))
+    assert got.dtype == float
+    assert np.max(np.abs(got - np.linalg.solve(A, db - dA @ X))) < 1e-9
+    got_inv = _AD.deriv(lambda q: inv(_a_of(q)), _P, v)
+    Ai = np.linalg.inv(A)
+    assert np.max(np.abs(got_inv + Ai @ dA @ Ai)) < 1e-9
+
+
+def test_jacobian_of_solve_and_dot_against_central_differences():
+    J_solve = _AD.jacobian(lambda q: solve(_a_of(q), _b_of(q)), _P)
+    assert J_solve.shape == (3, 3)
+    assert np.max(np.abs(J_solve - fd_jacobian(_float_solve, _P))) < 1e-8
+    J_dot = _AD.jacobian(lambda q: dot(_a_of(q), _bm_of(q)), _P)
+    assert J_dot.shape == (3, 2, 3)
+    want = np.stack([fd_jacobian(lambda q: _float_dot(q)[:, k], _P)
+                     for k in range(2)], axis=1)
+    assert np.max(np.abs(J_dot - want)) < 1e-8
+
+
+def test_second_order_with_matrix_and_rhs_at_different_levels():
+    """A is frozen at the outer point while b moves with the inner one."""
+    u = np.array([1.0, -0.5, 0.25])
+    v = np.array([0.2, 0.9, -1.1])
+
+    def inner(q):
+        return _AD.deriv(lambda r: solve(_a_of(q), _b_of(r)), q, v)
+
+    got = _AD.deriv(inner, _P, u)
+
+    def inner_float(q):
+        db = numeric_directional(lambda r: _b_of(r).astype(float), q, v)
+        return np.linalg.solve(_a_of(q).astype(float), db)
+
+    assert np.max(np.abs(got - numeric_directional(inner_float, _P, u))) < 1e-7
+
+
+def test_nested_jacobian_with_dual_tangent_slots():
+    """A Jacobian of a Jacobian puts lower-level duals in vector slots."""
+    def jac(q):
+        return _AD.jacobian(lambda r: solve(_a_of(r), _b_of(r)), q)
+
+    got = _AD.jacobian(jac, _P)
+    assert got.shape == (3, 3, 3)
+    want = np.stack([fd_jacobian(lambda q: jac(q)[:, l], _P, h=1e-5)
+                     for l in range(3)], axis=1)
+    assert np.max(np.abs(got - want)) < 1e-7
+    assert np.max(np.abs(got - np.swapaxes(got, 1, 2))) < 1e-12
+
+
+def test_object_arrays_of_floats_come_back_as_floats():
+    A = _a_of(_P).astype(float)
+    b = _b_of(_P).astype(float)
+    Ao, bo = A.astype(object), b.astype(object)
+    for got, want in ((solve(Ao, bo), np.linalg.solve(A, b)),
+                      (inv(Ao), np.linalg.inv(A)),
+                      (dot(Ao, Ao), A @ A),
+                      (dot(bo, Ao), b @ A)):
+        assert got.dtype == float
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_singular_dual_system_raises():
+    def f(q):
+        A = np.array([[q[0], 2.0 * q[0]], [q[1], 2.0 * q[1]]], dtype=object)
+        return solve(A, np.array([q[0], 1.0], dtype=object))
+
+    with pytest.raises(np.linalg.LinAlgError):
+        _AD.deriv(f, np.array([0.5, 1.5]), np.array([1.0, 0.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _AD.jacobian(lambda q: inv(np.outer(q, q)), np.array([0.5, 1.5]))
+
+
+def _coeffs(x, levels):
+    """Every Taylor coefficient of a nested dual scalar, as a flat float array.
+
+    ``levels`` lists (level, tangent shape) from the top level down; an
+    entry without a given level counts as having a zero tangent there.
+    """
+    if not levels:
+        return np.array([float(x)])
+    (lvl, tshape), rest = levels[0], levels[1:]
+    if isinstance(x, Dual) and x.lvl == lvl:
+        re, du = x.re, x.du
+    else:
+        re, du = x, np.zeros(tshape)
+    slots = np.asarray(du, dtype=object).reshape(-1)
+    return np.concatenate([_coeffs(re, rest)]
+                          + [_coeffs(g, rest) for g in slots])
+
+
+def _random_dual(rng, levels, keep=1.0):
+    """A random nested dual; each level is present with probability ``keep``."""
+    if not levels:
+        return float(rng.standard_normal())
+    (lvl, tshape), rest = levels[0], levels[1:]
+    re = _random_dual(rng, rest, keep)
+    if rng.random() > keep:
+        return re
+    slots = [_random_dual(rng, rest, keep) for _ in range(int(np.prod(tshape)))]
+    du = slots[0] if tshape == () else np.array(slots).reshape(tshape)
+    return Dual(lvl, re, du)
+
+
+@pytest.mark.parametrize("levels", [
+    [(1, ())],
+    [(1, (3,))],
+    [(2, ()), (1, (2,))],
+    [(2, (2,)), (1, ())],
+])
+def test_solve_and_inv_agree_with_dual_lu_oracle(levels):
+    rng = np.random.default_rng(len(levels) * 10 + len(levels[0][1]))
+    n = 4
+    for keep in (1.0, 0.6):
+        A = np.empty((n, n), dtype=object)
+        B = np.empty((n, 2), dtype=object)
+        for idx in np.ndindex(A.shape):
+            A[idx] = _random_dual(rng, levels, keep) + (3.0 * n if idx[0] == idx[1] else 0.0)
+        for idx in np.ndindex(B.shape):
+            B[idx] = _random_dual(rng, levels, keep)
+        for got, want in ((solve(A, B), lu_solve_generic(A, B)),
+                          (solve(A, B[:, 0]), lu_solve_generic(A, B[:, 0])),
+                          (inv(A), lu_solve_generic(A, np.eye(n)))):
+            assert got.shape == want.shape
+            for g, w in zip(got.ravel(), want.ravel()):
+                assert np.max(np.abs(_coeffs(g, levels) - _coeffs(w, levels))) < 1e-13

@@ -3,9 +3,12 @@ ordering, byte-stable reports, the frozen schema, and exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import triadlab
 from triadlab.cli import main
 from triadlab.runner import (
     RESIDUAL_UNEVALUABLE,
@@ -250,3 +253,15 @@ def test_cli_negative_controls_healthy(capsys):
     assert main(["check", "--example", "r3-standard",
                  "--negative-controls"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_cli_runs_as_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triadlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "triadlab.cli",
+                           "list-examples"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for ex_id in triadlab.catalog():
+        assert ex_id in proc.stdout
