@@ -148,8 +148,3 @@ def sqrt(x):
         return Dual(x.lvl, r, x.du / (2.0 * r))
     return math.sqrt(x)
 
-
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(x.lvl, log(x.re), x.du / x.re)
-    return math.log(x)

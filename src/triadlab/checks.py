@@ -34,8 +34,9 @@ from .connections import (
     torsion_tensor,
     triad_connection,
 )
-from .contact import ContactTriad
-from .engine import dot, solve
+from .contact import (ContactTriad, const_field, j_image, metric_pair,
+                      reeb_section, xi_section)
+from .engine import dot, max_residual, solve
 
 TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
@@ -182,21 +183,6 @@ def xi_vector(triad: ContactTriad, p, rng) -> np.ndarray:
             return w / np.sqrt(n2)
 
 
-def xi_section(triad: ContactTriad, w) -> Callable:
-    """Smooth distribution section q -> Pi(q) w for a frozen chart vector."""
-    w = np.asarray(w, dtype=float)
-    return lambda q: dot(triad.pi_any(q), w)
-
-
-def j_image(triad: ContactTriad, Yf: Callable) -> Callable:
-    return lambda q: dot(triad.j_any(q), Yf(q))
-
-
-def const_field(w) -> Callable:
-    w = np.asarray(w, dtype=float)
-    return lambda q: w
-
-
 # -- small shared evaluators ----------------------------------------------
 
 
@@ -205,13 +191,6 @@ def _reeb_cov_matrix(conn, p) -> np.ndarray:
     t = conn.triad
     return t.jac_reeb_at(p) + np.einsum('kil,l->ki', conn.gamma_tensor(p),
                                         t.reeb_any(p))
-
-
-def _metric_pair_deriv(triad: ContactTriad, Yf, Zf, p, u):
-    """Directional derivative of q -> g_q(Y(q), Z(q)) along u."""
-    def gyz(q):
-        return np.dot(Yf(q), np.dot(triad.metric_any(q), Zf(q)))
-    return triad.engine.deriv(gyz, p, u)
 
 
 # -- axiom battery ---------------------------------------------------------
@@ -234,7 +213,7 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
     P = triad.pi_any(p)
     lam = triad.lam_any(p)
     X = triad.reeb_any(p)
-    reeb = triad.reeb_any
+    reeb = reeb_section(triad)
 
     r_herm = r_xtor = r_rtor = r_inv = r_cr = r_dual = 0.0
     for _ in range(samples):
@@ -248,34 +227,35 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
         # (1) J-linearity and metric property of the projected connection
         jlin = (np.dot(P, conn.apply_vec(u, j_image(triad, Yf), p))
                 - np.dot(J, np.dot(P, conn.apply_vec(u, Yf, p))))
-        dg = _metric_pair_deriv(triad, Yf, Zf, p, u)
+        dg = triad.engine.deriv(metric_pair(triad, Yf, Zf), p, u)
         met = (dg - np.dot(np.dot(P, conn.apply_vec(u, Yf, p)), np.dot(G, z))
                - np.dot(y, np.dot(G, np.dot(P, conn.apply_vec(u, Zf, p)))))
-        r_herm = max(r_herm, float(np.max(np.abs(jlin))), abs(float(met)))
+        r_herm = max_residual(r_herm, np.max(np.abs(jlin)), abs(float(met)))
 
         # (2) projected torsion on conjugate pairs
         v = xi_vector(triad, p, rng)
         t2 = np.dot(P, torsion_tensor(conn, p, np.dot(J, v), v))
-        r_xtor = max(r_xtor, float(np.max(np.abs(t2))))
+        r_xtor = max_residual(r_xtor, np.max(np.abs(t2)))
 
         # (3) torsion against the Reeb field
         t3 = torsion_tensor(conn, p, X, tq_vector(d, rng))
-        r_rtor = max(r_rtor, float(np.max(np.abs(t3))))
+        r_rtor = max_residual(r_rtor, np.max(np.abs(t3)))
 
         # (4) nabla_X X = 0 and lam(nabla_Y X) = 0
-        r_inv = max(r_inv, abs(float(np.dot(lam, conn.apply_vec(v, reeb, p)))))
+        r_inv = max_residual(r_inv,
+                             abs(float(np.dot(lam, conn.apply_vec(v, reeb, p)))))
 
         # (5;c) the parameter coupling
         cr = (conn.apply_vec(np.dot(J, v), reeb, p)
               + np.dot(J, conn.apply_vec(v, reeb, p)) - c * v)
-        r_cr = max(r_cr, float(np.max(np.abs(cr))))
+        r_cr = max_residual(r_cr, np.max(np.abs(cr)))
 
         # (6) metric duality against the Reeb field
         dual = (np.dot(conn.apply_vec(v, reeb, p), np.dot(G, Zf(p)))
                 + np.dot(X, np.dot(G, conn.apply_vec(v, Zf, p))))
-        r_dual = max(r_dual, abs(float(dual)))
+        r_dual = max_residual(r_dual, abs(float(dual)))
 
-    r_inv = max(r_inv, float(np.max(np.abs(conn.apply_vec(X, reeb, p)))))
+    r_inv = max_residual(r_inv, np.max(np.abs(conn.apply_vec(X, reeb, p))))
 
     tol = TOL_ALGEBRAIC
     return [
@@ -304,7 +284,7 @@ def check_cr_form(triad: ContactTriad, c: float, p, seed: int = 0,
         Yf = xi_section(triad, rng.standard_normal(triad.dim))
         a1 = covariant_derivative_form(conn, triad.lam, Yf, p)
         a2 = covariant_derivative_form(conn, triad.lam, j_image(triad, Yf), p)
-        r_xi = max(r_xi, float(np.max(np.abs(a1 + np.dot(J.T, a2)))))
+        r_xi = max_residual(r_xi, np.max(np.abs(a1 + np.dot(J.T, a2))))
 
     return (make_result("cr-form-reeb", r_reeb, TOL_ALGEBRAIC, p),
             make_result("cr-form-xi", r_xi, TOL_ALGEBRAIC, p))
@@ -346,12 +326,12 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
         v = tq_vector(triad.dim, rng)
         diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
         offset = -(1.0 / a - 1.0) * float(Pi @ v @ G @ (reeb_cov @ (Pi @ u))) * X
-        worst = max(worst, float(np.max(np.abs(diff - offset))))
+        worst = max_residual(worst, np.max(np.abs(diff - offset)))
     w = tq_vector(triad.dim, rng)
-    worst = max(worst, float(np.max(np.abs(
-        conn_s.gamma_apply(p, X, w) - conn_b.gamma_apply(p, X, w)))))
-    worst = max(worst, float(np.max(np.abs(
-        conn_s.gamma_apply(p, w, X) - conn_b.gamma_apply(p, w, X)))))
+    worst = max_residual(worst, np.max(np.abs(
+        conn_s.gamma_apply(p, X, w) - conn_b.gamma_apply(p, X, w))))
+    worst = max_residual(worst, np.max(np.abs(
+        conn_s.gamma_apply(p, w, X) - conn_b.gamma_apply(p, w, X))))
     return make_result("scaling-transfer", worst, TOL_DERIVATIVE, p)
 
 
@@ -377,14 +357,15 @@ class StrictContactMap:
             q = np.asarray(q, dtype=float)
             dphi = np.asarray(self.differential(q), dtype=float)
             pulled = np.dot(dphi.T, triad.lam_any(self.forward(q)))
-            worst = max(worst, float(np.max(np.abs(pulled - triad.lam_any(q)))))
+            worst = max_residual(worst, np.max(np.abs(pulled - triad.lam_any(q))))
         return worst
 
     def roundtrip_residual(self, pts) -> float:
         worst = 0.0
         for q in pts:
             q = np.asarray(q, dtype=float)
-            worst = max(worst, float(np.max(np.abs(self.inverse(self.forward(q)) - q))))
+            back = self.inverse(self.forward(q))
+            worst = max_residual(worst, np.max(np.abs(back - q)))
         return worst
 
 
@@ -404,7 +385,7 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
                      p, seed: int = 0, samples: int = 3) -> CheckResult:
     p = np.asarray(p, dtype=float)
     strict = cmap.strictness_residual(triad, [p])
-    if strict > STRICTNESS_TOL:
+    if not strict <= STRICTNESS_TOL:
         raise ValueError(
             "map %s does not preserve the contact form (residual %.3e) "
             "at %s" % (cmap.label, strict, p))
@@ -420,7 +401,7 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
     for Yf in fields:
         u = tq_vector(triad.dim, rng)
         diff = through.apply_vec(u, Yf, p) - direct.apply_vec(u, Yf, p)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        worst = max_residual(worst, np.max(np.abs(diff)))
     return make_result("naturality-pullback", worst, TOL_DERIVATIVE, p)
 
 
@@ -441,7 +422,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     lam = triad.lam_any(p)
     X = triad.reeb_any(p)
     L = triad.lie_reeb_j_at(p)
-    reeb = triad.reeb_any
+    reeb = reeb_section(triad)
     lc = LeviCivitaConnection(triad)
     tmp = triad_connection(triad, -1.0)
     conn0 = triad_connection(triad, 0.0)
@@ -464,8 +445,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
 
     # Reeb orbits are geodesics; nabla^LC X is distribution-valued.
     mlc = _reeb_cov_matrix(lc, p)
-    r = max(float(np.max(np.abs(np.dot(mlc, X)))),
-            float(np.max(np.abs(np.dot(lam, mlc)))))
+    r = max_residual(np.max(np.abs(np.dot(mlc, X))),
+                     np.max(np.abs(np.dot(lam, mlc))))
     out.append(make_result("reeb-geodesic-foliation", r, TOL_ALGEBRAIC, p))
 
     # Pairing of nabla^LC J with the Nijenhuis tensor, full tangent slots.
@@ -480,7 +461,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         lhs = 2.0 * ip(nj, z)
         rhs = (ip(nyz, jx) - ip(jx, np.dot(J, y)) * float(np.dot(lam, z))
                + ip(jx, np.dot(J, z)) * float(np.dot(lam, y)))
-        r = max(r, abs(lhs - rhs))
+        r = max_residual(r, abs(lhs - rhs))
     out.append(make_result("lc-j-derivative-pairing", r, TOL_ALGEBRAIC, p))
 
     # Reeb-slot specialisations of the same pairing.
@@ -490,12 +471,13 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         z = xi_vector(triad, p, rng)
         ny = _lc_nabla_j(triad, y, p)
         lz = np.dot(L, z)
-        r = max(r, abs(2.0 * ip(np.dot(ny, X), z) + ip(lz, y) - ip(y, z)))
-        r = max(r, abs(2.0 * ip(np.dot(ny, z), X) - ip(lz, y) + ip(y, z)))
+        r = max_residual(r,
+                         abs(2.0 * ip(np.dot(ny, X), z) + ip(lz, y) - ip(y, z)),
+                         abs(2.0 * ip(np.dot(ny, z), X) - ip(lz, y) + ip(y, z)))
         x = xi_vector(triad, p, rng)
         nx = np.dot(_lc_nabla_j(triad, x, p), y)
         nyz = nijenhuis(triad, xi_section(triad, y), xi_section(triad, z), p)
-        r = max(r, abs(2.0 * ip(nx, z) - ip(nyz, np.dot(J, x))))
+        r = max_residual(r, abs(2.0 * ip(nx, z) - ip(nyz, np.dot(J, x))))
     out.append(make_result("lc-j-derivative-reeb-slots", r, TOL_ALGEBRAIC, p))
 
     # Nijenhuis tensor with the Reeb field in a slot.
@@ -505,8 +487,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         Zf = xi_section(triad, wz)
         z = Zf(p)
         jlz = np.dot(J, np.dot(L, z))
-        r = max(r, float(np.max(np.abs(nijenhuis(triad, reeb, Zf, p) + jlz))))
-        r = max(r, float(np.max(np.abs(nijenhuis(triad, Zf, reeb, p) - jlz))))
+        r = max_residual(r, np.max(np.abs(nijenhuis(triad, reeb, Zf, p) + jlz)))
+        r = max_residual(r, np.max(np.abs(nijenhuis(triad, Zf, reeb, p) - jlz)))
     out.append(make_result("nijenhuis-reeb-slots", r, TOL_ALGEBRAIC, p))
 
     # J-shuffles of the Nijenhuis tensor on the distribution.
@@ -517,8 +499,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         n_y_jz = nijenhuis(triad, Yf, j_image(triad, Zf), p)
         n_y_z = nijenhuis(triad, Yf, Zf, p)
         n_z_jy = nijenhuis(triad, Zf, j_image(triad, Yf), p)
-        r = max(r, float(np.max(np.abs(np.dot(J, n_y_jz) - np.dot(P, n_y_z)))))
-        r = max(r, float(np.max(np.abs(np.dot(P, n_y_jz) + np.dot(P, n_z_jy)))))
+        r = max_residual(r, np.max(np.abs(np.dot(J, n_y_jz) - np.dot(P, n_y_z))))
+        r = max_residual(r, np.max(np.abs(np.dot(P, n_y_jz) + np.dot(P, n_z_jy))))
     out.append(make_result("nijenhuis-j-shuffle", r, TOL_ALGEBRAIC, p))
 
     # Antilinear cancellation of nabla^LC J.
@@ -528,7 +510,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         x = xi_vector(triad, p, rng)
         t = (np.dot(P, np.dot(_lc_nabla_j(triad, np.dot(J, y), p), x))
              + np.dot(J, np.dot(_lc_nabla_j(triad, y, p), x)))
-        r = max(r, float(np.max(np.abs(t))))
+        r = max_residual(r, np.max(np.abs(t)))
     out.append(make_result("lc-j-antilinear-cancellation", r,
                            TOL_ALGEBRAIC, p))
 
@@ -548,7 +530,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         Yf = xi_section(triad, rng.standard_normal(d))
         t = (np.dot(P, tmp.apply_vec(u, j_image(triad, Yf), p))
              - np.dot(J, np.dot(P, tmp.apply_vec(u, Yf, p))))
-        r = max(r, float(np.max(np.abs(t))))
+        r = max_residual(r, np.max(np.abs(t)))
     out.append(make_result("semi-connection-j-linearity", r,
                            TOL_ALGEBRAIC, p))
 
@@ -558,8 +540,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         x = xi_vector(triad, p, rng)
         y = xi_vector(triad, p, rng)
         z = xi_vector(triad, p, rng)
-        r = max(r, abs(ip(tensor_P(triad, x, y, p), z)
-                       + ip(y, tensor_P(triad, x, z, p))))
+        r = max_residual(r, abs(ip(tensor_P(triad, x, y, p), z)
+                                + ip(y, tensor_P(triad, x, z, p))))
     out.append(make_result("p-tensor-metric-skew", r, TOL_ALGEBRAIC, p))
 
     # Metric property of the intermediate connection on sections.
@@ -568,10 +550,10 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         u = tq_vector(d, rng)
         Yf = xi_section(triad, rng.standard_normal(d))
         Zf = xi_section(triad, rng.standard_normal(d))
-        dg = _metric_pair_deriv(triad, Yf, Zf, p, u)
+        dg = triad.engine.deriv(metric_pair(triad, Yf, Zf), p, u)
         t = (dg - ip(tmp.apply_vec(u, Yf, p), Zf(p))
              - ip(Yf(p), tmp.apply_vec(u, Zf, p)))
-        r = max(r, abs(float(t)))
+        r = max_residual(r, abs(float(t)))
     out.append(make_result("semi-connection-metric", r, TOL_ALGEBRAIC, p))
 
     # Reeb/metric duality for the intermediate connection.
@@ -581,7 +563,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         Zf = xi_section(triad, rng.standard_normal(d))
         t = (ip(tmp.apply_vec(y, reeb, p), Zf(p))
              + ip(X, tmp.apply_vec(y, Zf, p)))
-        r = max(r, abs(float(t)))
+        r = max_residual(r, abs(float(t)))
     out.append(make_result("semi-connection-reeb-metric-dual", r,
                            TOL_ALGEBRAIC, p))
 
@@ -593,8 +575,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         y, z = Yf(p), Zf(p)
         t = torsion_tensor(tmp, p, y, z)
         n = nijenhuis(triad, Yf, Zf, p)
-        r = max(r, float(np.max(np.abs(np.dot(P, t) - 0.25 * np.dot(P, n)))))
-        r = max(r, abs(float(np.dot(lam, t))))
+        r = max_residual(r, np.max(np.abs(np.dot(P, t) - 0.25 * np.dot(P, n))))
+        r = max_residual(r, abs(float(np.dot(lam, t))))
     out.append(make_result("semi-connection-torsion-quarter-n", r,
                            TOL_DERIVATIVE, p))
 
@@ -603,7 +585,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     for c in c_values:
         mc = _reeb_cov_matrix(triad_connection(triad, c), p)
         m = np.dot(mc + 0.5 * c * J - 0.5 * np.dot(L, J), P)
-        r = max(r, float(np.max(np.abs(m))))
+        r = max_residual(r, np.max(np.abs(m)))
     out.append(make_result("reeb-covariant-family", r, TOL_DERIVATIVE, p))
 
     # Torsion split values across the family.
@@ -615,12 +597,12 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         dlyz = float(np.dot(y, np.dot(A, z)))
         for c in c_values:
             t = torsion_tensor(triad_connection(triad, c), p, y, z)
-            r = max(r, abs(float(np.dot(lam, t)) - (1.0 + c) * dlyz))
+            r = max_residual(r, abs(float(np.dot(lam, t)) - (1.0 + c) * dlyz))
         t0 = torsion_tensor(conn0, p, y, z)
         l_jy = engine.lie_derivative_endo(j_image(triad, Yf), triad.j_any, p)
         l_y = engine.lie_derivative_endo(Yf, triad.j_any, p)
         lie_side = 0.25 * (np.dot(l_jy, z) + np.dot(l_y, np.dot(J, z)))
-        r = max(r, float(np.max(np.abs(np.dot(P, t0) - lie_side))))
+        r = max_residual(r, np.max(np.abs(np.dot(P, t0) - lie_side)))
     out.append(make_result("torsion-split-values", r, TOL_DERIVATIVE, p))
 
     # Type symmetries of the projected torsion.
@@ -631,23 +613,25 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         t_jy_z = np.dot(P, torsion_tensor(conn0, p, np.dot(J, y), z))
         t_y_jz = np.dot(P, torsion_tensor(conn0, p, y, np.dot(J, z)))
         t_y_z = np.dot(P, torsion_tensor(conn0, p, y, z))
-        r = max(r, float(np.max(np.abs(t_jy_z - t_y_jz))))
-        r = max(r, float(np.max(np.abs(np.dot(J, t_jy_z) - t_y_z))))
+        r = max_residual(r, np.max(np.abs(t_jy_z - t_y_jz)))
+        r = max_residual(r, np.max(np.abs(np.dot(J, t_jy_z) - t_y_z)))
     out.append(make_result("torsion-type-symmetries", r, TOL_DERIVATIVE, p))
 
-    # The antisymmetrisation of P as a bracket combination.
+    # The antisymmetrisation of P as a bracket combination.  The brackets
+    # differentiate the bare closures, so this record runs the field path in
+    # both modes.
     r = 0.0
     for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(d))
-        Zf = xi_section(triad, rng.standard_normal(d))
+        Yf = xi_section(triad, rng.standard_normal(d)).fn
+        Zf = xi_section(triad, rng.standard_normal(d)).fn
         y, z = Yf(p), Zf(p)
         lhs = -tensor_P(triad, y, z, p) + tensor_P(triad, z, y, p)
-        jy, jz = j_image(triad, Yf), j_image(triad, Zf)
+        jy, jz = j_image(triad, Yf).fn, j_image(triad, Zf).fn
         rhs = 0.25 * (engine.lie_bracket(jy, jz, p)
                       - np.dot(P, engine.lie_bracket(Yf, Zf, p))
                       - np.dot(J, engine.lie_bracket(jy, Zf, p))
                       - np.dot(J, engine.lie_bracket(Yf, jz, p)))
-        r = max(r, float(np.max(np.abs(lhs - rhs))))
+        r = max_residual(r, np.max(np.abs(lhs - rhs)))
     out.append(make_result("p-antisymmetrized-bracket", r, TOL_ALGEBRAIC, p))
 
     # d lam is parallel along the Reeb direction for the canonical member.
@@ -691,7 +675,8 @@ def fault_flipped_b1(triad: ContactTriad, p, seed: int = 0,
         Zf = xi_section(triad, rng.standard_normal(triad.dim))
         t = torsion_tensor(conn, p, Yf(p), Zf(p))
         n = nijenhuis(triad, Yf, Zf, p)
-        r = max(r, float(np.max(np.abs(np.dot(Pm, t) - 0.25 * np.dot(Pm, n)))))
+        r = max_residual(r,
+                         np.max(np.abs(np.dot(Pm, t) - 0.25 * np.dot(Pm, n))))
     return make_result("fault-flipped-correction", r, TOL_DERIVATIVE, p)
 
 
@@ -702,12 +687,13 @@ def fault_wrong_c(triad: ContactTriad, p, seed: int = 0, built_c: float = 1.0,
     conn = triad_connection(triad, built_c)
     rng = field_rng(seed, "fault-c", triad.label)
     J = triad.j_any(p)
+    reeb = reeb_section(triad)
     r = 0.0
     for _ in range(samples):
         y = xi_vector(triad, p, rng)
-        t = (conn.apply_vec(np.dot(J, y), triad.reeb_any, p)
-             + np.dot(J, conn.apply_vec(y, triad.reeb_any, p)) - tested_c * y)
-        r = max(r, float(np.max(np.abs(t))))
+        t = (conn.apply_vec(np.dot(J, y), reeb, p)
+             + np.dot(J, conn.apply_vec(y, reeb, p)) - tested_c * y)
+        r = max_residual(r, np.max(np.abs(t)))
     return make_result("fault-wrong-family-parameter", r, TOL_ALGEBRAIC, p)
 
 
@@ -731,7 +717,7 @@ def fault_levi_civita(triad: ContactTriad, p, seed: int = 0,
         Yf = xi_section(triad, rng.standard_normal(triad.dim))
         t = (np.dot(P, lc.apply_vec(u, j_image(triad, Yf), p))
              - np.dot(J, np.dot(P, lc.apply_vec(u, Yf, p))))
-        r = max(r, float(np.max(np.abs(t))))
+        r = max_residual(r, np.max(np.abs(t)))
     return make_result("fault-levi-civita-not-complex-linear", r,
                        TOL_ALGEBRAIC, p)
 
@@ -748,5 +734,5 @@ def fault_scale_mismatch(triad: ContactTriad, a: float, p, seed: int = 0,
         u = tq_vector(triad.dim, rng)
         v = tq_vector(triad.dim, rng)
         diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
-        r = max(r, float(np.max(np.abs(diff))))
+        r = max_residual(r, np.max(np.abs(diff)))
     return make_result("fault-scale-mismatch", r, TOL_DERIVATIVE, p)

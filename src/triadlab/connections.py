@@ -5,13 +5,15 @@ Christoffel table.  The canonical family is then built compositionally,
 
     nabla^c  =  nabla^LC  +  B1  +  B2(c),
 
-with the two correction tensors evaluated from their closed forms:
+with the two correction tensors given by their closed forms:
 
     B1(Z1, Z2)   = -1/2 J ((nabla^LC_{Pi Z1} J) Pi Z2)
     B2(c)(Z1,Z2) = (1+c)/2 (-g(Z2,X) J Z1 - g(Z1,X) J Z2 + g(J Z1, Z2) X)
 
-where X is the Reeb field.  The family is never given its own Christoffel
-table; every evaluation goes through the Levi-Civita data plus the tensors.
+where X is the Reeb field.  Each family member assembles its own bilinear
+table Gamma = Christoffel + B1 + B2(c) once per point, with einsums over the
+cached Christoffel, J and dJ tables, and ``gamma_apply`` reads that table.
+``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 
 Connections evaluate as ``conn.apply(Xf, Yf, p)`` on vector-field closures;
 ``gamma_apply(p, u, v)`` exposes the bilinear part (the value on fields with
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contact import ContactTriad, TriadMetric
-from .engine import dot, is_float_point, solve
+from .contact import ContactTriad, TriadMetric, j_image
+from .engine import is_float_point, solve
 
 
 class AffineConnection:
@@ -58,14 +60,13 @@ class LocalConnection(AffineConnection):
         key = p.tobytes()
         hit = self._gamma_cache.get(key)
         if hit is None:
-            d = self.triad.dim
-            eye = np.eye(d)
-            hit = np.empty((d, d, d))
-            for i in range(d):
-                for j in range(d):
-                    hit[:, i, j] = self.gamma_apply(p, eye[i], eye[j])
+            hit = self.gamma_table(p)
             self._gamma_cache[key] = hit
         return hit
+
+    def gamma_table(self, p):
+        """Build the table :meth:`gamma_tensor` caches, once per point."""
+        raise NotImplementedError
 
 
 class LeviCivitaConnection(LocalConnection):
@@ -135,13 +136,27 @@ class TriadConnection(LocalConnection):
         self.c = float(c)
         self.b1_sign = float(b1_sign)
         self.label = "triad(c=%g)" % c
-        self.lc = LeviCivitaConnection(triad)
 
     def gamma_apply(self, p, u, v):
-        out = self.lc.gamma_apply(p, u, v)
-        out = out + self.b1_sign * tensor_B1(self.triad, u, v, p)
-        out = out + tensor_B2(self.triad, self.c, u, v, p)
-        return out
+        return np.einsum('kij,i,j->k', self.gamma_tensor(p), u, v)
+
+    def gamma_table(self, p):
+        """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j]."""
+        t = self.triad
+        C = t.christoffel_at(p)
+        J = t.j_any(p)
+        P = t.pi_any(p)
+        X = t.reeb_any(p)
+        G = t.metric_any(p)
+        # nj[a, b, l] = (nabla^LC_{e_l} J)[a, b]
+        nj = (t.jac_j_at(p) + np.einsum('alm,mb->abl', C, J)
+              - np.einsum('am,mlb->abl', J, C))
+        b1 = -0.5 * np.einsum('ka,abl,li,bj->kij', J, nj, P, P, optimize=True)
+        gx = np.dot(G, X)
+        b2 = 0.5 * (1.0 + self.c) * (-J[:, :, None] * gx[None, None, :]
+                                     - gx[None, :, None] * J[:, None, :]
+                                     + X[:, None, None] * np.dot(J.T, G)[None])
+        return C + self.b1_sign * b1 + b2
 
 
 def triad_connection(triad: ContactTriad, c: float) -> TriadConnection:
@@ -173,15 +188,14 @@ def torsion_tensor(conn: LocalConnection, p, u, v):
 
 
 def nijenhuis(triad: ContactTriad, Xf, Yf, p):
-    """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] (no factor-2 convention)."""
+    """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] (no factor-2 convention).
+
+    JX and JY are J-image sections, so in ``ad`` mode their derivatives are
+    read from their 1-jets; the brackets are those of the fields themselves.
+    """
     engine = triad.engine
-
-    def JX(q):
-        return dot(triad.j_any(q), Xf(q))
-
-    def JY(q):
-        return dot(triad.j_any(q), Yf(q))
-
+    JX = j_image(triad, Xf)
+    JY = j_image(triad, Yf)
     J = triad.j_any(p)
     t1 = engine.lie_bracket(JX, JY, p)
     t2 = engine.lie_bracket(Xf, Yf, p)

@@ -13,6 +13,12 @@ From these it derives, at any chart point (float or dual-valued):
 
 Float-point evaluations are memoised per point; dual-valued points bypass
 the caches so the same pipelines stay differentiable.
+
+The fields the checks differentiate are built here as
+:class:`~triadlab.engine.Section` objects (:func:`xi_section`,
+:func:`j_image`, :func:`reeb_section`, :func:`const_field`,
+:func:`metric_pair`): each carries its 1-jet, read from the cached
+Jacobian tables, so an ``ad`` derivative of it runs no dual pass.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DiffEngine, dot, is_float_point, outer, solve
+from .engine import DiffEngine, Section, dot, is_float_point, outer, solve
 
 REEB_RESIDUAL_TOL = 1e-10
 
@@ -265,6 +271,69 @@ class ContactTriad:
         lo, hi = self.domain
         rng = np.random.default_rng(seed)
         return lo + (hi - lo) * rng.random((count, self.dim))
+
+
+# -- sections with 1-jets ----------------------------------------------------
+
+
+def xi_section(triad: ContactTriad, w) -> Section:
+    """Smooth distribution section q -> Pi(q) w for a frozen chart vector.
+
+    Its Jacobian is (d Pi) w = -lam(w) dX - X (w^T d lam), from Pi = I - X lam^T.
+    """
+    w = np.asarray(w, dtype=float)
+
+    def jet(p):
+        X = triad.reeb_any(p)
+        lam_w = float(np.dot(triad.lam_any(p), w))
+        d_pw = (-lam_w * triad.jac_reeb_at(p)
+                - np.outer(X, np.dot(w, triad.jac_lam_at(p))))
+        return np.dot(triad.pi_any(p), w), d_pw
+
+    return Section(lambda q: dot(triad.pi_any(q), w), jet)
+
+
+def j_image(triad: ContactTriad, Yf) -> Section:
+    """The field q -> J(q) Y(q); its Jacobian is (dJ) y + J dY."""
+    def jet(p):
+        y = Yf(p)
+        J = triad.j_any(p)
+        d_jy = (np.einsum('abl,b->al', triad.jac_j_at(p), y)
+                + np.dot(J, triad.engine.jacobian(Yf, p)))
+        return np.dot(J, y), d_jy
+
+    return Section(lambda q: dot(triad.j_any(q), Yf(q)), jet)
+
+
+def reeb_section(triad: ContactTriad) -> Section:
+    """The Reeb field, with the cached Jacobian table as its jet."""
+    return Section(triad.reeb_any,
+                   lambda p: (triad.reeb_any(p), triad.jac_reeb_at(p)))
+
+
+def const_field(w) -> Section:
+    """The constant-coefficient field q -> w."""
+    w = np.asarray(w, dtype=float)
+    return Section(lambda q: w, lambda p: (w, np.zeros((len(w), len(p)))))
+
+
+def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
+    """The scalar field q -> g_q(Y(q), Z(q)).
+
+    Its gradient is dg[i, j, :] y_i z_j + dY^T G z + dZ^T G^T y.
+    """
+    def jet(p):
+        y, z = Yf(p), Zf(p)
+        G = triad.metric_any(p)
+        gz, yg = np.dot(G, z), np.dot(y, G)
+        eng = triad.engine
+        grad = (np.einsum('ijl,i,j->l', triad.dmetric_at(p), y, z)
+                + np.dot(gz, eng.jacobian(Yf, p))
+                + np.dot(yg, eng.jacobian(Zf, p)))
+        return float(np.dot(y, gz)), grad
+
+    return Section(lambda q: np.dot(Yf(q), np.dot(triad.metric_any(q), Zf(q))),
+                   jet)
 
 
 class TriadMetric:

@@ -7,6 +7,14 @@ closures into derivatives either with nested dual numbers (``mode="ad"``,
 exact to rounding, supports second-order nesting) or with central finite
 differences (``mode="fd"``, an independent cross-check path).
 
+A :class:`Section` is a closure that also knows its 1-jet, the pair (value,
+Jacobian) at a float point, assembled from per-point tables that are already
+cached.  The jet rule lives in :meth:`DiffEngine.deriv` and
+:meth:`DiffEngine.jacobian` alone: in ``ad`` mode, at a float point, a field
+with a ``jet`` is differentiated by reading it, so no dual pass re-runs the
+pipeline behind the field.  Every other case runs the closure, and ``fd``
+mode never reads a jet, so it keeps differentiating closures.
+
 The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
 :func:`outer`) take float or dual-valued arrays, so the same geometric
 pipelines run unchanged inside a differentiation pass.  Float arrays, and
@@ -19,6 +27,7 @@ dual scalars.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -44,6 +53,18 @@ def as_float_array(a: np.ndarray) -> np.ndarray:
         return a.astype(float)
     except (TypeError, ValueError):
         return a
+
+
+def max_residual(*values) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN.
+
+    Python's ``max`` keeps its first operand when a comparison with NaN is
+    false, so ``max(0.0, nan)`` is 0.0 and a NaN residual would pass.
+    """
+    vals = [float(v) for v in values]
+    if any(math.isnan(v) for v in vals):
+        return math.nan
+    return max(vals)
 
 
 def _seed(p, v, lvl) -> np.ndarray:
@@ -88,6 +109,24 @@ def _extract(y, lvl, grad_shape=()):
     return np.zeros(grad_shape) if grad_shape else 0.0
 
 
+class Section:
+    """A field closure together with its 1-jet.
+
+    ``jet(p)`` returns (value, Jacobian) at a float point, the Jacobian with
+    one trailing axis of length dim like :meth:`DiffEngine.jacobian`.
+    Calling the section runs the bare closure ``fn``.
+    """
+
+    __slots__ = ("fn", "jet")
+
+    def __init__(self, fn: Callable, jet: Callable):
+        self.fn = fn
+        self.jet = jet
+
+    def __call__(self, q):
+        return self.fn(q)
+
+
 class DiffEngine:
     """Directional derivatives of chart-coordinate closures.
 
@@ -105,8 +144,13 @@ class DiffEngine:
 
     # -- core passes -----------------------------------------------------
 
+    def _reads_jet(self, f, p) -> bool:
+        return self.mode == "ad" and is_float_point(p) and hasattr(f, "jet")
+
     def deriv(self, f, p, v):
         """Directional derivative of a scalar/vector/matrix closure at p along v."""
+        if self._reads_jet(f, p):
+            return np.dot(f.jet(p)[1], v)
         if self.mode == "ad":
             lvl = push_level()
             try:
@@ -126,6 +170,8 @@ class DiffEngine:
         ``jacobian(f, p)[..., l]`` is the partial derivative of ``f`` along
         chart coordinate ``l``.
         """
+        if self._reads_jet(f, p):
+            return f.jet(p)[1]
         d = len(p)
         if self.mode == "ad":
             eye = np.eye(d)

@@ -24,7 +24,7 @@ import numpy as np
 from . import ad
 from .contact import ContactTriad
 from .connections import LocalConnection, triad_connection
-from .engine import as_float_array, inv, is_float_point
+from .engine import as_float_array, inv, is_float_point, max_residual
 
 
 class FrameRankError(RuntimeError):
@@ -157,11 +157,6 @@ class ConnectionMatrix:
     frame: MovingFrame
     point: np.ndarray
 
-    def omega_basis(self) -> np.ndarray:
-        """Omega^i_j evaluated on chart basis vectors; axes [i, j, a]."""
-        theta = self.frame.coframe_any(self.point)
-        return np.einsum('ikj,ka->ija', self.gamma, theta)
-
 
 def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> ConnectionMatrix:
     p = np.asarray(p, dtype=float)
@@ -281,5 +276,6 @@ def skew_hermitian_check(conn: LocalConnection, frame: MovingFrame, p) -> float:
                 jl2 = g[i, k, n + j] + g[n + i, k, j]
                 re = g[i, k, j] + g[j, k, i]
                 im = g[n + i, k, j] - g[n + j, k, i]
-                worst = max(worst, abs(jl1), abs(jl2), abs(re), abs(im))
+                worst = max_residual(worst, abs(jl1), abs(jl2), abs(re),
+                                     abs(im))
     return worst

@@ -23,7 +23,7 @@ from .checks import (CHECK_INFO, TOL_ALGEBRAIC, TOL_DERIVATIVE, CheckResult,
                      fault_levi_civita, fault_scale_mismatch, fault_wrong_c,
                      field_rng, xi_section, LEMMA_SUITE_NAMES)
 from .connections import nijenhuis, triad_connection
-from .engine import DiffEngine
+from .engine import DiffEngine, max_residual
 from .frames import (build_unitary_frame, cross_check_gamma,
                      structure_equation_residual)
 
@@ -115,7 +115,8 @@ def _record(cr: CheckResult, variant: str, point_index: int) -> dict:
         "passed": bool(cr.passed),
         "anchor": cr.anchor,
         "point": [float(x) for x in cr.point],
-        "note": "",
+        "note": ("" if np.isfinite(cr.residual)
+                 else "error: residual is not finite"),
     }
 
 
@@ -162,7 +163,7 @@ def _projected_nijenhuis_scale(triad, pts, seed: int, samples: int = 4) -> float
             Yf = xi_section(triad, rng.standard_normal(triad.dim))
             Zf = xi_section(triad, rng.standard_normal(triad.dim))
             n = nijenhuis(triad, Yf, Zf, p)
-            best = max(best, float(np.max(np.abs(np.dot(P, n)))))
+            best = max_residual(best, np.max(np.abs(np.dot(P, n))))
     return best
 
 
@@ -178,7 +179,9 @@ def run_suite(config: RunConfig) -> Report:
     records: list = []
 
     if config.negative_controls:
-        with_j_controls = _projected_nijenhuis_scale(triad, pts, seed) > 1e-3
+        # a NaN scale cannot rule the J-sensitive controls out, so they run
+        with_j_controls = not _projected_nijenhuis_scale(triad, pts,
+                                                         seed) <= 1e-3
         for idx, p in enumerate(pts):
             _guarded(records, ("fault-wrong-family-parameter",), "", idx, p,
                      lambda p=p: fault_wrong_c(triad, p, seed=seed))
@@ -195,8 +198,11 @@ def run_suite(config: RunConfig) -> Report:
                          lambda p=p: fault_levi_civita(triad, p, seed=seed))
         records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
         summary = _summarize(records)
-        # in control mode the suite is healthy when every control FAILS
-        ok = all(not r["passed"] for r in records) and bool(records)
+        # in control mode the suite is healthy when every control FAILS on
+        # an evaluable residual; a NaN or a raised error is not a firing
+        ok = bool(records) and all(
+            not r["passed"] and not r["note"].startswith("error:")
+            for r in records)
         return Report(config=config.to_dict(), engine=_engine_info(engine),
                       example=_example_info(spec), records=records,
                       summary=summary, ok=ok)
@@ -270,7 +276,7 @@ def _summarize(records) -> dict:
                                            "max_residual": 0.0})
         s["count"] += 1
         s["passed"] += int(r["passed"])
-        s["max_residual"] = max(s["max_residual"], r["residual"])
+        s["max_residual"] = max_residual(s["max_residual"], r["residual"])
     return summary
 
 
@@ -294,8 +300,8 @@ def _canon(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if not np.isfinite(x):
-            x = RESIDUAL_UNEVALUABLE if x > 0 else -RESIDUAL_UNEVALUABLE
+        if not np.isfinite(x):   # NaN counts as unevaluable, like +inf
+            x = -RESIDUAL_UNEVALUABLE if x < 0 else RESIDUAL_UNEVALUABLE
         return "%.12e" % x
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))

@@ -5,15 +5,17 @@ the Levi-Civita oracle uses only metric pairings and plain directional
 derivatives, and the Lie-derivative oracle integrates the actual flow with
 a fixed-step RK4 and differentiates the pullback in the flow time.  Their
 job is to catch a bug that the engine would otherwise propagate into every
-check simultaneously.  The dual-scalar LU solve is the engine's former
-linear algebra, kept as an oracle for the forward-mode matrix rules that
-replaced it: it runs Gaussian elimination over ``Dual`` objects directly.
+check simultaneously.  The field-closure Nijenhuis tensor differentiates
+bare closures only, so no 1-jet enters it.  The dual-scalar LU solve is the
+engine's former linear algebra, kept as an oracle for the forward-mode
+matrix rules that replaced it: it runs Gaussian elimination over ``Dual``
+objects directly.
 """
 
 import numpy as np
 
 from triadlab.ad import value
-from triadlab.engine import as_float_array
+from triadlab.engine import as_float_array, dot
 
 
 def numeric_directional(f, p, v, h=1e-5):
@@ -41,6 +43,22 @@ def koszul_lc_pairing(triad, u, v, w, p):
              + numeric_directional(g_pair(u, w), p, v)
              - numeric_directional(g_pair(u, v), p, w))
     return 0.5 * float(total)
+
+
+def nijenhuis_closures(triad, Xf, Yf, p):
+    """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] on bare field closures."""
+    eng = triad.engine
+
+    def JX(q):
+        return dot(triad.j_any(q), Xf(q))
+
+    def JY(q):
+        return dot(triad.j_any(q), Yf(q))
+
+    J = triad.j_any(p)
+    return (eng.lie_bracket(JX, JY, p) - eng.lie_bracket(Xf, Yf, p)
+            - np.dot(J, eng.lie_bracket(Xf, JY, p))
+            - np.dot(J, eng.lie_bracket(JX, Yf, p)))
 
 
 def _rk4_flow_with_jacobian(field, jac, p, t, steps=16):

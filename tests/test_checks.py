@@ -21,6 +21,8 @@ from triadlab.checks import (
     field_rng,
     pullback_triad,
 )
+from triadlab.connections import triad_connection
+from triadlab.engine import max_residual
 
 _CAT = catalog()
 
@@ -167,3 +169,71 @@ def test_field_rng_deterministic_and_tag_sensitive():
     c = field_rng(3, "beta", 2.0).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _nan_christoffel(triad):
+    """Replace the triad's Christoffel table by an all-NaN one."""
+    table = np.full((triad.dim,) * 3, np.nan)
+    triad.christoffel_at = lambda p: table
+    return triad
+
+
+def test_nan_residuals_fail_in_axioms_and_lemma_suite():
+    t = _nan_christoffel(_CAT["r5-perturbed-J"].build())
+    p = t.sample_points(1, seed=15)[0]
+    axioms = check_axioms(t, 0.0, p, seed=10)
+    assert len(axioms) == 6
+    for res in axioms:
+        assert np.isnan(res.residual) and not res.passed, res.name
+    # These four identities never read the Christoffel table.
+    christoffel_free = {"two-form-j-invariance", "reeb-lie-j-symmetry",
+                        "nijenhuis-reeb-slots", "nijenhuis-j-shuffle"}
+    for res in check_lemma_suite(t, p, seed=10):
+        if res.name in christoffel_free:
+            assert res.passed, res.name
+        else:
+            assert np.isnan(res.residual) and not res.passed, res.name
+
+
+def test_nan_residuals_fail_in_scaling_naturality_and_frames():
+    from triadlab.frames import build_unitary_frame, skew_hermitian_check
+
+    spec = _CAT["r5-perturbed-J"]
+    t = _nan_christoffel(spec.build())
+    p = t.sample_points(1, seed=16)[0]
+    res = check_scaling(t, 2.0, p, seed=11)
+    assert np.isnan(res.residual) and not res.passed
+    res = check_naturality(t, spec.maps[0], 0.0, p, seed=11)
+    assert np.isnan(res.residual) and not res.passed
+    frame = build_unitary_frame(t, p)
+    conn = triad_connection(t, 0.0)
+    assert np.isnan(skew_hermitian_check(conn, frame, p))
+
+
+def test_nan_map_fails_the_strictness_guard():
+    t = standard_triad(1)
+    nan_map = StrictContactMap(
+        label="nan-map",
+        forward=lambda q: np.asarray(q) + np.array([0.0, np.nan, 0.0]),
+        inverse=lambda q: np.asarray(q),
+        differential=lambda q: np.eye(3),
+    )
+    p = np.array([0.1, 0.2, 0.3])
+    assert np.isnan(nan_map.strictness_residual(t, [p]))
+    assert np.isnan(nan_map.roundtrip_residual([p]))
+    with pytest.raises(ValueError):
+        check_naturality(t, nan_map, 0.0, p)
+
+
+def test_max_residual_keeps_nan_and_reports_write_it_unevaluable():
+    from triadlab.runner import RESIDUAL_UNEVALUABLE, _canon, _summarize
+
+    assert max_residual(0.0, 2.0, 1.0) == 2.0
+    assert np.isnan(max_residual(0.0, np.nan, 1.0))
+    assert np.isnan(max_residual(np.nan, 0.0))
+    records = [{"name": "axiom-hermitian", "residual": r, "passed": False}
+               for r in (0.0, np.nan, 1.0)]
+    assert np.isnan(_summarize(records)["axiom-hermitian"]["max_residual"])
+    assert _canon(np.nan) == "%.12e" % RESIDUAL_UNEVALUABLE
+    assert _canon(np.inf) == "%.12e" % RESIDUAL_UNEVALUABLE
+    assert _canon(-np.inf) == "%.12e" % -RESIDUAL_UNEVALUABLE

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import triadlab
@@ -97,6 +98,47 @@ def test_check_errors_become_records_not_crashes(monkeypatch):
         assert r["residual"] == RESIDUAL_UNEVALUABLE
         assert not r["passed"]
         assert "synthetic failure" in r["note"]
+
+
+def _nan_christoffel(monkeypatch):
+    from triadlab.contact import ContactTriad
+
+    monkeypatch.setattr(ContactTriad, "christoffel_at",
+                        lambda self, p: np.full((self.dim,) * 3, np.nan))
+
+
+def test_nan_control_is_not_a_control_that_fired(monkeypatch):
+    _nan_christoffel(monkeypatch)
+    rep = run_suite(RunConfig(example_id="r3-standard", points=1,
+                              negative_controls=True))
+    nan = [r for r in rep.records if np.isnan(r["residual"])]
+    assert nan and all(not r["passed"] for r in rep.records)
+    for r in nan:
+        assert r["note"] == "error: residual is not finite", r["name"]
+    assert not rep.ok
+    text = emit_report(rep, "json").decode()
+    assert "%.12e" % RESIDUAL_UNEVALUABLE in text
+
+
+def test_raising_control_is_not_a_control_that_fired(monkeypatch):
+    def boom(*a, **kw):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr("triadlab.runner.fault_scale_mismatch", boom)
+    rep = run_suite(RunConfig(example_id="r3-standard", points=1,
+                              negative_controls=True))
+    assert all(not r["passed"] for r in rep.records)
+    assert not rep.ok
+
+
+def test_nan_nijenhuis_scale_schedules_the_j_controls(monkeypatch):
+    monkeypatch.setattr("triadlab.runner._projected_nijenhuis_scale",
+                        lambda *a, **kw: float("nan"))
+    rep = run_suite(RunConfig(example_id="r3-standard", points=1,
+                              negative_controls=True))
+    names = {r["name"] for r in rep.records}
+    assert "fault-flipped-correction" in names
+    assert "fault-levi-civita-not-complex-linear" in names
 
 
 def test_json_report_is_byte_deterministic():

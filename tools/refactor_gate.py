@@ -1,0 +1,146 @@
+"""Compare the canonical reports of two triadlab checkouts.
+
+    python3 tools/refactor_gate.py BASE HEAD
+
+BASE and HEAD are roots of triadlab checkouts, each holding ``src/triadlab``.
+For every catalog example, seed (11 and 12), engine mode (``ad``, ``fd``)
+and run kind (normal, ``--negative-controls``), at 4 points, the script runs
+``run_suite`` and ``emit_report`` in both checkouts, each in its own fresh
+interpreter, and compares the JSON reports.  It prints:
+
+* every verdict change (a record's ``passed``, or a report's ``ok``);
+* every change to a report's record list (name, variant, point index) or to
+  a record field other than the residual;
+* the worst residual move per mode, absolute and as a share of the record's
+  tolerance, with the record that made it;
+* how many reports match byte for byte.
+
+It exits 1 if a verdict, a record list or a non-residual field differs, or
+if a residual moves by more than 1e-13, the refactor bound, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+MODES = ("ad", "fd")
+KINDS = (False, True)          # negative_controls
+SEEDS = (11, 12)
+POINTS = 4
+MAX_MOVE = 1e-13
+
+
+def emit(out_path: str) -> None:
+    """Write every report of the configured sweep to ``out_path``."""
+    import triadlab
+
+    reports = {}
+    for ex in sorted(triadlab.catalog()):
+        for seed in SEEDS:
+            for mode in MODES:
+                for controls in KINDS:
+                    cfg = triadlab.RunConfig(example_id=ex, points=POINTS,
+                                             seed=seed, mode=mode,
+                                             negative_controls=controls)
+                    rep = triadlab.run_suite(cfg)
+                    key = "%s seed=%d %s%s" % (ex, seed, mode,
+                                               " controls" if controls else "")
+                    reports[key] = triadlab.emit_report(rep, "json").decode()
+    with open(out_path, "w") as fh:
+        json.dump(reports, fh)
+
+
+def run_checkout(root: str, out_path: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
+    cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_path]
+    return subprocess.Popen(cmd, env=env, cwd=root)
+
+
+def load(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def record_key(r: dict) -> tuple:
+    return (r["name"], r["variant"], r["point_index"])
+
+
+def compare(base: dict, head: dict) -> int:
+    problems = []
+    identical = 0
+    worst = {m: (0.0, 0.0, "") for m in MODES}       # abs move, share, where
+    if sorted(base) != sorted(head):
+        problems.append("report sets differ")
+    for key in sorted(set(base) & set(head)):
+        if base[key] == head[key]:
+            identical += 1
+            continue
+        a, b = json.loads(base[key]), json.loads(head[key])
+        if a["ok"] != b["ok"]:
+            problems.append("%s: ok %s -> %s" % (key, a["ok"], b["ok"]))
+        ra, rb = a["records"], b["records"]
+        if [record_key(r) for r in ra] != [record_key(r) for r in rb]:
+            problems.append("%s: record lists differ" % key)
+            continue
+        mode = a["config"]["mode"]
+        for x, y in zip(ra, rb):
+            where = "%s %s %s point %d" % ((key,) + record_key(x))
+            if x["passed"] != y["passed"]:
+                problems.append(
+                    "%s: passed %s -> %s (residual %.3e -> %.3e, tolerance "
+                    "%.1e)" % (where, x["passed"], y["passed"], x["residual"],
+                               y["residual"], x["tolerance"]))
+            others = [f for f in x if f != "residual" and x[f] != y[f]]
+            if others:
+                problems.append("%s: fields %s differ" % (where, others))
+            move = abs(x["residual"] - y["residual"])
+            share = move / x["tolerance"] if x["tolerance"] else 0.0
+            if move > worst[mode][0]:
+                worst[mode] = (move, share, where)
+    for msg in problems:
+        print("CHANGE " + msg)
+    for mode in MODES:
+        move, share, where = worst[mode]
+        print("%s: worst residual move %.3e (%.2e x tolerance)%s"
+              % (mode, move, share, "  at " + where if where else ""))
+        if move > MAX_MOVE:
+            problems.append("%s residual move above %.0e" % (mode, MAX_MOVE))
+    print("byte-identical reports: %d of %d" % (identical, len(base)))
+    print("verdicts and record lists: %s" % ("CHANGED" if problems
+                                              else "identical"))
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", nargs="?")
+    ap.add_argument("head", nargs="?")
+    ap.add_argument("--emit", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    if not (args.base and args.head):
+        ap.error("give the BASE and HEAD checkouts")
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, "base.json"), os.path.join(tmp, "head.json")]
+        procs = [run_checkout(root, out)
+                 for root, out in zip((args.base, args.head), outs)]
+        if any([p.wait() != 0 for p in procs]):
+            print("error: a checkout failed to produce its reports",
+                  file=sys.stderr)
+            return 2
+        base, head = (load(path) for path in outs)
+    return compare(base, head)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
