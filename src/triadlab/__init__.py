@@ -13,8 +13,8 @@ from .checks import (CheckResult, StrictContactMap, check_axioms,
                      check_cr_form, check_lemma_suite, check_naturality,
                      check_scaling)
 from .connections import (LeviCivitaConnection, TriadConnection,
-                          levi_civita, tmp1_connection, triad_connection)
-from .contact import ContactTriad, TriadMetric, triad_metric
+                          triad_connection)
+from .contact import ContactTriad
 from .engine import DiffEngine
 from .frames import MovingFrame, build_unitary_frame, cross_check_gamma
 from .runner import Report, RunConfig, emit_report, run_suite
@@ -22,12 +22,11 @@ from .runner import Report, RunConfig, emit_report, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dual", "DiffEngine", "ContactTriad", "TriadMetric", "triad_metric",
-    "ExampleSpec", "catalog", "standard_triad", "perturbed_triad", "t3_triad",
-    "CheckResult", "StrictContactMap", "check_axioms", "check_cr_form",
-    "check_lemma_suite", "check_naturality", "check_scaling",
-    "LeviCivitaConnection", "TriadConnection", "levi_civita",
-    "tmp1_connection", "triad_connection", "MovingFrame",
+    "Dual", "DiffEngine", "ContactTriad", "ExampleSpec", "catalog",
+    "standard_triad", "perturbed_triad", "t3_triad", "CheckResult",
+    "StrictContactMap", "check_axioms", "check_cr_form", "check_lemma_suite",
+    "check_naturality", "check_scaling", "LeviCivitaConnection",
+    "TriadConnection", "triad_connection", "MovingFrame",
     "build_unitary_frame", "cross_check_gamma", "Report", "RunConfig",
     "emit_report", "run_suite", "__version__",
 ]

@@ -1,11 +1,13 @@
 """Built-in example triads and the strict chart symmetries they carry.
 
-All closures are written to stay evaluable when the chart point carries
-derivative payloads, which is what lets every downstream quantity be
-differentiated without special cases.  Frames hand J to the triad through
-its action matrix on a stated distribution frame, so compatibility holds
-by construction (trace-free action, square -identity, explicit positivity)
-rather than by numerical accident.
+All closures are written to stay evaluable when the chart point is an
+array dual: they use whole-array arithmetic, ``ad``'s elementary functions
+and ``ad.array`` for arrays assembled from scalar entries, which is what
+lets every downstream quantity be differentiated without special cases.
+Frames hand J to the triad through its action matrix on a stated
+distribution frame, so compatibility holds by construction (trace-free
+action, square -identity, explicit positivity) rather than by numerical
+accident.
 """
 
 from __future__ import annotations
@@ -23,41 +25,25 @@ from .engine import DiffEngine
 BOX = 1.5
 
 
-def _vec(comps):
-    if any(isinstance(c, ad.Dual) for c in comps):
-        out = np.empty(len(comps), dtype=object)
-        out[:] = comps
-        return out
-    return np.array(comps, dtype=float)
-
-
-def _mat(rows):
-    if any(isinstance(c, ad.Dual) for row in rows for c in row):
-        out = np.empty((len(rows), len(rows[0])), dtype=object)
-        for i, row in enumerate(rows):
-            out[i, :] = row
-        return out
-    return np.array(rows, dtype=float)
-
-
 # -- contact forms ---------------------------------------------------------
 
 
 def _r2n1_lam(n: int) -> Callable:
     """lam = dz - sum_i y_i dx_i on coordinates (x1, y1, ..., xn, yn, z)."""
+    # q[take] puts y_i in both slots of pair i; sign keeps -y_i in the x_i slot.
+    d = 2 * n + 1
+    take = np.array([2 * (i // 2) + 1 for i in range(2 * n)] + [d - 1])
+    sign = np.array([-1.0, 0.0] * n + [0.0])
+    dz = np.eye(d)[d - 1]
+
     def lam(q):
-        comps = []
-        for i in range(n):
-            comps.append(-q[2 * i + 1])
-            comps.append(0.0)
-        comps.append(1.0)
-        return _vec(comps)
+        return dz + sign * q[take]
     return lam
 
 
 def _t3_lam(q):
     """lam = cos z dx + sin z dy, one periodic chart of the three-torus."""
-    return _vec([ad.cos(q[2]), ad.sin(q[2]), 0.0])
+    return ad.array([ad.cos(q[2]), ad.sin(q[2]), 0.0])
 
 
 # -- distribution frames and J actions -------------------------------------
@@ -97,13 +83,13 @@ def _perturbed_frame_j(n: int, eps: float, z_index: int) -> Callable:
         for k in range(1, n):
             rows[2 * k + 1][2 * k] = 1.0
             rows[2 * k][2 * k + 1] = -1.0
-        return _mat(rows)
+        return ad.array(rows)
     return frame_j
 
 
 def _t3_xi_frame(q):
     s, c = ad.sin(q[2]), ad.cos(q[2])
-    return _mat([[0.0, -s], [0.0, c], [1.0, 0.0]])
+    return ad.array([[0.0, -s], [0.0, c], [1.0, 0.0]])
 
 
 # -- triad builders --------------------------------------------------------
@@ -151,18 +137,13 @@ def _shear(dim: int, b: float) -> StrictContactMap:
     """(x1, y1, ..., z) -> (x1, y1 + b, ..., z + b x1), preserving lam."""
     M = np.eye(dim)
     M[dim - 1, 0] = b
+    e1, ez = np.eye(dim)[1], np.eye(dim)[dim - 1]
 
     def forward(q):
-        comps = list(q)
-        comps[1] = q[1] + b
-        comps[dim - 1] = q[dim - 1] + b * q[0]
-        return _vec(comps)
+        return q + b * (e1 + q[0] * ez)
 
     def inverse(q):
-        comps = list(q)
-        comps[1] = q[1] - b
-        comps[dim - 1] = q[dim - 1] - b * q[0]
-        return _vec(comps)
+        return q - b * (e1 + q[0] * ez)
 
     return StrictContactMap(label="shear+%g" % b, forward=forward,
                             inverse=inverse, differential=lambda q: M)
@@ -171,14 +152,15 @@ def _shear(dim: int, b: float) -> StrictContactMap:
 def _t3_reeb_flow(t: float) -> StrictContactMap:
     """Time-t flow of the Reeb field (cos z, sin z, 0), in closed form."""
     def forward(q):
-        return _vec([q[0] + t * ad.cos(q[2]), q[1] + t * ad.sin(q[2]), q[2]])
+        return q + t * ad.array([ad.cos(q[2]), ad.sin(q[2]), 0.0])
 
     def inverse(q):
-        return _vec([q[0] - t * ad.cos(q[2]), q[1] - t * ad.sin(q[2]), q[2]])
+        return q - t * ad.array([ad.cos(q[2]), ad.sin(q[2]), 0.0])
 
     def differential(q):
         s, c = ad.sin(q[2]), ad.cos(q[2])
-        return _mat([[1.0, 0.0, -t * s], [0.0, 1.0, t * c], [0.0, 0.0, 1.0]])
+        return ad.array([[1.0, 0.0, -t * s], [0.0, 1.0, t * c],
+                         [0.0, 0.0, 1.0]])
 
     return StrictContactMap(label="reeb-flow+%g" % t, forward=forward,
                             inverse=inverse, differential=differential)

@@ -34,8 +34,8 @@ from .connections import (
     torsion_tensor,
     triad_connection,
 )
-from .contact import (ContactTriad, const_field, j_image, metric_pair,
-                      reeb_section, xi_section)
+from .contact import (ContactTriad, const_field, j_image, j_section,
+                      metric_pair, reeb_section, xi_section)
 from .engine import dot, max_residual, solve
 
 TOL_ALGEBRAIC = 1e-8
@@ -515,7 +515,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
                            TOL_ALGEBRAIC, p))
 
     # J is Levi-Civita parallel in the Reeb direction.
-    r = np.max(np.abs(covariant_derivative_endo(lc, triad.j_any, reeb, p)))
+    r = np.max(np.abs(covariant_derivative_endo(lc, j_section(triad), reeb,
+                                                p)))
     out.append(make_result("lc-reeb-parallel-j", r, TOL_ALGEBRAIC, p))
 
     # Levi-Civita covariant derivative of the Reeb field on the distribution.
@@ -589,6 +590,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     out.append(make_result("reeb-covariant-family", r, TOL_DERIVATIVE, p))
 
     # Torsion split values across the family.
+    j_sec = j_section(triad)
     r = 0.0
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(d))
@@ -599,8 +601,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
             t = torsion_tensor(triad_connection(triad, c), p, y, z)
             r = max_residual(r, abs(float(np.dot(lam, t)) - (1.0 + c) * dlyz))
         t0 = torsion_tensor(conn0, p, y, z)
-        l_jy = engine.lie_derivative_endo(j_image(triad, Yf), triad.j_any, p)
-        l_y = engine.lie_derivative_endo(Yf, triad.j_any, p)
+        l_jy = engine.lie_derivative_endo(j_image(triad, Yf), j_sec, p)
+        l_y = engine.lie_derivative_endo(Yf, j_sec, p)
         lie_side = 0.25 * (np.dot(l_jy, z) + np.dot(l_y, np.dot(J, z)))
         r = max_residual(r, np.max(np.abs(np.dot(P, t0) - lie_side)))
     out.append(make_result("torsion-split-values", r, TOL_DERIVATIVE, p))

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contact import ContactTriad, TriadMetric, j_image
-from .engine import is_float_point, solve
+from .contact import ContactTriad, j_image
+from .engine import dot, is_float_point, solve
 
 
 class AffineConnection:
@@ -78,10 +78,6 @@ class LeviCivitaConnection(LocalConnection):
 
     def gamma_tensor(self, p):
         return self.triad.christoffel_at(p)
-
-
-def levi_civita(metric: TriadMetric) -> LeviCivitaConnection:
-    return LeviCivitaConnection(metric.triad)
 
 
 def _lc_nabla_j(triad: ContactTriad, u, p):
@@ -161,11 +157,6 @@ class TriadConnection(LocalConnection):
 
 def triad_connection(triad: ContactTriad, c: float) -> TriadConnection:
     return TriadConnection(triad, c)
-
-
-def tmp1_connection(triad: ContactTriad) -> TriadConnection:
-    """The intermediate connection LC + B1, i.e. the family member at c = -1."""
-    return triad_connection(triad, -1.0)
 
 
 # -- tensors built from a connection --------------------------------------
@@ -257,7 +248,7 @@ class PullbackConnection(AffineConnection):
 
         def y_push(qq):
             pp = cm.inverse(qq)
-            return np.dot(cm.differential(pp), Yf(pp))
+            return dot(cm.differential(pp), Yf(pp))
 
         w = self.base.apply_vec(u_push, y_push, q)
         return solve(np.asarray(dphi_p, dtype=float), w)

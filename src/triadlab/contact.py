@@ -11,14 +11,16 @@ From these it derives, at any chart point (float or dual-valued):
 * the triad metric  g(u, v) = lam(u) lam(v) + d lam(Pi u, J Pi v),
 * Christoffel symbols of g (float points only; they seed the connections).
 
-Float-point evaluations are memoised per point; dual-valued points bypass
-the caches so the same pipelines stay differentiable.
+Float-point evaluations are memoised per point.  A dual point is the seed
+of one differentiation pass, so its values are memoised on the point's
+identity, for the latest dual point only: within a pass the Reeb solve and
+d lam run once, however many pipelines read them.
 
 The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,
-:func:`j_image`, :func:`reeb_section`, :func:`const_field`,
-:func:`metric_pair`): each carries its 1-jet, read from the cached
-Jacobian tables, so an ``ad`` derivative of it runs no dual pass.
+:func:`j_image`, :func:`reeb_section`, :func:`j_section`,
+:func:`const_field`, :func:`metric_pair`): each carries its 1-jet, read from
+the cached Jacobian tables, so an ``ad`` derivative of it runs no dual pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DiffEngine, Section, dot, is_float_point, outer, solve
+from .engine import (DiffEngine, Section, dot, is_float_point, max_residual,
+                     outer, solve)
 
 REEB_RESIDUAL_TOL = 1e-10
 
@@ -71,6 +74,8 @@ class ContactTriad:
         self.engine = engine if engine is not None else DiffEngine()
         self.label = label
         self._cache: dict = {}
+        self._dual_point = None
+        self._dual_cache: dict = {}
 
     @classmethod
     def from_frame_action(cls, dim, lam, xi_frame, frame_j, domain,
@@ -83,17 +88,18 @@ class ContactTriad:
         C^2 = -I; column a of C holds the frame coefficients of J f_a.
         """
         triad = cls(dim, lam, None, domain, engine=engine, label=label)
+        # B = (Pi F) S + X e_d^T and JB = (Pi F C) S, with S = [I | 0] the
+        # (2n, dim) selection that pads a 2n-column block with a zero column.
+        S = np.eye(dim)[:-1]
+        e_d = np.eye(dim)[-1]
 
         def j_full(q):
             # J B = JB for the frame matrix B = [Pi F | X]; solve B^T J^T = JB^T.
-            F = xi_frame(q)
-            P = triad.pi_any(q)
-            X = triad.reeb_any(q)
-            C = frame_j(q)
-            PF = dot(P, F)
-            B = np.column_stack([PF, X])
-            JB = np.column_stack([dot(PF, C), np.zeros(dim)])
-            return np.ascontiguousarray(solve(B.T, JB.T).T)
+            PF = dot(triad.pi_any(q), xi_frame(q))
+            B = outer(triad.reeb_any(q), e_d, dot(PF, S))
+            JB = dot(dot(PF, frame_j(q)), S)
+            Jt = solve(B.T, JB.T)
+            return np.ascontiguousarray(Jt.T) if is_float_point(q) else Jt.T
 
         triad._j_closure = j_full
         return triad
@@ -102,13 +108,18 @@ class ContactTriad:
 
     def _cached(self, tag: str, q, fn):
         if is_float_point(q):
-            key = (tag, q.tobytes())
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = fn(q)
-                self._cache[key] = hit
-            return hit
-        return fn(q)
+            key, cache = (tag, q.tobytes()), self._cache
+        else:
+            # A dual point is the seed of one pass; its values are memoised
+            # on its identity, for the latest dual point only.
+            if q is not self._dual_point:
+                self._dual_point, self._dual_cache = q, {}
+            key, cache = tag, self._dual_cache
+        hit = cache.get(key)
+        if hit is None:
+            hit = fn(q)
+            cache[key] = hit
+        return hit
 
     # -- pointwise pipelines (valid at float or dual points) -------------
 
@@ -126,10 +137,11 @@ class ContactTriad:
         if is_float_point(q):
             r1 = abs(float(np.dot(lam, X)) - 1.0)
             r2 = float(np.max(np.abs(np.dot(A, X))))
-            if max(r1, r2) > REEB_RESIDUAL_TOL:
+            worst = max_residual(r1, r2)
+            if not worst <= REEB_RESIDUAL_TOL:       # a NaN residual raises too
                 raise ValueError(
                     "Reeb residual %.3e exceeds %.1e at %s; contact condition "
-                    "violated?" % (max(r1, r2), REEB_RESIDUAL_TOL, q))
+                    "violated?" % (worst, REEB_RESIDUAL_TOL, q))
         return X
 
     def reeb_any(self, q):
@@ -216,9 +228,6 @@ class ContactTriad:
         one = {(i,): lam[i] for i in range(d) if lam[i] != 0.0}
         top = wedge(one, power)
         return float(top.get(tuple(range(d)), 0.0))
-
-    def metric_value(self, u, v, p):
-        return float(np.dot(u, np.dot(self.metric_any(p), v)))
 
     def j_squared_residual(self, p) -> float:
         J = self.j_any(p)
@@ -311,6 +320,11 @@ def reeb_section(triad: ContactTriad) -> Section:
                    lambda p: (triad.reeb_any(p), triad.jac_reeb_at(p)))
 
 
+def j_section(triad: ContactTriad) -> Section:
+    """J itself, with the cached Jacobian table as its jet."""
+    return Section(triad.j_any, lambda p: (triad.j_any(p), triad.jac_j_at(p)))
+
+
 def const_field(w) -> Section:
     """The constant-coefficient field q -> w."""
     w = np.asarray(w, dtype=float)
@@ -332,25 +346,4 @@ def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
                 + np.dot(yg, eng.jacobian(Zf, p)))
         return float(np.dot(y, gz)), grad
 
-    return Section(lambda q: np.dot(Yf(q), np.dot(triad.metric_any(q), Zf(q))),
-                   jet)
-
-
-class TriadMetric:
-    """Evaluator view of the triad metric g = lam (x) lam + d lam(Pi ., J Pi .)."""
-
-    def __init__(self, triad: ContactTriad):
-        self.triad = triad
-
-    def value(self, u, v, p):
-        return self.triad.metric_value(u, v, p)
-
-    def matrix(self, p):
-        return self.triad.metric_any(p)
-
-    def inverse(self, p):
-        return self.triad.metric_inv_at(p)
-
-
-def triad_metric(triad: ContactTriad) -> TriadMetric:
-    return TriadMetric(triad)
+    return Section(lambda q: dot(Yf(q), dot(triad.metric_any(q), Zf(q))), jet)

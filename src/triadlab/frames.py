@@ -24,7 +24,7 @@ import numpy as np
 from . import ad
 from .contact import ContactTriad
 from .connections import LocalConnection, triad_connection
-from .engine import as_float_array, inv, is_float_point, max_residual
+from .engine import Section, dot, inv, is_float_point, max_residual
 
 
 class FrameRankError(RuntimeError):
@@ -41,20 +41,13 @@ def _gram_schmidt(triad: ContactTriad, q, indices):
     J = triad.j_any(q)
     es, fs = [], []
     for idx in indices:
-        v = P[:, idx].copy()
+        v = P[:, idx]
         for e, f in zip(es, fs):
-            v = v - np.dot(v, np.dot(G, e)) * e - np.dot(v, np.dot(G, f)) * f
-        n2 = np.dot(v, np.dot(G, v))
-        e = v / ad.sqrt(n2)
+            v = v - dot(v, dot(G, e)) * e - dot(v, dot(G, f)) * f
+        e = v / ad.sqrt(dot(v, dot(G, v)))
         es.append(e)
-        fs.append(np.dot(J, e))
-    d = triad.dim
-    M = np.empty((d, d), dtype=object)
-    M[:, 0] = triad.reeb_any(q)
-    for a, (e, f) in enumerate(zip(es, fs)):
-        M[:, 1 + a] = e
-        M[:, 1 + triad.n + a] = f
-    return as_float_array(M)
+        fs.append(dot(J, e))
+    return ad.stack([triad.reeb_any(q)] + es + fs)
 
 
 def _select_indices(triad: ContactTriad, p, seed: int):
@@ -126,11 +119,20 @@ class MovingFrame:
             self._cache[key] = hit
         return hit
 
+    def coframe_section(self) -> Section:
+        """The coframe field; its jet is (theta, -theta dE theta) at a float
+        point, the derivative of the inverse read from the frame Jacobian."""
+        def jet(p):
+            theta = self.coframe_any(p)
+            return theta, -np.einsum('ia,ajl,jb->ibl', theta,
+                                     self.jac_frame_at(p), theta)
+        return Section(self.coframe_any, jet)
+
     def jac_coframe_at(self, p):
         key = ("jac_coframe", p.tobytes())
         hit = self._cache.get(key)
         if hit is None:
-            hit = self.triad.engine.jacobian(self.coframe_any, p)
+            hit = self.triad.engine.jacobian(self.coframe_section(), p)
             self._cache[key] = hit
         return hit
 

@@ -8,14 +8,14 @@ job is to catch a bug that the engine would otherwise propagate into every
 check simultaneously.  The field-closure Nijenhuis tensor differentiates
 bare closures only, so no 1-jet enters it.  The dual-scalar LU solve is the
 engine's former linear algebra, kept as an oracle for the forward-mode
-matrix rules that replaced it: it runs Gaussian elimination over ``Dual``
-objects directly.
+matrix rules that replaced it: it runs Gaussian elimination entry by entry
+over scalar (0-d) ``Dual`` objects.
 """
 
 import numpy as np
 
-from triadlab.ad import value
-from triadlab.engine import as_float_array, dot
+from triadlab.ad import Dual
+from triadlab.engine import dot
 
 
 def numeric_directional(f, p, v, h=1e-5):
@@ -110,33 +110,42 @@ def fd_jacobian(field, q, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def _value(x) -> float:
+    """Strip every dual layer of a scalar and return the underlying float."""
+    while isinstance(x, Dual):
+        x = x.re
+    return float(x)
+
+
 def lu_solve_generic(A, B):
-    """Solve A X = B by LU with partial pivoting, elementwise over dual scalars."""
+    """Solve A X = B by LU with partial pivoting, entry by entry over dual
+    scalars (object arrays of 0-d duals or floats)."""
     n = A.shape[0]
-    M = np.array(A, dtype=object, copy=True)
     one_d = B.ndim == 1
-    R = np.array(B if not one_d else B[:, None], dtype=object, copy=True)
+    B2 = B[:, None] if one_d else B
+    m = B2.shape[1]
+    M = [[A[i, j] for j in range(n)] for i in range(n)]
+    R = [[B2[i, j] for j in range(m)] for i in range(n)]
     for k in range(n):
-        piv, best = k, abs(value(M[k, k]))
-        for i in range(k + 1, n):
-            m = abs(value(M[i, k]))
-            if m > best:
-                piv, best = i, m
-        if best < 1e-300:
+        piv = max(range(k, n), key=lambda i: abs(_value(M[i][k])))
+        if abs(_value(M[piv][k])) < 1e-300:
             raise np.linalg.LinAlgError("singular system in generic LU solve")
-        if piv != k:
-            M[[k, piv]] = M[[piv, k]]
-            R[[k, piv]] = R[[piv, k]]
-        inv_p = 1.0 / M[k, k]
+        M[k], M[piv] = M[piv], M[k]
+        R[k], R[piv] = R[piv], R[k]
+        inv_p = 1.0 / M[k][k]
         for i in range(k + 1, n):
-            f = M[i, k] * inv_p
-            M[i, k + 1:] = M[i, k + 1:] - f * M[k, k + 1:]
-            R[i] = R[i] - f * R[k]
-    X = np.empty_like(R)
+            f = M[i][k] * inv_p
+            for j in range(k + 1, n):
+                M[i][j] = M[i][j] - f * M[k][j]
+            for j in range(m):
+                R[i][j] = R[i][j] - f * R[k][j]
+    X = np.empty((n, m), dtype=object)
     for i in range(n - 1, -1, -1):
-        acc = R[i]
-        if i + 1 < n:
-            acc = acc - np.dot(M[i, i + 1:], X[i + 1:])
-        X[i] = acc / M[i, i]
-    X = as_float_array(X)
+        for j in range(m):
+            acc = R[i][j]
+            for l in range(i + 1, n):
+                acc = acc - M[i][l] * X[l, j]
+            X[i, j] = acc / M[i][i]
+    if not any(isinstance(x, Dual) for x in X.flat):
+        X = X.astype(float)
     return X[:, 0] if one_d else X

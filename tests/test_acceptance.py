@@ -35,7 +35,6 @@ from triadlab.checks import (
 from triadlab.connections import (
     LeviCivitaConnection,
     tensor_B1,
-    tmp1_connection,
     torsion,
     triad_connection,
 )
@@ -102,7 +101,7 @@ def test_criterion_04_minus_one_connection_drops_second_correction():
     worst_quarter = 0.0
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J", "r9-standard"):
         t = _CAT[ex_id].build()
-        tmp = tmp1_connection(t)
+        tmp = triad_connection(t, -1.0)
         lc = LeviCivitaConnection(t)
         rng = field_rng(4, "accept-tmp", ex_id)
         for p in t.sample_points(2, seed=1004):

@@ -97,8 +97,8 @@ def test_naturality_refuses_non_strict_map():
     t = standard_triad(1)
     dilation = StrictContactMap(
         label="dilation",
-        forward=lambda q: 2.0 * np.asarray(q),
-        inverse=lambda q: 0.5 * np.asarray(q),
+        forward=lambda q: 2.0 * q,
+        inverse=lambda q: 0.5 * q,
         differential=lambda q: 2.0 * np.eye(3),
     )
     with pytest.raises(ValueError):
@@ -214,8 +214,8 @@ def test_nan_map_fails_the_strictness_guard():
     t = standard_triad(1)
     nan_map = StrictContactMap(
         label="nan-map",
-        forward=lambda q: np.asarray(q) + np.array([0.0, np.nan, 0.0]),
-        inverse=lambda q: np.asarray(q),
+        forward=lambda q: q + np.array([0.0, np.nan, 0.0]),
+        inverse=lambda q: q,
         differential=lambda q: np.eye(3),
     )
     p = np.array([0.1, 0.2, 0.3])

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from triadlab import catalog, standard_triad, perturbed_triad, levi_civita
-from triadlab import triad_connection, tmp1_connection, triad_metric
+from triadlab import (LeviCivitaConnection, catalog, perturbed_triad,
+                      standard_triad, triad_connection)
 from triadlab.checks import const_field, xi_vector, field_rng
 from triadlab.connections import (
     covariant_derivative_endo,
@@ -31,7 +31,7 @@ def test_lc_against_koszul_oracle():
     """Christoffel route vs the six-term formula, three triads, random slots."""
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
-        lc = levi_civita(triad_metric(t))
+        lc = LeviCivitaConnection(t)
         rng = np.random.default_rng(12)
         for p in t.sample_points(2, seed=10):
             G = t.metric_any(p)
@@ -46,14 +46,14 @@ def test_lc_frozen_value_r3():
     t = standard_triad(1)
     for y in (0.3, -1.1):
         p = np.array([0.2, y, 0.5])
-        got = levi_civita(triad_metric(t)).gamma_apply(
+        got = LeviCivitaConnection(t).gamma_apply(
             p, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
         assert np.max(np.abs(got - np.array([-0.5, 0.0, -y / 2.0]))) < 1e-12
 
 
 def test_lc_torsion_free_and_metric():
     t = _CAT["r3-perturbed-J"].build()
-    lc = levi_civita(triad_metric(t))
+    lc = LeviCivitaConnection(t)
     rng = np.random.default_rng(3)
     for p in t.sample_points(3, seed=30):
         G_fun = t.metric_any
@@ -72,7 +72,7 @@ def test_lc_reeb_orbit_geodesic():
     """nabla^LC_X X = 0 and nabla^LC_Y X = (JY + (L J)Y)/2 on the plane."""
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
-        lc = levi_civita(triad_metric(t))
+        lc = LeviCivitaConnection(t)
         rng = np.random.default_rng(7)
         for p in t.sample_points(2, seed=40):
             X = t.reeb_any(p)
@@ -88,7 +88,7 @@ def test_lc_reeb_orbit_geodesic():
 
 def test_lc_reeb_j_parallel_on_standard():
     t = standard_triad(1)
-    lc = levi_civita(triad_metric(t))
+    lc = LeviCivitaConnection(t)
     p = np.array([0.7, -0.4, 0.2])
     got = covariant_derivative_endo(lc, t.j_any, const_field(t.reeb_any(p)), p)
     assert np.max(np.abs(got)) < 1e-11
@@ -117,7 +117,7 @@ def test_family_metric_compatible_for_many_c():
 def test_first_stage_is_family_at_minus_one():
     for ex_id in ("r3-standard", "r5-perturbed-J", "t3-tight"):
         t = _CAT[ex_id].build()
-        a = tmp1_connection(t)
+        a = triad_connection(t, -1.0)
         b = triad_connection(t, -1.0)
         rng = np.random.default_rng(4)
         for p in t.sample_points(3, seed=60):
@@ -194,7 +194,7 @@ def test_quarter_nijenhuis_at_minus_one():
     """Plane torsion of the first stage equals a quarter of the plane Nijenhuis."""
     for ex_id in ("r5-perturbed-J", "r5-standard", "t3-tight"):
         t = _CAT[ex_id].build()
-        conn = tmp1_connection(t)
+        conn = triad_connection(t, -1.0)
         rng = np.random.default_rng(23)
         for p in t.sample_points(2, seed=90):
             P = t.pi_any(p)
@@ -220,10 +220,10 @@ def test_torsion_extension_independent():
         B = rng.standard_normal((3, 3))
 
         def yf(q, y=y, A=A):
-            return y + A @ (np.asarray(q) - p)
+            return y + A @ (q - p)
 
         def zf(q, z=z, B=B):
-            return z + B @ (np.asarray(q) - p)
+            return z + B @ (q - p)
 
         via_fields = torsion(conn, yf, zf, p)
         via_tensor = torsion_tensor(conn, p, y, z)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from triadlab import DiffEngine, catalog, standard_triad, perturbed_triad, t3_triad
+from triadlab import (ContactTriad, DiffEngine, catalog, perturbed_triad,
+                      standard_triad, t3_triad)
 
 from oracles import flow_lie_derivative_endo, fd_jacobian
 
@@ -180,3 +181,12 @@ def test_fd_engine_triad_matches_ad_engine_triad():
     # the fd triad's d(lam) carries central-stencil truncation error
     assert np.max(np.abs(t_ad.metric_any(p) - t_fd.metric_any(p))) < 1e-8
     assert np.max(np.abs(t_ad.christoffel_at(p) - t_fd.christoffel_at(p))) < 1e-6
+
+
+def test_reeb_guard_rejects_nan_contact_form():
+    """A NaN residual must trip the guard: ``max(r1, r2) > tol`` is false
+    for NaN, which let a NaN Reeb field through."""
+    t = ContactTriad(3, lambda q: np.array([np.nan, 0.0, 1.0]), None,
+                     (-np.ones(3), np.ones(3)))
+    with pytest.raises(ValueError, match="contact condition"):
+        t.reeb_any(np.array([0.1, 0.2, 0.3]))

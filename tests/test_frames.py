@@ -3,13 +3,12 @@
 import numpy as np
 
 from triadlab import (
+    LeviCivitaConnection,
     build_unitary_frame,
     catalog,
     cross_check_gamma,
-    levi_civita,
     standard_triad,
     triad_connection,
-    triad_metric,
 )
 from triadlab.frames import (
     connection_one_forms,
@@ -81,7 +80,7 @@ def test_levi_civita_omega_skew():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=3)[0]
         fr = build_unitary_frame(t, p)
-        g = connection_one_forms(levi_civita(triad_metric(t)), fr, p).gamma
+        g = connection_one_forms(LeviCivitaConnection(t), fr, p).gamma
         assert np.max(np.abs(g + np.transpose(g, (2, 1, 0)))) < 1e-9, ex_id
 
 
@@ -90,7 +89,7 @@ def test_structure_equation_both_connections():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=4)[0]
         fr = build_unitary_frame(t, p)
-        lc_res = structure_equation_residual(levi_civita(triad_metric(t)), fr, p)
+        lc_res = structure_equation_residual(LeviCivitaConnection(t), fr, p)
         tc_res = structure_equation_residual(triad_connection(t, 0.0), fr, p)
         assert lc_res < 1e-7, ex_id
         assert tc_res < 1e-7, ex_id
@@ -163,5 +162,5 @@ def test_skew_hermitian_family_vs_levi_civita():
         fr = build_unitary_frame(t, p)
         assert skew_hermitian_check(triad_connection(t, 0.0), fr, p) < 1e-8
         worst_lc = max(worst_lc,
-                       skew_hermitian_check(levi_civita(triad_metric(t)), fr, p))
+                       skew_hermitian_check(LeviCivitaConnection(t), fr, p))
     assert worst_lc > 1e-3

@@ -6,9 +6,10 @@ import numpy as np
 from triadlab import DiffEngine, catalog
 from triadlab.connections import (LeviCivitaConnection, TriadConnection,
                                   nijenhuis, tensor_B1, tensor_B2)
-from triadlab.contact import (const_field, j_image, metric_pair, reeb_section,
-                              xi_section)
+from triadlab.contact import (const_field, j_image, j_section, metric_pair,
+                              reeb_section, xi_section)
 from triadlab.engine import Section
+from triadlab.frames import build_unitary_frame
 
 from oracles import nijenhuis_closures
 
@@ -31,7 +32,14 @@ def _sections(t, rng):
     w = const_field(rng.standard_normal(t.dim))
     return {"xi": y, "j-image-xi": j_image(t, y),
             "j-image-const": j_image(t, w), "reeb": reeb_section(t),
-            "const": w, "metric-pair": metric_pair(t, y, z)}
+            "const": w, "metric-pair": metric_pair(t, y, z),
+            "j": j_section(t)}
+
+
+def _with_coframe(t, p, secs):
+    """``secs`` plus the coframe of a unitary frame frozen at p."""
+    return dict(secs, coframe=build_unitary_frame(t, p, seed=3)
+                .coframe_section())
 
 
 def _close(a, b):
@@ -41,7 +49,7 @@ def _close(a, b):
 
 def test_section_jets_match_dual_jacobians_of_their_closures():
     for ex_id, t, p, rng in _cases():
-        for name, sec in _sections(t, rng).items():
+        for name, sec in _with_coframe(t, p, _sections(t, rng)).items():
             value, jac = sec.jet(p)
             assert _close(value, sec.fn(p)), (ex_id, name)
             assert _close(jac, t.engine.jacobian(sec.fn, p)), (ex_id, name)
@@ -77,7 +85,7 @@ def test_nijenhuis_on_sections_matches_bare_closures():
 def test_fd_derivatives_of_sections_are_those_of_their_closures():
     for ex_id, t, p, rng in _cases(DiffEngine("fd")):
         u = rng.standard_normal(t.dim)
-        for name, sec in _sections(t, rng).items():
+        for name, sec in _with_coframe(t, p, _sections(t, rng)).items():
             got = np.asarray(t.engine.deriv(sec, p, u))
             want = np.asarray(t.engine.deriv(sec.fn, p, u))
             assert got.tobytes() == want.tobytes(), (ex_id, name)
@@ -97,3 +105,13 @@ def test_gamma_table_matches_levi_civita_plus_corrections():
                                 + b1_sign * tensor_B1(t, u, v, p)
                                 + tensor_B2(t, c, u, v, p))
                         assert _close(table[:, i, j], want), (ex_id, c, i, j)
+
+
+def test_coframe_jacobian_table_is_the_jet_in_ad_and_the_closure_in_fd():
+    for engine in (DiffEngine("ad"), DiffEngine("fd")):
+        for ex_id, t, p, rng in _cases(engine):
+            frame = build_unitary_frame(t, p, seed=3)
+            sec = frame.coframe_section()
+            want = (sec.jet(p)[1] if engine.mode == "ad"
+                    else engine.jacobian(sec.fn, p))
+            assert np.array_equal(frame.jac_coframe_at(p), want), ex_id
