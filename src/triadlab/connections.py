@@ -10,9 +10,12 @@ with the two correction tensors given by their closed forms:
     B1(Z1, Z2)   = -1/2 J ((nabla^LC_{Pi Z1} J) Pi Z2)
     B2(c)(Z1,Z2) = (1+c)/2 (-g(Z2,X) J Z1 - g(Z1,X) J Z2 + g(J Z1, Z2) X)
 
-where X is the Reeb field.  Each family member assembles its own bilinear
-table Gamma = Christoffel + B1 + B2(c) once per point, with einsums over the
-cached Christoffel, J and dJ tables, and ``gamma_apply`` reads that table.
+where X is the Reeb field.  The bilinear table Gamma = Christoffel + B1 +
+B2(c) at a point depends only on the triad, c and the point, so it lives in
+the triad's per-point store under the tag ("gamma", c, b1_sign): every
+family member with that tag on one triad reads the same table, built once
+with einsums over the cached Christoffel, J and dJ tables, and
+``gamma_apply`` reads it.
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 
 Connections evaluate as ``conn.apply(Xf, Yf, p)`` on vector-field closures;
@@ -41,12 +44,15 @@ class AffineConnection:
 
 
 class LocalConnection(AffineConnection):
-    """Connection given by a bilinear pointwise part plus the flat derivative."""
+    """Connection given by a bilinear pointwise part plus the flat derivative.
+
+    A subclass names its table by ``table_tag``, the key it is held under
+    in the triad's per-point store.
+    """
 
     def __init__(self, triad: ContactTriad):
         self.triad = triad
         self.engine = triad.engine
-        self._gamma_cache: dict = {}
 
     def apply_vec(self, u, Yf, p):
         dY_u = self.engine.deriv(Yf, p, u)
@@ -57,15 +63,10 @@ class LocalConnection(AffineConnection):
 
     def gamma_tensor(self, p):
         """Full bilinear table gamma[k, i, j] = gamma(e_i, e_j)^k at a float point."""
-        key = p.tobytes()
-        hit = self._gamma_cache.get(key)
-        if hit is None:
-            hit = self.gamma_table(p)
-            self._gamma_cache[key] = hit
-        return hit
+        return self.triad._cached(self.table_tag, p, self.gamma_table)
 
     def gamma_table(self, p):
-        """Build the table :meth:`gamma_tensor` caches, once per point."""
+        """Build the table :meth:`gamma_tensor` reads from the triad's store."""
         raise NotImplementedError
 
 
@@ -120,6 +121,21 @@ def tensor_B2(triad: ContactTriad, c: float, z1, z2, p):
                               + g_jz1_z2 * X)
 
 
+_B1 = 'ka,abl,li,bj->kij'
+_B1_PATHS: dict = {}
+
+
+def _b1_path(J, nj, P):
+    """The contraction order ``optimize=True`` picks for B1, found once per
+    dimension: it depends only on the operand shapes."""
+    d = len(J)
+    path = _B1_PATHS.get(d)
+    if path is None:
+        path = _B1_PATHS[d] = np.einsum_path(_B1, J, nj, P, P,
+                                             optimize=True)[0]
+    return path
+
+
 class TriadConnection(LocalConnection):
     """Member of the canonical family, assembled as LC + B1 + B2(c).
 
@@ -132,6 +148,7 @@ class TriadConnection(LocalConnection):
         self.c = float(c)
         self.b1_sign = float(b1_sign)
         self.label = "triad(c=%g)" % c
+        self.table_tag = ("gamma", self.c, self.b1_sign)
 
     def gamma_apply(self, p, u, v):
         return np.einsum('kij,i,j->k', self.gamma_tensor(p), u, v)
@@ -147,7 +164,7 @@ class TriadConnection(LocalConnection):
         # nj[a, b, l] = (nabla^LC_{e_l} J)[a, b]
         nj = (t.jac_j_at(p) + np.einsum('alm,mb->abl', C, J)
               - np.einsum('am,mlb->abl', J, C))
-        b1 = -0.5 * np.einsum('ka,abl,li,bj->kij', J, nj, P, P, optimize=True)
+        b1 = -0.5 * np.einsum(_B1, J, nj, P, P, optimize=_b1_path(J, nj, P))
         gx = np.dot(G, X)
         b2 = 0.5 * (1.0 + self.c) * (-J[:, :, None] * gx[None, None, :]
                                      - gx[None, :, None] * J[:, None, :]

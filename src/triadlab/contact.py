@@ -11,10 +11,13 @@ From these it derives, at any chart point (float or dual-valued):
 * the triad metric  g(u, v) = lam(u) lam(v) + d lam(Pi u, J Pi v),
 * Christoffel symbols of g (float points only; they seed the connections).
 
-Float-point evaluations are memoised per point.  A dual point is the seed
-of one differentiation pass, so its values are memoised on the point's
-identity, for the latest dual point only: within a pass the Reeb solve and
-d lam run once, however many pipelines read them.
+Float-point evaluations live in one bounded store per triad.  It holds the
+tables of the ``POINT_CACHE_SIZE`` most recently used points, the Gamma
+tables of :mod:`triadlab.connections` among them; a dropped point is
+recomputed if it comes back.  A dual point is the seed of one
+differentiation pass, so its values are memoised on the point's identity,
+for the latest dual point only: within a pass the Reeb solve and d lam run
+once, however many pipelines read them.
 
 The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,
@@ -25,6 +28,7 @@ the cached Jacobian tables, so an ``ad`` derivative of it runs no dual pass.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -33,28 +37,9 @@ from .engine import (DiffEngine, Section, dot, is_float_point, max_residual,
                      outer, solve)
 
 REEB_RESIDUAL_TOL = 1e-10
-
-
-def _merge_sign(I, J):
-    """Sign of sorting the concatenation of two disjoint sorted index tuples."""
-    s = 1
-    for i in I:
-        for j in J:
-            if j < i:
-                s = -s
-    return s
-
-
-def wedge(f: dict, g: dict) -> dict:
-    """Wedge product of forms given as {sorted index tuple: coefficient}."""
-    out: dict = {}
-    for I, a in f.items():
-        for J, b in g.items():
-            if set(I) & set(J):
-                continue
-            K = tuple(sorted(I + J))
-            out[K] = out.get(K, 0.0) + _merge_sign(I, J) * a * b
-    return out
+# Float points whose tables one triad keeps; past this the least recently
+# used point is dropped.
+POINT_CACHE_SIZE = 256
 
 
 class ContactTriad:
@@ -73,7 +58,8 @@ class ContactTriad:
         self.domain = (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         self.engine = engine if engine is not None else DiffEngine()
         self.label = label
-        self._cache: dict = {}
+        self._eye = np.eye(dim)
+        self._cache: OrderedDict = OrderedDict()
         self._dual_point = None
         self._dual_cache: dict = {}
 
@@ -106,19 +92,31 @@ class ContactTriad:
 
     # -- caching ---------------------------------------------------------
 
-    def _cached(self, tag: str, q, fn):
+    def _cached(self, tag, q, fn):
+        """``fn(q)``, memoised under ``tag`` in the tables held for point q.
+
+        ``_cache`` maps a float point's bytes to its {tag: value} tables, in
+        least-recently-used order; inserting a point past
+        ``POINT_CACHE_SIZE`` drops the oldest one.
+        """
         if is_float_point(q):
-            key, cache = (tag, q.tobytes()), self._cache
+            key = q.tobytes()
+            tables = self._cache.get(key)
+            if tables is None:
+                tables = self._cache[key] = {}
+                if len(self._cache) > POINT_CACHE_SIZE:
+                    self._cache.popitem(last=False)
+            else:
+                self._cache.move_to_end(key)
         else:
             # A dual point is the seed of one pass; its values are memoised
             # on its identity, for the latest dual point only.
             if q is not self._dual_point:
                 self._dual_point, self._dual_cache = q, {}
-            key, cache = tag, self._dual_cache
-        hit = cache.get(key)
+            tables = self._dual_cache
+        hit = tables.get(tag)
         if hit is None:
-            hit = fn(q)
-            cache[key] = hit
+            hit = tables[tag] = fn(q)
         return hit
 
     # -- pointwise pipelines (valid at float or dual points) -------------
@@ -149,7 +147,7 @@ class ContactTriad:
 
     def pi_any(self, q):
         def impl(x):
-            return outer(-self.reeb_any(x), self.lam_any(x), np.eye(self.dim))
+            return outer(-self.reeb_any(x), self.lam_any(x), self._eye)
         return self._cached("pi", q, impl)
 
     def j_any(self, q):
@@ -203,68 +201,6 @@ class ContactTriad:
         return self._cached("lie_reeb_j", p, impl)
 
     # -- geometric operations --------------------------------------------
-
-    def project_xi(self, v, p):
-        """v minus its Reeb component: Pi v = v - lam(v) X."""
-        return np.dot(self.pi_any(p), v)
-
-    def contact_coefficient(self, p) -> float:
-        """Signed coefficient of lam ^ (d lam)^n against the chart volume form.
-
-        Nonzero iff the contact condition holds at p; the sign reports the
-        induced orientation relative to the chart.
-        """
-        lam = self.lam_any(p)
-        A = self.dlam_any(p)
-        d = self.dim
-        two = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                if A[i, j] != 0.0:
-                    two[(i, j)] = A[i, j]
-        power = two
-        for _ in range(self.n - 1):
-            power = wedge(power, two)
-        one = {(i,): lam[i] for i in range(d) if lam[i] != 0.0}
-        top = wedge(one, power)
-        return float(top.get(tuple(range(d)), 0.0))
-
-    def j_squared_residual(self, p) -> float:
-        J = self.j_any(p)
-        P = self.pi_any(p)
-        r1 = np.max(np.abs(np.dot(J, J) + P))
-        r2 = np.max(np.abs(np.dot(J, self.reeb_any(p))))
-        return float(max(r1, r2))
-
-    def compatibility(self, p, seed: int = 0, samples: int = 32):
-        """(max |d lam(JY, JZ) - d lam(Y, Z)|, min d lam(Y, JY) over unit Y).
-
-        Y, Z are Gaussian chart vectors pushed through Pi; Y is normalised by
-        sqrt(|g(Y, Y)|), so a compatible J scores exactly +1 in the second
-        slot and J -> -J scores -1.
-        """
-        rng = np.random.default_rng([seed, 2 * self.dim + 1])
-        A = self.dlam_any(p)
-        P = self.pi_any(p)
-        J = self.j_any(p)
-        G = self.metric_any(p)
-        ys = []
-        for _ in range(samples):
-            w = np.dot(P, rng.standard_normal(self.dim))
-            nrm = abs(float(np.dot(w, np.dot(G, w))))
-            if nrm < 1e-12:
-                continue
-            ys.append(w / np.sqrt(nrm))
-        inv_defect = 0.0
-        positivity = np.inf
-        for k, y in enumerate(ys):
-            jy = np.dot(J, y)
-            positivity = min(positivity, float(np.dot(y, np.dot(A, jy))))
-            z = ys[(k + 1) % len(ys)]
-            lhs = float(np.dot(jy, np.dot(A, np.dot(J, z))))
-            rhs = float(np.dot(y, np.dot(A, z)))
-            inv_defect = max(inv_defect, abs(lhs - rhs))
-        return inv_defect, positivity
 
     def scaled(self, a: float) -> "ContactTriad":
         """The triad (a * lam, J) on the same chart; J is unchanged on xi."""

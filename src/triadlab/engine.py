@@ -144,9 +144,12 @@ class DiffEngine:
             # The seeded directions lead the tangent; move them last.
             n = ndim(y.du)
             return transpose(y.du, tuple(range(1, n)) + (0,))
-        cols = [self.deriv(f, p, e) for e in np.eye(d)]
-        out = np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-        return out
+        # Central differences along every e_l in one loop: the arithmetic of
+        # ``deriv`` along each axis, without its per-call overhead.
+        h = self.step
+        cols = [np.asarray(f(p + s) - f(p - s), dtype=float)
+                for s in h * np.eye(d)]
+        return np.stack(cols, axis=-1) * (0.5 / h)
 
     # -- named operations ------------------------------------------------
 
@@ -192,6 +195,14 @@ def _floats(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+_FLOAT = np.dtype(float)
+
+
+def _is_floats(a) -> bool:
+    """True for a float64 ndarray, which goes straight to numpy."""
+    return type(a) is np.ndarray and a.dtype is _FLOAT
+
+
 def _solve_columns(A, R, nk: int):
     """Solve A X = R for every tangent slice of R in one solve.
 
@@ -223,6 +234,8 @@ def _solve(A, B):
 
 def solve(A, B):
     """Solve A x = B; works for float and dual-valued systems."""
+    if _is_floats(A) and _is_floats(B):
+        return np.linalg.solve(A, B)
     return _solve(A, B)
 
 
@@ -232,6 +245,8 @@ def inv(A):
 
 def dot(A, B):
     """``np.dot(A, B)`` for a matrix or vector A; works for duals."""
+    if _is_floats(A) and _is_floats(B):
+        return np.dot(A, B)
     if isinstance(A, Dual) or isinstance(B, Dual):
         return matmul(A, B)
     return np.dot(_floats(A), _floats(B))
@@ -239,7 +254,9 @@ def dot(A, B):
 
 def outer(a, b, c=None):
     """The outer product a b^T, plus c when given; dual-aware like dot."""
-    if isinstance(a, Dual) or isinstance(b, Dual):
+    if _is_floats(a) and _is_floats(b):
+        ab = np.dot(a[:, None], b[None, :])
+    elif isinstance(a, Dual) or isinstance(b, Dual):
         ab = a[:, None] * b[None, :]
     else:
         ab = np.dot(_floats(a)[:, None], _floats(b)[None, :])

@@ -6,7 +6,10 @@ derivatives, and the Lie-derivative oracle integrates the actual flow with
 a fixed-step RK4 and differentiates the pullback in the flow time.  Their
 job is to catch a bug that the engine would otherwise propagate into every
 check simultaneously.  The field-closure Nijenhuis tensor differentiates
-bare closures only, so no 1-jet enters it.  The dual-scalar LU solve is the
+bare closures only, so no 1-jet enters it.  The contact coefficient (a
+wedge product of lam and d lam), the compatibility diagnostics and the J^2
+residual are test-side diagnostics: they read a triad's float-point values
+and test the defining equations on them.  The dual-scalar LU solve is the
 engine's former linear algebra, kept as an oracle for the forward-mode
 matrix rules that replaced it: it runs Gaussian elimination entry by entry
 over scalar (0-d) ``Dual`` objects.
@@ -59,6 +62,90 @@ def nijenhuis_closures(triad, Xf, Yf, p):
     return (eng.lie_bracket(JX, JY, p) - eng.lie_bracket(Xf, Yf, p)
             - np.dot(J, eng.lie_bracket(Xf, JY, p))
             - np.dot(J, eng.lie_bracket(JX, Yf, p)))
+
+
+def _merge_sign(I, J):
+    """Sign of sorting the concatenation of two disjoint sorted index tuples."""
+    s = 1
+    for i in I:
+        for j in J:
+            if j < i:
+                s = -s
+    return s
+
+
+def wedge(f: dict, g: dict) -> dict:
+    """Wedge product of forms given as {sorted index tuple: coefficient}."""
+    out: dict = {}
+    for I, a in f.items():
+        for J, b in g.items():
+            if set(I) & set(J):
+                continue
+            K = tuple(sorted(I + J))
+            out[K] = out.get(K, 0.0) + _merge_sign(I, J) * a * b
+    return out
+
+
+def contact_coefficient(triad, p) -> float:
+    """Signed coefficient of lam ^ (d lam)^n against the chart volume form.
+
+    Nonzero iff the contact condition holds at p; the sign reports the
+    induced orientation relative to the chart.
+    """
+    lam = triad.lam_any(p)
+    A = triad.dlam_any(p)
+    d = triad.dim
+    two = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            if A[i, j] != 0.0:
+                two[(i, j)] = A[i, j]
+    power = two
+    for _ in range(triad.n - 1):
+        power = wedge(power, two)
+    one = {(i,): lam[i] for i in range(d) if lam[i] != 0.0}
+    top = wedge(one, power)
+    return float(top.get(tuple(range(d)), 0.0))
+
+
+def j_squared_residual(triad, p) -> float:
+    """max(|J^2 + Pi|, |J X|) at p."""
+    J = triad.j_any(p)
+    P = triad.pi_any(p)
+    r1 = np.max(np.abs(np.dot(J, J) + P))
+    r2 = np.max(np.abs(np.dot(J, triad.reeb_any(p))))
+    return float(max(r1, r2))
+
+
+def compatibility(triad, p, seed: int = 0, samples: int = 32):
+    """(max |d lam(JY, JZ) - d lam(Y, Z)|, min d lam(Y, JY) over unit Y).
+
+    Y, Z are Gaussian chart vectors pushed through Pi; Y is normalised by
+    sqrt(|g(Y, Y)|), so a compatible J scores exactly +1 in the second
+    slot and J -> -J scores -1.
+    """
+    rng = np.random.default_rng([seed, 2 * triad.dim + 1])
+    A = triad.dlam_any(p)
+    P = triad.pi_any(p)
+    J = triad.j_any(p)
+    G = triad.metric_any(p)
+    ys = []
+    for _ in range(samples):
+        w = np.dot(P, rng.standard_normal(triad.dim))
+        nrm = abs(float(np.dot(w, np.dot(G, w))))
+        if nrm < 1e-12:
+            continue
+        ys.append(w / np.sqrt(nrm))
+    inv_defect = 0.0
+    positivity = np.inf
+    for k, y in enumerate(ys):
+        jy = np.dot(J, y)
+        positivity = min(positivity, float(np.dot(y, np.dot(A, jy))))
+        z = ys[(k + 1) % len(ys)]
+        lhs = float(np.dot(jy, np.dot(A, np.dot(J, z))))
+        rhs = float(np.dot(y, np.dot(A, z)))
+        inv_defect = max(inv_defect, abs(lhs - rhs))
+    return inv_defect, positivity
 
 
 def _rk4_flow_with_jacobian(field, jac, p, t, steps=16):

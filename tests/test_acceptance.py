@@ -171,7 +171,8 @@ def test_criterion_06_reeb_covariant_derivative_formula():
         for c in (-1.0, 0.0, 1.0):
             conn = triad_connection(t, c)
             for _ in range(3):
-                y = t.project_xi(p, rng.standard_normal(t.dim))
+                y = t.pi_any(p) @ rng.standard_normal(t.dim)
+                assert abs(float(t.lam_any(p) @ y)) <= 1e-12, (ex_id, c)
                 resid = (conn.apply_vec(y, t.reeb_any, p)
                          + 0.5 * c * (J @ y) - 0.5 * (L @ (J @ y)))
                 d = float(np.max(np.abs(resid)))

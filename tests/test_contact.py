@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from triadlab import (ContactTriad, DiffEngine, catalog, perturbed_triad,
-                      standard_triad, t3_triad)
+from triadlab import (ContactTriad, DiffEngine, catalog, contact,
+                      perturbed_triad, standard_triad, t3_triad)
+from triadlab.runner import RunConfig, emit_report, run_suite
 
-from oracles import flow_lie_derivative_endo, fd_jacobian
+from oracles import (compatibility, contact_coefficient, fd_jacobian,
+                     flow_lie_derivative_endo, j_squared_residual)
 
 _CAT = catalog()
 
@@ -62,7 +64,7 @@ def test_projector_and_j_algebra():
             assert np.max(np.abs(P @ J - J)) < 1e-10, ex_id
             assert np.max(np.abs(J @ J + P)) < 1e-10, ex_id
             assert np.max(np.abs(J @ t.reeb_any(p))) < 1e-12, ex_id
-            assert t.j_squared_residual(p) < 1e-10, ex_id
+            assert j_squared_residual(t, p) < 1e-10, ex_id
 
 
 def test_contact_coefficient_frozen_values():
@@ -76,20 +78,20 @@ def test_contact_coefficient_frozen_values():
     for ex_id, value in want.items():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=1)[0]
-        assert abs(t.contact_coefficient(p) - value) < 1e-10, ex_id
+        assert abs(contact_coefficient(t, p) - value) < 1e-10, ex_id
 
 
 def test_contact_coefficient_perturbed_nonvanishing():
     for ex_id in ("r3-perturbed-J", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
         for p in t.sample_points(10, seed=4):
-            assert abs(t.contact_coefficient(p)) > 0.5, ex_id
+            assert abs(contact_coefficient(t, p)) > 0.5, ex_id
 
 
 def test_compatibility_defect_and_sign():
     for ex_id, t in _triads():
         p = t.sample_points(1, seed=13)[0]
-        defect, sign = t.compatibility(p, seed=2)
+        defect, sign = compatibility(t, p, seed=2)
         assert defect < 1e-9, ex_id
         assert abs(sign - 1.0) < 1e-9, ex_id
 
@@ -190,3 +192,49 @@ def test_reeb_guard_rejects_nan_contact_form():
                      (-np.ones(3), np.ones(3)))
     with pytest.raises(ValueError, match="contact condition"):
         t.reeb_any(np.array([0.1, 0.2, 0.3]))
+
+
+# -- the bounded per-point store ----------------------------------------------
+
+
+def test_fd_run_keeps_at_most_the_store_size_per_triad(monkeypatch):
+    """An fd Jacobian puts 2 dim stencil points in the store; an unbounded
+    store keeps every one of them (about 10 000 (tag, point) entries after
+    this run)."""
+    held = []
+    init = ContactTriad.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        held.append(self)
+
+    monkeypatch.setattr(ContactTriad, "__init__", keep)
+    run_suite(RunConfig(example_id="r3-standard", points=8, mode="fd"))
+    assert held
+    assert max(len(t._cache) for t in held) == contact.POINT_CACHE_SIZE
+
+
+def test_store_lru_order_and_eviction(monkeypatch):
+    monkeypatch.setattr(contact, "POINT_CACHE_SIZE", 2)
+    t = standard_triad(1)
+    a, b, c = t.sample_points(3, seed=5)
+    lam_a = t.lam_any(a)
+    t.lam_any(b)
+    assert t.lam_any(a) is lam_a          # a hit moves a to the end
+    t.lam_any(c)                          # so b is the oldest and is dropped
+    assert list(t._cache) == [a.tobytes(), c.tobytes()]
+    t.reeb_any(a)
+    assert set(t._cache[a.tobytes()]) == {"lam", "dlam", "reeb"}
+
+
+@pytest.mark.parametrize("example_id, mode", [("r3-standard", "fd"),
+                                              ("r3-perturbed-J", "ad")])
+def test_eviction_leaves_reports_byte_identical(monkeypatch, example_id, mode):
+    def report():
+        return emit_report(run_suite(RunConfig(example_id=example_id,
+                                               points=2, seed=4, mode=mode)),
+                           "json")
+
+    want = report()
+    monkeypatch.setattr(contact, "POINT_CACHE_SIZE", 4)
+    assert report() == want

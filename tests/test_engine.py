@@ -161,6 +161,19 @@ def test_lie_derivative_endo_matches_flow_oracle():
         assert np.max(np.abs(got - want)) < 1e-6, ex_id
 
 
+def test_fd_jacobian_is_fd_deriv_stacked_along_each_axis():
+    fd = DiffEngine(mode="fd", step=1e-4)
+    for ex_id in ("r3-perturbed-J", "r5-standard", "t3-tight"):
+        t = catalog()[ex_id].build(fd)
+        p = t.sample_points(1, seed=31)[0]
+        fields = (t.reeb_any, t.j_any, t.metric_any,
+                  lambda q: float(t.lam_any(q) @ q))
+        for f in fields:
+            want = np.stack([np.asarray(fd.deriv(f, p, e), dtype=float)
+                             for e in np.eye(t.dim)], axis=-1)
+            assert fd.jacobian(f, p).tobytes() == want.tobytes(), ex_id
+
+
 def test_jacobian_fd_vs_ad_on_catalog_reeb():
     for ex_id, spec in catalog().items():
         triad = spec.build()

@@ -98,6 +98,13 @@ def test_gamma_table_matches_levi_civita_plus_corrections():
         for b1_sign in (1.0, -1.0):
             for c in (-1.0, 0.0, 1.0):
                 table = TriadConnection(t, c, b1_sign=b1_sign).gamma_tensor(p)
+                # The table lives in the triad's store: a second connection
+                # with the same (c, b1_sign) reads the same object, a
+                # flipped B1 another one.
+                twin = TriadConnection(t, c, b1_sign=b1_sign).gamma_tensor(p)
+                flipped = TriadConnection(t, c, b1_sign=-b1_sign)
+                assert twin is table, (ex_id, c, b1_sign)
+                assert flipped.gamma_tensor(p) is not table, (ex_id, c)
                 for i in range(t.dim):
                     for j in range(t.dim):
                         u, v = eye[i], eye[j]
