@@ -141,6 +141,14 @@ class Dual:
         return Dual(self.lvl, self.re[idx],
                     self.du[(slice(None),) * self.nk + idx])
 
+    def take(self, indices, axis: int = -1):
+        """Entries ``indices`` along the last value axis, like
+        ``ndarray.take``; the tangent axes lead, so it is du's last axis too."""
+        if axis != -1:
+            raise ValueError("Dual.take supports axis=-1 only")
+        return Dual(self.lvl, self.re.take(indices, axis=-1),
+                    self.du.take(indices, axis=-1))
+
     def reshape(self, s: tuple):
         nk = self.nk
         return Dual(self.lvl, reshape(self.re, s),
@@ -157,6 +165,12 @@ class Dual:
     @property
     def T(self):
         return self.transpose()
+
+    @property
+    def mT(self):
+        """The last two value axes swapped, like ``ndarray.mT``."""
+        n = self.ndim
+        return self.transpose(tuple(range(n - 2)) + (n - 1, n - 2))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -270,19 +284,25 @@ def matmul(x, y):
 
 
 def stack(items):
-    """Stack equal-shape items along a new last axis; any item may be a dual.
+    """Stack items along a new last axis; any item may be a dual.
 
-    The value is built from the items' values in one call; the tangent is
-    zero except at the items that are duals of the top level.
+    Float items broadcast against each other, so a batch of entries can
+    stand next to constants.  The value is built from the items' values in
+    one call; the tangent is zero except at the items that are duals of the
+    top level.
     """
     lvl = 0
     for x in items:
         if isinstance(x, Dual) and x.lvl > lvl:
             lvl = x.lvl
     if not lvl:
-        if ndim(items[0]):
-            return np.stack(items, axis=-1)
-        return np.array(items, dtype=float)
+        shapes = {shape(x) for x in items}
+        if shapes == {()}:
+            return np.array(items, dtype=float)
+        if len(shapes) > 1:
+            s = np.broadcast_shapes(*shapes)
+            items = [np.broadcast_to(x, s) for x in items]
+        return np.stack(items, axis=-1)
     values, live, tangents = [], [], []
     for i, x in enumerate(items):
         if isinstance(x, Dual) and x.lvl == lvl:
@@ -307,38 +327,49 @@ def stack(items):
 
 def array(rows):
     """``np.array(rows, dtype=float)`` for a vector or a matrix given as
-    (nested) lists of scalars, any of which may be a dual."""
+    (nested) lists of entries: scalars, duals, or float batches of scalars,
+    whose batch axes then lead the result."""
     if isinstance(rows[0], (list, tuple)):
         flat = [x for row in rows for x in row]
-        if not any(isinstance(x, Dual) for x in flat):
+        if not any(isinstance(x, Dual) or ndim(x) for x in flat):
             return np.array(rows, dtype=float)
-        return stack(flat).reshape((len(rows), len(rows[0])))
+        s = stack(flat)
+        return reshape(s, shape(s)[:-1] + (len(rows), len(rows[0])))
     return stack(list(rows))
 
 
 # -- elementary functions ---------------------------------------------------
 #
-# Plain scalars go through ``math`` and arrays through numpy, so a float
-# evaluation gives the same bits whether or not a dual pass is running.
+# A float evaluation gives the same bits whether or not a dual pass is
+# running, and whether a point comes alone or in a batch.  Scalars go
+# through ``math``, and so does every entry of a float array for the
+# transcendental functions: numpy's vectorised ``exp`` differs from
+# ``math.exp`` in the last bit on some inputs.  ``sqrt`` is correctly
+# rounded in both.
+
+
+def _each(fn, x):
+    """``fn`` applied to every entry of a float array through ``math``."""
+    return np.array([fn(t) for t in x.flat]).reshape(x.shape)
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(x.lvl, sin(x.re), cos(x.re) * x.du)
-    return np.sin(x) if ndim(x) else math.sin(x)
+    return _each(math.sin, x) if ndim(x) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(x.lvl, cos(x.re), -sin(x.re) * x.du)
-    return np.cos(x) if ndim(x) else math.cos(x)
+    return _each(math.cos, x) if ndim(x) else math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.re)
         return Dual(x.lvl, e, e * x.du)
-    return np.exp(x) if ndim(x) else math.exp(x)
+    return _each(math.exp, x) if ndim(x) else math.exp(x)
 
 
 def sqrt(x):

@@ -1,9 +1,11 @@
 """Built-in example triads and the strict chart symmetries they carry.
 
 All closures are written to stay evaluable when the chart point is an
-array dual: they use whole-array arithmetic, ``ad``'s elementary functions
-and ``ad.array`` for arrays assembled from scalar entries, which is what
-lets every downstream quantity be differentiated without special cases.
+array dual or a float batch of points, shape ``(..., dim)``: they index
+coordinates as ``q[..., i]`` and use whole-array arithmetic, ``ad``'s
+elementary functions and ``ad.array`` for arrays assembled from scalar
+entries, which is what lets every downstream quantity be differentiated
+without special cases, and an ``fd`` stencil be evaluated in one call.
 Frames hand J to the triad through its action matrix on a stated
 distribution frame, so compatibility holds by construction (trace-free
 action, square -identity, explicit positivity) rather than by numerical
@@ -30,20 +32,20 @@ BOX = 1.5
 
 def _r2n1_lam(n: int) -> Callable:
     """lam = dz - sum_i y_i dx_i on coordinates (x1, y1, ..., xn, yn, z)."""
-    # q[take] puts y_i in both slots of pair i; sign keeps -y_i in the x_i slot.
+    # take puts y_i in both slots of pair i; sign keeps -y_i in the x_i slot.
     d = 2 * n + 1
     take = np.array([2 * (i // 2) + 1 for i in range(2 * n)] + [d - 1])
     sign = np.array([-1.0, 0.0] * n + [0.0])
     dz = np.eye(d)[d - 1]
 
     def lam(q):
-        return dz + sign * q[take]
+        return dz + sign * q.take(take, axis=-1)
     return lam
 
 
 def _t3_lam(q):
     """lam = cos z dx + sin z dy, one periodic chart of the three-torus."""
-    return ad.array([ad.cos(q[2]), ad.sin(q[2]), 0.0])
+    return ad.array([ad.cos(q[..., 2]), ad.sin(q[..., 2]), 0.0])
 
 
 # -- distribution frames and J actions -------------------------------------
@@ -73,7 +75,7 @@ def _perturbed_frame_j(n: int, eps: float, z_index: int) -> Callable:
     direction, which is what the perturbed examples exist to exercise.
     """
     def frame_j(q):
-        z = q[z_index]
+        z = q[..., z_index]
         a = eps * ad.sin(z)
         b = ad.sqrt(1.0 + a * a) * ad.exp(eps * ad.cos(z))
         ct = -(1.0 + a * a) / b
@@ -88,7 +90,7 @@ def _perturbed_frame_j(n: int, eps: float, z_index: int) -> Callable:
 
 
 def _t3_xi_frame(q):
-    s, c = ad.sin(q[2]), ad.cos(q[2])
+    s, c = ad.sin(q[..., 2]), ad.cos(q[..., 2])
     return ad.array([[0.0, -s], [0.0, c], [1.0, 0.0]])
 
 
@@ -140,10 +142,10 @@ def _shear(dim: int, b: float) -> StrictContactMap:
     e1, ez = np.eye(dim)[1], np.eye(dim)[dim - 1]
 
     def forward(q):
-        return q + b * (e1 + q[0] * ez)
+        return q + b * (e1 + q[..., :1] * ez)
 
     def inverse(q):
-        return q - b * (e1 + q[0] * ez)
+        return q - b * (e1 + q[..., :1] * ez)
 
     return StrictContactMap(label="shear+%g" % b, forward=forward,
                             inverse=inverse, differential=lambda q: M)
@@ -152,13 +154,13 @@ def _shear(dim: int, b: float) -> StrictContactMap:
 def _t3_reeb_flow(t: float) -> StrictContactMap:
     """Time-t flow of the Reeb field (cos z, sin z, 0), in closed form."""
     def forward(q):
-        return q + t * ad.array([ad.cos(q[2]), ad.sin(q[2]), 0.0])
+        return q + t * ad.array([ad.cos(q[..., 2]), ad.sin(q[..., 2]), 0.0])
 
     def inverse(q):
-        return q - t * ad.array([ad.cos(q[2]), ad.sin(q[2]), 0.0])
+        return q - t * ad.array([ad.cos(q[..., 2]), ad.sin(q[..., 2]), 0.0])
 
     def differential(q):
-        s, c = ad.sin(q[2]), ad.cos(q[2])
+        s, c = ad.sin(q[..., 2]), ad.cos(q[..., 2])
         return ad.array([[1.0, 0.0, -t * s], [0.0, 1.0, t * c],
                          [0.0, 0.0, 1.0]])
 

@@ -42,6 +42,8 @@ TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
 
 STRICTNESS_TOL = 1e-9
+# Draws xi_vector makes before it gives up on a degenerate distribution.
+XI_VECTOR_DRAWS = 100
 
 
 @dataclass
@@ -175,12 +177,20 @@ def tq_vector(dim: int, rng) -> np.ndarray:
 
 
 def xi_vector(triad: ContactTriad, p, rng) -> np.ndarray:
-    """Unit (triad-metric) vector in the contact distribution at p."""
-    while True:
+    """Unit (triad-metric) vector in the contact distribution at p.
+
+    A draw whose squared norm is at most 1e-10 is drawn again, up to
+    ``XI_VECTOR_DRAWS`` times; a norm that is not finite raises at once.
+    """
+    for _ in range(XI_VECTOR_DRAWS):
         w = np.dot(triad.pi_any(p), rng.standard_normal(triad.dim))
         n2 = float(np.dot(w, np.dot(triad.metric_any(p), w)))
+        if not np.isfinite(n2):
+            raise ValueError("xi-vector norm is not finite at %s" % (p,))
         if n2 > 1e-10:
             return w / np.sqrt(n2)
+    raise ValueError("no xi-vector of positive norm in %d draws at %s"
+                     % (XI_VECTOR_DRAWS, p))
 
 
 # -- small shared evaluators ----------------------------------------------
@@ -358,14 +368,6 @@ class StrictContactMap:
             dphi = np.asarray(self.differential(q), dtype=float)
             pulled = np.dot(dphi.T, triad.lam_any(self.forward(q)))
             worst = max_residual(worst, np.max(np.abs(pulled - triad.lam_any(q))))
-        return worst
-
-    def roundtrip_residual(self, pts) -> float:
-        worst = 0.0
-        for q in pts:
-            q = np.asarray(q, dtype=float)
-            back = self.inverse(self.forward(q))
-            worst = max_residual(worst, np.max(np.abs(back - q)))
         return worst
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contact import ContactTriad, j_image
-from .engine import dot, is_float_point, solve
+from .engine import is_float_point, matvec, solve
 
 
 class AffineConnection:
@@ -265,7 +265,7 @@ class PullbackConnection(AffineConnection):
 
         def y_push(qq):
             pp = cm.inverse(qq)
-            return dot(cm.differential(pp), Yf(pp))
+            return matvec(cm.differential(pp), Yf(pp))
 
         w = self.base.apply_vec(u_push, y_push, q)
         return solve(np.asarray(dphi_p, dtype=float), w)

@@ -11,13 +11,20 @@ From these it derives, at any chart point (float or dual-valued):
 * the triad metric  g(u, v) = lam(u) lam(v) + d lam(Pi u, J Pi v),
 * Christoffel symbols of g (float points only; they seed the connections).
 
-Float-point evaluations live in one bounded store per triad.  It holds the
-tables of the ``POINT_CACHE_SIZE`` most recently used points, the Gamma
-tables of :mod:`triadlab.connections` among them; a dropped point is
-recomputed if it comes back.  A dual point is the seed of one
-differentiation pass, so its values are memoised on the point's identity,
-for the latest dual point only: within a pass the Reeb solve and d lam run
-once, however many pipelines read them.
+The pipelines ``*_any`` also take a float batch of points, shape ``(...,
+dim)``, which is how an ``fd`` stencil is evaluated in one call: one d lam
+stencil, one stacked Reeb solve and one stacked J solve serve the whole
+batch, each entry with the bits of its single-point evaluation.
+
+Float-point evaluations live in one bounded store per triad.  An entry is a
+point or a batch, keyed by its bytes (a batch also by its shape), and holds
+its {tag: value} tables, the Gamma tables of :mod:`triadlab.connections`
+among them.  The store keeps the most recently used entries up to
+``POINT_CACHE_SIZE`` points in all; a dropped entry is recomputed if it
+comes back.  A dual point is the seed of one differentiation pass, so its
+values are memoised on the point's identity, for the latest dual point
+only: within a pass the Reeb solve and d lam run once, however many
+pipelines read them.
 
 The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,
@@ -28,17 +35,19 @@ the cached Jacobian tables, so an ``ad`` derivative of it runs no dual pass.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
 
-from .engine import (DiffEngine, Section, dot, is_float_point, max_residual,
-                     outer, solve)
+from .ad import ndim
+from .engine import (DiffEngine, Section, dot, inner, is_float_point,
+                     matvec, outer, solve)
 
 REEB_RESIDUAL_TOL = 1e-10
-# Float points whose tables one triad keeps; past this the least recently
-# used point is dropped.
+# Float points whose tables one triad keeps, a batch counting each of its
+# points; past this the least recently used entries are dropped.
 POINT_CACHE_SIZE = 256
 
 
@@ -60,6 +69,7 @@ class ContactTriad:
         self.label = label
         self._eye = np.eye(dim)
         self._cache: OrderedDict = OrderedDict()
+        self._held = 0                  # points held in _cache
         self._dual_point = None
         self._dual_cache: dict = {}
 
@@ -84,8 +94,8 @@ class ContactTriad:
             PF = dot(triad.pi_any(q), xi_frame(q))
             B = outer(triad.reeb_any(q), e_d, dot(PF, S))
             JB = dot(dot(PF, frame_j(q)), S)
-            Jt = solve(B.T, JB.T)
-            return np.ascontiguousarray(Jt.T) if is_float_point(q) else Jt.T
+            Jt = solve(B.mT, JB.mT)
+            return np.ascontiguousarray(Jt.mT) if is_float_point(q) else Jt.mT
 
         triad._j_closure = j_full
         return triad
@@ -95,17 +105,20 @@ class ContactTriad:
     def _cached(self, tag, q, fn):
         """``fn(q)``, memoised under ``tag`` in the tables held for point q.
 
-        ``_cache`` maps a float point's bytes to its {tag: value} tables, in
-        least-recently-used order; inserting a point past
-        ``POINT_CACHE_SIZE`` drops the oldest one.
+        ``_cache`` maps a float point's bytes, or a batch's (shape, bytes),
+        to its {tag: value} tables, in least-recently-used order; while it
+        holds more than ``POINT_CACHE_SIZE`` points, the oldest entry goes.
         """
         if is_float_point(q):
-            key = q.tobytes()
+            key = q.tobytes() if q.ndim == 1 else (q.shape, q.tobytes())
             tables = self._cache.get(key)
             if tables is None:
                 tables = self._cache[key] = {}
-                if len(self._cache) > POINT_CACHE_SIZE:
-                    self._cache.popitem(last=False)
+                self._held += q.size // self.dim
+                while self._held > POINT_CACHE_SIZE and len(self._cache) > 1:
+                    old = self._cache.popitem(last=False)[0]
+                    self._held -= (1 if isinstance(old, bytes)
+                                   else math.prod(old[0][:-1]))
             else:
                 self._cache.move_to_end(key)
         else:
@@ -131,15 +144,22 @@ class ContactTriad:
         lam = self.lam_any(q)
         A = self.dlam_any(q)
         M = outer(lam, lam, A)
-        X = solve(M, lam)
+        if ndim(lam) > 1:
+            # numpy reads a 2-D right-hand side as a matrix, so a batch of
+            # vectors goes in as a batch of columns
+            X = solve(M, lam[..., None])[..., 0]
+        else:
+            X = solve(M, lam)
         if is_float_point(q):
-            r1 = abs(float(np.dot(lam, X)) - 1.0)
-            r2 = float(np.max(np.abs(np.dot(A, X))))
-            worst = max_residual(r1, r2)
-            if not worst <= REEB_RESIDUAL_TOL:       # a NaN residual raises too
+            worst = np.maximum(np.abs(inner(lam, X) - 1.0),
+                               np.max(np.abs(matvec(A, X)), axis=-1)).ravel()
+            ok = worst <= REEB_RESIDUAL_TOL       # a NaN residual fails too
+            if not ok.all():
+                i = int(np.argmin(ok))
                 raise ValueError(
                     "Reeb residual %.3e exceeds %.1e at %s; contact condition "
-                    "violated?" % (worst, REEB_RESIDUAL_TOL, q))
+                    "violated?" % (worst[i], REEB_RESIDUAL_TOL,
+                                   q.reshape(-1, self.dim)[i]))
         return X
 
     def reeb_any(self, q):
@@ -159,7 +179,7 @@ class ContactTriad:
             A = self.dlam_any(x)
             P = self.pi_any(x)
             J = self.j_any(x)
-            return outer(lam, lam, dot(P.T, dot(A, dot(J, P))))
+            return outer(lam, lam, dot(P.mT, dot(A, dot(J, P))))
         return self._cached("metric", q, impl)
 
     # -- float-point tables ----------------------------------------------
@@ -247,7 +267,7 @@ def j_image(triad: ContactTriad, Yf) -> Section:
                 + np.dot(J, triad.engine.jacobian(Yf, p)))
         return np.dot(J, y), d_jy
 
-    return Section(lambda q: dot(triad.j_any(q), Yf(q)), jet)
+    return Section(lambda q: matvec(triad.j_any(q), Yf(q)), jet)
 
 
 def reeb_section(triad: ContactTriad) -> Section:
@@ -262,9 +282,13 @@ def j_section(triad: ContactTriad) -> Section:
 
 
 def const_field(w) -> Section:
-    """The constant-coefficient field q -> w."""
+    """The constant-coefficient field q -> w, repeated over a batch of q."""
     w = np.asarray(w, dtype=float)
-    return Section(lambda q: w, lambda p: (w, np.zeros((len(w), len(p)))))
+
+    def fn(q):
+        return w if ndim(q) == 1 else np.broadcast_to(w, q.shape[:-1] + w.shape)
+
+    return Section(fn, lambda p: (w, np.zeros((len(w), len(p)))))
 
 
 def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
@@ -282,4 +306,5 @@ def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
                 + np.dot(yg, eng.jacobian(Zf, p)))
         return float(np.dot(y, gz)), grad
 
-    return Section(lambda q: dot(Yf(q), dot(triad.metric_any(q), Zf(q))), jet)
+    return Section(
+        lambda q: inner(Yf(q), matvec(triad.metric_any(q), Zf(q))), jet)

@@ -11,6 +11,26 @@ direction for :meth:`DiffEngine.deriv`, the identity block for
 :meth:`DiffEngine.jacobian`, whose tangent then holds every partial
 derivative at once.
 
+An ``fd`` pass calls the closure once, on its whole stencil stacked along
+a leading axis: ``[p + hv, p - hv]`` for :meth:`DiffEngine.deriv`, ``[p +
+h e_1, ..., p + h e_d, p - h e_1, ..., p - h e_d]`` for
+:meth:`DiffEngine.jacobian`.  So every closure ``fd`` differentiates takes
+a point with leading batch axes, shape ``(..., dim)``, and returns its value
+at every point of the batch, with the same leading axes; it indexes
+coordinates as ``q[..., i]``.  Each entry of a batch gets the arithmetic of
+a single point, so a batched result is bitwise the per-point one.  A point
+that is itself a batch gives a stencil of a batch, which is how the nested
+d lam of a stencil is taken.
+
+Batch axes look like matrix axes to ``np.dot``, so products of fields go
+through the helpers here: :func:`dot` switches to ``np.matmul`` for
+operands with more than two axes and :func:`outer` for batched vectors,
+:func:`matvec` applies a matrix field to a vector field and :func:`inner`
+pairs two vector fields.
+``np.matmul`` on stacks, with a vector passed as ``x[..., None]``, and the
+stacked ``np.linalg.solve`` give the bits of the per-point ``np.dot`` and
+``solve``; a 3-D ``np.dot`` or an ``einsum`` would not.
+
 A :class:`Section` is a closure that also knows its 1-jet, the pair (value,
 Jacobian) at a float point, assembled from per-point tables that are already
 cached.  The jet rule lives in :meth:`DiffEngine.deriv` and
@@ -37,8 +57,6 @@ import numpy as np
 from .ad import (Dual, matmul, ndim, parts, pop_level, push_level, reshape,
                  shape, top_level, transpose)
 
-Point = np.ndarray
-ScalarField = Callable[[np.ndarray], object]
 VectorField = Callable[[np.ndarray], np.ndarray]
 OneForm = Callable[[np.ndarray], np.ndarray]
 EndoField = Callable[[np.ndarray], np.ndarray]
@@ -65,6 +83,28 @@ def _tangent(y, lvl):
     if isinstance(y, Dual) and y.lvl == lvl:
         return y.du
     return np.zeros(shape(y)) if shape(y) else 0.0
+
+
+def _at_float_point(p) -> bool:
+    """True at a float point, where ``ad`` reads jets.  A float batch
+    raises: an ``ad`` pass seeds one point, and would mis-seed a batch."""
+    if not is_float_point(p):
+        return False
+    if p.ndim > 1:
+        raise ValueError("ad mode differentiates at one point, got a float "
+                         "point of shape %s" % (p.shape,))
+    return True
+
+
+def _on_stencil(f, pts):
+    """``f`` on a stacked stencil; the result must keep its leading axes."""
+    y = f(pts)
+    lead = pts.shape[:-1]
+    if shape(y)[:len(lead)] != lead:
+        raise ValueError(
+            "fd closure returned shape %s on a stencil of shape %s: it must "
+            "take leading batch axes and keep them" % (shape(y), pts.shape))
+    return y
 
 
 class Section:
@@ -99,30 +139,27 @@ class DiffEngine:
             raise ValueError("finite-difference step must be positive")
         self.mode = mode
         self.step = float(step)
+        self._stencils: dict = {}       # dim -> the 2 dim Jacobian steps
 
     # -- core passes -----------------------------------------------------
 
-    def _reads_jet(self, f, p) -> bool:
-        return self.mode == "ad" and is_float_point(p) and hasattr(f, "jet")
-
     def deriv(self, f, p, v):
         """Directional derivative of a scalar/vector/matrix closure at p along v."""
-        if self._reads_jet(f, p):
+        if self.mode == "fd":
+            h = self.step
+            hv = h * np.asarray(v, dtype=float)
+            y = _on_stencil(f, np.array([p + hv, p - hv]))
+            return (y[0] - y[1]) * (0.5 / h)
+        if _at_float_point(p) and hasattr(f, "jet"):
             return np.dot(f.jet(p)[1], v)
-        if self.mode == "ad":
-            if not isinstance(v, Dual):
-                v = np.asarray(v, dtype=float)
-            lvl = push_level()
-            try:
-                y = f(Dual(lvl, p, v))
-            finally:
-                pop_level()
-            return _tangent(y, lvl)
-        h = self.step
-        vp = np.asarray(v, dtype=float)
-        hi = f(p + h * vp)
-        lo = f(p - h * vp)
-        return (hi - lo) * (0.5 / h)
+        if not isinstance(v, Dual):
+            v = np.asarray(v, dtype=float)
+        lvl = push_level()
+        try:
+            y = f(Dual(lvl, p, v))
+        finally:
+            pop_level()
+        return _tangent(y, lvl)
 
     def jacobian(self, f, p):
         """Full coordinate Jacobian; result has one trailing axis of length dim.
@@ -130,35 +167,35 @@ class DiffEngine:
         ``jacobian(f, p)[..., l]`` is the partial derivative of ``f`` along
         chart coordinate ``l``.
         """
-        if self._reads_jet(f, p):
+        d = shape(p)[-1]
+        if self.mode == "fd":
+            # The 2d stencil points lead (p + (-h e_l) has the bits of
+            # p - h e_l); the consumed axis moves last, in a C-ordered copy
+            # like the per-axis stack it replaces.
+            steps = self._stencils.get(d)
+            if steps is None:
+                he = self.step * np.eye(d)
+                steps = self._stencils[d] = np.concatenate([he, -he])
+            y = _on_stencil(f, p + steps.reshape((2 * d,) + (1,) * (p.ndim - 1)
+                                                 + (d,)))
+            diff = np.asarray(y[:d] - y[d:], dtype=float)
+            n = diff.ndim
+            diff = np.ascontiguousarray(diff.transpose(tuple(range(1, n)) + (0,)))
+            return diff * (0.5 / self.step)
+        if _at_float_point(p) and hasattr(f, "jet"):
             return f.jet(p)[1]
-        d = len(p)
-        if self.mode == "ad":
-            lvl = push_level()
-            try:
-                y = f(Dual(lvl, p, np.eye(d)))
-            finally:
-                pop_level()
-            if not (isinstance(y, Dual) and y.lvl == lvl):
-                return np.zeros(shape(y) + (d,))
-            # The seeded directions lead the tangent; move them last.
-            n = ndim(y.du)
-            return transpose(y.du, tuple(range(1, n)) + (0,))
-        # Central differences along every e_l in one loop: the arithmetic of
-        # ``deriv`` along each axis, without its per-call overhead.
-        h = self.step
-        cols = [np.asarray(f(p + s) - f(p - s), dtype=float)
-                for s in h * np.eye(d)]
-        return np.stack(cols, axis=-1) * (0.5 / h)
+        lvl = push_level()
+        try:
+            y = f(Dual(lvl, p, np.eye(d)))
+        finally:
+            pop_level()
+        if not (isinstance(y, Dual) and y.lvl == lvl):
+            return np.zeros(shape(y) + (d,))
+        # The seeded directions lead the tangent; move them last.
+        n = ndim(y.du)
+        return transpose(y.du, tuple(range(1, n)) + (0,))
 
     # -- named operations ------------------------------------------------
-
-    def directional_derivative(self, f: ScalarField, p, v):
-        """Scalar directional derivative; rejects non-finite results."""
-        out = self.deriv(f, p, v)
-        if is_float_point(p) and not np.all(np.isfinite(np.asarray(out, dtype=float))):
-            raise ValueError("non-finite derivative: field evaluated outside its domain")
-        return out
 
     def lie_bracket(self, X: VectorField, Y: VectorField, p):
         """[X, Y] = DY(X) - DX(Y) evaluated at p."""
@@ -171,8 +208,8 @@ class DiffEngine:
         in the convention without a 1/2 factor, so that
         d(alpha)(X, Y) = X[alpha(Y)] - Y[alpha(X)] - alpha([X, Y]).
         """
-        jac = self.jacobian(alpha, p)            # jac[i, l] = d_l alpha_i
-        return jac.T - jac
+        jac = self.jacobian(alpha, p)            # jac[..., i, l] = d_l alpha_i
+        return jac.mT - jac
 
     def lie_derivative_endo(self, X: VectorField, A: EndoField, p):
         """Lie derivative of a (1,1)-tensor: (L_X A)(Y) = [X, AY] - A[X, Y]."""
@@ -240,24 +277,44 @@ def solve(A, B):
 
 
 def inv(A):
-    return _solve(A, np.eye(shape(A)[0]))
+    return _solve(A, np.eye(shape(A)[-1]))
 
 
 def dot(A, B):
-    """``np.dot(A, B)`` for a matrix or vector A; works for duals."""
-    if _is_floats(A) and _is_floats(B):
-        return np.dot(A, B)
-    if isinstance(A, Dual) or isinstance(B, Dual):
-        return matmul(A, B)
-    return np.dot(_floats(A), _floats(B))
+    """``np.dot(A, B)`` for a matrix or vector A; works for duals.
+
+    An operand with more than two axes is a batch of matrices, and the
+    product is ``np.matmul``'s.
+    """
+    if not (_is_floats(A) and _is_floats(B)):
+        if isinstance(A, Dual) or isinstance(B, Dual):
+            return matmul(A, B)
+        A, B = _floats(A), _floats(B)
+    if A.ndim > 2 or B.ndim > 2:
+        return np.matmul(A, B)
+    return np.dot(A, B)
+
+
+def matvec(A, x):
+    """A x for a matrix field A and a vector field x, either one batched."""
+    if ndim(x) <= 1:
+        return dot(A, x)
+    return matmul(A, x[..., None])[..., 0]
+
+
+def inner(x, y):
+    """x . y for two vector fields, either one batched."""
+    if ndim(x) <= 1 and ndim(y) <= 1:
+        return dot(x, y)
+    return matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def outer(a, b, c=None):
     """The outer product a b^T, plus c when given; dual-aware like dot."""
-    if _is_floats(a) and _is_floats(b):
-        ab = np.dot(a[:, None], b[None, :])
-    elif isinstance(a, Dual) or isinstance(b, Dual):
+    if isinstance(a, Dual) or isinstance(b, Dual):
         ab = a[:, None] * b[None, :]
+    elif ndim(a) > 1 or ndim(b) > 1:
+        ab = np.matmul(_floats(a)[..., :, None], _floats(b)[..., None, :])
     else:
         ab = np.dot(_floats(a)[:, None], _floats(b)[None, :])
     return ab if c is None else ab + c

@@ -24,7 +24,7 @@ import numpy as np
 from . import ad
 from .contact import ContactTriad
 from .connections import LocalConnection, triad_connection
-from .engine import Section, dot, inv, is_float_point, max_residual
+from .engine import Section, inner, inv, is_float_point, matvec, max_residual
 
 
 class FrameRankError(RuntimeError):
@@ -34,19 +34,29 @@ class FrameRankError(RuntimeError):
 _SKIP_REL = 1e-10
 
 
+def _per_point(s):
+    """A scalar, or a batch of scalars given an axis to scale vectors by."""
+    return s if ad.ndim(s) == 0 else s[..., None]
+
+
 def _gram_schmidt(triad: ContactTriad, q, indices):
-    """Run the frozen-selection unitary Gram-Schmidt at a chart point."""
+    """Run the frozen-selection unitary Gram-Schmidt at a chart point (or a
+    float batch of them)."""
     P = triad.pi_any(q)
     G = triad.metric_any(q)
     J = triad.j_any(q)
+
+    def g(a, b):
+        return _per_point(inner(a, matvec(G, b)))
+
     es, fs = [], []
     for idx in indices:
-        v = P[:, idx]
+        v = P[..., idx]
         for e, f in zip(es, fs):
-            v = v - dot(v, dot(G, e)) * e - dot(v, dot(G, f)) * f
-        e = v / ad.sqrt(dot(v, dot(G, v)))
+            v = v - g(v, e) * e - g(v, f) * f
+        e = v / ad.sqrt(g(v, v))
         es.append(e)
-        fs.append(dot(J, e))
+        fs.append(matvec(J, e))
     return ad.stack([triad.reeb_any(q)] + es + fs)
 
 
@@ -89,35 +99,28 @@ class MovingFrame:
         self.indices = tuple(indices)
         self._cache: dict = {}
 
+    def _memo(self, tag, q, fn):
+        """``fn(q)``, kept under ``tag`` for a float point or batch q."""
+        if not is_float_point(q):
+            return fn(q)
+        key = (tag, q.shape, q.tobytes())
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = fn(q)
+        return hit
+
     def matrix_any(self, q):
         """Frame matrix at q; columns are (X, E_1..E_n, JE_1..JE_n)."""
-        if is_float_point(q):
-            key = ("frame", q.tobytes())
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = _gram_schmidt(self.triad, q, self.indices)
-                self._cache[key] = hit
-            return hit
-        return _gram_schmidt(self.triad, q, self.indices)
+        return self._memo("frame", q,
+                          lambda x: _gram_schmidt(self.triad, x, self.indices))
 
     def coframe_any(self, q):
         """Dual coframe matrix; row i is theta^i (row 0 recovers lam)."""
-        if is_float_point(q):
-            key = ("coframe", q.tobytes())
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = inv(self.matrix_any(q))
-                self._cache[key] = hit
-            return hit
-        return inv(self.matrix_any(q))
+        return self._memo("coframe", q, lambda x: inv(self.matrix_any(x)))
 
     def jac_frame_at(self, p):
-        key = ("jac_frame", p.tobytes())
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.triad.engine.jacobian(self.matrix_any, p)
-            self._cache[key] = hit
-        return hit
+        return self._memo("jac_frame", p, lambda x: self.triad.engine.jacobian(
+            self.matrix_any, x))
 
     def coframe_section(self) -> Section:
         """The coframe field; its jet is (theta, -theta dE theta) at a float
@@ -129,15 +132,8 @@ class MovingFrame:
         return Section(self.coframe_any, jet)
 
     def jac_coframe_at(self, p):
-        key = ("jac_coframe", p.tobytes())
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.triad.engine.jacobian(self.coframe_section(), p)
-            self._cache[key] = hit
-        return hit
-
-    def field(self, i: int):
-        return lambda q: self.matrix_any(q)[:, i]
+        return self._memo("jac_coframe", p, lambda x: self.triad.engine.jacobian(
+            self.coframe_section(), x))
 
     def gram_residual(self, p) -> float:
         E = self.matrix_any(p)

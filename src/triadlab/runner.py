@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError("format must be 'json' or 'csv'")
         if not (self.fd_step > 0.0):
             raise ConfigError("fd step must be positive")
+        if self.samples < 1:
+            raise ConfigError("sample count must be >= 1")
 
     def to_dict(self) -> dict:
         return {

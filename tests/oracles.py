@@ -12,13 +12,33 @@ residual are test-side diagnostics: they read a triad's float-point values
 and test the defining equations on them.  The dual-scalar LU solve is the
 engine's former linear algebra, kept as an oracle for the forward-mode
 matrix rules that replaced it: it runs Gaussian elimination entry by entry
-over scalar (0-d) ``Dual`` objects.
+over scalar (0-d) ``Dual`` objects.  ``directional_derivative`` and
+``roundtrip_residual`` are the test-only checked derivative and the
+round-trip residual of a strict contact map.
 """
 
 import numpy as np
 
 from triadlab.ad import Dual
-from triadlab.engine import dot
+from triadlab.engine import dot, is_float_point, max_residual
+
+
+def directional_derivative(engine, f, p, v):
+    """Scalar directional derivative; rejects non-finite results."""
+    out = engine.deriv(f, p, v)
+    if is_float_point(p) and not np.all(np.isfinite(np.asarray(out, dtype=float))):
+        raise ValueError("non-finite derivative: field evaluated outside its domain")
+    return out
+
+
+def roundtrip_residual(cmap, pts) -> float:
+    """Worst |inverse(forward(q)) - q| of a chart map over the points."""
+    worst = 0.0
+    for q in pts:
+        q = np.asarray(q, dtype=float)
+        back = cmap.inverse(cmap.forward(q))
+        worst = max_residual(worst, np.max(np.abs(back - q)))
+    return worst
 
 
 def numeric_directional(f, p, v, h=1e-5):

@@ -1,0 +1,149 @@
+"""Batched evaluation: an ``fd`` stencil is one call on a stack of points.
+
+Every closure that ``fd`` differentiates takes leading batch axes, and each
+entry of a batch must carry the bits of its single-point evaluation; that is
+what keeps ``fd`` reports byte-identical to a point-by-point stencil.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from triadlab import ContactTriad, DiffEngine, ad, catalog, standard_triad
+from triadlab.checks import pullback_triad
+from triadlab.contact import (const_field, j_image, j_section, metric_pair,
+                              reeb_section, xi_section)
+from triadlab.frames import build_unitary_frame
+
+_CAT = catalog()
+
+
+def _fd():
+    return DiffEngine(mode="fd", step=1e-4)
+
+
+def _assert_rows_match(batched, single, pts, constant_ok=False):
+    """``batched(pts)`` equals ``single(q)`` at every point q, bit for bit.
+
+    With ``constant_ok`` a result without the batch axes is read as the
+    same value at every point, which is how a product broadcasts it.
+    """
+    got = np.asarray(batched(pts), dtype=float)
+    flat = pts.reshape(-1, pts.shape[-1])
+    if constant_ok and got.shape[:pts.ndim - 1] != pts.shape[:-1]:
+        got = np.broadcast_to(got, pts.shape[:-1] + got.shape)
+    assert got.shape[:pts.ndim - 1] == pts.shape[:-1]
+    got = got.reshape((len(flat),) + got.shape[pts.ndim - 1:])
+    for row, q in zip(got, flat):
+        want = np.asarray(single(q.copy()), dtype=float)
+        assert row.shape == want.shape
+        assert row.tobytes() == want.tobytes()
+
+
+def _sections(t, rng):
+    d = t.dim
+    Yf = xi_section(t, rng.standard_normal(d))
+    Zf = xi_section(t, rng.standard_normal(d))
+    w = rng.standard_normal(d)
+    return {"xi": Yf, "j-image": j_image(t, Yf), "reeb": reeb_section(t),
+            "j": j_section(t), "const": const_field(w),
+            "j-image-const": j_image(t, const_field(w)),
+            "metric-pair": metric_pair(t, Yf, Zf)}
+
+
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_batches_match_points(ex_id):
+    spec = _CAT[ex_id]
+    tb, tp = spec.build(_fd()), spec.build(_fd())
+    d = tb.dim
+    pts = tb.sample_points(4, seed=21)
+    nested = tb.sample_points(4, seed=22).reshape(2, 2, d)
+    for name in ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
+                 "metric_any"):
+        for batch in (pts, nested):
+            _assert_rows_match(getattr(tb, name), getattr(tp, name), batch)
+
+    sb = _sections(tb, np.random.default_rng(3))
+    sp = _sections(tp, np.random.default_rng(3))
+    for name in sb:
+        _assert_rows_match(sb[name], sp[name], pts)
+
+    for m in spec.maps:
+        _assert_rows_match(m.forward, m.forward, pts)
+        _assert_rows_match(m.inverse, m.inverse, pts)
+        _assert_rows_match(m.differential, m.differential, pts,
+                           constant_ok=True)
+        _assert_rows_match(pullback_triad(tb, m).j_any,
+                           pullback_triad(tp, m).j_any, pts)
+
+    # frames are evaluated near the point they were built at
+    p0 = pts[0]
+    near = p0 + 0.01 * np.random.default_rng(4).standard_normal((3, d))
+    fb = build_unitary_frame(tb, p0, seed=1)
+    fp = build_unitary_frame(tp, p0, seed=1)
+    _assert_rows_match(fb.matrix_any, fp.matrix_any, near)
+    _assert_rows_match(fb.coframe_any, fp.coframe_any, near)
+
+
+def test_batched_elementary_functions_match_math():
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-20.0, 20.0, (3, 50))
+    for fn, ref in ((ad.exp, math.exp), (ad.sin, math.sin),
+                    (ad.cos, math.cos), (ad.sqrt, math.sqrt)):
+        arg = np.abs(x) if ref is math.sqrt else x
+        got = fn(arg)
+        want = np.array([[ref(v) for v in row] for row in arg])
+        assert got.shape == arg.shape
+        assert got.tobytes() == want.tobytes(), ref.__name__
+        assert fn(arg[0]).tobytes() == want[0].tobytes()
+
+    s, c = x[0, :5], x[1, :5]
+    got = ad.array([[0.0, -s], [c, 1.0]])
+    assert got.shape == (5, 2, 2)
+    for i in range(5):
+        want = np.array([[0.0, -s[i]], [c[i], 1.0]])
+        assert got[i].tobytes() == want.tobytes()
+    got = ad.stack([s, 0.0, c])
+    assert got.shape == (5, 3)
+    for i in range(5):
+        assert got[i].tobytes() == np.array([s[i], 0.0, c[i]]).tobytes()
+    assert ad.array([1.0, 2.0]).tobytes() == np.array([1.0, 2.0]).tobytes()
+
+
+def test_fd_rejects_closures_that_drop_the_batch_axes():
+    fd = _fd()
+    p = np.array([0.1, 0.2, 0.3])
+    w = np.array([1.0, 2.0, 3.0])
+    for f in (lambda q: w, lambda q: np.sum(q)):
+        with pytest.raises(ValueError, match="batch"):
+            fd.deriv(f, p, w)
+        with pytest.raises(ValueError, match="batch"):
+            fd.jacobian(f, p)
+
+
+def test_ad_rejects_a_batch_of_float_points():
+    eng = DiffEngine()
+    batch = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="one point"):
+        eng.deriv(lambda q: q, batch, np.ones(3))
+    with pytest.raises(ValueError, match="one point"):
+        eng.jacobian(lambda q: q, batch)
+
+
+def test_reeb_guard_checks_every_point_of_a_batch():
+    """One point of a batch that breaks the contact condition raises, and
+    the message names that point, as a single-point call would."""
+    t = standard_triad(1, engine=_fd())
+    lam = t.lam
+
+    def broken(q):
+        bad = q[..., :1] > 1.0               # NaN wherever x > 1
+        return np.where(bad, np.nan, lam(q))
+
+    t = ContactTriad(3, broken, None, t.domain, engine=t.engine)
+    pts = np.array([[0.1, 0.2, 0.3], [1.2, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    with pytest.raises(ValueError, match=r"contact condition") as err:
+        t.reeb_any(pts)
+    assert str(pts[1]) in str(err.value)
+    t.reeb_any(pts[[0, 2]])

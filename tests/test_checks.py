@@ -4,10 +4,11 @@ identity suite, and the deliberate fault injections."""
 import numpy as np
 import pytest
 
-from triadlab import catalog, standard_triad
+from triadlab import ContactTriad, catalog, standard_triad
 from triadlab.checks import (
     CHECK_INFO,
     LEMMA_SUITE_NAMES,
+    XI_VECTOR_DRAWS,
     StrictContactMap,
     check_axioms,
     check_cr_form,
@@ -20,9 +21,12 @@ from triadlab.checks import (
     fault_wrong_c,
     field_rng,
     pullback_triad,
+    xi_vector,
 )
 from triadlab.connections import triad_connection
 from triadlab.engine import max_residual
+
+from oracles import roundtrip_residual
 
 _CAT = catalog()
 
@@ -210,6 +214,33 @@ def test_nan_residuals_fail_in_scaling_naturality_and_frames():
     assert np.isnan(skew_hermitian_check(conn, frame, p))
 
 
+def _nan_j(triad):
+    """The triad (lam, J) with J all NaN."""
+    nan_j = lambda q: np.full(np.shape(q)[:-1] + (triad.dim,) * 2, np.nan)
+    return ContactTriad(triad.dim, triad.lam, nan_j, triad.domain,
+                        engine=triad.engine, label=triad.label)
+
+
+def test_xi_vector_raises_on_a_nan_or_degenerate_distribution():
+    t = _nan_j(standard_triad(1))
+    p = t.sample_points(1, seed=2)[0]
+    with pytest.raises(ValueError, match="not finite"):
+        xi_vector(t, p, field_rng(0, "xi"))
+    # at this point the axioms reach xi_vector, which used to redraw forever
+    with pytest.raises(ValueError, match="xi-vector norm is not finite"):
+        check_axioms(t, 0.0, p)
+
+    flat = standard_triad(1)
+    flat.metric_any = lambda q: np.zeros((3, 3))   # every draw has norm 0
+    rng = field_rng(0, "xi")
+    with pytest.raises(ValueError, match="%d draws" % XI_VECTOR_DRAWS):
+        xi_vector(flat, p, rng)
+    fresh = field_rng(0, "xi")
+    for _ in range(XI_VECTOR_DRAWS):
+        fresh.standard_normal(3)
+    assert rng.standard_normal() == fresh.standard_normal()
+
+
 def test_nan_map_fails_the_strictness_guard():
     t = standard_triad(1)
     nan_map = StrictContactMap(
@@ -220,7 +251,7 @@ def test_nan_map_fails_the_strictness_guard():
     )
     p = np.array([0.1, 0.2, 0.3])
     assert np.isnan(nan_map.strictness_residual(t, [p]))
-    assert np.isnan(nan_map.roundtrip_residual([p]))
+    assert np.isnan(roundtrip_residual(nan_map, [p]))
     with pytest.raises(ValueError):
         check_naturality(t, nan_map, 0.0, p)
 

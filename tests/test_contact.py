@@ -1,5 +1,7 @@
 """Contact triads: frozen structure values, defining equations, compatibility."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -197,10 +199,16 @@ def test_reeb_guard_rejects_nan_contact_form():
 # -- the bounded per-point store ----------------------------------------------
 
 
+def _points_held(key) -> int:
+    """Points in one store entry: a point's bytes, or a batch's (shape,
+    bytes)."""
+    return 1 if isinstance(key, bytes) else math.prod(key[0][:-1])
+
+
 def test_fd_run_keeps_at_most_the_store_size_per_triad(monkeypatch):
-    """An fd Jacobian puts 2 dim stencil points in the store; an unbounded
-    store keeps every one of them (about 10 000 (tag, point) entries after
-    this run)."""
+    """An fd Jacobian puts a stencil of 2 dim points in the store; an
+    unbounded store keeps every one of them (about 10 000 (tag, point)
+    entries after this run)."""
     held = []
     init = ContactTriad.__init__
 
@@ -211,7 +219,12 @@ def test_fd_run_keeps_at_most_the_store_size_per_triad(monkeypatch):
     monkeypatch.setattr(ContactTriad, "__init__", keep)
     run_suite(RunConfig(example_id="r3-standard", points=8, mode="fd"))
     assert held
-    assert max(len(t._cache) for t in held) == contact.POINT_CACHE_SIZE
+    points = [sum(_points_held(k) for k in t._cache) for t in held]
+    assert points == [t._held for t in held]
+    assert max(points) <= contact.POINT_CACHE_SIZE
+    # an entry is dropped only to make room, so the fullest store is within
+    # one stencil (2 dim points of r3) of the bound
+    assert max(points) > contact.POINT_CACHE_SIZE - 2 * 3
 
 
 def test_store_lru_order_and_eviction(monkeypatch):

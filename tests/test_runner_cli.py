@@ -1,6 +1,7 @@
 """Suite orchestration and command-line contract: config validation, record
 ordering, byte-stable reports, the frozen schema, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -37,6 +38,38 @@ def test_config_validation_rejects_bad_inputs():
         RunConfig(example_id="r3-standard", fmt="xml").validate()
     with pytest.raises(ConfigError):
         RunConfig(example_id="r3-standard", fd_step=0.0).validate()
+
+
+def test_config_validation_rejects_zero_samples():
+    """With no samples every sampled check would report 0.0 and pass."""
+    RunConfig(example_id="r3-standard", samples=1).validate()
+    for samples in (0, -1):
+        with pytest.raises(ConfigError):
+            RunConfig(example_id="r3-standard", samples=samples).validate()
+    with pytest.raises(ConfigError):
+        run_suite(RunConfig(example_id="r3-standard", samples=0))
+
+
+def test_nan_j_gives_error_records_not_a_hang(monkeypatch):
+    """An all-NaN J used to make xi_vector redraw forever."""
+    cat = triadlab.catalog()
+    spec = cat["r3-standard"]
+
+    def nan_j_triad(engine=None):
+        t = spec.build(engine)
+        nan_j = lambda q: np.full(np.shape(q)[:-1] + (3, 3), np.nan)
+        return triadlab.ContactTriad(t.dim, t.lam, nan_j, t.domain,
+                                     engine=engine, label=t.label)
+
+    cat["r3-standard"] = dataclasses.replace(spec, factory=nan_j_triad)
+    monkeypatch.setattr("triadlab.runner.catalog", lambda: cat)
+    rep = run_suite(RunConfig(**SMALL))
+    assert not rep.ok
+    axioms = [r for r in rep.records if r["name"].startswith("axiom-")]
+    assert len(axioms) == 2 * 6
+    for r in axioms:
+        assert r["note"].startswith("error:") and "xi-vector" in r["note"]
+        assert not r["passed"]
 
 
 def test_run_suite_small_config_passes():
