@@ -6,11 +6,13 @@ to.  Identities that are linear in their free slots are evaluated in matrix
 form (all directions at once); the genuinely multilinear ones are sampled
 with seeded Gaussian draws.
 
-The registry :data:`CHECK_INFO` maps every check name to a one-line
-statement of the identity, which is what the CLI's ``describe-check``
-prints.  Fault injections (``fault_*``) deliberately break one ingredient
-and must push at least one residual far above tolerance; they are the
-suite's own sensitivity controls.
+The registry :data:`CHECKS` declares every check once: the one-line
+statement of its identity (what the CLI's ``describe-check`` prints), its
+tolerance, the family function that emits it, and whether it is a
+control.  ``make_result`` reads the tolerance and the statement from it.
+Fault injections (``fault_*``) deliberately break one ingredient and must
+push at least one residual far above tolerance; they are the suite's own
+sensitivity controls.
 """
 
 from __future__ import annotations
@@ -56,108 +58,157 @@ class CheckResult:
     tolerance: float
     passed: bool
     point: tuple
-    witness: tuple | None = None
 
 
-CHECK_INFO = {
-    # axiom battery
-    "axiom-hermitian": "projected covariant derivative commutes with J on the "
-                       "distribution and differentiates the induced metric",
-    "axiom-xi-torsion": "torsion vanishes on conjugate pairs (J Y, Y) of "
-                        "distribution vectors after projection",
-    "axiom-reeb-torsion": "torsion with the Reeb field in one slot vanishes",
-    "axiom-reeb-invariance": "Reeb field is parallel along itself and its "
-                             "covariant derivative stays inside the distribution",
-    "axiom-cr-coupling": "nabla_{JY} X + J nabla_Y X = c Y, the parameter "
-                         "coupling of the family",
-    "axiom-reeb-metric-dual": "covariant derivative of the Reeb field is "
-                              "metric-dual to that of distribution sections",
+@dataclass(frozen=True)
+class CheckSpec:
+    """One check's identity, tolerance, emitting function (as the runner
+    module binds it) and role; a control must fail, and a ``per_c`` check
+    is emitted once per family parameter by one call of its family."""
+
+    anchor: str
+    tolerance: float
+    family: str
+    control: bool = False
+    per_c: bool = False
+
+
+def _declare(family, tolerance, entries, **role) -> dict:
+    return {name: CheckSpec(anchor, tolerance, family, **role)
+            for name, anchor in entries}
+
+
+# One entry per check, in the order its family emits it.
+CHECKS = {
+    **_declare("check_axioms", TOL_ALGEBRAIC, [
+        ("axiom-hermitian", "projected covariant derivative commutes with J "
+         "on the distribution and differentiates the induced metric"),
+        ("axiom-xi-torsion", "torsion vanishes on conjugate pairs (J Y, Y) of "
+         "distribution vectors after projection"),
+        ("axiom-reeb-torsion", "torsion with the Reeb field in one slot "
+         "vanishes"),
+        ("axiom-reeb-invariance", "Reeb field is parallel along itself and "
+         "its covariant derivative stays inside the distribution"),
+        ("axiom-cr-coupling", "nabla_{JY} X + J nabla_Y X = c Y, the "
+         "parameter coupling of the family"),
+        ("axiom-reeb-metric-dual", "covariant derivative of the Reeb field is "
+         "metric-dual to that of distribution sections"),
+    ]),
     # holomorphicity of the contact form
-    "cr-form-reeb": "the contact form is parallel in the Reeb direction",
-    "cr-form-xi": "nabla_Y lam + J nabla_{JY} lam = 0 on the distribution "
-                  "(holomorphicity in the CR sense)",
-    # scaling / naturality
-    "scaling-transfer": "the connection of (a lam, J) at parameter 1 matches "
-                        "the connection of (lam, J) at parameter a up to the "
-                        "closed-form Reeb-component offset",
-    "naturality-pullback": "pulling the connection back through a strict "
-                           "contact transformation gives the connection of "
-                           "the pulled-back triad",
+    **_declare("check_cr_form", TOL_ALGEBRAIC, [
+        ("cr-form-reeb", "the contact form is parallel in the Reeb direction"),
+        ("cr-form-xi", "nabla_Y lam + J nabla_{JY} lam = 0 on the "
+         "distribution (holomorphicity in the CR sense)"),
+    ]),
+    **_declare("check_scaling", TOL_DERIVATIVE, [
+        ("scaling-transfer", "the connection of (a lam, J) at parameter 1 "
+         "matches the connection of (lam, J) at parameter a up to the "
+         "closed-form Reeb-component offset"),
+    ]),
+    **_declare("check_naturality", TOL_DERIVATIVE, [
+        ("naturality-pullback", "pulling the connection back through a strict "
+         "contact transformation gives the connection of the pulled-back "
+         "triad"),
+    ]),
     # supporting identity suite (Levi-Civita and intermediate connection)
-    "two-form-j-invariance": "d lam(JY, JZ) = d lam(Y, Z)",
-    "reeb-lie-j-symmetry": "the Lie transport of J along the Reeb field is "
-                           "g-symmetric on the distribution",
-    "reeb-geodesic-foliation": "Reeb orbits are Levi-Civita geodesics and "
-                               "nabla^LC X stays in the distribution",
-    "lc-j-derivative-pairing": "2<(nabla^LC_X J)Y, Z> = <N(Y,Z), JX> "
-                               "- <JX,JY> lam(Z) + <JX,JZ> lam(Y)",
-    "lc-j-derivative-reeb-slots": "the Reeb-slot specialisations of the "
-                                  "pairing between nabla^LC J and the "
-                                  "Nijenhuis tensor",
-    "nijenhuis-reeb-slots": "N(X, Z) = -J((L_X J)Z) and N(Z, X) = +J((L_X J)Z) "
-                            "for the Reeb field X",
-    "nijenhuis-j-shuffle": "J N(Y, JZ) = Pi N(Y, Z) and "
-                           "Pi N(Y, JZ) + Pi N(Z, JY) = 0",
-    "lc-j-antilinear-cancellation": "Pi (nabla^LC_{JY} J)X + J (nabla^LC_Y J)X "
-                                    "= 0 on the distribution",
-    "lc-reeb-parallel-j": "nabla^LC_X J = 0 for the Reeb field X",
-    "lc-reeb-covariant-slope": "nabla^LC_Y X = 1/2 JY + 1/2 (L_X J)JY on the "
-                               "distribution",
-    "semi-connection-j-linearity": "the intermediate connection (parameter -1) "
-                                   "is J-linear after projection",
-    "p-tensor-metric-skew": "<P(X,Y), Z> + <Y, P(X,Z)> = 0 on the distribution",
-    "semi-connection-metric": "the intermediate connection differentiates the "
-                              "metric on distribution sections",
-    "semi-connection-reeb-metric-dual": "Reeb/metric duality for the "
-                                        "intermediate connection",
-    "semi-connection-torsion-quarter-n": "the intermediate connection has "
-                                         "torsion 1/4 Pi N on the distribution "
-                                         "and none against the Reeb field",
-    "reeb-covariant-family": "nabla_Y X = -1/2 c JY + 1/2 (L_X J)JY across "
-                             "the parameter family",
-    "torsion-split-values": "lam(T(Y,Z)) = (1+c) d lam(Y,Z) and "
-                            "Pi T = 1/4 ((L_{JY}J)Z + (L_Y J)JZ)",
-    "torsion-type-symmetries": "projected torsion satisfies T(JY,Z) = T(Y,JZ) "
-                               "and J T(JY,Z) = T(Y,Z)",
-    "p-antisymmetrized-bracket": "-P(Y,Z) + P(Z,Y) equals the quarter bracket "
-                                 "combination of J-shuffled commutators",
-    "reeb-parallel-two-form": "d lam is parallel in the Reeb direction",
-    # frame-level names (computed in the frames module, registered here so
-    # the CLI can describe them)
-    "frame-orthonormality": "moving frames are g-orthonormal with dual coframe",
-    "frame-coefficient-rederivation": "frame coefficients recomputed from the "
-                                      "defining axioms match the directly "
-                                      "evaluated connection",
-    "structure-equation": "d theta^i + Omega^i_k ^ theta^k reproduces the "
-                          "torsion two-forms",
-    "frame-skew-hermitian": "the distribution block of the connection matrix "
-                            "is skew-Hermitian",
-    # fault injections
-    "fault-flipped-correction": "flipping the sign of the first correction "
-                                "tensor must break the quarter-Nijenhuis "
-                                "torsion value",
-    "fault-wrong-family-parameter": "checking parameter c against the axiom "
-                                    "for c' leaves a residual |c - c'| per "
-                                    "unit vector",
-    "fault-levi-civita-not-complex-linear": "the Levi-Civita connection fails "
-                                            "J-linearity whenever J is not "
-                                            "parallel",
-    "fault-scale-mismatch": "comparing the scaled connection against the "
-                            "unscaled parameter-1 connection must disagree",
-    "control-structure-equation-dropped-torsion": "dropping the torsion forms "
-                                                  "from the structure equation "
-                                                  "exposes the d lam component",
+    **_declare("check_lemma_suite", TOL_ALGEBRAIC, [
+        ("two-form-j-invariance", "d lam(JY, JZ) = d lam(Y, Z)"),
+        ("reeb-lie-j-symmetry", "the Lie transport of J along the Reeb field "
+         "is g-symmetric on the distribution"),
+        ("reeb-geodesic-foliation", "Reeb orbits are Levi-Civita geodesics "
+         "and nabla^LC X stays in the distribution"),
+        ("lc-j-derivative-pairing", "2<(nabla^LC_X J)Y, Z> = <N(Y,Z), JX> "
+         "- <JX,JY> lam(Z) + <JX,JZ> lam(Y)"),
+        ("lc-j-derivative-reeb-slots", "the Reeb-slot specialisations of the "
+         "pairing between nabla^LC J and the Nijenhuis tensor"),
+        ("nijenhuis-reeb-slots", "N(X, Z) = -J((L_X J)Z) and "
+         "N(Z, X) = +J((L_X J)Z) for the Reeb field X"),
+        ("nijenhuis-j-shuffle", "J N(Y, JZ) = Pi N(Y, Z) and "
+         "Pi N(Y, JZ) + Pi N(Z, JY) = 0"),
+        ("lc-j-antilinear-cancellation", "Pi (nabla^LC_{JY} J)X + "
+         "J (nabla^LC_Y J)X = 0 on the distribution"),
+        ("lc-reeb-parallel-j", "nabla^LC_X J = 0 for the Reeb field X"),
+        ("lc-reeb-covariant-slope", "nabla^LC_Y X = 1/2 JY + 1/2 (L_X J)JY on "
+         "the distribution"),
+        ("semi-connection-j-linearity", "the intermediate connection "
+         "(parameter -1) is J-linear after projection"),
+        ("p-tensor-metric-skew", "<P(X,Y), Z> + <Y, P(X,Z)> = 0 on the "
+         "distribution"),
+        ("semi-connection-metric", "the intermediate connection "
+         "differentiates the metric on distribution sections"),
+        ("semi-connection-reeb-metric-dual", "Reeb/metric duality for the "
+         "intermediate connection"),
+    ]),
+    **_declare("check_lemma_suite", TOL_DERIVATIVE, [
+        ("semi-connection-torsion-quarter-n", "the intermediate connection "
+         "has torsion 1/4 Pi N on the distribution and none against the Reeb "
+         "field"),
+        ("reeb-covariant-family", "nabla_Y X = -1/2 c JY + 1/2 (L_X J)JY "
+         "across the parameter family"),
+        ("torsion-split-values", "lam(T(Y,Z)) = (1+c) d lam(Y,Z) and "
+         "Pi T = 1/4 ((L_{JY}J)Z + (L_Y J)JZ)"),
+        ("torsion-type-symmetries", "projected torsion satisfies "
+         "T(JY,Z) = T(Y,JZ) and J T(JY,Z) = T(Y,Z)"),
+    ]),
+    **_declare("check_lemma_suite", TOL_ALGEBRAIC, [
+        ("p-antisymmetrized-bracket", "-P(Y,Z) + P(Z,Y) equals the quarter "
+         "bracket combination of J-shuffled commutators"),
+        ("reeb-parallel-two-form", "d lam is parallel in the Reeb direction"),
+    ]),
+    **_declare("_frame_records", 1e-9, [
+        ("frame-orthonormality", "moving frames are g-orthonormal with dual "
+         "coframe"),
+    ]),
+    **_declare("_frame_records", TOL_DERIVATIVE, [
+        ("frame-coefficient-rederivation", "frame coefficients recomputed "
+         "from the defining axioms match the directly evaluated connection"),
+    ], per_c=True),
+    **_declare("_frame_records", TOL_DERIVATIVE, [
+        ("structure-equation", "d theta^i + Omega^i_k ^ theta^k reproduces "
+         "the torsion two-forms"),
+    ]),
+    **_declare("_frame_records", TOL_ALGEBRAIC, [
+        ("frame-skew-hermitian", "the distribution block of the connection "
+         "matrix is skew-Hermitian"),
+    ]),
+    **_declare("fault_flipped_b1", TOL_DERIVATIVE, [
+        ("fault-flipped-correction", "flipping the sign of the first "
+         "correction tensor must break the quarter-Nijenhuis torsion value"),
+    ], control=True),
+    **_declare("fault_wrong_c", TOL_ALGEBRAIC, [
+        ("fault-wrong-family-parameter", "checking parameter c against the "
+         "axiom for c' leaves a residual |c - c'| per unit vector"),
+    ], control=True),
+    **_declare("fault_levi_civita", TOL_ALGEBRAIC, [
+        ("fault-levi-civita-not-complex-linear", "the Levi-Civita connection "
+         "fails J-linearity whenever J is not parallel"),
+    ], control=True),
+    **_declare("fault_scale_mismatch", TOL_DERIVATIVE, [
+        ("fault-scale-mismatch", "comparing the scaled connection against the "
+         "unscaled parameter-1 connection must disagree"),
+    ], control=True),
+    **_declare("_dropped_torsion_control", TOL_DERIVATIVE, [
+        ("control-structure-equation-dropped-torsion", "dropping the torsion "
+         "forms from the structure equation exposes the d lam component"),
+    ], control=True),
 }
 
 
-def make_result(name: str, residual, tolerance: float, p,
-                witness=None) -> CheckResult:
+def family_names(family: str, c_values=()) -> tuple:
+    """Names one call of ``family`` emits, in order."""
+    return tuple(name for name, spec in CHECKS.items()
+                 if spec.family == family
+                 for _ in (c_values if spec.per_c else (None,)))
+
+
+def make_result(name: str, residual, p) -> CheckResult:
+    """The record of check ``name``, held to its declared tolerance."""
+    spec = CHECKS[name]
     residual = float(residual)
-    return CheckResult(name=name, anchor=CHECK_INFO[name], residual=residual,
-                       tolerance=float(tolerance),
-                       passed=bool(residual <= tolerance),
-                       point=tuple(float(x) for x in np.asarray(p).ravel()),
-                       witness=witness)
+    return CheckResult(name=name, anchor=spec.anchor, residual=residual,
+                       tolerance=spec.tolerance,
+                       passed=bool(residual <= spec.tolerance),
+                       point=tuple(float(x) for x in np.asarray(p).ravel()))
 
 
 # -- seeded draws ----------------------------------------------------------
@@ -267,14 +318,13 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
 
     r_inv = max_residual(r_inv, np.max(np.abs(conn.apply_vec(X, reeb, p))))
 
-    tol = TOL_ALGEBRAIC
     return [
-        make_result("axiom-hermitian", r_herm, tol, p),
-        make_result("axiom-xi-torsion", r_xtor, tol, p),
-        make_result("axiom-reeb-torsion", r_rtor, tol, p),
-        make_result("axiom-reeb-invariance", r_inv, tol, p),
-        make_result("axiom-cr-coupling", r_cr, tol, p),
-        make_result("axiom-reeb-metric-dual", r_dual, tol, p),
+        make_result("axiom-hermitian", r_herm, p),
+        make_result("axiom-xi-torsion", r_xtor, p),
+        make_result("axiom-reeb-torsion", r_rtor, p),
+        make_result("axiom-reeb-invariance", r_inv, p),
+        make_result("axiom-cr-coupling", r_cr, p),
+        make_result("axiom-reeb-metric-dual", r_dual, p),
     ]
 
 
@@ -296,8 +346,8 @@ def check_cr_form(triad: ContactTriad, c: float, p, seed: int = 0,
         a2 = covariant_derivative_form(conn, triad.lam, j_image(triad, Yf), p)
         r_xi = max_residual(r_xi, np.max(np.abs(a1 + np.dot(J.T, a2))))
 
-    return (make_result("cr-form-reeb", r_reeb, TOL_ALGEBRAIC, p),
-            make_result("cr-form-xi", r_xi, TOL_ALGEBRAIC, p))
+    return (make_result("cr-form-reeb", r_reeb, p),
+            make_result("cr-form-xi", r_xi, p))
 
 
 def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
@@ -342,7 +392,7 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
         conn_s.gamma_apply(p, X, w) - conn_b.gamma_apply(p, X, w))))
     worst = max_residual(worst, np.max(np.abs(
         conn_s.gamma_apply(p, w, X) - conn_b.gamma_apply(p, w, X))))
-    return make_result("scaling-transfer", worst, TOL_DERIVATIVE, p)
+    return make_result("scaling-transfer", worst, p)
 
 
 # -- naturality ------------------------------------------------------------
@@ -404,7 +454,7 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
         u = tq_vector(triad.dim, rng)
         diff = through.apply_vec(u, Yf, p) - direct.apply_vec(u, Yf, p)
         worst = max_residual(worst, np.max(np.abs(diff)))
-    return make_result("naturality-pullback", worst, TOL_DERIVATIVE, p)
+    return make_result("naturality-pullback", worst, p)
 
 
 # -- the supporting identity suite ----------------------------------------
@@ -436,20 +486,18 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
 
     # d lam(JY, JZ) = d lam(Y, Z): all vectors at once.
     m = np.dot(J.T, np.dot(A, J)) - np.dot(P.T, np.dot(A, P))
-    out.append(make_result("two-form-j-invariance",
-                           np.max(np.abs(m)), TOL_ALGEBRAIC, p))
+    out.append(make_result("two-form-j-invariance", np.max(np.abs(m)), p))
 
     # g-symmetry of L = L_X J on the distribution.
     gl = np.dot(G, L)
     m = np.dot(P.T, np.dot(gl - gl.T, P))
-    out.append(make_result("reeb-lie-j-symmetry",
-                           np.max(np.abs(m)), TOL_ALGEBRAIC, p))
+    out.append(make_result("reeb-lie-j-symmetry", np.max(np.abs(m)), p))
 
     # Reeb orbits are geodesics; nabla^LC X is distribution-valued.
     mlc = _reeb_cov_matrix(lc, p)
     r = max_residual(np.max(np.abs(np.dot(mlc, X))),
                      np.max(np.abs(np.dot(lam, mlc))))
-    out.append(make_result("reeb-geodesic-foliation", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("reeb-geodesic-foliation", r, p))
 
     # Pairing of nabla^LC J with the Nijenhuis tensor, full tangent slots.
     r = 0.0
@@ -464,7 +512,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         rhs = (ip(nyz, jx) - ip(jx, np.dot(J, y)) * float(np.dot(lam, z))
                + ip(jx, np.dot(J, z)) * float(np.dot(lam, y)))
         r = max_residual(r, abs(lhs - rhs))
-    out.append(make_result("lc-j-derivative-pairing", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("lc-j-derivative-pairing", r, p))
 
     # Reeb-slot specialisations of the same pairing.
     r = 0.0
@@ -480,7 +528,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         nx = np.dot(_lc_nabla_j(triad, x, p), y)
         nyz = nijenhuis(triad, xi_section(triad, y), xi_section(triad, z), p)
         r = max_residual(r, abs(2.0 * ip(nx, z) - ip(nyz, np.dot(J, x))))
-    out.append(make_result("lc-j-derivative-reeb-slots", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("lc-j-derivative-reeb-slots", r, p))
 
     # Nijenhuis tensor with the Reeb field in a slot.
     r = 0.0
@@ -491,7 +539,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         jlz = np.dot(J, np.dot(L, z))
         r = max_residual(r, np.max(np.abs(nijenhuis(triad, reeb, Zf, p) + jlz)))
         r = max_residual(r, np.max(np.abs(nijenhuis(triad, Zf, reeb, p) - jlz)))
-    out.append(make_result("nijenhuis-reeb-slots", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("nijenhuis-reeb-slots", r, p))
 
     # J-shuffles of the Nijenhuis tensor on the distribution.
     r = 0.0
@@ -503,7 +551,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         n_z_jy = nijenhuis(triad, Zf, j_image(triad, Yf), p)
         r = max_residual(r, np.max(np.abs(np.dot(J, n_y_jz) - np.dot(P, n_y_z))))
         r = max_residual(r, np.max(np.abs(np.dot(P, n_y_jz) + np.dot(P, n_z_jy))))
-    out.append(make_result("nijenhuis-j-shuffle", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("nijenhuis-j-shuffle", r, p))
 
     # Antilinear cancellation of nabla^LC J.
     r = 0.0
@@ -513,18 +561,16 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         t = (np.dot(P, np.dot(_lc_nabla_j(triad, np.dot(J, y), p), x))
              + np.dot(J, np.dot(_lc_nabla_j(triad, y, p), x)))
         r = max_residual(r, np.max(np.abs(t)))
-    out.append(make_result("lc-j-antilinear-cancellation", r,
-                           TOL_ALGEBRAIC, p))
+    out.append(make_result("lc-j-antilinear-cancellation", r, p))
 
     # J is Levi-Civita parallel in the Reeb direction.
     r = np.max(np.abs(covariant_derivative_endo(lc, j_section(triad), reeb,
                                                 p)))
-    out.append(make_result("lc-reeb-parallel-j", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("lc-reeb-parallel-j", r, p))
 
     # Levi-Civita covariant derivative of the Reeb field on the distribution.
     m = np.dot(mlc - 0.5 * J - 0.5 * np.dot(L, J), P)
-    out.append(make_result("lc-reeb-covariant-slope",
-                           np.max(np.abs(m)), TOL_ALGEBRAIC, p))
+    out.append(make_result("lc-reeb-covariant-slope", np.max(np.abs(m)), p))
 
     # J-linearity of the intermediate (parameter -1) connection.
     r = 0.0
@@ -534,8 +580,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         t = (np.dot(P, tmp.apply_vec(u, j_image(triad, Yf), p))
              - np.dot(J, np.dot(P, tmp.apply_vec(u, Yf, p))))
         r = max_residual(r, np.max(np.abs(t)))
-    out.append(make_result("semi-connection-j-linearity", r,
-                           TOL_ALGEBRAIC, p))
+    out.append(make_result("semi-connection-j-linearity", r, p))
 
     # Metric skew property of the obstruction tensor P.
     r = 0.0
@@ -545,7 +590,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         z = xi_vector(triad, p, rng)
         r = max_residual(r, abs(ip(tensor_P(triad, x, y, p), z)
                                 + ip(y, tensor_P(triad, x, z, p))))
-    out.append(make_result("p-tensor-metric-skew", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("p-tensor-metric-skew", r, p))
 
     # Metric property of the intermediate connection on sections.
     r = 0.0
@@ -557,7 +602,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         t = (dg - ip(tmp.apply_vec(u, Yf, p), Zf(p))
              - ip(Yf(p), tmp.apply_vec(u, Zf, p)))
         r = max_residual(r, abs(float(t)))
-    out.append(make_result("semi-connection-metric", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("semi-connection-metric", r, p))
 
     # Reeb/metric duality for the intermediate connection.
     r = 0.0
@@ -567,8 +612,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         t = (ip(tmp.apply_vec(y, reeb, p), Zf(p))
              + ip(X, tmp.apply_vec(y, Zf, p)))
         r = max_residual(r, abs(float(t)))
-    out.append(make_result("semi-connection-reeb-metric-dual", r,
-                           TOL_ALGEBRAIC, p))
+    out.append(make_result("semi-connection-reeb-metric-dual", r, p))
 
     # Torsion of the intermediate connection: quarter Nijenhuis, no lam part.
     r = float(np.max(np.abs(torsion_tensor(tmp, p, X, tq_vector(d, rng)))))
@@ -580,8 +624,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         n = nijenhuis(triad, Yf, Zf, p)
         r = max_residual(r, np.max(np.abs(np.dot(P, t) - 0.25 * np.dot(P, n))))
         r = max_residual(r, abs(float(np.dot(lam, t))))
-    out.append(make_result("semi-connection-torsion-quarter-n", r,
-                           TOL_DERIVATIVE, p))
+    out.append(make_result("semi-connection-torsion-quarter-n", r, p))
 
     # Covariant derivative of the Reeb field across the family.
     r = 0.0
@@ -589,7 +632,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         mc = _reeb_cov_matrix(triad_connection(triad, c), p)
         m = np.dot(mc + 0.5 * c * J - 0.5 * np.dot(L, J), P)
         r = max_residual(r, np.max(np.abs(m)))
-    out.append(make_result("reeb-covariant-family", r, TOL_DERIVATIVE, p))
+    out.append(make_result("reeb-covariant-family", r, p))
 
     # Torsion split values across the family.
     j_sec = j_section(triad)
@@ -607,7 +650,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         l_y = engine.lie_derivative_endo(Yf, j_sec, p)
         lie_side = 0.25 * (np.dot(l_jy, z) + np.dot(l_y, np.dot(J, z)))
         r = max_residual(r, np.max(np.abs(np.dot(P, t0) - lie_side)))
-    out.append(make_result("torsion-split-values", r, TOL_DERIVATIVE, p))
+    out.append(make_result("torsion-split-values", r, p))
 
     # Type symmetries of the projected torsion.
     r = 0.0
@@ -619,7 +662,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         t_y_z = np.dot(P, torsion_tensor(conn0, p, y, z))
         r = max_residual(r, np.max(np.abs(t_jy_z - t_y_jz)))
         r = max_residual(r, np.max(np.abs(np.dot(J, t_jy_z) - t_y_z)))
-    out.append(make_result("torsion-type-symmetries", r, TOL_DERIVATIVE, p))
+    out.append(make_result("torsion-type-symmetries", r, p))
 
     # The antisymmetrisation of P as a bracket combination.  The brackets
     # differentiate the bare closures, so this record runs the field path in
@@ -636,27 +679,14 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
                       - np.dot(J, engine.lie_bracket(jy, Zf, p))
                       - np.dot(J, engine.lie_bracket(Yf, jz, p)))
         r = max_residual(r, np.max(np.abs(lhs - rhs)))
-    out.append(make_result("p-antisymmetrized-bracket", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("p-antisymmetrized-bracket", r, p))
 
     # d lam is parallel along the Reeb direction for the canonical member.
     r = np.max(np.abs(covariant_derivative_two_form(conn0, triad.dlam_any,
                                                     reeb, p)))
-    out.append(make_result("reeb-parallel-two-form", r, TOL_ALGEBRAIC, p))
+    out.append(make_result("reeb-parallel-two-form", r, p))
 
     return out
-
-
-LEMMA_SUITE_NAMES = (
-    "two-form-j-invariance", "reeb-lie-j-symmetry", "reeb-geodesic-foliation",
-    "lc-j-derivative-pairing", "lc-j-derivative-reeb-slots",
-    "nijenhuis-reeb-slots", "nijenhuis-j-shuffle",
-    "lc-j-antilinear-cancellation", "lc-reeb-parallel-j",
-    "lc-reeb-covariant-slope", "semi-connection-j-linearity",
-    "p-tensor-metric-skew", "semi-connection-metric",
-    "semi-connection-reeb-metric-dual", "semi-connection-torsion-quarter-n",
-    "reeb-covariant-family", "torsion-split-values", "torsion-type-symmetries",
-    "p-antisymmetrized-bracket", "reeb-parallel-two-form",
-)
 
 
 # -- fault injections ------------------------------------------------------
@@ -681,7 +711,7 @@ def fault_flipped_b1(triad: ContactTriad, p, seed: int = 0,
         n = nijenhuis(triad, Yf, Zf, p)
         r = max_residual(r,
                          np.max(np.abs(np.dot(Pm, t) - 0.25 * np.dot(Pm, n))))
-    return make_result("fault-flipped-correction", r, TOL_DERIVATIVE, p)
+    return make_result("fault-flipped-correction", r, p)
 
 
 def fault_wrong_c(triad: ContactTriad, p, seed: int = 0, built_c: float = 1.0,
@@ -698,7 +728,7 @@ def fault_wrong_c(triad: ContactTriad, p, seed: int = 0, built_c: float = 1.0,
         t = (conn.apply_vec(np.dot(J, y), reeb, p)
              + np.dot(J, conn.apply_vec(y, reeb, p)) - tested_c * y)
         r = max_residual(r, np.max(np.abs(t)))
-    return make_result("fault-wrong-family-parameter", r, TOL_ALGEBRAIC, p)
+    return make_result("fault-wrong-family-parameter", r, p)
 
 
 def fault_levi_civita(triad: ContactTriad, p, seed: int = 0,
@@ -722,8 +752,7 @@ def fault_levi_civita(triad: ContactTriad, p, seed: int = 0,
         t = (np.dot(P, lc.apply_vec(u, j_image(triad, Yf), p))
              - np.dot(J, np.dot(P, lc.apply_vec(u, Yf, p))))
         r = max_residual(r, np.max(np.abs(t)))
-    return make_result("fault-levi-civita-not-complex-linear", r,
-                       TOL_ALGEBRAIC, p)
+    return make_result("fault-levi-civita-not-complex-linear", r, p)
 
 
 def fault_scale_mismatch(triad: ContactTriad, a: float, p, seed: int = 0,
@@ -739,4 +768,4 @@ def fault_scale_mismatch(triad: ContactTriad, a: float, p, seed: int = 0,
         v = tq_vector(triad.dim, rng)
         diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
         r = max_residual(r, np.max(np.abs(diff)))
-    return make_result("fault-scale-mismatch", r, TOL_DERIVATIVE, p)
+    return make_result("fault-scale-mismatch", r, p)

@@ -3,6 +3,10 @@
 Exit codes follow the runner contract: 0 when every non-control check
 passes (or, with --negative-controls, when every control fails as it
 should), 1 when a check fails, 2 for usage or configuration errors.
+
+The default sweep ``--c -1,0,1`` exits 1 on a healthy build: ``cr-form-xi``
+holds only at c = 0 and fails by design at c = -1 and c = 1, and no check
+declares an expected failure yet.  ``--c 0`` exits 0 on a healthy build.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import os
 import sys
 
 from .catalog import catalog
-from .checks import CHECK_INFO
+from .checks import CHECKS
 from .runner import ConfigError, RunConfig, emit_report, run_suite
 
 ENV_OUT_DIR = "TRIADLAB_REPORT_DIR"
@@ -37,17 +41,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run the residual suite on one example")
     pc.add_argument("--example", required=True, metavar="ID",
                     help="catalog id (see list-examples)")
-    pc.add_argument("--c", default="-1,0,1", metavar="LIST",
-                    help="comma-separated family parameters (default -1,0,1)")
-    pc.add_argument("--points", type=int, default=5, metavar="N",
-                    help="sampled chart points (default 5)")
-    pc.add_argument("--seed", type=int, default=0, metavar="S")
-    pc.add_argument("--mode", choices=("ad", "fd"), default="ad",
-                    help="derivative engine (default ad)")
-    pc.add_argument("--fd-step", type=float, default=1e-4, metavar="H",
-                    help="step for fd mode (default 1e-4)")
+    pc.add_argument("--c", metavar="LIST",
+                    default=",".join("%g" % c for c in RunConfig.c_values),
+                    help="comma-separated family parameters "
+                         "(default %(default)s)")
+    pc.add_argument("--points", type=int, default=RunConfig.points,
+                    metavar="N", help="sampled chart points "
+                                      "(default %(default)s)")
+    pc.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S")
+    pc.add_argument("--mode", choices=("ad", "fd"), default=RunConfig.mode,
+                    help="derivative engine (default %(default)s)")
+    pc.add_argument("--fd-step", type=float, default=RunConfig.fd_step,
+                    metavar="H", help="step for fd mode (default %(default)g)")
     pc.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                    default="json")
+                    default=RunConfig.fmt)
     pc.add_argument("--out", default=None, metavar="PATH",
                     help="write the report here instead of stdout; relative "
                          "paths resolve against $%s when set" % ENV_OUT_DIR)
@@ -105,13 +112,13 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    info = CHECK_INFO.get(args.name)
-    if info is None:
+    spec = CHECKS.get(args.name)
+    if spec is None:
         print("unknown check %r; known checks:" % args.name, file=sys.stderr)
-        for name in sorted(CHECK_INFO):
+        for name in sorted(CHECKS):
             print("  " + name, file=sys.stderr)
         return 2
-    print("%s\n  %s" % (args.name, info))
+    print("%s\n  %s" % (args.name, spec.anchor))
     return 0
 
 

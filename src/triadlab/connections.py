@@ -18,7 +18,8 @@ with einsums over the cached Christoffel, J and dJ tables, and
 ``gamma_apply`` reads it.
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 
-Connections evaluate as ``conn.apply(Xf, Yf, p)`` on vector-field closures;
+Connections evaluate as ``conn.apply_vec(u, Yf, p)``: the covariant
+derivative, along the vector u at p, of the vector-field closure Yf.
 ``gamma_apply(p, u, v)`` exposes the bilinear part (the value on fields with
 vanishing coordinate Jacobian at p), which is what tensorial quantities such
 as torsion contract against.
@@ -35,11 +36,8 @@ from .engine import is_float_point, matvec, solve
 class AffineConnection:
     label = "affine"
 
-    def apply(self, Xf, Yf, p):
-        """nabla_X Y at p for vector-field closures X, Y."""
-        return self.apply_vec(Xf(p), Yf, p)
-
     def apply_vec(self, u, Yf, p):
+        """nabla_u Y at p for a vector u and a vector-field closure Y."""
         raise NotImplementedError
 
 
@@ -177,12 +175,6 @@ def triad_connection(triad: ContactTriad, c: float) -> TriadConnection:
 
 
 # -- tensors built from a connection --------------------------------------
-
-
-def torsion(conn: AffineConnection, Xf, Yf, p):
-    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] on field closures."""
-    engine = conn.engine
-    return conn.apply(Xf, Yf, p) - conn.apply(Yf, Xf, p) - engine.lie_bracket(Xf, Yf, p)
 
 
 def torsion_tensor(conn: LocalConnection, p, u, v):

@@ -17,23 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import catalog
-from .checks import (CHECK_INFO, TOL_ALGEBRAIC, TOL_DERIVATIVE, CheckResult,
-                     check_axioms, check_cr_form, check_lemma_suite,
-                     check_naturality, check_scaling, fault_flipped_b1,
-                     fault_levi_civita, fault_scale_mismatch, fault_wrong_c,
-                     field_rng, xi_section, LEMMA_SUITE_NAMES)
+from .checks import (CHECKS, CheckResult, check_axioms, check_cr_form,
+                     check_lemma_suite, check_naturality, check_scaling,
+                     fault_flipped_b1, fault_levi_civita, fault_scale_mismatch,
+                     fault_wrong_c, family_names, field_rng, make_result,
+                     xi_section)
 from .connections import nijenhuis, triad_connection
 from .engine import DiffEngine, max_residual
 from .frames import (build_unitary_frame, cross_check_gamma,
-                     structure_equation_residual)
+                     skew_hermitian_check, structure_equation_residual)
 
 SCHEMA_VERSION = "1"
 RESIDUAL_UNEVALUABLE = 1e300
-
-AXIOM_NAMES = ("axiom-hermitian", "axiom-xi-torsion", "axiom-reeb-torsion",
-               "axiom-reeb-invariance", "axiom-cr-coupling",
-               "axiom-reeb-metric-dual")
-CR_NAMES = ("cr-form-reeb", "cr-form-xi")
 
 
 class ConfigError(ValueError):
@@ -107,7 +102,8 @@ class Report:
         }
 
 
-def _record(cr: CheckResult, variant: str, point_index: int) -> dict:
+def _record(cr: CheckResult, variant: str, point_index: int,
+            note: str = "") -> dict:
     return {
         "name": cr.name,
         "variant": variant,
@@ -117,35 +113,23 @@ def _record(cr: CheckResult, variant: str, point_index: int) -> dict:
         "passed": bool(cr.passed),
         "anchor": cr.anchor,
         "point": [float(x) for x in cr.point],
-        "note": ("" if np.isfinite(cr.residual)
-                 else "error: residual is not finite"),
+        "note": note or ("" if np.isfinite(cr.residual)
+                         else "error: residual is not finite"),
     }
-
-
-def _error_records(names, variant: str, point_index: int, p, msg: str) -> list:
-    out = []
-    for n in names:
-        out.append({
-            "name": n, "variant": variant, "point_index": int(point_index),
-            "residual": RESIDUAL_UNEVALUABLE, "tolerance": 0.0,
-            "passed": False, "anchor": CHECK_INFO[n],
-            "point": [float(x) for x in np.asarray(p).ravel()],
-            "note": "error: " + msg,
-        })
-    return out
 
 
 def _guarded(records, names, variant, idx, p, fn):
     """Append fn()'s records, or one error record per expected name."""
+    note = ""
     try:
         out = fn()
     except Exception as exc:  # recorded, never fatal for the run
-        records.extend(_error_records(names, variant, idx, p, repr(exc)))
-        return
+        out = [CheckResult(n, CHECKS[n].anchor, RESIDUAL_UNEVALUABLE, 0.0,
+                           False, np.asarray(p).ravel()) for n in names]
+        note = "error: " + repr(exc)
     if isinstance(out, CheckResult):
         out = [out]
-    for cr in out:
-        records.append(_record(cr, variant, idx))
+    records.extend(_record(cr, variant, idx, note) for cr in out)
 
 
 def _projected_nijenhuis_scale(triad, pts, seed: int, samples: int = 4) -> float:
@@ -169,6 +153,13 @@ def _projected_nijenhuis_scale(triad, pts, seed: int, samples: int = 4) -> float
     return best
 
 
+def _meets_role(record: dict) -> bool:
+    """A check must pass; a control must fail on an evaluable residual."""
+    if CHECKS[record["name"]].control:
+        return not record["passed"] and not record["note"].startswith("error:")
+    return record["passed"]
+
+
 def run_suite(config: RunConfig) -> Report:
     cat = catalog()
     config.validate(cat)
@@ -178,97 +169,76 @@ def run_suite(config: RunConfig) -> Report:
     pts = triad.sample_points(config.points, config.seed)
     seed, k = config.seed, config.samples
     cs = tuple(float(c) for c in config.c_values)
-    records: list = []
+    # a NaN scale cannot rule the J-sensitive controls out, so they run
+    with_j_controls = config.negative_controls and not (
+        _projected_nijenhuis_scale(triad, pts, seed) <= 1e-3)
 
-    if config.negative_controls:
-        # a NaN scale cannot rule the J-sensitive controls out, so they run
-        with_j_controls = not _projected_nijenhuis_scale(triad, pts,
-                                                         seed) <= 1e-3
-        for idx, p in enumerate(pts):
-            _guarded(records, ("fault-wrong-family-parameter",), "", idx, p,
-                     lambda p=p: fault_wrong_c(triad, p, seed=seed))
-            _guarded(records, ("fault-scale-mismatch",), "a=2", idx, p,
-                     lambda p=p: fault_scale_mismatch(triad, 2.0, p, seed=seed))
-            _guarded(records,
-                     ("control-structure-equation-dropped-torsion",), "c=0",
-                     idx, p, lambda p=p: _dropped_torsion_control(triad, p, seed))
+    def families(p):
+        """(family, variant, closure) for every family run at point p."""
+        if config.negative_controls:
+            rows = [
+                ("fault_wrong_c", "",
+                 lambda: fault_wrong_c(triad, p, seed=seed)),
+                ("fault_scale_mismatch", "a=2",
+                 lambda: fault_scale_mismatch(triad, 2.0, p, seed=seed)),
+                ("_dropped_torsion_control", "c=0",
+                 lambda: _dropped_torsion_control(triad, p, seed))]
             if with_j_controls:
-                _guarded(records, ("fault-flipped-correction",), "", idx, p,
-                         lambda p=p: fault_flipped_b1(triad, p, seed=seed))
-                _guarded(records,
-                         ("fault-levi-civita-not-complex-linear",), "", idx, p,
-                         lambda p=p: fault_levi_civita(triad, p, seed=seed))
-        records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
-        summary = _summarize(records)
-        # in control mode the suite is healthy when every control FAILS on
-        # an evaluable residual; a NaN or a raised error is not a firing
-        ok = bool(records) and all(
-            not r["passed"] and not r["note"].startswith("error:")
-            for r in records)
-        return Report(config=config.to_dict(), engine=_engine_info(engine),
-                      example=_example_info(spec), records=records,
-                      summary=summary, ok=ok)
-
-    for idx, p in enumerate(pts):
+                rows += [("fault_flipped_b1", "",
+                          lambda: fault_flipped_b1(triad, p, seed=seed)),
+                         ("fault_levi_civita", "",
+                          lambda: fault_levi_civita(triad, p, seed=seed))]
+            return rows
+        rows = []
         for c in cs:
-            cv = "c=%g" % c
-            _guarded(records, AXIOM_NAMES, cv, idx, p,
-                     lambda p=p, c=c: check_axioms(triad, c, p, seed=seed,
-                                                   samples=k))
-            _guarded(records, CR_NAMES, cv, idx, p,
-                     lambda p=p, c=c: check_cr_form(triad, c, p, seed=seed,
-                                                    samples=k))
-        _guarded(records, LEMMA_SUITE_NAMES, "", idx, p,
-                 lambda p=p: check_lemma_suite(triad, p, seed=seed, samples=k,
-                                               c_values=cs))
-        _guarded(records, ("frame-orthonormality",) +
-                 tuple("frame-coefficient-rederivation" for _ in cs) +
-                 ("structure-equation", "frame-skew-hermitian"), "frame", idx,
-                 p, lambda p=p: _frame_records(triad, cs, p, seed))
-        _guarded(records, ("scaling-transfer",), "a=2", idx, p,
-                 lambda p=p: check_scaling(triad, 2.0, p, seed=seed))
-        for m in spec.maps:
-            _guarded(records, ("naturality-pullback",), m.label, idx, p,
-                     lambda p=p, m=m: check_naturality(triad, m, 0.0, p,
-                                                       seed=seed))
+            rows += [("check_axioms", "c=%g" % c,
+                      lambda c=c: check_axioms(triad, c, p, seed=seed,
+                                               samples=k)),
+                     ("check_cr_form", "c=%g" % c,
+                      lambda c=c: check_cr_form(triad, c, p, seed=seed,
+                                                samples=k))]
+        rows += [("check_lemma_suite", "",
+                  lambda: check_lemma_suite(triad, p, seed=seed, samples=k,
+                                            c_values=cs)),
+                 ("_frame_records", "frame",
+                  lambda: _frame_records(triad, cs, p, seed)),
+                 ("check_scaling", "a=2",
+                  lambda: check_scaling(triad, 2.0, p, seed=seed))]
+        rows += [("check_naturality", m.label,
+                  lambda m=m: check_naturality(triad, m, 0.0, p, seed=seed))
+                 for m in spec.maps]
+        return rows
 
+    records: list = []
+    for idx, p in enumerate(pts):
+        for family, variant, fn in families(p):
+            _guarded(records, family_names(family, cs), variant, idx, p, fn)
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
-    summary = _summarize(records)
-    ok = all(r["passed"] for r in records)
+    ok = bool(records) and all(_meets_role(r) for r in records)
     return Report(config=config.to_dict(), engine=_engine_info(engine),
                   example=_example_info(spec), records=records,
-                  summary=summary, ok=ok)
+                  summary=_summarize(records), ok=ok)
 
 
 def _frame_records(triad, cs, p, seed):
-    from .checks import make_result
-    from .frames import skew_hermitian_check
-
     frame = build_unitary_frame(triad, p, seed=seed)
-    out = [make_result("frame-orthonormality", frame.gram_residual(p), 1e-9, p)]
+    out = [make_result("frame-orthonormality", frame.gram_residual(p), p)]
     for c in cs:
         disc = cross_check_gamma(triad, float(c), frame, p)
-        r = make_result("frame-coefficient-rederivation", disc,
-                        TOL_DERIVATIVE, p)
-        out.append(r)
+        out.append(make_result("frame-coefficient-rederivation", disc, p))
     conn0 = triad_connection(triad, 0.0)
     out.append(make_result("structure-equation",
-                           structure_equation_residual(conn0, frame, p),
-                           TOL_DERIVATIVE, p))
+                           structure_equation_residual(conn0, frame, p), p))
     out.append(make_result("frame-skew-hermitian",
-                           skew_hermitian_check(conn0, frame, p),
-                           TOL_ALGEBRAIC, p))
+                           skew_hermitian_check(conn0, frame, p), p))
     return out
 
 
 def _dropped_torsion_control(triad, p, seed):
-    from .checks import make_result
-
     frame = build_unitary_frame(triad, p, seed=seed)
     conn0 = triad_connection(triad, 0.0)
     r = structure_equation_residual(conn0, frame, p, include_torsion=False)
-    return make_result("control-structure-equation-dropped-torsion", r,
-                       TOL_DERIVATIVE, p)
+    return make_result("control-structure-equation-dropped-torsion", r, p)
 
 
 def _summarize(records) -> dict:

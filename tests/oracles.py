@@ -14,7 +14,9 @@ engine's former linear algebra, kept as an oracle for the forward-mode
 matrix rules that replaced it: it runs Gaussian elimination entry by entry
 over scalar (0-d) ``Dual`` objects.  ``directional_derivative`` and
 ``roundtrip_residual`` are the test-only checked derivative and the
-round-trip residual of a strict contact map.
+round-trip residual of a strict contact map.  ``apply`` and ``torsion``
+evaluate a connection on two vector-field closures, the field-closure
+reference for the package's tensor contractions.
 """
 
 import numpy as np
@@ -39,6 +41,17 @@ def roundtrip_residual(cmap, pts) -> float:
         back = cmap.inverse(cmap.forward(q))
         worst = max_residual(worst, np.max(np.abs(back - q)))
     return worst
+
+
+def apply(conn, Xf, Yf, p):
+    """nabla_X Y at p for vector-field closures X, Y."""
+    return conn.apply_vec(Xf(p), Yf, p)
+
+
+def torsion(conn, Xf, Yf, p):
+    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] on field closures."""
+    return (apply(conn, Xf, Yf, p) - apply(conn, Yf, Xf, p)
+            - conn.engine.lie_bracket(Xf, Yf, p))
 
 
 def numeric_directional(f, p, v, h=1e-5):

@@ -35,10 +35,11 @@ from triadlab.checks import (
 from triadlab.connections import (
     LeviCivitaConnection,
     tensor_B1,
-    torsion,
     triad_connection,
 )
 from triadlab.frames import build_unitary_frame, cross_check_gamma
+
+from oracles import torsion
 
 _CAT = catalog()
 

@@ -6,8 +6,7 @@ import pytest
 
 from triadlab import ContactTriad, catalog, standard_triad
 from triadlab.checks import (
-    CHECK_INFO,
-    LEMMA_SUITE_NAMES,
+    CHECKS,
     XI_VECTOR_DRAWS,
     StrictContactMap,
     check_axioms,
@@ -15,6 +14,7 @@ from triadlab.checks import (
     check_lemma_suite,
     check_naturality,
     check_scaling,
+    family_names,
     fault_flipped_b1,
     fault_levi_civita,
     fault_scale_mismatch,
@@ -45,7 +45,7 @@ def test_axiom_results_carry_anchors_and_points():
     t = standard_triad(1)
     p = np.array([0.1, 0.2, 0.3])
     for res in check_axioms(t, 0.0, p):
-        assert res.anchor == CHECK_INFO[res.name]
+        assert res.anchor == CHECKS[res.name].anchor
         assert np.array_equal(res.point, p)
         assert res.tolerance > 0
 
@@ -127,7 +127,8 @@ def test_lemma_suite_names_and_pass():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=10)[0]
         results = check_lemma_suite(t, p, seed=5)
-        assert tuple(r.name for r in results) == LEMMA_SUITE_NAMES
+        assert (tuple(r.name for r in results)
+                == family_names("check_lemma_suite"))
         for r in results:
             assert r.passed, (ex_id, r.name, r.residual)
             assert r.residual <= 1e-7, (ex_id, r.name)

@@ -11,11 +11,10 @@ from triadlab.connections import (
     nijenhuis,
     tensor_B1,
     tensor_B2,
-    torsion,
     torsion_tensor,
 )
 
-from oracles import koszul_lc_pairing
+from oracles import koszul_lc_pairing, torsion
 
 _CAT = catalog()
 

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import triadlab
+from triadlab.checks import CHECKS
 from triadlab.cli import main
 from triadlab.runner import (
     RESIDUAL_UNEVALUABLE,
@@ -131,6 +133,49 @@ def test_check_errors_become_records_not_crashes(monkeypatch):
         assert r["residual"] == RESIDUAL_UNEVALUABLE
         assert not r["passed"]
         assert "synthetic failure" in r["note"]
+
+
+# -- the check registry ----------------------------------------------------
+
+# r5-perturbed-J has a nonzero projected Nijenhuis tensor, so its control
+# runs schedule the two J-sensitive controls as well.
+REGISTRY_RUN = dict(example_id="r5-perturbed-J", points=1)
+FAMILIES = sorted({spec.family for spec in CHECKS.values()})
+
+
+def _family_run(family):
+    controls = any(s.control for s in CHECKS.values() if s.family == family)
+    return RunConfig(negative_controls=controls, **REGISTRY_RUN)
+
+
+def test_every_registry_entry_is_emitted_as_declared():
+    emitted = set()
+    for controls in (False, True):
+        rep = run_suite(RunConfig(negative_controls=controls, **REGISTRY_RUN))
+        for r in rep.records:
+            spec = CHECKS[r["name"]]
+            assert spec.control == controls, r["name"]
+            assert r["tolerance"] == spec.tolerance, r["name"]
+            assert r["anchor"] == spec.anchor, r["name"]
+            emitted.add(r["name"])
+    assert emitted == set(CHECKS)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_raising_family_records_the_names_it_emits(monkeypatch, family):
+    """The names a family declares are the names its function returns."""
+    healthy = Counter(r["name"] for r in run_suite(_family_run(family)).records
+                      if CHECKS[r["name"]].family == family)
+
+    def boom(*a, **kw):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr("triadlab.runner." + family, boom)
+    rep = run_suite(_family_run(family))
+    errors = Counter(r["name"] for r in rep.records
+                     if r["note"].startswith("error:"))
+    assert healthy and errors == healthy
+    assert not rep.ok
 
 
 def _nan_christoffel(monkeypatch):
@@ -322,6 +367,13 @@ def test_cli_failing_suite_exits_one(monkeypatch, capsys):
     monkeypatch.setattr("triadlab.cli.run_suite", lambda cfg: fake)
     assert main(CLI_FAST) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_cli_check_defaults_are_the_run_config_defaults(capsys):
+    # exit 1: cr-form-xi fails by design at c = -1 and c = 1
+    assert main(["check", "--example", "r3-standard"]) == 1
+    want = emit_report(run_suite(RunConfig("r3-standard")), "json")
+    assert capsys.readouterr().out.encode("utf-8") == want
 
 
 def test_cli_negative_controls_healthy(capsys):
