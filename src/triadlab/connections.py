@@ -20,6 +20,12 @@ with einsums over the cached Christoffel, J and dJ tables, and
 
 Connections evaluate as ``conn.apply_vec(u, Yf, p)``: the covariant
 derivative, along the vector u at p, of the vector-field closure Yf.
+``conn.apply_vecs(U, Yf, p, rows)`` takes it along the listed rows of a
+direction matrix U at once; row r has the bits of ``apply_vec(U[r], Yf,
+p)``.  Its flat part is one :meth:`~triadlab.engine.DiffEngine.derivs` call
+along every row of U, so in ``fd`` mode every field differentiated along the
+same U shares one stencil and one pipeline call, while the bilinear part is
+evaluated only on the rows asked for.
 ``gamma_apply(p, u, v)`` exposes the bilinear part (the value on fields with
 vanishing coordinate Jacobian at p), which is what tensorial quantities such
 as torsion contract against.
@@ -55,6 +61,15 @@ class LocalConnection(AffineConnection):
     def apply_vec(self, u, Yf, p):
         dY_u = self.engine.deriv(Yf, p, u)
         return dY_u + self.gamma_apply(p, u, Yf(p))
+
+    def apply_vecs(self, U, Yf, p, rows):
+        """nabla_u Y at p for the rows u of U listed in ``rows``, stacked
+        along a leading axis.  The flat part is taken along every row of U,
+        so fields differentiated along one U share a stencil.
+        """
+        dY = self.engine.derivs(Yf, p, U)
+        y = Yf(p)
+        return np.array([dY[r] + self.gamma_apply(p, U[r], y) for r in rows])
 
     def gamma_apply(self, p, u, v):
         raise NotImplementedError
@@ -187,21 +202,28 @@ def torsion_tensor(conn: LocalConnection, p, u, v):
     return conn.gamma_apply(p, u, v) - conn.gamma_apply(p, v, u)
 
 
+def j_brackets(engine, Xf, Yf, JX, JY, p):
+    """The brackets [JX, JY], [X, Y], [X, JY] and [JX, Y] at p.
+
+    Each of the four fields is differentiated along the same stacked
+    directions (X(p), Y(p), JX(p), JY(p)), so in ``fd`` mode one stencil
+    serves all four, and [A, B] = DB(A) - DA(B) reads the rows it needs.
+    """
+    V = np.array([Xf(p), Yf(p), JX(p), JY(p)])
+    dX, dY, dJX, dJY = (engine.derivs(F, p, V) for F in (Xf, Yf, JX, JY))
+    return dJY[2] - dJX[3], dY[0] - dX[1], dJY[0] - dX[3], dY[2] - dJX[1]
+
+
 def nijenhuis(triad: ContactTriad, Xf, Yf, p):
     """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] (no factor-2 convention).
 
     JX and JY are J-image sections, so in ``ad`` mode their derivatives are
     read from their 1-jets; the brackets are those of the fields themselves.
     """
-    engine = triad.engine
-    JX = j_image(triad, Xf)
-    JY = j_image(triad, Yf)
+    t1, t2, b3, b4 = j_brackets(triad.engine, Xf, Yf, j_image(triad, Xf),
+                                j_image(triad, Yf), p)
     J = triad.j_any(p)
-    t1 = engine.lie_bracket(JX, JY, p)
-    t2 = engine.lie_bracket(Xf, Yf, p)
-    t3 = np.dot(J, engine.lie_bracket(Xf, JY, p))
-    t4 = np.dot(J, engine.lie_bracket(JX, Yf, p))
-    return t1 - t2 - t3 - t4
+    return t1 - t2 - np.dot(J, b3) - np.dot(J, b4)
 
 
 def _k_matrix(conn: LocalConnection, p, u):

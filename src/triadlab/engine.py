@@ -22,6 +22,14 @@ a single point, so a batched result is bitwise the per-point one.  A point
 that is itself a batch gives a stencil of a batch, which is how the nested
 d lam of a stencil is taken.
 
+:meth:`DiffEngine.derivs` differentiates along every row of a direction
+matrix ``V``, shape ``(k, dim)``, with one call on the stacked ``(2, k,
+dim)`` stencil ``[p + hV, p - hV]``.  Row r of the result has the bits of
+``deriv`` along ``V[r]``, and the k directions cost one pipeline call
+instead of k.  When several fields are differentiated along the same
+``V``, they evaluate on one stencil, so the triad's store computes its
+tables once for all of them.
+
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
 through the helpers here: :func:`dot` switches to ``np.matmul`` for
 operands with more than two axes and :func:`outer` for batched vectors,
@@ -161,6 +169,31 @@ class DiffEngine:
             pop_level()
         return _tangent(y, lvl)
 
+    def derivs(self, f, p, V):
+        """Directional derivatives of ``f`` at p along every row of V.
+
+        ``derivs(f, p, V)[r]`` is ``deriv(f, p, V[r])``: in ``fd`` mode with
+        the same bits, from one call on the stacked stencil; in ``ad`` mode
+        from one jet read, or one dual pass seeding all k rows of V.
+        """
+        V = np.asarray(V, dtype=float)
+        if self.mode == "fd":
+            h = self.step
+            hV = h * V
+            y = _on_stencil(f, np.array([p + hV, p - hV]))
+            return (y[0] - y[1]) * (0.5 / h)
+        if _at_float_point(p) and hasattr(f, "jet"):
+            jac = f.jet(p)[1]
+            return np.array([np.dot(jac, v) for v in V])
+        lvl = push_level()
+        try:
+            y = f(Dual(lvl, p, V))
+        finally:
+            pop_level()
+        if not (isinstance(y, Dual) and y.lvl == lvl):
+            return np.zeros((len(V),) + shape(y))
+        return y.du
+
     def jacobian(self, f, p):
         """Full coordinate Jacobian; result has one trailing axis of length dim.
 
@@ -196,10 +229,6 @@ class DiffEngine:
         return transpose(y.du, tuple(range(1, n)) + (0,))
 
     # -- named operations ------------------------------------------------
-
-    def lie_bracket(self, X: VectorField, Y: VectorField, p):
-        """[X, Y] = DY(X) - DX(Y) evaluated at p."""
-        return self.deriv(Y, p, X(p)) - self.deriv(X, p, Y(p))
 
     def exterior_derivative(self, alpha: OneForm, p):
         """d(alpha) as the exactly antisymmetric matrix of a two-form.

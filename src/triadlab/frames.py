@@ -39,9 +39,15 @@ def _per_point(s):
     return s if ad.ndim(s) == 0 else s[..., None]
 
 
-def _gram_schmidt(triad: ContactTriad, q, indices):
-    """Run the frozen-selection unitary Gram-Schmidt at a chart point (or a
-    float batch of them)."""
+def _gram_schmidt(triad: ContactTriad, q, indices, pairs=None):
+    """Unitary Gram-Schmidt over the Pi-projected chart columns ``indices``
+    at a chart point (or a float batch of them).
+
+    Returns the frame (X, E_1..E_n, JE_1..JE_n) and the columns it used.
+    With ``pairs`` given, q is one float point and ``indices`` an order of
+    candidates: a candidate whose projection collapses is skipped, and the
+    run stops once ``pairs`` columns are accepted.
+    """
     P = triad.pi_any(q)
     G = triad.metric_any(q)
     J = triad.j_any(q)
@@ -49,44 +55,22 @@ def _gram_schmidt(triad: ContactTriad, q, indices):
     def g(a, b):
         return _per_point(inner(a, matvec(G, b)))
 
-    es, fs = [], []
+    es, fs, used = [], [], []
     for idx in indices:
+        if len(used) == pairs:
+            break
         v = P[..., idx]
+        scale = None if pairs is None else max(1.0, float(g(v, v)))
         for e, f in zip(es, fs):
             v = v - g(v, e) * e - g(v, f) * f
-        e = v / ad.sqrt(g(v, v))
+        n2 = g(v, v)
+        if scale is not None and n2 <= _SKIP_REL * scale:
+            continue
+        e = v / ad.sqrt(n2)
         es.append(e)
         fs.append(matvec(J, e))
-    return ad.stack([triad.reeb_any(q)] + es + fs)
-
-
-def _select_indices(triad: ContactTriad, p, seed: int):
-    d, n = triad.dim, triad.n
-    order = [(seed + t) % d for t in range(d)]
-    P = triad.pi_any(p)
-    G = triad.metric_any(p)
-    J = triad.j_any(p)
-    es, fs, chosen = [], [], []
-    for idx in order:
-        if len(chosen) == n:
-            break
-        v0 = P[:, idx].copy()
-        scale = float(np.dot(v0, np.dot(G, v0)))
-        v = v0
-        for e, f in zip(es, fs):
-            v = v - np.dot(v, np.dot(G, e)) * e - np.dot(v, np.dot(G, f)) * f
-        n2 = float(np.dot(v, np.dot(G, v)))
-        if n2 <= _SKIP_REL * max(1.0, scale):
-            continue
-        e = v / np.sqrt(n2)
-        es.append(e)
-        fs.append(np.dot(J, e))
-        chosen.append(idx)
-    if len(chosen) < n:
-        raise FrameRankError(
-            "seed order %d yields only %d of %d frame pairs at %s"
-            % (seed, len(chosen), n, p))
-    return chosen
+        used.append(idx)
+    return ad.stack([triad.reeb_any(q)] + es + fs), used
 
 
 class MovingFrame:
@@ -111,8 +95,8 @@ class MovingFrame:
 
     def matrix_any(self, q):
         """Frame matrix at q; columns are (X, E_1..E_n, JE_1..JE_n)."""
-        return self._memo("frame", q,
-                          lambda x: _gram_schmidt(self.triad, x, self.indices))
+        return self._memo("frame", q, lambda x: _gram_schmidt(
+            self.triad, x, self.indices)[0])
 
     def coframe_any(self, q):
         """Dual coframe matrix; row i is theta^i (row 0 recovers lam)."""
@@ -143,7 +127,12 @@ class MovingFrame:
 
 def build_unitary_frame(triad: ContactTriad, p, seed: int = 0) -> MovingFrame:
     """Deterministic unitary frame at p; same inputs give bitwise-same output."""
-    indices = _select_indices(triad, np.asarray(p, dtype=float), seed)
+    d, n = triad.dim, triad.n
+    order = [(seed + t) % d for t in range(d)]
+    indices = _gram_schmidt(triad, np.asarray(p, dtype=float), order, n)[1]
+    if len(indices) < n:
+        raise FrameRankError("seed order %d yields only %d of %d frame pairs "
+                             "at %s" % (seed, len(indices), n, p))
     return MovingFrame(triad, p, seed, indices)
 
 

@@ -16,13 +16,15 @@ over scalar (0-d) ``Dual`` objects.  ``directional_derivative`` and
 ``roundtrip_residual`` are the test-only checked derivative and the
 round-trip residual of a strict contact map.  ``apply`` and ``torsion``
 evaluate a connection on two vector-field closures, the field-closure
-reference for the package's tensor contractions.
+reference for the package's tensor contractions, and ``lie_bracket`` is the
+bracket of two closures taken one direction at a time with ``deriv``, the
+reference for the package's stacked-direction brackets.
 """
 
 import numpy as np
 
 from triadlab.ad import Dual
-from triadlab.engine import dot, is_float_point, max_residual
+from triadlab.engine import is_float_point, matvec, max_residual
 
 
 def directional_derivative(engine, f, p, v):
@@ -43,6 +45,11 @@ def roundtrip_residual(cmap, pts) -> float:
     return worst
 
 
+def lie_bracket(engine, X, Y, p):
+    """[X, Y] = DY(X) - DX(Y) evaluated at p."""
+    return engine.deriv(Y, p, X(p)) - engine.deriv(X, p, Y(p))
+
+
 def apply(conn, Xf, Yf, p):
     """nabla_X Y at p for vector-field closures X, Y."""
     return conn.apply_vec(Xf(p), Yf, p)
@@ -51,7 +58,7 @@ def apply(conn, Xf, Yf, p):
 def torsion(conn, Xf, Yf, p):
     """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] on field closures."""
     return (apply(conn, Xf, Yf, p) - apply(conn, Yf, Xf, p)
-            - conn.engine.lie_bracket(Xf, Yf, p))
+            - lie_bracket(conn.engine, Xf, Yf, p))
 
 
 def numeric_directional(f, p, v, h=1e-5):
@@ -86,15 +93,15 @@ def nijenhuis_closures(triad, Xf, Yf, p):
     eng = triad.engine
 
     def JX(q):
-        return dot(triad.j_any(q), Xf(q))
+        return matvec(triad.j_any(q), Xf(q))
 
     def JY(q):
-        return dot(triad.j_any(q), Yf(q))
+        return matvec(triad.j_any(q), Yf(q))
 
     J = triad.j_any(p)
-    return (eng.lie_bracket(JX, JY, p) - eng.lie_bracket(Xf, Yf, p)
-            - np.dot(J, eng.lie_bracket(Xf, JY, p))
-            - np.dot(J, eng.lie_bracket(JX, Yf, p)))
+    return (lie_bracket(eng, JX, JY, p) - lie_bracket(eng, Xf, Yf, p)
+            - np.dot(J, lie_bracket(eng, Xf, JY, p))
+            - np.dot(J, lie_bracket(eng, JX, Yf, p)))
 
 
 def _merge_sign(I, J):

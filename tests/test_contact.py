@@ -206,25 +206,33 @@ def _points_held(key) -> int:
 
 
 def test_fd_run_keeps_at_most_the_store_size_per_triad(monkeypatch):
-    """An fd Jacobian puts a stencil of 2 dim points in the store; an
-    unbounded store keeps every one of them (about 10 000 (tag, point)
-    entries after this run)."""
+    """An fd derivative puts its stencil in the store; an unbounded store
+    keeps every one of them (about 10 000 (tag, point) entries after this
+    run)."""
     held = []
+    widest = [0]
     init = ContactTriad.__init__
+    cached = ContactTriad._cached
 
     def keep(self, *args, **kwargs):
         init(self, *args, **kwargs)
         held.append(self)
 
+    def track(self, tag, q, fn):
+        if isinstance(q, np.ndarray):
+            widest[0] = max(widest[0], q.size // self.dim)
+        return cached(self, tag, q, fn)
+
     monkeypatch.setattr(ContactTriad, "__init__", keep)
+    monkeypatch.setattr(ContactTriad, "_cached", track)
     run_suite(RunConfig(example_id="r3-standard", points=8, mode="fd"))
     assert held
     points = [sum(_points_held(k) for k in t._cache) for t in held]
     assert points == [t._held for t in held]
     assert max(points) <= contact.POINT_CACHE_SIZE
     # an entry is dropped only to make room, so the fullest store is within
-    # one stencil (2 dim points of r3) of the bound
-    assert max(points) > contact.POINT_CACHE_SIZE - 2 * 3
+    # one entry (the widest the run stores) of the bound
+    assert max(points) > contact.POINT_CACHE_SIZE - widest[0]
 
 
 def test_store_lru_order_and_eviction(monkeypatch):

@@ -1,0 +1,143 @@
+"""Stacked directions: ``derivs`` differentiates along every row of a matrix.
+
+In ``fd`` mode a row of ``derivs`` must carry the bits of ``deriv`` along
+that row, which is what keeps the ``fd`` reports byte-identical once the
+Nijenhuis tensor and the axiom battery share one stencil per call; in
+``ad`` mode a row agrees with ``deriv`` to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from triadlab import DiffEngine, catalog
+from triadlab.checks import check_axioms
+from triadlab.connections import (LeviCivitaConnection, nijenhuis,
+                                  triad_connection)
+from triadlab.contact import (ContactTriad, const_field, j_image, j_section,
+                              metric_pair, reeb_section, xi_section)
+
+from oracles import nijenhuis_closures
+
+_CAT = catalog()
+PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
+             "metric_any")
+
+
+def _fields(t, rng):
+    """The sections the checks differentiate, plus the triad's pipelines."""
+    d = t.dim
+    y = xi_section(t, rng.standard_normal(d))
+    z = xi_section(t, rng.standard_normal(d))
+    w = const_field(rng.standard_normal(d))
+    out = {"xi": y, "j-image-xi": j_image(t, y), "j-image-const": j_image(t, w),
+           "reeb": reeb_section(t), "j": j_section(t), "const": w,
+           "metric-pair": metric_pair(t, y, z)}
+    out.update((name, getattr(t, name)) for name in PIPELINES)
+    return out
+
+
+def _cases(mode):
+    for ex_id, spec in _CAT.items():
+        t = spec.build(DiffEngine(mode))
+        rng = np.random.default_rng(41)
+        p = t.sample_points(1, seed=40)[0]
+        yield ex_id, t, p, rng.standard_normal((4, t.dim)), _fields(t, rng)
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_fd_derivs_rows_are_deriv_bit_for_bit():
+    for ex_id, t, p, V, fields in _cases("fd"):
+        for name, f in fields.items():
+            rows = t.engine.derivs(f, p, V)
+            assert len(rows) == len(V), (ex_id, name)
+            for row, v in zip(rows, V):
+                assert _bytes(row) == _bytes(t.engine.deriv(f, p, v)), \
+                    (ex_id, name)
+
+
+def test_ad_derivs_rows_are_deriv_to_rounding():
+    """Jets and bare closures alike; a bare closure gets one dual pass with
+    every row seeded."""
+    for ex_id, t, p, V, fields in _cases("ad"):
+        bare = {name + "-closure": f.fn for name, f in fields.items()
+                if hasattr(f, "fn")}
+        for name, f in {**fields, **bare}.items():
+            rows = np.asarray(t.engine.derivs(f, p, V), dtype=float)
+            want = np.array([t.engine.deriv(f, p, v) for v in V], dtype=float)
+            assert rows.shape == want.shape, (ex_id, name)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(rows - want)) <= 1e-13 * scale, (ex_id, name)
+
+
+def test_derivs_of_a_constant_closure_are_zero_rows():
+    p = np.array([0.1, 0.2, 0.3])
+    V = np.eye(3)[:2]
+    got = DiffEngine("ad").derivs(lambda q: np.ones(4), p, V)
+    assert got.shape == (2, 4) and not got.any()
+
+
+def test_fd_four_bracket_nijenhuis_is_the_closure_oracle_bit_for_bit():
+    for ex_id, t, p, _, fields in _cases("fd"):
+        rng = np.random.default_rng(42)
+        pairs = [fields["xi"], xi_section(t, rng.standard_normal(t.dim)),
+                 fields["const"], fields["reeb"]]
+        for a in pairs:
+            for b in pairs[:2]:
+                got = nijenhuis(t, a, b, p)
+                want = nijenhuis_closures(t, a.fn, b.fn, p)
+                assert _bytes(got) == _bytes(want), ex_id
+
+
+@pytest.mark.parametrize("mode", ["fd", "ad"])
+def test_apply_vecs_rows_are_apply_vec(mode):
+    for ex_id, t, p, V, fields in _cases(mode):
+        for conn in (triad_connection(t, 0.5), LeviCivitaConnection(t)):
+            for name in ("xi", "j-image-xi", "reeb", "const"):
+                f = fields[name]
+                every = conn.apply_vecs(V, f, p, range(len(V)))
+                some = conn.apply_vecs(V, f, p, [3, 1])
+                assert len(every) == len(V) and len(some) == 2
+                for row, v in zip(every, V):
+                    assert _bytes(row) == _bytes(conn.apply_vec(v, f, p)), \
+                        (ex_id, name)
+                assert _bytes(some) == _bytes(every[[3, 1]]), (ex_id, name)
+
+
+def _count_batch_reeb_solves(monkeypatch):
+    """A list that grows by one for each Reeb solve on a float batch."""
+    solves = []
+    impl = ContactTriad._reeb_impl
+
+    def counted(self, q):
+        if isinstance(q, np.ndarray) and q.ndim > 1:
+            solves.append(q.shape)
+        return impl(self, q)
+
+    monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
+    return solves
+
+
+@pytest.mark.parametrize("ex_id", ["r3-standard", "r5-perturbed-J",
+                                   "t3-tight"])
+def test_fd_nijenhuis_and_axioms_make_one_batch_reeb_solve(monkeypatch,
+                                                           ex_id):
+    """Once the point's own tables are built, one Nijenhuis tensor and one
+    axiom battery each evaluate the pipeline on one stacked stencil."""
+    solves = _count_batch_reeb_solves(monkeypatch)
+    t = _CAT[ex_id].build(DiffEngine("fd"))
+    p = t.sample_points(1, seed=43)[0]
+    rng = np.random.default_rng(44)
+    t.j_any(p)
+    triad_connection(t, 0.0).gamma_tensor(p)
+    del solves[:]
+
+    y = xi_section(t, rng.standard_normal(t.dim))
+    z = xi_section(t, rng.standard_normal(t.dim))
+    nijenhuis(t, y, z, p)
+    assert solves == [(2, 4, t.dim)]
+    del solves[:]
+    check_axioms(t, 0.0, p, seed=5)
+    assert solves == [(2, 10, t.dim)]
