@@ -18,14 +18,14 @@ with einsums over the cached Christoffel, J and dJ tables, and
 ``gamma_apply`` reads it.
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 
-Connections evaluate as ``conn.apply_vec(u, Yf, p)``: the covariant
-derivative, along the vector u at p, of the vector-field closure Yf.
-``conn.apply_vecs(U, Yf, p, rows)`` takes it along the listed rows of a
-direction matrix U at once; row r has the bits of ``apply_vec(U[r], Yf,
-p)``.  Its flat part is one :meth:`~triadlab.engine.DiffEngine.derivs` call
-along every row of U, so in ``fd`` mode every field differentiated along the
-same U shares one stencil and one pipeline call, while the bilinear part is
-evaluated only on the rows asked for.
+A local connection evaluates as ``conn.apply_vecs(U, Yf, p, rows)``: the
+covariant derivative of the vector-field closure Yf at p along the listed
+rows of a direction matrix U.  Its flat part is one
+:meth:`~triadlab.engine.DiffEngine.derivs` call along every row of U, so in
+``fd`` mode every field differentiated along the same U shares one stencil
+and one pipeline call, while the bilinear part is evaluated only on the rows
+asked for.  ``conn.apply_vec(u, Yf, p)``, along one vector u, is its one
+row along ``u[None]``.
 ``gamma_apply(p, u, v)`` exposes the bilinear part (the value on fields with
 vanishing coordinate Jacobian at p), which is what tensorial quantities such
 as torsion contract against.
@@ -59,8 +59,7 @@ class LocalConnection(AffineConnection):
         self.engine = triad.engine
 
     def apply_vec(self, u, Yf, p):
-        dY_u = self.engine.deriv(Yf, p, u)
-        return dY_u + self.gamma_apply(p, u, Yf(p))
+        return self.apply_vecs(u[None], Yf, p, [0])[0]
 
     def apply_vecs(self, U, Yf, p, rows):
         """nabla_u Y at p for the rows u of U listed in ``rows``, stacked

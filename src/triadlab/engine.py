@@ -5,30 +5,27 @@ maps a coordinate array to a scalar, a vector field to a length-``dim``
 array, an endomorphism field to a ``dim x dim`` matrix.  The engine turns
 closures into derivatives either with nested array duals (``mode="ad"``,
 exact to rounding, supports second-order nesting) or with central finite
-differences (``mode="fd"``, an independent cross-check path).  An ``ad``
-pass seeds the whole chart point as one :class:`~triadlab.ad.Dual`: one
-direction for :meth:`DiffEngine.deriv`, the identity block for
-:meth:`DiffEngine.jacobian`, whose tangent then holds every partial
-derivative at once.
+differences (``mode="fd"``, an independent cross-check path).
 
-An ``fd`` pass calls the closure once, on its whole stencil stacked along
-a leading axis: ``[p + hv, p - hv]`` for :meth:`DiffEngine.deriv`, ``[p +
-h e_1, ..., p + h e_d, p - h e_1, ..., p - h e_d]`` for
-:meth:`DiffEngine.jacobian`.  So every closure ``fd`` differentiates takes
-a point with leading batch axes, shape ``(..., dim)``, and returns its value
-at every point of the batch, with the same leading axes; it indexes
-coordinates as ``q[..., i]``.  Each entry of a batch gets the arithmetic of
-a single point, so a batched result is bitwise the per-point one.  A point
-that is itself a batch gives a stencil of a batch, which is how the nested
-d lam of a stencil is taken.
+:meth:`DiffEngine.derivs` is the one differentiation pass: it takes the
+derivatives of a closure at p along every row of a direction matrix ``V``,
+shape ``(k, dim)``.  :meth:`DiffEngine.deriv` is its one row along ``v``,
+and :meth:`DiffEngine.jacobian` is it along the identity, with the
+direction axis moved last.  An ``ad`` pass seeds the whole chart point as
+one :class:`~triadlab.ad.Dual` whose tangent holds all k directions at once.
 
-:meth:`DiffEngine.derivs` differentiates along every row of a direction
-matrix ``V``, shape ``(k, dim)``, with one call on the stacked ``(2, k,
-dim)`` stencil ``[p + hV, p - hV]``.  Row r of the result has the bits of
-``deriv`` along ``V[r]``, and the k directions cost one pipeline call
-instead of k.  When several fields are differentiated along the same
-``V``, they evaluate on one stencil, so the triad's store computes its
-tables once for all of them.
+An ``fd`` pass calls the closure once, on the stacked ``(2, k, *batch,
+dim)`` stencil ``[p + hV, p - hV]``, hV behind the singleton batch axes of
+a point p of shape ``(*batch, dim)``.  So every closure ``fd``
+differentiates takes a point with leading batch axes, shape ``(..., dim)``,
+and returns its value at every point of the batch, with the same leading
+axes; it indexes coordinates as ``q[..., i]``.  Each entry of a batch gets
+the arithmetic of a single point, so a batched result is bitwise the
+per-point one, and a row of ``derivs`` has the bits of ``deriv`` along that
+row.  A point that is itself a batch gives a stencil of a batch, which is
+how the nested d lam of a stencil is taken.  When several fields are
+differentiated along the same ``V``, they evaluate on one stencil, so the
+triad's store computes its tables once for all of them.
 
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
 through the helpers here: :func:`dot` switches to ``np.matmul`` for
@@ -41,10 +38,10 @@ stacked ``np.linalg.solve`` give the bits of the per-point ``np.dot`` and
 
 A :class:`Section` is a closure that also knows its 1-jet, the pair (value,
 Jacobian) at a float point, assembled from per-point tables that are already
-cached.  The jet rule lives in :meth:`DiffEngine.deriv` and
-:meth:`DiffEngine.jacobian` alone: in ``ad`` mode, at a float point, a field
-with a ``jet`` is differentiated by reading it, so no dual pass re-runs the
-pipeline behind the field.  Every other case runs the closure, and ``fd``
+cached.  The jet rule lives in :meth:`DiffEngine.derivs` alone: in ``ad``
+mode, at a float point, a field with a ``jet`` is differentiated by reading
+it (a Jacobian reads it whole), so no dual pass re-runs the pipeline behind
+the field.  Every other case runs the closure, and ``fd``
 mode never reads a jet, so it keeps differentiating closures.
 
 The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
@@ -86,35 +83,6 @@ def max_residual(*values) -> float:
     return max(vals)
 
 
-def _tangent(y, lvl):
-    """The level-``lvl`` tangent of a closure result (zero if it is constant)."""
-    if isinstance(y, Dual) and y.lvl == lvl:
-        return y.du
-    return np.zeros(shape(y)) if shape(y) else 0.0
-
-
-def _at_float_point(p) -> bool:
-    """True at a float point, where ``ad`` reads jets.  A float batch
-    raises: an ``ad`` pass seeds one point, and would mis-seed a batch."""
-    if not is_float_point(p):
-        return False
-    if p.ndim > 1:
-        raise ValueError("ad mode differentiates at one point, got a float "
-                         "point of shape %s" % (p.shape,))
-    return True
-
-
-def _on_stencil(f, pts):
-    """``f`` on a stacked stencil; the result must keep its leading axes."""
-    y = f(pts)
-    lead = pts.shape[:-1]
-    if shape(y)[:len(lead)] != lead:
-        raise ValueError(
-            "fd closure returned shape %s on a stencil of shape %s: it must "
-            "take leading batch axes and keep them" % (shape(y), pts.shape))
-    return y
-
-
 class Section:
     """A field closure together with its 1-jet.
 
@@ -147,44 +115,48 @@ class DiffEngine:
             raise ValueError("finite-difference step must be positive")
         self.mode = mode
         self.step = float(step)
-        self._stencils: dict = {}       # dim -> the 2 dim Jacobian steps
+        self._sides = np.array([self.step, -self.step])  # fd stencil sides
+        self._eyes: dict = {}           # dim -> jacobian's np.eye(dim)
 
-    # -- core passes -----------------------------------------------------
-
-    def deriv(self, f, p, v):
-        """Directional derivative of a scalar/vector/matrix closure at p along v."""
-        if self.mode == "fd":
-            h = self.step
-            hv = h * np.asarray(v, dtype=float)
-            y = _on_stencil(f, np.array([p + hv, p - hv]))
-            return (y[0] - y[1]) * (0.5 / h)
-        if _at_float_point(p) and hasattr(f, "jet"):
-            return np.dot(f.jet(p)[1], v)
-        if not isinstance(v, Dual):
-            v = np.asarray(v, dtype=float)
-        lvl = push_level()
-        try:
-            y = f(Dual(lvl, p, v))
-        finally:
-            pop_level()
-        return _tangent(y, lvl)
+    # -- the differentiation pass -------------------------------------------
 
     def derivs(self, f, p, V):
         """Directional derivatives of ``f`` at p along every row of V.
 
-        ``derivs(f, p, V)[r]`` is ``deriv(f, p, V[r])``: in ``fd`` mode with
-        the same bits, from one call on the stacked stencil; in ``ad`` mode
-        from one jet read, or one dual pass seeding all k rows of V.
+        The result's leading axis indexes the rows of V, shape ``(k, *batch,
+        *out)``.  ``fd`` mode makes one call on the stacked ``(2, k, *batch,
+        dim)`` stencil ``[p + hV, p - hV]``, with hV behind singleton batch
+        axes, so at a float batch every point is differentiated along every
+        row.  ``ad`` mode, at a float point, reads the jet of a field that
+        has one (whole, along the identity :meth:`jacobian` passes);
+        otherwise one dual pass seeds all k rows of V, which may be a dual.
         """
-        V = np.asarray(V, dtype=float)
+        if not isinstance(V, Dual):
+            V = np.asarray(V, dtype=float)
         if self.mode == "fd":
-            h = self.step
-            hV = h * V
-            y = _on_stencil(f, np.array([p + hV, p - hV]))
-            return (y[0] - y[1]) * (0.5 / h)
-        if _at_float_point(p) and hasattr(f, "jet"):
-            jac = f.jet(p)[1]
-            return np.array([np.dot(jac, v) for v in V])
+            # p + (-hv) has the bits of p - hv
+            steps = np.multiply.outer(self._sides, V)
+            pts = p + steps.reshape(steps.shape[:2] + (1,) * (p.ndim - 1)
+                                    + V.shape[1:])
+            y = f(pts)
+            if shape(y)[:p.ndim + 1] != pts.shape[:-1]:
+                raise ValueError(
+                    "fd closure returned shape %s on a stencil of shape %s: it "
+                    "must take leading batch axes and keep them"
+                    % (shape(y), pts.shape))
+            return (y[0] - y[1]) * (0.5 / self.step)
+        if is_float_point(p):
+            if p.ndim > 1:
+                # an ad pass seeds one point, and would mis-seed a batch
+                raise ValueError("ad mode differentiates at one point, got a "
+                                 "float point of shape %s" % (p.shape,))
+            if hasattr(f, "jet"):
+                jac = f.jet(p)[1]
+                if V is self._eyes.get(len(p)):
+                    # jacobian's directions: the jet whole, its last axis first
+                    n = jac.ndim - 1
+                    return jac.transpose((n,) + tuple(range(n)))
+                return np.array([np.dot(jac, v) for v in V])
         lvl = push_level()
         try:
             y = f(Dual(lvl, p, V))
@@ -194,39 +166,30 @@ class DiffEngine:
             return np.zeros((len(V),) + shape(y))
         return y.du
 
+    def deriv(self, f, p, v):
+        """Directional derivative of a scalar/vector/matrix closure at p along
+        v: the one row of :meth:`derivs` along ``v[None]``."""
+        if not isinstance(v, Dual):
+            v = np.asarray(v, dtype=float)
+        return self.derivs(f, p, v[None])[0]
+
     def jacobian(self, f, p):
         """Full coordinate Jacobian; result has one trailing axis of length dim.
 
         ``jacobian(f, p)[..., l]`` is the partial derivative of ``f`` along
-        chart coordinate ``l``.
+        chart coordinate ``l``: :meth:`derivs` along the identity, with the
+        direction axis moved last (in ``fd`` mode into a C-ordered copy).
         """
         d = shape(p)[-1]
+        eye = self._eyes.get(d)
+        if eye is None:
+            eye = self._eyes[d] = np.eye(d)
+        D = self.derivs(f, p, eye)
+        n = ndim(D)
+        axes = tuple(range(1, n)) + (0,)
         if self.mode == "fd":
-            # The 2d stencil points lead (p + (-h e_l) has the bits of
-            # p - h e_l); the consumed axis moves last, in a C-ordered copy
-            # like the per-axis stack it replaces.
-            steps = self._stencils.get(d)
-            if steps is None:
-                he = self.step * np.eye(d)
-                steps = self._stencils[d] = np.concatenate([he, -he])
-            y = _on_stencil(f, p + steps.reshape((2 * d,) + (1,) * (p.ndim - 1)
-                                                 + (d,)))
-            diff = np.asarray(y[:d] - y[d:], dtype=float)
-            n = diff.ndim
-            diff = np.ascontiguousarray(diff.transpose(tuple(range(1, n)) + (0,)))
-            return diff * (0.5 / self.step)
-        if _at_float_point(p) and hasattr(f, "jet"):
-            return f.jet(p)[1]
-        lvl = push_level()
-        try:
-            y = f(Dual(lvl, p, np.eye(d)))
-        finally:
-            pop_level()
-        if not (isinstance(y, Dual) and y.lvl == lvl):
-            return np.zeros(shape(y) + (d,))
-        # The seeded directions lead the tangent; move them last.
-        n = ndim(y.du)
-        return transpose(y.du, tuple(range(1, n)) + (0,))
+            return np.ascontiguousarray(D.transpose(axes))
+        return transpose(D, axes)
 
     # -- named operations ------------------------------------------------
 

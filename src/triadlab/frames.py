@@ -9,6 +9,11 @@ Degenerate candidates (projection collapses) are skipped; the skip decisions
 are made once at the base point and frozen into the frame closure so the
 frame stays smooth and differentiable near that point.
 
+A :class:`MovingFrame` keeps no cache of its own: its frame, coframe and
+Jacobian tables live in the triad's per-point store under tags keyed by its
+chart columns, so frames over the same columns share them, and an ``fd``
+stencil's frame joins the store entry the pipelines already hold there.
+
 Index convention throughout: 0 is the Reeb slot, 1..n the E_i, n+1..2n the
 JE_i.  Connection coefficients are stored as gamma[i, k, j], the e_i
 component of nabla_{e_k} e_j, so the one-forms are
@@ -17,14 +22,12 @@ Omega^i_j = sum_k gamma[i, k, j] theta^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ad
 from .contact import ContactTriad
 from .connections import LocalConnection, triad_connection
-from .engine import Section, inner, inv, is_float_point, matvec, max_residual
+from .engine import Section, inner, inv, matvec, max_residual
 
 
 class FrameRankError(RuntimeError):
@@ -74,37 +77,26 @@ def _gram_schmidt(triad: ContactTriad, q, indices, pairs=None):
 
 
 class MovingFrame:
-    """A unitary frame field frozen around a base point."""
+    """A unitary frame field over the Pi-projected chart columns ``indices``,
+    its tables held in the triad's store."""
 
-    def __init__(self, triad: ContactTriad, point, seed: int, indices):
+    def __init__(self, triad: ContactTriad, indices):
         self.triad = triad
-        self.point = np.asarray(point, dtype=float)
-        self.seed = seed
         self.indices = tuple(indices)
-        self._cache: dict = {}
-
-    def _memo(self, tag, q, fn):
-        """``fn(q)``, kept under ``tag`` for a float point or batch q."""
-        if not is_float_point(q):
-            return fn(q)
-        key = (tag, q.shape, q.tobytes())
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = fn(q)
-        return hit
 
     def matrix_any(self, q):
         """Frame matrix at q; columns are (X, E_1..E_n, JE_1..JE_n)."""
-        return self._memo("frame", q, lambda x: _gram_schmidt(
-            self.triad, x, self.indices)[0])
+        return self.triad._cached(("frame", self.indices), q, lambda x:
+                                  _gram_schmidt(self.triad, x, self.indices)[0])
 
     def coframe_any(self, q):
         """Dual coframe matrix; row i is theta^i (row 0 recovers lam)."""
-        return self._memo("coframe", q, lambda x: inv(self.matrix_any(x)))
+        return self.triad._cached(("coframe", self.indices), q,
+                                  lambda x: inv(self.matrix_any(x)))
 
     def jac_frame_at(self, p):
-        return self._memo("jac_frame", p, lambda x: self.triad.engine.jacobian(
-            self.matrix_any, x))
+        return self.triad._cached(("jac_frame", self.indices), p, lambda x:
+                                  self.triad.engine.jacobian(self.matrix_any, x))
 
     def coframe_section(self) -> Section:
         """The coframe field; its jet is (theta, -theta dE theta) at a float
@@ -116,8 +108,9 @@ class MovingFrame:
         return Section(self.coframe_any, jet)
 
     def jac_coframe_at(self, p):
-        return self._memo("jac_coframe", p, lambda x: self.triad.engine.jacobian(
-            self.coframe_section(), x))
+        return self.triad._cached(("jac_coframe", self.indices), p, lambda x:
+                                  self.triad.engine.jacobian(
+                                      self.coframe_section(), x))
 
     def gram_residual(self, p) -> float:
         E = self.matrix_any(p)
@@ -133,19 +126,11 @@ def build_unitary_frame(triad: ContactTriad, p, seed: int = 0) -> MovingFrame:
     if len(indices) < n:
         raise FrameRankError("seed order %d yields only %d of %d frame pairs "
                              "at %s" % (seed, len(indices), n, p))
-    return MovingFrame(triad, p, seed, indices)
+    return MovingFrame(triad, indices)
 
 
-@dataclass
-class ConnectionMatrix:
+def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> np.ndarray:
     """Frame connection coefficients gamma[i, k, j] = <nabla_{e_k} e_j, e_i>."""
-
-    gamma: np.ndarray
-    frame: MovingFrame
-    point: np.ndarray
-
-
-def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> ConnectionMatrix:
     p = np.asarray(p, dtype=float)
     E = frame.matrix_any(p)
     jacE = frame.jac_frame_at(p)
@@ -154,8 +139,7 @@ def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> Connec
     flat = np.einsum('ajl,lk->akj', jacE, E)
     bil = np.einsum('aim,ik,mj->akj', gt, E, E)
     nab = flat + bil
-    gamma = np.einsum('ai,ab,bkj->ikj', E, G, nab)
-    return ConnectionMatrix(gamma=gamma, frame=frame, point=p)
+    return np.einsum('ai,ab,bkj->ikj', E, G, nab)
 
 
 def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
@@ -170,8 +154,8 @@ def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
     theta = frame.coframe_any(p)
     jacT = frame.jac_coframe_at(p)
     dtheta = np.transpose(jacT, (0, 2, 1)) - jacT
-    cm = connection_one_forms(conn, frame, p)
-    omega_b = np.einsum('ikj,ka->ija', cm.gamma, theta)
+    gamma = connection_one_forms(conn, frame, p)
+    omega_b = np.einsum('ikj,ka->ija', gamma, theta)
     wedge = np.einsum('ika,kb->iab', omega_b, theta)
     wedge = wedge - np.transpose(wedge, (0, 2, 1))
     res = dtheta + wedge
@@ -237,13 +221,11 @@ def gamma_from_axioms(triad: ContactTriad, c: float, frame: MovingFrame, p):
     return gamma, mask
 
 
-def cross_check_gamma(triad: ContactTriad, c: float, frame: MovingFrame, p,
-                      direct: ConnectionMatrix | None = None) -> float:
+def cross_check_gamma(triad: ContactTriad, c: float, frame: MovingFrame, p) -> float:
     """Max |axiom-derived gamma - directly computed gamma| over derived entries."""
-    if direct is None:
-        direct = connection_one_forms(triad_connection(triad, c), frame, p)
+    direct = connection_one_forms(triad_connection(triad, c), frame, p)
     ax, mask = gamma_from_axioms(triad, c, frame, p)
-    return float(np.max(np.abs(ax - direct.gamma)[mask]))
+    return float(np.max(np.abs(ax - direct)[mask]))
 
 
 def skew_hermitian_check(conn: LocalConnection, frame: MovingFrame, p) -> float:
@@ -254,15 +236,10 @@ def skew_hermitian_check(conn: LocalConnection, frame: MovingFrame, p) -> float:
     the residual.  Metric connections that do not preserve J fail loudly.
     """
     n = frame.triad.n
-    g = connection_one_forms(conn, frame, p).gamma
-    worst = 0.0
-    for k in range(1, 2 * n + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                jl1 = g[n + i, k, n + j] - g[i, k, j]
-                jl2 = g[i, k, n + j] + g[n + i, k, j]
-                re = g[i, k, j] + g[j, k, i]
-                im = g[n + i, k, j] - g[n + j, k, i]
-                worst = max_residual(worst, abs(jl1), abs(jl2), abs(re),
-                                     abs(im))
-    return worst
+    g = connection_one_forms(conn, frame, p)
+    E, F, K = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(1, 2 * n + 1)
+    gee, gff, gef, gfe = g[E, K, E], g[F, K, F], g[E, K, F], g[F, K, E]
+    # [i, k, j] entries; transposing (2, 1, 0) swaps i and j
+    return max_residual(*(np.max(np.abs(r)) for r in (
+        gff - gee, gef + gfe, gee + gee.transpose(2, 1, 0),
+        gfe - gfe.transpose(2, 1, 0))))

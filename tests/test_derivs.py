@@ -141,3 +141,45 @@ def test_fd_nijenhuis_and_axioms_make_one_batch_reeb_solve(monkeypatch,
     del solves[:]
     check_axioms(t, 0.0, p, seed=5)
     assert solves == [(2, 10, t.dim)]
+
+
+def test_fd_derivs_at_a_float_batch_differentiates_every_point_along_every_row():
+    P = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    got = DiffEngine("fd").derivs(lambda q: q[..., 0] * q[..., 1], P,
+                                  np.eye(3)[:2])
+    assert np.allclose(got.T, [[2.0, 1.0], [5.0, 4.0]], atol=1e-8)
+
+
+@pytest.mark.parametrize("batch", [4, 3])
+def test_fd_derivs_at_a_float_batch_is_per_point_bit_for_bit(batch):
+    """Batch size equal to the number of rows, and different from it."""
+    for ex_id, t, _, V, fields in _cases("fd"):
+        P = t.sample_points(batch, seed=45)
+        for name, f in fields.items():
+            rows = t.engine.derivs(f, P, V)
+            assert rows.shape[:2] == (len(V), batch), (ex_id, name)
+            for i, q in enumerate(P):
+                assert _bytes(rows[:, i]) == _bytes(t.engine.derivs(f, q, V)), \
+                    (ex_id, name, i)
+
+
+@pytest.mark.parametrize("mode", ["fd", "ad"])
+def test_jacobian_is_derivs_along_the_identity(mode):
+    """Bit for bit in ``fd``, at a point and at a float batch; equal values
+    in ``ad`` at a point, for jets and bare closures alike."""
+    for ex_id, t, p, _, fields in _cases(mode):
+        eye = np.eye(t.dim)
+        points = [p] + ([t.sample_points(3, seed=46)] if mode == "fd" else [])
+        bare = {name + "-closure": f.fn for name, f in fields.items()
+                if hasattr(f, "fn")}
+        for q in points:
+            for name, f in {**fields, **bare}.items():
+                jac = np.asarray(t.engine.jacobian(f, q), dtype=float)
+                rows = np.asarray(t.engine.derivs(f, q, eye), dtype=float)
+                for l in range(t.dim):
+                    if mode == "fd":
+                        assert _bytes(jac[..., l]) == _bytes(rows[l]), \
+                            (ex_id, name, l)
+                    else:
+                        assert np.array_equal(jac[..., l], rows[l]), \
+                            (ex_id, name, l)

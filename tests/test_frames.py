@@ -1,8 +1,10 @@
 """Moving frames, structure equations, and the coefficient re-derivation oracle."""
 
 import numpy as np
+import pytest
 
 from triadlab import (
+    DiffEngine,
     LeviCivitaConnection,
     build_unitary_frame,
     catalog,
@@ -10,7 +12,9 @@ from triadlab import (
     standard_triad,
     triad_connection,
 )
+from triadlab import frames
 from triadlab.frames import (
+    MovingFrame,
     connection_one_forms,
     gamma_from_axioms,
     skew_hermitian_check,
@@ -59,7 +63,7 @@ def test_connection_one_forms_reeb_row_vanishes():
     t = _CAT["t3-tight"].build()
     p = t.sample_points(1, seed=2)[0]
     fr = build_unitary_frame(t, p)
-    g = connection_one_forms(triad_connection(t, 0.0), fr, p).gamma
+    g = connection_one_forms(triad_connection(t, 0.0), fr, p)
     # <nabla X, X> row and column: lam-leg coefficient of the Reeb direction
     assert np.max(np.abs(g[0, :, 0])) < 1e-10
     assert np.max(np.abs(g[0, 0, :])) < 1e-10
@@ -69,7 +73,7 @@ def test_standard_triad_reeb_coefficients_vanish():
     t = standard_triad(1)
     p = np.array([0.4, 0.2, 0.6])
     fr = build_unitary_frame(t, p)
-    g = connection_one_forms(triad_connection(t, 0.0), fr, p).gamma
+    g = connection_one_forms(triad_connection(t, 0.0), fr, p)
     for k in (1, 2):
         for j in (1, 2):
             assert abs(g[k, j, 0]) < 1e-11
@@ -80,7 +84,7 @@ def test_levi_civita_omega_skew():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=3)[0]
         fr = build_unitary_frame(t, p)
-        g = connection_one_forms(LeviCivitaConnection(t), fr, p).gamma
+        g = connection_one_forms(LeviCivitaConnection(t), fr, p)
         assert np.max(np.abs(g + np.transpose(g, (2, 1, 0)))) < 1e-9, ex_id
 
 
@@ -149,7 +153,7 @@ def test_cross_check_gamma_reeb_block_regression():
         p = t.sample_points(1, seed=seed)[0]
         fr = build_unitary_frame(t, p)
         g_ax, mask = gamma_from_axioms(t, 1.0, fr, p)
-        direct = connection_one_forms(triad_connection(t, 1.0), fr, p).gamma
+        direct = connection_one_forms(triad_connection(t, 1.0), fr, p)
         block = slice(t.n + 1, 2 * t.n + 1)
         assert mask[block, block, 0].all()
         assert np.max(np.abs((g_ax - direct)[block, block, 0])) < 1e-11
@@ -164,3 +168,26 @@ def test_skew_hermitian_family_vs_levi_civita():
         worst_lc = max(worst_lc,
                        skew_hermitian_check(LeviCivitaConnection(t), fr, p))
     assert worst_lc > 1e-3
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+def test_frames_with_the_same_columns_share_the_triad_store(monkeypatch, mode):
+    """A second frame over the same columns runs no Gram-Schmidt, and a
+    frame's stencil tables join the entry the pipelines already hold."""
+    t = _CAT["r5-perturbed-J"].build(DiffEngine(mode))
+    p = t.sample_points(1, seed=9)[0]
+    t.jac_reeb_at(p)
+    held, entries = t._held, len(t._cache)
+    first = build_unitary_frame(t, p)
+    F = first.matrix_any(p)
+    jacF = first.jac_frame_at(p)
+    assert (t._held, len(t._cache)) == (held, entries)
+
+    runs = []
+    gram_schmidt = frames._gram_schmidt
+    monkeypatch.setattr(frames, "_gram_schmidt",
+                        lambda *a, **k: runs.append(1) or gram_schmidt(*a, **k))
+    second = MovingFrame(t, first.indices)
+    assert second.matrix_any(p) is F
+    assert second.jac_frame_at(p) is jacF
+    assert runs == []

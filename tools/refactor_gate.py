@@ -13,7 +13,8 @@ interpreter, and compares the JSON reports.  It prints:
   a record field other than the residual;
 * the worst residual move per mode, absolute and as a share of the record's
   tolerance, with the record that made it;
-* how many reports match byte for byte.
+* how many reports match byte for byte;
+* the total and non-blank line counts of ``src/triadlab`` in each checkout.
 
 It exits 1 if a verdict, a record list or a non-residual field differs, or
 if a residual moves by more than 1e-13, the refactor bound, else 0.
@@ -67,6 +68,19 @@ def run_checkout(root: str, out_path: str) -> subprocess.Popen:
 def load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def source_lines(root: str) -> tuple:
+    """Total and non-blank lines of the ``.py`` files under src/triadlab."""
+    total = nonblank = 0
+    for folder, _, names in os.walk(os.path.join(root, "src", "triadlab")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    lines = fh.read().splitlines()
+                total += len(lines)
+                nonblank += sum(1 for line in lines if line.strip())
+    return total, nonblank
 
 
 def record_key(r: dict) -> tuple:
@@ -139,6 +153,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         base, head = (load(path) for path in outs)
+    for label, root in (("BASE", args.base), ("HEAD", args.head)):
+        print("%s src/triadlab: %d lines, %d non-blank"
+              % ((label,) + source_lines(root)))
     return compare(base, head)
 
 
