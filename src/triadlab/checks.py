@@ -4,7 +4,10 @@ Every check evaluates one identity the family is supposed to satisfy and
 reports the worst residual it saw, together with the tolerance it is held
 to.  Identities that are linear in their free slots are evaluated in matrix
 form (all directions at once); the genuinely multilinear ones are sampled
-with seeded Gaussian draws.
+with seeded Gaussian draws.  Every family takes a point or a batch of
+points, shape ``(*batch, dim)``, and reports one residual per point: the
+draws take no point index, so each point of a batch reads the same draws,
+as each point of a run does.
 
 The registry :data:`CHECKS` declares every check once: the one-line
 statement of its identity (what the CLI's ``describe-check`` prints), its
@@ -18,7 +21,7 @@ sensitivity controls.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,7 +42,7 @@ from .connections import (
 )
 from .contact import (ContactTriad, const_field, j_image, j_section,
                       metric_pair, reeb_section, xi_section)
-from .engine import dot, max_residual, solve
+from .engine import dot, inner, matvec, max_residual, solve
 
 TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
@@ -51,14 +54,20 @@ XI_VECTOR_DRAWS = 100
 
 @dataclass
 class CheckResult:
-    """Outcome of one named residual check at one chart point."""
+    """Outcome of one named residual check at one chart point, or at each
+    point of a batch, with one residual, verdict and point per point."""
 
     name: str
     anchor: str
     residual: float
     tolerance: float
     passed: bool
-    point: tuple
+    point: np.ndarray
+
+    def at(self, i: int) -> "CheckResult":
+        """The result at point i of a batch."""
+        return replace(self, residual=self.residual[i],
+                       passed=self.passed[i], point=self.point[i])
 
 
 @dataclass(frozen=True)
@@ -203,13 +212,14 @@ def family_names(family: str, c_values=()) -> tuple:
 
 
 def make_result(name: str, residual, p) -> CheckResult:
-    """The record of check ``name``, held to its declared tolerance."""
+    """The record of check ``name``, held to its declared tolerance; at a
+    batch, with one residual, verdict and point per point."""
     spec = CHECKS[name]
-    residual = float(residual)
+    residual = np.asarray(residual, dtype=float)[()]
     return CheckResult(name=name, anchor=spec.anchor, residual=residual,
                        tolerance=spec.tolerance,
-                       passed=bool(residual <= spec.tolerance),
-                       point=tuple(float(x) for x in np.asarray(p).ravel()))
+                       passed=residual <= spec.tolerance,
+                       point=np.asarray(p, dtype=float))
 
 
 # -- seeded draws ----------------------------------------------------------
@@ -229,18 +239,24 @@ def tq_vector(dim: int, rng) -> np.ndarray:
 
 
 def xi_vector(triad: ContactTriad, p, rng) -> np.ndarray:
-    """Unit (triad-metric) vector in the contact distribution at p.
+    """Unit (triad-metric) vector in the contact distribution at p; at a
+    batch of points, one draw projected at every point.
 
     A draw whose squared norm is at most 1e-10 is drawn again, up to
-    ``XI_VECTOR_DRAWS`` times; a norm that is not finite raises at once.
+    ``XI_VECTOR_DRAWS`` times; a norm that is not finite raises at once, and
+    so does a draw that is degenerate at some points of a batch only, since
+    a redraw there would take the other points' next draws.
     """
     for _ in range(XI_VECTOR_DRAWS):
-        w = np.dot(triad.pi_any(p), rng.standard_normal(triad.dim))
-        n2 = float(np.dot(w, np.dot(triad.metric_any(p), w)))
-        if not np.isfinite(n2):
+        w = matvec(triad.pi_any(p), rng.standard_normal(triad.dim))
+        n2 = inner(w, matvec(triad.metric_any(p), w))
+        if not np.isfinite(n2).all():
             raise ValueError("xi-vector norm is not finite at %s" % (p,))
-        if n2 > 1e-10:
-            return w / np.sqrt(n2)
+        wide = n2 > 1e-10
+        if wide.all():
+            return w / np.sqrt(n2)[..., None]
+        if wide.any():
+            raise ValueError("xi-vector draw degenerate at some of %s" % (p,))
     raise ValueError("no xi-vector of positive norm in %d draws at %s"
                      % (XI_VECTOR_DRAWS, p))
 
@@ -248,11 +264,16 @@ def xi_vector(triad: ContactTriad, p, rng) -> np.ndarray:
 # -- small shared evaluators ----------------------------------------------
 
 
+def _worst(x, axes: int = 1):
+    """max |x| over the last ``axes`` axes: one value per point of a batch."""
+    return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+
+
 def _reeb_cov_matrix(conn, p) -> np.ndarray:
     """M with M v = nabla_v X for the Reeb field X, as a chart matrix."""
     t = conn.triad
-    return t.jac_reeb_at(p) + np.einsum('kil,l->ki', conn.gamma_tensor(p),
-                                        t.reeb_any(p))
+    return t.jac_reeb_at(p) + np.einsum('...kil,...l->...ki',
+                                        conn.gamma_tensor(p), t.reeb_any(p))
 
 
 # -- axiom battery ---------------------------------------------------------
@@ -280,7 +301,7 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
     # Every draw comes first, in the order the samples consume them; then
     # each field is differentiated along all sampled directions at once,
     # U = [u_1..u_s, v_1..v_s, J v_1..J v_s, X], so in fd mode every field
-    # reads one shared stencil.
+    # reads one shared stencil.  At a batch, a drawn u_i is every point's.
     draws = []
     for _ in range(samples):
         u = tq_vector(d, rng)
@@ -289,8 +310,9 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
         v = xi_vector(triad, p, rng)
         draws.append((u, wy, wz, v, tq_vector(d, rng)))
     s = samples
-    U = np.array([dr[0] for dr in draws] + [dr[3] for dr in draws]
-                 + [np.dot(J, dr[3]) for dr in draws] + [X])
+    U = np.stack(np.broadcast_arrays(
+        *[dr[0] for dr in draws], *[dr[3] for dr in draws],
+        *[matvec(J, dr[3]) for dr in draws], X))
     # nabla X along v_1..v_s, J v_1..J v_s and X
     n_reeb = conn.apply_vecs(U, reeb, p, range(s, 3 * s + 1))
 
@@ -303,34 +325,34 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
         n_z = conn.apply_vecs(U, Zf, p, [i, s + i])   # along u_i and v_i
 
         # (1) J-linearity and metric property of the projected connection
-        jlin = (np.dot(P, conn.apply_vecs(U, j_image(triad, Yf), p, [i])[0])
-                - np.dot(J, np.dot(P, n_y)))
+        jlin = (matvec(P, conn.apply_vecs(U, j_image(triad, Yf), p, [i])[0])
+                - matvec(J, matvec(P, n_y)))
         dg = triad.engine.derivs(metric_pair(triad, Yf, Zf), p, U)[i]
-        met = (dg - np.dot(np.dot(P, n_y), np.dot(G, z))
-               - np.dot(y, np.dot(G, np.dot(P, n_z[0]))))
-        r_herm = max_residual(r_herm, np.max(np.abs(jlin)), abs(float(met)))
+        met = (dg - inner(matvec(P, n_y), matvec(G, z))
+               - inner(y, matvec(G, matvec(P, n_z[0]))))
+        r_herm = max_residual(r_herm, _worst(jlin), np.abs(met))
 
         # (2) projected torsion on conjugate pairs
-        t2 = np.dot(P, torsion_tensor(conn, p, np.dot(J, v), v))
-        r_xtor = max_residual(r_xtor, np.max(np.abs(t2)))
+        t2 = matvec(P, torsion_tensor(conn, p, matvec(J, v), v))
+        r_xtor = max_residual(r_xtor, _worst(t2))
 
         # (3) torsion against the Reeb field
         t3 = torsion_tensor(conn, p, X, w)
-        r_rtor = max_residual(r_rtor, np.max(np.abs(t3)))
+        r_rtor = max_residual(r_rtor, _worst(t3))
 
         # (4) nabla_X X = 0 and lam(nabla_Y X) = 0
-        r_inv = max_residual(r_inv, abs(float(np.dot(lam, n_reeb[i]))))
+        r_inv = max_residual(r_inv, np.abs(inner(lam, n_reeb[i])))
 
         # (5;c) the parameter coupling
-        cr = n_reeb[s + i] + np.dot(J, n_reeb[i]) - c * v
-        r_cr = max_residual(r_cr, np.max(np.abs(cr)))
+        cr = n_reeb[s + i] + matvec(J, n_reeb[i]) - c * v
+        r_cr = max_residual(r_cr, _worst(cr))
 
         # (6) metric duality against the Reeb field
-        dual = (np.dot(n_reeb[i], np.dot(G, z))
-                + np.dot(X, np.dot(G, n_z[1])))
-        r_dual = max_residual(r_dual, abs(float(dual)))
+        dual = (inner(n_reeb[i], matvec(G, z))
+                + inner(X, matvec(G, n_z[1])))
+        r_dual = max_residual(r_dual, np.abs(dual))
 
-    r_inv = max_residual(r_inv, np.max(np.abs(n_reeb[2 * s])))
+    r_inv = max_residual(r_inv, _worst(n_reeb[2 * s]))
 
     return [
         make_result("axiom-hermitian", r_herm, p),
@@ -351,14 +373,14 @@ def check_cr_form(triad: ContactTriad, c: float, p, seed: int = 0,
     J = triad.j_any(p)
 
     nx = covariant_derivative_form(conn, triad.lam, triad.reeb_any, p)
-    r_reeb = float(np.max(np.abs(nx)))
+    r_reeb = _worst(nx)
 
     r_xi = 0.0
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(triad.dim))
         a1 = covariant_derivative_form(conn, triad.lam, Yf, p)
         a2 = covariant_derivative_form(conn, triad.lam, j_image(triad, Yf), p)
-        r_xi = max_residual(r_xi, np.max(np.abs(a1 + np.dot(J.T, a2))))
+        r_xi = max_residual(r_xi, _worst(a1 + matvec(J.mT, a2)))
 
     return (make_result("cr-form-reeb", r_reeb, p),
             make_result("cr-form-xi", r_xi, p))
@@ -399,13 +421,16 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
         u = tq_vector(triad.dim, rng)
         v = tq_vector(triad.dim, rng)
         diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
-        offset = -(1.0 / a - 1.0) * float(Pi @ v @ G @ (reeb_cov @ (Pi @ u))) * X
-        worst = max_residual(worst, np.max(np.abs(diff - offset)))
+        # <Pi v, M Pi u> with (Pi v)^T G taken first
+        vg = matvec(G.mT, matvec(Pi, v))
+        k = -(1.0 / a - 1.0) * inner(vg, matvec(reeb_cov, matvec(Pi, u)))
+        offset = np.asarray(k)[..., None] * X
+        worst = max_residual(worst, _worst(diff - offset))
     w = tq_vector(triad.dim, rng)
-    worst = max_residual(worst, np.max(np.abs(
-        conn_s.gamma_apply(p, X, w) - conn_b.gamma_apply(p, X, w))))
-    worst = max_residual(worst, np.max(np.abs(
-        conn_s.gamma_apply(p, w, X) - conn_b.gamma_apply(p, w, X))))
+    worst = max_residual(worst, _worst(
+        conn_s.gamma_apply(p, X, w) - conn_b.gamma_apply(p, X, w)))
+    worst = max_residual(worst, _worst(
+        conn_s.gamma_apply(p, w, X) - conn_b.gamma_apply(p, w, X)))
     return make_result("scaling-transfer", worst, p)
 
 
@@ -426,13 +451,12 @@ class StrictContactMap:
     differential: Callable
 
     def strictness_residual(self, triad: ContactTriad, pts) -> float:
-        worst = 0.0
-        for q in pts:
-            q = np.asarray(q, dtype=float)
-            dphi = np.asarray(self.differential(q), dtype=float)
-            pulled = np.dot(dphi.T, triad.lam_any(self.forward(q)))
-            worst = max_residual(worst, np.max(np.abs(pulled - triad.lam_any(q))))
-        return worst
+        """Largest |phi^* lam - lam| over a point or a batch of points,
+        evaluated in one call."""
+        q = np.asarray(pts, dtype=float)
+        dphi = np.asarray(self.differential(q), dtype=float)
+        pulled = matvec(dphi.mT, triad.lam_any(self.forward(q)))
+        return float(np.max(np.abs(pulled - triad.lam_any(q))))
 
 
 def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
@@ -450,7 +474,7 @@ def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
 def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
                      p, seed: int = 0, samples: int = 3) -> CheckResult:
     p = np.asarray(p, dtype=float)
-    strict = cmap.strictness_residual(triad, [p])
+    strict = cmap.strictness_residual(triad, p)
     if not strict <= STRICTNESS_TOL:
         raise ValueError(
             "map %s does not preserve the contact form (residual %.3e) "
@@ -467,7 +491,7 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
     for Yf in fields:
         u = tq_vector(triad.dim, rng)
         diff = through.apply_vec(u, Yf, p) - direct.apply_vec(u, Yf, p)
-        worst = max_residual(worst, np.max(np.abs(diff)))
+        worst = max_residual(worst, _worst(diff))
     return make_result("naturality-pullback", worst, p)
 
 
@@ -494,23 +518,22 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     conn0 = triad_connection(triad, 0.0)
 
     def ip(a, b):
-        return float(np.dot(a, np.dot(G, b)))
+        return inner(a, matvec(G, b))
 
     out = []
 
     # d lam(JY, JZ) = d lam(Y, Z): all vectors at once.
-    m = np.dot(J.T, np.dot(A, J)) - np.dot(P.T, np.dot(A, P))
-    out.append(make_result("two-form-j-invariance", np.max(np.abs(m)), p))
+    m = dot(J.mT, dot(A, J)) - dot(P.mT, dot(A, P))
+    out.append(make_result("two-form-j-invariance", _worst(m, 2), p))
 
     # g-symmetry of L = L_X J on the distribution.
-    gl = np.dot(G, L)
-    m = np.dot(P.T, np.dot(gl - gl.T, P))
-    out.append(make_result("reeb-lie-j-symmetry", np.max(np.abs(m)), p))
+    gl = dot(G, L)
+    m = dot(P.mT, dot(gl - gl.mT, P))
+    out.append(make_result("reeb-lie-j-symmetry", _worst(m, 2), p))
 
     # Reeb orbits are geodesics; nabla^LC X is distribution-valued.
     mlc = _reeb_cov_matrix(lc, p)
-    r = max_residual(np.max(np.abs(np.dot(mlc, X))),
-                     np.max(np.abs(np.dot(lam, mlc))))
+    r = max_residual(_worst(matvec(mlc, X)), _worst(matvec(mlc.mT, lam)))
     out.append(make_result("reeb-geodesic-foliation", r, p))
 
     # Pairing of nabla^LC J with the Nijenhuis tensor, full tangent slots.
@@ -519,13 +542,13 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         x = tq_vector(d, rng)
         y = tq_vector(d, rng)
         z = tq_vector(d, rng)
-        nj = np.dot(_lc_nabla_j(triad, x, p), y)
+        nj = matvec(_lc_nabla_j(triad, x, p), y)
         nyz = nijenhuis(triad, const_field(y), const_field(z), p)
-        jx = np.dot(J, x)
+        jx = matvec(J, x)
         lhs = 2.0 * ip(nj, z)
-        rhs = (ip(nyz, jx) - ip(jx, np.dot(J, y)) * float(np.dot(lam, z))
-               + ip(jx, np.dot(J, z)) * float(np.dot(lam, y)))
-        r = max_residual(r, abs(lhs - rhs))
+        rhs = (ip(nyz, jx) - ip(jx, matvec(J, y)) * inner(lam, z)
+               + ip(jx, matvec(J, z)) * inner(lam, y))
+        r = max_residual(r, np.abs(lhs - rhs))
     out.append(make_result("lc-j-derivative-pairing", r, p))
 
     # Reeb-slot specialisations of the same pairing.
@@ -534,14 +557,16 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         y = xi_vector(triad, p, rng)
         z = xi_vector(triad, p, rng)
         ny = _lc_nabla_j(triad, y, p)
-        lz = np.dot(L, z)
+        lz = matvec(L, z)
         r = max_residual(r,
-                         abs(2.0 * ip(np.dot(ny, X), z) + ip(lz, y) - ip(y, z)),
-                         abs(2.0 * ip(np.dot(ny, z), X) - ip(lz, y) + ip(y, z)))
+                         np.abs(2.0 * ip(matvec(ny, X), z) + ip(lz, y)
+                                - ip(y, z)),
+                         np.abs(2.0 * ip(matvec(ny, z), X) - ip(lz, y)
+                                + ip(y, z)))
         x = xi_vector(triad, p, rng)
-        nx = np.dot(_lc_nabla_j(triad, x, p), y)
+        nx = matvec(_lc_nabla_j(triad, x, p), y)
         nyz = nijenhuis(triad, xi_section(triad, y), xi_section(triad, z), p)
-        r = max_residual(r, abs(2.0 * ip(nx, z) - ip(nyz, np.dot(J, x))))
+        r = max_residual(r, np.abs(2.0 * ip(nx, z) - ip(nyz, matvec(J, x))))
     out.append(make_result("lc-j-derivative-reeb-slots", r, p))
 
     # Nijenhuis tensor with the Reeb field in a slot.
@@ -550,9 +575,9 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         wz = rng.standard_normal(d)
         Zf = xi_section(triad, wz)
         z = Zf(p)
-        jlz = np.dot(J, np.dot(L, z))
-        r = max_residual(r, np.max(np.abs(nijenhuis(triad, reeb, Zf, p) + jlz)))
-        r = max_residual(r, np.max(np.abs(nijenhuis(triad, Zf, reeb, p) - jlz)))
+        jlz = matvec(J, matvec(L, z))
+        r = max_residual(r, _worst(nijenhuis(triad, reeb, Zf, p) + jlz))
+        r = max_residual(r, _worst(nijenhuis(triad, Zf, reeb, p) - jlz))
     out.append(make_result("nijenhuis-reeb-slots", r, p))
 
     # J-shuffles of the Nijenhuis tensor on the distribution.
@@ -563,8 +588,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         n_y_jz = nijenhuis(triad, Yf, j_image(triad, Zf), p)
         n_y_z = nijenhuis(triad, Yf, Zf, p)
         n_z_jy = nijenhuis(triad, Zf, j_image(triad, Yf), p)
-        r = max_residual(r, np.max(np.abs(np.dot(J, n_y_jz) - np.dot(P, n_y_z))))
-        r = max_residual(r, np.max(np.abs(np.dot(P, n_y_jz) + np.dot(P, n_z_jy))))
+        r = max_residual(r, _worst(matvec(J, n_y_jz) - matvec(P, n_y_z)))
+        r = max_residual(r, _worst(matvec(P, n_y_jz) + matvec(P, n_z_jy)))
     out.append(make_result("nijenhuis-j-shuffle", r, p))
 
     # Antilinear cancellation of nabla^LC J.
@@ -572,28 +597,27 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     for _ in range(samples):
         y = xi_vector(triad, p, rng)
         x = xi_vector(triad, p, rng)
-        t = (np.dot(P, np.dot(_lc_nabla_j(triad, np.dot(J, y), p), x))
-             + np.dot(J, np.dot(_lc_nabla_j(triad, y, p), x)))
-        r = max_residual(r, np.max(np.abs(t)))
+        t = (matvec(P, matvec(_lc_nabla_j(triad, matvec(J, y), p), x))
+             + matvec(J, matvec(_lc_nabla_j(triad, y, p), x)))
+        r = max_residual(r, _worst(t))
     out.append(make_result("lc-j-antilinear-cancellation", r, p))
 
     # J is Levi-Civita parallel in the Reeb direction.
-    r = np.max(np.abs(covariant_derivative_endo(lc, j_section(triad), reeb,
-                                                p)))
+    r = _worst(covariant_derivative_endo(lc, j_section(triad), reeb, p), 2)
     out.append(make_result("lc-reeb-parallel-j", r, p))
 
     # Levi-Civita covariant derivative of the Reeb field on the distribution.
-    m = np.dot(mlc - 0.5 * J - 0.5 * np.dot(L, J), P)
-    out.append(make_result("lc-reeb-covariant-slope", np.max(np.abs(m)), p))
+    m = dot(mlc - 0.5 * J - 0.5 * dot(L, J), P)
+    out.append(make_result("lc-reeb-covariant-slope", _worst(m, 2), p))
 
     # J-linearity of the intermediate (parameter -1) connection.
     r = 0.0
     for _ in range(samples):
         u = tq_vector(d, rng)
         Yf = xi_section(triad, rng.standard_normal(d))
-        t = (np.dot(P, tmp.apply_vec(u, j_image(triad, Yf), p))
-             - np.dot(J, np.dot(P, tmp.apply_vec(u, Yf, p))))
-        r = max_residual(r, np.max(np.abs(t)))
+        t = (matvec(P, tmp.apply_vec(u, j_image(triad, Yf), p))
+             - matvec(J, matvec(P, tmp.apply_vec(u, Yf, p))))
+        r = max_residual(r, _worst(t))
     out.append(make_result("semi-connection-j-linearity", r, p))
 
     # Metric skew property of the obstruction tensor P.
@@ -602,8 +626,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         x = xi_vector(triad, p, rng)
         y = xi_vector(triad, p, rng)
         z = xi_vector(triad, p, rng)
-        r = max_residual(r, abs(ip(tensor_P(triad, x, y, p), z)
-                                + ip(y, tensor_P(triad, x, z, p))))
+        r = max_residual(r, np.abs(ip(tensor_P(triad, x, y, p), z)
+                                   + ip(y, tensor_P(triad, x, z, p))))
     out.append(make_result("p-tensor-metric-skew", r, p))
 
     # Metric property of the intermediate connection on sections.
@@ -615,7 +639,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         dg = triad.engine.deriv(metric_pair(triad, Yf, Zf), p, u)
         t = (dg - ip(tmp.apply_vec(u, Yf, p), Zf(p))
              - ip(Yf(p), tmp.apply_vec(u, Zf, p)))
-        r = max_residual(r, abs(float(t)))
+        r = max_residual(r, np.abs(t))
     out.append(make_result("semi-connection-metric", r, p))
 
     # Reeb/metric duality for the intermediate connection.
@@ -625,27 +649,27 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         Zf = xi_section(triad, rng.standard_normal(d))
         t = (ip(tmp.apply_vec(y, reeb, p), Zf(p))
              + ip(X, tmp.apply_vec(y, Zf, p)))
-        r = max_residual(r, abs(float(t)))
+        r = max_residual(r, np.abs(t))
     out.append(make_result("semi-connection-reeb-metric-dual", r, p))
 
     # Torsion of the intermediate connection: quarter Nijenhuis, no lam part.
-    r = float(np.max(np.abs(torsion_tensor(tmp, p, X, tq_vector(d, rng)))))
+    r = _worst(torsion_tensor(tmp, p, X, tq_vector(d, rng)))
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(d))
         Zf = xi_section(triad, rng.standard_normal(d))
         y, z = Yf(p), Zf(p)
         t = torsion_tensor(tmp, p, y, z)
         n = nijenhuis(triad, Yf, Zf, p)
-        r = max_residual(r, np.max(np.abs(np.dot(P, t) - 0.25 * np.dot(P, n))))
-        r = max_residual(r, abs(float(np.dot(lam, t))))
+        r = max_residual(r, _worst(matvec(P, t) - 0.25 * matvec(P, n)))
+        r = max_residual(r, np.abs(inner(lam, t)))
     out.append(make_result("semi-connection-torsion-quarter-n", r, p))
 
     # Covariant derivative of the Reeb field across the family.
     r = 0.0
     for c in c_values:
         mc = _reeb_cov_matrix(triad_connection(triad, c), p)
-        m = np.dot(mc + 0.5 * c * J - 0.5 * np.dot(L, J), P)
-        r = max_residual(r, np.max(np.abs(m)))
+        m = dot(mc + 0.5 * c * J - 0.5 * dot(L, J), P)
+        r = max_residual(r, _worst(m, 2))
     out.append(make_result("reeb-covariant-family", r, p))
 
     # Torsion split values across the family.
@@ -655,15 +679,15 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         Yf = xi_section(triad, rng.standard_normal(d))
         Zf = xi_section(triad, rng.standard_normal(d))
         y, z = Yf(p), Zf(p)
-        dlyz = float(np.dot(y, np.dot(A, z)))
+        dlyz = inner(y, matvec(A, z))
         for c in c_values:
             t = torsion_tensor(triad_connection(triad, c), p, y, z)
-            r = max_residual(r, abs(float(np.dot(lam, t)) - (1.0 + c) * dlyz))
+            r = max_residual(r, np.abs(inner(lam, t) - (1.0 + c) * dlyz))
         t0 = torsion_tensor(conn0, p, y, z)
         l_jy = engine.lie_derivative_endo(j_image(triad, Yf), j_sec, p)
         l_y = engine.lie_derivative_endo(Yf, j_sec, p)
-        lie_side = 0.25 * (np.dot(l_jy, z) + np.dot(l_y, np.dot(J, z)))
-        r = max_residual(r, np.max(np.abs(np.dot(P, t0) - lie_side)))
+        lie_side = 0.25 * (matvec(l_jy, z) + matvec(l_y, matvec(J, z)))
+        r = max_residual(r, _worst(matvec(P, t0) - lie_side))
     out.append(make_result("torsion-split-values", r, p))
 
     # Type symmetries of the projected torsion.
@@ -671,11 +695,11 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     for _ in range(samples):
         y = xi_vector(triad, p, rng)
         z = xi_vector(triad, p, rng)
-        t_jy_z = np.dot(P, torsion_tensor(conn0, p, np.dot(J, y), z))
-        t_y_jz = np.dot(P, torsion_tensor(conn0, p, y, np.dot(J, z)))
-        t_y_z = np.dot(P, torsion_tensor(conn0, p, y, z))
-        r = max_residual(r, np.max(np.abs(t_jy_z - t_y_jz)))
-        r = max_residual(r, np.max(np.abs(np.dot(J, t_jy_z) - t_y_z)))
+        t_jy_z = matvec(P, torsion_tensor(conn0, p, matvec(J, y), z))
+        t_y_jz = matvec(P, torsion_tensor(conn0, p, y, matvec(J, z)))
+        t_y_z = matvec(P, torsion_tensor(conn0, p, y, z))
+        r = max_residual(r, _worst(t_jy_z - t_y_jz))
+        r = max_residual(r, _worst(matvec(J, t_jy_z) - t_y_z))
     out.append(make_result("torsion-type-symmetries", r, p))
 
     # The antisymmetrisation of P as a bracket combination.  The brackets
@@ -689,14 +713,14 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         lhs = -tensor_P(triad, y, z, p) + tensor_P(triad, z, y, p)
         jy, jz = j_image(triad, Yf).fn, j_image(triad, Zf).fn
         b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(engine, Yf, Zf, jy, jz, p)
-        rhs = 0.25 * (b_jj - np.dot(P, b_yz) - np.dot(J, b_jy_z)
-                      - np.dot(J, b_y_jz))
-        r = max_residual(r, np.max(np.abs(lhs - rhs)))
+        rhs = 0.25 * (b_jj - matvec(P, b_yz) - matvec(J, b_jy_z)
+                      - matvec(J, b_y_jz))
+        r = max_residual(r, _worst(lhs - rhs))
     out.append(make_result("p-antisymmetrized-bracket", r, p))
 
     # d lam is parallel along the Reeb direction for the canonical member.
-    r = np.max(np.abs(covariant_derivative_two_form(conn0, triad.dlam_any,
-                                                    reeb, p)))
+    r = _worst(covariant_derivative_two_form(conn0, triad.dlam_any, reeb, p),
+               2)
     out.append(make_result("reeb-parallel-two-form", r, p))
 
     return out
@@ -722,8 +746,7 @@ def fault_flipped_b1(triad: ContactTriad, p, seed: int = 0,
         Zf = xi_section(triad, rng.standard_normal(triad.dim))
         t = torsion_tensor(conn, p, Yf(p), Zf(p))
         n = nijenhuis(triad, Yf, Zf, p)
-        r = max_residual(r,
-                         np.max(np.abs(np.dot(Pm, t) - 0.25 * np.dot(Pm, n))))
+        r = max_residual(r, _worst(matvec(Pm, t) - 0.25 * matvec(Pm, n)))
     return make_result("fault-flipped-correction", r, p)
 
 
@@ -738,9 +761,9 @@ def fault_wrong_c(triad: ContactTriad, p, seed: int = 0, built_c: float = 1.0,
     r = 0.0
     for _ in range(samples):
         y = xi_vector(triad, p, rng)
-        t = (conn.apply_vec(np.dot(J, y), reeb, p)
-             + np.dot(J, conn.apply_vec(y, reeb, p)) - tested_c * y)
-        r = max_residual(r, np.max(np.abs(t)))
+        t = (conn.apply_vec(matvec(J, y), reeb, p)
+             + matvec(J, conn.apply_vec(y, reeb, p)) - tested_c * y)
+        r = max_residual(r, _worst(t))
     return make_result("fault-wrong-family-parameter", r, p)
 
 
@@ -762,9 +785,9 @@ def fault_levi_civita(triad: ContactTriad, p, seed: int = 0,
     for _ in range(samples):
         u = tq_vector(triad.dim, rng)
         Yf = xi_section(triad, rng.standard_normal(triad.dim))
-        t = (np.dot(P, lc.apply_vec(u, j_image(triad, Yf), p))
-             - np.dot(J, np.dot(P, lc.apply_vec(u, Yf, p))))
-        r = max_residual(r, np.max(np.abs(t)))
+        t = (matvec(P, lc.apply_vec(u, j_image(triad, Yf), p))
+             - matvec(J, matvec(P, lc.apply_vec(u, Yf, p))))
+        r = max_residual(r, _worst(t))
     return make_result("fault-levi-civita-not-complex-linear", r, p)
 
 
@@ -780,5 +803,5 @@ def fault_scale_mismatch(triad: ContactTriad, a: float, p, seed: int = 0,
         u = tq_vector(triad.dim, rng)
         v = tq_vector(triad.dim, rng)
         diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
-        r = max_residual(r, np.max(np.abs(diff)))
+        r = max_residual(r, _worst(diff))
     return make_result("fault-scale-mismatch", r, p)

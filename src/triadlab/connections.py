@@ -28,7 +28,9 @@ asked for.  ``conn.apply_vec(u, Yf, p)``, along one vector u, is its one
 row along ``u[None]``.
 ``gamma_apply(p, u, v)`` exposes the bilinear part (the value on fields with
 vanishing coordinate Jacobian at p), which is what tensorial quantities such
-as torsion contract against.
+as torsion contract against.  Tables, tensors and covariant derivatives take
+a float point or a batch of them, with vectors shared by the batch or one
+per point; each entry keeps the bits of its single-point evaluation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contact import ContactTriad, j_image
-from .engine import is_float_point, matvec, solve
+from .engine import dot, is_float_point, matvec, solve
 
 
 class AffineConnection:
@@ -87,7 +89,7 @@ class LeviCivitaConnection(LocalConnection):
 
     def gamma_apply(self, p, u, v):
         G = self.triad.christoffel_at(p)
-        return np.einsum('kij,i,j->k', G, u, v)
+        return np.einsum('...kij,...i,...j->...k', G, u, v)
 
     def gamma_tensor(self, p):
         return self.triad.christoffel_at(p)
@@ -97,18 +99,18 @@ def _lc_nabla_j(triad: ContactTriad, u, p):
     """(nabla^LC_u J) as a matrix at a float point, from cached tables."""
     G = triad.christoffel_at(p)
     J = triad.j_any(p)
-    K = np.einsum('kij,i->kj', G, u)
-    dJ_u = np.einsum('abl,l->ab', triad.jac_j_at(p), u)
-    return dJ_u + np.dot(K, J) - np.dot(J, K)
+    K = np.einsum('...kij,...i->...kj', G, u)
+    dJ_u = np.einsum('...abl,...l->...ab', triad.jac_j_at(p), u)
+    return dJ_u + dot(K, J) - dot(J, K)
 
 
 def tensor_P(triad: ContactTriad, u, w, p):
     """The obstruction tensor 4P(X,Y) = (n_JY J)X + J((n_Y J)X) + 2J((n_X J)Y)."""
     J = triad.j_any(p)
-    n_jw = _lc_nabla_j(triad, np.dot(J, w), p)
+    n_jw = _lc_nabla_j(triad, matvec(J, w), p)
     n_w = _lc_nabla_j(triad, w, p)
     n_u = _lc_nabla_j(triad, u, p)
-    four = np.dot(n_jw, u) + np.dot(J, np.dot(n_w, u)) + 2.0 * np.dot(J, np.dot(n_u, w))
+    four = matvec(n_jw, u) + matvec(J, matvec(n_w, u)) + 2.0 * matvec(J, matvec(n_u, w))
     return 0.25 * four
 
 
@@ -133,18 +135,17 @@ def tensor_B2(triad: ContactTriad, c: float, z1, z2, p):
                               + g_jz1_z2 * X)
 
 
-_B1 = 'ka,abl,li,bj->kij'
+_B1 = '...ka,...abl,...li,...bj->...kij'
 _B1_PATHS: dict = {}
 
 
 def _b1_path(J, nj, P):
     """The contraction order ``optimize=True`` picks for B1, found once per
-    dimension: it depends only on the operand shapes."""
-    d = len(J)
-    path = _B1_PATHS.get(d)
+    operand shape."""
+    path = _B1_PATHS.get(J.shape)
     if path is None:
-        path = _B1_PATHS[d] = np.einsum_path(_B1, J, nj, P, P,
-                                             optimize=True)[0]
+        path = _B1_PATHS[J.shape] = np.einsum_path(_B1, J, nj, P, P,
+                                                   optimize=True)[0]
     return path
 
 
@@ -163,7 +164,7 @@ class TriadConnection(LocalConnection):
         self.table_tag = ("gamma", self.c, self.b1_sign)
 
     def gamma_apply(self, p, u, v):
-        return np.einsum('kij,i,j->k', self.gamma_tensor(p), u, v)
+        return np.einsum('...kij,...i,...j->...k', self.gamma_tensor(p), u, v)
 
     def gamma_table(self, p):
         """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j]."""
@@ -174,13 +175,14 @@ class TriadConnection(LocalConnection):
         X = t.reeb_any(p)
         G = t.metric_any(p)
         # nj[a, b, l] = (nabla^LC_{e_l} J)[a, b]
-        nj = (t.jac_j_at(p) + np.einsum('alm,mb->abl', C, J)
-              - np.einsum('am,mlb->abl', J, C))
+        nj = (t.jac_j_at(p) + np.einsum('...alm,...mb->...abl', C, J)
+              - np.einsum('...am,...mlb->...abl', J, C))
         b1 = -0.5 * np.einsum(_B1, J, nj, P, P, optimize=_b1_path(J, nj, P))
-        gx = np.dot(G, X)
-        b2 = 0.5 * (1.0 + self.c) * (-J[:, :, None] * gx[None, None, :]
-                                     - gx[None, :, None] * J[:, None, :]
-                                     + X[:, None, None] * np.dot(J.T, G)[None])
+        gx = matvec(G, X)
+        jg = dot(J.mT, G)
+        b2 = 0.5 * (1.0 + self.c) * (-J[..., None] * gx[..., None, None, :]
+                                     - gx[..., None, :, None] * J[..., None, :]
+                                     + X[..., None, None] * jg[..., None, :, :])
         return C + self.b1_sign * b1 + b2
 
 
@@ -222,13 +224,13 @@ def nijenhuis(triad: ContactTriad, Xf, Yf, p):
     t1, t2, b3, b4 = j_brackets(triad.engine, Xf, Yf, j_image(triad, Xf),
                                 j_image(triad, Yf), p)
     J = triad.j_any(p)
-    return t1 - t2 - np.dot(J, b3) - np.dot(J, b4)
+    return t1 - t2 - matvec(J, b3) - matvec(J, b4)
 
 
 def _k_matrix(conn: LocalConnection, p, u):
     """K[:, j] = gamma(u, e_j); the column table of the bilinear part."""
     if is_float_point(p):
-        return np.einsum('kij,i->kj', conn.gamma_tensor(p), u)
+        return np.einsum('...kij,...i->...kj', conn.gamma_tensor(p), u)
     raise ValueError("connection tables require a float chart point")
 
 
@@ -238,7 +240,7 @@ def covariant_derivative_endo(conn: LocalConnection, A, Xf, p):
     dA_u = conn.engine.deriv(A, p, u)
     K = _k_matrix(conn, p, u)
     Ap = A(p)
-    return dA_u + np.dot(K, Ap) - np.dot(Ap, K)
+    return dA_u + dot(K, Ap) - dot(Ap, K)
 
 
 def covariant_derivative_form(conn: LocalConnection, alpha, Xf, p):
@@ -246,7 +248,7 @@ def covariant_derivative_form(conn: LocalConnection, alpha, Xf, p):
     u = Xf(p)
     da_u = conn.engine.deriv(alpha, p, u)
     K = _k_matrix(conn, p, u)
-    return da_u - np.dot(K.T, alpha(p))
+    return da_u - matvec(K.mT, alpha(p))
 
 
 def covariant_derivative_two_form(conn: LocalConnection, beta, Xf, p):
@@ -255,7 +257,7 @@ def covariant_derivative_two_form(conn: LocalConnection, beta, Xf, p):
     dB_u = conn.engine.deriv(beta, p, u)
     K = _k_matrix(conn, p, u)
     B = beta(p)
-    return dB_u - np.dot(K.T, B) - np.dot(B, K)
+    return dB_u - dot(K.mT, B) - dot(B, K)
 
 
 class PullbackConnection(AffineConnection):
@@ -274,11 +276,11 @@ class PullbackConnection(AffineConnection):
         cm = self.cmap
         q = cm.forward(p)
         dphi_p = cm.differential(p)
-        u_push = np.dot(dphi_p, u)
+        u_push = matvec(dphi_p, u)
 
         def y_push(qq):
             pp = cm.inverse(qq)
             return matvec(cm.differential(pp), Yf(pp))
 
         w = self.base.apply_vec(u_push, y_push, q)
-        return solve(np.asarray(dphi_p, dtype=float), w)
+        return solve(np.asarray(dphi_p, dtype=float), w[..., None])[..., 0]

@@ -11,8 +11,9 @@ From these it derives, at any chart point (float or dual-valued):
 * the triad metric  g(u, v) = lam(u) lam(v) + d lam(Pi u, J Pi v),
 * Christoffel symbols of g (float points only; they seed the connections).
 
-The pipelines ``*_any`` also take a float batch of points, shape ``(...,
-dim)``, which is how an ``fd`` stencil is evaluated in one call: one d lam
+The pipelines ``*_any`` and the float-point tables ``*_at`` also take a
+float batch of points, shape ``(..., dim)``, which is how an ``fd`` stencil,
+or an ``fd`` run's sample points, are evaluated in one call: one d lam
 stencil, one stacked Reeb solve and one stacked J solve serve the whole
 batch, each entry with the bits of its single-point evaluation.
 
@@ -24,7 +25,9 @@ among them.  The store keeps the most recently used entries up to
 comes back.  A dual point is the seed of one differentiation pass, so its
 values are memoised on the point's identity, for the latest dual point
 only: within a pass the Reeb solve and d lam run once, however many
-pipelines read them.
+pipelines read them.  A batch wider than the store, such as an ``fd``
+stencil over many sample points, would push out every entry, the sample
+points' tables among them, so it is held in that same slot instead.
 
 The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,
@@ -70,8 +73,7 @@ class ContactTriad:
         self._eye = np.eye(dim)
         self._cache: OrderedDict = OrderedDict()
         self._held = 0                  # points held in _cache
-        self._dual_point = None
-        self._dual_cache: dict = {}
+        self._lone = (None, {})         # (key, tables) held outside _cache
 
     @classmethod
     def from_frame_action(cls, dim, lam, xi_frame, frame_j, domain,
@@ -109,24 +111,26 @@ class ContactTriad:
         to its {tag: value} tables, in least-recently-used order; while it
         holds more than ``POINT_CACHE_SIZE`` points, the oldest entry goes.
         """
-        if is_float_point(q):
+        if not is_float_point(q) or q.size // self.dim > POINT_CACHE_SIZE:
+            # A dual point is the seed of one pass, keyed by its identity,
+            # and a batch wider than the store would push every entry out:
+            # either is held alone, the latest one only.
+            key = (q.shape, q.tobytes()) if is_float_point(q) else q
+            if key != self._lone[0]:
+                self._lone = (key, {})
+            tables = self._lone[1]
+        else:
             key = q.tobytes() if q.ndim == 1 else (q.shape, q.tobytes())
             tables = self._cache.get(key)
             if tables is None:
                 tables = self._cache[key] = {}
                 self._held += q.size // self.dim
-                while self._held > POINT_CACHE_SIZE and len(self._cache) > 1:
+                while self._held > POINT_CACHE_SIZE:
                     old = self._cache.popitem(last=False)[0]
                     self._held -= (1 if isinstance(old, bytes)
                                    else math.prod(old[0][:-1]))
             else:
                 self._cache.move_to_end(key)
-        else:
-            # A dual point is the seed of one pass; its values are memoised
-            # on its identity, for the latest dual point only.
-            if q is not self._dual_point:
-                self._dual_point, self._dual_cache = q, {}
-            tables = self._dual_cache
         hit = tables.get(tag)
         if hit is None:
             hit = tables[tag] = fn(q)
@@ -204,10 +208,10 @@ class ContactTriad:
         def impl(x):
             dG = self.dmetric_at(x)
             Gi = self.metric_inv_at(x)
-            t1 = np.transpose(dG, (2, 0, 1))   # t1[i,j,l] = d_i g_jl
-            t2 = np.transpose(dG, (0, 2, 1))   # t2[i,j,l] = d_j g_il
+            t1 = np.moveaxis(dG, -1, -3)       # t1[i,j,l] = d_i g_jl
+            t2 = dG.swapaxes(-1, -2)           # t2[i,j,l] = d_j g_il
             s = t1 + t2 - dG
-            return 0.5 * np.einsum('kl,ijl->kij', Gi, s)
+            return 0.5 * np.einsum('...kl,...ijl->...kij', Gi, s)
         return self._cached("christoffel", p, impl)
 
     def lie_reeb_j_at(self, p):
@@ -216,8 +220,8 @@ class ContactTriad:
             X = self.reeb_any(x)
             J = self.j_any(x)
             dX = self.jac_reeb_at(x)
-            dJ_X = np.einsum('ijl,l->ij', self.jac_j_at(x), X)
-            return dJ_X - np.dot(dX, J) + np.dot(J, dX)
+            dJ_X = np.einsum('...ijl,...l->...ij', self.jac_j_at(x), X)
+            return dJ_X - dot(dX, J) + dot(J, dX)
         return self._cached("lie_reeb_j", p, impl)
 
     # -- geometric operations --------------------------------------------
@@ -242,7 +246,8 @@ class ContactTriad:
 
 
 def xi_section(triad: ContactTriad, w) -> Section:
-    """Smooth distribution section q -> Pi(q) w for a frozen chart vector.
+    """Smooth distribution section q -> Pi(q) w for a frozen chart vector,
+    or, at a batch of points, one vector per point.
 
     Its Jacobian is (d Pi) w = -lam(w) dX - X (w^T d lam), from Pi = I - X lam^T.
     """
@@ -255,7 +260,7 @@ def xi_section(triad: ContactTriad, w) -> Section:
                 - np.outer(X, np.dot(w, triad.jac_lam_at(p))))
         return np.dot(triad.pi_any(p), w), d_pw
 
-    return Section(lambda q: dot(triad.pi_any(q), w), jet)
+    return Section(lambda q: matvec(triad.pi_any(q), w), jet)
 
 
 def j_image(triad: ContactTriad, Yf) -> Section:

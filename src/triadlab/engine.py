@@ -9,23 +9,25 @@ differences (``mode="fd"``, an independent cross-check path).
 
 :meth:`DiffEngine.derivs` is the one differentiation pass: it takes the
 derivatives of a closure at p along every row of a direction matrix ``V``,
-shape ``(k, dim)``.  :meth:`DiffEngine.deriv` is its one row along ``v``,
-and :meth:`DiffEngine.jacobian` is it along the identity, with the
-direction axis moved last.  An ``ad`` pass seeds the whole chart point as
+shape ``(k, dim)``, or, at a float batch of points, ``(k, *batch, dim)``
+with one direction per point.  :meth:`DiffEngine.deriv` is its one row
+along ``v``, and :meth:`DiffEngine.jacobian` is it along the identity, with
+the direction axis moved last.  An ``ad`` pass seeds the whole chart point as
 one :class:`~triadlab.ad.Dual` whose tangent holds all k directions at once.
 
 An ``fd`` pass calls the closure once, on the stacked ``(2, k, *batch,
-dim)`` stencil ``[p + hV, p - hV]``, hV behind the singleton batch axes of
-a point p of shape ``(*batch, dim)``.  So every closure ``fd``
-differentiates takes a point with leading batch axes, shape ``(..., dim)``,
-and returns its value at every point of the batch, with the same leading
-axes; it indexes coordinates as ``q[..., i]``.  Each entry of a batch gets
-the arithmetic of a single point, so a batched result is bitwise the
-per-point one, and a row of ``derivs`` has the bits of ``deriv`` along that
-row.  A point that is itself a batch gives a stencil of a batch, which is
-how the nested d lam of a stencil is taken.  When several fields are
-differentiated along the same ``V``, they evaluate on one stencil, so the
-triad's store computes its tables once for all of them.
+dim)`` stencil ``[p + hV, p - hV]`` at a point p of shape ``(*batch,
+dim)``; directions shared by the batch stand behind singleton batch axes.
+So every closure ``fd`` differentiates takes a point with leading batch
+axes, shape ``(..., dim)``, and returns its value at every point of the
+batch, with the same leading axes; it indexes coordinates as ``q[..., i]``.
+Each entry of a batch gets the arithmetic of a single point, so a batched
+result is bitwise the per-point one, and a row of ``derivs`` has the bits
+of ``deriv`` along that row.  A point that is itself a batch gives a
+stencil of a batch, which is how the nested d lam of a stencil is taken.
+When several fields are differentiated along the same ``V``, they evaluate
+on one stencil, so the triad's store computes its tables once for all of
+them.
 
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
 through the helpers here: :func:`dot` switches to ``np.matmul`` for
@@ -54,7 +56,7 @@ and tangent arrays themselves: no elimination runs over dual scalars.
 
 from __future__ import annotations
 
-import math
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -71,34 +73,42 @@ def is_float_point(q) -> bool:
     return isinstance(q, np.ndarray)
 
 
-def max_residual(*values) -> float:
-    """The largest of ``values``, or NaN if any of them is NaN.
+def max_residual(*values):
+    """The largest of ``values``, per point of a batch, or NaN where any of
+    them is NaN.
 
     Python's ``max`` keeps its first operand when a comparison with NaN is
-    false, so ``max(0.0, nan)`` is 0.0 and a NaN residual would pass.
+    false, so ``max(0.0, nan)`` is 0.0 and a NaN residual would pass;
+    ``np.maximum`` returns the NaN.
     """
-    vals = [float(v) for v in values]
-    if any(math.isnan(v) for v in vals):
-        return math.nan
-    return max(vals)
+    return reduce(np.maximum, values)
 
 
 class Section:
     """A field closure together with its 1-jet.
 
     ``jet(p)`` returns (value, Jacobian) at a float point, the Jacobian with
-    one trailing axis of length dim like :meth:`DiffEngine.jacobian`.
-    Calling the section runs the bare closure ``fn``.
+    one trailing axis of length dim like :meth:`DiffEngine.jacobian`; the
+    section keeps the jet of the last point it was read at.  Calling the
+    section runs the bare closure ``fn``.
     """
 
-    __slots__ = ("fn", "jet")
+    __slots__ = ("fn", "_jet", "_last")
 
     def __init__(self, fn: Callable, jet: Callable):
         self.fn = fn
-        self.jet = jet
+        self._jet = jet
+        self._last = (None, None)       # (point bytes, jet) of the last read
 
     def __call__(self, q):
         return self.fn(q)
+
+    def jet(self, p):
+        """(value, Jacobian) at the float point p, built once per point."""
+        key = p.tobytes()
+        if self._last[0] != key:
+            self._last = (key, self._jet(p))
+        return self._last[1]
 
 
 class DiffEngine:
@@ -125,19 +135,21 @@ class DiffEngine:
 
         The result's leading axis indexes the rows of V, shape ``(k, *batch,
         *out)``.  ``fd`` mode makes one call on the stacked ``(2, k, *batch,
-        dim)`` stencil ``[p + hV, p - hV]``, with hV behind singleton batch
-        axes, so at a float batch every point is differentiated along every
-        row.  ``ad`` mode, at a float point, reads the jet of a field that
-        has one (whole, along the identity :meth:`jacobian` passes);
-        otherwise one dual pass seeds all k rows of V, which may be a dual.
+        dim)`` stencil ``[p + hV, p - hV]``.  At a float batch, V of shape
+        ``(k, dim)`` stands behind singleton batch axes, so every point is
+        differentiated along every row; V of shape ``(k, *batch, dim)``
+        gives each point its own k directions.  ``ad`` mode, at a float
+        point, reads the jet of a field that has one (whole, along the
+        identity :meth:`jacobian` passes); otherwise one dual pass seeds all
+        k rows of V, which may be a dual.
         """
         if not isinstance(V, Dual):
             V = np.asarray(V, dtype=float)
         if self.mode == "fd":
             # p + (-hv) has the bits of p - hv
             steps = np.multiply.outer(self._sides, V)
-            pts = p + steps.reshape(steps.shape[:2] + (1,) * (p.ndim - 1)
-                                    + V.shape[1:])
+            lead = steps.shape[:2] + (1,) * (p.ndim - V.ndim + 1)
+            pts = p + steps.reshape(lead + V.shape[1:])
             y = f(pts)
             if shape(y)[:p.ndim + 1] != pts.shape[:-1]:
                 raise ValueError(

@@ -1,6 +1,9 @@
 """Suite orchestration: sample points, run every check, emit stable reports.
 
-A run never aborts because one check raised; the failure is recorded under
+An ``fd`` run calls each check family once, on the batch of its sample
+points; ``ad``, which seeds one point per pass, calls it point by point, as
+``fd`` does the frame families and a family that raised on the batch.  A
+run never aborts because one check raised; the failure is recorded under
 that check's name with an unevaluable-residual sentinel and the run moves
 on.  Records are aggregated in a deterministic order (check name, variant,
 point index) so that a fixed configuration always serializes to identical
@@ -29,6 +32,9 @@ from .frames import (build_unitary_frame, cross_check_gamma,
 
 SCHEMA_VERSION = "1"
 RESIDUAL_UNEVALUABLE = 1e300
+# Families that run point by point in every mode: a frame's Gram-Schmidt
+# picks its chart columns at each point.
+POINTWISE = frozenset({"_frame_records", "_dropped_torsion_control"})
 
 
 class ConfigError(ValueError):
@@ -132,6 +138,18 @@ def _guarded(records, names, variant, idx, p, fn):
     records.extend(_record(cr, variant, idx, note) for cr in out)
 
 
+def _batched(records, variant, pts, fn) -> bool:
+    """Append fn()'s records at each point of pts; False if fn raised."""
+    try:
+        out = fn()
+    except Exception:   # the family runs again point by point
+        return False
+    out = [out] if isinstance(out, CheckResult) else out
+    records.extend(_record(cr.at(idx), variant, idx)
+                   for idx in range(len(pts)) for cr in out)
+    return True
+
+
 def _projected_nijenhuis_scale(triad, pts, seed: int, samples: int = 4) -> float:
     """Largest sampled norm of the projected Nijenhuis tensor.
 
@@ -210,8 +228,13 @@ def run_suite(config: RunConfig) -> Report:
         return rows
 
     records: list = []
+    rerun = [j for j, (family, variant, fn) in enumerate(families(pts))
+             if config.mode == "ad" or family in POINTWISE
+             or not _batched(records, variant, pts, fn)]
     for idx, p in enumerate(pts):
-        for family, variant, fn in families(p):
+        rows = families(p)
+        for j in rerun:
+            family, variant, fn = rows[j]
             _guarded(records, family_names(family, cs), variant, idx, p, fn)
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
     ok = bool(records) and all(_meets_role(r) for r in records)

@@ -248,6 +248,21 @@ def test_store_lru_order_and_eviction(monkeypatch):
     assert set(t._cache[a.tobytes()]) == {"lam", "dlam", "reeb"}
 
 
+def test_a_batch_wider_than_the_store_is_held_apart(monkeypatch):
+    """Stored, it would push out every entry, the sample points' among them,
+    and each would be built again once the wide stencil is done."""
+    monkeypatch.setattr(contact, "POINT_CACHE_SIZE", 4)
+    t = standard_triad(1, engine=DiffEngine("fd"))
+    pts, wide = t.sample_points(3, seed=5), t.sample_points(5, seed=6)
+    reeb = t.reeb_any(pts)
+    wide_reeb = t.reeb_any(wide)
+    assert t.reeb_any(wide) is wide_reeb       # held for the latest one
+    assert list(t._cache) == [(pts.shape, pts.tobytes())]
+    assert t._held == 3 and t.reeb_any(pts) is reeb
+    t.reeb_any(wide[::-1].copy())             # another wide batch replaces it
+    assert t.reeb_any(wide) is not wide_reeb
+
+
 @pytest.mark.parametrize("example_id, mode", [("r3-standard", "fd"),
                                               ("r3-perturbed-J", "ad")])
 def test_eviction_leaves_reports_byte_identical(monkeypatch, example_id, mode):

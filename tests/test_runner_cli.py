@@ -120,12 +120,12 @@ def test_negative_mode_includes_j_faults_when_twisted():
     assert "fault-levi-civita-not-complex-linear" in names
 
 
-def test_check_errors_become_records_not_crashes(monkeypatch):
+def test_check_errors_become_records_not_crashes(monkeypatch, mode="ad"):
     def boom(*a, **kw):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr("triadlab.runner.check_axioms", boom)
-    rep = run_suite(RunConfig(**SMALL))
+    rep = run_suite(RunConfig(mode=mode, **SMALL))
     assert not rep.ok
     bad = [r for r in rep.records if r["note"].startswith("error:")]
     assert len(bad) == 2 * 6  # two points, six axiom names each
@@ -133,6 +133,11 @@ def test_check_errors_become_records_not_crashes(monkeypatch):
         assert r["residual"] == RESIDUAL_UNEVALUABLE
         assert not r["passed"]
         assert "synthetic failure" in r["note"]
+
+
+def test_check_errors_become_records_not_crashes_in_fd(monkeypatch):
+    """In fd the family raises on the batch, then at every point."""
+    test_check_errors_become_records_not_crashes(monkeypatch, "fd")
 
 
 # -- the check registry ----------------------------------------------------
@@ -143,9 +148,9 @@ REGISTRY_RUN = dict(example_id="r5-perturbed-J", points=1)
 FAMILIES = sorted({spec.family for spec in CHECKS.values()})
 
 
-def _family_run(family):
+def _family_run(family, mode="ad"):
     controls = any(s.control for s in CHECKS.values() if s.family == family)
-    return RunConfig(negative_controls=controls, **REGISTRY_RUN)
+    return RunConfig(negative_controls=controls, mode=mode, **REGISTRY_RUN)
 
 
 def test_every_registry_entry_is_emitted_as_declared():
@@ -162,20 +167,27 @@ def test_every_registry_entry_is_emitted_as_declared():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_raising_family_records_the_names_it_emits(monkeypatch, family):
+def test_raising_family_records_the_names_it_emits(monkeypatch, family,
+                                                   mode="ad"):
     """The names a family declares are the names its function returns."""
-    healthy = Counter(r["name"] for r in run_suite(_family_run(family)).records
+    healthy = Counter(r["name"] for r
+                      in run_suite(_family_run(family, mode)).records
                       if CHECKS[r["name"]].family == family)
 
     def boom(*a, **kw):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr("triadlab.runner." + family, boom)
-    rep = run_suite(_family_run(family))
+    rep = run_suite(_family_run(family, mode))
     errors = Counter(r["name"] for r in rep.records
                      if r["note"].startswith("error:"))
     assert healthy and errors == healthy
     assert not rep.ok
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_raising_family_records_the_names_it_emits_in_fd(monkeypatch, family):
+    test_raising_family_records_the_names_it_emits(monkeypatch, family, "fd")
 
 
 def _nan_christoffel(monkeypatch):

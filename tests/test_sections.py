@@ -122,3 +122,45 @@ def test_coframe_jacobian_table_is_the_jet_in_ad_and_the_closure_in_fd():
             want = (sec.jet(p)[1] if engine.mode == "ad"
                     else engine.jacobian(sec.fn, p))
             assert np.array_equal(frame.jac_coframe_at(p), want), ex_id
+
+
+def test_a_section_builds_its_jet_once_per_point_in_a_row_of_reads():
+    builds = []
+
+    def jet(q):
+        builds.append(q.tobytes())
+        return q * q, np.diag(2.0 * q)
+
+    sec = Section(lambda q: q * q, jet)
+    eng = DiffEngine("ad")
+    p, q = np.array([0.1, -0.2, 0.3]), np.array([0.4, 0.5, -0.6])
+    jac = eng.jacobian(sec, p)
+    assert np.array_equal(eng.deriv(sec, p, np.ones(3)), 2.0 * p)
+    assert np.array_equal(eng.jacobian(sec, p.copy()), jac)
+    assert builds == [p.tobytes()]
+    eng.jacobian(sec, q)
+    eng.jacobian(sec, p)          # only the last point is kept
+    assert builds == [p.tobytes(), q.tobytes(), p.tobytes()]
+
+
+def test_ad_axioms_build_fewer_jets_than_they_read(monkeypatch):
+    """Each section the axioms read is read more than once at the point; its
+    jet is built once, and the residuals keep their bits."""
+    reads, builds = [], []
+    jet = Section.jet
+
+    def counted(self, p):         # the lists keep every section alive
+        reads.append(self)
+        if self._last[0] != p.tobytes():
+            builds.append(self)
+        return jet(self, p)
+
+    from triadlab.checks import check_axioms
+    t = _CAT["r5-perturbed-J"].build()
+    p = t.sample_points(1, seed=3)[0]
+    want = [r.residual for r in check_axioms(t, 0.0, p, seed=2)]
+    t = _CAT["r5-perturbed-J"].build()
+    monkeypatch.setattr(Section, "jet", counted)
+    got = [r.residual for r in check_axioms(t, 0.0, p, seed=2)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert len(builds) == len({id(s) for s in builds}) < len(reads)
