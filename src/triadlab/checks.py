@@ -421,10 +421,9 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
         u = tq_vector(triad.dim, rng)
         v = tq_vector(triad.dim, rng)
         diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
-        # <Pi v, M Pi u> with (Pi v)^T G taken first
-        vg = matvec(G.mT, matvec(Pi, v))
+        vg = matvec(G.mT, matvec(Pi, v))      # (Pi v)^T G, taken first
         k = -(1.0 / a - 1.0) * inner(vg, matvec(reeb_cov, matvec(Pi, u)))
-        offset = np.asarray(k)[..., None] * X
+        offset = k[..., None] * X
         worst = max_residual(worst, _worst(diff - offset))
     w = tq_vector(triad.dim, rng)
     worst = max_residual(worst, _worst(

@@ -86,21 +86,22 @@ class ContactTriad:
         C^2 = -I; column a of C holds the frame coefficients of J f_a.
         """
         triad = cls(dim, lam, None, domain, engine=engine, label=label)
+        triad._frame = (xi_frame, frame_j)
+        return triad
+
+    def _frame_j(self, q):
+        """J from its action on the stated xi-frame; a method, so that no
+        closure ties the triad into a reference cycle that outlives it."""
+        xi_frame, frame_j = self._frame
+        # J B = JB for the frame matrix B = [Pi F | X]; solve B^T J^T = JB^T.
         # B = (Pi F) S + X e_d^T and JB = (Pi F C) S, with S = [I | 0] the
         # (2n, dim) selection that pads a 2n-column block with a zero column.
-        S = np.eye(dim)[:-1]
-        e_d = np.eye(dim)[-1]
-
-        def j_full(q):
-            # J B = JB for the frame matrix B = [Pi F | X]; solve B^T J^T = JB^T.
-            PF = dot(triad.pi_any(q), xi_frame(q))
-            B = outer(triad.reeb_any(q), e_d, dot(PF, S))
-            JB = dot(dot(PF, frame_j(q)), S)
-            Jt = solve(B.mT, JB.mT)
-            return np.ascontiguousarray(Jt.mT) if is_float_point(q) else Jt.mT
-
-        triad._j_closure = j_full
-        return triad
+        S, e_d = self._eye[:-1], self._eye[-1]
+        PF = dot(self.pi_any(q), xi_frame(q))
+        B = outer(self.reeb_any(q), e_d, dot(PF, S))
+        JB = dot(dot(PF, frame_j(q)), S)
+        Jt = solve(B.mT, JB.mT)
+        return np.ascontiguousarray(Jt.mT) if is_float_point(q) else Jt.mT
 
     # -- caching ---------------------------------------------------------
 
@@ -175,7 +176,7 @@ class ContactTriad:
         return self._cached("pi", q, impl)
 
     def j_any(self, q):
-        return self._cached("j", q, self._j_closure)
+        return self._cached("j", q, self._j_closure or self._frame_j)
 
     def metric_any(self, q):
         def impl(x):
@@ -231,7 +232,8 @@ class ContactTriad:
         if a <= 0:
             raise ValueError("scale factor must be positive")
         base_lam = self.lam
-        scaled = ContactTriad(self.dim, lambda q: a * base_lam(q), self._j_closure,
+        scaled = ContactTriad(self.dim, lambda q: a * base_lam(q),
+                              self._j_closure or self.j_any,
                               self.domain, engine=self.engine,
                               label=self.label + "*scaled(%g)" % a)
         return scaled

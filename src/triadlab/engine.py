@@ -74,12 +74,10 @@ def is_float_point(q) -> bool:
 
 
 def max_residual(*values):
-    """The largest of ``values``, per point of a batch, or NaN where any of
-    them is NaN.
+    """The largest of ``values`` per point, or NaN where any of them is NaN.
 
     Python's ``max`` keeps its first operand when a comparison with NaN is
-    false, so ``max(0.0, nan)`` is 0.0 and a NaN residual would pass;
-    ``np.maximum`` returns the NaN.
+    false, so ``max(0.0, nan)`` is 0.0 and a NaN residual would pass.
     """
     return reduce(np.maximum, values)
 

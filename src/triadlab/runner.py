@@ -232,9 +232,8 @@ def run_suite(config: RunConfig) -> Report:
              if config.mode == "ad" or family in POINTWISE
              or not _batched(records, variant, pts, fn)]
     for idx, p in enumerate(pts):
-        rows = families(p)
         for j in rerun:
-            family, variant, fn = rows[j]
+            family, variant, fn = families(p)[j]
             _guarded(records, family_names(family, cs), variant, idx, p, fn)
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
     ok = bool(records) and all(_meets_role(r) for r in records)
