@@ -82,7 +82,6 @@ def _cmd_check(args) -> int:
                        fd_step=args.fd_step, fmt=args.fmt,
                        negative_controls=args.negative_controls)
     try:
-        config.validate()
         report = run_suite(config)
         payload = emit_report(report, args.fmt)
     except ConfigError as exc:

@@ -41,15 +41,7 @@ from .contact import ContactTriad, j_image
 from .engine import dot, is_float_point, matvec, solve
 
 
-class AffineConnection:
-    label = "affine"
-
-    def apply_vec(self, u, Yf, p):
-        """nabla_u Y at p for a vector u and a vector-field closure Y."""
-        raise NotImplementedError
-
-
-class LocalConnection(AffineConnection):
+class LocalConnection:
     """Connection given by a bilinear pointwise part plus the flat derivative.
 
     A subclass names its table by ``table_tag``, the key it is held under
@@ -260,13 +252,13 @@ def covariant_derivative_two_form(conn: LocalConnection, beta, Xf, p):
     return dB_u - dot(K.mT, B) - dot(B, K)
 
 
-class PullbackConnection(AffineConnection):
+class PullbackConnection:
     """(phi^* nabla)_X Y = dphi^{-1} ( nabla_{phi_* X} (phi_* Y) ) o phi.
 
     Needs the map's closed-form inverse to realise pushforward fields.
     """
 
-    def __init__(self, base: AffineConnection, cmap):
+    def __init__(self, base: LocalConnection, cmap):
         self.base = base
         self.cmap = cmap
         self.engine = base.engine

@@ -5,9 +5,16 @@ g-orthonormal basis of the contact distribution closed under J.  It is built
 by deterministic Gram-Schmidt over the "complex" spans: chart coordinate
 fields are projected through Pi, orthonormalised against the pairs already
 accepted, and each accepted vector immediately contributes its J-image.
-Degenerate candidates (projection collapses) are skipped; the skip decisions
-are made once at the base point and frozen into the frame closure so the
-frame stays smooth and differentiable near that point.
+Degenerate candidates (projection collapses) are skipped.  The skip
+decisions are made once, at the base point or at every point of a batch at
+once, and frozen into the frame's chart columns, so the frame stays smooth
+and differentiable there.  A candidate that collapses at only some points
+of a batch raises :class:`FrameRankError`; the frame is then built point by
+point, where each point may pick its own columns.
+
+Every function here takes a float point or a batch of them, shape
+``(*batch, dim)``, and a residual holds one value per point, as in
+:mod:`triadlab.checks`.
 
 A :class:`MovingFrame` keeps no cache of its own: its frame, coframe and
 Jacobian tables live in the triad's per-point store under tags keyed by its
@@ -25,13 +32,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import ad
+from .checks import _worst
 from .contact import ContactTriad
 from .connections import LocalConnection, triad_connection
-from .engine import Section, inner, inv, matvec, max_residual
+from .engine import Section, dot, inner, inv, matvec, max_residual
 
 
 class FrameRankError(RuntimeError):
-    """Raised when Gram-Schmidt cannot extract n pairs from the seed order."""
+    """Raised when Gram-Schmidt cannot extract n pairs from the seed order,
+    or a candidate collapses at only some points of a batch."""
 
 
 _SKIP_REL = 1e-10
@@ -47,9 +56,11 @@ def _gram_schmidt(triad: ContactTriad, q, indices, pairs=None):
     at a chart point (or a float batch of them).
 
     Returns the frame (X, E_1..E_n, JE_1..JE_n) and the columns it used.
-    With ``pairs`` given, q is one float point and ``indices`` an order of
-    candidates: a candidate whose projection collapses is skipped, and the
-    run stops once ``pairs`` columns are accepted.
+    With ``pairs`` given, q is a float point or batch and ``indices`` an
+    order of candidates: a candidate whose projection collapses at every
+    point is skipped, one that collapses at only some points raises
+    :class:`FrameRankError`, and the run stops once ``pairs`` columns are
+    accepted.
     """
     P = triad.pi_any(q)
     G = triad.metric_any(q)
@@ -63,12 +74,17 @@ def _gram_schmidt(triad: ContactTriad, q, indices, pairs=None):
         if len(used) == pairs:
             break
         v = P[..., idx]
-        scale = None if pairs is None else max(1.0, float(g(v, v)))
+        scale = None if pairs is None else np.maximum(1.0, g(v, v))
         for e, f in zip(es, fs):
             v = v - g(v, e) * e - g(v, f) * f
         n2 = g(v, v)
-        if scale is not None and n2 <= _SKIP_REL * scale:
-            continue
+        if scale is not None:
+            skip = n2 <= _SKIP_REL * scale
+            if skip.all():
+                continue
+            if skip.any():
+                raise FrameRankError("chart column %d collapses at only some "
+                                     "of %s" % (idx, q))
         e = v / ad.sqrt(n2)
         es.append(e)
         fs.append(matvec(J, e))
@@ -112,14 +128,15 @@ class MovingFrame:
                                   self.triad.engine.jacobian(
                                       self.coframe_section(), x))
 
-    def gram_residual(self, p) -> float:
+    def gram_residual(self, p):
         E = self.matrix_any(p)
         G = self.triad.metric_any(p)
-        return float(np.max(np.abs(np.dot(E.T, np.dot(G, E)) - np.eye(self.triad.dim))))
+        return _worst(dot(E.mT, dot(G, E)) - np.eye(self.triad.dim), 2)
 
 
 def build_unitary_frame(triad: ContactTriad, p, seed: int = 0) -> MovingFrame:
-    """Deterministic unitary frame at p; same inputs give bitwise-same output."""
+    """Deterministic unitary frame at p, a point or a batch whose points all
+    pick the same columns; same inputs give bitwise-same output."""
     d, n = triad.dim, triad.n
     order = [(seed + t) % d for t in range(d)]
     indices = _gram_schmidt(triad, np.asarray(p, dtype=float), order, n)[1]
@@ -136,14 +153,14 @@ def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> np.nda
     jacE = frame.jac_frame_at(p)
     G = frame.triad.metric_any(p)
     gt = conn.gamma_tensor(p)
-    flat = np.einsum('ajl,lk->akj', jacE, E)
-    bil = np.einsum('aim,ik,mj->akj', gt, E, E)
+    flat = np.einsum('...ajl,...lk->...akj', jacE, E)
+    bil = np.einsum('...aim,...ik,...mj->...akj', gt, E, E)
     nab = flat + bil
-    return np.einsum('ai,ab,bkj->ikj', E, G, nab)
+    return np.einsum('...ai,...ab,...bkj->...ikj', E, G, nab)
 
 
 def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
-                                include_torsion: bool = True) -> float:
+                                include_torsion: bool = True):
     """Max residual of d theta^i + Omega^i_k ^ theta^k - T^i on chart bivectors.
 
     Passing ``include_torsion=False`` deliberately drops the torsion forms;
@@ -153,17 +170,17 @@ def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
     p = np.asarray(p, dtype=float)
     theta = frame.coframe_any(p)
     jacT = frame.jac_coframe_at(p)
-    dtheta = np.transpose(jacT, (0, 2, 1)) - jacT
+    dtheta = jacT.swapaxes(-1, -2) - jacT
     gamma = connection_one_forms(conn, frame, p)
-    omega_b = np.einsum('ikj,ka->ija', gamma, theta)
-    wedge = np.einsum('ika,kb->iab', omega_b, theta)
-    wedge = wedge - np.transpose(wedge, (0, 2, 1))
+    omega_b = np.einsum('...ikj,...ka->...ija', gamma, theta)
+    wedge = np.einsum('...ika,...kb->...iab', omega_b, theta)
+    wedge = wedge - wedge.swapaxes(-1, -2)
     res = dtheta + wedge
     if include_torsion:
         gt = conn.gamma_tensor(p)
-        tvec = gt - np.transpose(gt, (0, 2, 1))
-        res = res - np.einsum('im,mab->iab', theta, tvec)
-    return float(np.max(np.abs(res)))
+        tvec = gt - gt.swapaxes(-1, -2)
+        res = res - np.einsum('...im,...mab->...iab', theta, tvec)
+    return _worst(res, 3)
 
 
 def gamma_from_axioms(triad: ContactTriad, c: float, frame: MovingFrame, p):
@@ -171,64 +188,44 @@ def gamma_from_axioms(triad: ContactTriad, c: float, frame: MovingFrame, p):
 
     Returns (gamma, mask): coefficients with any index in the Reeb slot are
     derived (mask True there); the block internal to the contact distribution
-    is not re-derived and stays masked out.
+    is not re-derived and stays masked out.  The mask, shape (dim, dim, dim),
+    holds for every point of a batch.
     """
     p = np.asarray(p, dtype=float)
     d, n = triad.dim, triad.n
     E = frame.matrix_any(p)
-    G = triad.metric_any(p)
-    L = triad.lie_reeb_j_at(p)
+    GE = dot(triad.metric_any(p), E)
     X = triad.reeb_any(p)
-    jacX = triad.jac_reeb_at(p)
-    jacE = frame.jac_frame_at(p)
-
-    def ip(a, b):
-        return float(np.dot(a, np.dot(G, b)))
-
-    gamma = np.zeros((d, d, d))
+    gamma = np.zeros(E.shape[:-2] + (d, d, d))
     mask = np.zeros((d, d, d), dtype=bool)
+    mask[:, :, 0] = mask[:, 0, :] = mask[0, :, :] = True
 
-    # argument = Reeb slot: nabla_{e_k} X
-    mask[:, :, 0] = True
-    for j in range(1, n + 1):
-        Ej = E[:, j]
-        JEj = E[:, n + j]
-        L_JEj = np.dot(L, JEj)
-        L_Ej = np.dot(L, Ej)
-        for k in range(1, n + 1):
-            Ek = E[:, k]
-            JEk = E[:, n + k]
-            delta = 1.0 if j == k else 0.0
-            gamma[k, j, 0] = 0.5 * ip(L_JEj, Ek)
-            gamma[n + k, j, 0] = -0.5 * c * delta + 0.5 * ip(L_JEj, JEk)
-            gamma[k, n + j, 0] = 0.5 * c * delta - 0.5 * ip(L_Ej, Ek)
-            gamma[n + k, n + j, 0] = -0.5 * ip(L_Ej, JEk)
+    # argument = Reeb slot: nabla_{e_k} X from Qt[k, a] = <(L_X J) e_a, e_k>;
+    # the column of e_j reads J e_j, the column of J e_j reads -e_j
+    Qt = dot(GE.mT, dot(triad.lie_reeb_j_at(p), E))[..., 1:, 1:]
+    rot = np.concatenate([Qt[..., n:], -Qt[..., :n]], axis=-1)
+    gamma[..., 1:, 1:, 0] = 0.5 * rot + 0.5 * c * np.kron(
+        [[0.0, 1.0], [-1.0, 0.0]], np.eye(n))
 
-    # direction = Reeb slot: nabla_X e_j via the bracket relations
-    mask[:, 0, :] = True
-    for j in range(1, d):
-        ej = E[:, j]
-        br = np.dot(jacX, ej) - np.dot(jacE[:, j, :], X)   # [e_j, X]
-        for i in range(1, d):
-            gamma[i, 0, j] = gamma[i, j, 0] - ip(br, E[:, i])
+    # direction = Reeb slot: nabla_X e_j via the bracket relations, with
+    # column j of br the bracket [e_j, X]
+    br = (dot(triad.jac_reeb_at(p), E)
+          - np.einsum('...ajl,...l->...aj', frame.jac_frame_at(p), X))
+    gamma[..., 1:, 0, 1:] = gamma[..., 1:, 1:, 0] - dot(GE.mT, br)[..., 1:, 1:]
 
     # lam-component on xi arguments, from metric pairing with X
-    mask[0, :, :] = True
-    for k in range(1, d):
-        for j in range(1, d):
-            gamma[0, k, j] = -gamma[j, k, 0]
-
+    gamma[..., 0, 1:, 1:] = -gamma[..., 1:, 1:, 0].swapaxes(-1, -2)
     return gamma, mask
 
 
-def cross_check_gamma(triad: ContactTriad, c: float, frame: MovingFrame, p) -> float:
+def cross_check_gamma(triad: ContactTriad, c: float, frame: MovingFrame, p):
     """Max |axiom-derived gamma - directly computed gamma| over derived entries."""
     direct = connection_one_forms(triad_connection(triad, c), frame, p)
     ax, mask = gamma_from_axioms(triad, c, frame, p)
-    return float(np.max(np.abs(ax - direct)[mask]))
+    return _worst(np.where(mask, ax - direct, 0.0), 3)
 
 
-def skew_hermitian_check(conn: LocalConnection, frame: MovingFrame, p) -> float:
+def skew_hermitian_check(conn: LocalConnection, frame: MovingFrame, p):
     """Residual of Omega_C + Omega_C^* = 0 for the complexified xi-block.
 
     Omega_C^i_j = (Omega^i_j + i Omega^{n+i}_j) restricted to xi arguments;
@@ -238,8 +235,9 @@ def skew_hermitian_check(conn: LocalConnection, frame: MovingFrame, p) -> float:
     n = frame.triad.n
     g = connection_one_forms(conn, frame, p)
     E, F, K = slice(1, n + 1), slice(n + 1, 2 * n + 1), slice(1, 2 * n + 1)
-    gee, gff, gef, gfe = g[E, K, E], g[F, K, F], g[E, K, F], g[F, K, E]
-    # [i, k, j] entries; transposing (2, 1, 0) swaps i and j
-    return max_residual(*(np.max(np.abs(r)) for r in (
-        gff - gee, gef + gfe, gee + gee.transpose(2, 1, 0),
-        gfe - gfe.transpose(2, 1, 0))))
+    gee, gff = g[..., E, K, E], g[..., F, K, F]
+    gef, gfe = g[..., E, K, F], g[..., F, K, E]
+    # [i, k, j] entries; swapping the first and last axes swaps i and j
+    return max_residual(*(_worst(r, 3) for r in (
+        gff - gee, gef + gfe, gee + gee.swapaxes(-3, -1),
+        gfe - gfe.swapaxes(-3, -1))))

@@ -1,13 +1,14 @@
 """Suite orchestration: sample points, run every check, emit stable reports.
 
 An ``fd`` run calls each check family once, on the batch of its sample
-points; ``ad``, which seeds one point per pass, calls it point by point, as
-``fd`` does the frame families and a family that raised on the batch.  A
-run never aborts because one check raised; the failure is recorded under
-that check's name with an unevaluable-residual sentinel and the run moves
-on.  Records are aggregated in a deterministic order (check name, variant,
-point index) so that a fixed configuration always serializes to identical
-bytes.
+points, the frame families among them; ``ad``, which seeds one point per
+pass, calls it point by point, as ``fd`` does a family that raised on the
+batch (a frame whose Gram-Schmidt would pick other chart columns at some
+points raises there).  A run never aborts because one check raised; the
+failure is recorded under that check's name with an unevaluable-residual
+sentinel and the run moves on.  Records are aggregated in a deterministic
+order (check name, variant, point index) so that a fixed configuration
+always serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from .frames import (build_unitary_frame, cross_check_gamma,
 
 SCHEMA_VERSION = "1"
 RESIDUAL_UNEVALUABLE = 1e300
-# Families that run point by point in every mode: a frame's Gram-Schmidt
-# picks its chart columns at each point.
-POINTWISE = frozenset({"_frame_records", "_dropped_torsion_control"})
 
 
 class ConfigError(ValueError):
@@ -229,11 +227,11 @@ def run_suite(config: RunConfig) -> Report:
 
     records: list = []
     rerun = [j for j, (family, variant, fn) in enumerate(families(pts))
-             if config.mode == "ad" or family in POINTWISE
-             or not _batched(records, variant, pts, fn)]
+             if config.mode == "ad" or not _batched(records, variant, pts, fn)]
     for idx, p in enumerate(pts):
+        rows = families(p)
         for j in rerun:
-            family, variant, fn = families(p)[j]
+            family, variant, fn = rows[j]
             _guarded(records, family_names(family, cs), variant, idx, p, fn)
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
     ok = bool(records) and all(_meets_role(r) for r in records)

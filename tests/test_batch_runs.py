@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import triadlab
-from triadlab import DiffEngine, catalog, contact
+from triadlab import DiffEngine, catalog, contact, runner
 from triadlab.checks import (StrictContactMap, check_axioms, check_cr_form,
                              check_lemma_suite, check_naturality,
                              check_scaling, fault_flipped_b1,
                              fault_levi_civita, fault_scale_mismatch,
                              fault_wrong_c, field_rng, xi_vector)
 from triadlab.contact import ContactTriad
+from triadlab.frames import FrameRankError, build_unitary_frame
 from triadlab.runner import RunConfig, run_suite
 
 from test_derivs import _count_batch_reeb_solves
@@ -30,8 +31,7 @@ SEED = 7
 
 
 def _families(spec, t, p):
-    """(label, call) for every family at p, a point or a batch, except the
-    frame families, which run point by point (``runner.POINTWISE``)."""
+    """(label, call) for every family at p, a point or a batch."""
     calls = [("axioms c=%g" % c, lambda c=c: check_axioms(t, c, p, seed=SEED))
              for c in CS]
     calls += [("cr-form c=%g" % c,
@@ -45,7 +45,10 @@ def _families(spec, t, p):
         ("wrong c", lambda: fault_wrong_c(t, p, seed=SEED)),
         ("scale mismatch", lambda: fault_scale_mismatch(t, 2.0, p, seed=SEED)),
         ("flipped b1", lambda: fault_flipped_b1(t, p, seed=SEED)),
-        ("levi-civita", lambda: fault_levi_civita(t, p, seed=SEED))]
+        ("levi-civita", lambda: fault_levi_civita(t, p, seed=SEED)),
+        ("frame records", lambda: runner._frame_records(t, CS, p, SEED)),
+        ("dropped torsion",
+         lambda: runner._dropped_torsion_control(t, p, SEED))]
     return calls
 
 
@@ -113,6 +116,53 @@ def _assert_only_point_errs(rep, healthy, bad):
             assert r == _by_key(healthy.records)[key], key
     assert any(r["note"].startswith("error:") for r in rep.records
                if r["point_index"] == bad)
+
+
+def _t3_with_a_reeb_aligned_point(engine=None):
+    """t3-tight whose sample point 1 lies on z = 0.  There the Reeb field
+    (cos z, sin z, 0) is the chart column d/dx, so that column's
+    Pi-projection collapses at that point only."""
+    t = _CAT["t3-tight"].build(engine)
+    sample = t.sample_points
+
+    def sample_points(count, seed):
+        pts = sample(count, seed)
+        pts[1, 2] = 0.0
+        return pts
+
+    t.sample_points = sample_points
+    return t
+
+
+def test_a_frame_column_collapsing_at_some_points_of_a_batch_raises():
+    t = _t3_with_a_reeb_aligned_point(DiffEngine("fd"))
+    pts = t.sample_points(4, seed=0)
+    with pytest.raises(FrameRankError, match="collapses at only some"):
+        build_unitary_frame(t, pts, seed=0)
+    assert build_unitary_frame(t, pts[1], seed=0).indices == (1,)
+    assert build_unitary_frame(t, pts[[0, 2, 3]], seed=0).indices == (0,)
+
+
+@pytest.mark.parametrize("controls", [False, True])
+def test_frames_that_pick_other_columns_at_some_points_run_point_by_point(
+        controls):
+    rep = _run_with("t3-tight", _t3_with_a_reeb_aligned_point, points=4,
+                    seed=0, c_values=CS, negative_controls=controls)
+    t = _t3_with_a_reeb_aligned_point(DiffEngine("fd"))
+
+    def family(p):
+        if controls:
+            return runner._dropped_torsion_control(t, p, 0)
+        return runner._frame_records(t, CS, p, 0)
+
+    variant = "c=0" if controls else "frame"
+    want = [runner._record(cr, variant, i)
+            for i, p in enumerate(t.sample_points(4, 0))
+            for cr in _results(family(p))]
+    names = {r["name"] for r in want}
+    got = [r for r in rep.records if r["name"] in names]
+    assert got == sorted(want, key=lambda r: (r["name"], r["point_index"]))
+    assert all(r["note"] == "" for r in got)
 
 
 def test_a_nan_j_at_one_point_errs_there_only():

@@ -13,7 +13,7 @@ interpreter, and compares the JSON reports.  It prints:
   a record field other than the residual;
 * the worst residual move per mode, absolute and as a share of the record's
   tolerance, with the record that made it;
-* how many reports match byte for byte;
+* how many reports match byte for byte, and the key of each that does not;
 * the total and non-blank line counts of ``src/triadlab`` in each checkout.
 
 It exits 1 if a verdict, a record list or a non-residual field differs, or
@@ -90,6 +90,7 @@ def record_key(r: dict) -> tuple:
 def compare(base: dict, head: dict) -> int:
     problems = []
     identical = 0
+    moved = []
     worst = {m: (0.0, 0.0, "") for m in MODES}       # abs move, share, where
     if sorted(base) != sorted(head):
         problems.append("report sets differ")
@@ -97,6 +98,7 @@ def compare(base: dict, head: dict) -> int:
         if base[key] == head[key]:
             identical += 1
             continue
+        moved.append(key)
         a, b = json.loads(base[key]), json.loads(head[key])
         if a["ok"] != b["ok"]:
             problems.append("%s: ok %s -> %s" % (key, a["ok"], b["ok"]))
@@ -128,6 +130,8 @@ def compare(base: dict, head: dict) -> int:
         if move > MAX_MOVE:
             problems.append("%s residual move above %.0e" % (mode, MAX_MOVE))
     print("byte-identical reports: %d of %d" % (identical, len(base)))
+    for key in moved:
+        print("  not byte-identical: " + key)
     print("verdicts and record lists: %s" % ("CHANGED" if problems
                                               else "identical"))
     return 1 if problems else 0
