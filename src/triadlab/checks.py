@@ -21,7 +21,7 @@ sensitivity controls.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,8 +66,8 @@ class CheckResult:
 
     def at(self, i: int) -> "CheckResult":
         """The result at point i of a batch."""
-        return replace(self, residual=self.residual[i],
-                       passed=self.passed[i], point=self.point[i])
+        return CheckResult(self.name, self.anchor, self.residual[i],
+                           self.tolerance, self.passed[i], self.point[i])
 
 
 @dataclass(frozen=True)

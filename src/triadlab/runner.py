@@ -9,6 +9,12 @@ failure is recorded under that check's name with an unevaluable-residual
 sentinel and the run moves on.  Records are aggregated in a deterministic
 order (check name, variant, point index) so that a fixed configuration
 always serializes to identical bytes.
+
+``_canon`` defines those bytes: sorted keys, every float as ``%.12e``, a
+non-finite one as the unevaluable sentinel.  ``emit_report`` writes the
+header and summary through it, and each record from one template of its
+nine keys, formatting every string and every point once per report; CSV
+writes its numbers with the same ``_number``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +115,17 @@ class Report:
 
 def _record(cr: CheckResult, variant: str, point_index: int,
             note: str = "") -> dict:
+    residual = float(cr.residual)
     return {
         "name": cr.name,
         "variant": variant,
         "point_index": int(point_index),
-        "residual": float(cr.residual),
+        "residual": residual,
         "tolerance": float(cr.tolerance),
         "passed": bool(cr.passed),
         "anchor": cr.anchor,
-        "point": [float(x) for x in cr.point],
-        "note": note or ("" if np.isfinite(cr.residual)
+        "point": cr.point.tolist(),
+        "note": note or ("" if math.isfinite(residual)
                          else "error: residual is not finite"),
     }
 
@@ -128,8 +136,9 @@ def _guarded(records, names, variant, idx, p, fn):
     try:
         out = fn()
     except Exception as exc:  # recorded, never fatal for the run
-        out = [CheckResult(n, CHECKS[n].anchor, RESIDUAL_UNEVALUABLE, 0.0,
-                           False, np.asarray(p).ravel()) for n in names]
+        out = [CheckResult(n, CHECKS[n].anchor, RESIDUAL_UNEVALUABLE,
+                           CHECKS[n].tolerance, False, np.asarray(p).ravel())
+               for n in names]
         note = "error: " + repr(exc)
     if isinstance(out, CheckResult):
         out = [out]
@@ -286,15 +295,20 @@ def _example_info(spec) -> dict:
 # -- serialization ---------------------------------------------------------
 
 
+def _number(x) -> str:
+    """A float as %.12e; NaN and +inf as the unevaluable sentinel, -inf as
+    its negative."""
+    if not math.isfinite(x):
+        x = -RESIDUAL_UNEVALUABLE if x < 0 else RESIDUAL_UNEVALUABLE
+    return "%.12e" % x
+
+
 def _canon(obj) -> str:
-    """Canonical JSON: sorted keys, every float rendered as %.12e."""
+    """Canonical JSON: sorted keys, every float rendered by ``_number``."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):   # NaN counts as unevaluable, like +inf
-            x = -RESIDUAL_UNEVALUABLE if x < 0 else RESIDUAL_UNEVALUABLE
-        return "%.12e" % x
+        return _number(float(obj))
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
@@ -310,9 +324,51 @@ def _canon(obj) -> str:
     raise TypeError("cannot serialize %r" % type(obj))
 
 
+# The nine keys of a ``_record``, in sorted order, as ``_canon`` writes them.
+_RECORD = ('{"anchor":%s,"name":%s,"note":%s,"passed":%s,"point":%s,'
+           '"point_index":%d,"residual":%s,"tolerance":%s,"variant":%s}')
+
+
+class _Memo(dict):
+    """fn(key), computed at the first lookup of each key that ``keep``
+    admits and at every lookup of one it does not."""
+
+    def __init__(self, fn, keep=None):
+        super().__init__()
+        self.fn, self.keep = fn, keep
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if self.keep is None or self.keep(key):
+            self[key] = value
+        return value
+
+
+def _render_records(records) -> str:
+    """``_canon(records)`` for ``_record`` dicts: one template per record,
+    with each string and each point formatted once per call.
+
+    Equal floats can differ in their bytes (0.0 and -0.0), so a point that
+    holds a zero is formatted afresh at every record.
+    """
+    text = _Memo(json.dumps)
+    point = _Memo(lambda xs: "[" + ",".join(map(_number, xs)) + "]",
+                  lambda xs: 0.0 not in xs)
+    return "[" + ",".join([
+        _RECORD % (text[r["anchor"]], text[r["name"]], text[r["note"]],
+                   "true" if r["passed"] else "false",
+                   point[tuple(r["point"])], r["point_index"],
+                   _number(r["residual"]), _number(r["tolerance"]),
+                   text[r["variant"]])
+        for r in records]) + "]"
+
+
 def emit_report(report: Report, fmt: str) -> bytes:
     if fmt == "json":
-        return (_canon(report.to_dict()) + "\n").encode("utf-8")
+        parts = ["%s:%s" % (json.dumps(key), _render_records(value)
+                            if key == "records" else _canon(value))
+                 for key, value in sorted(report.to_dict().items())]
+        return ("{" + ",".join(parts) + "}\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -320,8 +376,7 @@ def emit_report(report: Report, fmt: str) -> bytes:
                          "tolerance", "passed"])
         for r in report.records:
             writer.writerow([r["name"], r["variant"], r["point_index"],
-                             "%.12e" % r["residual"],
-                             "%.12e" % r["tolerance"],
+                             _number(r["residual"]), _number(r["tolerance"]),
                              "true" if r["passed"] else "false"])
         return buf.getvalue().encode("utf-8")
     raise ConfigError("unknown report format %r" % fmt)

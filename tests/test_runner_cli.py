@@ -19,6 +19,8 @@ from triadlab.runner import (
     ConfigError,
     Report,
     RunConfig,
+    _canon,
+    _render_records,
     emit_report,
     run_suite,
 )
@@ -131,6 +133,7 @@ def test_check_errors_become_records_not_crashes(monkeypatch, mode="ad"):
     assert len(bad) == 2 * 6  # two points, six axiom names each
     for r in bad:
         assert r["residual"] == RESIDUAL_UNEVALUABLE
+        assert r["tolerance"] == CHECKS[r["name"]].tolerance
         assert not r["passed"]
         assert "synthetic failure" in r["note"]
 
@@ -208,6 +211,12 @@ def test_nan_control_is_not_a_control_that_fired(monkeypatch):
     assert not rep.ok
     text = emit_report(rep, "json").decode()
     assert "%.12e" % RESIDUAL_UNEVALUABLE in text
+    rows = emit_report(rep, "csv").decode().splitlines()[1:]
+    assert "nan" not in "\n".join(rows).lower()
+    for row, r in zip(rows, rep.records):
+        residual = row.split(",")[3]
+        if np.isnan(r["residual"]):
+            assert residual == "%.12e" % RESIDUAL_UNEVALUABLE, row
 
 
 def test_raising_control_is_not_a_control_that_fired(monkeypatch):
@@ -237,6 +246,61 @@ def test_json_report_is_byte_deterministic():
     assert a == b
     assert a.endswith(b"\n")
     assert b'"fd_step":1.000000000000e-04' in a
+
+
+RECORD_KEYS = ["anchor", "name", "note", "passed", "point", "point_index",
+               "residual", "tolerance", "variant"]
+
+
+def _hand_record(name, residual, point, note="", tolerance=1e-9,
+                 variant="c=0", point_index=0):
+    return {"name": name, "variant": variant, "point_index": point_index,
+            "residual": residual, "tolerance": tolerance,
+            "passed": residual <= tolerance, "anchor": "anchor of " + name,
+            "point": point, "note": note}
+
+
+def test_record_template_writes_the_canonical_bytes():
+    shared = [0.25, -1.5, 3.0]
+    records = [
+        _hand_record("nan", float("nan"), shared,
+                     note="error: residual is not finite"),
+        _hand_record("inf", float("inf"), shared),
+        _hand_record("-inf", float("-inf"), list(shared)),
+        _hand_record("negative-zero", -0.0, [0.0, -0.0, 1.0]),
+        _hand_record("zero", 0.0, [-0.0, 0.0, 1.0], tolerance=-0.0),
+        _hand_record("zero", 0.0, [0.0, 0.0, 1.0], tolerance=0.0,
+                     point_index=1),
+        _hand_record("subnormal", 5e-324, [5e-324, 1e300, -1e-300]),
+        _hand_record("huge", 1e300, [float("nan"), float("inf"), 2.0],
+                     note='a "quoted" \\ back\\slash\nand a new line'),
+        _hand_record("unicode", 1e-12, shared, note="Γ ∇^π λ — naïve",
+                     variant="séparé"),
+        _hand_record("axiom-hermitian", RESIDUAL_UNEVALUABLE, shared,
+                     note="error: RuntimeError('synthetic \"failure\"')"),
+    ]
+    assert _render_records(records) == _canon(records)
+    assert _render_records([]) == _canon([]) == "[]"
+
+
+@pytest.mark.parametrize("kind", ["fd", "ad-controls", "raising"])
+def test_json_report_is_the_canonical_form_of_its_dict(monkeypatch, kind):
+    if kind == "raising":
+        def boom(*a, **kw):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr("triadlab.runner.check_axioms", boom)
+        rep = run_suite(RunConfig(mode="fd", **SMALL))
+        assert any(r["note"].startswith("error:") for r in rep.records)
+    else:
+        rep = run_suite(RunConfig(
+            example_id="r5-perturbed-J", points=2, seed=5,
+            mode=kind[:2], negative_controls=kind == "ad-controls"))
+    assert rep.records
+    for r in rep.records:
+        assert sorted(r) == RECORD_KEYS
+    want = (_canon(rep.to_dict()) + "\n").encode("utf-8")
+    assert emit_report(rep, "json") == want
 
 
 def test_json_report_reparses_with_sorted_keys():
