@@ -79,12 +79,9 @@ def _perturbed_frame_j(n: int, eps: float, z_index: int) -> Callable:
         a = eps * ad.sin(z)
         b = ad.sqrt(1.0 + a * a) * ad.exp(eps * ad.cos(z))
         ct = -(1.0 + a * a) / b
-        rows = [[0.0] * (2 * n) for _ in range(2 * n)]
+        rows = _rotation_blocks(n).tolist()
         rows[0][0], rows[0][1] = a, ct
         rows[1][0], rows[1][1] = b, -a
-        for k in range(1, n):
-            rows[2 * k + 1][2 * k] = 1.0
-            rows[2 * k][2 * k + 1] = -1.0
         return ad.array(rows)
     return frame_j
 
@@ -141,31 +138,29 @@ def _shear(dim: int, b: float) -> StrictContactMap:
     M[dim - 1, 0] = b
     e1, ez = np.eye(dim)[1], np.eye(dim)[dim - 1]
 
-    def forward(q):
-        return q + b * (e1 + q[..., :1] * ez)
+    def move(q, s):
+        return q + s * (e1 + q[..., :1] * ez)
 
-    def inverse(q):
-        return q - b * (e1 + q[..., :1] * ez)
-
-    return StrictContactMap(label="shear+%g" % b, forward=forward,
-                            inverse=inverse, differential=lambda q: M)
+    return StrictContactMap(label="shear+%g" % b,
+                            forward=lambda q: move(q, b),
+                            inverse=lambda q: move(q, -b),
+                            differential=lambda q: M)
 
 
 def _t3_reeb_flow(t: float) -> StrictContactMap:
     """Time-t flow of the Reeb field (cos z, sin z, 0), in closed form."""
-    def forward(q):
-        return q + t * ad.array([ad.cos(q[..., 2]), ad.sin(q[..., 2]), 0.0])
-
-    def inverse(q):
-        return q - t * ad.array([ad.cos(q[..., 2]), ad.sin(q[..., 2]), 0.0])
+    def flow(q, s):
+        return q + s * ad.array([ad.cos(q[..., 2]), ad.sin(q[..., 2]), 0.0])
 
     def differential(q):
         s, c = ad.sin(q[..., 2]), ad.cos(q[..., 2])
         return ad.array([[1.0, 0.0, -t * s], [0.0, 1.0, t * c],
                          [0.0, 0.0, 1.0]])
 
-    return StrictContactMap(label="reeb-flow+%g" % t, forward=forward,
-                            inverse=inverse, differential=differential)
+    return StrictContactMap(label="reeb-flow+%g" % t,
+                            forward=lambda q: flow(q, t),
+                            inverse=lambda q: flow(q, -t),
+                            differential=differential)
 
 
 def _axis_shift(dim: int, axis: int, amount: float,

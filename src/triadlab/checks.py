@@ -7,7 +7,9 @@ form (all directions at once); the genuinely multilinear ones are sampled
 with seeded Gaussian draws.  Every family takes a point or a batch of
 points, shape ``(*batch, dim)``, and reports one residual per point: the
 draws take no point index, so each point of a batch reads the same draws,
-as each point of a run does.
+as each point of a run does.  Records that need only the Nijenhuis tensor
+or nabla^LC J contract the triad's tables of them; the quarter-N torsion
+record and ``p-antisymmetrized-bracket`` keep the field brackets.
 
 The registry :data:`CHECKS` declares every check once: the one-line
 statement of its identity (what the CLI's ``describe-check`` prints), its
@@ -269,6 +271,11 @@ def _worst(x, axes: int = 1):
     return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
 
 
+def _nij(N, y, z):
+    """N(y, z) from a Nijenhuis table N[k, i, j]."""
+    return np.einsum('...kij,...i,...j->...k', N, y, z)
+
+
 def _reeb_cov_matrix(conn, p) -> np.ndarray:
     """M with M v = nabla_v X for the Reeb field X, as a chart matrix."""
     t = conn.triad
@@ -511,6 +518,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     lam = triad.lam_any(p)
     X = triad.reeb_any(p)
     L = triad.lie_reeb_j_at(p)
+    N = triad.nijenhuis_at(p)
     reeb = reeb_section(triad)
     lc = LeviCivitaConnection(triad)
     tmp = triad_connection(triad, -1.0)
@@ -535,14 +543,17 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     r = max_residual(_worst(matvec(mlc, X)), _worst(matvec(mlc.mT, lam)))
     out.append(make_result("reeb-geodesic-foliation", r, p))
 
-    # Pairing of nabla^LC J with the Nijenhuis tensor, full tangent slots.
+    # The Nijenhuis records read the table N.  The bracket form of N on
+    # fields is N(y, z) - lam([Y, Z]) X at p; each record says why the X
+    # term drops.  Pairing of nabla^LC J with N, full tangent slots: on
+    # constant fields [Y, Z] = 0.
     r = 0.0
     for _ in range(samples):
         x = tq_vector(d, rng)
         y = tq_vector(d, rng)
         z = tq_vector(d, rng)
         nj = matvec(_lc_nabla_j(triad, x, p), y)
-        nyz = nijenhuis(triad, const_field(y), const_field(z), p)
+        nyz = _nij(N, y, z)
         jx = matvec(J, x)
         lhs = 2.0 * ip(nj, z)
         rhs = (ip(nyz, jx) - ip(jx, matvec(J, y)) * inner(lam, z)
@@ -550,7 +561,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         r = max_residual(r, np.abs(lhs - rhs))
     out.append(make_result("lc-j-derivative-pairing", r, p))
 
-    # Reeb-slot specialisations of the same pairing.
+    # Reeb-slot specialisations of the same pairing; the X term of the
+    # distribution sections Pi y, Pi z is paired with Jx, and g(X, Jx) = 0.
     r = 0.0
     for _ in range(samples):
         y = xi_vector(triad, p, rng)
@@ -564,29 +576,30 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
                                 + ip(y, z)))
         x = xi_vector(triad, p, rng)
         nx = matvec(_lc_nabla_j(triad, x, p), y)
-        nyz = nijenhuis(triad, xi_section(triad, y), xi_section(triad, z), p)
+        nyz = _nij(N, matvec(P, y), matvec(P, z))
         r = max_residual(r, np.abs(2.0 * ip(nx, z) - ip(nyz, matvec(J, x))))
     out.append(make_result("lc-j-derivative-reeb-slots", r, p))
 
-    # Nijenhuis tensor with the Reeb field in a slot.
+    # Nijenhuis tensor with the Reeb field in a slot.  For a distribution
+    # section Z, lam(X) = 1 and lam(Z) = 0 are constant, so lam([X, Z]) =
+    # -d lam(X, Z), which is 0 since X -| d lam = 0.
     r = 0.0
     for _ in range(samples):
-        wz = rng.standard_normal(d)
-        Zf = xi_section(triad, wz)
-        z = Zf(p)
+        z = matvec(P, rng.standard_normal(d))
         jlz = matvec(J, matvec(L, z))
-        r = max_residual(r, _worst(nijenhuis(triad, reeb, Zf, p) + jlz))
-        r = max_residual(r, _worst(nijenhuis(triad, Zf, reeb, p) - jlz))
+        r = max_residual(r, _worst(_nij(N, X, z) + jlz))
+        r = max_residual(r, _worst(_nij(N, z, X) - jlz))
     out.append(make_result("nijenhuis-reeb-slots", r, p))
 
-    # J-shuffles of the Nijenhuis tensor on the distribution.
+    # J-shuffles of the Nijenhuis tensor on the distribution sections
+    # Pi y, Pi z and their J-images: J or Pi projects the X term away.
     r = 0.0
     for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(d))
-        Zf = xi_section(triad, rng.standard_normal(d))
-        n_y_jz = nijenhuis(triad, Yf, j_image(triad, Zf), p)
-        n_y_z = nijenhuis(triad, Yf, Zf, p)
-        n_z_jy = nijenhuis(triad, Zf, j_image(triad, Yf), p)
+        y = matvec(P, rng.standard_normal(d))
+        z = matvec(P, rng.standard_normal(d))
+        n_y_jz = _nij(N, y, matvec(J, z))
+        n_y_z = _nij(N, y, z)
+        n_z_jy = _nij(N, z, matvec(J, y))
         r = max_residual(r, _worst(matvec(J, n_y_jz) - matvec(P, n_y_z)))
         r = max_residual(r, _worst(matvec(P, n_y_jz) + matvec(P, n_z_jy)))
     out.append(make_result("nijenhuis-j-shuffle", r, p))
@@ -652,6 +665,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     out.append(make_result("semi-connection-reeb-metric-dual", r, p))
 
     # Torsion of the intermediate connection: quarter Nijenhuis, no lam part.
+    # N is taken from the brackets of the fields, apart from the table.
     r = _worst(torsion_tensor(tmp, p, X, tq_vector(d, rng)))
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(d))
@@ -739,12 +753,14 @@ def fault_flipped_b1(triad: ContactTriad, p, seed: int = 0,
     conn = TriadConnection(triad, -1.0, b1_sign=-1.0)
     rng = field_rng(seed, "fault-b1", triad.label)
     Pm = triad.pi_any(p)
+    N = triad.nijenhuis_at(p)
     r = 0.0
     for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(triad.dim))
-        Zf = xi_section(triad, rng.standard_normal(triad.dim))
-        t = torsion_tensor(conn, p, Yf(p), Zf(p))
-        n = nijenhuis(triad, Yf, Zf, p)
+        # Pi projects away the X term of the sections' bracket form of N
+        y = matvec(Pm, rng.standard_normal(triad.dim))
+        z = matvec(Pm, rng.standard_normal(triad.dim))
+        t = torsion_tensor(conn, p, y, z)
+        n = _nij(N, y, z)
         r = max_residual(r, _worst(matvec(Pm, t) - 0.25 * matvec(Pm, n)))
     return make_result("fault-flipped-correction", r, p)
 

@@ -10,27 +10,26 @@ with the two correction tensors given by their closed forms:
     B1(Z1, Z2)   = -1/2 J ((nabla^LC_{Pi Z1} J) Pi Z2)
     B2(c)(Z1,Z2) = (1+c)/2 (-g(Z2,X) J Z1 - g(Z1,X) J Z2 + g(J Z1, Z2) X)
 
-where X is the Reeb field.  The bilinear table Gamma = Christoffel + B1 +
-B2(c) at a point depends only on the triad, c and the point, so it lives in
-the triad's per-point store under the tag ("gamma", c, b1_sign): every
-family member with that tag on one triad reads the same table, built once
-with einsums over the cached Christoffel, J and dJ tables, and
-``gamma_apply`` reads it.
+where X is the Reeb field.  The table Gamma = Christoffel + B1 + B2(c)
+depends only on the triad, c and the point, so it lives in the triad's
+per-point store under ("gamma", c, b1_sign), built once with einsums over
+the store's tables, and ``gamma_apply`` reads it.  nabla^LC J is one of
+those tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
+``nijenhuis`` takes N_J from the brackets of vector-field closures, apart
+from the store's table ``ContactTriad.nijenhuis_at``.
 
-A local connection evaluates as ``conn.apply_vecs(U, Yf, p, rows)``: the
-covariant derivative of the vector-field closure Yf at p along the listed
-rows of a direction matrix U.  Its flat part is one
-:meth:`~triadlab.engine.DiffEngine.derivs` call along every row of U, so in
-``fd`` mode every field differentiated along the same U shares one stencil
-and one pipeline call, while the bilinear part is evaluated only on the rows
-asked for.  ``conn.apply_vec(u, Yf, p)``, along one vector u, is its one
-row along ``u[None]``.
-``gamma_apply(p, u, v)`` exposes the bilinear part (the value on fields with
-vanishing coordinate Jacobian at p), which is what tensorial quantities such
-as torsion contract against.  Tables, tensors and covariant derivatives take
-a float point or a batch of them, with vectors shared by the batch or one
-per point; each entry keeps the bits of its single-point evaluation.
+``conn.apply_vecs(U, Yf, p, rows)`` is the covariant derivative of the
+field Yf at p along the listed rows of a direction matrix U.  Its flat part
+is one :meth:`~triadlab.engine.DiffEngine.derivs` call along every row of
+U, so in ``fd`` mode fields differentiated along one U share one stencil;
+the bilinear part is evaluated only on the rows asked for.
+``conn.apply_vec(u, Yf, p)`` is its one row along ``u[None]``.
+``gamma_apply(p, u, v)`` is the bilinear part (the value on fields with
+vanishing coordinate Jacobian at p), which tensorial quantities such as
+torsion contract.  Tables, tensors and covariant derivatives take a float
+point or a batch of them, with vectors shared by the batch or one per
+point; each entry keeps the bits of its single-point evaluation.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .engine import dot, is_float_point, matvec, solve
 class LocalConnection:
     """Connection given by a bilinear pointwise part plus the flat derivative.
 
-    A subclass names its table by ``table_tag``, the key it is held under
-    in the triad's per-point store.
+    A subclass builds its table with ``gamma_table`` and names it by
+    ``table_tag``, the key it is held under in the triad's per-point store.
     """
 
     def __init__(self, triad: ContactTriad):
@@ -64,16 +63,9 @@ class LocalConnection:
         y = Yf(p)
         return np.array([dY[r] + self.gamma_apply(p, U[r], y) for r in rows])
 
-    def gamma_apply(self, p, u, v):
-        raise NotImplementedError
-
     def gamma_tensor(self, p):
         """Full bilinear table gamma[k, i, j] = gamma(e_i, e_j)^k at a float point."""
         return self.triad._cached(self.table_tag, p, self.gamma_table)
-
-    def gamma_table(self, p):
-        """Build the table :meth:`gamma_tensor` reads from the triad's store."""
-        raise NotImplementedError
 
 
 class LeviCivitaConnection(LocalConnection):
@@ -88,43 +80,32 @@ class LeviCivitaConnection(LocalConnection):
 
 
 def _lc_nabla_j(triad: ContactTriad, u, p):
-    """(nabla^LC_u J) as a matrix at a float point, from cached tables."""
-    G = triad.christoffel_at(p)
-    J = triad.j_any(p)
-    K = np.einsum('...kij,...i->...kj', G, u)
-    dJ_u = np.einsum('...abl,...l->...ab', triad.jac_j_at(p), u)
-    return dJ_u + dot(K, J) - dot(J, K)
+    """(nabla^LC_u J) as a matrix at a float point, from the cached table."""
+    return np.einsum('...abl,...l->...ab', triad.nabla_j_at(p), u)
 
 
 def tensor_P(triad: ContactTriad, u, w, p):
     """The obstruction tensor 4P(X,Y) = (n_JY J)X + J((n_Y J)X) + 2J((n_X J)Y)."""
     J = triad.j_any(p)
-    n_jw = _lc_nabla_j(triad, matvec(J, w), p)
-    n_w = _lc_nabla_j(triad, w, p)
-    n_u = _lc_nabla_j(triad, u, p)
-    four = matvec(n_jw, u) + matvec(J, matvec(n_w, u)) + 2.0 * matvec(J, matvec(n_u, w))
-    return 0.25 * four
+    n_jw, n_w, n_u = (_lc_nabla_j(triad, v, p) for v in (matvec(J, w), w, u))
+    return 0.25 * (matvec(n_jw, u) + matvec(J, matvec(n_w, u))
+                   + 2.0 * matvec(J, matvec(n_u, w)))
 
 
 def tensor_B1(triad: ContactTriad, z1, z2, p):
     """First correction tensor -1/2 J((nabla^LC_{Pi z1} J) Pi z2)."""
-    P = triad.pi_any(p)
-    J = triad.j_any(p)
+    P, J = triad.pi_any(p), triad.j_any(p)
     nj = _lc_nabla_j(triad, np.dot(P, z1), p)
     return -0.5 * np.dot(J, np.dot(nj, np.dot(P, z2)))
 
 
 def tensor_B2(triad: ContactTriad, c: float, z1, z2, p):
     """Second correction tensor, with the (1+c)/2 weight of the family."""
-    G = triad.metric_any(p)
-    X = triad.reeb_any(p)
-    J = triad.j_any(p)
-    g_z2_x = np.dot(z2, np.dot(G, X))
-    g_z1_x = np.dot(z1, np.dot(G, X))
-    g_jz1_z2 = np.dot(np.dot(J, z1), np.dot(G, z2))
-    return 0.5 * (1.0 + c) * (-g_z2_x * np.dot(J, z1)
-                              - g_z1_x * np.dot(J, z2)
-                              + g_jz1_z2 * X)
+    G, X, J = triad.metric_any(p), triad.reeb_any(p), triad.j_any(p)
+    gx = np.dot(G, X)
+    return 0.5 * (1.0 + c) * (-np.dot(z2, gx) * np.dot(J, z1)
+                              - np.dot(z1, gx) * np.dot(J, z2)
+                              + np.dot(np.dot(J, z1), np.dot(G, z2)) * X)
 
 
 _B1 = '...ka,...abl,...li,...bj->...kij'
@@ -161,21 +142,15 @@ class TriadConnection(LocalConnection):
     def gamma_table(self, p):
         """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j]."""
         t = self.triad
-        C = t.christoffel_at(p)
-        J = t.j_any(p)
-        P = t.pi_any(p)
-        X = t.reeb_any(p)
-        G = t.metric_any(p)
-        # nj[a, b, l] = (nabla^LC_{e_l} J)[a, b]
-        nj = (t.jac_j_at(p) + np.einsum('...alm,...mb->...abl', C, J)
-              - np.einsum('...am,...mlb->...abl', J, C))
+        J, P, X, G = t.j_any(p), t.pi_any(p), t.reeb_any(p), t.metric_any(p)
+        nj = t.nabla_j_at(p)
         b1 = -0.5 * np.einsum(_B1, J, nj, P, P, optimize=_b1_path(J, nj, P))
         gx = matvec(G, X)
         jg = dot(J.mT, G)
         b2 = 0.5 * (1.0 + self.c) * (-J[..., None] * gx[..., None, None, :]
                                      - gx[..., None, :, None] * J[..., None, :]
                                      + X[..., None, None] * jg[..., None, :, :])
-        return C + self.b1_sign * b1 + b2
+        return t.christoffel_at(p) + self.b1_sign * b1 + b2
 
 
 def triad_connection(triad: ContactTriad, c: float) -> TriadConnection:

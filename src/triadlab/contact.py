@@ -225,6 +225,24 @@ class ContactTriad:
             return dJ_X - dot(dX, J) + dot(J, dX)
         return self._cached("lie_reeb_j", p, impl)
 
+    def nabla_j_at(self, p):
+        """nj[a, b, l] = (nabla^LC_{e_l} J)[a, b], from cached tables."""
+        def impl(x):
+            C, J = self.christoffel_at(x), self.j_any(x)
+            return (self.jac_j_at(x) + np.einsum('...alm,...mb->...abl', C, J)
+                    - np.einsum('...am,...mlb->...abl', J, C))
+        return self._cached("nabla_j", p, impl)
+
+    def nijenhuis_at(self, p):
+        """N[k, i, j] = N_J(e_i, e_j)^k, the Nijenhuis tensor
+        [JY, JZ] - [Y, Z] - J[Y, JZ] - J[JY, Z] on the constant fields."""
+        def impl(x):
+            J, dJ = self.j_any(x), self.jac_j_at(x)
+            t1 = np.einsum('...kjl,...li->...kij', dJ, J)
+            t2 = np.einsum('...ka,...aji->...kij', J, dJ)
+            return (t1 - t1.swapaxes(-1, -2)) - (t2 - t2.swapaxes(-1, -2))
+        return self._cached("nijenhuis", p, impl)
+
     # -- geometric operations --------------------------------------------
 
     def scaled(self, a: float) -> "ContactTriad":
@@ -232,11 +250,10 @@ class ContactTriad:
         if a <= 0:
             raise ValueError("scale factor must be positive")
         base_lam = self.lam
-        scaled = ContactTriad(self.dim, lambda q: a * base_lam(q),
-                              self._j_closure or self.j_any,
-                              self.domain, engine=self.engine,
-                              label=self.label + "*scaled(%g)" % a)
-        return scaled
+        return ContactTriad(self.dim, lambda q: a * base_lam(q),
+                            self._j_closure or self.j_any,
+                            self.domain, engine=self.engine,
+                            label=self.label + "*scaled(%g)" % a)
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         lo, hi = self.domain

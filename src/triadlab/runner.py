@@ -31,9 +31,8 @@ from .catalog import catalog
 from .checks import (CHECKS, CheckResult, check_axioms, check_cr_form,
                      check_lemma_suite, check_naturality, check_scaling,
                      fault_flipped_b1, fault_levi_civita, fault_scale_mismatch,
-                     fault_wrong_c, family_names, field_rng, make_result,
-                     xi_section)
-from .connections import nijenhuis, triad_connection
+                     fault_wrong_c, family_names, make_result)
+from .connections import triad_connection
 from .engine import DiffEngine, max_residual
 from .frames import (build_unitary_frame, cross_check_gamma,
                      skew_hermitian_check, structure_equation_residual)
@@ -66,14 +65,16 @@ class RunConfig:
                               % self.example_id)
         if len(tuple(self.c_values)) == 0:
             raise ConfigError("parameter sweep is empty: pass at least one c")
+        if not all(math.isfinite(float(c)) for c in self.c_values):
+            raise ConfigError("every c must be finite")
         if self.points < 1:
             raise ConfigError("point count must be >= 1")
         if self.mode not in ("ad", "fd"):
             raise ConfigError("mode must be 'ad' or 'fd'")
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
-        if not (self.fd_step > 0.0):
-            raise ConfigError("fd step must be positive")
+        if not (0.0 < self.fd_step < math.inf):
+            raise ConfigError("fd step must be positive and finite")
         if self.samples < 1:
             raise ConfigError("sample count must be >= 1")
 
@@ -157,24 +158,19 @@ def _batched(records, variant, pts, fn) -> bool:
     return True
 
 
-def _projected_nijenhuis_scale(triad, pts, seed: int, samples: int = 4) -> float:
-    """Largest sampled norm of the projected Nijenhuis tensor.
+def _projected_nijenhuis_scale(triad, pts) -> float:
+    """Largest entry of the projected Nijenhuis table Pi N(Pi ., Pi .), read
+    point by point (an ``ad`` Jacobian takes one point).
 
-    Decides whether the J-sensitivity controls are applicable: on examples
-    whose distribution-level Nijenhuis tensor vanishes identically (all the
-    standard ones, and every three-dimensional example) flipping the first
-    correction or using Levi-Civita leaves those residuals at zero, so they
-    carry no discriminating power there.
+    Where it vanishes (the standard examples, and every three-dimensional
+    one) the J-sensitivity controls read zero and cannot fire, so they
+    do not run.
     """
     best = 0.0
-    rng = field_rng(seed, "control-gate", triad.label)
     for p in pts:
         P = triad.pi_any(p)
-        for _ in range(samples):
-            Yf = xi_section(triad, rng.standard_normal(triad.dim))
-            Zf = xi_section(triad, rng.standard_normal(triad.dim))
-            n = nijenhuis(triad, Yf, Zf, p)
-            best = max_residual(best, np.max(np.abs(np.dot(P, n))))
+        pn = np.einsum('ka,aij,ib,jc->kbc', P, triad.nijenhuis_at(p), P, P)
+        best = max_residual(best, np.max(np.abs(pn)))
     return best
 
 
@@ -196,7 +192,7 @@ def run_suite(config: RunConfig) -> Report:
     cs = tuple(float(c) for c in config.c_values)
     # a NaN scale cannot rule the J-sensitive controls out, so they run
     with_j_controls = config.negative_controls and not (
-        _projected_nijenhuis_scale(triad, pts, seed) <= 1e-3)
+        _projected_nijenhuis_scale(triad, pts) <= 1e-3)
 
     def families(p):
         """(family, variant, closure) for every family run at point p."""

@@ -4,6 +4,8 @@ identity suite, and the deliberate fault injections."""
 import numpy as np
 import pytest
 
+import triadlab
+
 from triadlab import ContactTriad, catalog, standard_triad
 from triadlab.checks import (
     CHECKS,
@@ -23,7 +25,7 @@ from triadlab.checks import (
     pullback_triad,
     xi_vector,
 )
-from triadlab.connections import triad_connection
+from triadlab.connections import nijenhuis, triad_connection
 from triadlab.engine import max_residual
 
 from oracles import roundtrip_residual
@@ -181,6 +183,23 @@ def _nan_christoffel(triad):
     table = np.full((triad.dim,) * 3, np.nan)
     triad.christoffel_at = lambda p: table
     return triad
+
+
+def test_lemma_suite_keeps_one_field_bracket_nijenhuis_per_sample(monkeypatch):
+    """semi-connection-torsion-quarter-n takes N from the brackets of fields,
+    apart from the table every other Nijenhuis record reads."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nijenhuis(*args)
+    monkeypatch.setattr("triadlab.checks.nijenhuis", counted)
+    for mode in ("ad", "fd"):
+        t = _CAT["r5-perturbed-J"].build(triadlab.DiffEngine(mode=mode))
+        for samples in (1, 3):
+            del calls[:]
+            check_lemma_suite(t, t.sample_points(1, 3)[0], samples=samples)
+            assert len(calls) == samples, (mode, samples)
 
 
 def test_nan_residuals_fail_in_axioms_and_lemma_suite():

@@ -6,6 +6,7 @@ from triadlab import (LeviCivitaConnection, catalog, perturbed_triad,
                       standard_triad, triad_connection)
 from triadlab.checks import const_field, xi_vector, field_rng
 from triadlab.connections import (
+    _lc_nabla_j,
     covariant_derivative_endo,
     covariant_derivative_form,
     nijenhuis,
@@ -13,6 +14,8 @@ from triadlab.connections import (
     tensor_B2,
     torsion_tensor,
 )
+
+from triadlab.contact import j_section, reeb_section, xi_section
 
 from oracles import koszul_lc_pairing, torsion
 
@@ -283,6 +286,49 @@ def test_nijenhuis_reeb_slot_identity():
             z = xi_vector(t, p, rng)
             val = nijenhuis(t, t.reeb_any, const_field(z), p)
             assert np.max(np.abs(val + J @ (L @ z))) < 1e-8, ex_id
+
+
+def _table_n(t, p, y, z):
+    return np.einsum('kij,i,j->k', t.nijenhuis_at(p), y, z)
+
+
+def test_nijenhuis_table_matches_the_brackets_of_fields():
+    """N(y, z) from the table is the bracket form on constant fields; on the
+    distribution sections Pi wy, Pi wz the bracket form adds d lam(y, z) X,
+    since lam([Y, Z]) = -d lam(Y, Z) there, and with the Reeb field in a
+    slot it adds nothing."""
+    for ex_id, spec in _CAT.items():
+        t = spec.build()
+        rng = np.random.default_rng(61)
+        for p in t.sample_points(2, seed=62):
+            X = t.reeb_any(p)
+            for _ in range(3):
+                y, z = rng.standard_normal(t.dim), rng.standard_normal(t.dim)
+                got = nijenhuis(t, const_field(y), const_field(z), p)
+                assert np.max(np.abs(got - _table_n(t, p, y, z))) < 1e-13
+
+                Yf, Zf = xi_section(t, y), xi_section(t, z)
+                py, pz = Yf(p), Zf(p)
+                want = _table_n(t, p, py, pz) + (py @ t.dlam_any(p) @ pz) * X
+                got = nijenhuis(t, Yf, Zf, p)
+                assert np.max(np.abs(got - want)) < 1e-13, ex_id
+
+                got = nijenhuis(t, reeb_section(t), Zf, p)
+                assert np.max(np.abs(got - _table_n(t, p, X, pz))) < 1e-13
+
+
+def test_lc_nabla_j_table_is_the_covariant_derivative_of_j():
+    for ex_id, spec in _CAT.items():
+        t = spec.build()
+        lc = LeviCivitaConnection(t)
+        rng = np.random.default_rng(63)
+        for p in t.sample_points(2, seed=64):
+            for _ in range(3):
+                u = rng.standard_normal(t.dim)
+                want = covariant_derivative_endo(lc, j_section(t),
+                                                 const_field(u), p)
+                got = _lc_nabla_j(t, u, p)
+                assert np.max(np.abs(got - want)) < 1e-13, ex_id
 
 
 def test_nijenhuis_plane_symmetries():

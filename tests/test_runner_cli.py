@@ -20,6 +20,7 @@ from triadlab.runner import (
     Report,
     RunConfig,
     _canon,
+    _projected_nijenhuis_scale,
     _render_records,
     emit_report,
     run_suite,
@@ -42,6 +43,13 @@ def test_config_validation_rejects_bad_inputs():
         RunConfig(example_id="r3-standard", fmt="xml").validate()
     with pytest.raises(ConfigError):
         RunConfig(example_id="r3-standard", fd_step=0.0).validate()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError):
+            RunConfig(example_id="r3-standard", c_values=(0.0, bad)).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            RunConfig(example_id="r3-standard", mode="fd",
+                      fd_step=bad).validate()
 
 
 def test_config_validation_rejects_zero_samples():
@@ -380,6 +388,23 @@ def test_cli_check_csv_format(capsys):
 def test_cli_empty_parameter_sweep_is_usage_error(capsys):
     assert main(["check", "--example", "r3-standard", "--c", ""]) == 2
     assert "at least one c" in capsys.readouterr().err
+
+
+def test_cli_non_finite_parameter_or_step_is_usage_error(capsys):
+    base = ["check", "--example", "r3-standard", "--points", "1"]
+    for extra in (["--c", "nan"], ["--c", "0,inf"],
+                  ["--mode", "fd", "--fd-step", "inf"]):
+        assert main(base + extra) == 2, extra
+        assert "finite" in capsys.readouterr().err
+
+
+def test_projected_nijenhuis_scale_rules_in_only_r5_perturbed_j():
+    """The J-sensitive controls run where Pi N(Pi ., Pi .) is not zero."""
+    for mode in ("ad", "fd"):
+        for ex_id, spec in triadlab.catalog().items():
+            t = spec.build(triadlab.DiffEngine(mode=mode))
+            scale = _projected_nijenhuis_scale(t, t.sample_points(2, 7))
+            assert (scale > 1e-3) == (ex_id == "r5-perturbed-J"), (mode, ex_id)
 
 
 def test_cli_unparseable_parameter_is_usage_error(capsys):

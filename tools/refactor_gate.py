@@ -12,7 +12,8 @@ interpreter, and compares the JSON reports.  It prints:
 * every change to a report's record list (name, variant, point index) or to
   a record field other than the residual;
 * the worst residual move per mode, absolute and as a share of the record's
-  tolerance, with the record that made it;
+  tolerance, with the record that made it, then the worst move of each
+  record name that moved in that mode;
 * how many reports match byte for byte, and the key of each that does not;
 * the total and non-blank line counts of ``src/triadlab`` in each checkout.
 
@@ -92,6 +93,7 @@ def compare(base: dict, head: dict) -> int:
     identical = 0
     moved = []
     worst = {m: (0.0, 0.0, "") for m in MODES}       # abs move, share, where
+    by_name = {m: {} for m in MODES}                # name -> (move, share)
     if sorted(base) != sorted(head):
         problems.append("report sets differ")
     for key in sorted(set(base) & set(head)):
@@ -121,19 +123,24 @@ def compare(base: dict, head: dict) -> int:
             share = move / x["tolerance"] if x["tolerance"] else 0.0
             if move > worst[mode][0]:
                 worst[mode] = (move, share, where)
+            if move > by_name[mode].get(x["name"], (0.0,))[0]:
+                by_name[mode][x["name"]] = (move, share)
     for msg in problems:
         print("CHANGE " + msg)
+    verdicts = "CHANGED" if problems else "identical"
     for mode in MODES:
         move, share, where = worst[mode]
         print("%s: worst residual move %.3e (%.2e x tolerance)%s"
               % (mode, move, share, "  at " + where if where else ""))
+        for name, (move_n, share_n) in sorted(by_name[mode].items()):
+            print("  %s %s: %.3e (%.2e x tolerance)"
+                  % (mode, name, move_n, share_n))
         if move > MAX_MOVE:
             problems.append("%s residual move above %.0e" % (mode, MAX_MOVE))
     print("byte-identical reports: %d of %d" % (identical, len(base)))
     for key in moved:
         print("  not byte-identical: " + key)
-    print("verdicts and record lists: %s" % ("CHANGED" if problems
-                                              else "identical"))
+    print("verdicts and record lists: %s" % verdicts)
     return 1 if problems else 0
 
 
