@@ -2,14 +2,25 @@
 
 Every check evaluates one identity the family is supposed to satisfy and
 reports the worst residual it saw, together with the tolerance it is held
-to.  Identities that are linear in their free slots are evaluated in matrix
-form (all directions at once); the genuinely multilinear ones are sampled
-with seeded Gaussian draws.  Every family takes a point or a batch of
-points, shape ``(*batch, dim)``, and reports one residual per point: the
-draws take no point index, so each point of a batch reads the same draws,
-as each point of a run does.  Records that need only the Nijenhuis tensor
-or nabla^LC J contract the triad's tables of them; the quarter-N torsion
-record and ``p-antisymmetrized-bracket`` keep the field brackets.
+to.  An identity that reads only the triad's per-point tables (g, J, Pi,
+d lam, L_X J, nabla^LC J, the Nijenhuis tensor N and the Gamma tables) is
+evaluated on the whole table: every slot is contracted with the
+g-orthonormal basis B = L^-T, where G = L L^T (Pi B for a distribution
+slot), a vector output is read as L^T out, and the residual is the largest
+entry.  These are ``lc-j-derivative-pairing``, ``lc-j-derivative-reeb-slots``,
+``nijenhuis-reeb-slots``, ``nijenhuis-j-shuffle``,
+``lc-j-antilinear-cancellation``, ``p-tensor-metric-skew``,
+``torsion-type-symmetries``, the lam part of ``torsion-split-values``,
+``scaling-transfer`` and the controls ``fault-flipped-correction`` and
+``fault-scale-mismatch``; the records that are linear in one free slot
+read their tables as matrices.  An identity that differentiates fields is
+sampled with seeded Gaussian draws: the axioms, ``cr-form``, naturality,
+the semi-connection records, the quarter-N torsion (which takes N from
+field brackets, apart from the table), ``p-antisymmetrized-bracket`` and
+the Lie part of ``torsion-split-values``.  Every family takes a point or a
+batch of points, shape ``(*batch, dim)``, and reports one residual per
+point: the draws take no point index, so each point of a batch reads the
+same draws, as each point of a run does.
 
 The registry :data:`CHECKS` declares every check once: the one-line
 statement of its identity (what the CLI's ``describe-check`` prints), its
@@ -32,7 +43,6 @@ from .connections import (
     LeviCivitaConnection,
     PullbackConnection,
     TriadConnection,
-    _lc_nabla_j,
     covariant_derivative_form,
     covariant_derivative_two_form,
     covariant_derivative_endo,
@@ -271,9 +281,33 @@ def _worst(x, axes: int = 1):
     return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
 
 
-def _nij(N, y, z):
-    """N(y, z) from a Nijenhuis table N[k, i, j]."""
-    return np.einsum('...kij,...i,...j->...k', N, y, z)
+def _frame(triad: ContactTriad, p) -> tuple:
+    """(L, B, Pi B) with G = L L^T: the columns of B = L^-T are g-orthonormal,
+    those of Pi B span the distribution, and L^T v reads a vector v in B."""
+    L = np.linalg.cholesky(triad.metric_any(p))
+    B = np.linalg.inv(L).mT
+    return L, B, dot(triad.pi_any(p), B)
+
+
+def _in_frame(T, *bases):
+    """Largest entry per point of the table T[..., i_1, .., i_m] with slot s
+    contracted with the columns of ``bases[s]``, one slot at a time."""
+    s = "ijk"[:len(bases)]
+    for n, M in enumerate(bases):
+        T = np.einsum("...%s,...%sz->...%s" % (s, s[n], s.replace(s[n], "z")),
+                      T, M)
+    return _worst(T, len(bases))
+
+
+def _lead(M, T):
+    """M applied to the vector slot of a table T[k, i, j]."""
+    return np.einsum('...ka,...aij->...kij', M, T)
+
+
+def _torsion_table(conn, p):
+    """T[k, i, j] = T(e_i, e_j)^k from the connection's Gamma table."""
+    g = conn.gamma_tensor(p)
+    return g - g.swapaxes(-1, -2)
 
 
 def _reeb_cov_matrix(conn, p) -> np.ndarray:
@@ -393,8 +427,7 @@ def check_cr_form(triad: ContactTriad, c: float, p, seed: int = 0,
             make_result("cr-form-xi", r_xi, p))
 
 
-def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
-                  samples: int = 4) -> CheckResult:
+def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
     """Verify the exact transfer law between nabla^{a lam; 1} and nabla^{lam; a}.
 
     Rescaling the contact form by a > 0 turns the family parameter 1 into a:
@@ -409,8 +442,9 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
     a consequence of the Reeb-metric duality axiom being weighted by the
     form scale (the torsion values (1+c) d(lam) on the two sides already
     rule out full equality).  The residual reported here is the deviation
-    of the measured difference table from that closed-form offset, plus
-    the requirement that both Reeb slots agree exactly; it pins the whole
+    of the difference table from that closed-form offset, which takes
+    Pi of both slots and so vanishes on the Reeb slots; it is read in a
+    g-orthonormal frame, every slot at once, and pins the whole
     relationship rather than a projection of it.
     """
     if not a > 0:
@@ -418,26 +452,16 @@ def check_scaling(triad: ContactTriad, a: float, p, seed: int = 0,
     p = np.asarray(p, dtype=float)
     conn_s = triad_connection(triad.scaled(a), 1.0)
     conn_b = triad_connection(triad, a)
-    rng = field_rng(seed, "scaling", triad.label, a)
     X = triad.reeb_any(p)
     Pi = triad.pi_any(p)
     G = triad.metric_any(p)
-    reeb_cov = _reeb_cov_matrix(conn_b, p)
-    worst = 0.0
-    for _ in range(samples):
-        u = tq_vector(triad.dim, rng)
-        v = tq_vector(triad.dim, rng)
-        diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
-        vg = matvec(G.mT, matvec(Pi, v))      # (Pi v)^T G, taken first
-        k = -(1.0 / a - 1.0) * inner(vg, matvec(reeb_cov, matvec(Pi, u)))
-        offset = k[..., None] * X
-        worst = max_residual(worst, _worst(diff - offset))
-    w = tq_vector(triad.dim, rng)
-    worst = max_residual(worst, _worst(
-        conn_s.gamma_apply(p, X, w) - conn_b.gamma_apply(p, X, w)))
-    worst = max_residual(worst, _worst(
-        conn_s.gamma_apply(p, w, X) - conn_b.gamma_apply(p, w, X)))
-    return make_result("scaling-transfer", worst, p)
+    # k[v, u] = -(1/a - 1) g(Pi v, nabla_{Pi u} X)
+    k = -(1.0 / a - 1.0) * dot(Pi.mT, dot(G, dot(_reeb_cov_matrix(conn_b, p),
+                                                  Pi)))
+    diff = (conn_s.gamma_tensor(p) - conn_b.gamma_tensor(p)
+            - X[..., :, None, None] * k.mT[..., None, :, :])
+    L, B, _ = _frame(triad, p)
+    return make_result("scaling-transfer", _in_frame(diff, L, B, B), p)
 
 
 # -- naturality ------------------------------------------------------------
@@ -543,75 +567,56 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     r = max_residual(_worst(matvec(mlc, X)), _worst(matvec(mlc.mT, lam)))
     out.append(make_result("reeb-geodesic-foliation", r, p))
 
-    # The Nijenhuis records read the table N.  The bracket form of N on
-    # fields is N(y, z) - lam([Y, Z]) X at p; each record says why the X
-    # term drops.  Pairing of nabla^LC J with N, full tangent slots: on
-    # constant fields [Y, Z] = 0.
-    r = 0.0
-    for _ in range(samples):
-        x = tq_vector(d, rng)
-        y = tq_vector(d, rng)
-        z = tq_vector(d, rng)
-        nj = matvec(_lc_nabla_j(triad, x, p), y)
-        nyz = _nij(N, y, z)
-        jx = matvec(J, x)
-        lhs = 2.0 * ip(nj, z)
-        rhs = (ip(nyz, jx) - ip(jx, matvec(J, y)) * inner(lam, z)
-               + ip(jx, matvec(J, z)) * inner(lam, y))
-        r = max_residual(r, np.abs(lhs - rhs))
-    out.append(make_result("lc-j-derivative-pairing", r, p))
+    # The tensorial records below read whole tables: every slot contracted
+    # with the g-orthonormal basis B (Pi B for a distribution slot), a
+    # vector output read as L^T out.  They take no draws; the sampled
+    # records after them skip as many draws as a sampled form of these
+    # would take, so that their own draws, and residuals, stay put.
+    Lg, B, Bx = _frame(triad, p)
+    nj = triad.nabla_j_at(p)
+    gnj = np.einsum('...ac,...cbl->...lba', G, nj)   # g((nabla_x J) y, z)
+    jnj = _lead(J, nj)                               # J (nabla_y J) x
+    njj = np.einsum('...abl,...lm->...abm', nj, J)   # (nabla_{J y} J) x
 
-    # Reeb-slot specialisations of the same pairing; the X term of the
-    # distribution sections Pi y, Pi z is paired with Jx, and g(X, Jx) = 0.
-    r = 0.0
-    for _ in range(samples):
-        y = xi_vector(triad, p, rng)
-        z = xi_vector(triad, p, rng)
-        ny = _lc_nabla_j(triad, y, p)
-        lz = matvec(L, z)
-        r = max_residual(r,
-                         np.abs(2.0 * ip(matvec(ny, X), z) + ip(lz, y)
-                                - ip(y, z)),
-                         np.abs(2.0 * ip(matvec(ny, z), X) - ip(lz, y)
-                                + ip(y, z)))
-        x = xi_vector(triad, p, rng)
-        nx = matvec(_lc_nabla_j(triad, x, p), y)
-        nyz = _nij(N, matvec(P, y), matvec(P, z))
-        r = max_residual(r, np.abs(2.0 * ip(nx, z) - ip(nyz, matvec(J, x))))
+    # On fields the bracket form of N is N(y, z) - lam([Y, Z]) X at p; each
+    # record says why the X term drops.  Pairing of nabla^LC J with N as
+    # pair[x, y, z], full tangent slots: on constant fields [Y, Z] = 0.
+    gjj = dot(J.mT, dot(G, J))
+    pair = (2.0 * gnj - np.einsum('...ka,...kij->...aij', dot(G, J), N)
+            + gjj[..., :, :, None] * lam[..., None, None, :]
+            - gjj[..., :, None, :] * lam[..., None, :, None])
+    out.append(make_result("lc-j-derivative-pairing",
+                           _in_frame(pair, B, B, B), p))
+
+    # Reeb-slot specialisations of the same pairing; on distribution slots
+    # the X term is paired with Jx, and g(X, Jx) = 0.
+    r = max_residual(
+        _in_frame(2.0 * np.einsum('...lba,...b->...la', gnj, X) + gl - G,
+                  Bx, Bx),
+        _in_frame(2.0 * np.einsum('...lba,...a->...lb', gnj, X) - gl + G,
+                  Bx, Bx),
+        _in_frame(pair, Bx, Bx, Bx))
     out.append(make_result("lc-j-derivative-reeb-slots", r, p))
 
     # Nijenhuis tensor with the Reeb field in a slot.  For a distribution
     # section Z, lam(X) = 1 and lam(Z) = 0 are constant, so lam([X, Z]) =
     # -d lam(X, Z), which is 0 since X -| d lam = 0.
-    r = 0.0
-    for _ in range(samples):
-        z = matvec(P, rng.standard_normal(d))
-        jlz = matvec(J, matvec(L, z))
-        r = max_residual(r, _worst(_nij(N, X, z) + jlz))
-        r = max_residual(r, _worst(_nij(N, z, X) - jlz))
+    jl = dot(J, L)
+    r = max_residual(
+        _in_frame(np.einsum('...kij,...i->...kj', N, X) + jl, Lg, Bx),
+        _in_frame(np.einsum('...kij,...j->...ki', N, X) - jl, Lg, Bx))
     out.append(make_result("nijenhuis-reeb-slots", r, p))
 
-    # J-shuffles of the Nijenhuis tensor on the distribution sections
-    # Pi y, Pi z and their J-images: J or Pi projects the X term away.
-    r = 0.0
-    for _ in range(samples):
-        y = matvec(P, rng.standard_normal(d))
-        z = matvec(P, rng.standard_normal(d))
-        n_y_jz = _nij(N, y, matvec(J, z))
-        n_y_z = _nij(N, y, z)
-        n_z_jy = _nij(N, z, matvec(J, y))
-        r = max_residual(r, _worst(matvec(J, n_y_jz) - matvec(P, n_y_z)))
-        r = max_residual(r, _worst(matvec(P, n_y_jz) + matvec(P, n_z_jy)))
+    # J-shuffles of the Nijenhuis tensor on distribution sections and their
+    # J-images: J or Pi projects the X term away.  nyj[k, i, j] = N(e_i, J e_j).
+    nyj = np.einsum('...kim,...mj->...kij', N, J)
+    r = max_residual(
+        _in_frame(_lead(J, nyj) - _lead(P, N), Lg, Bx, Bx),
+        _in_frame(_lead(P, nyj + nyj.swapaxes(-1, -2)), Lg, Bx, Bx))
     out.append(make_result("nijenhuis-j-shuffle", r, p))
 
     # Antilinear cancellation of nabla^LC J.
-    r = 0.0
-    for _ in range(samples):
-        y = xi_vector(triad, p, rng)
-        x = xi_vector(triad, p, rng)
-        t = (matvec(P, matvec(_lc_nabla_j(triad, matvec(J, y), p), x))
-             + matvec(J, matvec(_lc_nabla_j(triad, y, p), x)))
-        r = max_residual(r, _worst(t))
+    r = _in_frame(_lead(P, njj) + jnj, Lg, Bx, Bx)
     out.append(make_result("lc-j-antilinear-cancellation", r, p))
 
     # J is Levi-Civita parallel in the Reeb direction.
@@ -623,6 +628,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
     out.append(make_result("lc-reeb-covariant-slope", _worst(m, 2), p))
 
     # J-linearity of the intermediate (parameter -1) connection.
+    rng.standard_normal((11 * samples, d))    # the five records above
     r = 0.0
     for _ in range(samples):
         u = tq_vector(d, rng)
@@ -632,17 +638,15 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         r = max_residual(r, _worst(t))
     out.append(make_result("semi-connection-j-linearity", r, p))
 
-    # Metric skew property of the obstruction tensor P.
-    r = 0.0
-    for _ in range(samples):
-        x = xi_vector(triad, p, rng)
-        y = xi_vector(triad, p, rng)
-        z = xi_vector(triad, p, rng)
-        r = max_residual(r, np.abs(ip(tensor_P(triad, x, y, p), z)
-                                   + ip(y, tensor_P(triad, x, z, p))))
-    out.append(make_result("p-tensor-metric-skew", r, p))
+    # Metric skew property of the obstruction tensor P, as the table
+    # tp[k, x, y] = P(e_x, e_y)^k; s[z, x, y] = <z, P(x, y)> + <y, P(x, z)>.
+    tp = 0.25 * (njj + jnj + 2.0 * jnj.swapaxes(-1, -2))
+    gp = _lead(G, tp)
+    out.append(make_result("p-tensor-metric-skew",
+                           _in_frame(gp + gp.swapaxes(-1, -3), Bx, Bx, Bx), p))
 
     # Metric property of the intermediate connection on sections.
+    rng.standard_normal((3 * samples, d))     # p-tensor-metric-skew's draws
     r = 0.0
     for _ in range(samples):
         u = tq_vector(d, rng)
@@ -685,17 +689,17 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         r = max_residual(r, _worst(m, 2))
     out.append(make_result("reeb-covariant-family", r, p))
 
-    # Torsion split values across the family.
+    # Torsion split values across the family: the lam part as whole tables,
+    # the Lie part on drawn sections.
     j_sec = j_section(triad)
-    r = 0.0
+    r = max_residual(*(
+        _in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
+            triad_connection(triad, c), p)) - (1.0 + c) * A, Bx, Bx)
+        for c in c_values))
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(d))
         Zf = xi_section(triad, rng.standard_normal(d))
         y, z = Yf(p), Zf(p)
-        dlyz = inner(y, matvec(A, z))
-        for c in c_values:
-            t = torsion_tensor(triad_connection(triad, c), p, y, z)
-            r = max_residual(r, np.abs(inner(lam, t) - (1.0 + c) * dlyz))
         t0 = torsion_tensor(conn0, p, y, z)
         l_jy = engine.lie_derivative_endo(j_image(triad, Yf), j_sec, p)
         l_y = engine.lie_derivative_endo(Yf, j_sec, p)
@@ -703,21 +707,19 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         r = max_residual(r, _worst(matvec(P, t0) - lie_side))
     out.append(make_result("torsion-split-values", r, p))
 
-    # Type symmetries of the projected torsion.
-    r = 0.0
-    for _ in range(samples):
-        y = xi_vector(triad, p, rng)
-        z = xi_vector(triad, p, rng)
-        t_jy_z = matvec(P, torsion_tensor(conn0, p, matvec(J, y), z))
-        t_y_jz = matvec(P, torsion_tensor(conn0, p, y, matvec(J, z)))
-        t_y_z = matvec(P, torsion_tensor(conn0, p, y, z))
-        r = max_residual(r, _worst(t_jy_z - t_y_jz))
-        r = max_residual(r, _worst(matvec(J, t_jy_z) - t_y_z))
+    # Type symmetries of the projected torsion; tjy[k, y, z] = Pi T(J e_y,
+    # e_z) and tjz[k, y, z] = Pi T(e_y, J e_z).
+    pt = _lead(P, _torsion_table(conn0, p))
+    tjy = np.einsum('...kiz,...iy->...kyz', pt, J)
+    tjz = np.einsum('...kyj,...jz->...kyz', pt, J)
+    r = max_residual(_in_frame(tjy - tjz, Lg, Bx, Bx),
+                     _in_frame(_lead(J, tjy) - pt, Lg, Bx, Bx))
     out.append(make_result("torsion-type-symmetries", r, p))
 
     # The antisymmetrisation of P as a bracket combination.  The brackets
     # differentiate the bare closures, so this record runs the field path in
     # both modes.
+    rng.standard_normal((2 * samples, d))     # torsion-type-symmetries'
     r = 0.0
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(d)).fn
@@ -742,8 +744,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
 # -- fault injections ------------------------------------------------------
 
 
-def fault_flipped_b1(triad: ContactTriad, p, seed: int = 0,
-                     samples: int = 4) -> CheckResult:
+def fault_flipped_b1(triad: ContactTriad, p) -> CheckResult:
     """Quarter-Nijenhuis torsion residual with the first correction negated.
 
     On any triad with nonvanishing projected Nijenhuis tensor the residual
@@ -751,18 +752,11 @@ def fault_flipped_b1(triad: ContactTriad, p, seed: int = 0,
     """
     p = np.asarray(p, dtype=float)
     conn = TriadConnection(triad, -1.0, b1_sign=-1.0)
-    rng = field_rng(seed, "fault-b1", triad.label)
-    Pm = triad.pi_any(p)
-    N = triad.nijenhuis_at(p)
-    r = 0.0
-    for _ in range(samples):
-        # Pi projects away the X term of the sections' bracket form of N
-        y = matvec(Pm, rng.standard_normal(triad.dim))
-        z = matvec(Pm, rng.standard_normal(triad.dim))
-        t = torsion_tensor(conn, p, y, z)
-        n = _nij(N, y, z)
-        r = max_residual(r, _worst(matvec(Pm, t) - 0.25 * matvec(Pm, n)))
-    return make_result("fault-flipped-correction", r, p)
+    L, _, Bx = _frame(triad, p)
+    # Pi projects away the X term of the sections' bracket form of N
+    t = _lead(triad.pi_any(p), _torsion_table(conn, p)
+              - 0.25 * triad.nijenhuis_at(p))
+    return make_result("fault-flipped-correction", _in_frame(t, L, Bx, Bx), p)
 
 
 def fault_wrong_c(triad: ContactTriad, p, seed: int = 0, built_c: float = 1.0,
@@ -806,17 +800,11 @@ def fault_levi_civita(triad: ContactTriad, p, seed: int = 0,
     return make_result("fault-levi-civita-not-complex-linear", r, p)
 
 
-def fault_scale_mismatch(triad: ContactTriad, a: float, p, seed: int = 0,
-                         samples: int = 4) -> CheckResult:
+def fault_scale_mismatch(triad: ContactTriad, a: float, p) -> CheckResult:
     """Residual between nabla^{a lam; 1} and the UNscaled parameter-1 member."""
     p = np.asarray(p, dtype=float)
     conn_s = triad_connection(triad.scaled(a), 1.0)
     conn_b = triad_connection(triad, 1.0)
-    rng = field_rng(seed, "fault-scale", triad.label, a)
-    r = 0.0
-    for _ in range(samples):
-        u = tq_vector(triad.dim, rng)
-        v = tq_vector(triad.dim, rng)
-        diff = conn_s.gamma_apply(p, u, v) - conn_b.gamma_apply(p, u, v)
-        r = max_residual(r, _worst(diff))
-    return make_result("fault-scale-mismatch", r, p)
+    diff = conn_s.gamma_tensor(p) - conn_b.gamma_tensor(p)
+    L, B, _ = _frame(triad, p)
+    return make_result("fault-scale-mismatch", _in_frame(diff, L, B, B), p)

@@ -31,7 +31,7 @@ from .catalog import catalog
 from .checks import (CHECKS, CheckResult, check_axioms, check_cr_form,
                      check_lemma_suite, check_naturality, check_scaling,
                      fault_flipped_b1, fault_levi_civita, fault_scale_mismatch,
-                     fault_wrong_c, family_names, make_result)
+                     fault_wrong_c, family_names, make_result, _in_frame)
 from .connections import triad_connection
 from .engine import DiffEngine, max_residual
 from .frames import (build_unitary_frame, cross_check_gamma,
@@ -67,6 +67,8 @@ class RunConfig:
             raise ConfigError("parameter sweep is empty: pass at least one c")
         if not all(math.isfinite(float(c)) for c in self.c_values):
             raise ConfigError("every c must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.points < 1:
             raise ConfigError("point count must be >= 1")
         if self.mode not in ("ad", "fd"):
@@ -159,18 +161,19 @@ def _batched(records, variant, pts, fn) -> bool:
 
 
 def _projected_nijenhuis_scale(triad, pts) -> float:
-    """Largest entry of the projected Nijenhuis table Pi N(Pi ., Pi .), read
-    point by point (an ``ad`` Jacobian takes one point).
+    """Largest entry of the projected Nijenhuis table Pi N(Pi ., Pi .): in
+    ``fd`` read from the batch's tables, which the batched controls read
+    too, and in ``ad`` point by point (an ``ad`` Jacobian takes one point).
 
     Where it vanishes (the standard examples, and every three-dimensional
     one) the J-sensitivity controls read zero and cannot fire, so they
     do not run.
     """
     best = 0.0
-    for p in pts:
+    for p in ([pts] if triad.engine.mode == "fd" else pts):
         P = triad.pi_any(p)
-        pn = np.einsum('ka,aij,ib,jc->kbc', P, triad.nijenhuis_at(p), P, P)
-        best = max_residual(best, np.max(np.abs(pn)))
+        best = max_residual(best, np.max(_in_frame(triad.nijenhuis_at(p),
+                                                   P.mT, P, P)))
     return best
 
 
@@ -201,12 +204,12 @@ def run_suite(config: RunConfig) -> Report:
                 ("fault_wrong_c", "",
                  lambda: fault_wrong_c(triad, p, seed=seed)),
                 ("fault_scale_mismatch", "a=2",
-                 lambda: fault_scale_mismatch(triad, 2.0, p, seed=seed)),
+                 lambda: fault_scale_mismatch(triad, 2.0, p)),
                 ("_dropped_torsion_control", "c=0",
                  lambda: _dropped_torsion_control(triad, p, seed))]
             if with_j_controls:
                 rows += [("fault_flipped_b1", "",
-                          lambda: fault_flipped_b1(triad, p, seed=seed)),
+                          lambda: fault_flipped_b1(triad, p)),
                          ("fault_levi_civita", "",
                           lambda: fault_levi_civita(triad, p, seed=seed))]
             return rows
@@ -224,7 +227,7 @@ def run_suite(config: RunConfig) -> Report:
                  ("_frame_records", "frame",
                   lambda: _frame_records(triad, cs, p, seed)),
                  ("check_scaling", "a=2",
-                  lambda: check_scaling(triad, 2.0, p, seed=seed))]
+                  lambda: check_scaling(triad, 2.0, p))]
         rows += [("check_naturality", m.label,
                   lambda m=m: check_naturality(triad, m, 0.0, p, seed=seed))
                  for m in spec.maps]

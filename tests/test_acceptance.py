@@ -209,12 +209,12 @@ def test_criterion_08_scaling_transfer_amended_law():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=1008)[0]
         for a in (2.0, 0.5):
-            res = check_scaling(t, a, p, seed=8)
+            res = check_scaling(t, a, p)
             assert res.residual <= 1e-7, (ex_id, a, res.residual)
             worst = max(worst, res.residual)
-        exact = check_scaling(t, 1.0, p, seed=8)
+        exact = check_scaling(t, 1.0, p)
         assert exact.residual <= 1e-12, (ex_id, exact.residual)
-        naive = fault_scale_mismatch(t, 2.0, p, seed=8)
+        naive = fault_scale_mismatch(t, 2.0, p)
         assert naive.residual >= 1e-3, (ex_id, naive.residual)
     _report(8, "(amended) transfer law %.2e (tol 1e-7); naive "
             "identification fails by >= 1e-3 as expected" % worst)
@@ -262,7 +262,7 @@ def test_criterion_11_fault_injections_fire():
     p5 = t5.sample_points(1, seed=1011)[0]
     t3 = _CAT["r3-standard"].build()
     p3 = t3.sample_points(1, seed=1011)[0]
-    flipped = fault_flipped_b1(t5, p5, seed=11).residual
+    flipped = fault_flipped_b1(t5, p5).residual
     wrong = fault_wrong_c(t3, p3, seed=11).residual
     lc = fault_levi_civita(t5, p5, seed=11).residual
     assert flipped >= 1e-3, flipped

@@ -41,10 +41,10 @@ def _families(spec, t, p):
               for m in spec.maps]
     calls += [
         ("lemma suite", lambda: check_lemma_suite(t, p, seed=SEED)),
-        ("scaling", lambda: check_scaling(t, 2.0, p, seed=SEED)),
+        ("scaling", lambda: check_scaling(t, 2.0, p)),
         ("wrong c", lambda: fault_wrong_c(t, p, seed=SEED)),
-        ("scale mismatch", lambda: fault_scale_mismatch(t, 2.0, p, seed=SEED)),
-        ("flipped b1", lambda: fault_flipped_b1(t, p, seed=SEED)),
+        ("scale mismatch", lambda: fault_scale_mismatch(t, 2.0, p)),
+        ("flipped b1", lambda: fault_flipped_b1(t, p)),
         ("levi-civita", lambda: fault_levi_civita(t, p, seed=SEED)),
         ("frame records", lambda: runner._frame_records(t, CS, p, SEED)),
         ("dropped torsion",

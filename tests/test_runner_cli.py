@@ -50,6 +50,8 @@ def test_config_validation_rejects_bad_inputs():
         with pytest.raises(ConfigError):
             RunConfig(example_id="r3-standard", mode="fd",
                       fd_step=bad).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(example_id="r3-standard", seed=-1).validate()
 
 
 def test_config_validation_rejects_zero_samples():
@@ -396,6 +398,36 @@ def test_cli_non_finite_parameter_or_step_is_usage_error(capsys):
                   ["--mode", "fd", "--fd-step", "inf"]):
         assert main(base + extra) == 2, extra
         assert "finite" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_is_usage_error(capsys):
+    assert main(["check", "--example", "r3-standard", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_fd_control_gate_reads_the_batch_tables(monkeypatch):
+    """In ``fd`` the gate reads the tables the batched controls read, so it
+    adds no Jacobian to a controls run."""
+    jacobian = triadlab.DiffEngine.jacobian
+    config = dict(example_id="r5-perturbed-J", points=4, seed=1, mode="fd",
+                  negative_controls=True)
+
+    def count_jacobians():
+        calls = []
+
+        def counted(self, f, p):
+            calls.append(p)
+            return jacobian(self, f, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(triadlab.DiffEngine, "jacobian", counted)
+            run_suite(RunConfig(**config))
+        return len(calls)
+
+    gated = count_jacobians()
+    monkeypatch.setattr("triadlab.runner._projected_nijenhuis_scale",
+                        lambda *a, **kw: 1.0)
+    assert gated == count_jacobians()
 
 
 def test_projected_nijenhuis_scale_rules_in_only_r5_perturbed_j():

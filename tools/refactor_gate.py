@@ -12,8 +12,9 @@ interpreter, and compares the JSON reports.  It prints:
 * every change to a report's record list (name, variant, point index) or to
   a record field other than the residual;
 * the worst residual move per mode, absolute and as a share of the record's
-  tolerance, with the record that made it, then the worst move of each
-  record name that moved in that mode;
+  tolerance, with the record that made it;
+* for each mode and record name, the worst residual as a share of its
+  tolerance in BASE and in HEAD, and the name's worst move if it moved;
 * how many reports match byte for byte, and the key of each that does not;
 * the total and non-blank line counts of ``src/triadlab`` in each checkout.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,15 +95,23 @@ def compare(base: dict, head: dict) -> int:
     identical = 0
     moved = []
     worst = {m: (0.0, 0.0, "") for m in MODES}       # abs move, share, where
-    by_name = {m: {} for m in MODES}                # name -> (move, share)
+    # name -> [worst residual / tolerance in BASE, in HEAD, move, share]
+    by_name = {m: {} for m in MODES}
     if sorted(base) != sorted(head):
         problems.append("report sets differ")
     for key in sorted(set(base) & set(head)):
+        a, b = json.loads(base[key]), json.loads(head[key])
+        for side, rep in enumerate((a, b)):
+            named = by_name[rep["config"]["mode"]]
+            for r in rep["records"]:
+                worst_n = named.setdefault(r["name"], [0.0, 0.0, 0.0, 0.0])
+                margin = (r["residual"] / r["tolerance"] if r["tolerance"]
+                          else math.inf)
+                worst_n[side] = max(worst_n[side], margin)
         if base[key] == head[key]:
             identical += 1
             continue
         moved.append(key)
-        a, b = json.loads(base[key]), json.loads(head[key])
         if a["ok"] != b["ok"]:
             problems.append("%s: ok %s -> %s" % (key, a["ok"], b["ok"]))
         ra, rb = a["records"], b["records"]
@@ -123,8 +133,8 @@ def compare(base: dict, head: dict) -> int:
             share = move / x["tolerance"] if x["tolerance"] else 0.0
             if move > worst[mode][0]:
                 worst[mode] = (move, share, where)
-            if move > by_name[mode].get(x["name"], (0.0,))[0]:
-                by_name[mode][x["name"]] = (move, share)
+            if move > by_name[mode][x["name"]][2]:
+                by_name[mode][x["name"]][2:] = [move, share]
     for msg in problems:
         print("CHANGE " + msg)
     verdicts = "CHANGED" if problems else "identical"
@@ -132,9 +142,12 @@ def compare(base: dict, head: dict) -> int:
         move, share, where = worst[mode]
         print("%s: worst residual move %.3e (%.2e x tolerance)%s"
               % (mode, move, share, "  at " + where if where else ""))
-        for name, (move_n, share_n) in sorted(by_name[mode].items()):
-            print("  %s %s: %.3e (%.2e x tolerance)"
-                  % (mode, name, move_n, share_n))
+        for name, (base_n, head_n, move_n, share_n) in sorted(
+                by_name[mode].items()):
+            print("  %s %s: worst %.2e -> %.2e x tolerance%s"
+                  % (mode, name, base_n, head_n,
+                     ", moved %.3e (%.2e x tolerance)" % (move_n, share_n)
+                     if move_n else ""))
         if move > MAX_MOVE:
             problems.append("%s residual move above %.0e" % (mode, MAX_MOVE))
     print("byte-identical reports: %d of %d" % (identical, len(base)))
