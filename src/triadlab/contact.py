@@ -12,10 +12,10 @@ From these it derives, at any chart point (float or dual-valued):
 * Christoffel symbols of g (float points only; they seed the connections).
 
 The pipelines ``*_any`` and the float-point tables ``*_at`` also take a
-float batch of points, shape ``(..., dim)``, which is how an ``fd`` stencil,
-or an ``fd`` run's sample points, are evaluated in one call: one d lam
-stencil, one stacked Reeb solve and one stacked J solve serve the whole
-batch, each entry with the bits of its single-point evaluation.
+batch of points, shape ``(..., dim)``, which is how an ``fd`` stencil, an
+``ad`` dual batch, or a run's sample points, are evaluated in one call: one
+d lam pass, one stacked Reeb solve and one stacked J solve serve the whole
+batch, each float entry with the bits of its single-point evaluation.
 
 Float-point evaluations live in one bounded store per triad.  An entry is a
 point or a batch, keyed by its bytes (a batch also by its shape), and holds
@@ -33,7 +33,9 @@ The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,
 :func:`j_image`, :func:`reeb_section`, :func:`j_section`,
 :func:`const_field`, :func:`metric_pair`): each carries its 1-jet, read from
-the cached Jacobian tables, so an ``ad`` derivative of it runs no dual pass.
+the cached Jacobian tables, so an ``ad`` derivative of it runs no dual pass;
+written with ``matvec``, ``inner``, ``outer``, ``dot`` and ``...`` einsums,
+one jet serves a point and a batch alike.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ad import ndim
+from .ad import shape
 from .engine import (DiffEngine, Section, dot, inner, is_float_point,
                      matvec, outer, solve)
 
@@ -149,12 +151,9 @@ class ContactTriad:
         lam = self.lam_any(q)
         A = self.dlam_any(q)
         M = outer(lam, lam, A)
-        if ndim(lam) > 1:
-            # numpy reads a 2-D right-hand side as a matrix, so a batch of
-            # vectors goes in as a batch of columns
-            X = solve(M, lam[..., None])[..., 0]
-        else:
-            X = solve(M, lam)
+        # numpy reads a 2-D right-hand side as a matrix, so a vector, or a
+        # batch of them, goes in as a column
+        X = solve(M, lam[..., None])[..., 0]
         if is_float_point(q):
             worst = np.maximum(np.abs(inner(lam, X) - 1.0),
                                np.max(np.abs(matvec(A, X)), axis=-1)).ravel()
@@ -273,11 +272,11 @@ def xi_section(triad: ContactTriad, w) -> Section:
     w = np.asarray(w, dtype=float)
 
     def jet(p):
-        X = triad.reeb_any(p)
-        lam_w = float(np.dot(triad.lam_any(p), w))
-        d_pw = (-lam_w * triad.jac_reeb_at(p)
-                - np.outer(X, np.dot(w, triad.jac_lam_at(p))))
-        return np.dot(triad.pi_any(p), w), d_pw
+        lam_w = inner(triad.lam_any(p), w)
+        d_pw = (-lam_w[..., None, None] * triad.jac_reeb_at(p)
+                - outer(triad.reeb_any(p),
+                        matvec(triad.jac_lam_at(p).mT, w)))
+        return matvec(triad.pi_any(p), w), d_pw
 
     return Section(lambda q: matvec(triad.pi_any(q), w), jet)
 
@@ -287,9 +286,9 @@ def j_image(triad: ContactTriad, Yf) -> Section:
     def jet(p):
         y = Yf(p)
         J = triad.j_any(p)
-        d_jy = (np.einsum('abl,b->al', triad.jac_j_at(p), y)
-                + np.dot(J, triad.engine.jacobian(Yf, p)))
-        return np.dot(J, y), d_jy
+        d_jy = (np.einsum('...abl,...b->...al', triad.jac_j_at(p), y)
+                + dot(J, triad.engine.jacobian(Yf, p)))
+        return matvec(J, y), d_jy
 
     return Section(lambda q: matvec(triad.j_any(q), Yf(q)), jet)
 
@@ -310,9 +309,9 @@ def const_field(w) -> Section:
     w = np.asarray(w, dtype=float)
 
     def fn(q):
-        return w if ndim(q) == 1 else np.broadcast_to(w, q.shape[:-1] + w.shape)
+        return np.broadcast_to(w, shape(q)[:-1] + w.shape)
 
-    return Section(fn, lambda p: (w, np.zeros((len(w), len(p)))))
+    return Section(fn, lambda p: (fn(p), np.zeros(fn(p).shape + w.shape)))
 
 
 def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
@@ -323,12 +322,12 @@ def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
     def jet(p):
         y, z = Yf(p), Zf(p)
         G = triad.metric_any(p)
-        gz, yg = np.dot(G, z), np.dot(y, G)
+        gz, yg = matvec(G, z), matvec(G.mT, y)
         eng = triad.engine
-        grad = (np.einsum('ijl,i,j->l', triad.dmetric_at(p), y, z)
-                + np.dot(gz, eng.jacobian(Yf, p))
-                + np.dot(yg, eng.jacobian(Zf, p)))
-        return float(np.dot(y, gz)), grad
+        grad = (np.einsum('...ijl,...i,...j->...l', triad.dmetric_at(p), y, z)
+                + matvec(eng.jacobian(Yf, p).mT, gz)
+                + matvec(eng.jacobian(Zf, p).mT, yg))
+        return inner(y, gz), grad
 
     return Section(
         lambda q: inner(Yf(q), matvec(triad.metric_any(q), Zf(q))), jet)

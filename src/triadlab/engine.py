@@ -9,22 +9,23 @@ differences (``mode="fd"``, an independent cross-check path).
 
 :meth:`DiffEngine.derivs` is the one differentiation pass: it takes the
 derivatives of a closure at p along every row of a direction matrix ``V``,
-shape ``(k, dim)``, or, at a float batch of points, ``(k, *batch, dim)``
-with one direction per point.  :meth:`DiffEngine.deriv` is its one row
-along ``v``, and :meth:`DiffEngine.jacobian` is it along the identity, with
-the direction axis moved last.  An ``ad`` pass seeds the whole chart point as
-one :class:`~triadlab.ad.Dual` whose tangent holds all k directions at once.
+shape ``(k, dim)``, or, at a batch of points, ``(k, *batch, dim)`` with one
+direction per point; shared directions stand behind singleton batch axes.
+:meth:`DiffEngine.deriv` is its one row along ``v``, and
+:meth:`DiffEngine.jacobian` is it along the identity, with the direction
+axis moved last.  An ``ad`` pass seeds the whole chart point, a batch
+included, as one :class:`~triadlab.ad.Dual` whose tangent holds all k
+directions at once.  An ``fd`` pass calls the closure once, on the stacked
+``(2, k, *batch, dim)`` stencil ``[p + hV, p - hV]``.
 
-An ``fd`` pass calls the closure once, on the stacked ``(2, k, *batch,
-dim)`` stencil ``[p + hV, p - hV]`` at a point p of shape ``(*batch,
-dim)``; directions shared by the batch stand behind singleton batch axes.
-So every closure ``fd`` differentiates takes a point with leading batch
+So every closure the engine differentiates takes a point with leading batch
 axes, shape ``(..., dim)``, and returns its value at every point of the
 batch, with the same leading axes; it indexes coordinates as ``q[..., i]``.
-Each entry of a batch gets the arithmetic of a single point, so a batched
-result is bitwise the per-point one, and a row of ``derivs`` has the bits
-of ``deriv`` along that row.  A point that is itself a batch gives a
-stencil of a batch, which is how the nested d lam of a stencil is taken.
+Each entry of a float batch gets the arithmetic of a single point, so an
+``fd`` result at a batch is bitwise the per-point one, and a row of
+``derivs`` has the bits of ``deriv`` along that row; an ``ad`` result
+matches them to rounding.  A point that is itself a stencil or a dual batch
+gets a stencil or a seed over that batch: the nested d lam is taken so.
 When several fields are differentiated along the same ``V``, they evaluate
 on one stencil, so the triad's store computes its tables once for all of
 them.
@@ -39,12 +40,13 @@ stacked ``np.linalg.solve`` give the bits of the per-point ``np.dot`` and
 ``solve``; a 3-D ``np.dot`` or an ``einsum`` would not.
 
 A :class:`Section` is a closure that also knows its 1-jet, the pair (value,
-Jacobian) at a float point, assembled from per-point tables that are already
-cached.  The jet rule lives in :meth:`DiffEngine.derivs` alone: in ``ad``
-mode, at a float point, a field with a ``jet`` is differentiated by reading
-it (a Jacobian reads it whole), so no dual pass re-runs the pipeline behind
-the field.  Every other case runs the closure, and ``fd``
-mode never reads a jet, so it keeps differentiating closures.
+Jacobian) at a float point or batch, assembled from per-point tables that
+are already cached.  The jet rule lives in :meth:`DiffEngine.derivs` alone:
+in ``ad`` mode, at a float point or batch, a field with a ``jet`` is
+differentiated by reading it (a Jacobian reads it whole, any other V is one
+contraction with its last axis), so no dual pass re-runs the pipeline
+behind the field.  Every other case runs the closure, and ``fd`` mode never
+reads a jet, so it keeps differentiating closures.
 
 The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
 :func:`outer`) take float arrays or duals, so the same geometric pipelines
@@ -85,10 +87,10 @@ def max_residual(*values):
 class Section:
     """A field closure together with its 1-jet.
 
-    ``jet(p)`` returns (value, Jacobian) at a float point, the Jacobian with
-    one trailing axis of length dim like :meth:`DiffEngine.jacobian`; the
-    section keeps the jet of the last point it was read at.  Calling the
-    section runs the bare closure ``fn``.
+    ``jet(p)`` returns (value, Jacobian) at a float point or batch, the
+    Jacobian with one trailing axis of length dim like
+    :meth:`DiffEngine.jacobian`; the section keeps the jet of the last point
+    it was read at.  Calling the section runs the bare closure ``fn``.
     """
 
     __slots__ = ("fn", "_jet", "_last")
@@ -102,8 +104,8 @@ class Section:
         return self.fn(q)
 
     def jet(self, p):
-        """(value, Jacobian) at the float point p, built once per point."""
-        key = p.tobytes()
+        """(value, Jacobian) at the float point or batch p, built once."""
+        key = p.tobytes() if p.ndim == 1 else (p.shape, p.tobytes())
         if self._last[0] != key:
             self._last = (key, self._jet(p))
         return self._last[1]
@@ -132,22 +134,24 @@ class DiffEngine:
         """Directional derivatives of ``f`` at p along every row of V.
 
         The result's leading axis indexes the rows of V, shape ``(k, *batch,
-        *out)``.  ``fd`` mode makes one call on the stacked ``(2, k, *batch,
-        dim)`` stencil ``[p + hV, p - hV]``.  At a float batch, V of shape
-        ``(k, dim)`` stands behind singleton batch axes, so every point is
-        differentiated along every row; V of shape ``(k, *batch, dim)``
-        gives each point its own k directions.  ``ad`` mode, at a float
-        point, reads the jet of a field that has one (whole, along the
-        identity :meth:`jacobian` passes); otherwise one dual pass seeds all
-        k rows of V, which may be a dual.
+        *out)``.  At a batch, float or dual, V of shape ``(k, dim)`` stands
+        behind singleton batch axes, so every point is differentiated along
+        every row; V of shape ``(k, *batch, dim)`` gives each point its own
+        k directions.  ``fd`` mode makes one call on the stacked stencil
+        ``[p + hV, p - hV]``.  ``ad`` mode, at a float point or batch, reads
+        the jet of a field that has one (whole, along the identity
+        :meth:`jacobian` passes); otherwise one dual pass seeds all k rows
+        of V, which may be a dual, at every point.
         """
         if not isinstance(V, Dual):
             V = np.asarray(V, dtype=float)
+        whole = V is self._eyes.get(p.shape[-1])
+        # directions shared by a batch stand behind its singleton axes
+        s = V.shape
+        V = V.reshape(s[:1] + (1,) * (p.ndim - len(s) + 1) + s[1:])
         if self.mode == "fd":
             # p + (-hv) has the bits of p - hv
-            steps = np.multiply.outer(self._sides, V)
-            lead = steps.shape[:2] + (1,) * (p.ndim - V.ndim + 1)
-            pts = p + steps.reshape(lead + V.shape[1:])
+            pts = p + np.multiply.outer(self._sides, V)
             y = f(pts)
             if shape(y)[:p.ndim + 1] != pts.shape[:-1]:
                 raise ValueError(
@@ -155,18 +159,15 @@ class DiffEngine:
                     "must take leading batch axes and keep them"
                     % (shape(y), pts.shape))
             return (y[0] - y[1]) * (0.5 / self.step)
-        if is_float_point(p):
-            if p.ndim > 1:
-                # an ad pass seeds one point, and would mis-seed a batch
-                raise ValueError("ad mode differentiates at one point, got a "
-                                 "float point of shape %s" % (p.shape,))
-            if hasattr(f, "jet"):
-                jac = f.jet(p)[1]
-                if V is self._eyes.get(len(p)):
-                    # jacobian's directions: the jet whole, its last axis first
-                    n = jac.ndim - 1
-                    return jac.transpose((n,) + tuple(range(n)))
-                return np.array([np.dot(jac, v) for v in V])
+        if is_float_point(p) and hasattr(f, "jet"):
+            jac = f.jet(p)[1]
+            n = jac.ndim - 1
+            if whole:
+                # jacobian's directions: the jet whole, its last axis first
+                return jac.transpose((n,) + tuple(range(n)))
+            # each row meets the jet's last axis at every point and entry
+            V = V.reshape(V.shape[:-1] + (1,) * (n + 1 - p.ndim) + s[-1:])
+            return np.einsum('...l,...l->...', jac, V)
         lvl = push_level()
         try:
             y = f(Dual(lvl, p, V))
@@ -245,16 +246,19 @@ def _is_floats(a) -> bool:
 def _solve_columns(A, R, nk: int):
     """Solve A X = R for every tangent slice of R in one solve.
 
-    The nk leading tangent axes of R are folded into extra columns.
+    The nk leading tangent axes of R are folded into extra columns, behind
+    the batch axes, which stay.
     """
     if not nk:
         return _solve(A, R)
     s = shape(R)
-    n, m = len(s), len(s) - nk
-    cols = transpose(R, tuple(range(nk, n)) + tuple(range(nk)))
-    X = _solve(A, reshape(cols, (s[nk], -1)))
-    X = reshape(X, s[nk:] + s[:nk])
-    return transpose(X, tuple(range(m, n)) + tuple(range(m)))
+    keep = s[nk:-1] or s[nk:]       # a vector's one axis, or a matrix's rows
+    cols = transpose(R, tuple(range(nk, len(s))) + tuple(range(nk)))
+    X = _solve(A, reshape(cols, keep + (-1,)))
+    value = shape(X)[:-1] + s[nk + len(keep):]
+    m = len(value)
+    X = reshape(X, value + s[:nk])
+    return transpose(X, tuple(range(m, m + nk)) + tuple(range(m)))
 
 
 def _solve(A, B):
@@ -314,7 +318,7 @@ def inner(x, y):
 def outer(a, b, c=None):
     """The outer product a b^T, plus c when given; dual-aware like dot."""
     if isinstance(a, Dual) or isinstance(b, Dual):
-        ab = a[:, None] * b[None, :]
+        ab = a[..., :, None] * b[..., None, :]
     elif ndim(a) > 1 or ndim(b) > 1:
         ab = np.matmul(_floats(a)[..., :, None], _floats(b)[..., None, :])
     else:

@@ -116,10 +116,11 @@ class MovingFrame:
 
     def coframe_section(self) -> Section:
         """The coframe field; its jet is (theta, -theta dE theta) at a float
-        point, the derivative of the inverse read from the frame Jacobian."""
+        point or batch, the derivative of the inverse read from the frame
+        Jacobian."""
         def jet(p):
             theta = self.coframe_any(p)
-            return theta, -np.einsum('ia,ajl,jb->ibl', theta,
+            return theta, -np.einsum('...ia,...ajl,...jb->...ibl', theta,
                                      self.jac_frame_at(p), theta)
         return Section(self.coframe_any, jet)
 

@@ -1,14 +1,13 @@
 """Suite orchestration: sample points, run every check, emit stable reports.
 
-An ``fd`` run calls each check family once, on the batch of its sample
-points, the frame families among them; ``ad``, which seeds one point per
-pass, calls it point by point, as ``fd`` does a family that raised on the
-batch (a frame whose Gram-Schmidt would pick other chart columns at some
-points raises there).  A run never aborts because one check raised; the
-failure is recorded under that check's name with an unevaluable-residual
-sentinel and the run moves on.  Records are aggregated in a deterministic
-order (check name, variant, point index) so that a fixed configuration
-always serializes to identical bytes.
+A run, in either mode, calls each check family once, on the batch of its
+sample points, the frame families among them.  It calls a family that
+raised on the batch again point by point (a frame whose Gram-Schmidt would
+pick other chart columns at some points raises there).  A run never aborts
+because one check raised; the failure is recorded under that check's name
+with an unevaluable-residual sentinel and the run moves on.  Records are
+aggregated in a deterministic order (check name, variant, point index) so
+that a fixed configuration always serializes to identical bytes.
 
 ``_canon`` defines those bytes: sorted keys, every float as ``%.12e``, a
 non-finite one as the unevaluable sentinel.  ``emit_report`` writes the
@@ -161,20 +160,15 @@ def _batched(records, variant, pts, fn) -> bool:
 
 
 def _projected_nijenhuis_scale(triad, pts) -> float:
-    """Largest entry of the projected Nijenhuis table Pi N(Pi ., Pi .): in
-    ``fd`` read from the batch's tables, which the batched controls read
-    too, and in ``ad`` point by point (an ``ad`` Jacobian takes one point).
+    """Largest entry of the projected Nijenhuis table Pi N(Pi ., Pi .), read
+    from the batch's tables, which the batched controls read too.
 
     Where it vanishes (the standard examples, and every three-dimensional
     one) the J-sensitivity controls read zero and cannot fire, so they
     do not run.
     """
-    best = 0.0
-    for p in ([pts] if triad.engine.mode == "fd" else pts):
-        P = triad.pi_any(p)
-        best = max_residual(best, np.max(_in_frame(triad.nijenhuis_at(p),
-                                                   P.mT, P, P)))
-    return best
+    P = triad.pi_any(pts)
+    return np.max(_in_frame(triad.nijenhuis_at(pts), P.mT, P, P))
 
 
 def _meets_role(record: dict) -> bool:
@@ -235,7 +229,7 @@ def run_suite(config: RunConfig) -> Report:
 
     records: list = []
     rerun = [j for j, (family, variant, fn) in enumerate(families(pts))
-             if config.mode == "ad" or not _batched(records, variant, pts, fn)]
+             if not _batched(records, variant, pts, fn)]
     for idx, p in enumerate(pts):
         rows = families(p)
         for j in rerun:

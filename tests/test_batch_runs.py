@@ -1,10 +1,13 @@
-"""An ``fd`` run calls each check family once, on the batch of its points.
+"""A run calls each check family once, on the batch of its points, in
+either mode.
 
 Every family is written for a point of shape ``(*batch, dim)``, and its
 residual at each point of a batch must carry the bits of the family called
-at that point alone; that is what keeps ``fd`` reports byte-identical to a
-point-by-point run.  A family that raises on the batch runs again point by
-point, so only the points where it raises get error records.
+at that point alone in ``fd``, and match them to 1e-13 in ``ad``; that is
+what keeps ``fd`` reports byte-identical to a point-by-point run.  A family
+that raises on the batch runs again point by point, so only the points
+where it raises get error records.  Each test of a run's records has an
+``fd`` and an ``ad`` form.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ import pytest
 
 import triadlab
 from triadlab import DiffEngine, catalog, contact, runner
+from triadlab.ad import Dual
 from triadlab.checks import (StrictContactMap, check_axioms, check_cr_form,
                              check_lemma_suite, check_naturality,
                              check_scaling, fault_flipped_b1,
@@ -56,10 +60,17 @@ def _results(out):
     return [out] if isinstance(out, triadlab.CheckResult) else list(out)
 
 
-@pytest.mark.parametrize("ex_id", sorted(_CAT))
-def test_every_family_at_a_batch_is_each_point_bit_for_bit(ex_id):
+def _same(got, want, mode) -> bool:
+    """The same bits in ``fd``; in ``ad``, within the refactor bound 1e-13."""
+    got, want = np.float64(got), np.float64(want)
+    if mode == "fd":
+        return got.tobytes() == want.tobytes()
+    return abs(got - want) <= 1e-13 or (np.isnan(got) and np.isnan(want))
+
+
+def _assert_every_family_at_a_batch_is_each_point(ex_id, mode):
     spec = _CAT[ex_id]
-    tb, tp = spec.build(DiffEngine("fd")), spec.build(DiffEngine("fd"))
+    tb, tp = spec.build(DiffEngine(mode)), spec.build(DiffEngine(mode))
     pts = tb.sample_points(8, seed=31)
     at_points = [dict(_families(spec, tp, q)) for q in pts]
     for label, call in _families(spec, tb, pts):
@@ -69,10 +80,19 @@ def test_every_family_at_a_batch_is_each_point_bit_for_bit(ex_id):
             assert [r.name for r in batch] == [r.name for r in single]
             for rb, rs in zip(batch, single):
                 assert rb.residual.shape == (8,), (label, rb.name)
-                assert (rb.residual[i].tobytes()
-                        == np.float64(rs.residual).tobytes()), \
+                assert _same(rb.residual[i], rs.residual, mode), \
                     (ex_id, label, rb.name, i)
                 assert rb.at(i).point.tobytes() == pts[i].tobytes()
+
+
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_every_family_at_a_batch_is_each_point_bit_for_bit(ex_id):
+    _assert_every_family_at_a_batch_is_each_point(ex_id, "fd")
+
+
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_every_ad_family_at_a_batch_is_each_point_to_rounding(ex_id):
+    _assert_every_family_at_a_batch_is_each_point(ex_id, "ad")
 
 
 def test_a_draw_degenerate_at_some_points_of_a_batch_raises():
@@ -99,21 +119,30 @@ def _run_with(example_id, build=None, maps=None, **config):
     real = triadlab.runner.catalog
     triadlab.runner.catalog = lambda: cat
     try:
-        return run_suite(RunConfig(example_id=example_id, mode="fd",
-                                   **config))
+        return run_suite(RunConfig(example_id=example_id, **config))
     finally:
         triadlab.runner.catalog = real
+
+
+def _value(q):
+    """The float point under a dual one, so that a test's triad can pick
+    the points it breaks inside a dual pass too."""
+    while isinstance(q, Dual):
+        q = q.re
+    return q
 
 
 def _by_key(records):
     return {(r["name"], r["variant"], r["point_index"]): r for r in records}
 
 
-def _assert_only_point_errs(rep, healthy, bad):
+def _assert_only_point_errs(rep, healthy, bad, mode):
     assert not rep.ok
+    want = _by_key(healthy.records)
     for key, r in _by_key(rep.records).items():
         if key[2] != bad:
-            assert r == _by_key(healthy.records)[key], key
+            assert dict(r, residual=0.0) == dict(want[key], residual=0.0), key
+            assert _same(r["residual"], want[key]["residual"], mode), key
     assert any(r["note"].startswith("error:") for r in rep.records
                if r["point_index"] == bad)
 
@@ -143,12 +172,11 @@ def test_a_frame_column_collapsing_at_some_points_of_a_batch_raises():
     assert build_unitary_frame(t, pts[[0, 2, 3]], seed=0).indices == (0,)
 
 
-@pytest.mark.parametrize("controls", [False, True])
-def test_frames_that_pick_other_columns_at_some_points_run_point_by_point(
-        controls):
+def _assert_other_frames_run_point_by_point(controls, mode):
     rep = _run_with("t3-tight", _t3_with_a_reeb_aligned_point, points=4,
-                    seed=0, c_values=CS, negative_controls=controls)
-    t = _t3_with_a_reeb_aligned_point(DiffEngine("fd"))
+                    seed=0, c_values=CS, negative_controls=controls,
+                    mode=mode)
+    t = _t3_with_a_reeb_aligned_point(DiffEngine(mode))
 
     def family(p):
         if controls:
@@ -165,10 +193,21 @@ def test_frames_that_pick_other_columns_at_some_points_run_point_by_point(
     assert all(r["note"] == "" for r in got)
 
 
-def test_a_nan_j_at_one_point_errs_there_only():
-    config = dict(points=6, seed=4, c_values=(0.0,))
-    healthy = run_suite(RunConfig(example_id="r5-perturbed-J", mode="fd",
-                                  **config))
+@pytest.mark.parametrize("controls", [False, True])
+def test_frames_that_pick_other_columns_at_some_points_run_point_by_point(
+        controls):
+    _assert_other_frames_run_point_by_point(controls, "fd")
+
+
+@pytest.mark.parametrize("controls", [False, True])
+def test_ad_frames_that_pick_other_columns_at_some_points_run_point_by_point(
+        controls):
+    _assert_other_frames_run_point_by_point(controls, "ad")
+
+
+def _assert_a_nan_j_at_one_point_errs_there_only(mode):
+    config = dict(points=6, seed=4, c_values=(0.0,), mode=mode)
+    healthy = run_suite(RunConfig(example_id="r5-perturbed-J", **config))
     assert healthy.ok
     pts = np.array([r["point"] for r in healthy.records
                     if r["name"] == "axiom-hermitian"])
@@ -182,20 +221,29 @@ def test_a_nan_j_at_one_point_errs_there_only():
         # NaN wherever y1, which no map of the example moves, lies beyond
         # the cut
         def nan_j(q):
-            return np.where(q[..., 1:2, None] > cut, np.nan, j(q))
+            return j(q) * np.where(_value(q)[..., 1:2, None] > cut,
+                                   np.nan, 1.0)
 
         return ContactTriad(t.dim, t.lam, nan_j, t.domain, engine=engine,
                             label=t.label)
 
     rep = _run_with("r5-perturbed-J", nan_j_at_one_point, **config)
-    _assert_only_point_errs(rep, healthy, bad)
+    _assert_only_point_errs(rep, healthy, bad, mode)
     notes = {r["note"] for r in rep.records if r["point_index"] == bad
              and r["name"].startswith("axiom-")}
     assert notes and all("xi-vector norm is not finite" in n for n in notes)
 
 
-def test_a_map_non_strict_at_one_point_errs_there_only():
-    config = dict(points=5, seed=6, c_values=(0.0,))
+def test_a_nan_j_at_one_point_errs_there_only():
+    _assert_a_nan_j_at_one_point_errs_there_only("fd")
+
+
+def test_an_ad_nan_j_at_one_point_errs_there_only():
+    _assert_a_nan_j_at_one_point_errs_there_only("ad")
+
+
+def _assert_a_map_non_strict_at_one_point_errs_there_only(mode):
+    config = dict(points=5, seed=6, c_values=(0.0,), mode=mode)
     spec = _CAT["r3-standard"]
     healthy = _run_with("r3-standard", maps=spec.maps[:1], **config)
     assert healthy.ok
@@ -206,16 +254,25 @@ def test_a_map_non_strict_at_one_point_errs_there_only():
     shift = spec.maps[0].forward
 
     def forward(q):         # a unit step in y beyond the cut breaks lam
-        return shift(q) + (q[..., :1] > cut) * np.array([0.0, 1.0, 0.0])
+        return shift(q) + ((_value(q)[..., :1] > cut)
+                           * np.array([0.0, 1.0, 0.0]))
 
     broken = StrictContactMap(spec.maps[0].label, forward,
                               spec.maps[0].inverse, spec.maps[0].differential)
     rep = _run_with("r3-standard", maps=(broken,), **config)
-    _assert_only_point_errs(rep, healthy, bad)
+    _assert_only_point_errs(rep, healthy, bad, mode)
     errs = [r for r in rep.records if r["note"].startswith("error:")]
     assert [(r["name"], r["point_index"]) for r in errs] == \
         [("naturality-pullback", bad)]
     assert "does not preserve the contact form" in errs[0]["note"]
+
+
+def test_a_map_non_strict_at_one_point_errs_there_only():
+    _assert_a_map_non_strict_at_one_point_errs_there_only("fd")
+
+
+def test_an_ad_map_non_strict_at_one_point_errs_there_only():
+    _assert_a_map_non_strict_at_one_point_errs_there_only("ad")
 
 
 @pytest.mark.parametrize("family", [
@@ -241,3 +298,28 @@ def test_a_batch_makes_as_many_reeb_solves_as_one_point(monkeypatch, family):
         shapes.append([s[:2] + s[-1:] for s in solves])
         assert all(s[2] == 8 for s in solves[:]) or size == 1
     assert shapes[0] == shapes[1] and shapes[0]
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+@pytest.mark.parametrize("controls", [False, True])
+def test_a_run_calls_each_family_once_on_the_batch(monkeypatch, mode,
+                                                   controls):
+    """Neither mode runs a family point by point unless it raised on the
+    batch: every family call of a healthy run takes all its points."""
+    shapes = []
+    for name in ("check_axioms", "check_lemma_suite", "check_naturality",
+                 "_frame_records", "fault_wrong_c", "fault_levi_civita",
+                 "_dropped_torsion_control"):
+        def counted(*args, _fn=getattr(runner, name), **kwargs):
+            shapes.append(next(a.shape for a in args
+                               if isinstance(a, np.ndarray)))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counted)
+    rep = run_suite(RunConfig(example_id="r5-perturbed-J", points=3, seed=2,
+                              mode=mode, c_values=(0.0,),
+                              negative_controls=controls))
+    assert rep.ok
+    maps = len(_CAT["r5-perturbed-J"].maps)
+    assert len(shapes) == (3 if controls else 3 + maps)
+    assert set(shapes) == {(3, 5)}

@@ -1,8 +1,11 @@
-"""Batched evaluation: an ``fd`` stencil is one call on a stack of points.
+"""Batched evaluation: an ``fd`` stencil is one call on a stack of points,
+and an ``ad`` pass seeds a whole batch.
 
-Every closure that ``fd`` differentiates takes leading batch axes, and each
-entry of a batch must carry the bits of its single-point evaluation; that is
-what keeps ``fd`` reports byte-identical to a point-by-point stencil.
+Every closure the engine differentiates takes leading batch axes, and each
+entry of a float batch must carry the bits of its single-point evaluation;
+that is what keeps ``fd`` reports byte-identical to a point-by-point
+stencil.  An ``ad`` derivative at a batch matches the per-point one to
+rounding.
 """
 
 import math
@@ -122,13 +125,63 @@ def test_fd_rejects_closures_that_drop_the_batch_axes():
             fd.jacobian(f, p)
 
 
-def test_ad_rejects_a_batch_of_float_points():
-    eng = DiffEngine()
-    batch = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="one point"):
-        eng.deriv(lambda q: q, batch, np.ones(3))
-    with pytest.raises(ValueError, match="one point"):
-        eng.jacobian(lambda q: q, batch)
+def _closures(t, pts, w):
+    """Bare closures and every section that carries a jet, on triad t; the
+    coframe's columns are frozen at the batch pts, and the "own" sections
+    project w, one vector per point of pts or the one vector of a point."""
+    fields = dict(_sections(t, np.random.default_rng(3)), lam=t.lam,
+                  metric=t.metric_any, j_any=t.j_any, dlam_any=t.dlam_any)
+    fields["xi-own"] = xi_section(t, w)
+    fields["j-image-own"] = j_image(t, fields["xi-own"])
+    fields["coframe"] = build_unitary_frame(t, pts, seed=1).coframe_section()
+    return fields
+
+
+def _to_rounding(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = max(1.0, np.max(np.abs(want), initial=0.0))
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_ad_derivs_at_a_batch_are_each_point_to_rounding(ex_id):
+    """An ``ad`` pass at a batch seeds every point at once, and a jet is
+    read at the batch: ``derivs`` along shared and per-point directions and
+    ``jacobian`` each match the per-point results to 1e-15.  ``dlam_any``
+    is the nested case: its dual pass takes d lam at a dual batch."""
+    spec = _CAT[ex_id]
+    tb, tp = spec.build(DiffEngine()), spec.build(DiffEngine())
+    pts = tb.sample_points(3, seed=23)
+    rng = np.random.default_rng(24)
+    V = rng.standard_normal((2, tb.dim))
+    W = rng.standard_normal((2, 3, tb.dim))      # two directions per point
+    w = rng.standard_normal((3, tb.dim))         # a vector per point
+    eng = tb.engine
+    for name, f in _closures(tb, pts, w).items():
+        jac, dv, dw = (eng.jacobian(f, pts), eng.derivs(f, pts, V),
+                       eng.derivs(f, pts, W))
+        for i, q in enumerate(pts):
+            g = _closures(tp, pts, w[i])[name]
+            assert _to_rounding(jac[i], tp.engine.jacobian(g, q)), \
+                (ex_id, name)
+            assert _to_rounding(dv[:, i], tp.engine.derivs(g, q, V)), \
+                (ex_id, name)
+            assert _to_rounding(dw[:, i], tp.engine.derivs(g, q, W[:, i])), \
+                (ex_id, name)
+
+
+def test_a_jet_is_kept_per_batch_shape():
+    """Two batches that hold the same bytes in other shapes read their own
+    jets."""
+    t = _CAT["r3-standard"].build(DiffEngine())
+    sec = reeb_section(t)
+    pts = t.sample_points(4, seed=1)
+    assert t.engine.jacobian(sec, pts).shape == (4, 3, 3)
+    nested = t.engine.jacobian(sec, pts.reshape(2, 2, 3))
+    assert nested.shape == (2, 2, 3, 3)
+    assert _to_rounding(nested.reshape(4, 3, 3),
+                        t.engine.jacobian(sec, pts))
 
 
 def test_reeb_guard_checks_every_point_of_a_batch():

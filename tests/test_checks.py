@@ -1,6 +1,8 @@
 """The verification battery: axioms, form holomorphicity, scaling, naturality,
 identity suite, and the deliberate fault injections."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,16 @@ def test_field_rng_deterministic_and_tag_sensitive():
     c = field_rng(3, "beta", 2.0).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_field_rng_keeps_every_bit_of_the_seed():
+    """Seeds that differ only above bit 31 sample different points, so they
+    draw different vectors too; a seed below 2**32 keeps its draws."""
+    a = field_rng(1, "alpha").standard_normal(4)
+    b = field_rng(2**32 + 1, "alpha").standard_normal(4)
+    assert not np.array_equal(a, b)
+    words = [1, zlib.crc32(b"alpha")]
+    assert np.array_equal(a, np.random.default_rng(words).standard_normal(4))
 
 
 def _nan_christoffel(triad):

@@ -405,11 +405,9 @@ def test_cli_negative_seed_is_usage_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_fd_control_gate_reads_the_batch_tables(monkeypatch):
-    """In ``fd`` the gate reads the tables the batched controls read, so it
-    adds no Jacobian to a controls run."""
+def _assert_control_gate_reads_the_batch_tables(monkeypatch, mode):
     jacobian = triadlab.DiffEngine.jacobian
-    config = dict(example_id="r5-perturbed-J", points=4, seed=1, mode="fd",
+    config = dict(example_id="r5-perturbed-J", points=4, seed=1, mode=mode,
                   negative_controls=True)
 
     def count_jacobians():
@@ -428,6 +426,17 @@ def test_fd_control_gate_reads_the_batch_tables(monkeypatch):
     monkeypatch.setattr("triadlab.runner._projected_nijenhuis_scale",
                         lambda *a, **kw: 1.0)
     assert gated == count_jacobians()
+
+
+def test_fd_control_gate_reads_the_batch_tables(monkeypatch):
+    """In ``fd`` the gate reads the tables the batched controls read, so it
+    adds no Jacobian to a controls run."""
+    _assert_control_gate_reads_the_batch_tables(monkeypatch, "fd")
+
+
+def test_ad_control_gate_reads_the_batch_tables(monkeypatch):
+    """So does it in ``ad``, which runs the controls on the batch too."""
+    _assert_control_gate_reads_the_batch_tables(monkeypatch, "ad")
 
 
 def test_projected_nijenhuis_scale_rules_in_only_r5_perturbed_j():
