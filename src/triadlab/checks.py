@@ -19,8 +19,15 @@ the semi-connection records, the quarter-N torsion (which takes N from
 field brackets, apart from the table), ``p-antisymmetrized-bracket`` and
 the Lie part of ``torsion-split-values``.  Every family takes a point or a
 batch of points, shape ``(*batch, dim)``, and reports one residual per
-point: the draws take no point index, so each point of a batch reads the
-same draws, as each point of a run does.
+point.  The draws take neither a point index nor c: each point of a batch
+reads the same draws, as each point of a run does, and so does each c of a
+sweep.  A family that reads the run's c sweep (``check_axioms``,
+``check_cr_form``, the two sweep records of the lemma suite, and the frame
+re-derivation) is called once for the whole sweep: it reads the Gamma table
+stacked over the sweep (:class:`~triadlab.connections.TriadConnection`) and
+does its c-independent work, the draws, the directions and the flat
+derivatives of its fields, once.  ``check_axioms`` and ``check_cr_form``
+return one list of results per c.
 
 The registry :data:`CHECKS` declares every check once: the one-line
 statement of its identity (what the CLI's ``describe-check`` prints), its
@@ -320,12 +327,25 @@ def _reeb_cov_matrix(conn, p) -> np.ndarray:
 # -- axiom battery ---------------------------------------------------------
 
 
-def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
+def _c_axis(conn: TriadConnection, ndim: int) -> np.ndarray:
+    """The sweep's c values on the leading axis, before ``ndim`` more."""
+    return conn.c.reshape(conn.c.shape + (1,) * ndim)
+
+
+def _per_c(conn: TriadConnection, names, residuals, p) -> list:
+    """One list of results per c of the sweep, from residuals whose leading
+    axis is the sweep's."""
+    return [[make_result(n, r[k], p) for n, r in zip(names, residuals)]
+            for k in range(len(conn.c))]
+
+
+def check_axioms(triad: ContactTriad, c_values, p, seed: int = 0,
                  samples: int = 3) -> list:
-    """One CheckResult per defining axiom of the family member at c."""
+    """One list per c of ``c_values``: a CheckResult per defining axiom of
+    the family member at that c.  Every c reads the same draws."""
     p = np.asarray(p, dtype=float)
-    conn = triad_connection(triad, c)
-    rng = field_rng(seed, "axioms", triad.label, c)
+    conn = TriadConnection(triad, c_values)
+    rng = field_rng(seed, "axioms", triad.label)
     d = triad.dim
     G = triad.metric_any(p)
     J = triad.j_any(p)
@@ -338,6 +358,8 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
     # each field is differentiated along all sampled directions at once,
     # U = [u_1..u_s, v_1..v_s, J v_1..J v_s, X], so in fd mode every field
     # reads one shared stencil.  At a batch, a drawn u_i is every point's.
+    # Only Gamma depends on c: every covariant derivative below carries the
+    # sweep's axis in front of the batch's, over one flat derivative.
     draws = []
     for _ in range(samples):
         u = tq_vector(d, rng)
@@ -380,7 +402,7 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
         r_inv = max_residual(r_inv, np.abs(inner(lam, n_reeb[i])))
 
         # (5;c) the parameter coupling
-        cr = n_reeb[s + i] + matvec(J, n_reeb[i]) - c * v
+        cr = n_reeb[s + i] + matvec(J, n_reeb[i]) - _c_axis(conn, p.ndim) * v
         r_cr = max_residual(r_cr, _worst(cr))
 
         # (6) metric duality against the Reeb field
@@ -389,23 +411,17 @@ def check_axioms(triad: ContactTriad, c: float, p, seed: int = 0,
         r_dual = max_residual(r_dual, np.abs(dual))
 
     r_inv = max_residual(r_inv, _worst(n_reeb[2 * s]))
-
-    return [
-        make_result("axiom-hermitian", r_herm, p),
-        make_result("axiom-xi-torsion", r_xtor, p),
-        make_result("axiom-reeb-torsion", r_rtor, p),
-        make_result("axiom-reeb-invariance", r_inv, p),
-        make_result("axiom-cr-coupling", r_cr, p),
-        make_result("axiom-reeb-metric-dual", r_dual, p),
-    ]
+    return _per_c(conn, family_names("check_axioms"),
+                  (r_herm, r_xtor, r_rtor, r_inv, r_cr, r_dual), p)
 
 
-def check_cr_form(triad: ContactTriad, c: float, p, seed: int = 0,
-                  samples: int = 3) -> tuple:
-    """Both holomorphicity residuals of the contact form under nabla^c."""
+def check_cr_form(triad: ContactTriad, c_values, p, seed: int = 0,
+                  samples: int = 3) -> list:
+    """One list per c of ``c_values``: both holomorphicity residuals of the
+    contact form under nabla^c.  Every c reads the same draws."""
     p = np.asarray(p, dtype=float)
-    conn = triad_connection(triad, c)
-    rng = field_rng(seed, "cr-form", triad.label, c)
+    conn = TriadConnection(triad, c_values)
+    rng = field_rng(seed, "cr-form", triad.label)
     J = triad.j_any(p)
 
     nx = covariant_derivative_form(conn, triad.lam, triad.reeb_any, p)
@@ -417,9 +433,7 @@ def check_cr_form(triad: ContactTriad, c: float, p, seed: int = 0,
         a1 = covariant_derivative_form(conn, triad.lam, Yf, p)
         a2 = covariant_derivative_form(conn, triad.lam, j_image(triad, Yf), p)
         r_xi = max_residual(r_xi, _worst(a1 + matvec(J.mT, a2)))
-
-    return (make_result("cr-form-reeb", r_reeb, p),
-            make_result("cr-form-xi", r_xi, p))
+    return _per_c(conn, family_names("check_cr_form"), (r_reeb, r_xi), p)
 
 
 def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
@@ -676,21 +690,19 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
         r = max_residual(r, np.abs(inner(lam, t)))
     out.append(make_result("semi-connection-torsion-quarter-n", r, p))
 
-    # Covariant derivative of the Reeb field across the family.
-    r = 0.0
-    for c in c_values:
-        mc = _reeb_cov_matrix(triad_connection(triad, c), p)
-        m = dot(mc + 0.5 * c * J - 0.5 * dot(L, J), P)
-        r = max_residual(r, _worst(m, 2))
-    out.append(make_result("reeb-covariant-family", r, p))
+    # Covariant derivative of the Reeb field across the family, on the
+    # table stacked over the sweep.
+    sweep = TriadConnection(triad, c_values)
+    c = _c_axis(sweep, p.ndim + 1)
+    m = dot(_reeb_cov_matrix(sweep, p) + 0.5 * c * J - 0.5 * dot(L, J), P)
+    out.append(make_result("reeb-covariant-family",
+                           np.max(_worst(m, 2), axis=0), p))
 
     # Torsion split values across the family: the lam part as whole tables,
     # the Lie part on drawn sections.
     j_sec = j_section(triad)
-    r = max_residual(*(
-        _in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
-            triad_connection(triad, c), p)) - (1.0 + c) * A, Bx, Bx)
-        for c in c_values))
+    r = np.max(_in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
+        sweep, p)) - (1.0 + c) * A, Bx, Bx), axis=0)
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(d))
         Zf = xi_section(triad, rng.standard_normal(d))

@@ -12,9 +12,17 @@ with the two correction tensors given by their closed forms:
 
 where X is the Reeb field.  The table Gamma = Christoffel + B1 + B2(c)
 depends only on the triad, c and the point, so it lives in the triad's
-per-point store under ("gamma", c, b1_sign), built once with einsums over
-the store's tables, and ``gamma_apply`` reads it.  nabla^LC J is one of
-those tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.
+per-point store under ("gamma", c, b1_sign), and ``gamma_apply`` reads it.
+c enters only through the weight (1+c)/2 of B2, so the table is assembled
+as (Christoffel + b1_sign B1) + weight * B2(unit weight) from two
+c-independent tables, each built once per point with einsums over the
+store's tables and held there under ("gamma-base", b1_sign) and "b2-unit".
+A connection over a sweep of c values holds one table stacked over the
+sweep, shape ``(C, *batch, d, d, d)``, under ("gamma", (c_1, .., c_C),
+b1_sign); each slice has the bits of the one-c table, and every tensor or
+covariant derivative read from it carries the sweep's axis in front of the
+batch's.  nabla^LC J is one of the store's tables
+(``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 ``nijenhuis`` takes N_J from the brackets of vector-field closures, apart
 from the store's table ``ContactTriad.nijenhuis_at``.
@@ -123,34 +131,51 @@ def _b1_path(J, nj, P):
 
 
 class TriadConnection(LocalConnection):
-    """Member of the canonical family, assembled as LC + B1 + B2(c).
+    """Member of the canonical family, assembled as LC + B1 + B2(c); given a
+    sequence of c values, the members over that sweep, one per leading entry
+    of its tables.
 
     ``b1_sign`` exists only for fault injection in the negative controls;
     every real construction uses the default +1.
     """
 
-    def __init__(self, triad: ContactTriad, c: float, b1_sign: float = 1.0):
+    def __init__(self, triad: ContactTriad, c, b1_sign: float = 1.0):
         super().__init__(triad)
-        self.c = float(c)
+        self.c = np.asarray(c, dtype=float)
         self.b1_sign = float(b1_sign)
-        self.label = "triad(c=%g)" % c
-        self.table_tag = ("gamma", self.c, self.b1_sign)
+        self.label = "triad(c=%s)" % ",".join("%g" % x for x in self.c.flat)
+        self.table_tag = ("gamma", self.c.tolist() if self.c.ndim == 0
+                          else tuple(self.c.tolist()), self.b1_sign)
 
     def gamma_apply(self, p, u, v):
         return np.einsum('...kij,...i,...j->...k', self.gamma_tensor(p), u, v)
 
     def gamma_table(self, p):
-        """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j]."""
+        """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j], stacked
+        over the sweep's axis for a sequence of c values."""
+        base = self.triad._cached(("gamma-base", self.b1_sign), p,
+                                  self._base_table)
+        b2 = self.triad._cached("b2-unit", p, self._b2_unit_table)
+        w = 0.5 * (1.0 + self.c)
+        return base + w.reshape(w.shape + (1,) * b2.ndim) * b2
+
+    def _base_table(self, p):
+        """Christoffel + b1_sign B1: the part of Gamma that c leaves alone."""
         t = self.triad
-        J, P, X, G = t.j_any(p), t.pi_any(p), t.reeb_any(p), t.metric_any(p)
+        J, P = t.j_any(p), t.pi_any(p)
         nj = t.nabla_j_at(p)
         b1 = -0.5 * np.einsum(_B1, J, nj, P, P, optimize=_b1_path(J, nj, P))
+        return t.christoffel_at(p) + self.b1_sign * b1
+
+    def _b2_unit_table(self, p):
+        """B2 at the weight (1+c)/2 = 1."""
+        t = self.triad
+        J, X, G = t.j_any(p), t.reeb_any(p), t.metric_any(p)
         gx = matvec(G, X)
         jg = dot(J.mT, G)
-        b2 = 0.5 * (1.0 + self.c) * (-J[..., None] * gx[..., None, None, :]
-                                     - gx[..., None, :, None] * J[..., None, :]
-                                     + X[..., None, None] * jg[..., None, :, :])
-        return t.christoffel_at(p) + self.b1_sign * b1 + b2
+        return (-J[..., None] * gx[..., None, None, :]
+                - gx[..., None, :, None] * J[..., None, :]
+                + X[..., None, None] * jg[..., None, :, :])
 
 
 def triad_connection(triad: ContactTriad, c: float) -> TriadConnection:

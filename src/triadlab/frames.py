@@ -34,7 +34,7 @@ import numpy as np
 from . import ad
 from .checks import _worst
 from .contact import ContactTriad
-from .connections import LocalConnection, triad_connection
+from .connections import LocalConnection, TriadConnection
 from .engine import Section, dot, inner, inv, matvec, max_residual
 
 
@@ -184,20 +184,22 @@ def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
     return _worst(res, 3)
 
 
-def gamma_from_axioms(triad: ContactTriad, c: float, frame: MovingFrame, p):
+def gamma_from_axioms(triad: ContactTriad, c, frame: MovingFrame, p):
     """Re-derive every frame coefficient the axioms pin down in closed form.
 
     Returns (gamma, mask): coefficients with any index in the Reeb slot are
     derived (mask True there); the block internal to the contact distribution
     is not re-derived and stays masked out.  The mask, shape (dim, dim, dim),
-    holds for every point of a batch.
+    holds for every point of a batch.  A sequence of c values gives gamma
+    with the sweep's axis in front of the batch's.
     """
     p = np.asarray(p, dtype=float)
+    c = np.asarray(c, dtype=float)
     d, n = triad.dim, triad.n
     E = frame.matrix_any(p)
     GE = dot(triad.metric_any(p), E)
     X = triad.reeb_any(p)
-    gamma = np.zeros(E.shape[:-2] + (d, d, d))
+    gamma = np.zeros(c.shape + E.shape[:-2] + (d, d, d))
     mask = np.zeros((d, d, d), dtype=bool)
     mask[:, :, 0] = mask[:, 0, :] = mask[0, :, :] = True
 
@@ -205,8 +207,9 @@ def gamma_from_axioms(triad: ContactTriad, c: float, frame: MovingFrame, p):
     # the column of e_j reads J e_j, the column of J e_j reads -e_j
     Qt = dot(GE.mT, dot(triad.lie_reeb_j_at(p), E))[..., 1:, 1:]
     rot = np.concatenate([Qt[..., n:], -Qt[..., :n]], axis=-1)
-    gamma[..., 1:, 1:, 0] = 0.5 * rot + 0.5 * c * np.kron(
-        [[0.0, 1.0], [-1.0, 0.0]], np.eye(n))
+    gamma[..., 1:, 1:, 0] = 0.5 * rot + 0.5 * c.reshape(
+        c.shape + (1,) * E.ndim) * np.kron([[0.0, 1.0], [-1.0, 0.0]],
+                                           np.eye(n))
 
     # direction = Reeb slot: nabla_X e_j via the bracket relations, with
     # column j of br the bracket [e_j, X]
@@ -219,9 +222,10 @@ def gamma_from_axioms(triad: ContactTriad, c: float, frame: MovingFrame, p):
     return gamma, mask
 
 
-def cross_check_gamma(triad: ContactTriad, c: float, frame: MovingFrame, p):
-    """Max |axiom-derived gamma - directly computed gamma| over derived entries."""
-    direct = connection_one_forms(triad_connection(triad, c), frame, p)
+def cross_check_gamma(triad: ContactTriad, c, frame: MovingFrame, p):
+    """Max |axiom-derived gamma - directly computed gamma| over derived
+    entries; for a sequence of c values, one per c, on the stacked table."""
+    direct = connection_one_forms(TriadConnection(triad, c), frame, p)
     ax, mask = gamma_from_axioms(triad, c, frame, p)
     return _worst(np.where(mask, ax - direct, 0.0), 3)
 

@@ -1,11 +1,16 @@
 """Suite orchestration: sample points, run every check, emit stable reports.
 
 A run, in either mode, calls each check family once, on the batch of its
-sample points, the frame families among them.  It calls a family that
-raised on the batch again point by point (a frame whose Gram-Schmidt would
-pick other chart columns at some points raises there).  A run never aborts
-because one check raised; the failure is recorded under that check's name
-with an unevaluable-residual sentinel and the run moves on.  Records are
+sample points and the whole c sweep, the frame families among them.
+``check_axioms`` and ``check_cr_form`` return one group of results per c,
+recorded under the variant ``c=%g``; ``RunConfig`` rejects a sweep in which
+two values print as the same variant.  The frame re-derivation keeps the
+variant ``frame``, with one record per c.  A run calls a family that raised
+on the batch again point by point (a frame whose Gram-Schmidt would pick
+other chart columns at some points raises there).  A run never aborts
+because one check raised; the failure is recorded under each name and
+variant the family emits, with an unevaluable-residual sentinel, and the
+run moves on.  Records are
 aggregated in a deterministic order (check name, variant, point index) so
 that a fixed configuration always serializes to identical bytes.
 
@@ -32,7 +37,7 @@ from .checks import (CHECKS, CheckResult, check_axioms, check_cr_form,
                      fault_flipped_b1, fault_levi_civita, fault_scale_mismatch,
                      fault_wrong_c, family_names, make_result, _in_frame)
 from .connections import triad_connection
-from .engine import DiffEngine, max_residual
+from .engine import DiffEngine
 from .frames import (build_unitary_frame, cross_check_gamma,
                      skew_hermitian_check, structure_equation_residual)
 
@@ -66,6 +71,10 @@ class RunConfig:
             raise ConfigError("parameter sweep is empty: pass at least one c")
         if not all(math.isfinite(float(c)) for c in self.c_values):
             raise ConfigError("every c must be finite")
+        variants = ["c=%g" % c for c in self.c_values]
+        if len(set(variants)) < len(variants):
+            raise ConfigError("two values of the c sweep print as the same "
+                              "variant: %s" % ", ".join(variants))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.points < 1:
@@ -132,31 +141,36 @@ def _record(cr: CheckResult, variant: str, point_index: int,
     }
 
 
-def _guarded(records, names, variant, idx, p, fn):
-    """Append fn()'s records, or one error record per expected name."""
-    note = ""
+def _guarded(records, names, variants, idx, p, fn):
+    """Append fn()'s records, one group per variant, or one error record per
+    expected name and variant."""
     try:
-        out = fn()
+        out, note = fn(), ""
     except Exception as exc:  # recorded, never fatal for the run
-        out = [CheckResult(n, CHECKS[n].anchor, RESIDUAL_UNEVALUABLE,
-                           CHECKS[n].tolerance, False, np.asarray(p).ravel())
-               for n in names]
+        out = [[CheckResult(n, CHECKS[n].anchor, RESIDUAL_UNEVALUABLE,
+                            CHECKS[n].tolerance, False, np.asarray(p).ravel())
+                for n in names]] * len(variants)
         note = "error: " + repr(exc)
-    if isinstance(out, CheckResult):
-        out = [out]
-    records.extend(_record(cr, variant, idx, note) for cr in out)
+    records.extend(_record(cr, variant, idx, note)
+                   for variant, group in zip(variants, out)
+                   for cr in _listed(group))
 
 
-def _batched(records, variant, pts, fn) -> bool:
-    """Append fn()'s records at each point of pts; False if fn raised."""
+def _batched(records, variants, pts, fn) -> bool:
+    """Append fn()'s records, one group per variant, at each point of pts;
+    False if fn raised."""
     try:
         out = fn()
     except Exception:   # the family runs again point by point
         return False
-    out = [out] if isinstance(out, CheckResult) else out
     records.extend(_record(cr.at(idx), variant, idx)
-                   for idx in range(len(pts)) for cr in out)
+                   for variant, group in zip(variants, out)
+                   for idx in range(len(pts)) for cr in _listed(group))
     return True
+
+
+def _listed(group) -> list:
+    return [group] if isinstance(group, CheckResult) else group
 
 
 def _projected_nijenhuis_scale(triad, pts) -> float:
@@ -187,54 +201,52 @@ def run_suite(config: RunConfig) -> Report:
     pts = triad.sample_points(config.points, config.seed)
     seed, k = config.seed, config.samples
     cs = tuple(float(c) for c in config.c_values)
+    swept = tuple("c=%g" % c for c in cs)
     # a NaN scale cannot rule the J-sensitive controls out, so they run
     with_j_controls = config.negative_controls and not (
         _projected_nijenhuis_scale(triad, pts) <= 1e-3)
 
     def families(p):
-        """(family, variant, closure) for every family run at point p."""
+        """(family, variants, closure) for every family run at point p; the
+        closure returns one group of results per variant."""
         if config.negative_controls:
             rows = [
-                ("fault_wrong_c", "",
-                 lambda: fault_wrong_c(triad, p, seed=seed)),
-                ("fault_scale_mismatch", "a=2",
-                 lambda: fault_scale_mismatch(triad, 2.0, p)),
-                ("_dropped_torsion_control", "c=0",
-                 lambda: _dropped_torsion_control(triad, p, seed))]
+                ("fault_wrong_c", ("",),
+                 lambda: [fault_wrong_c(triad, p, seed=seed)]),
+                ("fault_scale_mismatch", ("a=2",),
+                 lambda: [fault_scale_mismatch(triad, 2.0, p)]),
+                ("_dropped_torsion_control", ("c=0",),
+                 lambda: [_dropped_torsion_control(triad, p, seed)])]
             if with_j_controls:
-                rows += [("fault_flipped_b1", "",
-                          lambda: fault_flipped_b1(triad, p)),
-                         ("fault_levi_civita", "",
-                          lambda: fault_levi_civita(triad, p, seed=seed))]
+                rows += [("fault_flipped_b1", ("",),
+                          lambda: [fault_flipped_b1(triad, p)]),
+                         ("fault_levi_civita", ("",),
+                          lambda: [fault_levi_civita(triad, p, seed=seed)])]
             return rows
-        rows = []
-        for c in cs:
-            rows += [("check_axioms", "c=%g" % c,
-                      lambda c=c: check_axioms(triad, c, p, seed=seed,
-                                               samples=k)),
-                     ("check_cr_form", "c=%g" % c,
-                      lambda c=c: check_cr_form(triad, c, p, seed=seed,
-                                                samples=k))]
-        rows += [("check_lemma_suite", "",
-                  lambda: check_lemma_suite(triad, p, seed=seed, samples=k,
-                                            c_values=cs)),
-                 ("_frame_records", "frame",
-                  lambda: _frame_records(triad, cs, p, seed)),
-                 ("check_scaling", "a=2",
-                  lambda: check_scaling(triad, 2.0, p))]
-        rows += [("check_naturality", m.label,
-                  lambda m=m: check_naturality(triad, m, 0.0, p, seed=seed))
+        rows = [("check_axioms", swept,
+                 lambda: check_axioms(triad, cs, p, seed=seed, samples=k)),
+                ("check_cr_form", swept,
+                 lambda: check_cr_form(triad, cs, p, seed=seed, samples=k)),
+                ("check_lemma_suite", ("",),
+                 lambda: [check_lemma_suite(triad, p, seed=seed, samples=k,
+                                            c_values=cs)]),
+                ("_frame_records", ("frame",),
+                 lambda: [_frame_records(triad, cs, p, seed)]),
+                ("check_scaling", ("a=2",),
+                 lambda: [check_scaling(triad, 2.0, p)])]
+        rows += [("check_naturality", (m.label,),
+                  lambda m=m: [check_naturality(triad, m, 0.0, p, seed=seed)])
                  for m in spec.maps]
         return rows
 
     records: list = []
-    rerun = [j for j, (family, variant, fn) in enumerate(families(pts))
-             if not _batched(records, variant, pts, fn)]
+    rerun = [j for j, (family, variants, fn) in enumerate(families(pts))
+             if not _batched(records, variants, pts, fn)]
     for idx, p in enumerate(pts):
         rows = families(p)
         for j in rerun:
-            family, variant, fn = rows[j]
-            _guarded(records, family_names(family, cs), variant, idx, p, fn)
+            family, variants, fn = rows[j]
+            _guarded(records, family_names(family, cs), variants, idx, p, fn)
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
     ok = bool(records) and all(_meets_role(r) for r in records)
     return Report(config=config.to_dict(), engine=_engine_info(engine),
@@ -245,9 +257,8 @@ def run_suite(config: RunConfig) -> Report:
 def _frame_records(triad, cs, p, seed):
     frame = build_unitary_frame(triad, p, seed=seed)
     out = [make_result("frame-orthonormality", frame.gram_residual(p), p)]
-    for c in cs:
-        disc = cross_check_gamma(triad, float(c), frame, p)
-        out.append(make_result("frame-coefficient-rederivation", disc, p))
+    out += [make_result("frame-coefficient-rederivation", disc, p)
+            for disc in cross_check_gamma(triad, cs, frame, p)]
     conn0 = triad_connection(triad, 0.0)
     out.append(make_result("structure-equation",
                            structure_equation_residual(conn0, frame, p), p))
@@ -270,7 +281,11 @@ def _summarize(records) -> dict:
                                            "max_residual": 0.0})
         s["count"] += 1
         s["passed"] += int(r["passed"])
-        s["max_residual"] = max_residual(s["max_residual"], r["residual"])
+        # np.maximum on two floats: the later of equal ones (-0.0 after
+        # 0.0), and NaN once either one is NaN
+        m, x = s["max_residual"], r["residual"]
+        if m == m and not m > x:
+            s["max_residual"] = x
     return summary
 
 

@@ -22,7 +22,8 @@ from triadlab.checks import (StrictContactMap, check_axioms, check_cr_form,
                              check_lemma_suite, check_naturality,
                              check_scaling, fault_flipped_b1,
                              fault_levi_civita, fault_scale_mismatch,
-                             fault_wrong_c, field_rng, xi_vector)
+                             fault_wrong_c, family_names, field_rng,
+                             xi_vector)
 from triadlab.contact import ContactTriad
 from triadlab.frames import FrameRankError, build_unitary_frame
 from triadlab.runner import RunConfig, run_suite
@@ -36,10 +37,11 @@ SEED = 7
 
 def _families(spec, t, p):
     """(label, call) for every family at p, a point or a batch."""
-    calls = [("axioms c=%g" % c, lambda c=c: check_axioms(t, c, p, seed=SEED))
-             for c in CS]
+    calls = [("axioms c=%g" % c,
+              lambda c=c: check_axioms(t, (c,), p, seed=SEED)[0]) for c in CS]
     calls += [("cr-form c=%g" % c,
-               lambda c=c: check_cr_form(t, c, p, seed=SEED)) for c in CS]
+               lambda c=c: check_cr_form(t, (c,), p, seed=SEED)[0])
+              for c in CS]
     calls += [("naturality " + m.label,
                lambda m=m: check_naturality(t, m, 0.0, p, seed=SEED))
               for m in spec.maps]
@@ -275,8 +277,47 @@ def test_an_ad_map_non_strict_at_one_point_errs_there_only():
     _assert_a_map_non_strict_at_one_point_errs_there_only("ad")
 
 
+@pytest.mark.parametrize("mode", ["fd", "ad"])
+@pytest.mark.parametrize("ex_id", ["r3-perturbed-J", "t3-tight"])
+def test_each_c_of_a_sweep_has_the_records_of_a_one_value_sweep(ex_id, mode):
+    """Every c of a sweep reads the same draws and its own slice of the
+    stacked table: the axiom, cr-form and frame re-derivation records at c
+    are those of a sweep of c alone, and the two lemma records that read the
+    sweep are the worst of the one-value sweeps' records."""
+    config = dict(example_id=ex_id, points=3, seed=5, mode=mode)
+    sweep = run_suite(RunConfig(c_values=CS, **config)).records
+    alone = [run_suite(RunConfig(c_values=(c,), **config)).records
+             for c in CS]
+
+    def named(records, name, variant=None):
+        return [r for r in records if r["name"] == name
+                and variant in (None, r["variant"])]
+
+    for k, c in enumerate(CS):
+        for name in family_names("check_axioms") + family_names(
+                "check_cr_form"):
+            got = named(sweep, name, "c=%g" % c)
+            want = named(alone[k], name)
+            assert [r["point_index"] for r in got] == [0, 1, 2]
+            assert [dict(r, residual=0.0) for r in got] == \
+                [dict(r, residual=0.0) for r in want], (name, c)
+            for r, w in zip(got, want):
+                assert _same(r["residual"], w["residual"], mode), (name, c)
+        # one record per c at each point, in the sweep's order
+        got = named(sweep, "frame-coefficient-rederivation")[k::len(CS)]
+        want = named(alone[k], "frame-coefficient-rederivation")
+        assert [r["point_index"] for r in got] == [0, 1, 2]
+        for r, w in zip(got, want):
+            assert _same(r["residual"], w["residual"], mode), c
+    for name in ("reeb-covariant-family", "torsion-split-values"):
+        for i, r in enumerate(named(sweep, name)):
+            worst = max(named(records, name)[i]["residual"]
+                        for records in alone)
+            assert _same(r["residual"], worst, mode), (name, i)
+
+
 @pytest.mark.parametrize("family", [
-    lambda t, p: check_axioms(t, 0.0, p, seed=5),
+    lambda t, p: check_axioms(t, (0.0,), p, seed=5)[0],
     lambda t, p: check_lemma_suite(t, p, seed=5)], ids=["axioms", "lemmas"])
 def test_a_batch_makes_as_many_reeb_solves_as_one_point(monkeypatch, family):
     """Each stencil a family evaluates at one point, it evaluates once at a
@@ -305,11 +346,12 @@ def test_a_batch_makes_as_many_reeb_solves_as_one_point(monkeypatch, family):
 def test_a_run_calls_each_family_once_on_the_batch(monkeypatch, mode,
                                                    controls):
     """Neither mode runs a family point by point unless it raised on the
-    batch: every family call of a healthy run takes all its points."""
+    batch, nor once per c: every family call of a healthy run takes all its
+    points and the whole sweep."""
     shapes = []
-    for name in ("check_axioms", "check_lemma_suite", "check_naturality",
-                 "_frame_records", "fault_wrong_c", "fault_levi_civita",
-                 "_dropped_torsion_control"):
+    for name in ("check_axioms", "check_cr_form", "check_lemma_suite",
+                 "check_naturality", "_frame_records", "fault_wrong_c",
+                 "fault_levi_civita", "_dropped_torsion_control"):
         def counted(*args, _fn=getattr(runner, name), **kwargs):
             shapes.append(next(a.shape for a in args
                                if isinstance(a, np.ndarray)))
@@ -317,9 +359,15 @@ def test_a_run_calls_each_family_once_on_the_batch(monkeypatch, mode,
 
         monkeypatch.setattr(runner, name, counted)
     rep = run_suite(RunConfig(example_id="r5-perturbed-J", points=3, seed=2,
-                              mode=mode, c_values=(0.0,),
+                              mode=mode, c_values=CS,
                               negative_controls=controls))
-    assert rep.ok
+    assert all(r["note"] == "" for r in rep.records)
+    if controls:
+        assert rep.ok
+    else:   # the by-design failures of the sweep, and no other
+        assert {(r["name"], r["variant"]) for r in rep.records
+                if not r["passed"]} == {("cr-form-xi", "c=-1"),
+                                        ("cr-form-xi", "c=1")}
     maps = len(_CAT["r5-perturbed-J"].maps)
-    assert len(shapes) == (3 if controls else 3 + maps)
+    assert len(shapes) == (3 if controls else 4 + maps)
     assert set(shapes) == {(3, 5)}

@@ -40,7 +40,7 @@ def test_axioms_pass_across_catalog_and_parameters():
         t = spec.build()
         for p in t.sample_points(2, seed=111):
             for c in (-1.0, 0.0, 1.0):
-                for res in check_axioms(t, c, p, seed=1):
+                for res in check_axioms(t, (c,), p, seed=1)[0]:
                     assert res.passed, (ex_id, c, res.name, res.residual)
                     assert res.residual <= 1e-8, (ex_id, c, res.name)
 
@@ -48,7 +48,7 @@ def test_axioms_pass_across_catalog_and_parameters():
 def test_axiom_results_carry_anchors_and_points():
     t = standard_triad(1)
     p = np.array([0.1, 0.2, 0.3])
-    for res in check_axioms(t, 0.0, p):
+    for res in check_axioms(t, (0.0,), p)[0]:
         assert res.anchor == CHECKS[res.name].anchor
         assert np.array_equal(res.point, p)
         assert res.tolerance > 0
@@ -58,7 +58,7 @@ def test_cr_form_zero_parameter_passes():
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=5)[0]
-        reeb, xi = check_cr_form(t, 0.0, p, seed=2)
+        reeb, xi = check_cr_form(t, (0.0,), p, seed=2)[0]
         assert reeb.passed and xi.passed, ex_id
 
 
@@ -68,7 +68,7 @@ def test_cr_form_detects_nonzero_parameter():
     for ex_id in ("r3-standard", "r3-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=6)[0]
-        reeb, xi = check_cr_form(t, 1.0, p, seed=2)
+        reeb, xi = check_cr_form(t, (1.0,), p, seed=2)[0]
         assert reeb.passed, ex_id          # Reeb-direction parallelism survives
         assert not xi.passed, ex_id
         assert xi.residual > 0.3, ex_id
@@ -241,7 +241,7 @@ def test_a_one_coefficient_table_defect_fails_at_every_seed(table, entry,
 def test_nan_residuals_fail_in_axioms_and_lemma_suite():
     t = _nan_christoffel(_CAT["r5-perturbed-J"].build())
     p = t.sample_points(1, seed=15)[0]
-    axioms = check_axioms(t, 0.0, p, seed=10)
+    axioms = check_axioms(t, (0.0,), p, seed=10)[0]
     assert len(axioms) == 6
     for res in axioms:
         assert np.isnan(res.residual) and not res.passed, res.name
@@ -284,7 +284,7 @@ def test_xi_vector_raises_on_a_nan_or_degenerate_distribution():
         xi_vector(t, p, field_rng(0, "xi"))
     # at this point the axioms reach xi_vector, which used to redraw forever
     with pytest.raises(ValueError, match="xi-vector norm is not finite"):
-        check_axioms(t, 0.0, p)
+        check_axioms(t, (0.0,), p)[0]
 
     flat = standard_triad(1)
     flat.metric_any = lambda q: np.zeros((3, 3))   # every draw has norm 0

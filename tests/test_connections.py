@@ -2,10 +2,13 @@
 
 import numpy as np
 
-from triadlab import (LeviCivitaConnection, catalog, perturbed_triad,
-                      standard_triad, triad_connection)
+import pytest
+
+from triadlab import (DiffEngine, LeviCivitaConnection, catalog,
+                      perturbed_triad, standard_triad, triad_connection)
 from triadlab.checks import const_field, xi_vector, field_rng
 from triadlab.connections import (
+    TriadConnection,
     _lc_nabla_j,
     covariant_derivative_endo,
     covariant_derivative_form,
@@ -114,6 +117,27 @@ def test_family_metric_compatible_for_many_c():
                 rhs = (conn.gamma_apply(p, u, v) @ t.metric_any(p) @ w
                        + v @ t.metric_any(p) @ conn.gamma_apply(p, u, w))
                 assert abs(lhs - rhs) < 1e-10, (ex_id, c)
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_each_slice_of_the_stacked_table_is_the_one_c_table(ex_id, mode):
+    """A sweep's table stacks the one-c tables bit for bit, at a point and
+    at a batch, and sits under its own store tag."""
+    t = _CAT[ex_id].build(DiffEngine(mode))
+    pts = t.sample_points(3, seed=8)
+    cs = (-1.0, 0.0, 1.0, 0.25)
+    for p in (pts[0], pts):
+        for b1_sign in (1.0, -1.0):
+            table = TriadConnection(t, cs, b1_sign=b1_sign).gamma_tensor(p)
+            assert table.shape == (len(cs),) + p.shape[:-1] + (t.dim,) * 3
+            for k, c in enumerate(cs):
+                one = TriadConnection(t, c, b1_sign=b1_sign).gamma_tensor(p)
+                assert one.shape == p.shape[:-1] + (t.dim,) * 3
+                assert table[k].tobytes() == one.tobytes(), (c, b1_sign)
+            alone = TriadConnection(t, (0.0,), b1_sign).gamma_tensor(p)
+            assert alone.shape == (1,) + table.shape[1:]
+            assert alone[0].tobytes() == table[1].tobytes()
 
 
 def test_first_stage_is_family_at_minus_one():

@@ -139,7 +139,7 @@ def test_fd_nijenhuis_and_axioms_make_one_batch_reeb_solve(monkeypatch,
     nijenhuis(t, y, z, p)
     assert solves == [(2, 4, t.dim)]
     del solves[:]
-    check_axioms(t, 0.0, p, seed=5)
+    check_axioms(t, (0.0,), p, seed=5)[0]
     assert solves == [(2, 10, t.dim)]
 
 

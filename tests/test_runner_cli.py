@@ -14,6 +14,7 @@ import pytest
 import triadlab
 from triadlab.checks import CHECKS
 from triadlab.cli import main
+from triadlab.engine import max_residual
 from triadlab.runner import (
     RESIDUAL_UNEVALUABLE,
     ConfigError,
@@ -22,11 +23,13 @@ from triadlab.runner import (
     _canon,
     _projected_nijenhuis_scale,
     _render_records,
+    _summarize,
     emit_report,
     run_suite,
 )
 
 SMALL = dict(example_id="r3-standard", c_values=(0.0,), points=2, seed=3)
+SWEEP = (-1.0, 0.0, 1.0)
 
 
 def test_config_validation_rejects_bad_inputs():
@@ -52,6 +55,22 @@ def test_config_validation_rejects_bad_inputs():
                       fd_step=bad).validate()
     with pytest.raises(ConfigError):
         RunConfig(example_id="r3-standard", seed=-1).validate()
+
+
+def test_config_validation_rejects_c_values_with_one_variant():
+    """Two c values that print alike would give records of one key."""
+    for cs in ((1e-7, 1.0000001e-7), (0.5, 0.5), (-1.0, 0.0, -1.0)):
+        with pytest.raises(ConfigError, match="same variant"):
+            RunConfig(example_id="r3-standard", c_values=cs).validate()
+    RunConfig(example_id="r3-standard", c_values=(0.0, -0.0)).validate()
+    RunConfig(example_id="r3-standard", c_values=(1e-7, 1.1e-7)).validate()
+
+
+def test_cli_c_values_with_one_variant_is_usage_error(capsys):
+    base = ["check", "--example", "r3-standard", "--points", "1"]
+    assert main(base + ["--c", "1e-7,1.0000001e-7"]) == 2
+    assert "same variant" in capsys.readouterr().err
+    assert main(base + ["--c", "0,-0"]) == 0
 
 
 def test_config_validation_rejects_zero_samples():
@@ -137,10 +156,13 @@ def test_check_errors_become_records_not_crashes(monkeypatch, mode="ad"):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr("triadlab.runner.check_axioms", boom)
-    rep = run_suite(RunConfig(mode=mode, **SMALL))
+    rep = run_suite(RunConfig(mode=mode, **dict(SMALL, c_values=SWEEP)))
     assert not rep.ok
     bad = [r for r in rep.records if r["note"].startswith("error:")]
-    assert len(bad) == 2 * 6  # two points, six axiom names each
+    assert len(bad) == 2 * 6 * 3  # two points, six axiom names, three c
+    assert len({(r["name"], r["variant"], r["point_index"])
+                for r in bad}) == len(bad)
+    assert {r["variant"] for r in bad} == {"c=-1", "c=0", "c=1"}
     for r in bad:
         assert r["residual"] == RESIDUAL_UNEVALUABLE
         assert r["tolerance"] == CHECKS[r["name"]].tolerance
@@ -227,6 +249,27 @@ def test_nan_control_is_not_a_control_that_fired(monkeypatch):
         residual = row.split(",")[3]
         if np.isnan(r["residual"]):
             assert residual == "%.12e" % RESIDUAL_UNEVALUABLE, row
+
+
+def test_summary_keeps_a_nan_residual_between_finite_ones():
+    def rec(residual, idx):
+        return {"name": "axiom-hermitian", "variant": "c=0",
+                "point_index": idx, "residual": residual, "tolerance": 1e-8,
+                "passed": residual <= 1e-8, "anchor": "a", "point": [0.0],
+                "note": ""}
+
+    for residuals in ([1e-9, np.nan, 2e-9], [np.nan, 3e-9], [1e-9, np.nan],
+                      [2e-9, 1e-9, 0.0], [0.0, -0.0]):
+        records = [rec(x, i) for i, x in enumerate(residuals)]
+        got = _summarize(records)["axiom-hermitian"]["max_residual"]
+        want = max_residual(0.0, *residuals)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    records = [rec(x, i) for i, x in enumerate([1e-9, np.nan, 2e-9])]
+    rep = Report(config={}, engine={}, example={}, records=records,
+                 summary=_summarize(records), ok=False)
+    doc = json.loads(emit_report(rep, "json"))
+    assert doc["summary"]["axiom-hermitian"]["max_residual"] == \
+        RESIDUAL_UNEVALUABLE
 
 
 def test_raising_control_is_not_a_control_that_fired(monkeypatch):

@@ -158,9 +158,9 @@ def test_ad_axioms_build_fewer_jets_than_they_read(monkeypatch):
     from triadlab.checks import check_axioms
     t = _CAT["r5-perturbed-J"].build()
     p = t.sample_points(1, seed=3)[0]
-    want = [r.residual for r in check_axioms(t, 0.0, p, seed=2)]
+    want = [r.residual for r in check_axioms(t, (0.0,), p, seed=2)[0]]
     t = _CAT["r5-perturbed-J"].build()
     monkeypatch.setattr(Section, "jet", counted)
-    got = [r.residual for r in check_axioms(t, 0.0, p, seed=2)]
+    got = [r.residual for r in check_axioms(t, (0.0,), p, seed=2)[0]]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert len(builds) == len({id(s) for s in builds}) < len(reads)
