@@ -67,6 +67,8 @@ TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
 
 STRICTNESS_TOL = 1e-9
+# Draws a sampled check makes per point, in every run.
+SAMPLES = 3
 # Draws xi_vector makes before it gives up on a degenerate distribution.
 XI_VECTOR_DRAWS = 100
 
@@ -324,6 +326,21 @@ def _reeb_cov_matrix(conn, p) -> np.ndarray:
                                         conn.gamma_tensor(p), t.reeb_any(p))
 
 
+def _j_linearity(conn, p, rng, samples: int):
+    """Worst |Pi nabla_u (J Y) - J Pi nabla_u Y| per point over ``samples``
+    draws of a unit direction u and a distribution section Y."""
+    t = conn.triad
+    P, J = t.pi_any(p), t.j_any(p)
+    r = 0.0
+    for _ in range(samples):
+        u = tq_vector(t.dim, rng)
+        Yf = xi_section(t, rng.standard_normal(t.dim))
+        d = (matvec(P, conn.apply_vec(u, j_image(t, Yf), p))
+             - matvec(J, matvec(P, conn.apply_vec(u, Yf, p))))
+        r = max_residual(r, _worst(d))
+    return r
+
+
 # -- axiom battery ---------------------------------------------------------
 
 
@@ -340,7 +357,7 @@ def _per_c(conn: TriadConnection, names, residuals, p) -> list:
 
 
 def check_axioms(triad: ContactTriad, c_values, p, seed: int = 0,
-                 samples: int = 3) -> list:
+                 samples: int = SAMPLES) -> list:
     """One list per c of ``c_values``: a CheckResult per defining axiom of
     the family member at that c.  Every c reads the same draws."""
     p = np.asarray(p, dtype=float)
@@ -416,7 +433,7 @@ def check_axioms(triad: ContactTriad, c_values, p, seed: int = 0,
 
 
 def check_cr_form(triad: ContactTriad, c_values, p, seed: int = 0,
-                  samples: int = 3) -> list:
+                  samples: int = SAMPLES) -> list:
     """One list per c of ``c_values``: both holomorphicity residuals of the
     contact form under nabla^c.  Every c reads the same draws."""
     p = np.asarray(p, dtype=float)
@@ -511,7 +528,7 @@ def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
 
 
 def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
-                     p, seed: int = 0, samples: int = 3) -> CheckResult:
+                     p, seed: int = 0, samples: int = SAMPLES) -> CheckResult:
     p = np.asarray(p, dtype=float)
     strict = cmap.strictness_residual(triad, p)
     if not strict <= STRICTNESS_TOL:
@@ -537,7 +554,8 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
 # -- the supporting identity suite ----------------------------------------
 
 
-def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
+def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
+                      samples: int = SAMPLES,
                       c_values=(-1.0, 0.0, 1.0)) -> list:
     """Every supporting identity behind the family, one CheckResult each."""
     p = np.asarray(p, dtype=float)
@@ -638,14 +656,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0, samples: int = 3,
 
     # J-linearity of the intermediate (parameter -1) connection.
     rng.standard_normal((11 * samples, d))    # the five records above
-    r = 0.0
-    for _ in range(samples):
-        u = tq_vector(d, rng)
-        Yf = xi_section(triad, rng.standard_normal(d))
-        t = (matvec(P, tmp.apply_vec(u, j_image(triad, Yf), p))
-             - matvec(J, matvec(P, tmp.apply_vec(u, Yf, p))))
-        r = max_residual(r, _worst(t))
-    out.append(make_result("semi-connection-j-linearity", r, p))
+    out.append(make_result("semi-connection-j-linearity",
+                           _j_linearity(tmp, p, rng, samples), p))
 
     # Metric skew property of the obstruction tensor P, as the table
     # tp[k, x, y] = P(e_x, e_y)^k; s[z, x, y] = <z, P(x, y)> + <y, P(x, z)>.
@@ -792,17 +804,8 @@ def fault_levi_civita(triad: ContactTriad, p, seed: int = 0) -> CheckResult:
     J (the perturbed examples) to produce a visible residual.
     """
     p = np.asarray(p, dtype=float)
-    lc = LeviCivitaConnection(triad)
     rng = field_rng(seed, "fault-lc", triad.label)
-    P = triad.pi_any(p)
-    J = triad.j_any(p)
-    r = 0.0
-    for _ in range(4):
-        u = tq_vector(triad.dim, rng)
-        Yf = xi_section(triad, rng.standard_normal(triad.dim))
-        t = (matvec(P, lc.apply_vec(u, j_image(triad, Yf), p))
-             - matvec(J, matvec(P, lc.apply_vec(u, Yf, p))))
-        r = max_residual(r, _worst(t))
+    r = _j_linearity(LeviCivitaConnection(triad), p, rng, 4)
     return make_result("fault-levi-civita-not-complex-linear", r, p)
 
 

@@ -246,8 +246,8 @@ class ContactTriad:
 
     def scaled(self, a: float) -> "ContactTriad":
         """The triad (a * lam, J) on the same chart; J is unchanged on xi."""
-        if a <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < a < math.inf:
+            raise ValueError("scale factor must be positive and finite")
         base_lam = self.lam
         return ContactTriad(self.dim, lambda q: a * base_lam(q),
                             self._j_closure or self.j_any,

@@ -31,13 +31,13 @@ on one stencil, so the triad's store computes its tables once for all of
 them.
 
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
-through the helpers here: :func:`dot` switches to ``np.matmul`` for
-operands with more than two axes and :func:`outer` for batched vectors,
-:func:`matvec` applies a matrix field to a vector field and :func:`inner`
-pairs two vector fields.
-``np.matmul`` on stacks, with a vector passed as ``x[..., None]``, and the
-stacked ``np.linalg.solve`` give the bits of the per-point ``np.dot`` and
-``solve``; a 3-D ``np.dot`` or an ``einsum`` would not.
+through the helpers here, and a single point is a batch without batch
+axes: :func:`dot` is :func:`~triadlab.ad.matmul`, :func:`matvec` applies a
+matrix field to a vector field passed as ``x[..., None]``, :func:`inner`
+pairs two vector fields as a row times a column, and :func:`outer` is one
+broadcast product.  ``np.matmul`` on stacks and the stacked
+``np.linalg.solve`` give each point the bits of that point alone; a 3-D
+``np.dot`` or an ``einsum`` would not.
 
 A :class:`Section` is a closure that also knows its 1-jet, the pair (value,
 Jacobian) at a float point or batch, assembled from per-point tables that
@@ -51,7 +51,8 @@ reads a jet, so it keeps differentiating closures.
 The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
 :func:`outer`) take float arrays or duals, so the same geometric pipelines
 run unchanged inside a differentiation pass.  Float arrays go straight to
-``numpy.linalg.solve`` / ``np.dot``.  Duals are differentiated with the
+``numpy.linalg.solve`` / ``np.matmul``; any other operand that is not a
+dual is read as a float array first.  Duals are differentiated with the
 forward-mode matrix rules, one perturbation level at a time, on the value
 and tangent arrays themselves: no elimination runs over dual scalars.
 """
@@ -121,8 +122,9 @@ class DiffEngine:
     def __init__(self, mode: str = "ad", step: float = 1e-4):
         if mode not in ("ad", "fd"):
             raise ValueError("mode must be 'ad' or 'fd', got %r" % (mode,))
-        if not step > 0:
-            raise ValueError("finite-difference step must be positive")
+        if not 0 < step < np.inf:
+            raise ValueError("finite-difference step must be positive and "
+                             "finite")
         self.mode = mode
         self.step = float(step)
         self._sides = np.array([self.step, -self.step])  # fd stencil sides
@@ -287,40 +289,26 @@ def inv(A):
 
 
 def dot(A, B):
-    """``np.dot(A, B)`` for a matrix or vector A; works for duals.
-
-    An operand with more than two axes is a batch of matrices, and the
-    product is ``np.matmul``'s.
-    """
-    if not (_is_floats(A) and _is_floats(B)):
-        if isinstance(A, Dual) or isinstance(B, Dual):
-            return matmul(A, B)
-        A, B = _floats(A), _floats(B)
-    if A.ndim > 2 or B.ndim > 2:
-        return np.matmul(A, B)
-    return np.dot(A, B)
+    """``A @ B`` for matrices and vectors, either one batched; works for
+    duals.  Any other operand is read as a float array first."""
+    if isinstance(A, Dual) or isinstance(B, Dual):
+        return matmul(A, B)
+    return np.matmul(_floats(A), _floats(B))
 
 
 def matvec(A, x):
     """A x for a matrix field A and a vector field x, either one batched."""
-    if ndim(x) <= 1:
-        return dot(A, x)
-    return matmul(A, x[..., None])[..., 0]
+    return dot(A, x[..., None])[..., 0]
 
 
 def inner(x, y):
     """x . y for two vector fields, either one batched."""
-    if ndim(x) <= 1 and ndim(y) <= 1:
-        return dot(x, y)
-    return matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+    return dot(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def outer(a, b, c=None):
     """The outer product a b^T, plus c when given; dual-aware like dot."""
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        ab = a[..., :, None] * b[..., None, :]
-    elif ndim(a) > 1 or ndim(b) > 1:
-        ab = np.matmul(_floats(a)[..., :, None], _floats(b)[..., None, :])
-    else:
-        ab = np.dot(_floats(a)[:, None], _floats(b)[None, :])
+    if not (isinstance(a, Dual) or isinstance(b, Dual)):
+        a, b = _floats(a), _floats(b)
+    ab = a[..., :, None] * b[..., None, :]
     return ab if c is None else ab + c

@@ -9,8 +9,8 @@ Degenerate candidates (projection collapses) are skipped.  The skip
 decisions are made once, at the base point or at every point of a batch at
 once, and frozen into the frame's chart columns, so the frame stays smooth
 and differentiable there.  A candidate that collapses at only some points
-of a batch raises :class:`FrameRankError`; the frame is then built point by
-point, where each point may pick its own columns.
+of a batch raises :class:`FrameRankError`; the run then builds the frame on
+each one-point batch, where each point may pick its own columns.
 
 Every function here takes a float point or a batch of them, shape
 ``(*batch, dim)``, and a residual holds one value per point, as in
@@ -46,11 +46,6 @@ class FrameRankError(RuntimeError):
 _SKIP_REL = 1e-10
 
 
-def _per_point(s):
-    """A scalar, or a batch of scalars given an axis to scale vectors by."""
-    return s if ad.ndim(s) == 0 else s[..., None]
-
-
 def _gram_schmidt(triad: ContactTriad, q, indices, pairs=None):
     """Unitary Gram-Schmidt over the Pi-projected chart columns ``indices``
     at a chart point (or a float batch of them).
@@ -66,8 +61,8 @@ def _gram_schmidt(triad: ContactTriad, q, indices, pairs=None):
     G = triad.metric_any(q)
     J = triad.j_any(q)
 
-    def g(a, b):
-        return _per_point(inner(a, matvec(G, b)))
+    def g(a, b):    # with an axis to scale vectors by
+        return inner(a, matvec(G, b))[..., None]
 
     es, fs, used = [], [], []
     for idx in indices:

@@ -5,9 +5,11 @@ sample points and the whole c sweep, the frame families among them.
 ``check_axioms`` and ``check_cr_form`` return one group of results per c,
 recorded under the variant ``c=%g``; ``RunConfig`` rejects a sweep in which
 two values print as the same variant.  The frame re-derivation keeps the
-variant ``frame``, with one record per c.  A run calls a family that raised
-on the batch again point by point (a frame whose Gram-Schmidt would pick
-other chart columns at some points raises there).  A run never aborts
+variant ``frame``, with one record per c.  The run builds its table of
+families once, and each row's function takes a batch of points: a family
+that raised on the batch runs again through the same function on each
+one-point batch ``pts[i:i+1]`` (a frame whose Gram-Schmidt would pick other
+chart columns at some points raises there).  A run never aborts
 because one check raised; the failure is recorded under each name and
 variant the family emits, with an unevaluable-residual sentinel, and the
 run moves on.  Records are
@@ -32,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import catalog
-from .checks import (CHECKS, CheckResult, check_axioms, check_cr_form,
-                     check_lemma_suite, check_naturality, check_scaling,
-                     fault_flipped_b1, fault_levi_civita, fault_scale_mismatch,
-                     fault_wrong_c, family_names, make_result, _in_frame)
+from .checks import (CHECKS, SAMPLES, CheckResult, check_axioms,
+                     check_cr_form, check_lemma_suite, check_naturality,
+                     check_scaling, fault_flipped_b1, fault_levi_civita,
+                     fault_scale_mismatch, fault_wrong_c, family_names,
+                     make_result, _in_frame)
 from .connections import triad_connection
 from .engine import DiffEngine
 from .frames import (build_unitary_frame, cross_check_gamma,
@@ -59,7 +62,6 @@ class RunConfig:
     fd_step: float = 1e-4
     fmt: str = "json"
     negative_controls: bool = False
-    samples: int = 3
 
     def validate(self, cat=None) -> None:
         if cat is None:
@@ -85,8 +87,6 @@ class RunConfig:
             raise ConfigError("format must be 'json' or 'csv'")
         if not (0.0 < self.fd_step < math.inf):
             raise ConfigError("fd step must be positive and finite")
-        if self.samples < 1:
-            raise ConfigError("sample count must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +98,7 @@ class RunConfig:
             "fd_step": float(self.fd_step),
             "format": self.fmt,
             "negative_controls": bool(self.negative_controls),
-            "samples": int(self.samples),
+            "samples": SAMPLES,
         }
 
 
@@ -141,36 +141,28 @@ def _record(cr: CheckResult, variant: str, point_index: int,
     }
 
 
-def _guarded(records, names, variants, idx, p, fn):
-    """Append fn()'s records, one group per variant, or one error record per
-    expected name and variant."""
+def _run_family(records, names, variants, fn, pts, first=0) -> None:
+    """Append fn(pts)'s records, one list of results per variant, at each
+    point of the batch pts, whose first point has index ``first``.
+
+    A family that raises on a batch of several points runs again on each
+    one-point batch; one that raises on one point gets one error record per
+    expected name and variant there.
+    """
     try:
-        out, note = fn(), ""
+        out, note = fn(pts), ""
     except Exception as exc:  # recorded, never fatal for the run
-        out = [[CheckResult(n, CHECKS[n].anchor, RESIDUAL_UNEVALUABLE,
-                            CHECKS[n].tolerance, False, np.asarray(p).ravel())
+        if len(pts) > 1:
+            for i in range(len(pts)):
+                _run_family(records, names, variants, fn, pts[i:i + 1],
+                            first + i)
+            return
+        out = [[make_result(n, [RESIDUAL_UNEVALUABLE], pts)
                 for n in names]] * len(variants)
         note = "error: " + repr(exc)
-    records.extend(_record(cr, variant, idx, note)
+    records.extend(_record(cr.at(i), variant, first + i, note)
                    for variant, group in zip(variants, out)
-                   for cr in _listed(group))
-
-
-def _batched(records, variants, pts, fn) -> bool:
-    """Append fn()'s records, one group per variant, at each point of pts;
-    False if fn raised."""
-    try:
-        out = fn()
-    except Exception:   # the family runs again point by point
-        return False
-    records.extend(_record(cr.at(idx), variant, idx)
-                   for variant, group in zip(variants, out)
-                   for idx in range(len(pts)) for cr in _listed(group))
-    return True
-
-
-def _listed(group) -> list:
-    return [group] if isinstance(group, CheckResult) else group
+                   for i in range(len(pts)) for cr in group)
 
 
 def _projected_nijenhuis_scale(triad, pts) -> float:
@@ -199,54 +191,48 @@ def run_suite(config: RunConfig) -> Report:
     engine = DiffEngine(mode=config.mode, step=config.fd_step)
     triad = spec.build(engine)
     pts = triad.sample_points(config.points, config.seed)
-    seed, k = config.seed, config.samples
+    seed = config.seed
     cs = tuple(float(c) for c in config.c_values)
     swept = tuple("c=%g" % c for c in cs)
     # a NaN scale cannot rule the J-sensitive controls out, so they run
     with_j_controls = config.negative_controls and not (
         _projected_nijenhuis_scale(triad, pts) <= 1e-3)
 
-    def families(p):
-        """(family, variants, closure) for every family run at point p; the
-        closure returns one group of results per variant."""
-        if config.negative_controls:
-            rows = [
-                ("fault_wrong_c", ("",),
-                 lambda: [fault_wrong_c(triad, p, seed=seed)]),
-                ("fault_scale_mismatch", ("a=2",),
-                 lambda: [fault_scale_mismatch(triad, 2.0, p)]),
-                ("_dropped_torsion_control", ("c=0",),
-                 lambda: [_dropped_torsion_control(triad, p, seed)])]
-            if with_j_controls:
-                rows += [("fault_flipped_b1", ("",),
-                          lambda: [fault_flipped_b1(triad, p)]),
-                         ("fault_levi_civita", ("",),
-                          lambda: [fault_levi_civita(triad, p, seed=seed)])]
-            return rows
+    # (family, variants, fn): fn(q) gives one list of results per variant
+    # at each point of the batch q
+    if config.negative_controls:
+        rows = [
+            ("fault_wrong_c", ("",),
+             lambda q: [[fault_wrong_c(triad, q, seed=seed)]]),
+            ("fault_scale_mismatch", ("a=2",),
+             lambda q: [[fault_scale_mismatch(triad, 2.0, q)]]),
+            ("_dropped_torsion_control", ("c=0",),
+             lambda q: [[_dropped_torsion_control(triad, q, seed)]])]
+        if with_j_controls:
+            rows += [("fault_flipped_b1", ("",),
+                      lambda q: [[fault_flipped_b1(triad, q)]]),
+                     ("fault_levi_civita", ("",),
+                      lambda q: [[fault_levi_civita(triad, q, seed=seed)]])]
+    else:
         rows = [("check_axioms", swept,
-                 lambda: check_axioms(triad, cs, p, seed=seed, samples=k)),
+                 lambda q: check_axioms(triad, cs, q, seed=seed)),
                 ("check_cr_form", swept,
-                 lambda: check_cr_form(triad, cs, p, seed=seed, samples=k)),
+                 lambda q: check_cr_form(triad, cs, q, seed=seed)),
                 ("check_lemma_suite", ("",),
-                 lambda: [check_lemma_suite(triad, p, seed=seed, samples=k,
-                                            c_values=cs)]),
+                 lambda q: [check_lemma_suite(triad, q, seed=seed,
+                                              c_values=cs)]),
                 ("_frame_records", ("frame",),
-                 lambda: [_frame_records(triad, cs, p, seed)]),
+                 lambda q: [_frame_records(triad, cs, q, seed)]),
                 ("check_scaling", ("a=2",),
-                 lambda: [check_scaling(triad, 2.0, p)])]
+                 lambda q: [[check_scaling(triad, 2.0, q)]])]
         rows += [("check_naturality", (m.label,),
-                  lambda m=m: [check_naturality(triad, m, 0.0, p, seed=seed)])
+                  lambda q, m=m: [[check_naturality(triad, m, 0.0, q,
+                                                    seed=seed)]])
                  for m in spec.maps]
-        return rows
 
     records: list = []
-    rerun = [j for j, (family, variants, fn) in enumerate(families(pts))
-             if not _batched(records, variants, pts, fn)]
-    for idx, p in enumerate(pts):
-        rows = families(p)
-        for j in rerun:
-            family, variants, fn = rows[j]
-            _guarded(records, family_names(family, cs), variants, idx, p, fn)
+    for family, variants, fn in rows:
+        _run_family(records, family_names(family, cs), variants, fn, pts)
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
     ok = bool(records) and all(_meets_role(r) for r in records)
     return Report(config=config.to_dict(), engine=_engine_info(engine),

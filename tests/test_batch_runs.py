@@ -18,12 +18,12 @@ import pytest
 import triadlab
 from triadlab import DiffEngine, catalog, contact, runner
 from triadlab.ad import Dual
-from triadlab.checks import (StrictContactMap, check_axioms, check_cr_form,
-                             check_lemma_suite, check_naturality,
-                             check_scaling, fault_flipped_b1,
-                             fault_levi_civita, fault_scale_mismatch,
-                             fault_wrong_c, family_names, field_rng,
-                             xi_vector)
+from triadlab.checks import (CHECKS, StrictContactMap, check_axioms,
+                             check_cr_form, check_lemma_suite,
+                             check_naturality, check_scaling,
+                             fault_flipped_b1, fault_levi_civita,
+                             fault_scale_mismatch, fault_wrong_c,
+                             family_names, field_rng, xi_vector)
 from triadlab.contact import ContactTriad
 from triadlab.frames import FrameRankError, build_unitary_frame
 from triadlab.runner import RunConfig, run_suite
@@ -205,6 +205,34 @@ def test_frames_that_pick_other_columns_at_some_points_run_point_by_point(
 def test_ad_frames_that_pick_other_columns_at_some_points_run_point_by_point(
         controls):
     _assert_other_frames_run_point_by_point(controls, "ad")
+
+
+@pytest.mark.parametrize("mode", ["fd", "ad"])
+def test_every_family_call_takes_a_batch_a_rerun_one_of_one_point(
+        monkeypatch, mode):
+    """A point is a batch without more points: the run hands every family
+    its 4 points as one batch, and reruns the frame families, which raise
+    there, on the one-point batches pts[i:i+1]."""
+    families = {spec.family for spec in CHECKS.values()}
+    shapes: dict = {}
+    for name in families:
+        def counted(*args, _fn=getattr(runner, name), _name=name, **kwargs):
+            shapes.setdefault(_name, []).extend(
+                a.shape for a in args if isinstance(a, np.ndarray))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counted)
+    for controls in (False, True):
+        _run_with("t3-tight", _t3_with_a_reeb_aligned_point, points=4,
+                  seed=0, c_values=CS, negative_controls=controls, mode=mode)
+    # a three-dimensional triad has no projected Nijenhuis tensor, so the
+    # J-sensitive controls do not run
+    assert set(shapes) == families - {"fault_flipped_b1", "fault_levi_civita"}
+    calls = {"check_naturality": len(_CAT["t3-tight"].maps)}
+    reruns = {"_frame_records", "_dropped_torsion_control"}
+    for name, got in shapes.items():
+        want = [(4, 3)] * calls.get(name, 1) + [(1, 3)] * 4 * (name in reruns)
+        assert got == want, (name, got)
 
 
 def _assert_a_nan_j_at_one_point_errs_there_only(mode):

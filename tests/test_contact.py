@@ -162,10 +162,9 @@ def test_scaled_triad_structures():
 
 def test_scaled_rejects_nonpositive():
     t = standard_triad(1)
-    with pytest.raises(ValueError):
-        t.scaled(0.0)
-    with pytest.raises(ValueError):
-        t.scaled(-2.0)
+    for a in (0.0, -2.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            t.scaled(a)
 
 
 def test_sample_points_inside_domain_and_deterministic():

@@ -73,16 +73,6 @@ def test_cli_c_values_with_one_variant_is_usage_error(capsys):
     assert main(base + ["--c", "0,-0"]) == 0
 
 
-def test_config_validation_rejects_zero_samples():
-    """With no samples every sampled check would report 0.0 and pass."""
-    RunConfig(example_id="r3-standard", samples=1).validate()
-    for samples in (0, -1):
-        with pytest.raises(ConfigError):
-            RunConfig(example_id="r3-standard", samples=samples).validate()
-    with pytest.raises(ConfigError):
-        run_suite(RunConfig(example_id="r3-standard", samples=0))
-
-
 def test_nan_j_gives_error_records_not_a_hang(monkeypatch):
     """An all-NaN J used to make xi_vector redraw forever."""
     cat = triadlab.catalog()
