@@ -373,8 +373,8 @@ def check_axioms(triad: ContactTriad, c_values, p, seed: int = 0,
 
     # Every draw comes first, in the order the samples consume them; then
     # each field is differentiated along all sampled directions at once,
-    # U = [u_1..u_s, v_1..v_s, J v_1..J v_s, X], so in fd mode every field
-    # reads one shared stencil.  At a batch, a drawn u_i is every point's.
+    # U = [u_1..u_s, v_1..v_s, J v_1..J v_s, X], in one derivs call.  At a
+    # batch, a drawn u_i is every point's.
     # Only Gamma depends on c: every covariant derivative below carries the
     # sweep's axis in front of the batch's, over one flat derivative.
     draws = []

@@ -30,8 +30,9 @@ from the store's table ``ContactTriad.nijenhuis_at``.
 ``conn.apply_vecs(U, Yf, p, rows)`` is the covariant derivative of the
 field Yf at p along the listed rows of a direction matrix U.  Its flat part
 is one :meth:`~triadlab.engine.DiffEngine.derivs` call along every row of
-U, so in ``fd`` mode fields differentiated along one U share one stencil;
-the bilinear part is evaluated only on the rows asked for.
+U, which in ``fd`` mode contracts the field's Jacobian on the point's
+identity stencil; the bilinear part is evaluated only on the rows asked
+for.
 ``conn.apply_vec(u, Yf, p)`` is its one row along ``u[None]``.
 ``gamma_apply(p, u, v)`` is the bilinear part (the value on fields with
 vanishing coordinate Jacobian at p), which tensorial quantities such as
@@ -64,8 +65,8 @@ class LocalConnection:
 
     def apply_vecs(self, U, Yf, p, rows):
         """nabla_u Y at p for the rows u of U listed in ``rows``, stacked
-        along a leading axis.  The flat part is taken along every row of U,
-        so fields differentiated along one U share a stencil.
+        along a leading axis.  The flat part is taken along every row of U
+        in one ``derivs`` call.
         """
         dY = self.engine.derivs(Yf, p, U)
         y = Yf(p)
@@ -199,8 +200,9 @@ def j_brackets(engine, Xf, Yf, JX, JY, p):
     """The brackets [JX, JY], [X, Y], [X, JY] and [JX, Y] at p.
 
     Each of the four fields is differentiated along the same stacked
-    directions (X(p), Y(p), JX(p), JY(p)), so in ``fd`` mode one stencil
-    serves all four, and [A, B] = DB(A) - DA(B) reads the rows it needs.
+    directions (X(p), Y(p), JX(p), JY(p)), in ``fd`` mode from its Jacobian
+    on the point's identity stencil, and [A, B] = DB(A) - DA(B) reads the
+    rows it needs.
     """
     V = np.array([Xf(p), Yf(p), JX(p), JY(p)])
     dX, dY, dJX, dJY = (engine.derivs(F, p, V) for F in (Xf, Yf, JX, JY))

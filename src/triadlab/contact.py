@@ -12,10 +12,11 @@ From these it derives, at any chart point (float or dual-valued):
 * Christoffel symbols of g (float points only; they seed the connections).
 
 The pipelines ``*_any`` and the float-point tables ``*_at`` also take a
-batch of points, shape ``(..., dim)``, which is how an ``fd`` stencil, an
-``ad`` dual batch, or a run's sample points, are evaluated in one call: one
-d lam pass, one stacked Reeb solve and one stacked J solve serve the whole
-batch, each float entry with the bits of its single-point evaluation.
+batch of points, shape ``(..., dim)``, which is how an ``fd`` identity
+stencil, an ``ad`` dual batch, or a run's sample points, are evaluated in
+one call: one d lam pass, one stacked Reeb solve and one stacked J solve
+serve the whole batch, each float entry with the bits of its single-point
+evaluation.
 
 Float-point evaluations live in one bounded store per triad.  An entry is a
 point or a batch, keyed by its bytes (a batch also by its shape), and holds
@@ -25,9 +26,9 @@ among them.  The store keeps the most recently used entries up to
 comes back.  A dual point is the seed of one differentiation pass, so its
 values are memoised on the point's identity, for the latest dual point
 only: within a pass the Reeb solve and d lam run once, however many
-pipelines read them.  A batch wider than the store, such as an ``fd``
-stencil over many sample points, would push out every entry, the sample
-points' tables among them, so it is held in that same slot instead.
+pipelines read them.  A batch wider than the store, such as the ``fd``
+identity stencil of many sample points, would push out every entry, the
+sample points' tables among them, so it is held in that same slot instead.
 
 The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,

@@ -11,12 +11,14 @@ differences (``mode="fd"``, an independent cross-check path).
 derivatives of a closure at p along every row of a direction matrix ``V``,
 shape ``(k, dim)``, or, at a batch of points, ``(k, *batch, dim)`` with one
 direction per point; shared directions stand behind singleton batch axes.
-:meth:`DiffEngine.deriv` is its one row along ``v``, and
+:meth:`DiffEngine.deriv` is its one row along ``v``, and in ``ad`` mode
 :meth:`DiffEngine.jacobian` is it along the identity, with the direction
 axis moved last.  An ``ad`` pass seeds the whole chart point, a batch
 included, as one :class:`~triadlab.ad.Dual` whose tangent holds all k
-directions at once.  An ``fd`` pass calls the closure once, on the stacked
-``(2, k, *batch, dim)`` stencil ``[p + hV, p - hV]``.
+directions at once.  In ``fd`` mode the stencil lives in ``jacobian``
+alone: it calls the closure once, on the stacked ``(2, dim, *batch, dim)``
+identity stencil ``[p + h e_l, p - h e_l]``, and ``derivs`` along any V is
+that Jacobian contracted with V, as the ``ad`` jet read is.
 
 So every closure the engine differentiates takes a point with leading batch
 axes, shape ``(..., dim)``, and returns its value at every point of the
@@ -26,9 +28,9 @@ Each entry of a float batch gets the arithmetic of a single point, so an
 ``derivs`` has the bits of ``deriv`` along that row; an ``ad`` result
 matches them to rounding.  A point that is itself a stencil or a dual batch
 gets a stencil or a seed over that batch: the nested d lam is taken so.
-When several fields are differentiated along the same ``V``, they evaluate
-on one stencil, so the triad's store computes its tables once for all of
-them.
+Every ``fd`` derivative at a float point or batch reads the point's one
+identity stencil, the one the triad's Jacobian tables are built on, so the
+triad's store computes its tables there once for every field and direction.
 
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
 through the helpers here, and a single point is a batch without batch
@@ -139,11 +141,11 @@ class DiffEngine:
         *out)``.  At a batch, float or dual, V of shape ``(k, dim)`` stands
         behind singleton batch axes, so every point is differentiated along
         every row; V of shape ``(k, *batch, dim)`` gives each point its own
-        k directions.  ``fd`` mode makes one call on the stacked stencil
-        ``[p + hV, p - hV]``.  ``ad`` mode, at a float point or batch, reads
-        the jet of a field that has one (whole, along the identity
-        :meth:`jacobian` passes); otherwise one dual pass seeds all k rows
-        of V, which may be a dual, at every point.
+        k directions.  ``fd`` mode contracts the ``fd`` :meth:`jacobian`
+        with V.  ``ad`` mode, at a float point or batch, reads the jet of a
+        field that has one (whole, along the identity :meth:`jacobian`
+        passes, else contracted with V); otherwise one dual pass seeds all
+        k rows of V, which may be a dual, at every point.
         """
         if not isinstance(V, Dual):
             V = np.asarray(V, dtype=float)
@@ -151,23 +153,13 @@ class DiffEngine:
         # directions shared by a batch stand behind its singleton axes
         s = V.shape
         V = V.reshape(s[:1] + (1,) * (p.ndim - len(s) + 1) + s[1:])
-        if self.mode == "fd":
-            # p + (-hv) has the bits of p - hv
-            pts = p + np.multiply.outer(self._sides, V)
-            y = f(pts)
-            if shape(y)[:p.ndim + 1] != pts.shape[:-1]:
-                raise ValueError(
-                    "fd closure returned shape %s on a stencil of shape %s: it "
-                    "must take leading batch axes and keep them"
-                    % (shape(y), pts.shape))
-            return (y[0] - y[1]) * (0.5 / self.step)
-        if is_float_point(p) and hasattr(f, "jet"):
-            jac = f.jet(p)[1]
+        if self.mode == "fd" or is_float_point(p) and hasattr(f, "jet"):
+            jac = self.jacobian(f, p) if self.mode == "fd" else f.jet(p)[1]
             n = jac.ndim - 1
             if whole:
                 # jacobian's directions: the jet whole, its last axis first
                 return jac.transpose((n,) + tuple(range(n)))
-            # each row meets the jet's last axis at every point and entry
+            # each row meets the Jacobian's last axis at every point and entry
             V = V.reshape(V.shape[:-1] + (1,) * (n + 1 - p.ndim) + s[-1:])
             return np.einsum('...l,...l->...', jac, V)
         lvl = push_level()
@@ -190,19 +182,30 @@ class DiffEngine:
         """Full coordinate Jacobian; result has one trailing axis of length dim.
 
         ``jacobian(f, p)[..., l]`` is the partial derivative of ``f`` along
-        chart coordinate ``l``: :meth:`derivs` along the identity, with the
-        direction axis moved last (in ``fd`` mode into a C-ordered copy).
+        chart coordinate ``l``.  In ``ad`` mode it is :meth:`derivs` along
+        the identity, with the direction axis moved last; in ``fd`` mode one
+        call on the stencil ``[p + h e_l, p - h e_l]``, its central
+        differences in a C-ordered copy.
         """
         d = shape(p)[-1]
         eye = self._eyes.get(d)
         if eye is None:
             eye = self._eyes[d] = np.eye(d)
-        D = self.derivs(f, p, eye)
-        n = ndim(D)
-        axes = tuple(range(1, n)) + (0,)
-        if self.mode == "fd":
-            return np.ascontiguousarray(D.transpose(axes))
-        return transpose(D, axes)
+        if self.mode == "ad":
+            D = self.derivs(f, p, eye)
+            return transpose(D, tuple(range(1, ndim(D))) + (0,))
+        # the identity's rows stand behind p's batch axes, and
+        # p + (-h e_l) has the bits of p - h e_l
+        E = eye.reshape((d,) + (1,) * (p.ndim - 1) + (d,))
+        pts = p + np.multiply.outer(self._sides, E)
+        y = f(pts)
+        if shape(y)[:p.ndim + 1] != pts.shape[:-1]:
+            raise ValueError(
+                "fd closure returned shape %s on a stencil of shape %s: it "
+                "must take leading batch axes and keep them"
+                % (shape(y), pts.shape))
+        D = (y[0] - y[1]) * (0.5 / self.step)
+        return np.ascontiguousarray(np.moveaxis(D, 0, -1))
 
     # -- named operations ------------------------------------------------
 

@@ -1,0 +1,27 @@
+"""``tools/fd_sweep.py`` reports check failures and gates on controls."""
+
+import dataclasses
+import importlib.util
+import os
+
+from triadlab.checks import CHECKS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fd_sweep():
+    path = os.path.join(ROOT, "tools", "fd_sweep.py")
+    spec = importlib.util.spec_from_file_location("fd_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_control_that_does_not_fire_fails_the_sweep(monkeypatch, capsys):
+    sweep = _fd_sweep()
+    assert sweep.main(["--seeds", "3"]) == 0
+    assert "controls fired" in capsys.readouterr().out
+    # a check that passes, declared a control, is a control that is silent
+    monkeypatch.setitem(CHECKS, "axiom-hermitian", dataclasses.replace(
+        CHECKS["axiom-hermitian"], control=True))
+    assert sweep.main(["--seeds", "3"]) == 1

@@ -567,3 +567,16 @@ def test_cli_runs_as_module():
     assert proc.returncode == 0, proc.stderr
     for ex_id in triadlab.catalog():
         assert ex_id in proc.stdout
+
+
+def test_cli_fd_r5_perturbed_j_meets_the_bracket_tolerance_at_a_wide_seed(
+        capsys):
+    """With an fd stencil along each drawn field, the antisymmetrized
+    bracket of this example read 3.1e-8 at point 5, over its tolerance;
+    read from the fd Jacobians of the point it is rounding-sized."""
+    assert main(["check", "--example", "r5-perturbed-J", "--mode", "fd",
+                 "--points", "6", "--seed", "1486393352", "--c", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = [r["residual"] for r in doc["records"]
+           if r["name"] == "p-antisymmetrized-bracket"]
+    assert len(got) == 6 and max(got) <= 1e-10

@@ -15,13 +15,18 @@ request runs through both copies, ``run_suite`` then
 ``emit_report(report, "json")``, and the copy that goes first alternates
 from request to request.  The script prints each copy's total time, the
 ratio HEAD/BASE of the totals, the median and quartiles of the per-request
-ratio, and how many requests gave byte-identical reports; ``--json`` prints
-the same figures as one JSON object.  ``triadbench/`` is only read.
+ratio, and how many requests gave byte-identical reports.  Over the timed
+rounds, each copy's family functions carry the timers of
+``tools/family_times.py``, so the script then prints each family's time in
+BASE and in HEAD and their ratio: it shows where a change's gain lands.
+``--json`` prints the same figures as one JSON object.  ``triadbench/`` is
+only read.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -30,10 +35,12 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "triadbench"))
+sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "triadbench")]
 
+import family_times  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -49,8 +56,8 @@ def load_copy(root: str, name: str, folder: str):
 def serve(pkg, request: dict) -> tuple:
     """(seconds, report bytes) of one request through the package ``pkg``."""
     t0 = time.perf_counter()
-    report = pkg.run_suite(pkg.RunConfig(**request))
-    payload = pkg.emit_report(report, "json")
+    report = pkg.runner.run_suite(pkg.RunConfig(**request))
+    payload = pkg.runner.emit_report(report, "json")
     return time.perf_counter() - t0, payload
 
 
@@ -73,22 +80,33 @@ def compare(base, head, workload: str, rounds: int, seed: int) -> dict:
             serve(pkg, request)
     totals = [0.0, 0.0]
     ratios, identical, n = [], 0, 0
-    for r in range(rounds):
-        for request in round_requests(workload, seed + r):
-            order = (0, 1) if n % 2 == 0 else (1, 0)
-            out = [None, None]
-            for side in order:
-                out[side] = serve((base, head)[side], request)
-            totals[0] += out[0][0]
-            totals[1] += out[1][0]
-            ratios.append(out[1][0] / out[0][0])
-            identical += out[0][1] == out[1][1]
-            n += 1
+    spent = [Counter(), Counter()]
+    calls = [Counter(), Counter()]
+    with contextlib.ExitStack() as timers:
+        for side, pkg in enumerate((base, head)):
+            timers.enter_context(
+                family_times.family_timers(pkg, spent[side], calls[side]))
+        for r in range(rounds):
+            for request in round_requests(workload, seed + r):
+                order = (0, 1) if n % 2 == 0 else (1, 0)
+                out = [None, None]
+                for side in order:
+                    out[side] = serve((base, head)[side], request)
+                totals[0] += out[0][0]
+                totals[1] += out[1][0]
+                ratios.append(out[1][0] / out[0][0])
+                identical += out[0][1] == out[1][1]
+                n += 1
+    for side in (0, 1):
+        family_times.split_outside(spent[side], calls[side])
     q1, med, q3 = quartiles(ratios)
+    families = {name: [spent[0][name], spent[1][name]]
+                for name in sorted(set(spent[0]) | set(spent[1]))}
     return {"workload": workload, "rounds": rounds, "seed": seed,
             "requests": n, "base_s": totals[0], "head_s": totals[1],
             "total_ratio": totals[1] / totals[0], "ratio_median": med,
-            "ratio_q1": q1, "ratio_q3": q3, "identical_reports": identical}
+            "ratio_q1": q1, "ratio_q3": q3, "identical_reports": identical,
+            "families": families}
 
 
 def main(argv=None) -> int:
@@ -120,6 +138,11 @@ def main(argv=None) -> int:
           % (out["ratio_median"], out["ratio_q1"], out["ratio_q3"]))
     print("byte-identical reports: %d of %d"
           % (out["identical_reports"], out["requests"]))
+    print("%-28s %8s %8s %6s" % ("family", "BASE s", "HEAD s", "ratio"))
+    for name, (b, h) in sorted(out["families"].items(),
+                               key=lambda kv: -kv[1][0]):
+        print("%-28s %8.3f %8.3f %6s"
+              % (name, b, h, "%.3f" % (h / b) if b else "-"))
     return 0
 
 

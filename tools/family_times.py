@@ -17,28 +17,30 @@ set-up.  So a request splits into families, that line and ``emit_report``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "triadbench")]
+sys.path.insert(0, os.path.join(ROOT, "triadbench"))
 
-import triadlab  # noqa: E402
 import workloads  # noqa: E402
-from triadlab import runner  # noqa: E402
-from triadlab.checks import CHECKS  # noqa: E402
 
-TIMED = sorted({spec.family for spec in CHECKS.values()}
-               | {"_projected_nijenhuis_scale", "emit_report", "run_suite"})
 OUTSIDE = "run_suite (outside families)"
 
 
-def timed_run(reqs) -> tuple:
-    """(seconds per timed name, calls per timed name, total seconds)."""
-    spent, calls = Counter(), Counter()
-    originals = {name: getattr(runner, name) for name in TIMED}
+@contextlib.contextmanager
+def family_timers(pkg, spent: Counter, calls: Counter):
+    """Within the block, every family that ``pkg``'s check registry names,
+    the Nijenhuis gate of the controls, ``emit_report`` and ``run_suite``,
+    as ``pkg.runner`` binds them, add their wall time to ``spent`` and
+    their calls to ``calls``, under their names."""
+    runner = pkg.runner
+    names = ({spec.family for spec in pkg.checks.CHECKS.values()}
+             | {"_projected_nijenhuis_scale", "emit_report", "run_suite"})
+    originals = {name: getattr(runner, name) for name in sorted(names)}
 
     def wrap(name, fn):
         def timed(*args, **kwargs):
@@ -53,18 +55,32 @@ def timed_run(reqs) -> tuple:
     for name, fn in originals.items():
         setattr(runner, name, wrap(name, fn))
     try:
-        t0 = time.perf_counter()
-        for req in reqs:
-            report = runner.run_suite(triadlab.RunConfig(**req))
-            runner.emit_report(report, "json")
-        total = time.perf_counter() - t0
+        yield
     finally:
         for name, fn in originals.items():
             setattr(runner, name, fn)
+
+
+def split_outside(spent: Counter, calls: Counter) -> None:
+    """Replace ``run_suite``'s figures by those of its time outside the
+    other wrapped functions it called."""
     inside = sum(t for name, t in spent.items()
                  if name not in ("run_suite", "emit_report"))
-    spent[OUTSIDE] = spent.pop("run_suite") - inside
-    calls[OUTSIDE] = calls.pop("run_suite")
+    spent[OUTSIDE] = spent.pop("run_suite", 0.0) - inside
+    calls[OUTSIDE] = calls.pop("run_suite", 0)
+
+
+def timed_run(pkg, reqs) -> tuple:
+    """(seconds per timed name, calls per timed name, total seconds) of the
+    requests ``reqs`` through the package ``pkg``."""
+    spent, calls = Counter(), Counter()
+    with family_timers(pkg, spent, calls):
+        t0 = time.perf_counter()
+        for req in reqs:
+            report = pkg.runner.run_suite(pkg.RunConfig(**req))
+            pkg.runner.emit_report(report, "json")
+        total = time.perf_counter() - t0
+    split_outside(spent, calls)
     return spent, calls, total
 
 
@@ -77,7 +93,9 @@ def main(argv=None) -> int:
     reqs = [req for seed in args.seeds
             for req in workloads.requests(args.workload, seed,
                                           w.round_seconds)]
-    spent, calls, total = timed_run(reqs)
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import triadlab
+    spent, calls, total = timed_run(triadlab, reqs)
     print("%s: %d requests (seeds %s)" % (args.workload, len(reqs),
                                          " ".join(map(str, args.seeds))))
     for name in sorted(spent, key=spent.get, reverse=True):
