@@ -129,7 +129,8 @@ def _translation(dim: int, shift, label: str) -> StrictContactMap:
     return StrictContactMap(label=label,
                             forward=lambda q: q + shift,
                             inverse=lambda q: q - shift,
-                            differential=lambda q: eye)
+                            differential=lambda q: np.broadcast_to(
+                                eye, ad.shape(q)[:-1] + eye.shape))
 
 
 def _shear(dim: int, b: float) -> StrictContactMap:
@@ -144,7 +145,8 @@ def _shear(dim: int, b: float) -> StrictContactMap:
     return StrictContactMap(label="shear+%g" % b,
                             forward=lambda q: move(q, b),
                             inverse=lambda q: move(q, -b),
-                            differential=lambda q: M)
+                            differential=lambda q: np.broadcast_to(
+                                M, ad.shape(q)[:-1] + M.shape))
 
 
 def _t3_reeb_flow(t: float) -> StrictContactMap:

@@ -11,13 +11,13 @@ entry.  These are ``lc-j-derivative-pairing``, ``lc-j-derivative-reeb-slots``,
 ``nijenhuis-reeb-slots``, ``nijenhuis-j-shuffle``,
 ``lc-j-antilinear-cancellation``, ``p-tensor-metric-skew``,
 ``torsion-type-symmetries``, the lam part of ``torsion-split-values``,
-``scaling-transfer`` and the controls ``fault-flipped-correction`` and
-``fault-scale-mismatch``; the records that are linear in one free slot
-read their tables as matrices.  An identity that differentiates fields is
-sampled with seeded Gaussian draws: the axioms, ``cr-form``, naturality,
-the semi-connection records, the quarter-N torsion (which takes N from
-field brackets, apart from the table), ``p-antisymmetrized-bracket`` and
-the Lie part of ``torsion-split-values``.  Every family takes a point or a
+``scaling-transfer``, ``naturality-pullback`` and the controls
+``fault-flipped-correction`` and ``fault-scale-mismatch``; the records
+linear in one free slot read their tables as matrices.  A field identity
+is sampled with seeded Gaussian draws: the axioms, ``cr-form``, the
+semi-connection records, the quarter-N torsion (which takes N from field
+brackets, apart from the table), ``p-antisymmetrized-bracket`` and the
+Lie part of ``torsion-split-values``.  Every family takes a point or a
 batch of points, shape ``(*batch, dim)``, and reports one residual per
 point.  The draws take neither a point index nor c: each point of a batch
 reads the same draws, as each point of a run does, and so does each c of a
@@ -59,8 +59,8 @@ from .connections import (
     torsion_tensor,
     triad_connection,
 )
-from .contact import (ContactTriad, const_field, j_image, j_section,
-                      metric_pair, reeb_section, xi_section)
+from .contact import (ContactTriad, j_image, j_section, metric_pair,
+                      reeb_section, xi_section)
 from .engine import dot, inner, matvec, max_residual, solve
 
 TOL_ALGEBRAIC = 1e-8
@@ -441,14 +441,14 @@ def check_cr_form(triad: ContactTriad, c_values, p, seed: int = 0,
     rng = field_rng(seed, "cr-form", triad.label)
     J = triad.j_any(p)
 
-    nx = covariant_derivative_form(conn, triad.lam, triad.reeb_any, p)
+    nx = covariant_derivative_form(conn, triad.lam_any, triad.reeb_any, p)
     r_reeb = _worst(nx)
 
     r_xi = 0.0
     for _ in range(samples):
         Yf = xi_section(triad, rng.standard_normal(triad.dim))
-        a1 = covariant_derivative_form(conn, triad.lam, Yf, p)
-        a2 = covariant_derivative_form(conn, triad.lam, j_image(triad, Yf), p)
+        a1, a2 = (covariant_derivative_form(conn, triad.lam_any, F, p)
+                  for F in (Yf, j_image(triad, Yf)))
         r_xi = max_residual(r_xi, _worst(a1 + matvec(J.mT, a2)))
     return _per_c(conn, family_names("check_cr_form"), (r_reeb, r_xi), p)
 
@@ -498,7 +498,8 @@ class StrictContactMap:
     """A chart diffeomorphism preserving the contact form, in closed form.
 
     ``differential(q)`` must stay evaluable when q carries derivative
-    payloads, since pulled-back structures get differentiated through it.
+    payloads, since pulled-back structures get differentiated through it,
+    and keep q's batch axes, shape ``(*batch, dim, dim)``, even if constant.
     """
 
     label: str
@@ -528,7 +529,9 @@ def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
 
 
 def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
-                     p, seed: int = 0, samples: int = SAMPLES) -> CheckResult:
+                     p) -> CheckResult:
+    """phi^* nabla^c against nabla^c of the pulled triad (lam, phi^* J), on
+    their whole Gamma tables read in that triad's g-orthonormal frame."""
     p = np.asarray(p, dtype=float)
     strict = cmap.strictness_residual(triad, p)
     if not strict <= STRICTNESS_TOL:
@@ -538,17 +541,10 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
 
     pulled = pullback_triad(triad, cmap)
     direct = triad_connection(pulled, c)
-    through = PullbackConnection(triad_connection(triad, c), cmap)
-    rng = field_rng(seed, "naturality", triad.label, cmap.label, c)
-
-    worst = 0.0
-    fields = [const_field(tq_vector(triad.dim, rng)) for _ in range(samples)]
-    fields.append(xi_section(pulled, rng.standard_normal(triad.dim)))
-    for Yf in fields:
-        u = tq_vector(triad.dim, rng)
-        diff = through.apply_vec(u, Yf, p) - direct.apply_vec(u, Yf, p)
-        worst = max_residual(worst, _worst(diff))
-    return make_result("naturality-pullback", worst, p)
+    through = PullbackConnection(triad_connection(triad, c), cmap, pulled)
+    L, B, _ = _frame(pulled, p)
+    diff = through.gamma_tensor(p) - direct.gamma_tensor(p)
+    return make_result("naturality-pullback", _in_frame(diff, L, B, B), p)
 
 
 # -- the supporting identity suite ----------------------------------------

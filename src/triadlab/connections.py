@@ -22,18 +22,19 @@ sweep, shape ``(C, *batch, d, d, d)``, under ("gamma", (c_1, .., c_C),
 b1_sign); each slice has the bits of the one-c table, and every tensor or
 covariant derivative read from it carries the sweep's axis in front of the
 batch's.  nabla^LC J is one of the store's tables
-(``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.
-``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
-``nijenhuis`` takes N_J from the brackets of vector-field closures, apart
-from the store's table ``ContactTriad.nijenhuis_at``.
+(``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.  The
+pull-back phi^* nabla through a strict contact map is one more table, in
+the pulled triad's store (:class:`PullbackConnection`).  ``tensor_B1`` /
+``tensor_B2`` evaluate the corrections on single vectors.  ``nijenhuis``
+takes N_J from the brackets of vector-field closures, apart from the
+store's table ``ContactTriad.nijenhuis_at``.
 
 ``conn.apply_vecs(U, Yf, p, rows)`` is the covariant derivative of the
 field Yf at p along the listed rows of a direction matrix U.  Its flat part
 is one :meth:`~triadlab.engine.DiffEngine.derivs` call along every row of
 U, which in ``fd`` mode contracts the field's Jacobian on the point's
 identity stencil; the bilinear part is evaluated only on the rows asked
-for.
-``conn.apply_vec(u, Yf, p)`` is its one row along ``u[None]``.
+for, and ``conn.apply_vec(u, Yf, p)`` is its one row along ``u[None]``.
 ``gamma_apply(p, u, v)`` is the bilinear part (the value on fields with
 vanishing coordinate Jacobian at p), which tensorial quantities such as
 torsion contract.  Tables, tensors and covariant derivatives take a float
@@ -254,27 +255,25 @@ def covariant_derivative_two_form(conn: LocalConnection, beta, Xf, p):
     return dB_u - dot(K.mT, B) - dot(B, K)
 
 
-class PullbackConnection:
-    """(phi^* nabla)_X Y = dphi^{-1} ( nabla_{phi_* X} (phi_* Y) ) o phi.
-
-    Needs the map's closed-form inverse to realise pushforward fields.
+class PullbackConnection(LocalConnection):
+    """phi^* nabla on the pulled triad (lam, phi^* J).  With M = dphi(p) its
+    table is (M^-1)^k_a (Gamma^a_bc(phi(p)) M^b_i M^c_j + d_i M^a_j), d M
+    the engine's Jacobian of the map's differential, in one stacked solve.
     """
 
-    def __init__(self, base: LocalConnection, cmap):
-        self.base = base
-        self.cmap = cmap
-        self.engine = base.engine
-        self.label = "pullback(%s)" % getattr(base, "label", "conn")
+    gamma_apply = TriadConnection.gamma_apply
+    # a tracer seam (triadbench's LAYERS names it); ROADMAP item 2 removes it
+    apply_vec = LocalConnection.apply_vec
 
-    def apply_vec(self, u, Yf, p):
+    def __init__(self, base: LocalConnection, cmap, pulled: ContactTriad):
+        super().__init__(pulled)
+        self.base, self.cmap = base, cmap
+        self.table_tag = ("pullback", cmap.label, base.label)
+
+    def gamma_table(self, p):
         cm = self.cmap
-        q = cm.forward(p)
-        dphi_p = cm.differential(p)
-        u_push = matvec(dphi_p, u)
-
-        def y_push(qq):
-            pp = cm.inverse(qq)
-            return matvec(cm.differential(pp), Yf(pp))
-
-        w = self.base.apply_vec(u_push, y_push, q)
-        return solve(np.asarray(dphi_p, dtype=float), w[..., None])[..., 0]
+        M = cm.differential(p)
+        G = self.base.gamma_tensor(cm.forward(p))
+        R = (dot(M.mT[..., None, :, :], dot(G, M[..., None, :, :]))
+             + self.engine.jacobian(cm.differential, p).swapaxes(-1, -2))
+        return solve(M, R.reshape(R.shape[:-2] + (-1,))).reshape(R.shape)

@@ -226,8 +226,7 @@ def run_suite(config: RunConfig) -> Report:
                 ("check_scaling", ("a=2",),
                  lambda q: [[check_scaling(triad, 2.0, q)]])]
         rows += [("check_naturality", (m.label,),
-                  lambda q, m=m: [[check_naturality(triad, m, 0.0, q,
-                                                    seed=seed)]])
+                  lambda q, m=m: [[check_naturality(triad, m, 0.0, q)]])
                  for m in spec.maps]
 
     records: list = []

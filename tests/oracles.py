@@ -19,12 +19,15 @@ evaluate a connection on two vector-field closures, the field-closure
 reference for the package's tensor contractions, and ``lie_bracket`` is the
 bracket of two closures taken one direction at a time with ``deriv``, the
 reference for the package's stacked-direction brackets.
+``pullback_apply`` is the pulled-back connection on fields, the push of the
+field through the map and back, the reference for the pulled-back Gamma
+table.
 """
 
 import numpy as np
 
 from triadlab.ad import Dual
-from triadlab.engine import is_float_point, matvec, max_residual
+from triadlab.engine import is_float_point, matvec, max_residual, solve
 
 
 def directional_derivative(engine, f, p, v):
@@ -59,6 +62,21 @@ def torsion(conn, Xf, Yf, p):
     """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] on field closures."""
     return (apply(conn, Xf, Yf, p) - apply(conn, Yf, Xf, p)
             - lie_bracket(conn.engine, Xf, Yf, p))
+
+
+def pullback_apply(base, cmap, u, Yf, p):
+    """(phi^* nabla)_u Y = dphi^{-1} (nabla_{phi_* u} (phi_* Y)) at p, with
+    phi_* Y realised through the map's closed-form inverse."""
+    q = cmap.forward(p)
+    dphi_p = cmap.differential(p)
+    u_push = matvec(dphi_p, u)
+
+    def y_push(qq):
+        pp = cmap.inverse(qq)
+        return matvec(cmap.differential(pp), Yf(pp))
+
+    w = base.apply_vec(u_push, y_push, q)
+    return solve(np.asarray(dphi_p, dtype=float), w[..., None])[..., 0]
 
 
 def numeric_directional(f, p, v, h=1e-5):

@@ -27,13 +27,17 @@ from triadlab.checks import (
     fault_levi_civita,
     fault_scale_mismatch,
     fault_wrong_c,
+    _frame,
+    _in_frame,
     field_rng,
     j_image,
     nijenhuis,
+    pullback_triad,
     xi_section,
 )
 from triadlab.connections import (
     LeviCivitaConnection,
+    PullbackConnection,
     tensor_B1,
     triad_connection,
 )
@@ -220,24 +224,60 @@ def test_criterion_08_scaling_transfer_amended_law():
             "identification fails by >= 1e-3 as expected" % worst)
 
 
+def _pullback_gap(table, pulled, p):
+    """Largest entry of ``table`` minus the pulled triad's Gamma^0, in the
+    pulled triad's g-orthonormal frame, as ``check_naturality`` reads it."""
+    L, B, _ = _frame(pulled, p)
+    diff = table - triad_connection(pulled, 0.0).gamma_tensor(p)
+    return _in_frame(diff, L, B, B)
+
+
 def test_criterion_09_naturality_under_strict_maps():
+    """phi^* nabla^c is the connection of the pulled triad; the check sees
+    a base connection at another c on every map, and a pulled-back table
+    that drops the map's second derivative on the Reeb flow."""
     worst = 0.0
     count = 0
     for ex_id, spec in _CAT.items():
         t = spec.build()
         for p in t.sample_points(2, seed=1009):
             for cmap in spec.maps:
-                res = check_naturality(t, cmap, 0.0, p, seed=9)
+                res = check_naturality(t, cmap, 0.0, p)
                 assert res.residual <= 1e-7, (ex_id, cmap.label, res.residual)
                 worst = max(worst, res.residual)
                 count += 1
     t = _CAT["r3-standard"].build()
     p = t.sample_points(1, seed=1009)[0]
-    res = check_naturality(t, _CAT["r3-standard"].maps[0], 1.0, p, seed=9)
+    res = check_naturality(t, _CAT["r3-standard"].maps[0], 1.0, p)
     assert res.residual <= 1e-7
     worst = max(worst, res.residual)
-    _report(9, "worst pullback gap %.2e (tol 1e-7) over %d map checks"
-            % (worst, count + 1))
+
+    wrong_c, no_dm = np.inf, np.inf
+    for mode in ("ad", "fd"):
+        for ex_id, spec in _CAT.items():
+            t = spec.build(DiffEngine(mode))
+            pts = t.sample_points(2, seed=1009)
+            for cmap in spec.maps:
+                pulled = pullback_triad(t, cmap)
+                at_one = PullbackConnection(triad_connection(t, 1.0), cmap,
+                                            pulled)
+                r = np.min(_pullback_gap(at_one.gamma_tensor(pts), pulled,
+                                         pts))
+                assert r >= 0.4, (mode, ex_id, cmap.label, r)
+                wrong_c = min(wrong_c, r)
+        t = _CAT["t3-tight"].build(DiffEngine(mode))
+        pts = t.sample_points(2, seed=1009)
+        flow = _CAT["t3-tight"].maps[2]
+        M = flow.differential(pts)
+        G = triad_connection(t, 0.0).gamma_tensor(flow.forward(pts))
+        table = np.einsum('...ka,...abc,...bi,...cj->...kij',
+                          np.linalg.inv(M), G, M, M)
+        r = np.min(_pullback_gap(table, pullback_triad(t, flow), pts))
+        assert r >= 0.3, (mode, flow.label, r)
+        no_dm = min(no_dm, r)
+    _report(9, "worst pullback gap %.2e (tol 1e-7) over %d map checks; a "
+            "base at c = 1 reads >= %.3f, a table without d(dphi) %.3f on "
+            "the Reeb flow" % (worst, count + 1, wrong_c, no_dm))
 
 
 def test_criterion_10_identity_suite_all_examples():

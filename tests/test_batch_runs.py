@@ -43,7 +43,7 @@ def _families(spec, t, p):
                lambda c=c: check_cr_form(t, (c,), p, seed=SEED)[0])
               for c in CS]
     calls += [("naturality " + m.label,
-               lambda m=m: check_naturality(t, m, 0.0, p, seed=SEED))
+               lambda m=m: check_naturality(t, m, 0.0, p))
               for m in spec.maps]
     calls += [
         ("lemma suite", lambda: check_lemma_suite(t, p, seed=SEED)),

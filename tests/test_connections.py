@@ -6,8 +6,9 @@ import pytest
 
 from triadlab import (DiffEngine, LeviCivitaConnection, catalog,
                       perturbed_triad, standard_triad, triad_connection)
-from triadlab.checks import const_field, xi_vector, field_rng
+from triadlab.checks import pullback_triad, xi_vector, field_rng
 from triadlab.connections import (
+    PullbackConnection,
     TriadConnection,
     _lc_nabla_j,
     covariant_derivative_endo,
@@ -18,9 +19,9 @@ from triadlab.connections import (
     torsion_tensor,
 )
 
-from triadlab.contact import j_section, reeb_section, xi_section
+from triadlab.contact import const_field, j_section, reeb_section, xi_section
 
-from oracles import koszul_lc_pairing, torsion
+from oracles import koszul_lc_pairing, pullback_apply, torsion
 
 _CAT = catalog()
 
@@ -138,6 +139,30 @@ def test_each_slice_of_the_stacked_table_is_the_one_c_table(ex_id, mode):
             alone = TriadConnection(t, (0.0,), b1_sign).gamma_tensor(p)
             assert alone.shape == (1,) + table.shape[1:]
             assert alone[0].tobytes() == table[1].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_pullback_table_matches_the_pushed_fields(ex_id, mode):
+    """On every catalog map, the pulled-back table applied to a constant
+    field and a distribution section matches pushing the field through the
+    map, differentiating it there and pulling the result back."""
+    spec = _CAT[ex_id]
+    t = spec.build(DiffEngine(mode))
+    rng = np.random.default_rng(23)
+    bound = 1e-13 if mode == "ad" else 1e-10
+    for cmap in spec.maps:
+        pulled = pullback_triad(t, cmap)
+        base = triad_connection(t, 0.0)
+        through = PullbackConnection(base, cmap, pulled)
+        for p in t.sample_points(2, seed=24):
+            for Yf in (const_field(rng.standard_normal(t.dim)),
+                       xi_section(pulled, rng.standard_normal(t.dim))):
+                u = rng.standard_normal(t.dim)
+                got = through.apply_vec(u, Yf, p)
+                want = pullback_apply(base, cmap, u, Yf, p)
+                assert np.max(np.abs(got - want)) <= bound, \
+                    (cmap.label, np.max(np.abs(got - want)))
 
 
 def test_first_stage_is_family_at_minus_one():
