@@ -93,10 +93,15 @@ def _cmd_check(args) -> int:
         if env and not os.path.isabs(path):
             path = os.path.join(env, path)
         parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        try:
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print("error: cannot write the report to %s: %s" % (path, exc),
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return 0 if report.ok else 1

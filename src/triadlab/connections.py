@@ -21,25 +21,25 @@ A connection over a sweep of c values holds one table stacked over the
 sweep, shape ``(C, *batch, d, d, d)``, under ("gamma", (c_1, .., c_C),
 b1_sign); each slice has the bits of the one-c table, and every tensor or
 covariant derivative read from it carries the sweep's axis in front of the
-batch's.  nabla^LC J is one of the store's tables
-(``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.  The
-pull-back phi^* nabla through a strict contact map is one more table, in
-the pulled triad's store (:class:`PullbackConnection`).  ``tensor_B1`` /
-``tensor_B2`` evaluate the corrections on single vectors.  ``nijenhuis``
-takes N_J from the brackets of vector-field closures, apart from the
-store's table ``ContactTriad.nijenhuis_at``.
+batch's.  nabla^LC J, the Levi-Civita case of ``nabla_j``, is one of the
+store's tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read
+it.  The pull-back phi^* nabla through a strict contact map is one more
+table, in the pulled triad's store (:class:`PullbackConnection`).
+``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
+``nijenhuis`` takes N_J from the brackets of vector-field closures, apart
+from the store's table ``ContactTriad.nijenhuis_at``.
 
-``conn.apply_vecs(U, Yf, p, rows)`` is the covariant derivative of the
-field Yf at p along the listed rows of a direction matrix U.  Its flat part
-is one :meth:`~triadlab.engine.DiffEngine.derivs` call along every row of
-U, which in ``fd`` mode contracts the field's Jacobian on the point's
-identity stencil; the bilinear part is evaluated only on the rows asked
-for, and ``conn.apply_vec(u, Yf, p)`` is its one row along ``u[None]``.
-``gamma_apply(p, u, v)`` is the bilinear part (the value on fields with
-vanishing coordinate Jacobian at p), which tensorial quantities such as
-torsion contract.  Tables, tensors and covariant derivatives take a float
-point or a batch of them, with vectors shared by the batch or one per
-point; each entry keeps the bits of its single-point evaluation.
+``nabla_j``, ``nabla_metric`` and ``nabla_lam`` are the covariant
+derivatives of J, g and lam as whole tables, each one formula over a Gamma
+table and the triad's cached Jacobians; the sampled-field identities of the
+checks are exact contractions of them.  ``gamma_apply(p, u, v)`` is the
+bilinear part (the value on fields with vanishing coordinate Jacobian at
+p), which tensorial quantities such as torsion contract, and
+``conn.apply_vec(u, Yf, p)`` the covariant derivative of a field Yf along
+u, its flat part one :meth:`~triadlab.engine.DiffEngine.deriv` call.
+Tables, tensors and covariant derivatives take a float point or a batch of
+them, with vectors shared by the batch or one per point; each entry keeps
+the bits of its single-point evaluation.
 """
 
 from __future__ import annotations
@@ -62,16 +62,9 @@ class LocalConnection:
         self.engine = triad.engine
 
     def apply_vec(self, u, Yf, p):
-        return self.apply_vecs(u[None], Yf, p, [0])[0]
-
-    def apply_vecs(self, U, Yf, p, rows):
-        """nabla_u Y at p for the rows u of U listed in ``rows``, stacked
-        along a leading axis.  The flat part is taken along every row of U
-        in one ``derivs`` call.
-        """
-        dY = self.engine.derivs(Yf, p, U)
-        y = Yf(p)
-        return np.array([dY[r] + self.gamma_apply(p, U[r], y) for r in rows])
+        """nabla_u Y at p: the flat derivative of Yf along u plus gamma(u, Y).
+        No check calls it; a tracer seam (triadbench's LAYERS names it)."""
+        return self.engine.deriv(Yf, p, u) + self.gamma_apply(p, u, Yf(p))
 
     def gamma_tensor(self, p):
         """Full bilinear table gamma[k, i, j] = gamma(e_i, e_j)^k at a float point."""
@@ -222,6 +215,27 @@ def nijenhuis(triad: ContactTriad, Xf, Yf, p):
     return t1 - t2 - matvec(J, b3) - matvec(J, b4)
 
 
+def nabla_j(triad: ContactTriad, gamma, p):
+    """nj[a, b, l] = (nabla_{e_l} J)[a, b] = d_l J[a, b] + [Gamma_l, J][a, b]
+    for the connection whose table is ``gamma``."""
+    J = triad.j_any(p)
+    return (triad.jac_j_at(p) + np.einsum('...alm,...mb->...abl', gamma, J)
+            - np.einsum('...am,...mlb->...abl', J, gamma))
+
+
+def nabla_metric(triad: ContactTriad, gamma, p):
+    """ng[a, b, l] = (nabla_{e_l} g)(e_a, e_b) = d_l g_ab
+    - g(Gamma(e_l, e_a), e_b) - g(e_a, Gamma(e_l, e_b))."""
+    s = np.einsum('...am,...mlb->...abl', triad.metric_any(p), gamma)
+    return triad.dmetric_at(p) - s.swapaxes(-2, -3) - s
+
+
+def nabla_lam(triad: ContactTriad, gamma, p):
+    """nl[a, l] = (nabla_{e_l} lam)(e_a) = d_l lam_a - lam(Gamma(e_l, e_a))."""
+    return triad.jac_lam_at(p) - np.einsum('...m,...mla->...al',
+                                           triad.lam_any(p), gamma)
+
+
 def _k_matrix(conn: LocalConnection, p, u):
     """K[:, j] = gamma(u, e_j); the column table of the bilinear part."""
     if is_float_point(p):
@@ -238,6 +252,7 @@ def covariant_derivative_endo(conn: LocalConnection, A, Xf, p):
     return dA_u + dot(K, Ap) - dot(Ap, K)
 
 
+# a tracer seam (triadbench's LAYERS names it); no check calls it
 def covariant_derivative_form(conn: LocalConnection, alpha, Xf, p):
     """(nabla_X alpha) as a covector: X[alpha(Y)] - alpha(nabla_X Y)."""
     u = Xf(p)

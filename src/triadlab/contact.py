@@ -32,11 +32,11 @@ sample points' tables among them, so it is held in that same slot instead.
 
 The fields the checks differentiate are built here as
 :class:`~triadlab.engine.Section` objects (:func:`xi_section`,
-:func:`j_image`, :func:`reeb_section`, :func:`j_section`,
-:func:`const_field`, :func:`metric_pair`): each carries its 1-jet, read from
-the cached Jacobian tables, so an ``ad`` derivative of it runs no dual pass;
-written with ``matvec``, ``inner``, ``outer``, ``dot`` and ``...`` einsums,
-one jet serves a point and a batch alike.
+:func:`j_image`, :func:`reeb_section`, :func:`j_section` and
+:func:`const_field`): each carries its 1-jet, read from the cached Jacobian
+tables, so an ``ad`` derivative of it runs no dual pass; written with
+``matvec``, ``inner``, ``outer``, ``dot`` and ``...`` einsums, one jet
+serves a point and a batch alike.
 """
 
 from __future__ import annotations
@@ -226,12 +226,11 @@ class ContactTriad:
         return self._cached("lie_reeb_j", p, impl)
 
     def nabla_j_at(self, p):
-        """nj[a, b, l] = (nabla^LC_{e_l} J)[a, b], from cached tables."""
-        def impl(x):
-            C, J = self.christoffel_at(x), self.j_any(x)
-            return (self.jac_j_at(x) + np.einsum('...alm,...mb->...abl', C, J)
-                    - np.einsum('...am,...mlb->...abl', J, C))
-        return self._cached("nabla_j", p, impl)
+        """nj[a, b, l] = (nabla^LC_{e_l} J)[a, b]: the Levi-Civita case of
+        :func:`triadlab.connections.nabla_j`."""
+        from .connections import nabla_j    # connections imports this module
+        return self._cached("nabla_j", p,
+                            lambda x: nabla_j(self, self.christoffel_at(x), x))
 
     def nijenhuis_at(self, p):
         """N[k, i, j] = N_J(e_i, e_j)^k, the Nijenhuis tensor
@@ -313,22 +312,3 @@ def const_field(w) -> Section:
         return np.broadcast_to(w, shape(q)[:-1] + w.shape)
 
     return Section(fn, lambda p: (fn(p), np.zeros(fn(p).shape + w.shape)))
-
-
-def metric_pair(triad: ContactTriad, Yf, Zf) -> Section:
-    """The scalar field q -> g_q(Y(q), Z(q)).
-
-    Its gradient is dg[i, j, :] y_i z_j + dY^T G z + dZ^T G^T y.
-    """
-    def jet(p):
-        y, z = Yf(p), Zf(p)
-        G = triad.metric_any(p)
-        gz, yg = matvec(G, z), matvec(G.mT, y)
-        eng = triad.engine
-        grad = (np.einsum('...ijl,...i,...j->...l', triad.dmetric_at(p), y, z)
-                + matvec(eng.jacobian(Yf, p).mT, gz)
-                + matvec(eng.jacobian(Zf, p).mT, yg))
-        return inner(y, gz), grad
-
-    return Section(
-        lambda q: inner(Yf(q), matvec(triad.metric_any(q), Zf(q))), jet)

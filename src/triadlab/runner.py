@@ -203,7 +203,7 @@ def run_suite(config: RunConfig) -> Report:
     if config.negative_controls:
         rows = [
             ("fault_wrong_c", ("",),
-             lambda q: [[fault_wrong_c(triad, q, seed=seed)]]),
+             lambda q: [[fault_wrong_c(triad, q)]]),
             ("fault_scale_mismatch", ("a=2",),
              lambda q: [[fault_scale_mismatch(triad, 2.0, q)]]),
             ("_dropped_torsion_control", ("c=0",),
@@ -212,12 +212,12 @@ def run_suite(config: RunConfig) -> Report:
             rows += [("fault_flipped_b1", ("",),
                       lambda q: [[fault_flipped_b1(triad, q)]]),
                      ("fault_levi_civita", ("",),
-                      lambda q: [[fault_levi_civita(triad, q, seed=seed)]])]
+                      lambda q: [[fault_levi_civita(triad, q)]])]
     else:
         rows = [("check_axioms", swept,
-                 lambda q: check_axioms(triad, cs, q, seed=seed)),
+                 lambda q: check_axioms(triad, cs, q)),
                 ("check_cr_form", swept,
-                 lambda q: check_cr_form(triad, cs, q, seed=seed)),
+                 lambda q: check_cr_form(triad, cs, q)),
                 ("check_lemma_suite", ("",),
                  lambda q: [check_lemma_suite(triad, q, seed=seed,
                                               c_values=cs)]),

@@ -21,13 +21,20 @@ bracket of two closures taken one direction at a time with ``deriv``, the
 reference for the package's stacked-direction brackets.
 ``pullback_apply`` is the pulled-back connection on fields, the push of the
 field through the map and back, the reference for the pulled-back Gamma
-table.
+table.  The sampled field forms of the axioms, ``cr-form`` and the
+semi-connection records (``xi_vector``, ``metric_pair``, ``j_linearity``,
+``metric_defect``, ``reeb_metric_dual``, ``reeb_coupling`` and
+``cr_form_xi``) differentiate drawn sections along drawn directions, the
+reference for the covariant-derivative tables of J, g and lam.
 """
 
 import numpy as np
 
 from triadlab.ad import Dual
-from triadlab.engine import is_float_point, matvec, max_residual, solve
+from triadlab.connections import covariant_derivative_form
+from triadlab.contact import j_image, reeb_section
+from triadlab.engine import (Section, inner, is_float_point, matvec,
+                             max_residual, solve)
 
 
 def directional_derivative(engine, f, p, v):
@@ -77,6 +84,73 @@ def pullback_apply(base, cmap, u, Yf, p):
 
     w = base.apply_vec(u_push, y_push, q)
     return solve(np.asarray(dphi_p, dtype=float), w[..., None])[..., 0]
+
+
+def xi_vector(triad, p, rng):
+    """A unit (triad-metric) vector in the contact distribution at p; at a
+    batch of points, one draw projected at every point."""
+    w = matvec(triad.pi_any(p), rng.standard_normal(triad.dim))
+    return w / np.sqrt(inner(w, matvec(triad.metric_any(p), w)))[..., None]
+
+
+def metric_pair(triad, Yf, Zf) -> Section:
+    """The scalar field q -> g_q(Y(q), Z(q)).
+
+    Its gradient is dg[i, j, :] y_i z_j + dY^T G z + dZ^T G^T y.
+    """
+    def jet(p):
+        y, z = Yf(p), Zf(p)
+        G = triad.metric_any(p)
+        gz, yg = matvec(G, z), matvec(G.mT, y)
+        eng = triad.engine
+        grad = (np.einsum('...ijl,...i,...j->...l', triad.dmetric_at(p), y, z)
+                + matvec(eng.jacobian(Yf, p).mT, gz)
+                + matvec(eng.jacobian(Zf, p).mT, yg))
+        return inner(y, gz), grad
+
+    return Section(
+        lambda q: inner(Yf(q), matvec(triad.metric_any(q), Zf(q))), jet)
+
+
+def j_linearity(conn, u, Yf, p):
+    """Pi nabla_u (J Y) - J Pi nabla_u Y for a field Y."""
+    t = conn.triad
+    P, J = t.pi_any(p), t.j_any(p)
+    return (matvec(P, conn.apply_vec(u, j_image(t, Yf), p))
+            - matvec(J, matvec(P, conn.apply_vec(u, Yf, p))))
+
+
+def metric_defect(conn, u, Yf, Zf, p):
+    """u[g(Y, Z)] - g(nabla_u Y, Z) - g(Y, nabla_u Z) for fields Y, Z."""
+    t = conn.triad
+    G = t.metric_any(p)
+    return (conn.engine.deriv(metric_pair(t, Yf, Zf), p, u)
+            - inner(conn.apply_vec(u, Yf, p), matvec(G, Zf(p)))
+            - inner(Yf(p), matvec(G, conn.apply_vec(u, Zf, p))))
+
+
+def reeb_metric_dual(conn, y, Zf, p):
+    """g(nabla_y X, Z) + g(X, nabla_y Z) for the Reeb field X."""
+    t = conn.triad
+    G = t.metric_any(p)
+    return (inner(conn.apply_vec(y, reeb_section(t), p), matvec(G, Zf(p)))
+            + inner(t.reeb_any(p), matvec(G, conn.apply_vec(y, Zf, p))))
+
+
+def reeb_coupling(conn, y, p):
+    """nabla_{J y} X + J nabla_y X for the Reeb field X."""
+    t = conn.triad
+    J, reeb = t.j_any(p), reeb_section(t)
+    return (conn.apply_vec(matvec(J, y), reeb, p)
+            + matvec(J, conn.apply_vec(y, reeb, p)))
+
+
+def cr_form_xi(conn, Yf, p):
+    """nabla_Y lam + J^T nabla_{J Y} lam, a covector, for a field Y."""
+    t = conn.triad
+    a1, a2 = (covariant_derivative_form(conn, t.lam_any, F, p)
+              for F in (Yf, j_image(t, Yf)))
+    return a1 + matvec(t.j_any(p).mT, a2)
 
 
 def numeric_directional(f, p, v, h=1e-5):

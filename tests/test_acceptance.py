@@ -60,7 +60,7 @@ def test_criterion_01_axioms_hold_on_every_example():
     for ex_id, spec in _CAT.items():
         t = spec.build()
         for p in t.sample_points(20, seed=1001):
-            for res in check_axioms(t, (0.0,), p, seed=1)[0]:
+            for res in check_axioms(t, (0.0,), p)[0]:
                 assert res.residual <= 1e-8, (ex_id, res.name, res.residual)
                 worst = max(worst, res.residual)
     elapsed = time.perf_counter() - t0
@@ -75,7 +75,7 @@ def test_criterion_02_axioms_hold_across_parameter_family():
         t = spec.build()
         for p in t.sample_points(4, seed=1002):
             for c in (-1.0, 0.0, 1.0):
-                for res in check_axioms(t, (c,), p, seed=2)[0]:
+                for res in check_axioms(t, (c,), p)[0]:
                     assert res.residual <= 1e-8, (ex_id, c, res.name)
                     worst = max(worst, res.residual)
     _report(2, "worst residual %.2e (tol 1e-8), c in {-1,0,1}" % worst)
@@ -194,10 +194,10 @@ def test_criterion_07_contact_form_parallel_only_at_zero():
     for ex_id, spec in _CAT.items():
         t = spec.build()
         p = t.sample_points(1, seed=1007)[0]
-        reeb, xi = check_cr_form(t, (0.0,), p, seed=7)[0]
+        reeb, xi = check_cr_form(t, (0.0,), p)[0]
         assert reeb.residual <= 1e-8 and xi.residual <= 1e-8, ex_id
         worst = max(worst, reeb.residual, xi.residual)
-        _, xi_bad = check_cr_form(t, (1.0,), p, seed=7)[0]
+        _, xi_bad = check_cr_form(t, (1.0,), p)[0]
         assert xi_bad.residual >= 1e-3, (ex_id, xi_bad.residual)
         least_defect = min(least_defect, xi_bad.residual)
     _report(7, "parallel residual %.2e (tol 1e-8); c=1 defect >= %.2e "
@@ -303,8 +303,8 @@ def test_criterion_11_fault_injections_fire():
     t3 = _CAT["r3-standard"].build()
     p3 = t3.sample_points(1, seed=1011)[0]
     flipped = fault_flipped_b1(t5, p5).residual
-    wrong = fault_wrong_c(t3, p3, seed=11).residual
-    lc = fault_levi_civita(t5, p5, seed=11).residual
+    wrong = fault_wrong_c(t3, p3).residual
+    lc = fault_levi_civita(t5, p5).residual
     assert flipped >= 1e-3, flipped
     assert wrong >= 1e-3, wrong
     assert lc >= 1e-3, lc

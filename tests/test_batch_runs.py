@@ -23,7 +23,7 @@ from triadlab.checks import (CHECKS, StrictContactMap, check_axioms,
                              check_naturality, check_scaling,
                              fault_flipped_b1, fault_levi_civita,
                              fault_scale_mismatch, fault_wrong_c,
-                             family_names, field_rng, xi_vector)
+                             family_names)
 from triadlab.contact import ContactTriad
 from triadlab.frames import FrameRankError, build_unitary_frame
 from triadlab.runner import RunConfig, run_suite
@@ -38,9 +38,9 @@ SEED = 7
 def _families(spec, t, p):
     """(label, call) for every family at p, a point or a batch."""
     calls = [("axioms c=%g" % c,
-              lambda c=c: check_axioms(t, (c,), p, seed=SEED)[0]) for c in CS]
+              lambda c=c: check_axioms(t, (c,), p)[0]) for c in CS]
     calls += [("cr-form c=%g" % c,
-               lambda c=c: check_cr_form(t, (c,), p, seed=SEED)[0])
+               lambda c=c: check_cr_form(t, (c,), p)[0])
               for c in CS]
     calls += [("naturality " + m.label,
                lambda m=m: check_naturality(t, m, 0.0, p))
@@ -48,10 +48,10 @@ def _families(spec, t, p):
     calls += [
         ("lemma suite", lambda: check_lemma_suite(t, p, seed=SEED)),
         ("scaling", lambda: check_scaling(t, 2.0, p)),
-        ("wrong c", lambda: fault_wrong_c(t, p, seed=SEED)),
+        ("wrong c", lambda: fault_wrong_c(t, p)),
         ("scale mismatch", lambda: fault_scale_mismatch(t, 2.0, p)),
         ("flipped b1", lambda: fault_flipped_b1(t, p)),
-        ("levi-civita", lambda: fault_levi_civita(t, p, seed=SEED)),
+        ("levi-civita", lambda: fault_levi_civita(t, p)),
         ("frame records", lambda: runner._frame_records(t, CS, p, SEED)),
         ("dropped torsion",
          lambda: runner._dropped_torsion_control(t, p, SEED))]
@@ -95,20 +95,6 @@ def test_every_family_at_a_batch_is_each_point_bit_for_bit(ex_id):
 @pytest.mark.parametrize("ex_id", sorted(_CAT))
 def test_every_ad_family_at_a_batch_is_each_point_to_rounding(ex_id):
     _assert_every_family_at_a_batch_is_each_point(ex_id, "ad")
-
-
-def test_a_draw_degenerate_at_some_points_of_a_batch_raises():
-    t = _CAT["r3-standard"].build(DiffEngine("fd"))
-    pts = t.sample_points(3, seed=2)
-    metric = t.metric_any
-    # the metric vanishes at the first point only, so every draw is
-    # degenerate there and nowhere else
-    t.metric_any = lambda q: metric(q) * (q[..., :1, None] != pts[0, 0])
-    with pytest.raises(ValueError, match="degenerate at some of"):
-        xi_vector(t, pts, field_rng(0, "xi"))
-    with pytest.raises(ValueError, match="draws"):
-        xi_vector(t, pts[0], field_rng(0, "xi"))
-    xi_vector(t, pts[1:], field_rng(0, "xi"))
 
 
 def _run_with(example_id, build=None, maps=None, **config):
@@ -261,7 +247,7 @@ def _assert_a_nan_j_at_one_point_errs_there_only(mode):
     _assert_only_point_errs(rep, healthy, bad, mode)
     notes = {r["note"] for r in rep.records if r["point_index"] == bad
              and r["name"].startswith("axiom-")}
-    assert notes and all("xi-vector norm is not finite" in n for n in notes)
+    assert notes == {"error: residual is not finite"}
 
 
 def test_a_nan_j_at_one_point_errs_there_only():
@@ -345,7 +331,7 @@ def test_each_c_of_a_sweep_has_the_records_of_a_one_value_sweep(ex_id, mode):
 
 
 @pytest.mark.parametrize("family", [
-    lambda t, p: check_axioms(t, (0.0,), p, seed=5)[0],
+    lambda t, p: check_axioms(t, (0.0,), p)[0],
     lambda t, p: check_lemma_suite(t, p, seed=5)], ids=["axioms", "lemmas"])
 def test_a_batch_makes_as_many_reeb_solves_as_one_point(monkeypatch, family):
     """Each stencil a family evaluates at one point, it evaluates once at a

@@ -8,10 +8,9 @@ import pytest
 
 import triadlab
 
-from triadlab import ContactTriad, catalog, standard_triad
+from triadlab import ContactTriad, DiffEngine, catalog, standard_triad
 from triadlab.checks import (
     CHECKS,
-    XI_VECTOR_DRAWS,
     StrictContactMap,
     check_axioms,
     check_cr_form,
@@ -25,9 +24,8 @@ from triadlab.checks import (
     fault_wrong_c,
     field_rng,
     pullback_triad,
-    xi_vector,
 )
-from triadlab.connections import nijenhuis, triad_connection
+from triadlab.connections import TriadConnection, nijenhuis, triad_connection
 from triadlab.engine import max_residual
 
 from oracles import roundtrip_residual
@@ -40,7 +38,7 @@ def test_axioms_pass_across_catalog_and_parameters():
         t = spec.build()
         for p in t.sample_points(2, seed=111):
             for c in (-1.0, 0.0, 1.0):
-                for res in check_axioms(t, (c,), p, seed=1)[0]:
+                for res in check_axioms(t, (c,), p)[0]:
                     assert res.passed, (ex_id, c, res.name, res.residual)
                     assert res.residual <= 1e-8, (ex_id, c, res.name)
 
@@ -58,7 +56,7 @@ def test_cr_form_zero_parameter_passes():
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=5)[0]
-        reeb, xi = check_cr_form(t, (0.0,), p, seed=2)[0]
+        reeb, xi = check_cr_form(t, (0.0,), p)[0]
         assert reeb.passed and xi.passed, ex_id
 
 
@@ -68,7 +66,7 @@ def test_cr_form_detects_nonzero_parameter():
     for ex_id in ("r3-standard", "r3-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=6)[0]
-        reeb, xi = check_cr_form(t, (1.0,), p, seed=2)[0]
+        reeb, xi = check_cr_form(t, (1.0,), p)[0]
         assert reeb.passed, ex_id          # Reeb-direction parallelism survives
         assert not xi.passed, ex_id
         assert xi.residual > 0.3, ex_id
@@ -142,7 +140,7 @@ def test_fault_wrong_parameter_always_fires():
     for ex_id, spec in _CAT.items():
         t = spec.build()
         p = t.sample_points(1, seed=11)[0]
-        res = fault_wrong_c(t, p, seed=6)
+        res = fault_wrong_c(t, p)
         assert not res.passed, ex_id
         assert res.residual >= 1e-3, ex_id
 
@@ -169,7 +167,50 @@ def test_fault_flipped_correction_needs_nonintegrable_plane():
 def test_fault_levi_civita_hermitian_defect():
     t5 = _CAT["r5-perturbed-J"].build()
     p5 = t5.sample_points(1, seed=14)[0]
-    assert fault_levi_civita(t5, p5, seed=9).residual >= 1e-3
+    assert fault_levi_civita(t5, p5).residual >= 1e-3
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+def test_a_flipped_b1_fails_the_hermitian_axiom_and_semi_j_linearity(
+        mode, monkeypatch):
+    """With B1's sign flipped in every family member, the J-linearity read
+    from the nabla J table breaks on r5-perturbed-J at every point."""
+    def flipped(triad, c, b1_sign=1.0):
+        return TriadConnection(triad, c, b1_sign=-1.0)
+
+    monkeypatch.setattr("triadlab.checks.TriadConnection", flipped)
+    monkeypatch.setattr("triadlab.checks.triad_connection", flipped)
+    t = _CAT["r5-perturbed-J"].build(DiffEngine(mode))
+    pts = t.sample_points(4, seed=9)
+    for group in check_axioms(t, (-1.0, 0.0, 1.0), pts):
+        herm = {r.name: r for r in group}["axiom-hermitian"]
+        assert np.all(herm.residual >= 1e-2), herm.residual
+    semi = {r.name: r for r in check_lemma_suite(t, pts)}
+    assert np.all(semi["semi-connection-j-linearity"].residual >= 1e-2)
+
+
+def test_a_reversed_c_axis_fails_the_coupling_axiom(monkeypatch):
+    """Reading the sweep's c values in reverse order pairs c = -1 with the
+    table of c = 1 and back, which the coupling axiom must catch."""
+    c_axis = triadlab.checks._c_axis
+    monkeypatch.setattr("triadlab.checks._c_axis",
+                        lambda conn, ndim: c_axis(conn, ndim)[::-1])
+    for ex_id in ("r3-standard", "r5-perturbed-J"):
+        t = _CAT[ex_id].build()
+        pts = t.sample_points(3, seed=8)
+        lo, mid, hi = ({r.name: r for r in group}["axiom-cr-coupling"]
+                       for group in check_axioms(t, (-1.0, 0.0, 1.0), pts))
+        assert not lo.passed.any() and not hi.passed.any(), ex_id
+        assert mid.passed.all(), ex_id
+
+
+def test_a_nan_j_fails_the_axioms_and_cr_form_with_nan_residuals():
+    t = _nan_j(standard_triad(1))
+    pts = t.sample_points(2, seed=2)
+    for res in check_axioms(t, (0.0,), pts)[0] + check_cr_form(
+            t, (0.0,), pts)[0]:
+        assert np.isnan(res.residual).all() and not res.passed.any(), \
+            res.name
 
 
 def test_field_rng_deterministic_and_tag_sensitive():
@@ -241,7 +282,7 @@ def test_a_one_coefficient_table_defect_fails_at_every_seed(table, entry,
 def test_nan_residuals_fail_in_axioms_and_lemma_suite():
     t = _nan_christoffel(_CAT["r5-perturbed-J"].build())
     p = t.sample_points(1, seed=15)[0]
-    axioms = check_axioms(t, (0.0,), p, seed=10)[0]
+    axioms = check_axioms(t, (0.0,), p)[0]
     assert len(axioms) == 6
     for res in axioms:
         assert np.isnan(res.residual) and not res.passed, res.name
@@ -275,26 +316,6 @@ def _nan_j(triad):
     nan_j = lambda q: np.full(np.shape(q)[:-1] + (triad.dim,) * 2, np.nan)
     return ContactTriad(triad.dim, triad.lam, nan_j, triad.domain,
                         engine=triad.engine, label=triad.label)
-
-
-def test_xi_vector_raises_on_a_nan_or_degenerate_distribution():
-    t = _nan_j(standard_triad(1))
-    p = t.sample_points(1, seed=2)[0]
-    with pytest.raises(ValueError, match="not finite"):
-        xi_vector(t, p, field_rng(0, "xi"))
-    # at this point the axioms reach xi_vector, which used to redraw forever
-    with pytest.raises(ValueError, match="xi-vector norm is not finite"):
-        check_axioms(t, (0.0,), p)[0]
-
-    flat = standard_triad(1)
-    flat.metric_any = lambda q: np.zeros((3, 3))   # every draw has norm 0
-    rng = field_rng(0, "xi")
-    with pytest.raises(ValueError, match="%d draws" % XI_VECTOR_DRAWS):
-        xi_vector(flat, p, rng)
-    fresh = field_rng(0, "xi")
-    for _ in range(XI_VECTOR_DRAWS):
-        fresh.standard_normal(3)
-    assert rng.standard_normal() == fresh.standard_normal()
 
 
 def test_nan_map_fails_the_strictness_guard():

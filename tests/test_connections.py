@@ -6,22 +6,29 @@ import pytest
 
 from triadlab import (DiffEngine, LeviCivitaConnection, catalog,
                       perturbed_triad, standard_triad, triad_connection)
-from triadlab.checks import pullback_triad, xi_vector, field_rng
+from triadlab.checks import _reeb_cov_matrix, field_rng, pullback_triad
 from triadlab.connections import (
     PullbackConnection,
     TriadConnection,
     _lc_nabla_j,
     covariant_derivative_endo,
     covariant_derivative_form,
+    nabla_j,
+    nabla_lam,
+    nabla_metric,
     nijenhuis,
     tensor_B1,
     tensor_B2,
     torsion_tensor,
 )
 
-from triadlab.contact import const_field, j_section, reeb_section, xi_section
+from triadlab.contact import (const_field, j_image, j_section, reeb_section,
+                              xi_section)
+from triadlab.engine import dot, inner, matvec
 
-from oracles import koszul_lc_pairing, pullback_apply, torsion
+from oracles import (cr_form_xi, j_linearity, koszul_lc_pairing,
+                     metric_defect, pullback_apply, reeb_coupling,
+                     reeb_metric_dual, torsion, xi_vector)
 
 _CAT = catalog()
 
@@ -163,6 +170,72 @@ def test_pullback_table_matches_the_pushed_fields(ex_id, mode):
                 want = pullback_apply(base, cmap, u, Yf, p)
                 assert np.max(np.abs(got - want)) <= bound, \
                     (cmap.label, np.max(np.abs(got - want)))
+
+
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_nabla_tables_match_the_sampled_field_forms(ex_id):
+    """At a 3-point ``ad`` batch, the tables of nabla J, nabla g and
+    nabla lam, the Reeb covariant matrix and the torsion table, contracted
+    with drawn vectors, give the sampled field forms that the axioms,
+    ``cr-form``, the semi-connection records and the controls read from them,
+    for three family members and the Levi-Civita connection."""
+    t = _CAT[ex_id].build(DiffEngine("ad"))
+    pts = t.sample_points(3, seed=25)
+    rng = np.random.default_rng(26)
+    d = t.dim
+    J, P, X, lam = t.j_any(pts), t.pi_any(pts), t.reeb_any(pts), t.lam_any(pts)
+    reeb = reeb_section(t)
+    lc = LeviCivitaConnection(t)
+    assert (nabla_j(t, lc.gamma_tensor(pts), pts).tobytes()
+            == t.nabla_j_at(pts).tobytes())
+    for conn in [triad_connection(t, c) for c in (-1.0, 0.0, 1.0)] + [lc]:
+        gamma = conn.gamma_tensor(pts)
+        nj, ng = nabla_j(t, gamma, pts), nabla_metric(t, gamma, pts)
+        nl = nabla_lam(t, gamma, pts)
+        M = _reeb_cov_matrix(conn, pts)
+        T = gamma - gamma.swapaxes(-1, -2)
+        for _ in range(2):
+            u, w = rng.standard_normal((3, d)), rng.standard_normal(d)
+            Yf, Zf = (xi_section(t, rng.standard_normal((3, d)))
+                      for _ in range(2))
+            y, z, v = Yf(pts), Zf(pts), xi_vector(t, pts, rng)
+            Jy, Jz = j_image(t, Yf), j_image(t, Zf)
+            pairs = {
+                "j-linearity": (
+                    matvec(P, np.einsum('...abl,...b,...l->...a', nj, y, u)),
+                    j_linearity(conn, u, Yf, pts)),
+                "metric": (
+                    np.einsum('...abl,...a,...b,...l->...', ng, y, z, u),
+                    metric_defect(conn, u, Yf, Zf, pts)),
+                "reeb-metric-dual": (
+                    -np.einsum('...abl,...a,...b,...l->...', ng, X, z, v),
+                    reeb_metric_dual(conn, v, Zf, pts)),
+                "coupling": (matvec(dot(M, J) + dot(J, M), v),
+                             reeb_coupling(conn, v, pts)),
+                "reeb-invariance": (
+                    inner(lam, matvec(M, v)),
+                    inner(lam, conn.apply_vec(v, reeb, pts))),
+                "reeb-geodesic": (matvec(M, X),
+                                  conn.apply_vec(X, reeb, pts)),
+                "cr-form-reeb": (matvec(nl, X), covariant_derivative_form(
+                    conn, t.lam_any, reeb, pts)),
+                "cr-form-xi": (matvec(nl + dot(J.mT, dot(nl, J)), y),
+                               cr_form_xi(conn, Yf, pts)),
+                "xi-torsion": (
+                    matvec(P, np.einsum('...kij,...i,...j->...k', T,
+                                        matvec(J, y), z)
+                           + np.einsum('...kij,...i,...j->...k', T,
+                                       matvec(J, z), y)),
+                    matvec(P, torsion(conn, Jy, Zf, pts)
+                           + torsion(conn, Jz, Yf, pts))),
+                "reeb-torsion": (
+                    np.einsum('...kij,...i,...j->...k', T, X,
+                              np.broadcast_to(w, X.shape)),
+                    torsion(conn, reeb, const_field(w), pts)),
+            }
+            for name, (table, field) in pairs.items():
+                gap = np.max(np.abs(table - np.asarray(field, dtype=float)))
+                assert gap <= 1e-12, (ex_id, conn.label, name, gap)
 
 
 def test_first_stage_is_family_at_minus_one():

@@ -11,12 +11,11 @@ import pytest
 
 from triadlab import DiffEngine, catalog
 from triadlab.checks import check_axioms
-from triadlab.connections import (LeviCivitaConnection, nijenhuis,
-                                  triad_connection)
+from triadlab.connections import nijenhuis, triad_connection
 from triadlab.contact import (ContactTriad, const_field, j_image, j_section,
-                              metric_pair, reeb_section, xi_section)
+                              reeb_section, xi_section)
 
-from oracles import nijenhuis_closures
+from oracles import metric_pair, nijenhuis_closures
 
 _CAT = catalog()
 PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
@@ -91,21 +90,6 @@ def test_fd_four_bracket_nijenhuis_is_the_closure_oracle_bit_for_bit():
                 assert _bytes(got) == _bytes(want), ex_id
 
 
-@pytest.mark.parametrize("mode", ["fd", "ad"])
-def test_apply_vecs_rows_are_apply_vec(mode):
-    for ex_id, t, p, V, fields in _cases(mode):
-        for conn in (triad_connection(t, 0.5), LeviCivitaConnection(t)):
-            for name in ("xi", "j-image-xi", "reeb", "const"):
-                f = fields[name]
-                every = conn.apply_vecs(V, f, p, range(len(V)))
-                some = conn.apply_vecs(V, f, p, [3, 1])
-                assert len(every) == len(V) and len(some) == 2
-                for row, v in zip(every, V):
-                    assert _bytes(row) == _bytes(conn.apply_vec(v, f, p)), \
-                        (ex_id, name)
-                assert _bytes(some) == _bytes(every[[3, 1]]), (ex_id, name)
-
-
 def _count_batch_reeb_solves(monkeypatch):
     """A list that grows by one for each Reeb solve on a float batch."""
     solves = []
@@ -138,7 +122,7 @@ def test_fd_nijenhuis_and_axioms_make_no_batch_reeb_solve(monkeypatch, ex_id):
     y = xi_section(t, rng.standard_normal(t.dim))
     z = xi_section(t, rng.standard_normal(t.dim))
     nijenhuis(t, y, z, p)
-    check_axioms(t, (0.0,), p, seed=5)[0]
+    check_axioms(t, (0.0,), p)[0]
     assert solves == []
 
 

@@ -1,4 +1,4 @@
-"""``tools/fd_sweep.py`` reports check failures and gates on controls."""
+"""``tools/fd_sweep.py`` gates on check failures and on controls."""
 
 import dataclasses
 import importlib.util
@@ -25,3 +25,14 @@ def test_a_control_that_does_not_fire_fails_the_sweep(monkeypatch, capsys):
     monkeypatch.setitem(CHECKS, "axiom-hermitian", dataclasses.replace(
         CHECKS["axiom-hermitian"], control=True))
     assert sweep.main(["--seeds", "3"]) == 1
+
+
+def test_a_failing_check_fails_the_sweep(monkeypatch, capsys):
+    """A check held to a tolerance that no residual meets fails, and so does
+    the sweep; ``cr-form-xi`` at c != 0 stays outside the count."""
+    sweep = _fd_sweep()
+    monkeypatch.setitem(CHECKS, "two-form-j-invariance", dataclasses.replace(
+        CHECKS["two-form-j-invariance"], tolerance=-1.0))
+    assert sweep.main(["--seeds", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "two-form-j-invariance" in out and "cr-form-xi" not in out

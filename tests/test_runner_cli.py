@@ -74,7 +74,8 @@ def test_cli_c_values_with_one_variant_is_usage_error(capsys):
 
 
 def test_nan_j_gives_error_records_not_a_hang(monkeypatch):
-    """An all-NaN J used to make xi_vector redraw forever."""
+    """An all-NaN J once made the axioms' draws redraw forever; now their
+    tables read NaN, which is recorded as an error."""
     cat = triadlab.catalog()
     spec = cat["r3-standard"]
 
@@ -91,7 +92,7 @@ def test_nan_j_gives_error_records_not_a_hang(monkeypatch):
     axioms = [r for r in rep.records if r["name"].startswith("axiom-")]
     assert len(axioms) == 2 * 6
     for r in axioms:
-        assert r["note"].startswith("error:") and "xi-vector" in r["note"]
+        assert r["note"] == "error: residual is not finite"
         assert not r["passed"]
 
 
@@ -534,6 +535,18 @@ def test_cli_out_respects_report_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TRIADLAB_REPORT_DIR", str(tmp_path))
     assert main(CLI_FAST + ["--out", "nested/report.json"]) == 0
     assert (tmp_path / "nested" / "report.json").exists()
+
+
+def test_cli_out_that_cannot_be_written_is_usage_error(tmp_path, capsys):
+    """A directory, or a path under a plain file, is a usage error (exit 2)
+    with one error line, not a traceback and exit 1."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (tmp_path, blocker / "report.json"):
+        assert main(CLI_FAST + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report to "), err
+        assert "Traceback" not in err
 
 
 def test_cli_failing_suite_exits_one(monkeypatch, capsys):

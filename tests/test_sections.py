@@ -6,12 +6,12 @@ import numpy as np
 from triadlab import DiffEngine, catalog
 from triadlab.connections import (LeviCivitaConnection, TriadConnection,
                                   nijenhuis, tensor_B1, tensor_B2)
-from triadlab.contact import (const_field, j_image, j_section, metric_pair,
-                              reeb_section, xi_section)
+from triadlab.contact import (const_field, j_image, j_section, reeb_section,
+                              xi_section)
 from triadlab.engine import Section
 from triadlab.frames import build_unitary_frame
 
-from oracles import nijenhuis_closures
+from oracles import metric_pair, nijenhuis_closures
 
 _CAT = catalog()
 TOL = 1e-13
@@ -143,9 +143,10 @@ def test_a_section_builds_its_jet_once_per_point_in_a_row_of_reads():
     assert builds == [p.tobytes(), q.tobytes(), p.tobytes()]
 
 
-def test_ad_axioms_build_fewer_jets_than_they_read(monkeypatch):
-    """Each section the axioms read is read more than once at the point; its
-    jet is built once, and the residuals keep their bits."""
+def test_ad_lemma_suite_builds_fewer_jets_than_it_reads(monkeypatch):
+    """Each section the lemma suite's drawn records read is read more than
+    once at the point; its jet is built once, and the residuals keep their
+    bits.  (The axioms read whole tables and no section.)"""
     reads, builds = [], []
     jet = Section.jet
 
@@ -155,12 +156,12 @@ def test_ad_axioms_build_fewer_jets_than_they_read(monkeypatch):
             builds.append(self)
         return jet(self, p)
 
-    from triadlab.checks import check_axioms
+    from triadlab.checks import check_lemma_suite
     t = _CAT["r5-perturbed-J"].build()
     p = t.sample_points(1, seed=3)[0]
-    want = [r.residual for r in check_axioms(t, (0.0,), p, seed=2)[0]]
+    want = [r.residual for r in check_lemma_suite(t, p)]
     t = _CAT["r5-perturbed-J"].build()
     monkeypatch.setattr(Section, "jet", counted)
-    got = [r.residual for r in check_axioms(t, (0.0,), p, seed=2)[0]]
+    got = [r.residual for r in check_lemma_suite(t, p)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert len(builds) == len({id(s) for s in builds}) < len(reads)

@@ -13,7 +13,7 @@ by design and is not counted.  A control record fires when it fails on an
 evaluable residual.  The script prints the failure count and the worst
 residual as a share of its tolerance for each example, the failure count of
 each record name that failed, and how many controls fired.  It exits 1 if
-any control did not fire, else 0: check failures are reported, not gated.
+any check record failed or any control did not fire, else 0.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     print("failures: %d" % sum(out["fails"].values()))
     print("controls fired: %d of %d"
           % (out["controls"] - out["silent"], out["controls"]))
-    return 1 if out["silent"] else 0
+    return 1 if out["silent"] or sum(out["fails"].values()) else 0
 
 
 if __name__ == "__main__":
