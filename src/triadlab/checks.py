@@ -55,7 +55,6 @@ from .connections import (
     PullbackConnection,
     TriadConnection,
     covariant_derivative_two_form,
-    covariant_derivative_endo,
     j_brackets,
     nabla_j,
     nabla_lam,
@@ -65,8 +64,7 @@ from .connections import (
     torsion_tensor,
     triad_connection,
 )
-from .contact import (ContactTriad, j_image, j_section, reeb_section,
-                      xi_section)
+from .contact import ContactTriad, j_image, xi_section
 from .engine import dot, inner, matvec, max_residual, solve
 
 TOL_ALGEBRAIC = 1e-8
@@ -486,7 +484,6 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     X = triad.reeb_any(p)
     L = triad.lie_reeb_j_at(p)
     N = triad.nijenhuis_at(p)
-    reeb = reeb_section(triad)
     lc = LeviCivitaConnection(triad)
     tmp = triad_connection(triad, -1.0)
     conn0 = triad_connection(triad, 0.0)
@@ -557,8 +554,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     r = _in_frame(_lead(P, njj) + jnj, Lg, Bx, Bx)
     out.append(make_result("lc-j-antilinear-cancellation", r, p))
 
-    # J is Levi-Civita parallel in the Reeb direction.
-    r = _worst(covariant_derivative_endo(lc, j_section(triad), reeb, p), 2)
+    # J is Levi-Civita parallel in the Reeb direction: nabla^LC J along X.
+    r = _worst(np.einsum('...abl,...l->...ab', nj, X), 2)
     out.append(make_result("lc-reeb-parallel-j", r, p))
 
     # Levi-Civita covariant derivative of the Reeb field on the distribution.
@@ -613,7 +610,6 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # Torsion split values across the family: the lam part as whole tables,
     # the Lie part on drawn sections.
-    j_sec = j_section(triad)
     r = np.max(_in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
         sweep, p)) - (1.0 + c) * A, Bx, Bx), axis=0)
     rng = field_rng(seed, "torsion-split-values", triad.label)
@@ -622,8 +618,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
         Zf = xi_section(triad, rng.standard_normal(d))
         y, z = Yf(p), Zf(p)
         t0 = torsion_tensor(conn0, p, y, z)
-        l_jy = engine.lie_derivative_endo(j_image(triad, Yf), j_sec, p)
-        l_y = engine.lie_derivative_endo(Yf, j_sec, p)
+        l_jy = engine.lie_derivative_endo(j_image(triad, Yf), triad.j_any, p)
+        l_y = engine.lie_derivative_endo(Yf, triad.j_any, p)
         lie_side = 0.25 * (matvec(l_jy, z) + matvec(l_y, matvec(J, z)))
         r = max_residual(r, _worst(matvec(P, t0) - lie_side))
     out.append(make_result("torsion-split-values", r, p))
@@ -637,17 +633,16 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
                      _in_frame(_lead(J, tjy) - pt, Lg, Bx, Bx))
     out.append(make_result("torsion-type-symmetries", r, p))
 
-    # The antisymmetrisation of P as a bracket combination.  The brackets
-    # differentiate the bare closures, so this record runs the field path in
-    # both modes.
+    # The antisymmetrisation of P as a bracket combination, on the brackets
+    # of drawn fields: the field path, apart from the tables, in both modes.
     rng = field_rng(seed, "p-antisymmetrized-bracket", triad.label)
     r = 0.0
     for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(d)).fn
-        Zf = xi_section(triad, rng.standard_normal(d)).fn
+        Yf = xi_section(triad, rng.standard_normal(d))
+        Zf = xi_section(triad, rng.standard_normal(d))
         y, z = Yf(p), Zf(p)
         lhs = -tensor_P(triad, y, z, p) + tensor_P(triad, z, y, p)
-        jy, jz = j_image(triad, Yf).fn, j_image(triad, Zf).fn
+        jy, jz = j_image(triad, Yf), j_image(triad, Zf)
         b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(engine, Yf, Zf, jy, jz, p)
         rhs = 0.25 * (b_jj - matvec(P, b_yz) - matvec(J, b_jy_z)
                       - matvec(J, b_y_jz))
@@ -655,8 +650,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     out.append(make_result("p-antisymmetrized-bracket", r, p))
 
     # d lam is parallel along the Reeb direction for the canonical member.
-    r = _worst(covariant_derivative_two_form(conn0, triad.dlam_any, reeb, p),
-               2)
+    r = _worst(covariant_derivative_two_form(conn0, triad.dlam_any,
+                                             triad.reeb_any, p), 2)
     out.append(make_result("reeb-parallel-two-form", r, p))
 
     return out

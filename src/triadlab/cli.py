@@ -103,7 +103,15 @@ def _cmd_check(args) -> int:
                   file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload.decode("utf-8"))
+        try:
+            sys.stdout.write(payload.decode("utf-8"))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; devnull takes the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: cannot write the report to stdout: the reader "
+                  "closed the pipe", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

@@ -26,8 +26,9 @@ store's tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read
 it.  The pull-back phi^* nabla through a strict contact map is one more
 table, in the pulled triad's store (:class:`PullbackConnection`).
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
-``nijenhuis`` takes N_J from the brackets of vector-field closures, apart
-from the store's table ``ContactTriad.nijenhuis_at``.
+``nijenhuis`` takes N_J from the brackets of vector-field closures, each
+field's Jacobian on the point's identity seed contracted with the others,
+apart from the store's table ``ContactTriad.nijenhuis_at``.
 
 ``nabla_j``, ``nabla_metric`` and ``nabla_lam`` are the covariant
 derivatives of J, g and lam as whole tables, each one formula over a Gamma
@@ -194,9 +195,9 @@ def j_brackets(engine, Xf, Yf, JX, JY, p):
     """The brackets [JX, JY], [X, Y], [X, JY] and [JX, Y] at p.
 
     Each of the four fields is differentiated along the same stacked
-    directions (X(p), Y(p), JX(p), JY(p)), in ``fd`` mode from its Jacobian
-    on the point's identity stencil, and [A, B] = DB(A) - DA(B) reads the
-    rows it needs.
+    directions (X(p), Y(p), JX(p), JY(p)), from its Jacobian on the
+    point's identity seed, and [A, B] = DB(A) - DA(B) reads the rows it
+    needs.
     """
     V = np.array([Xf(p), Yf(p), JX(p), JY(p)])
     dX, dY, dJX, dJY = (engine.derivs(F, p, V) for F in (Xf, Yf, JX, JY))
@@ -204,11 +205,8 @@ def j_brackets(engine, Xf, Yf, JX, JY, p):
 
 
 def nijenhuis(triad: ContactTriad, Xf, Yf, p):
-    """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] (no factor-2 convention).
-
-    JX and JY are J-image sections, so in ``ad`` mode their derivatives are
-    read from their 1-jets; the brackets are those of the fields themselves.
-    """
+    """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] (no factor-2 convention),
+    from the brackets of the fields themselves; JX and JY are J-images."""
     t1, t2, b3, b4 = j_brackets(triad.engine, Xf, Yf, j_image(triad, Xf),
                                 j_image(triad, Yf), p)
     J = triad.j_any(p)
@@ -243,6 +241,7 @@ def _k_matrix(conn: LocalConnection, p, u):
     raise ValueError("connection tables require a float chart point")
 
 
+# a tracer seam (triadbench's LAYERS names it); no check calls it
 def covariant_derivative_endo(conn: LocalConnection, A, Xf, p):
     """(nabla_X A) as a matrix: nabla_X (A Y) - A nabla_X Y for frozen Y."""
     u = Xf(p)

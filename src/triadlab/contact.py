@@ -23,20 +23,24 @@ point or a batch, keyed by its bytes (a batch also by its shape), and holds
 its {tag: value} tables, the Gamma tables of :mod:`triadlab.connections`
 among them.  The store keeps the most recently used entries up to
 ``POINT_CACHE_SIZE`` points in all; a dropped entry is recomputed if it
-comes back.  A dual point is the seed of one differentiation pass, so its
-values are memoised on the point's identity, for the latest dual point
+comes back.  The engine's identity seed at a float point or batch (the
+dual whose tangent is the array :meth:`~triadlab.engine.DiffEngine.jacobian`
+holds for that shape) keeps its tables in the point's own entry, under
+(tag, level): lam, d lam, the Reeb solve, Pi, J, g and a frame run once
+there for every Jacobian table and every field differentiated at the
+point.  Any other dual point is the seed of one differentiation pass, so
+its values are memoised on the point's identity, for the latest such point
 only: within a pass the Reeb solve and d lam run once, however many
 pipelines read them.  A batch wider than the store, such as the ``fd``
 identity stencil of many sample points, would push out every entry, the
 sample points' tables among them, so it is held in that same slot instead.
 
-The fields the checks differentiate are built here as
-:class:`~triadlab.engine.Section` objects (:func:`xi_section`,
-:func:`j_image`, :func:`reeb_section`, :func:`j_section` and
-:func:`const_field`): each carries its 1-jet, read from the cached Jacobian
-tables, so an ``ad`` derivative of it runs no dual pass; written with
-``matvec``, ``inner``, ``outer``, ``dot`` and ``...`` einsums, one jet
-serves a point and a batch alike.
+The fields the checks differentiate are plain closures built here
+(:func:`xi_section` and :func:`j_image`), written with ``matvec`` so that
+one closure serves a point and a batch alike.  The engine differentiates
+them like any closure; their Jacobian formulas, (d Pi) w = -lam(w) dX -
+X (w^T d lam) and (dJ) y + J dY, live only in the test suite's oracles
+(``tests/oracles.py``), as references for those Jacobians.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ad import shape
-from .engine import (DiffEngine, Section, dot, inner, is_float_point,
-                     matvec, outer, solve)
+from .ad import Dual
+from .engine import (DiffEngine, dot, inner, is_float_point, matvec, outer,
+                     solve)
 
 REEB_RESIDUAL_TOL = 1e-10
 # Float points whose tables one triad keeps, a batch counting each of its
@@ -114,21 +118,29 @@ class ContactTriad:
         ``_cache`` maps a float point's bytes, or a batch's (shape, bytes),
         to its {tag: value} tables, in least-recently-used order; while it
         holds more than ``POINT_CACHE_SIZE`` points, the oldest entry goes.
+        The engine's identity seed at a float point is held there too, under
+        (tag, level): a seed made inside a running pass has a higher level,
+        and a translate q + s of a seed keeps its tangent, so it is the seed
+        at q + s.
         """
-        if not is_float_point(q) or q.size // self.dim > POINT_CACHE_SIZE:
-            # A dual point is the seed of one pass, keyed by its identity,
-            # and a batch wider than the store would push every entry out:
-            # either is held alone, the latest one only.
-            key = (q.shape, q.tobytes()) if is_float_point(q) else q
+        x = q
+        if (isinstance(q, Dual) and is_float_point(q.re)
+                and q.du is self.engine._eyes.get(q.shape)):
+            x, tag = q.re, (tag, q.lvl)
+        if not is_float_point(x) or x.size // self.dim > POINT_CACHE_SIZE:
+            # Any other dual point is the seed of one pass, keyed by its
+            # identity, and a batch wider than the store would push every
+            # entry out: either is held alone, the latest one only.
+            key = (x.shape, x.tobytes()) if is_float_point(x) else x
             if key != self._lone[0]:
                 self._lone = (key, {})
             tables = self._lone[1]
         else:
-            key = q.tobytes() if q.ndim == 1 else (q.shape, q.tobytes())
+            key = x.tobytes() if x.ndim == 1 else (x.shape, x.tobytes())
             tables = self._cache.get(key)
             if tables is None:
                 tables = self._cache[key] = {}
-                self._held += q.size // self.dim
+                self._held += x.size // self.dim
                 while self._held > POINT_CACHE_SIZE:
                     old = self._cache.popitem(last=False)[0]
                     self._held -= (1 if isinstance(old, bytes)
@@ -193,7 +205,7 @@ class ContactTriad:
         return self._cached("metric_inv", p, lambda x: np.linalg.inv(self.metric_any(x)))
 
     def jac_lam_at(self, p):
-        return self._cached("jac_lam", p, lambda x: self.engine.jacobian(self.lam, x))
+        return self._cached("jac_lam", p, lambda x: self.engine.jacobian(self.lam_any, x))
 
     def jac_reeb_at(self, p):
         return self._cached("jac_reeb", p, lambda x: self.engine.jacobian(self.reeb_any, x))
@@ -260,55 +272,16 @@ class ContactTriad:
         return lo + (hi - lo) * rng.random((count, self.dim))
 
 
-# -- sections with 1-jets ----------------------------------------------------
+# -- sections ----------------------------------------------------------------
 
 
-def xi_section(triad: ContactTriad, w) -> Section:
+def xi_section(triad: ContactTriad, w):
     """Smooth distribution section q -> Pi(q) w for a frozen chart vector,
-    or, at a batch of points, one vector per point.
-
-    Its Jacobian is (d Pi) w = -lam(w) dX - X (w^T d lam), from Pi = I - X lam^T.
-    """
+    or, at a batch of points, one vector per point."""
     w = np.asarray(w, dtype=float)
-
-    def jet(p):
-        lam_w = inner(triad.lam_any(p), w)
-        d_pw = (-lam_w[..., None, None] * triad.jac_reeb_at(p)
-                - outer(triad.reeb_any(p),
-                        matvec(triad.jac_lam_at(p).mT, w)))
-        return matvec(triad.pi_any(p), w), d_pw
-
-    return Section(lambda q: matvec(triad.pi_any(q), w), jet)
+    return lambda q: matvec(triad.pi_any(q), w)
 
 
-def j_image(triad: ContactTriad, Yf) -> Section:
-    """The field q -> J(q) Y(q); its Jacobian is (dJ) y + J dY."""
-    def jet(p):
-        y = Yf(p)
-        J = triad.j_any(p)
-        d_jy = (np.einsum('...abl,...b->...al', triad.jac_j_at(p), y)
-                + dot(J, triad.engine.jacobian(Yf, p)))
-        return matvec(J, y), d_jy
-
-    return Section(lambda q: matvec(triad.j_any(q), Yf(q)), jet)
-
-
-def reeb_section(triad: ContactTriad) -> Section:
-    """The Reeb field, with the cached Jacobian table as its jet."""
-    return Section(triad.reeb_any,
-                   lambda p: (triad.reeb_any(p), triad.jac_reeb_at(p)))
-
-
-def j_section(triad: ContactTriad) -> Section:
-    """J itself, with the cached Jacobian table as its jet."""
-    return Section(triad.j_any, lambda p: (triad.j_any(p), triad.jac_j_at(p)))
-
-
-def const_field(w) -> Section:
-    """The constant-coefficient field q -> w, repeated over a batch of q."""
-    w = np.asarray(w, dtype=float)
-
-    def fn(q):
-        return np.broadcast_to(w, shape(q)[:-1] + w.shape)
-
-    return Section(fn, lambda p: (fn(p), np.zeros(fn(p).shape + w.shape)))
+def j_image(triad: ContactTriad, Yf):
+    """The field q -> J(q) Y(q)."""
+    return lambda q: matvec(triad.j_any(q), Yf(q))

@@ -7,18 +7,18 @@ closures into derivatives either with nested array duals (``mode="ad"``,
 exact to rounding, supports second-order nesting) or with central finite
 differences (``mode="fd"``, an independent cross-check path).
 
-:meth:`DiffEngine.derivs` is the one differentiation pass: it takes the
-derivatives of a closure at p along every row of a direction matrix ``V``,
-shape ``(k, dim)``, or, at a batch of points, ``(k, *batch, dim)`` with one
-direction per point; shared directions stand behind singleton batch axes.
-:meth:`DiffEngine.deriv` is its one row along ``v``, and in ``ad`` mode
-:meth:`DiffEngine.jacobian` is it along the identity, with the direction
-axis moved last.  An ``ad`` pass seeds the whole chart point, a batch
-included, as one :class:`~triadlab.ad.Dual` whose tangent holds all k
-directions at once.  In ``fd`` mode the stencil lives in ``jacobian``
-alone: it calls the closure once, on the stacked ``(2, dim, *batch, dim)``
-identity stencil ``[p + h e_l, p - h e_l]``, and ``derivs`` along any V is
-that Jacobian contracted with V, as the ``ad`` jet read is.
+:meth:`DiffEngine.derivs` takes the derivatives of a closure at p along
+every row of a direction matrix ``V``, shape ``(k, dim)``, or, at a batch of
+points, ``(k, *batch, dim)`` with one direction per point; shared
+directions stand behind singleton batch axes.  :meth:`DiffEngine.deriv` is
+its one row along ``v``.  :meth:`DiffEngine.jacobian` reads the identity
+seed the engine holds for each point shape: in ``ad`` mode one
+:class:`~triadlab.ad.Dual` whose tangent is that seed, every direction and
+every point of a batch at once; in ``fd`` mode one call of the closure on
+the stacked ``(2, dim, *batch, dim)`` identity stencil ``[p + h e_l, p - h
+e_l]``.  At a float point or batch, ``derivs`` along any V is that
+Jacobian contracted with V, in both modes.  Only at a dual point does it
+run its own dual pass along V.
 
 So every closure the engine differentiates takes a point with leading batch
 axes, shape ``(..., dim)``, and returns its value at every point of the
@@ -28,9 +28,11 @@ Each entry of a float batch gets the arithmetic of a single point, so an
 ``derivs`` has the bits of ``deriv`` along that row; an ``ad`` result
 matches them to rounding.  A point that is itself a stencil or a dual batch
 gets a stencil or a seed over that batch: the nested d lam is taken so.
-Every ``fd`` derivative at a float point or batch reads the point's one
-identity stencil, the one the triad's Jacobian tables are built on, so the
-triad's store computes its tables there once for every field and direction.
+Every derivative at a float point or batch reads the point's one identity
+seed, the one the triad's Jacobian tables are built on, and the triad's
+store keeps what the pipelines compute on it (the ``ad`` seed's dual
+tables, the ``fd`` stencil's values), so they run once for every field and
+direction.
 
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
 through the helpers here, and a single point is a batch without batch
@@ -40,15 +42,6 @@ pairs two vector fields as a row times a column, and :func:`outer` is one
 broadcast product.  ``np.matmul`` on stacks and the stacked
 ``np.linalg.solve`` give each point the bits of that point alone; a 3-D
 ``np.dot`` or an ``einsum`` would not.
-
-A :class:`Section` is a closure that also knows its 1-jet, the pair (value,
-Jacobian) at a float point or batch, assembled from per-point tables that
-are already cached.  The jet rule lives in :meth:`DiffEngine.derivs` alone:
-in ``ad`` mode, at a float point or batch, a field with a ``jet`` is
-differentiated by reading it (a Jacobian reads it whole, any other V is one
-contraction with its last axis), so no dual pass re-runs the pipeline
-behind the field.  Every other case runs the closure, and ``fd`` mode never
-reads a jet, so it keeps differentiating closures.
 
 The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
 :func:`outer`) take float arrays or duals, so the same geometric pipelines
@@ -87,33 +80,6 @@ def max_residual(*values):
     return reduce(np.maximum, values)
 
 
-class Section:
-    """A field closure together with its 1-jet.
-
-    ``jet(p)`` returns (value, Jacobian) at a float point or batch, the
-    Jacobian with one trailing axis of length dim like
-    :meth:`DiffEngine.jacobian`; the section keeps the jet of the last point
-    it was read at.  Calling the section runs the bare closure ``fn``.
-    """
-
-    __slots__ = ("fn", "_jet", "_last")
-
-    def __init__(self, fn: Callable, jet: Callable):
-        self.fn = fn
-        self._jet = jet
-        self._last = (None, None)       # (point bytes, jet) of the last read
-
-    def __call__(self, q):
-        return self.fn(q)
-
-    def jet(self, p):
-        """(value, Jacobian) at the float point or batch p, built once."""
-        key = p.tobytes() if p.ndim == 1 else (p.shape, p.tobytes())
-        if self._last[0] != key:
-            self._last = (key, self._jet(p))
-        return self._last[1]
-
-
 class DiffEngine:
     """Directional derivatives of chart-coordinate closures.
 
@@ -130,7 +96,7 @@ class DiffEngine:
         self.mode = mode
         self.step = float(step)
         self._sides = np.array([self.step, -self.step])  # fd stencil sides
-        self._eyes: dict = {}           # dim -> jacobian's np.eye(dim)
+        self._eyes: dict = {}           # point shape -> its identity seed
 
     # -- the differentiation pass -------------------------------------------
 
@@ -141,27 +107,24 @@ class DiffEngine:
         *out)``.  At a batch, float or dual, V of shape ``(k, dim)`` stands
         behind singleton batch axes, so every point is differentiated along
         every row; V of shape ``(k, *batch, dim)`` gives each point its own
-        k directions.  ``fd`` mode contracts the ``fd`` :meth:`jacobian`
-        with V.  ``ad`` mode, at a float point or batch, reads the jet of a
-        field that has one (whole, along the identity :meth:`jacobian`
-        passes, else contracted with V); otherwise one dual pass seeds all
-        k rows of V, which may be a dual, at every point.
+        k directions.  At a float point or batch, in either mode, it is the
+        :meth:`jacobian` contracted with V; at a dual point one dual pass
+        seeds all k rows of V, which may be a dual, at every point.
         """
         if not isinstance(V, Dual):
             V = np.asarray(V, dtype=float)
-        whole = V is self._eyes.get(p.shape[-1])
         # directions shared by a batch stand behind its singleton axes
         s = V.shape
         V = V.reshape(s[:1] + (1,) * (p.ndim - len(s) + 1) + s[1:])
-        if self.mode == "fd" or is_float_point(p) and hasattr(f, "jet"):
-            jac = self.jacobian(f, p) if self.mode == "fd" else f.jet(p)[1]
-            n = jac.ndim - 1
-            if whole:
-                # jacobian's directions: the jet whole, its last axis first
-                return jac.transpose((n,) + tuple(range(n)))
-            # each row meets the Jacobian's last axis at every point and entry
-            V = V.reshape(V.shape[:-1] + (1,) * (n + 1 - p.ndim) + s[-1:])
-            return np.einsum('...l,...l->...', jac, V)
+        if not is_float_point(p):
+            return self._pass(f, p, V)
+        jac = self.jacobian(f, p)
+        # each row meets the Jacobian's last axis at every point and entry
+        V = V.reshape(V.shape[:-1] + (1,) * (jac.ndim - p.ndim) + s[-1:])
+        return np.einsum('...l,...l->...', jac, V)
+
+    def _pass(self, f, p, V):
+        """One dual pass of ``f`` at p along the k rows of V, as ``derivs``."""
         lvl = push_level()
         try:
             y = f(Dual(lvl, p, V))
@@ -182,21 +145,22 @@ class DiffEngine:
         """Full coordinate Jacobian; result has one trailing axis of length dim.
 
         ``jacobian(f, p)[..., l]`` is the partial derivative of ``f`` along
-        chart coordinate ``l``.  In ``ad`` mode it is :meth:`derivs` along
-        the identity, with the direction axis moved last; in ``fd`` mode one
-        call on the stencil ``[p + h e_l, p - h e_l]``, its central
-        differences in a C-ordered copy.
+        chart coordinate ``l``.  Both modes read the identity seed the
+        engine holds for p's shape, its rows behind p's batch axes.  In
+        ``ad`` mode it is one dual pass along that seed, with the direction
+        axis moved last; in ``fd`` mode one call on the stencil
+        ``[p + h e_l, p - h e_l]``, its central differences in a C-ordered
+        copy.
         """
-        d = shape(p)[-1]
-        eye = self._eyes.get(d)
-        if eye is None:
-            eye = self._eyes[d] = np.eye(d)
+        s = shape(p)
+        E = self._eyes.get(s)
+        if E is None:
+            E = self._eyes[s] = np.eye(s[-1]).reshape(
+                s[-1:] + (1,) * (len(s) - 1) + s[-1:])
         if self.mode == "ad":
-            D = self.derivs(f, p, eye)
+            D = self._pass(f, p, E)
             return transpose(D, tuple(range(1, ndim(D))) + (0,))
-        # the identity's rows stand behind p's batch axes, and
         # p + (-h e_l) has the bits of p - h e_l
-        E = eye.reshape((d,) + (1,) * (p.ndim - 1) + (d,))
         pts = p + np.multiply.outer(self._sides, E)
         y = f(pts)
         if shape(y)[:p.ndim + 1] != pts.shape[:-1]:

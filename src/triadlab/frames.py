@@ -18,8 +18,11 @@ Every function here takes a float point or a batch of them, shape
 
 A :class:`MovingFrame` keeps no cache of its own: its frame, coframe and
 Jacobian tables live in the triad's per-point store under tags keyed by its
-chart columns, so frames over the same columns share them, and an ``fd``
-stencil's frame joins the store entry the pipelines already hold there.
+chart columns, so frames over the same columns share them.  Its Jacobian
+tables are the engine's Jacobians of ``matrix_any`` and ``coframe_any``,
+so the frame on the point's ``fd`` stencil or ``ad`` seed joins the store
+entry the pipelines already hold there, and the coframe's is the
+derivative of the inverse; its formula -theta dE theta is a test oracle.
 
 Index convention throughout: 0 is the Reeb slot, 1..n the E_i, n+1..2n the
 JE_i.  Connection coefficients are stored as gamma[i, k, j], the e_i
@@ -35,7 +38,7 @@ from . import ad
 from .checks import _worst
 from .contact import ContactTriad
 from .connections import LocalConnection, TriadConnection
-from .engine import Section, dot, inner, inv, matvec, max_residual
+from .engine import dot, inner, inv, matvec, max_residual
 
 
 class FrameRankError(RuntimeError):
@@ -109,20 +112,10 @@ class MovingFrame:
         return self.triad._cached(("jac_frame", self.indices), p, lambda x:
                                   self.triad.engine.jacobian(self.matrix_any, x))
 
-    def coframe_section(self) -> Section:
-        """The coframe field; its jet is (theta, -theta dE theta) at a float
-        point or batch, the derivative of the inverse read from the frame
-        Jacobian."""
-        def jet(p):
-            theta = self.coframe_any(p)
-            return theta, -np.einsum('...ia,...ajl,...jb->...ibl', theta,
-                                     self.jac_frame_at(p), theta)
-        return Section(self.coframe_any, jet)
-
     def jac_coframe_at(self, p):
         return self.triad._cached(("jac_coframe", self.indices), p, lambda x:
                                   self.triad.engine.jacobian(
-                                      self.coframe_section(), x))
+                                      self.coframe_any, x))
 
     def gram_residual(self, p):
         E = self.matrix_any(p)

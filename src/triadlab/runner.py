@@ -30,6 +30,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -71,16 +72,17 @@ class RunConfig:
                               % self.example_id)
         if len(tuple(self.c_values)) == 0:
             raise ConfigError("parameter sweep is empty: pass at least one c")
-        if not all(math.isfinite(float(c)) for c in self.c_values):
-            raise ConfigError("every c must be finite")
+        if not all(isinstance(c, Real) and math.isfinite(c)
+                   for c in self.c_values):
+            raise ConfigError("every c must be a finite real number")
         variants = ["c=%g" % c for c in self.c_values]
         if len(set(variants)) < len(variants):
             raise ConfigError("two values of the c sweep print as the same "
                               "variant: %s" % ", ".join(variants))
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.points < 1:
-            raise ConfigError("point count must be >= 1")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ConfigError("seed must be an integer >= 0")
+        if not isinstance(self.points, Integral) or self.points < 1:
+            raise ConfigError("point count must be an integer >= 1")
         if self.mode not in ("ad", "fd"):
             raise ConfigError("mode must be 'ad' or 'fd'")
         if self.fmt not in ("json", "csv"):

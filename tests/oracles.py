@@ -5,8 +5,8 @@ the Levi-Civita oracle uses only metric pairings and plain directional
 derivatives, and the Lie-derivative oracle integrates the actual flow with
 a fixed-step RK4 and differentiates the pullback in the flow time.  Their
 job is to catch a bug that the engine would otherwise propagate into every
-check simultaneously.  The field-closure Nijenhuis tensor differentiates
-bare closures only, so no 1-jet enters it.  The contact coefficient (a
+check simultaneously.  The field-closure Nijenhuis tensor takes each
+bracket one direction at a time with ``deriv``.  The contact coefficient (a
 wedge product of lam and d lam), the compatibility diagnostics and the J^2
 residual are test-side diagnostics: they read a triad's float-point values
 and test the defining equations on them.  The dual-scalar LU solve is the
@@ -26,15 +26,19 @@ semi-connection records (``xi_vector``, ``metric_pair``, ``j_linearity``,
 ``metric_defect``, ``reeb_metric_dual``, ``reeb_coupling`` and
 ``cr_form_xi``) differentiate drawn sections along drawn directions, the
 reference for the covariant-derivative tables of J, g and lam.
+``const_field`` is the constant-coefficient field.  The Jacobian formulas
+of a distribution section, a J-image and a coframe
+(``xi_section_jacobian``, ``j_image_jacobian``, ``coframe_jacobian``) are
+the references for the engine's Jacobians of those fields; the package
+itself differentiates every field through the engine.
 """
 
 import numpy as np
 
-from triadlab.ad import Dual
+from triadlab.ad import Dual, shape
 from triadlab.connections import covariant_derivative_form
-from triadlab.contact import j_image, reeb_section
-from triadlab.engine import (Section, inner, is_float_point, matvec,
-                             max_residual, solve)
+from triadlab.contact import j_image
+from triadlab.engine import inner, is_float_point, matvec, max_residual, solve
 
 
 def directional_derivative(engine, f, p, v):
@@ -93,23 +97,40 @@ def xi_vector(triad, p, rng):
     return w / np.sqrt(inner(w, matvec(triad.metric_any(p), w)))[..., None]
 
 
-def metric_pair(triad, Yf, Zf) -> Section:
-    """The scalar field q -> g_q(Y(q), Z(q)).
+def const_field(w):
+    """The constant-coefficient vector field q -> w: one vector shared by
+    every point of a batch, or one vector per point; its value has q's
+    shape."""
+    w = np.asarray(w, dtype=float)
+    return lambda q: np.broadcast_to(w, shape(q))
 
-    Its gradient is dg[i, j, :] y_i z_j + dY^T G z + dZ^T G^T y.
-    """
-    def jet(p):
-        y, z = Yf(p), Zf(p)
-        G = triad.metric_any(p)
-        gz, yg = matvec(G, z), matvec(G.mT, y)
-        eng = triad.engine
-        grad = (np.einsum('...ijl,...i,...j->...l', triad.dmetric_at(p), y, z)
-                + matvec(eng.jacobian(Yf, p).mT, gz)
-                + matvec(eng.jacobian(Zf, p).mT, yg))
-        return inner(y, gz), grad
 
-    return Section(
-        lambda q: inner(Yf(q), matvec(triad.metric_any(q), Zf(q))), jet)
+def xi_section_jacobian(triad, w, p):
+    """Jacobian of the section q -> Pi(q) w at a float point or batch:
+    (d Pi) w = -lam(w) dX - X (w^T d lam), from Pi = I - X lam^T."""
+    lam_w = inner(triad.lam_any(p), w)
+    return (-lam_w[..., None, None] * triad.jac_reeb_at(p)
+            - np.einsum('...a,...l->...al', triad.reeb_any(p),
+                        matvec(triad.jac_lam_at(p).mT, w)))
+
+
+def j_image_jacobian(triad, Yf, p):
+    """Jacobian of the field q -> J(q) Y(q): (dJ) y + J dY."""
+    return (np.einsum('...abl,...b->...al', triad.jac_j_at(p), Yf(p))
+            + triad.j_any(p) @ triad.engine.jacobian(Yf, p))
+
+
+def coframe_jacobian(frame, p):
+    """Jacobian of the coframe theta = E^-1 of a moving frame E:
+    -theta dE theta, from the frame's Jacobian table."""
+    theta = frame.coframe_any(p)
+    return -np.einsum('...ia,...ajl,...jb->...ibl', theta,
+                      frame.jac_frame_at(p), theta)
+
+
+def metric_pair(triad, Yf, Zf):
+    """The scalar field q -> g_q(Y(q), Z(q))."""
+    return lambda q: inner(Yf(q), matvec(triad.metric_any(q), Zf(q)))
 
 
 def j_linearity(conn, u, Yf, p):
@@ -133,14 +154,14 @@ def reeb_metric_dual(conn, y, Zf, p):
     """g(nabla_y X, Z) + g(X, nabla_y Z) for the Reeb field X."""
     t = conn.triad
     G = t.metric_any(p)
-    return (inner(conn.apply_vec(y, reeb_section(t), p), matvec(G, Zf(p)))
+    return (inner(conn.apply_vec(y, t.reeb_any, p), matvec(G, Zf(p)))
             + inner(t.reeb_any(p), matvec(G, conn.apply_vec(y, Zf, p))))
 
 
 def reeb_coupling(conn, y, p):
     """nabla_{J y} X + J nabla_y X for the Reeb field X."""
     t = conn.triad
-    J, reeb = t.j_any(p), reeb_section(t)
+    J, reeb = t.j_any(p), t.reeb_any
     return (conn.apply_vec(matvec(J, y), reeb, p)
             + matvec(J, conn.apply_vec(y, reeb, p)))
 

@@ -15,11 +15,10 @@ import pytest
 
 from triadlab import ContactTriad, DiffEngine, ad, catalog, standard_triad
 from triadlab.checks import pullback_triad
-from triadlab.contact import (const_field, j_image, j_section, reeb_section,
-                              xi_section)
+from triadlab.contact import j_image, xi_section
 from triadlab.frames import build_unitary_frame
 
-from oracles import metric_pair
+from oracles import const_field, metric_pair
 
 _CAT = catalog()
 
@@ -45,8 +44,8 @@ def _sections(t, rng):
     Yf = xi_section(t, rng.standard_normal(d))
     Zf = xi_section(t, rng.standard_normal(d))
     w = rng.standard_normal(d)
-    return {"xi": Yf, "j-image": j_image(t, Yf), "reeb": reeb_section(t),
-            "j": j_section(t), "const": const_field(w),
+    return {"xi": Yf, "j-image": j_image(t, Yf), "reeb": t.reeb_any,
+            "const": const_field(w),
             "j-image-const": j_image(t, const_field(w)),
             "metric-pair": metric_pair(t, Yf, Zf)}
 
@@ -121,14 +120,16 @@ def test_fd_rejects_closures_that_drop_the_batch_axes():
 
 
 def _closures(t, pts, w):
-    """Bare closures and every section that carries a jet, on triad t; the
-    coframe's columns are frozen at the batch pts, and the "own" sections
-    project w, one vector per point of pts or the one vector of a point."""
+    """The triad's pipelines and the fields the checks differentiate, on
+    triad t; the coframe's columns are frozen at the batch pts, and the
+    "own" fields take w, one vector per point of pts or the one vector of a
+    point."""
     fields = dict(_sections(t, np.random.default_rng(3)), lam=t.lam,
                   metric=t.metric_any, j_any=t.j_any, dlam_any=t.dlam_any)
     fields["xi-own"] = xi_section(t, w)
     fields["j-image-own"] = j_image(t, fields["xi-own"])
-    fields["coframe"] = build_unitary_frame(t, pts, seed=1).coframe_section()
+    fields["const-own"] = const_field(w)
+    fields["coframe"] = build_unitary_frame(t, pts, seed=1).coframe_any
     return fields
 
 
@@ -141,10 +142,11 @@ def _to_rounding(got, want):
 
 @pytest.mark.parametrize("ex_id", sorted(_CAT))
 def test_ad_derivs_at_a_batch_are_each_point_to_rounding(ex_id):
-    """An ``ad`` pass at a batch seeds every point at once, and a jet is
-    read at the batch: ``derivs`` along shared and per-point directions and
-    ``jacobian`` each match the per-point results to 1e-15.  ``dlam_any``
-    is the nested case: its dual pass takes d lam at a dual batch."""
+    """An ``ad`` pass at a batch seeds every point at once, and every field
+    reads the batch's seed tables: ``derivs`` along shared and per-point
+    directions and ``jacobian`` each match the per-point results to 1e-15.
+    ``dlam_any`` is the nested case: its dual pass takes d lam at a dual
+    batch."""
     spec = _CAT[ex_id]
     tb, tp = spec.build(DiffEngine()), spec.build(DiffEngine())
     pts = tb.sample_points(3, seed=23)
@@ -166,17 +168,39 @@ def test_ad_derivs_at_a_batch_are_each_point_to_rounding(ex_id):
                 (ex_id, name)
 
 
-def test_a_jet_is_kept_per_batch_shape():
-    """Two batches that hold the same bytes in other shapes read their own
-    jets."""
+def test_a_seed_is_kept_per_batch_shape():
+    """Two batches that hold the same bytes in other shapes get their own
+    seeds and their own seed tables."""
     t = _CAT["r3-standard"].build(DiffEngine())
-    sec = reeb_section(t)
     pts = t.sample_points(4, seed=1)
-    assert t.engine.jacobian(sec, pts).shape == (4, 3, 3)
-    nested = t.engine.jacobian(sec, pts.reshape(2, 2, 3))
+    assert t.engine.jacobian(t.reeb_any, pts).shape == (4, 3, 3)
+    nested = t.engine.jacobian(t.reeb_any, pts.reshape(2, 2, 3))
     assert nested.shape == (2, 2, 3, 3)
     assert _to_rounding(nested.reshape(4, 3, 3),
-                        t.engine.jacobian(sec, pts))
+                        t.engine.jacobian(t.reeb_any, pts))
+    eyes = t.engine._eyes
+    assert eyes[(4, 3)].shape == (3, 1, 3)
+    assert eyes[(2, 2, 3)].shape == (3, 1, 1, 3)
+    seeded = [tables[("reeb", 1)] for tables in t._cache.values()]
+    assert len(seeded) == 2 and seeded[0] is not seeded[1]
+
+
+def test_a_constant_field_has_the_shape_of_its_point():
+    """One vector shared by a batch, or one vector per point, also on the
+    ``fd`` stencil of a batch; its derivatives vanish in both modes."""
+    rng = np.random.default_rng(5)
+    pts, w = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+    shared, own = const_field(w[0]), const_field(w)
+    assert shared(pts[0]).tobytes() == w[0].tobytes()
+    assert shared(pts).shape == own(pts).shape == pts.shape
+    assert own(pts).tobytes() == w.tobytes()
+    assert (shared(pts) == w[0]).all()
+    for mode in ("ad", "fd"):
+        eng = DiffEngine(mode)
+        for f in (shared, own):
+            jac = eng.jacobian(f, pts)
+            assert jac.shape == (3, 5, 5) and not jac.any(), mode
+            assert not eng.derivs(f, pts, w[None]).any(), mode
 
 
 def test_reeb_guard_checks_every_point_of_a_batch():

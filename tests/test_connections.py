@@ -22,13 +22,12 @@ from triadlab.connections import (
     torsion_tensor,
 )
 
-from triadlab.contact import (const_field, j_image, j_section, reeb_section,
-                              xi_section)
+from triadlab.contact import j_image, xi_section
 from triadlab.engine import dot, inner, matvec
 
-from oracles import (cr_form_xi, j_linearity, koszul_lc_pairing,
-                     metric_defect, pullback_apply, reeb_coupling,
-                     reeb_metric_dual, torsion, xi_vector)
+from oracles import (const_field, cr_form_xi, j_linearity,
+                     koszul_lc_pairing, metric_defect, pullback_apply,
+                     reeb_coupling, reeb_metric_dual, torsion, xi_vector)
 
 _CAT = catalog()
 
@@ -184,7 +183,7 @@ def test_nabla_tables_match_the_sampled_field_forms(ex_id):
     rng = np.random.default_rng(26)
     d = t.dim
     J, P, X, lam = t.j_any(pts), t.pi_any(pts), t.reeb_any(pts), t.lam_any(pts)
-    reeb = reeb_section(t)
+    reeb = t.reeb_any
     lc = LeviCivitaConnection(t)
     assert (nabla_j(t, lc.gamma_tensor(pts), pts).tobytes()
             == t.nabla_j_at(pts).tobytes())
@@ -435,7 +434,7 @@ def test_nijenhuis_table_matches_the_brackets_of_fields():
                 got = nijenhuis(t, Yf, Zf, p)
                 assert np.max(np.abs(got - want)) < 1e-13, ex_id
 
-                got = nijenhuis(t, reeb_section(t), Zf, p)
+                got = nijenhuis(t, t.reeb_any, Zf, p)
                 assert np.max(np.abs(got - _table_n(t, p, X, pz))) < 1e-13
 
 
@@ -447,7 +446,7 @@ def test_lc_nabla_j_table_is_the_covariant_derivative_of_j():
         for p in t.sample_points(2, seed=64):
             for _ in range(3):
                 u = rng.standard_normal(t.dim)
-                want = covariant_derivative_endo(lc, j_section(t),
+                want = covariant_derivative_endo(lc, t.j_any,
                                                  const_field(u), p)
                 got = _lc_nabla_j(t, u, p)
                 assert np.max(np.abs(got - want)) < 1e-13, ex_id

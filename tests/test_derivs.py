@@ -1,9 +1,9 @@
 """Stacked directions: ``derivs`` differentiates along every row of a matrix.
 
-In ``fd`` mode ``derivs`` is the ``fd`` Jacobian contracted with the rows,
-so a row carries the bits of ``deriv`` along that row and every field reads
-the point's one identity stencil; in ``ad`` mode a row agrees with
-``deriv`` to rounding.
+At a float point ``derivs`` is the point's Jacobian contracted with the
+rows, in both modes, so every field reads the point's one identity seed; in
+``fd`` mode a row carries the bits of ``deriv`` along that row, in ``ad``
+mode it agrees with ``deriv`` to rounding.
 """
 
 import numpy as np
@@ -12,10 +12,9 @@ import pytest
 from triadlab import DiffEngine, catalog
 from triadlab.checks import check_axioms
 from triadlab.connections import nijenhuis, triad_connection
-from triadlab.contact import (ContactTriad, const_field, j_image, j_section,
-                              reeb_section, xi_section)
+from triadlab.contact import ContactTriad, j_image, xi_section
 
-from oracles import metric_pair, nijenhuis_closures
+from oracles import const_field, metric_pair, nijenhuis_closures
 
 _CAT = catalog()
 PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
@@ -23,14 +22,13 @@ PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
 
 
 def _fields(t, rng):
-    """The sections the checks differentiate, plus the triad's pipelines."""
+    """The fields the checks differentiate, plus the triad's pipelines."""
     d = t.dim
     y = xi_section(t, rng.standard_normal(d))
     z = xi_section(t, rng.standard_normal(d))
     w = const_field(rng.standard_normal(d))
     out = {"xi": y, "j-image-xi": j_image(t, y), "j-image-const": j_image(t, w),
-           "reeb": reeb_section(t), "j": j_section(t), "const": w,
-           "metric-pair": metric_pair(t, y, z)}
+           "const": w, "metric-pair": metric_pair(t, y, z)}
     out.update((name, getattr(t, name)) for name in PIPELINES)
     return out
 
@@ -58,12 +56,8 @@ def test_fd_derivs_rows_are_deriv_bit_for_bit():
 
 
 def test_ad_derivs_rows_are_deriv_to_rounding():
-    """Jets and bare closures alike; a bare closure gets one dual pass with
-    every row seeded."""
     for ex_id, t, p, V, fields in _cases("ad"):
-        bare = {name + "-closure": f.fn for name, f in fields.items()
-                if hasattr(f, "fn")}
-        for name, f in {**fields, **bare}.items():
+        for name, f in fields.items():
             rows = np.asarray(t.engine.derivs(f, p, V), dtype=float)
             want = np.array([t.engine.deriv(f, p, v) for v in V], dtype=float)
             assert rows.shape == want.shape, (ex_id, name)
@@ -82,11 +76,11 @@ def test_fd_four_bracket_nijenhuis_is_the_closure_oracle_bit_for_bit():
     for ex_id, t, p, _, fields in _cases("fd"):
         rng = np.random.default_rng(42)
         pairs = [fields["xi"], xi_section(t, rng.standard_normal(t.dim)),
-                 fields["const"], fields["reeb"]]
+                 fields["const"], fields["reeb_any"]]
         for a in pairs:
             for b in pairs[:2]:
                 got = nijenhuis(t, a, b, p)
-                want = nijenhuis_closures(t, a.fn, b.fn, p)
+                want = nijenhuis_closures(t, a, b, p)
                 assert _bytes(got) == _bytes(want), ex_id
 
 
@@ -172,14 +166,12 @@ def test_fd_derivs_at_a_float_batch_is_per_point_bit_for_bit(batch):
 @pytest.mark.parametrize("mode", ["fd", "ad"])
 def test_jacobian_is_derivs_along_the_identity(mode):
     """Bit for bit in ``fd``, at a point and at a float batch; equal values
-    in ``ad`` at a point, for jets and bare closures alike."""
+    in ``ad`` at a point."""
     for ex_id, t, p, _, fields in _cases(mode):
         eye = np.eye(t.dim)
         points = [p] + ([t.sample_points(3, seed=46)] if mode == "fd" else [])
-        bare = {name + "-closure": f.fn for name, f in fields.items()
-                if hasattr(f, "fn")}
         for q in points:
-            for name, f in {**fields, **bare}.items():
+            for name, f in fields.items():
                 jac = np.asarray(t.engine.jacobian(f, q), dtype=float)
                 rows = np.asarray(t.engine.derivs(f, q, eye), dtype=float)
                 for l in range(t.dim):

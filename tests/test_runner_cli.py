@@ -57,6 +57,24 @@ def test_config_validation_rejects_bad_inputs():
         RunConfig(example_id="r3-standard", seed=-1).validate()
 
 
+@pytest.mark.parametrize("field, bad", [("points", "3"), ("points", 2.0),
+                                        ("seed", 1.5), ("seed", "1"),
+                                        ("c_values", (0.0, "a")),
+                                        ("c_values", (0.0, None))])
+def test_config_validation_rejects_values_of_the_wrong_type(field, bad):
+    """A config error, not a TypeError or ValueError from deep in the run."""
+    cfg = RunConfig(**dict(SMALL, **{field: bad}))
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        run_suite(cfg)
+
+
+def test_config_validation_accepts_numpy_scalars():
+    RunConfig(**dict(SMALL, points=np.int64(2), seed=np.uint32(3),
+                     c_values=(np.float64(0.0), 1))).validate()
+
+
 def test_config_validation_rejects_c_values_with_one_variant():
     """Two c values that print alike would give records of one key."""
     for cs in ((1e-7, 1.0000001e-7), (0.5, 0.5), (-1.0, 0.0, -1.0)):
@@ -547,6 +565,32 @@ def test_cli_out_that_cannot_be_written_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write the report to "), err
         assert "Traceback" not in err
+
+
+def test_cli_closed_stdout_is_usage_error(monkeypatch, capsys):
+    """A reader that closed the pipe (``triadlab check ... | true``) gets one
+    error line and exit 2, not a traceback and exit 1; stdout then points
+    at devnull, so the flush at exit cannot fail again."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    try:
+        assert main(CLI_FAST) == 2
+    finally:
+        os.close(fd)
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report to stdout"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_failing_suite_exits_one(monkeypatch, capsys):

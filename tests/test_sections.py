@@ -1,17 +1,18 @@
-"""Sections with 1-jets and the einsum-built connection table, against the
-closure path they replace in ``ad`` mode."""
+"""Fields as plain closures, differentiated from the point's one identity
+seed, and the einsum-built connection table, against the formulas and the
+closure paths they replace."""
 
 import numpy as np
 
-from triadlab import DiffEngine, catalog
+from triadlab import ContactTriad, DiffEngine, catalog
+from triadlab.ad import Dual
 from triadlab.connections import (LeviCivitaConnection, TriadConnection,
                                   nijenhuis, tensor_B1, tensor_B2)
-from triadlab.contact import (const_field, j_image, j_section, reeb_section,
-                              xi_section)
-from triadlab.engine import Section
+from triadlab.contact import j_image, xi_section
 from triadlab.frames import build_unitary_frame
 
-from oracles import metric_pair, nijenhuis_closures
+from oracles import (coframe_jacobian, const_field, j_image_jacobian,
+                     nijenhuis_closures, xi_section_jacobian)
 
 _CAT = catalog()
 TOL = 1e-13
@@ -26,69 +27,78 @@ def _cases(engine=None):
             yield ex_id, t, p, rng
 
 
-def _sections(t, rng):
-    y = xi_section(t, rng.standard_normal(t.dim))
-    z = xi_section(t, rng.standard_normal(t.dim))
-    w = const_field(rng.standard_normal(t.dim))
-    return {"xi": y, "j-image-xi": j_image(t, y),
-            "j-image-const": j_image(t, w), "reeb": reeb_section(t),
-            "const": w, "metric-pair": metric_pair(t, y, z),
-            "j": j_section(t)}
-
-
-def _with_coframe(t, p, secs):
-    """``secs`` plus the coframe of a unitary frame frozen at p."""
-    return dict(secs, coframe=build_unitary_frame(t, p, seed=3)
-                .coframe_section())
-
-
-def _close(a, b):
+def _close(a, b, tol=TOL):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b)))
+    return np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+def _jet_gaps(t, p, rng):
+    """{field: (engine Jacobian, formula)} for a distribution section, the
+    J-images of a section and of a constant field, and a coframe."""
+    w, v = rng.standard_normal(t.dim), rng.standard_normal(t.dim)
+    y, c = xi_section(t, w), const_field(v)
+    frame = build_unitary_frame(t, p, seed=3)
+    jac = t.engine.jacobian
+    return {"xi": (jac(y, p), xi_section_jacobian(t, w, p)),
+            "j-image-xi": (jac(j_image(t, y), p), j_image_jacobian(t, y, p)),
+            "j-image-const": (jac(j_image(t, c), p),
+                              j_image_jacobian(t, c, p)),
+            "coframe": (jac(frame.coframe_any, p), coframe_jacobian(frame, p))}
 
 
 def test_section_jets_match_dual_jacobians_of_their_closures():
+    """The Jacobian formulas of the fields the checks differentiate, read
+    from the triad's tables, against the ``ad`` Jacobians of the closures."""
     for ex_id, t, p, rng in _cases():
-        for name, sec in _with_coframe(t, p, _sections(t, rng)).items():
-            value, jac = sec.jet(p)
-            assert _close(value, sec.fn(p)), (ex_id, name)
-            assert _close(jac, t.engine.jacobian(sec.fn, p)), (ex_id, name)
+        for name, (got, want) in _jet_gaps(t, p, rng).items():
+            assert _close(got, want, 1e-12), (ex_id, name)
 
 
-def test_engine_reads_jets_only_in_ad_mode_at_float_points():
-    d = 3
-    p = np.array([0.1, -0.2, 0.3])
-    v = np.array([1.0, 2.0, -1.0])
-    fake = Section(lambda q: q * q, lambda q: (q * q, np.full((d, d), 7.0)))
-    ad, fd = DiffEngine("ad"), DiffEngine("fd")
-    assert np.array_equal(ad.jacobian(fake, p), np.full((d, d), 7.0))
-    assert np.array_equal(ad.deriv(fake, p, v), np.full(d, 14.0))
-    # fd differentiates the closure: d(q*q) along v is 2 q v.
-    assert np.allclose(fd.deriv(fake, p, v), 2.0 * p * v, atol=1e-8)
-    # At a dual point (a nested pass) the closure runs, not the jet.
-    nested = ad.jacobian(lambda q: ad.deriv(fake, q, v), p)
-    assert np.allclose(nested, np.diag(2.0 * v), atol=1e-14)
+def test_fd_jacobians_match_the_jet_formulas():
+    """The same formulas over ``fd`` tables: the product rule holds for
+    central differences only up to the stencil's O(h^2) error."""
+    for ex_id, t, p, rng in _cases(DiffEngine("fd")):
+        for name, (got, want) in _jet_gaps(t, p, rng).items():
+            assert _close(got, want, 1e-7), (ex_id, name)
+
+
+def test_a_dual_that_is_not_the_seed_gets_its_own_values():
+    """A dual at a float point reads the seed's tables only if its tangent
+    is the seed the engine holds and its level is theirs."""
+    t = _CAT["r5-perturbed-J"].build(DiffEngine())
+    d = t.dim
+    p = t.sample_points(1, seed=72)[0]
+    jac = t.jac_reeb_at(p)                      # builds the seed's tables
+    seed = t.engine._eyes[p.shape]
+    shared = t.reeb_any(Dual(1, p, seed))
+    assert shared is t.reeb_any(Dual(1, p, seed))
+    assert np.array_equal(shared.du, jac.T)
+    V = np.random.default_rng(73).standard_normal((d, d))
+    for q in (Dual(1, p, V), Dual(1, p, seed.copy())):
+        own = t.reeb_any(q)
+        assert own is not shared and own.du is not shared.du
+        assert _close(own.du, np.einsum('al,kl->ka', jac, q.du))
+    # a seed made inside a running pass has a higher level and its own
+    # tables in the point's entry
+    inside = []
+    t.engine.jacobian(
+        lambda q: inside.append(t.engine.jacobian(t.reeb_any, p)) or q, p)
+    tables = t._cache[p.tobytes()]
+    assert tables[("reeb", 2)] is not tables[("reeb", 1)] is shared
+    assert tables[("reeb", 2)].lvl == 2
+    assert np.array_equal(inside[0], jac)
 
 
 def test_nijenhuis_on_sections_matches_bare_closures():
     for ex_id, t, p, rng in _cases():
-        secs = _sections(t, rng)
-        fields = [secs["xi"], xi_section(t, rng.standard_normal(t.dim)),
-                  secs["const"], secs["reeb"]]
+        fields = [xi_section(t, rng.standard_normal(t.dim)),
+                  xi_section(t, rng.standard_normal(t.dim)),
+                  const_field(rng.standard_normal(t.dim)), t.reeb_any]
         for a in fields:
             for b in fields[:2]:
-                with_jets = nijenhuis(t, a, b, p)
-                oracle = nijenhuis_closures(t, a.fn, b.fn, p)
-                assert _close(with_jets, oracle), ex_id
-
-
-def test_fd_derivatives_of_sections_are_those_of_their_closures():
-    for ex_id, t, p, rng in _cases(DiffEngine("fd")):
-        u = rng.standard_normal(t.dim)
-        for name, sec in _with_coframe(t, p, _sections(t, rng)).items():
-            got = np.asarray(t.engine.deriv(sec, p, u))
-            want = np.asarray(t.engine.deriv(sec.fn, p, u))
-            assert got.tobytes() == want.tobytes(), (ex_id, name)
+                stacked = nijenhuis(t, a, b, p)
+                oracle = nijenhuis_closures(t, a, b, p)
+                assert _close(stacked, oracle), ex_id
 
 
 def test_gamma_table_matches_levi_civita_plus_corrections():
@@ -115,53 +125,59 @@ def test_gamma_table_matches_levi_civita_plus_corrections():
 
 
 def test_coframe_jacobian_table_is_the_jet_in_ad_and_the_closure_in_fd():
+    """In ``ad`` the table matches -theta dE theta to rounding; in ``fd`` it
+    is the closure's stencil Jacobian bit for bit."""
     for engine in (DiffEngine("ad"), DiffEngine("fd")):
         for ex_id, t, p, rng in _cases(engine):
             frame = build_unitary_frame(t, p, seed=3)
-            sec = frame.coframe_section()
-            want = (sec.jet(p)[1] if engine.mode == "ad"
-                    else engine.jacobian(sec.fn, p))
-            assert np.array_equal(frame.jac_coframe_at(p), want), ex_id
+            got = frame.jac_coframe_at(p)
+            if engine.mode == "ad":
+                assert _close(got, coframe_jacobian(frame, p), 1e-12), ex_id
+            else:
+                want = engine.jacobian(frame.coframe_any, p)
+                assert np.array_equal(got, want), ex_id
 
 
-def test_a_section_builds_its_jet_once_per_point_in_a_row_of_reads():
-    builds = []
+def _count_seed_reeb_solves(monkeypatch):
+    """A list that grows by one for each Reeb solve at a dual whose value
+    is a float point or batch."""
+    solves = []
+    impl = ContactTriad._reeb_impl
 
-    def jet(q):
-        builds.append(q.tobytes())
-        return q * q, np.diag(2.0 * q)
+    def counted(self, q):
+        if isinstance(q, Dual) and isinstance(q.re, np.ndarray):
+            solves.append(q.lvl)
+        return impl(self, q)
 
-    sec = Section(lambda q: q * q, jet)
-    eng = DiffEngine("ad")
-    p, q = np.array([0.1, -0.2, 0.3]), np.array([0.4, 0.5, -0.6])
-    jac = eng.jacobian(sec, p)
-    assert np.array_equal(eng.deriv(sec, p, np.ones(3)), 2.0 * p)
-    assert np.array_equal(eng.jacobian(sec, p.copy()), jac)
-    assert builds == [p.tobytes()]
-    eng.jacobian(sec, q)
-    eng.jacobian(sec, p)          # only the last point is kept
-    assert builds == [p.tobytes(), q.tobytes(), p.tobytes()]
+    monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
+    return solves
 
 
-def test_ad_lemma_suite_builds_fewer_jets_than_it_reads(monkeypatch):
-    """Each section the lemma suite's drawn records read is read more than
-    once at the point; its jet is built once, and the residuals keep their
-    bits.  (The axioms read whole tables and no section.)"""
-    reads, builds = [], []
-    jet = Section.jet
+def test_ad_jacobian_tables_run_the_reeb_solve_at_the_seed_once(monkeypatch):
+    """The Jacobians of X, J, g and the frame share the seed's pipeline:
+    one Reeb solve at the point, one more at a batch of its shape."""
+    solves = _count_seed_reeb_solves(monkeypatch)
+    for ex_id in ("r5-perturbed-J", "t3-tight"):
+        t = _CAT[ex_id].build(DiffEngine())
+        pts = t.sample_points(3, seed=74)
+        for q in (pts[0], pts):
+            del solves[:]
+            frame = build_unitary_frame(t, q, seed=1)
+            t.jac_reeb_at(q), t.jac_j_at(q), t.dmetric_at(q)
+            frame.jac_frame_at(q), frame.jac_coframe_at(q)
+            assert solves == [1], (ex_id, q.shape)
 
-    def counted(self, p):         # the lists keep every section alive
-        reads.append(self)
-        if self._last[0] != p.tobytes():
-            builds.append(self)
-        return jet(self, p)
 
+def test_ad_lemma_suite_runs_the_reeb_solve_at_the_seed_once(monkeypatch):
+    """Every field the lemma suite differentiates at the point, its drawn
+    sections and J-images among them, reads the seed's one Reeb solve, and
+    the residuals keep their bits."""
     from triadlab.checks import check_lemma_suite
     t = _CAT["r5-perturbed-J"].build()
     p = t.sample_points(1, seed=3)[0]
     want = [r.residual for r in check_lemma_suite(t, p)]
+    solves = _count_seed_reeb_solves(monkeypatch)
     t = _CAT["r5-perturbed-J"].build()
-    monkeypatch.setattr(Section, "jet", counted)
     got = [r.residual for r in check_lemma_suite(t, p)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert len(builds) == len({id(s) for s in builds}) < len(reads)
+    assert solves == [1]
