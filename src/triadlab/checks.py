@@ -65,7 +65,7 @@ from .connections import (
     triad_connection,
 )
 from .contact import ContactTriad, j_image, xi_section
-from .engine import dot, inner, matvec, max_residual, solve
+from .engine import dot, inner, lead, matvec, max_residual, solve, tail
 
 TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
@@ -279,17 +279,13 @@ def _frame(triad: ContactTriad, p) -> tuple:
 
 def _in_frame(T, *bases):
     """Largest entry per point of the table T[..., i_1, .., i_m] with slot s
-    contracted with the columns of ``bases[s]``, one slot at a time."""
-    s = "ijk"[:len(bases)]
-    for n, M in enumerate(bases):
-        T = np.einsum("...%s,...%sz->...%s" % (s, s[n], s.replace(s[n], "z")),
-                      T, M)
-    return _worst(T, len(bases))
-
-
-def _lead(M, T):
-    """M applied to the vector slot of a table T[k, i, j]."""
-    return np.einsum('...ka,...aij->...kij', M, T)
+    contracted with the columns of ``bases[s]``, one slot at a time: one
+    stacked matmul contracts the last slot and puts its result in front."""
+    m = len(bases)
+    for M in reversed(bases):
+        R = np.matmul(M.mT, T.reshape(T.shape[:-m] + (-1, T.shape[-1])).mT)
+        T = R.reshape(R.shape[:-1] + T.shape[-m:-1])
+    return _worst(T, m)
 
 
 def _torsion_table(conn, p):
@@ -336,11 +332,11 @@ def check_axioms(triad: ContactTriad, c_values, p) -> list:
     # J Pi nabla_u Y = Pi (nabla_u J) Y, and u[g(Y, Z)] - g(Pi nabla_u Y, Z)
     # - g(Y, Pi nabla_u Z) = (nabla_u g)(Y, Z), since g(X, Z) = lam(Z) = 0
     r_herm = max_residual(
-        _in_frame(_lead(P, nabla_j(triad, gamma, p)), L, Bx, B),
+        _in_frame(lead(P, nabla_j(triad, gamma, p)), L, Bx, B),
         _in_frame(ng, Bx, Bx, B))
     # (2) Pi T(J v, v) = 0 on the distribution, polarised:
     # tj[k, y, z] = Pi T(J e_y, e_z), and tj + tj^T vanishes
-    tj = np.einsum('...kiz,...iy->...kyz', _lead(P, t), J)
+    tj = dot(J.mT[..., None, :, :], lead(P, t))
     r_xtor = _in_frame(tj + tj.swapaxes(-1, -2), L, Bx, Bx)
     # (3) T(X, w) = 0
     r_rtor = _in_frame(np.einsum('...kij,...i->...kj', t, X), L, B)
@@ -509,15 +505,15 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     # vector output read as L^T out.
     Lg, B, Bx = _frame(triad, p)
     nj = triad.nabla_j_at(p)
-    gnj = np.einsum('...ac,...cbl->...lba', G, nj)   # g((nabla_x J) y, z)
-    jnj = _lead(J, nj)                               # J (nabla_y J) x
-    njj = np.einsum('...abl,...lm->...abm', nj, J)   # (nabla_{J y} J) x
+    gnj = lead(G, nj).swapaxes(-1, -3)   # g((nabla_x J) y, z)
+    jnj = lead(J, nj)                     # J (nabla_y J) x
+    njj = tail(nj, J)                     # (nabla_{J y} J) x
 
     # On fields the bracket form of N is N(y, z) - lam([Y, Z]) X at p; each
     # record says why the X term drops.  Pairing of nabla^LC J with N as
     # pair[x, y, z], full tangent slots: on constant fields [Y, Z] = 0.
     gjj = dot(J.mT, dot(G, J))
-    pair = (2.0 * gnj - np.einsum('...ka,...kij->...aij', dot(G, J), N)
+    pair = (2.0 * gnj - lead(dot(G, J).mT, N)
             + gjj[..., :, :, None] * lam[..., None, None, :]
             - gjj[..., :, None, :] * lam[..., None, :, None])
     out.append(make_result("lc-j-derivative-pairing",
@@ -544,14 +540,14 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # J-shuffles of the Nijenhuis tensor on distribution sections and their
     # J-images: J or Pi projects the X term away.  nyj[k, i, j] = N(e_i, J e_j).
-    nyj = np.einsum('...kim,...mj->...kij', N, J)
+    nyj = tail(N, J)
     r = max_residual(
-        _in_frame(_lead(J, nyj) - _lead(P, N), Lg, Bx, Bx),
-        _in_frame(_lead(P, nyj + nyj.swapaxes(-1, -2)), Lg, Bx, Bx))
+        _in_frame(lead(J, nyj) - lead(P, N), Lg, Bx, Bx),
+        _in_frame(lead(P, nyj + nyj.swapaxes(-1, -2)), Lg, Bx, Bx))
     out.append(make_result("nijenhuis-j-shuffle", r, p))
 
     # Antilinear cancellation of nabla^LC J.
-    r = _in_frame(_lead(P, njj) + jnj, Lg, Bx, Bx)
+    r = _in_frame(lead(P, njj) + jnj, Lg, Bx, Bx)
     out.append(make_result("lc-j-antilinear-cancellation", r, p))
 
     # J is Levi-Civita parallel in the Reeb direction: nabla^LC J along X.
@@ -566,13 +562,13 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     # distribution sections Y: Pi nabla_u (J Y) - J Pi nabla_u Y =
     # Pi (nabla_u J) Y, as in axiom-hermitian.
     g_tmp = tmp.gamma_tensor(p)
-    r = _in_frame(_lead(P, nabla_j(triad, g_tmp, p)), Lg, Bx, B)
+    r = _in_frame(lead(P, nabla_j(triad, g_tmp, p)), Lg, Bx, B)
     out.append(make_result("semi-connection-j-linearity", r, p))
 
     # Metric skew property of the obstruction tensor P, as the table
     # tp[k, x, y] = P(e_x, e_y)^k; s[z, x, y] = <z, P(x, y)> + <y, P(x, z)>.
     tp = 0.25 * (njj + jnj + 2.0 * jnj.swapaxes(-1, -2))
-    gp = _lead(G, tp)
+    gp = lead(G, tp)
     out.append(make_result("p-tensor-metric-skew",
                            _in_frame(gp + gp.swapaxes(-1, -3), Bx, Bx, Bx), p))
 
@@ -626,11 +622,11 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # Type symmetries of the projected torsion; tjy[k, y, z] = Pi T(J e_y,
     # e_z) and tjz[k, y, z] = Pi T(e_y, J e_z).
-    pt = _lead(P, _torsion_table(conn0, p))
-    tjy = np.einsum('...kiz,...iy->...kyz', pt, J)
-    tjz = np.einsum('...kyj,...jz->...kyz', pt, J)
+    pt = lead(P, _torsion_table(conn0, p))
+    tjy = dot(J.mT[..., None, :, :], pt)
+    tjz = tail(pt, J)
     r = max_residual(_in_frame(tjy - tjz, Lg, Bx, Bx),
-                     _in_frame(_lead(J, tjy) - pt, Lg, Bx, Bx))
+                     _in_frame(lead(J, tjy) - pt, Lg, Bx, Bx))
     out.append(make_result("torsion-type-symmetries", r, p))
 
     # The antisymmetrisation of P as a bracket combination, on the brackets
@@ -670,8 +666,8 @@ def fault_flipped_b1(triad: ContactTriad, p) -> CheckResult:
     conn = TriadConnection(triad, -1.0, b1_sign=-1.0)
     L, _, Bx = _frame(triad, p)
     # Pi projects away the X term of the sections' bracket form of N
-    t = _lead(triad.pi_any(p), _torsion_table(conn, p)
-              - 0.25 * triad.nijenhuis_at(p))
+    t = lead(triad.pi_any(p), _torsion_table(conn, p)
+             - 0.25 * triad.nijenhuis_at(p))
     return make_result("fault-flipped-correction", _in_frame(t, L, Bx, Bx), p)
 
 
@@ -697,7 +693,7 @@ def fault_levi_civita(triad: ContactTriad, p) -> CheckResult:
     """
     p = np.asarray(p, dtype=float)
     L, B, Bx = _frame(triad, p)
-    r = _in_frame(_lead(triad.pi_any(p), triad.nabla_j_at(p)), L, Bx, B)
+    r = _in_frame(lead(triad.pi_any(p), triad.nabla_j_at(p)), L, Bx, B)
     return make_result("fault-levi-civita-not-complex-linear", r, p)
 
 

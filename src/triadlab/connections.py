@@ -15,8 +15,8 @@ depends only on the triad, c and the point, so it lives in the triad's
 per-point store under ("gamma", c, b1_sign), and ``gamma_apply`` reads it.
 c enters only through the weight (1+c)/2 of B2, so the table is assembled
 as (Christoffel + b1_sign B1) + weight * B2(unit weight) from two
-c-independent tables, each built once per point with einsums over the
-store's tables and held there under ("gamma-base", b1_sign) and "b2-unit".
+c-independent tables, each built once per point with stacked matmuls over
+the store's tables and held there under ("gamma-base", b1_sign) and "b2-unit".
 A connection over a sweep of c values holds one table stacked over the
 sweep, shape ``(C, *batch, d, d, d)``, under ("gamma", (c_1, .., c_C),
 b1_sign); each slice has the bits of the one-c table, and every tensor or
@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contact import ContactTriad, j_image
-from .engine import dot, is_float_point, matvec, solve
+from .engine import dot, is_float_point, lead, matvec, solve, tail
 
 
 class LocalConnection:
@@ -74,10 +74,10 @@ class LocalConnection:
 
 class LeviCivitaConnection(LocalConnection):
     label = "levi-civita"
+    table_tag = "christoffel"
 
     def gamma_apply(self, p, u, v):
-        G = self.triad.christoffel_at(p)
-        return np.einsum('...kij,...i,...j->...k', G, u, v)
+        return _bilinear(self.triad.christoffel_at(p), u, v)
 
     def gamma_tensor(self, p):
         return self.triad.christoffel_at(p)
@@ -112,18 +112,9 @@ def tensor_B2(triad: ContactTriad, c: float, z1, z2, p):
                               + np.dot(np.dot(J, z1), np.dot(G, z2)) * X)
 
 
-_B1 = '...ka,...abl,...li,...bj->...kij'
-_B1_PATHS: dict = {}
-
-
-def _b1_path(J, nj, P):
-    """The contraction order ``optimize=True`` picks for B1, found once per
-    operand shape."""
-    path = _B1_PATHS.get(J.shape)
-    if path is None:
-        path = _B1_PATHS[J.shape] = np.einsum_path(_B1, J, nj, P, P,
-                                                   optimize=True)[0]
-    return path
+def _bilinear(G, u, v):
+    """G[k, i, j] u^i v^j for a Gamma table G."""
+    return matvec(matvec(G, v[..., None, :]), u)
 
 
 class TriadConnection(LocalConnection):
@@ -144,7 +135,7 @@ class TriadConnection(LocalConnection):
                           else tuple(self.c.tolist()), self.b1_sign)
 
     def gamma_apply(self, p, u, v):
-        return np.einsum('...kij,...i,...j->...k', self.gamma_tensor(p), u, v)
+        return _bilinear(self.gamma_tensor(p), u, v)
 
     def gamma_table(self, p):
         """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j], stacked
@@ -159,8 +150,9 @@ class TriadConnection(LocalConnection):
         """Christoffel + b1_sign B1: the part of Gamma that c leaves alone."""
         t = self.triad
         J, P = t.j_any(p), t.pi_any(p)
-        nj = t.nabla_j_at(p)
-        b1 = -0.5 * np.einsum(_B1, J, nj, P, P, optimize=_b1_path(J, nj, P))
+        # B1[k, i, j] = -1/2 J[k, a] nj[a, b, l] P[l, i] P[b, j]
+        njp = tail(t.nabla_j_at(p), P).swapaxes(-1, -2)
+        b1 = -0.5 * lead(J, tail(njp, P))
         return t.christoffel_at(p) + self.b1_sign * b1
 
     def _b2_unit_table(self, p):
@@ -217,14 +209,14 @@ def nabla_j(triad: ContactTriad, gamma, p):
     """nj[a, b, l] = (nabla_{e_l} J)[a, b] = d_l J[a, b] + [Gamma_l, J][a, b]
     for the connection whose table is ``gamma``."""
     J = triad.j_any(p)
-    return (triad.jac_j_at(p) + np.einsum('...alm,...mb->...abl', gamma, J)
-            - np.einsum('...am,...mlb->...abl', J, gamma))
+    return (triad.jac_j_at(p) + tail(gamma, J).swapaxes(-1, -2)
+            - lead(J, gamma).swapaxes(-1, -2))
 
 
 def nabla_metric(triad: ContactTriad, gamma, p):
     """ng[a, b, l] = (nabla_{e_l} g)(e_a, e_b) = d_l g_ab
     - g(Gamma(e_l, e_a), e_b) - g(e_a, Gamma(e_l, e_b))."""
-    s = np.einsum('...am,...mlb->...abl', triad.metric_any(p), gamma)
+    s = lead(triad.metric_any(p), gamma).swapaxes(-1, -2)
     return triad.dmetric_at(p) - s.swapaxes(-2, -3) - s
 
 

@@ -52,8 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .ad import Dual
-from .engine import (DiffEngine, dot, inner, is_float_point, matvec, outer,
-                     solve)
+from .engine import (DiffEngine, dot, inner, is_float_point, lead, matvec,
+                     outer, solve, tail)
 
 REEB_RESIDUAL_TOL = 1e-10
 # Float points whose tables one triad keeps, a batch counting each of its
@@ -219,12 +219,11 @@ class ContactTriad:
     def christoffel_at(self, p):
         """Christoffel symbols of the triad metric, Gamma[k, i, j] = Gamma^k_ij."""
         def impl(x):
-            dG = self.dmetric_at(x)
-            Gi = self.metric_inv_at(x)
-            t1 = np.moveaxis(dG, -1, -3)       # t1[i,j,l] = d_i g_jl
-            t2 = dG.swapaxes(-1, -2)           # t2[i,j,l] = d_j g_il
-            s = t1 + t2 - dG
-            return 0.5 * np.einsum('...kl,...ijl->...kij', Gi, s)
+            dG = self.dmetric_at(x)            # dG[i,j,l] = d_l g_ij
+            # s[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
+            s = (np.moveaxis(dG, -3, -1) + dG.swapaxes(-3, -2)
+                 - np.moveaxis(dG, -1, -3))
+            return 0.5 * lead(self.metric_inv_at(x), s)
         return self._cached("christoffel", p, impl)
 
     def lie_reeb_j_at(self, p):
@@ -249,8 +248,8 @@ class ContactTriad:
         [JY, JZ] - [Y, Z] - J[Y, JZ] - J[JY, Z] on the constant fields."""
         def impl(x):
             J, dJ = self.j_any(x), self.jac_j_at(x)
-            t1 = np.einsum('...kjl,...li->...kij', dJ, J)
-            t2 = np.einsum('...ka,...aji->...kij', J, dJ)
+            t1 = tail(dJ, J).swapaxes(-1, -2)   # (d_{J e_i} J)[k, j]
+            t2 = lead(J, dJ).swapaxes(-1, -2)   # (J d_i J)[k, j]
             return (t1 - t1.swapaxes(-1, -2)) - (t2 - t2.swapaxes(-1, -2))
         return self._cached("nijenhuis", p, impl)
 

@@ -39,9 +39,10 @@ through the helpers here, and a single point is a batch without batch
 axes: :func:`dot` is :func:`~triadlab.ad.matmul`, :func:`matvec` applies a
 matrix field to a vector field passed as ``x[..., None]``, :func:`inner`
 pairs two vector fields as a row times a column, and :func:`outer` is one
-broadcast product.  ``np.matmul`` on stacks and the stacked
-``np.linalg.solve`` give each point the bits of that point alone; a 3-D
-``np.dot`` or an ``einsum`` would not.
+broadcast product; :func:`lead` and :func:`tail` contract a rank-3 table's
+first or last slot with a matrix.  Every product is a stacked ``np.matmul``
+with the batch axes, and a c sweep's axis, in front: it and the stacked
+``np.linalg.solve`` give each point the bits of that point alone.
 
 The linear algebra helpers (:func:`solve`, :func:`inv`, :func:`dot`,
 :func:`outer`) take float arrays or duals, so the same geometric pipelines
@@ -266,6 +267,18 @@ def dot(A, B):
 def matvec(A, x):
     """A x for a matrix field A and a vector field x, either one batched."""
     return dot(A, x[..., None])[..., 0]
+
+
+def lead(M, T):
+    """(M T)[k, i, j] = M[k, a] T[a, i, j] for a table T[..., a, i, j]."""
+    R = np.matmul(M, T.reshape(T.shape[:-2] + (-1,)))
+    return R.reshape(R.shape[:-1] + T.shape[-2:])
+
+
+def tail(T, M):
+    """(T M)[a, i, j] = T[a, i, l] M[l, j] for a table T[..., a, i, l]."""
+    R = np.matmul(T.reshape(T.shape[:-3] + (-1, T.shape[-1])), M)
+    return R.reshape(R.shape[:-2] + T.shape[-3:-1] + M.shape[-1:])
 
 
 def inner(x, y):

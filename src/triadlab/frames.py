@@ -16,13 +16,14 @@ Every function here takes a float point or a batch of them, shape
 ``(*batch, dim)``, and a residual holds one value per point, as in
 :mod:`triadlab.checks`.
 
-A :class:`MovingFrame` keeps no cache of its own: its frame, coframe and
-Jacobian tables live in the triad's per-point store under tags keyed by its
-chart columns, so frames over the same columns share them.  Its Jacobian
-tables are the engine's Jacobians of ``matrix_any`` and ``coframe_any``,
-so the frame on the point's ``fd`` stencil or ``ad`` seed joins the store
-entry the pipelines already hold there, and the coframe's is the
-derivative of the inverse; its formula -theta dE theta is a test oracle.
+A :class:`MovingFrame` keeps no cache of its own: its frame (at p, the
+Gram-Schmidt run of :func:`build_unitary_frame`), coframe, Jacobian tables
+and the one-forms of each connection on the triad live in the triad's
+store under its chart columns (and the connection's ``table_tag``), so
+each is built once per point.  Its Jacobian tables are the engine's
+Jacobians of ``matrix_any`` and ``coframe_any`` at the point's ``fd``
+stencil or ``ad`` seed; the coframe's formula -theta dE theta is a test
+oracle.
 
 Index convention throughout: 0 is the Reeb slot, 1..n the E_i, n+1..2n the
 JE_i.  Connection coefficients are stored as gamma[i, k, j], the e_i
@@ -38,7 +39,7 @@ from . import ad
 from .checks import _worst
 from .contact import ContactTriad
 from .connections import LocalConnection, TriadConnection
-from .engine import dot, inner, inv, matvec, max_residual
+from .engine import dot, inner, inv, lead, matvec, max_residual, tail
 
 
 class FrameRankError(RuntimeError):
@@ -125,27 +126,30 @@ class MovingFrame:
 
 def build_unitary_frame(triad: ContactTriad, p, seed: int = 0) -> MovingFrame:
     """Deterministic unitary frame at p, a point or a batch whose points all
-    pick the same columns; same inputs give bitwise-same output."""
+    pick the same columns, its matrix at p put in the store; same inputs
+    give bitwise-same output."""
     d, n = triad.dim, triad.n
-    order = [(seed + t) % d for t in range(d)]
-    indices = _gram_schmidt(triad, np.asarray(p, dtype=float), order, n)[1]
+    p = np.asarray(p, dtype=float)
+    E, indices = _gram_schmidt(triad, p, [(seed + t) % d for t in range(d)], n)
     if len(indices) < n:
         raise FrameRankError("seed order %d yields only %d of %d frame pairs "
                              "at %s" % (seed, len(indices), n, p))
+    triad._cached(("frame", tuple(indices)), p, lambda x: E)
     return MovingFrame(triad, indices)
 
 
 def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> np.ndarray:
-    """Frame connection coefficients gamma[i, k, j] = <nabla_{e_k} e_j, e_i>."""
+    """Frame connection coefficients gamma[i, k, j] = <nabla_{e_k} e_j, e_i>,
+    in the store under the frame's columns and the connection's table tag."""
+    def impl(x):
+        E = frame.matrix_any(x)
+        flat = tail(frame.jac_frame_at(x), E).swapaxes(-1, -2)
+        bil = dot(E.mT[..., None, :, :], tail(conn.gamma_tensor(x), E))
+        return lead(dot(E.mT, frame.triad.metric_any(x)), flat + bil)
     p = np.asarray(p, dtype=float)
-    E = frame.matrix_any(p)
-    jacE = frame.jac_frame_at(p)
-    G = frame.triad.metric_any(p)
-    gt = conn.gamma_tensor(p)
-    flat = np.einsum('...ajl,...lk->...akj', jacE, E)
-    bil = np.einsum('...aim,...ik,...mj->...akj', gt, E, E)
-    nab = flat + bil
-    return np.einsum('...ai,...ab,...bkj->...ikj', E, G, nab)
+    tag = ("one-forms", frame.indices, conn.table_tag)
+    return (frame.triad._cached(tag, p, impl) if conn.triad is frame.triad
+            else impl(p))
 
 
 def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
@@ -160,15 +164,15 @@ def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
     theta = frame.coframe_any(p)
     jacT = frame.jac_coframe_at(p)
     dtheta = jacT.swapaxes(-1, -2) - jacT
-    gamma = connection_one_forms(conn, frame, p)
-    omega_b = np.einsum('...ikj,...ka->...ija', gamma, theta)
-    wedge = np.einsum('...ika,...kb->...iab', omega_b, theta)
+    # omega_b[i, j, a] = gamma[i, k, j] theta[k, a]; the wedge, likewise
+    theta_k = theta[..., None, :, :]
+    omega_b = dot(connection_one_forms(conn, frame, p).mT, theta_k)
+    wedge = dot(omega_b.mT, theta_k)
     wedge = wedge - wedge.swapaxes(-1, -2)
     res = dtheta + wedge
     if include_torsion:
         gt = conn.gamma_tensor(p)
-        tvec = gt - gt.swapaxes(-1, -2)
-        res = res - np.einsum('...im,...mab->...iab', theta, tvec)
+        res = res - lead(theta, gt - gt.swapaxes(-1, -2))
     return _worst(res, 3)
 
 

@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -53,6 +54,11 @@ class ConfigError(ValueError):
     """Raised for invalid run configurations; maps to exit code 2."""
 
 
+def _num(kind, x) -> bool:
+    """x is an instance of the ``numbers`` class ``kind``, and not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     example_id: str
@@ -70,25 +76,27 @@ class RunConfig:
         if self.example_id not in cat:
             raise ConfigError("unknown example %r; run list-examples"
                               % self.example_id)
-        if len(tuple(self.c_values)) == 0:
-            raise ConfigError("parameter sweep is empty: pass at least one c")
-        if not all(isinstance(c, Real) and math.isfinite(c)
-                   for c in self.c_values):
+        if not (isinstance(self.c_values, Iterable)
+                and (cs := tuple(self.c_values))):
+            raise ConfigError("pass a sequence of at least one c value")
+        if not all(_num(Real, c) and math.isfinite(c) for c in cs):
             raise ConfigError("every c must be a finite real number")
-        variants = ["c=%g" % c for c in self.c_values]
+        variants = ["c=%g" % c for c in cs]
         if len(set(variants)) < len(variants):
             raise ConfigError("two values of the c sweep print as the same "
                               "variant: %s" % ", ".join(variants))
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if not _num(Integral, self.seed) or self.seed < 0:
             raise ConfigError("seed must be an integer >= 0")
-        if not isinstance(self.points, Integral) or self.points < 1:
+        if not _num(Integral, self.points) or self.points < 1:
             raise ConfigError("point count must be an integer >= 1")
         if self.mode not in ("ad", "fd"):
             raise ConfigError("mode must be 'ad' or 'fd'")
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
-        if not (0.0 < self.fd_step < math.inf):
+        if not (_num(Real, self.fd_step) and 0.0 < self.fd_step < math.inf):
             raise ConfigError("fd step must be positive and finite")
+        if not isinstance(self.negative_controls, (bool, np.bool_)):
+            raise ConfigError("negative_controls must be a bool")
 
     def to_dict(self) -> dict:
         return {

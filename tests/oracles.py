@@ -30,7 +30,11 @@ reference for the covariant-derivative tables of J, g and lam.
 of a distribution section, a J-image and a coframe
 (``xi_section_jacobian``, ``j_image_jacobian``, ``coframe_jacobian``) are
 the references for the engine's Jacobians of those fields; the package
-itself differentiates every field through the engine.
+itself differentiates every field through the engine.  The ``*_einsum``
+functions are the einsum forms of the package's table contractions
+(Christoffel, Nijenhuis, B1, the covariant derivatives of J and g, the
+frame one-forms, a slot-by-slot frame read and a matrix on a table's first
+slot), the references for the stacked matmuls that replaced them.
 """
 
 import numpy as np
@@ -389,3 +393,66 @@ def lu_solve_generic(A, B):
     if not any(isinstance(x, Dual) for x in X.flat):
         X = X.astype(float)
     return X[:, 0] if one_d else X
+
+
+# -- einsum forms of the package's table contractions ------------------------
+
+
+def christoffel_einsum(triad, p):
+    """Gamma[k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
+    dG = triad.dmetric_at(p)
+    s = np.moveaxis(dG, -1, -3) + dG.swapaxes(-1, -2) - dG
+    return 0.5 * np.einsum('...kl,...ijl->...kij', triad.metric_inv_at(p), s)
+
+
+def nijenhuis_einsum(triad, p):
+    """N[k, i, j] on the constant fields, from dJ and J."""
+    J, dJ = triad.j_any(p), triad.jac_j_at(p)
+    t1 = np.einsum('...kjl,...li->...kij', dJ, J)
+    t2 = np.einsum('...ka,...aji->...kij', J, dJ)
+    return (t1 - t1.swapaxes(-1, -2)) - (t2 - t2.swapaxes(-1, -2))
+
+
+def b1_einsum(triad, p):
+    """B1[k, i, j] = -1/2 J[k, a] (nabla^LC J)[a, b, l] Pi[l, i] Pi[b, j]."""
+    P = triad.pi_any(p)
+    return -0.5 * np.einsum('...ka,...abl,...li,...bj->...kij',
+                            triad.j_any(p), triad.nabla_j_at(p), P, P)
+
+
+def nabla_j_einsum(triad, gamma, p):
+    """nj[a, b, l] = d_l J[a, b] + [Gamma_l, J][a, b]."""
+    J = triad.j_any(p)
+    return (triad.jac_j_at(p) + np.einsum('...alm,...mb->...abl', gamma, J)
+            - np.einsum('...am,...mlb->...abl', J, gamma))
+
+
+def nabla_metric_einsum(triad, gamma, p):
+    """ng[a, b, l] = d_l g_ab - g(Gamma(e_l, e_a), e_b)
+    - g(e_a, Gamma(e_l, e_b))."""
+    s = np.einsum('...am,...mlb->...abl', triad.metric_any(p), gamma)
+    return triad.dmetric_at(p) - s.swapaxes(-2, -3) - s
+
+
+def one_forms_einsum(conn, frame, p):
+    """gamma[i, k, j] = <nabla_{e_k} e_j, e_i> of a moving frame E."""
+    E = frame.matrix_any(p)
+    flat = np.einsum('...ajl,...lk->...akj', frame.jac_frame_at(p), E)
+    bil = np.einsum('...aim,...ik,...mj->...akj', conn.gamma_tensor(p), E, E)
+    return np.einsum('...ai,...ab,...bkj->...ikj', E,
+                     frame.triad.metric_any(p), flat + bil)
+
+
+def in_frame_einsum(T, *bases):
+    """The table T[..., i_1, .., i_m] with slot s contracted with the columns
+    of ``bases[s]``, one slot at a time."""
+    s = "ijk"[:len(bases)]
+    for n, M in enumerate(bases):
+        T = np.einsum("...%s,...%sz->...%s" % (s, s[n], s.replace(s[n], "z")),
+                      T, M)
+    return T
+
+
+def lead_einsum(M, T):
+    """M applied to the first slot of a table T[k, i, j]."""
+    return np.einsum('...ka,...aij->...kij', M, T)

@@ -60,9 +60,15 @@ def test_config_validation_rejects_bad_inputs():
 @pytest.mark.parametrize("field, bad", [("points", "3"), ("points", 2.0),
                                         ("seed", 1.5), ("seed", "1"),
                                         ("c_values", (0.0, "a")),
-                                        ("c_values", (0.0, None))])
+                                        ("c_values", (0.0, None)),
+                                        ("fd_step", "1e-4"), ("fd_step", True),
+                                        ("negative_controls", "no"),
+                                        ("c_values", 0.0), ("seed", True),
+                                        ("points", True),
+                                        ("c_values", [True])])
 def test_config_validation_rejects_values_of_the_wrong_type(field, bad):
-    """A config error, not a TypeError or ValueError from deep in the run."""
+    """A config error, not a TypeError or ValueError from deep in the run,
+    and no bool read as a number."""
     cfg = RunConfig(**dict(SMALL, **{field: bad}))
     with pytest.raises(ConfigError):
         cfg.validate()

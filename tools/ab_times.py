@@ -6,7 +6,7 @@ BASE and HEAD are roots of triadlab checkouts, each holding
 ``src/triadlab``.  The package imports its own modules relatively, so each
 tree's ``src/triadlab`` is copied into a temporary directory under its own
 package name (``tl_base``, ``tl_head``) and both copies are imported into
-this process; each keeps its own catalog, stores and cached einsum paths.
+this process; each keeps its own catalog and stores.
 
 Each copy first serves one round of the workload untimed, to warm it.  Then
 round r sends the requests that ``triadbench/workloads.py`` (of the checkout
