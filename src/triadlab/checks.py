@@ -20,12 +20,17 @@ u[g(Y, Z)] - g(nabla_u Y, Z) - g(Y, nabla_u Z), is the exact contraction
 of its table, so no field is drawn for it.  Three records stand apart from
 the tables by design and draw seeded Gaussian fields: the quarter-N torsion
 (which takes N from field brackets), the Lie part of
-``torsion-split-values`` and ``p-antisymmetrized-bracket``.  Each reads its
-own generator ``field_rng(seed, name, label)``, so no record's draws depend
-on another's.  Every family takes a point or a batch of points, shape
-``(*batch, dim)``, and reports one residual per point.  The draws take
-neither a point index nor c: each point of a batch reads the same draws, as
-each point of a run does.  A family that reads the run's c sweep
+``torsion-split-values`` and ``p-antisymmetrized-bracket``.  Each point
+reads its own generator ``field_rng(seed, name, label, point)`` (see
+:func:`draws`), keyed by the point's coordinate bytes and not by its index,
+so no record's draws depend on another's, two points of a batch read
+different draws, and a point re-run alone reads the draws it read in the
+batch.  The draws take no c.  A record's Y and Z draws are the columns of
+one field, so each record differentiates that field and its J-image once,
+and its brackets and Lie derivatives come stacked over the samples in
+front of the batch axes.  Every family takes a point or a batch of points,
+shape ``(*batch, dim)``, and reports one residual per point.  A family that
+reads the run's c sweep
 (``check_axioms``, ``check_cr_form``, the two sweep records of the lemma
 suite, and the frame re-derivation) is called once for the whole sweep: it
 reads the Gamma table stacked over the sweep
@@ -65,7 +70,8 @@ from .connections import (
     triad_connection,
 )
 from .contact import ContactTriad, j_image, xi_section
-from .engine import dot, inner, lead, matvec, max_residual, solve, tail
+from .engine import (columns, dot, inner, lead, matvec, max_residual, solve,
+                     tail)
 
 TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
@@ -249,16 +255,29 @@ def make_result(name: str, residual, p) -> CheckResult:
 
 
 def field_rng(seed: int, *tags) -> np.random.Generator:
-    """Deterministic generator keyed by a seed plus string-ish tags."""
-    words = [int(seed)]
+    """Deterministic generator keyed by a seed plus tags: a float array, such
+    as a chart point, by all of its bytes, any other tag by the CRC-32 of
+    its string.  The key is one uint32 array, the seed's 32-bit words first,
+    low word first, as numpy splits a large int; numpy hashes an array
+    faster than a list of ints."""
+    seed = int(seed)
+    words = max(1, (seed.bit_length() + 31) // 32)
+    key = [np.frombuffer(seed.to_bytes(4 * words, "little"), dtype=np.uint32)]
     for t in tags:
-        words.append(zlib.crc32(str(t).encode()) & 0xFFFFFFFF)
-    return np.random.default_rng(words)
+        key.append(np.ascontiguousarray(t, dtype=float).view(np.uint32)
+                   if isinstance(t, np.ndarray) else
+                   np.array([zlib.crc32(str(t).encode())], dtype=np.uint32))
+    return np.random.default_rng(np.concatenate(key))
 
 
-def tq_vector(dim: int, rng) -> np.ndarray:
-    w = rng.standard_normal(dim)
-    return w / np.linalg.norm(w)
+def draws(triad: ContactTriad, p, seed: int, name: str, shape: tuple):
+    """Each point's own Gaussian draws of ``shape``, ``(*batch, *shape)``,
+    from ``field_rng(seed, name, triad.label, point)``: a point reads the
+    same draws alone as in any batch."""
+    pts = p.reshape(-1, p.shape[-1])
+    W = [field_rng(seed, name, triad.label, q).standard_normal(shape)
+         for q in pts]
+    return np.reshape(W, p.shape[:-1] + shape)
 
 
 # -- small shared evaluators ----------------------------------------------
@@ -583,17 +602,18 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     out.append(make_result("semi-connection-reeb-metric-dual", r, p))
 
     # Torsion of the intermediate connection: quarter Nijenhuis, no lam part.
-    # N is taken from the brackets of the fields, apart from the table.
-    rng = field_rng(seed, "semi-connection-torsion-quarter-n", triad.label)
-    r = _worst(torsion_tensor(tmp, p, X, tq_vector(d, rng)))
-    for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(d))
-        Zf = xi_section(triad, rng.standard_normal(d))
-        y, z = Yf(p), Zf(p)
-        t = torsion_tensor(tmp, p, y, z)
-        n = nijenhuis(triad, Yf, Zf, p)
-        r = max_residual(r, _worst(matvec(P, t) - 0.25 * matvec(P, n)))
-        r = max_residual(r, np.abs(inner(lam, t)))
+    # N is taken from the brackets of the fields, apart from the table: one
+    # field holds every Y and Z draw as its columns.  The Reeb slot takes a
+    # unit draw u.
+    W = draws(triad, p, seed, "semi-connection-torsion-quarter-n",
+              (d, 2 * samples + 1))
+    u = W[..., 0] / np.linalg.norm(W[..., 0], axis=-1)[..., None]
+    F = xi_section(triad, W[..., 1:])
+    y, z = np.split(columns(F(p)), 2)
+    t, n = torsion_tensor(tmp, p, y, z), nijenhuis(triad, F, p)
+    r = max_residual(_worst(matvec(P, t) - 0.25 * matvec(P, n)),
+                     np.abs(inner(lam, t)))
+    r = max_residual(_worst(torsion_tensor(tmp, p, X, u)), np.max(r, axis=0))
     out.append(make_result("semi-connection-torsion-quarter-n", r, p))
 
     # Covariant derivative of the Reeb field across the family, on the
@@ -608,16 +628,16 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     # the Lie part on drawn sections.
     r = np.max(_in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
         sweep, p)) - (1.0 + c) * A, Bx, Bx), axis=0)
-    rng = field_rng(seed, "torsion-split-values", triad.label)
-    for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(d))
-        Zf = xi_section(triad, rng.standard_normal(d))
-        y, z = Yf(p), Zf(p)
-        t0 = torsion_tensor(conn0, p, y, z)
-        l_jy = engine.lie_derivative_endo(j_image(triad, Yf), triad.j_any, p)
-        l_y = engine.lie_derivative_endo(Yf, triad.j_any, p)
-        lie_side = 0.25 * (matvec(l_jy, z) + matvec(l_y, matvec(J, z)))
-        r = max_residual(r, _worst(matvec(P, t0) - lie_side))
+    # Only the Y draws are differentiated: Z is read at p.
+    W = draws(triad, p, seed, "torsion-split-values", (d, 2 * samples))
+    Yf = xi_section(triad, W[..., :samples])
+    y, z = columns(Yf(p)), columns(xi_section(triad, W[..., samples:])(p))
+    dJ = triad.jac_j_at(p)
+    l_jy = engine.lie_derivative_endo(j_image(triad, Yf), J, dJ, p)
+    l_y = engine.lie_derivative_endo(Yf, J, dJ, p)
+    lie_side = 0.25 * (matvec(l_jy, z) + matvec(l_y, matvec(J, z)))
+    t0 = matvec(P, torsion_tensor(conn0, p, y, z))
+    r = max_residual(r, np.max(_worst(t0 - lie_side), axis=0))
     out.append(make_result("torsion-split-values", r, p))
 
     # Type symmetries of the projected torsion; tjy[k, y, z] = Pi T(J e_y,
@@ -631,19 +651,15 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # The antisymmetrisation of P as a bracket combination, on the brackets
     # of drawn fields: the field path, apart from the tables, in both modes.
-    rng = field_rng(seed, "p-antisymmetrized-bracket", triad.label)
-    r = 0.0
-    for _ in range(samples):
-        Yf = xi_section(triad, rng.standard_normal(d))
-        Zf = xi_section(triad, rng.standard_normal(d))
-        y, z = Yf(p), Zf(p)
-        lhs = -tensor_P(triad, y, z, p) + tensor_P(triad, z, y, p)
-        jy, jz = j_image(triad, Yf), j_image(triad, Zf)
-        b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(engine, Yf, Zf, jy, jz, p)
-        rhs = 0.25 * (b_jj - matvec(P, b_yz) - matvec(J, b_jy_z)
-                      - matvec(J, b_y_jz))
-        r = max_residual(r, _worst(lhs - rhs))
-    out.append(make_result("p-antisymmetrized-bracket", r, p))
+    F = xi_section(triad, draws(triad, p, seed, "p-antisymmetrized-bracket",
+                                (d, 2 * samples)))
+    y, z = np.split(columns(F(p)), 2)
+    lhs = -tensor_P(triad, y, z, p) + tensor_P(triad, z, y, p)
+    b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(triad, F, p)
+    rhs = 0.25 * (b_jj - matvec(P, b_yz) - matvec(J, b_jy_z)
+                  - matvec(J, b_y_jz))
+    out.append(make_result("p-antisymmetrized-bracket",
+                           np.max(_worst(lhs - rhs), axis=0), p))
 
     # d lam is parallel along the Reeb direction for the canonical member.
     r = _worst(covariant_derivative_two_form(conn0, triad.dlam_any,

@@ -26,9 +26,11 @@ store's tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read
 it.  The pull-back phi^* nabla through a strict contact map is one more
 table, in the pulled triad's store (:class:`PullbackConnection`).
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
-``nijenhuis`` takes N_J from the brackets of vector-field closures, each
-field's Jacobian on the point's identity seed contracted with the others,
-apart from the store's table ``ContactTriad.nijenhuis_at``.
+``nijenhuis`` takes N_J from the brackets of fields, apart from the store's
+table ``ContactTriad.nijenhuis_at``: one field closure holds every pair
+(Y_i, Z_i) as its columns, and its Jacobian on the point's identity seed,
+and that of its J-image, contracted column by column with the partner
+columns' values give every bracket, in two Jacobian passes.
 
 ``nabla_j``, ``nabla_metric`` and ``nabla_lam`` are the covariant
 derivatives of J, g and lam as whole tables, each one formula over a Gamma
@@ -40,7 +42,11 @@ p), which tensorial quantities such as torsion contract, and
 u, its flat part one :meth:`~triadlab.engine.DiffEngine.deriv` call.
 Tables, tensors and covariant derivatives take a float point or a batch of
 them, with vectors shared by the batch or one per point; each entry keeps
-the bits of its single-point evaluation.
+the bits of its single-point evaluation.  A stack of vectors, such as the
+columns of a drawn field, carries its stack axis in front, ``(m, *batch,
+d)``, as the rows of ``derivs`` do: ``torsion_tensor``, ``tensor_P`` and
+``_lc_nabla_j`` read it by broadcasting, and the brackets and the Nijenhuis
+tensor of a field's column pairs come stacked so.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contact import ContactTriad, j_image
-from .engine import dot, is_float_point, lead, matvec, solve, tail
+from .engine import columns, dot, is_float_point, lead, matvec, solve, tail
 
 
 class LocalConnection:
@@ -183,24 +189,43 @@ def torsion_tensor(conn: LocalConnection, p, u, v):
     return conn.gamma_apply(p, u, v) - conn.gamma_apply(p, v, u)
 
 
-def j_brackets(engine, Xf, Yf, JX, JY, p):
-    """The brackets [JX, JY], [X, Y], [X, JY] and [JX, Y] at p.
+def j_brackets(triad: ContactTriad, F, p):
+    """The brackets [JY, JZ], [Y, Z], [Y, JZ] and [JY, Z] at p, column by
+    column, for the pairs (Y_i, Z_i) = (F_i, F_{m+i}) of the columns of a
+    field F of 2m columns, shape ``(*batch, d, 2m)``; each bracket is stacked
+    over i in front, ``(m, *batch, d)``.
 
-    Each of the four fields is differentiated along the same stacked
-    directions (X(p), Y(p), JX(p), JY(p)), from its Jacobian on the
-    point's identity seed, and [A, B] = DB(A) - DA(B) reads the rows it
-    needs.
+    One Jacobian pass differentiates F and one its J-image, and [A, B] =
+    DB(A) - DA(B) contracts each column's Jacobian with its partner's value,
+    as ``derivs`` contracts a Jacobian with a direction.
     """
-    V = np.array([Xf(p), Yf(p), JX(p), JY(p)])
-    dX, dY, dJX, dJY = (engine.derivs(F, p, V) for F in (Xf, Yf, JX, JY))
-    return dJY[2] - dJX[3], dY[0] - dX[1], dJY[0] - dX[3], dY[2] - dJX[1]
+    (y, z), (dy, dz) = _halves(triad.engine, F, p)
+    (jy, jz), (djy, djz) = _halves(triad.engine, j_image(triad, F), p)
+    return (_bracket(jy, djy, jz, djz), _bracket(y, dy, z, dz),
+            _bracket(y, dy, jz, djz), _bracket(jy, djy, z, dz))
 
 
-def nijenhuis(triad: ContactTriad, Xf, Yf, p):
-    """N(X,Y) = [JX,JY] - [X,Y] - J[X,JY] - J[JX,Y] (no factor-2 convention),
-    from the brackets of the fields themselves; JX and JY are J-images."""
-    t1, t2, b3, b4 = j_brackets(triad.engine, Xf, Yf, j_image(triad, Xf),
-                                j_image(triad, Yf), p)
+def _halves(engine, F, p):
+    """The first and second halves of F's columns at p and of their
+    Jacobians, each stacked in front: ((y, z), (dy, dz))."""
+    f = columns(F(p))
+    df = np.moveaxis(engine.jacobian(F, p), -2, 0)
+    m = len(f) // 2
+    return (f[:m], f[m:]), (df[:m], df[m:])
+
+
+def _bracket(a, da, b, db):
+    """[A, B] = DB(A) - DA(B) from the fields' stacked values and
+    Jacobians."""
+    return (np.einsum('...l,...l->...', db, a[..., None, :])
+            - np.einsum('...l,...l->...', da, b[..., None, :]))
+
+
+def nijenhuis(triad: ContactTriad, F, p):
+    """N(Y, Z) = [JY, JZ] - [Y, Z] - J[Y, JZ] - J[JY, Z] (no factor-2
+    convention) from the brackets of the fields themselves, for the column
+    pairs of F as in :func:`j_brackets`, stacked in front."""
+    t1, t2, b3, b4 = j_brackets(triad, F, p)
     J = triad.j_any(p)
     return t1 - t2 - matvec(J, b3) - matvec(J, b4)
 

@@ -35,12 +35,15 @@ pipelines read them.  A batch wider than the store, such as the ``fd``
 identity stencil of many sample points, would push out every entry, the
 sample points' tables among them, so it is held in that same slot instead.
 
-The fields the checks differentiate are plain closures built here
-(:func:`xi_section` and :func:`j_image`), written with ``matvec`` so that
-one closure serves a point and a batch alike.  The engine differentiates
-them like any closure; their Jacobian formulas, (d Pi) w = -lam(w) dX -
-X (w^T d lam) and (dJ) y + J dY, live only in the test suite's oracles
-(``tests/oracles.py``), as references for those Jacobians.
+The fields the checks differentiate are plain closures built here:
+:func:`xi_section` turns a ``(*batch, d, m)`` matrix W of each point's
+draws into the m sections q -> Pi(q) W, and :func:`j_image` a field of
+columns F into q -> J(q) F(q).  One closure serves a point and a batch
+alike, and each column is its own stacked matvec, so it has the bits of the
+one-vector field.  The engine differentiates them like any closure, every
+column in one pass; their Jacobian formulas, (d Pi) w = -lam(w) dX -
+X (w^T d lam) and (dJ) y + J dY, and their one-vector forms live only in
+the test suite's oracles (``tests/oracles.py``), as references.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from typing import Callable
 import numpy as np
 
 from .ad import Dual
-from .engine import (DiffEngine, dot, inner, is_float_point, lead, matvec,
-                     outer, solve, tail)
+from .engine import (DiffEngine, colmul, dot, inner, is_float_point, lead,
+                     lie_endo, matvec, outer, solve, tail)
 
 REEB_RESIDUAL_TOL = 1e-10
 # Float points whose tables one triad keeps, a batch counting each of its
@@ -229,11 +232,8 @@ class ContactTriad:
     def lie_reeb_j_at(self, p):
         """(L_X J) for X the Reeb field, from cached coordinate Jacobians."""
         def impl(x):
-            X = self.reeb_any(x)
-            J = self.j_any(x)
-            dX = self.jac_reeb_at(x)
-            dJ_X = np.einsum('...ijl,...l->...ij', self.jac_j_at(x), X)
-            return dJ_X - dot(dX, J) + dot(J, dX)
+            return lie_endo(self.reeb_any(x), self.jac_reeb_at(x),
+                            self.j_any(x), self.jac_j_at(x))
         return self._cached("lie_reeb_j", p, impl)
 
     def nabla_j_at(self, p):
@@ -274,13 +274,14 @@ class ContactTriad:
 # -- sections ----------------------------------------------------------------
 
 
-def xi_section(triad: ContactTriad, w):
-    """Smooth distribution section q -> Pi(q) w for a frozen chart vector,
-    or, at a batch of points, one vector per point."""
-    w = np.asarray(w, dtype=float)
-    return lambda q: matvec(triad.pi_any(q), w)
+def xi_section(triad: ContactTriad, W):
+    """The distribution sections q -> Pi(q) W, one per column of W: a (d, m)
+    matrix shared by every point, or a ``(*batch, d, m)`` stack of each
+    point's own draws."""
+    W = np.asarray(W, dtype=float)
+    return lambda q: colmul(triad.pi_any(q), W)
 
 
-def j_image(triad: ContactTriad, Yf):
-    """The field q -> J(q) Y(q)."""
-    return lambda q: matvec(triad.j_any(q), Yf(q))
+def j_image(triad: ContactTriad, F):
+    """The field q -> J(q) F(q) of a field of columns F."""
+    return lambda q: colmul(triad.j_any(q), F(q))

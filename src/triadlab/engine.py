@@ -65,7 +65,6 @@ from .ad import (Dual, matmul, ndim, parts, pop_level, push_level, reshape,
 
 VectorField = Callable[[np.ndarray], np.ndarray]
 OneForm = Callable[[np.ndarray], np.ndarray]
-EndoField = Callable[[np.ndarray], np.ndarray]
 
 
 def is_float_point(q) -> bool:
@@ -184,12 +183,16 @@ class DiffEngine:
         jac = self.jacobian(alpha, p)            # jac[..., i, l] = d_l alpha_i
         return jac.mT - jac
 
-    def lie_derivative_endo(self, X: VectorField, A: EndoField, p):
-        """Lie derivative of a (1,1)-tensor: (L_X A)(Y) = [X, AY] - A[X, Y]."""
-        dX = self.jacobian(X, p)
-        Ap = A(p)
-        dA_X = self.deriv(A, p, X(p))
-        return dA_X - dot(dX, Ap) + dot(Ap, dX)
+    def lie_derivative_endo(self, X: VectorField, A, dA, p):
+        """Lie derivatives of a (1,1)-tensor along each column of X, a field
+        of m columns, shape ``(*batch, d, m)``, stacked in front, ``(m,
+        *batch, d, d)``, at a float point or batch.
+
+        A and dA are the tensor's value and Jacobian table at p, as the
+        triad's store holds them for J; X gets one Jacobian pass.
+        """
+        return lie_endo(columns(X(p)), np.moveaxis(self.jacobian(X, p), -2, 0),
+                        A, dA)
 
 
 # -- dense linear algebra over float arrays or duals -----------------------
@@ -279,6 +282,27 @@ def tail(T, M):
     """(T M)[a, i, j] = T[a, i, l] M[l, j] for a table T[..., a, i, l]."""
     R = np.matmul(T.reshape(T.shape[:-3] + (-1, T.shape[-1])), M)
     return R.reshape(R.shape[:-2] + T.shape[-3:-1] + M.shape[-1:])
+
+
+def columns(x):
+    """The m columns of x, shape ``(*batch, d, m)``, as m vectors stacked in
+    front, ``(m, *batch, d)``, C-ordered like the rows ``derivs`` contracts,
+    so that a contraction over their last axis keeps the rows' bits."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def colmul(A, X):
+    """A X for a matrix field A and a field of columns X, ``(*batch, d, m)``:
+    one stacked matvec per column, so each column has the bits of
+    ``matvec(A, x)`` on that column alone."""
+    return matvec(A[..., None, :, :], X.mT).mT
+
+
+def lie_endo(x, dx, A, dA):
+    """(L_X A)(Y) = [X, AY] - A[X, Y] = (dA x) - dx A + A dx at a point, from
+    the values x, A and Jacobians dx, dA (dA[..., a, b, l] = d_l A[a, b]);
+    stacked vectors x carry their stack axes in front."""
+    return np.einsum('...abl,...l->...ab', dA, x) - dot(dx, A) + dot(A, dx)
 
 
 def inner(x, y):

@@ -76,8 +76,10 @@ class RunConfig:
         if self.example_id not in cat:
             raise ConfigError("unknown example %r; run list-examples"
                               % self.example_id)
-        if not (isinstance(self.c_values, Iterable)
-                and (cs := tuple(self.c_values))):
+        if isinstance(self.c_values, Iterable):
+            # copied first: a one-shot iterable would be spent here
+            self.c_values = tuple(self.c_values)
+        if not (isinstance(self.c_values, tuple) and (cs := self.c_values)):
             raise ConfigError("pass a sequence of at least one c value")
         if not all(_num(Real, c) and math.isfinite(c) for c in cs):
             raise ConfigError("every c must be a finite real number")

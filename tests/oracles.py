@@ -26,7 +26,11 @@ semi-connection records (``xi_vector``, ``metric_pair``, ``j_linearity``,
 ``metric_defect``, ``reeb_metric_dual``, ``reeb_coupling`` and
 ``cr_form_xi``) differentiate drawn sections along drawn directions, the
 reference for the covariant-derivative tables of J, g and lam.
-``const_field`` is the constant-coefficient field.  The Jacobian formulas
+``const_field`` is the constant-coefficient field.  ``xi_field``,
+``j_field`` and ``lie_derivative_endo_fields`` are the one-vector forms of
+the package's sections, J-images and Lie derivatives, which take a field of
+columns, the references for each stacked column; ``column`` and ``pair``
+turn one or two vector fields into a field of columns.  The Jacobian formulas
 of a distribution section, a J-image and a coframe
 (``xi_section_jacobian``, ``j_image_jacobian``, ``coframe_jacobian``) are
 the references for the engine's Jacobians of those fields; the package
@@ -39,9 +43,8 @@ slot), the references for the stacked matmuls that replaced them.
 
 import numpy as np
 
-from triadlab.ad import Dual, shape
+from triadlab.ad import Dual, shape, stack
 from triadlab.connections import covariant_derivative_form
-from triadlab.contact import j_image
 from triadlab.engine import inner, is_float_point, matvec, max_residual, solve
 
 
@@ -109,6 +112,40 @@ def const_field(w):
     return lambda q: np.broadcast_to(w, shape(q))
 
 
+def xi_field(triad, w):
+    """The distribution section q -> Pi(q) w of one frozen chart vector, or,
+    at a batch of points, of one vector per point: the one-vector form of
+    the package's ``xi_section``."""
+    w = np.asarray(w, dtype=float)
+    return lambda q: matvec(triad.pi_any(q), w)
+
+
+def j_field(triad, Yf):
+    """The vector field q -> J(q) Y(q): the one-vector form of the package's
+    ``j_image``."""
+    return lambda q: matvec(triad.j_any(q), Yf(q))
+
+
+def column(Xf):
+    """The field of one column whose column is the vector field X."""
+    return lambda q: Xf(q)[..., None]
+
+
+def pair(Xf, Yf):
+    """The field of two columns [X, Y], which the package's bracket
+    functions read as the one pair (X, Y)."""
+    return lambda q: stack([Xf(q), Yf(q)])
+
+
+def lie_derivative_endo_fields(engine, X, A, p):
+    """(L_X A)(Y) = [X, AY] - A[X, Y] for a vector field X and a matrix
+    field A, each differentiated on its own: the per-vector form of the
+    package's ``lie_derivative_endo``."""
+    dX = engine.jacobian(X, p)
+    Ap = A(p)
+    return engine.deriv(A, p, X(p)) - dX @ Ap + Ap @ dX
+
+
 def xi_section_jacobian(triad, w, p):
     """Jacobian of the section q -> Pi(q) w at a float point or batch:
     (d Pi) w = -lam(w) dX - X (w^T d lam), from Pi = I - X lam^T."""
@@ -141,7 +178,7 @@ def j_linearity(conn, u, Yf, p):
     """Pi nabla_u (J Y) - J Pi nabla_u Y for a field Y."""
     t = conn.triad
     P, J = t.pi_any(p), t.j_any(p)
-    return (matvec(P, conn.apply_vec(u, j_image(t, Yf), p))
+    return (matvec(P, conn.apply_vec(u, j_field(t, Yf), p))
             - matvec(J, matvec(P, conn.apply_vec(u, Yf, p))))
 
 
@@ -174,7 +211,7 @@ def cr_form_xi(conn, Yf, p):
     """nabla_Y lam + J^T nabla_{J Y} lam, a covector, for a field Y."""
     t = conn.triad
     a1, a2 = (covariant_derivative_form(conn, t.lam_any, F, p)
-              for F in (Yf, j_image(t, Yf)))
+              for F in (Yf, j_field(t, Yf)))
     return a1 + matvec(t.j_any(p).mT, a2)
 
 

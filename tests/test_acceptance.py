@@ -30,10 +30,8 @@ from triadlab.checks import (
     _frame,
     _in_frame,
     field_rng,
-    j_image,
     nijenhuis,
     pullback_triad,
-    xi_section,
 )
 from triadlab.connections import (
     LeviCivitaConnection,
@@ -43,7 +41,7 @@ from triadlab.connections import (
 )
 from triadlab.frames import build_unitary_frame, cross_check_gamma
 
-from oracles import torsion
+from oracles import column, j_field, pair, torsion, xi_field
 
 _CAT = catalog()
 
@@ -120,10 +118,10 @@ def test_criterion_04_minus_one_connection_drops_second_correction():
                 worst_coeff = max(worst_coeff, d)
             Pi = t.pi_any(p)
             for _ in range(3):
-                Yf = xi_section(t, rng.standard_normal(t.dim))
-                Zf = xi_section(t, rng.standard_normal(t.dim))
+                Yf = xi_field(t, rng.standard_normal(t.dim))
+                Zf = xi_field(t, rng.standard_normal(t.dim))
                 q = Pi @ torsion(tmp, Yf, Zf, p) - 0.25 * (
-                    Pi @ nijenhuis(t, Yf, Zf, p))
+                    Pi @ nijenhuis(t, pair(Yf, Zf), p)[0])
                 d = float(np.max(np.abs(q)))
                 assert d <= 1e-7, (ex_id, d)
                 worst_quarter = max(worst_quarter, d)
@@ -148,15 +146,16 @@ def test_criterion_05_torsion_splits_into_form_and_plane_parts():
         for c in (-1.0, 0.0, 1.0):
             conn = triad_connection(t, c)
             for _ in range(3):
-                Yf = xi_section(t, rng.standard_normal(t.dim))
-                Zf = xi_section(t, rng.standard_normal(t.dim))
+                Yf = xi_field(t, rng.standard_normal(t.dim))
+                Zf = xi_field(t, rng.standard_normal(t.dim))
                 T = torsion(conn, Yf, Zf, p)
                 form_gap = abs(float(lam @ T)
                                - (1.0 + c) * float(Yf(p) @ dlam @ Zf(p)))
                 assert form_gap <= 1e-8, (ex_id, c, form_gap)
                 worst_form = max(worst_form, form_gap)
-                L_jy = eng.lie_derivative_endo(j_image(t, Yf), t.j_any, p)
-                L_y = eng.lie_derivative_endo(Yf, t.j_any, p)
+                L_jy, L_y = (eng.lie_derivative_endo(
+                    column(F), J, t.jac_j_at(p), p)[0]
+                    for F in (j_field(t, Yf), Yf))
                 plane = Pi @ T - 0.25 * (L_jy @ Zf(p) + L_y @ (J @ Zf(p)))
                 plane_gap = float(np.max(np.abs(plane)))
                 assert plane_gap <= 1e-7, (ex_id, c, plane_gap)

@@ -18,7 +18,7 @@ from triadlab.checks import pullback_triad
 from triadlab.contact import j_image, xi_section
 from triadlab.frames import build_unitary_frame
 
-from oracles import const_field, metric_pair
+from oracles import const_field, j_field, metric_pair, xi_field
 
 _CAT = catalog()
 
@@ -41,13 +41,15 @@ def _assert_rows_match(batched, single, pts):
 
 def _sections(t, rng):
     d = t.dim
-    Yf = xi_section(t, rng.standard_normal(d))
-    Zf = xi_section(t, rng.standard_normal(d))
+    Yf = xi_field(t, rng.standard_normal(d))
+    Zf = xi_field(t, rng.standard_normal(d))
     w = rng.standard_normal(d)
-    return {"xi": Yf, "j-image": j_image(t, Yf), "reeb": t.reeb_any,
+    F = xi_section(t, rng.standard_normal((d, 2)))
+    return {"xi": Yf, "j-image": j_field(t, Yf), "reeb": t.reeb_any,
             "const": const_field(w),
-            "j-image-const": j_image(t, const_field(w)),
-            "metric-pair": metric_pair(t, Yf, Zf)}
+            "j-image-const": j_field(t, const_field(w)),
+            "metric-pair": metric_pair(t, Yf, Zf),
+            "xi-columns": F, "j-image-columns": j_image(t, F)}
 
 
 @pytest.mark.parametrize("ex_id", sorted(_CAT))
@@ -123,10 +125,10 @@ def _closures(t, pts, w):
     """The triad's pipelines and the fields the checks differentiate, on
     triad t; the coframe's columns are frozen at the batch pts, and the
     "own" fields take w, one vector per point of pts or the one vector of a
-    point."""
+    point, as the one column of a section."""
     fields = dict(_sections(t, np.random.default_rng(3)), lam=t.lam,
                   metric=t.metric_any, j_any=t.j_any, dlam_any=t.dlam_any)
-    fields["xi-own"] = xi_section(t, w)
+    fields["xi-own"] = xi_section(t, w[..., None])
     fields["j-image-own"] = j_image(t, fields["xi-own"])
     fields["const-own"] = const_field(w)
     fields["coframe"] = build_unitary_frame(t, pts, seed=1).coframe_any

@@ -238,21 +238,46 @@ def _nan_christoffel(triad):
     return triad
 
 
-def test_lemma_suite_keeps_one_field_bracket_nijenhuis_per_sample(monkeypatch):
+def test_lemma_suite_takes_the_quarter_n_torsion_from_one_field_bracket_call(
+        monkeypatch):
     """semi-connection-torsion-quarter-n takes N from the brackets of fields,
-    apart from the table every other Nijenhuis record reads."""
+    apart from the table every other Nijenhuis record reads: one
+    field-bracket ``nijenhuis`` call with ``samples`` columns, in both modes
+    and at a point or a batch."""
     calls = []
 
     def counted(*args):
-        calls.append(args)
-        return nijenhuis(*args)
+        calls.append(nijenhuis(*args))
+        return calls[-1]
     monkeypatch.setattr("triadlab.checks.nijenhuis", counted)
     for mode in ("ad", "fd"):
         t = _CAT["r5-perturbed-J"].build(triadlab.DiffEngine(mode=mode))
         for samples in (1, 3):
-            del calls[:]
-            check_lemma_suite(t, t.sample_points(1, 3)[0], samples=samples)
-            assert len(calls) == samples, (mode, samples)
+            for p in (t.sample_points(1, 3)[0], t.sample_points(2, 3)):
+                del calls[:]
+                check_lemma_suite(t, p, samples=samples)
+                assert [n.shape for n in calls] == [(samples,) + p.shape], \
+                    (mode, samples)
+
+
+def test_a_doubled_nijenhuis_table_leaves_the_quarter_n_torsion_alone():
+    """With the triad's Nijenhuis table doubled, the records that read it
+    against other tables fail, and the quarter-N torsion, which takes N
+    from the brackets of fields, keeps its residual to the bit.
+    ``nijenhuis-j-shuffle`` is homogeneous in N, so it passes either way."""
+    spec = _CAT["r5-perturbed-J"]
+    p = spec.build().sample_points(2, 3)
+    clean = {r.name: r for r in check_lemma_suite(spec.build(), p)}
+    t = spec.build()
+    table = t.nijenhuis_at
+    t.nijenhuis_at = lambda q: 2.0 * table(q)
+    doubled = {r.name: r for r in check_lemma_suite(t, p)}
+    for name in ("lc-j-derivative-pairing", "nijenhuis-reeb-slots"):
+        assert clean[name].passed.all() and not doubled[name].passed.any(), \
+            name
+    name = "semi-connection-torsion-quarter-n"
+    assert clean[name].passed.all()
+    assert doubled[name].residual.tobytes() == clean[name].residual.tobytes()
 
 
 @pytest.mark.parametrize("table, entry, name", [

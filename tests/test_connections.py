@@ -22,12 +22,12 @@ from triadlab.connections import (
     torsion_tensor,
 )
 
-from triadlab.contact import j_image, xi_section
 from triadlab.engine import dot, inner, matvec
 
-from oracles import (const_field, cr_form_xi, j_linearity,
-                     koszul_lc_pairing, metric_defect, pullback_apply,
-                     reeb_coupling, reeb_metric_dual, torsion, xi_vector)
+from oracles import (const_field, cr_form_xi, j_field, j_linearity,
+                     koszul_lc_pairing, metric_defect, pair, pullback_apply,
+                     reeb_coupling, reeb_metric_dual, torsion, xi_field,
+                     xi_vector)
 
 _CAT = catalog()
 
@@ -163,7 +163,7 @@ def test_pullback_table_matches_the_pushed_fields(ex_id, mode):
         through = PullbackConnection(base, cmap, pulled)
         for p in t.sample_points(2, seed=24):
             for Yf in (const_field(rng.standard_normal(t.dim)),
-                       xi_section(pulled, rng.standard_normal(t.dim))):
+                       xi_field(pulled, rng.standard_normal(t.dim))):
                 u = rng.standard_normal(t.dim)
                 got = through.apply_vec(u, Yf, p)
                 want = pullback_apply(base, cmap, u, Yf, p)
@@ -195,10 +195,10 @@ def test_nabla_tables_match_the_sampled_field_forms(ex_id):
         T = gamma - gamma.swapaxes(-1, -2)
         for _ in range(2):
             u, w = rng.standard_normal((3, d)), rng.standard_normal(d)
-            Yf, Zf = (xi_section(t, rng.standard_normal((3, d)))
+            Yf, Zf = (xi_field(t, rng.standard_normal((3, d)))
                       for _ in range(2))
             y, z, v = Yf(pts), Zf(pts), xi_vector(t, pts, rng)
-            Jy, Jz = j_image(t, Yf), j_image(t, Zf)
+            Jy, Jz = j_field(t, Yf), j_field(t, Zf)
             pairs = {
                 "j-linearity": (
                     matvec(P, np.einsum('...abl,...b,...l->...a', nj, y, u)),
@@ -325,7 +325,7 @@ def test_quarter_nijenhuis_at_minus_one():
             for _ in range(3):
                 y, z = _pair(t, p, rng)
                 tors = torsion_tensor(conn, p, y, z)
-                nij = nijenhuis(t, const_field(y), const_field(z), p)
+                nij = nijenhuis(t, pair(const_field(y), const_field(z)), p)[0]
                 assert np.max(np.abs(P @ tors - 0.25 * (P @ nij))) < 1e-8, ex_id
                 assert abs(lam @ tors) < 1e-10, ex_id
 
@@ -390,7 +390,7 @@ def test_nijenhuis_rank_two_plane_collapses():
     for p in t.sample_points(3, seed=94):
         y = xi_vector(t, p, rng)
         jy = t.j_any(p) @ y
-        val = nijenhuis(t, const_field(y), const_field(jy), p)
+        val = nijenhuis(t, pair(const_field(y), const_field(jy)), p)[0]
         assert np.max(np.abs(t.pi_any(p) @ val)) < 1e-10
 
 
@@ -405,7 +405,7 @@ def test_nijenhuis_reeb_slot_identity():
         X = t.reeb_any(p)
         for _ in range(3):
             z = xi_vector(t, p, rng)
-            val = nijenhuis(t, t.reeb_any, const_field(z), p)
+            val = nijenhuis(t, pair(t.reeb_any, const_field(z)), p)[0]
             assert np.max(np.abs(val + J @ (L @ z))) < 1e-8, ex_id
 
 
@@ -425,16 +425,16 @@ def test_nijenhuis_table_matches_the_brackets_of_fields():
             X = t.reeb_any(p)
             for _ in range(3):
                 y, z = rng.standard_normal(t.dim), rng.standard_normal(t.dim)
-                got = nijenhuis(t, const_field(y), const_field(z), p)
+                got = nijenhuis(t, pair(const_field(y), const_field(z)), p)[0]
                 assert np.max(np.abs(got - _table_n(t, p, y, z))) < 1e-13
 
-                Yf, Zf = xi_section(t, y), xi_section(t, z)
+                Yf, Zf = xi_field(t, y), xi_field(t, z)
                 py, pz = Yf(p), Zf(p)
                 want = _table_n(t, p, py, pz) + (py @ t.dlam_any(p) @ pz) * X
-                got = nijenhuis(t, Yf, Zf, p)
+                got = nijenhuis(t, pair(Yf, Zf), p)[0]
                 assert np.max(np.abs(got - want)) < 1e-13, ex_id
 
-                got = nijenhuis(t, t.reeb_any, Zf, p)
+                got = nijenhuis(t, pair(t.reeb_any, Zf), p)[0]
                 assert np.max(np.abs(got - _table_n(t, p, X, pz))) < 1e-13
 
 
@@ -460,9 +460,9 @@ def test_nijenhuis_plane_symmetries():
     J = t.j_any(p)
     for _ in range(4):
         y, z = _pair(t, p, rng)
-        n_yz = nijenhuis(t, const_field(y), const_field(z), p)
-        n_yjz = nijenhuis(t, const_field(y), const_field(J @ z), p)
-        n_zjy = nijenhuis(t, const_field(z), const_field(J @ y), p)
+        n_yz = nijenhuis(t, pair(const_field(y), const_field(z)), p)[0]
+        n_yjz = nijenhuis(t, pair(const_field(y), const_field(J @ z)), p)[0]
+        n_zjy = nijenhuis(t, pair(const_field(z), const_field(J @ y)), p)[0]
         assert np.max(np.abs(J @ (P @ n_yjz) - P @ n_yz)) < 1e-8
         assert np.max(np.abs(P @ n_yjz + P @ n_zjy)) < 1e-8
 

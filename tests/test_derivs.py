@@ -14,7 +14,8 @@ from triadlab.checks import check_axioms
 from triadlab.connections import nijenhuis, triad_connection
 from triadlab.contact import ContactTriad, j_image, xi_section
 
-from oracles import const_field, metric_pair, nijenhuis_closures
+from oracles import (const_field, j_field, metric_pair, nijenhuis_closures,
+                     pair, xi_field)
 
 _CAT = catalog()
 PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
@@ -24,11 +25,14 @@ PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",
 def _fields(t, rng):
     """The fields the checks differentiate, plus the triad's pipelines."""
     d = t.dim
-    y = xi_section(t, rng.standard_normal(d))
-    z = xi_section(t, rng.standard_normal(d))
+    y = xi_field(t, rng.standard_normal(d))
+    z = xi_field(t, rng.standard_normal(d))
     w = const_field(rng.standard_normal(d))
-    out = {"xi": y, "j-image-xi": j_image(t, y), "j-image-const": j_image(t, w),
-           "const": w, "metric-pair": metric_pair(t, y, z)}
+    F = xi_section(t, rng.standard_normal((d, 2)))
+    out = {"xi": y, "j-image-xi": j_field(t, y),
+           "j-image-const": j_field(t, w), "const": w,
+           "metric-pair": metric_pair(t, y, z),
+           "xi-columns": F, "j-image-columns": j_image(t, F)}
     out.update((name, getattr(t, name)) for name in PIPELINES)
     return out
 
@@ -75,11 +79,11 @@ def test_derivs_of_a_constant_closure_are_zero_rows():
 def test_fd_four_bracket_nijenhuis_is_the_closure_oracle_bit_for_bit():
     for ex_id, t, p, _, fields in _cases("fd"):
         rng = np.random.default_rng(42)
-        pairs = [fields["xi"], xi_section(t, rng.standard_normal(t.dim)),
+        pairs = [fields["xi"], xi_field(t, rng.standard_normal(t.dim)),
                  fields["const"], fields["reeb_any"]]
         for a in pairs:
             for b in pairs[:2]:
-                got = nijenhuis(t, a, b, p)
+                got = nijenhuis(t, pair(a, b), p)[0]
                 want = nijenhuis_closures(t, a, b, p)
                 assert _bytes(got) == _bytes(want), ex_id
 
@@ -113,9 +117,7 @@ def test_fd_nijenhuis_and_axioms_make_no_batch_reeb_solve(monkeypatch, ex_id):
     assert solves
     del solves[:]
 
-    y = xi_section(t, rng.standard_normal(t.dim))
-    z = xi_section(t, rng.standard_normal(t.dim))
-    nijenhuis(t, y, z, p)
+    nijenhuis(t, xi_section(t, rng.standard_normal((t.dim, 2))), p)
     check_axioms(t, (0.0,), p)[0]
     assert solves == []
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import os
 
+from triadlab import catalog
 from triadlab.checks import CHECKS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,3 +37,14 @@ def test_a_failing_check_fails_the_sweep(monkeypatch, capsys):
     assert sweep.main(["--seeds", "3"]) == 1
     out = capsys.readouterr().out
     assert "two-form-j-invariance" in out and "cr-form-xi" not in out
+
+
+def test_each_example_names_the_seed_and_point_of_its_worst_record(capsys):
+    sweep = _fd_sweep()
+    assert sweep.main(["--seeds", "3", "5"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    worst = {row[0]: row for row in rows if row and row[0] in catalog()}
+    assert len(worst) == len(catalog())
+    for ex, row in worst.items():
+        assert row[3] in ("3", "5") and 0 <= int(row[4]) < sweep.POINTS, row
+        assert row[5] in CHECKS, row

@@ -76,6 +76,16 @@ def test_config_validation_rejects_values_of_the_wrong_type(field, bad):
         run_suite(cfg)
 
 
+def test_a_one_shot_c_sweep_is_copied_before_it_is_validated():
+    """A generator of c values runs its whole sweep, as its tuple does."""
+    rep = run_suite(RunConfig(example_id="r3-standard", points=1,
+                              c_values=(c for c in [0.0])))
+    assert rep.ok and rep.config["c_values"] == [0.0]
+    assert not any(r["note"] for r in rep.records)
+    assert rep.records == run_suite(RunConfig(
+        example_id="r3-standard", points=1, c_values=(0.0,))).records
+
+
 def test_config_validation_accepts_numpy_scalars():
     RunConfig(**dict(SMALL, points=np.int64(2), seed=np.uint32(3),
                      c_values=(np.float64(0.0), 1))).validate()

@@ -11,8 +11,9 @@ from triadlab.connections import (LeviCivitaConnection, TriadConnection,
 from triadlab.contact import j_image, xi_section
 from triadlab.frames import build_unitary_frame
 
-from oracles import (coframe_jacobian, const_field, j_image_jacobian,
-                     nijenhuis_closures, xi_section_jacobian)
+from oracles import (coframe_jacobian, const_field, j_field,
+                     j_image_jacobian, nijenhuis_closures, pair, xi_field,
+                     xi_section_jacobian)
 
 _CAT = catalog()
 TOL = 1e-13
@@ -36,12 +37,17 @@ def _jet_gaps(t, p, rng):
     """{field: (engine Jacobian, formula)} for a distribution section, the
     J-images of a section and of a constant field, and a coframe."""
     w, v = rng.standard_normal(t.dim), rng.standard_normal(t.dim)
-    y, c = xi_section(t, w), const_field(v)
+    y, c = xi_field(t, w), const_field(v)
+    col = xi_section(t, w[:, None])
     frame = build_unitary_frame(t, p, seed=3)
     jac = t.engine.jacobian
     return {"xi": (jac(y, p), xi_section_jacobian(t, w, p)),
-            "j-image-xi": (jac(j_image(t, y), p), j_image_jacobian(t, y, p)),
-            "j-image-const": (jac(j_image(t, c), p),
+            "xi-column": (jac(col, p)[..., 0, :],
+                          xi_section_jacobian(t, w, p)),
+            "j-image-xi": (jac(j_field(t, y), p), j_image_jacobian(t, y, p)),
+            "j-image-column": (jac(j_image(t, col), p)[..., 0, :],
+                               j_image_jacobian(t, y, p)),
+            "j-image-const": (jac(j_field(t, c), p),
                               j_image_jacobian(t, c, p)),
             "coframe": (jac(frame.coframe_any, p), coframe_jacobian(frame, p))}
 
@@ -91,12 +97,12 @@ def test_a_dual_that_is_not_the_seed_gets_its_own_values():
 
 def test_nijenhuis_on_sections_matches_bare_closures():
     for ex_id, t, p, rng in _cases():
-        fields = [xi_section(t, rng.standard_normal(t.dim)),
-                  xi_section(t, rng.standard_normal(t.dim)),
+        fields = [xi_field(t, rng.standard_normal(t.dim)),
+                  xi_field(t, rng.standard_normal(t.dim)),
                   const_field(rng.standard_normal(t.dim)), t.reeb_any]
         for a in fields:
             for b in fields[:2]:
-                stacked = nijenhuis(t, a, b, p)
+                stacked = nijenhuis(t, pair(a, b), p)[0]
                 oracle = nijenhuis_closures(t, a, b, p)
                 assert _close(stacked, oracle), ex_id
 

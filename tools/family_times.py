@@ -4,7 +4,9 @@
 
 Runs one round of the workload's requests (every example once, as
 ``triadbench/workloads.py`` builds them) for each seed, in this process,
-with ``src`` of the checkout this script lives in on the path.  Each family
+with ``src`` of the checkout this script lives in on the path.  One round at
+the first seed minus one is served first, untimed, so that the process's
+first-call set-up is not timed, as in ``tools/ab_times.py``.  Each family
 function the runner calls, and ``emit_report``, is wrapped by a timer for
 the run; the script prints each one's total wall time, its share of the
 total and its call count, then the total wall time of the requests.  The
@@ -70,15 +72,21 @@ def split_outside(spent: Counter, calls: Counter) -> None:
     calls[OUTSIDE] = calls.pop("run_suite", 0)
 
 
-def timed_run(pkg, reqs) -> tuple:
+def serve(pkg, req) -> None:
+    pkg.runner.emit_report(pkg.runner.run_suite(pkg.RunConfig(**req)), "json")
+
+
+def timed_run(pkg, reqs, warm=()) -> tuple:
     """(seconds per timed name, calls per timed name, total seconds) of the
-    requests ``reqs`` through the package ``pkg``."""
+    requests ``reqs`` through the package ``pkg``, after the requests
+    ``warm``, untimed."""
+    for req in warm:
+        serve(pkg, req)
     spent, calls = Counter(), Counter()
     with family_timers(pkg, spent, calls):
         t0 = time.perf_counter()
         for req in reqs:
-            report = pkg.runner.run_suite(pkg.RunConfig(**req))
-            pkg.runner.emit_report(report, "json")
+            serve(pkg, req)
         total = time.perf_counter() - t0
     split_outside(spent, calls)
     return spent, calls, total
@@ -93,9 +101,11 @@ def main(argv=None) -> int:
     reqs = [req for seed in args.seeds
             for req in workloads.requests(args.workload, seed,
                                           w.round_seconds)]
+    warm = workloads.requests(args.workload, args.seeds[0] - 1,
+                              w.round_seconds)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import triadlab
-    spent, calls, total = timed_run(triadlab, reqs)
+    spent, calls, total = timed_run(triadlab, reqs, warm)
     print("%s: %d requests (seeds %s)" % (args.workload, len(reqs),
                                          " ".join(map(str, args.seeds))))
     for name in sorted(spent, key=spent.get, reverse=True):

@@ -10,9 +10,11 @@ seed (by default 0-11 and 1486393352) and run kind (normal and
 
 A check record fails when it does not pass; ``cr-form-xi`` at c != 0 fails
 by design and is not counted.  A control record fires when it fails on an
-evaluable residual.  The script prints the failure count and the worst
-residual as a share of its tolerance for each example, the failure count of
-each record name that failed, and how many controls fired.  It exits 1 if
+evaluable residual.  The script prints, for each example, the failure
+count and the worst residual as a share of its tolerance, with the seed,
+the point index and the name and variant of the record that reached it;
+then the failure count of each record name that failed, and how many
+controls fired.  It exits 1 if
 any check record failed or any control did not fire, else 0.
 """
 
@@ -39,7 +41,7 @@ def sweep(triadlab, checks, seeds) -> dict:
     fails, worst, names = Counter(), {}, Counter()
     controls = silent = 0
     for ex in sorted(triadlab.catalog()):
-        worst[ex] = (0.0, "")
+        worst[ex] = (0.0, "", None, None)
         for seed in seeds:
             for kind in (False, True):
                 cfg = triadlab.RunConfig(example_id=ex, points=POINTS,
@@ -57,7 +59,9 @@ def sweep(triadlab, checks, seeds) -> dict:
                     if math.isnan(ratio):
                         ratio = math.inf
                     if ratio > worst[ex][0]:
-                        worst[ex] = (ratio, r["name"])
+                        name = r["name"] + (" " + r["variant"]
+                                            if r["variant"] else "")
+                        worst[ex] = (ratio, name, seed, r["point_index"])
                     if not r["passed"]:
                         fails[ex] += 1
                         names[r["name"]] += 1
@@ -78,10 +82,12 @@ def main(argv=None) -> int:
     out = sweep(triadlab, checks, args.seeds)
     print("fd sweep of %s: seeds %s, %d points, both run kinds"
           % (args.root, " ".join(map(str, args.seeds)), POINTS))
-    print("%-16s %8s %12s  %s" % ("example", "failures", "worst ratio",
-                                 "worst record"))
-    for ex, (ratio, name) in out["worst"].items():
-        print("%-16s %8d %12.3g  %s" % (ex, out["fails"][ex], ratio, name))
+    print("%-16s %8s %12s %10s %5s  %s" % ("example", "failures",
+                                          "worst ratio", "seed", "point",
+                                          "worst record"))
+    for ex, (ratio, name, seed, point) in out["worst"].items():
+        print("%-16s %8d %12.3g %10s %5s  %s" % (ex, out["fails"][ex], ratio,
+                                              seed, point, name))
     for name, count in sorted(out["names"].items(),
                               key=lambda kv: (-kv[1], kv[0])):
         print("  %-36s %6d" % (name, count))
