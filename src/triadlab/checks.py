@@ -290,10 +290,13 @@ def _worst(x, axes: int = 1):
 
 def _frame(triad: ContactTriad, p) -> tuple:
     """(L, B, Pi B) with G = L L^T: the columns of B = L^-T are g-orthonormal,
-    those of Pi B span the distribution, and L^T v reads a vector v in B."""
-    L = np.linalg.cholesky(triad.metric_any(p))
-    B = np.linalg.inv(L).mT
-    return L, B, dot(triad.pi_any(p), B)
+    those of Pi B span the distribution, and L^T v reads a vector v in B;
+    built once per point in the triad's store."""
+    def impl(x):
+        L = np.linalg.cholesky(triad.metric_any(x))
+        B = np.linalg.inv(L).mT
+        return L, B, dot(triad.pi_any(x), B)
+    return triad._cached("cholesky_frame", p, impl)
 
 
 def _in_frame(T, *bases):

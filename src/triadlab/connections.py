@@ -44,7 +44,7 @@ Tables, tensors and covariant derivatives take a float point or a batch of
 them, with vectors shared by the batch or one per point; each entry keeps
 the bits of its single-point evaluation.  A stack of vectors, such as the
 columns of a drawn field, carries its stack axis in front, ``(m, *batch,
-d)``, as the rows of ``derivs`` do: ``torsion_tensor``, ``tensor_P`` and
+d)``: ``torsion_tensor``, ``tensor_P`` and
 ``_lc_nabla_j`` read it by broadcasting, and the brackets and the Nijenhuis
 tensor of a field's column pairs come stacked so.
 """
@@ -197,7 +197,7 @@ def j_brackets(triad: ContactTriad, F, p):
 
     One Jacobian pass differentiates F and one its J-image, and [A, B] =
     DB(A) - DA(B) contracts each column's Jacobian with its partner's value,
-    as ``derivs`` contracts a Jacobian with a direction.
+    as ``deriv`` contracts a Jacobian with a direction.
     """
     (y, z), (dy, dz) = _halves(triad.engine, F, p)
     (jy, jz), (djy, djz) = _halves(triad.engine, j_image(triad, F), p)
@@ -293,7 +293,7 @@ class PullbackConnection(LocalConnection):
     """
 
     gamma_apply = TriadConnection.gamma_apply
-    # a tracer seam (triadbench's LAYERS names it); ROADMAP item 2 removes it
+    # a tracer seam (triadbench's LAYERS names it); ROADMAP item 4 removes it
     apply_vec = LocalConnection.apply_vec
 
     def __init__(self, base: LocalConnection, cmap, pulled: ContactTriad):

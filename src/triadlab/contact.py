@@ -18,22 +18,18 @@ one call: one d lam pass, one stacked Reeb solve and one stacked J solve
 serve the whole batch, each float entry with the bits of its single-point
 evaluation.
 
-Float-point evaluations live in one bounded store per triad.  An entry is a
-point or a batch, keyed by its bytes (a batch also by its shape), and holds
-its {tag: value} tables, the Gamma tables of :mod:`triadlab.connections`
-among them.  The store keeps the most recently used entries up to
-``POINT_CACHE_SIZE`` points in all; a dropped entry is recomputed if it
-comes back.  The engine's identity seed at a float point or batch (the
-dual whose tangent is the array :meth:`~triadlab.engine.DiffEngine.jacobian`
-holds for that shape) keeps its tables in the point's own entry, under
-(tag, level): lam, d lam, the Reeb solve, Pi, J, g and a frame run once
-there for every Jacobian table and every field differentiated at the
-point.  Any other dual point is the seed of one differentiation pass, so
-its values are memoised on the point's identity, for the latest such point
-only: within a pass the Reeb solve and d lam run once, however many
-pipelines read them.  A batch wider than the store, such as the ``fd``
-identity stencil of many sample points, would push out every entry, the
-sample points' tables among them, so it is held in that same slot instead.
+Float-point evaluations live in one store per triad, kept as long as the
+triad, that is, for one request.  An entry is a point or a batch, keyed by
+its (shape, bytes), and holds its {tag: value} tables, the Gamma tables of
+:mod:`triadlab.connections` among them.  The engine's identity seed at a
+float point or batch (the dual whose tangent is the array
+:meth:`~triadlab.engine.DiffEngine.jacobian` holds for that shape) keeps
+its tables in the point's own entry, under (tag, level): lam, d lam, the
+Reeb solve, Pi, J, g and a frame run once there for every Jacobian table
+and every field differentiated at the point.  Any other dual point is the
+seed of one differentiation pass, so its values are memoised on the point's
+identity, for the latest such point only: within a pass the Reeb solve and
+d lam run once, however many pipelines read them.
 
 The fields the checks differentiate are plain closures built here:
 :func:`xi_section` turns a ``(*batch, d, m)`` matrix W of each point's
@@ -49,7 +45,6 @@ the test suite's oracles (``tests/oracles.py``), as references.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -59,9 +54,6 @@ from .engine import (DiffEngine, colmul, dot, inner, is_float_point, lead,
                      lie_endo, matvec, outer, solve, tail)
 
 REEB_RESIDUAL_TOL = 1e-10
-# Float points whose tables one triad keeps, a batch counting each of its
-# points; past this the least recently used entries are dropped.
-POINT_CACHE_SIZE = 256
 
 
 class ContactTriad:
@@ -81,9 +73,8 @@ class ContactTriad:
         self.engine = engine if engine is not None else DiffEngine()
         self.label = label
         self._eye = np.eye(dim)
-        self._cache: OrderedDict = OrderedDict()
-        self._held = 0                  # points held in _cache
-        self._lone = (None, {})         # (key, tables) held outside _cache
+        self._cache: dict = {}
+        self._lone = (None, {})         # (dual point, tables) of a pass
 
     @classmethod
     def from_frame_action(cls, dim, lam, xi_frame, frame_j, domain,
@@ -118,38 +109,23 @@ class ContactTriad:
     def _cached(self, tag, q, fn):
         """``fn(q)``, memoised under ``tag`` in the tables held for point q.
 
-        ``_cache`` maps a float point's bytes, or a batch's (shape, bytes),
-        to its {tag: value} tables, in least-recently-used order; while it
-        holds more than ``POINT_CACHE_SIZE`` points, the oldest entry goes.
-        The engine's identity seed at a float point is held there too, under
-        (tag, level): a seed made inside a running pass has a higher level,
-        and a translate q + s of a seed keeps its tangent, so it is the seed
-        at q + s.
+        ``_cache`` maps a float point's or batch's (shape, bytes) to its
+        {tag: value} tables.  The engine's identity seed at a float point is
+        held there too, under (tag, level): a seed made inside a running
+        pass has a higher level, and a translate q + s of a seed keeps its
+        tangent, so it is the seed at q + s.  Any other dual point is the
+        seed of one pass, its tables held for the latest such point only.
         """
         x = q
         if (isinstance(q, Dual) and is_float_point(q.re)
                 and q.du is self.engine._eyes.get(q.shape)):
             x, tag = q.re, (tag, q.lvl)
-        if not is_float_point(x) or x.size // self.dim > POINT_CACHE_SIZE:
-            # Any other dual point is the seed of one pass, keyed by its
-            # identity, and a batch wider than the store would push every
-            # entry out: either is held alone, the latest one only.
-            key = (x.shape, x.tobytes()) if is_float_point(x) else x
-            if key != self._lone[0]:
-                self._lone = (key, {})
-            tables = self._lone[1]
+        if is_float_point(x):
+            tables = self._cache.setdefault((x.shape, x.tobytes()), {})
         else:
-            key = x.tobytes() if x.ndim == 1 else (x.shape, x.tobytes())
-            tables = self._cache.get(key)
-            if tables is None:
-                tables = self._cache[key] = {}
-                self._held += x.size // self.dim
-                while self._held > POINT_CACHE_SIZE:
-                    old = self._cache.popitem(last=False)[0]
-                    self._held -= (1 if isinstance(old, bytes)
-                                   else math.prod(old[0][:-1]))
-            else:
-                self._cache.move_to_end(key)
+            if x is not self._lone[0]:
+                self._lone = (x, {})
+            tables = self._lone[1]
         hit = tables.get(tag)
         if hit is None:
             hit = tables[tag] = fn(q)

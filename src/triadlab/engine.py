@@ -7,32 +7,29 @@ closures into derivatives either with nested array duals (``mode="ad"``,
 exact to rounding, supports second-order nesting) or with central finite
 differences (``mode="fd"``, an independent cross-check path).
 
-:meth:`DiffEngine.derivs` takes the derivatives of a closure at p along
-every row of a direction matrix ``V``, shape ``(k, dim)``, or, at a batch of
-points, ``(k, *batch, dim)`` with one direction per point; shared
-directions stand behind singleton batch axes.  :meth:`DiffEngine.deriv` is
-its one row along ``v``.  :meth:`DiffEngine.jacobian` reads the identity
-seed the engine holds for each point shape: in ``ad`` mode one
+:meth:`DiffEngine.deriv` takes the derivative of a closure at p along one
+direction ``v``: shape ``(dim,)``, shared by every point of a batch, or
+``(*batch, dim)``, one per point.  :meth:`DiffEngine.jacobian` reads the
+identity seed the engine holds for each point shape: in ``ad`` mode one
 :class:`~triadlab.ad.Dual` whose tangent is that seed, every direction and
 every point of a batch at once; in ``fd`` mode one call of the closure on
 the stacked ``(2, dim, *batch, dim)`` identity stencil ``[p + h e_l, p - h
-e_l]``.  At a float point or batch, ``derivs`` along any V is that
-Jacobian contracted with V, in both modes.  Only at a dual point does it
-run its own dual pass along V.
+e_l]``.  At a float point or batch, ``deriv`` along any v is that Jacobian
+contracted with v, in both modes.  Only at a dual point does it run its own
+dual pass along v.
 
 So every closure the engine differentiates takes a point with leading batch
 axes, shape ``(..., dim)``, and returns its value at every point of the
 batch, with the same leading axes; it indexes coordinates as ``q[..., i]``.
 Each entry of a float batch gets the arithmetic of a single point, so an
-``fd`` result at a batch is bitwise the per-point one, and a row of
-``derivs`` has the bits of ``deriv`` along that row; an ``ad`` result
-matches them to rounding.  A point that is itself a stencil or a dual batch
+``fd`` result at a batch is bitwise the per-point one; an ``ad`` result
+matches it to rounding.  A point that is itself a stencil or a dual batch
 gets a stencil or a seed over that batch: the nested d lam is taken so.
 Every derivative at a float point or batch reads the point's one identity
 seed, the one the triad's Jacobian tables are built on, and the triad's
 store keeps what the pipelines compute on it (the ``ad`` seed's dual
-tables, the ``fd`` stencil's values), so they run once for every field and
-direction.
+tables, the ``fd`` stencil's values) for as long as the triad lives, so
+they run once for every field and direction.
 
 Batch axes look like matrix axes to ``np.dot``, so products of fields go
 through the helpers here, and a single point is a batch without batch
@@ -100,31 +97,9 @@ class DiffEngine:
 
     # -- the differentiation pass -------------------------------------------
 
-    def derivs(self, f, p, V):
-        """Directional derivatives of ``f`` at p along every row of V.
-
-        The result's leading axis indexes the rows of V, shape ``(k, *batch,
-        *out)``.  At a batch, float or dual, V of shape ``(k, dim)`` stands
-        behind singleton batch axes, so every point is differentiated along
-        every row; V of shape ``(k, *batch, dim)`` gives each point its own
-        k directions.  At a float point or batch, in either mode, it is the
-        :meth:`jacobian` contracted with V; at a dual point one dual pass
-        seeds all k rows of V, which may be a dual, at every point.
-        """
-        if not isinstance(V, Dual):
-            V = np.asarray(V, dtype=float)
-        # directions shared by a batch stand behind its singleton axes
-        s = V.shape
-        V = V.reshape(s[:1] + (1,) * (p.ndim - len(s) + 1) + s[1:])
-        if not is_float_point(p):
-            return self._pass(f, p, V)
-        jac = self.jacobian(f, p)
-        # each row meets the Jacobian's last axis at every point and entry
-        V = V.reshape(V.shape[:-1] + (1,) * (jac.ndim - p.ndim) + s[-1:])
-        return np.einsum('...l,...l->...', jac, V)
-
     def _pass(self, f, p, V):
-        """One dual pass of ``f`` at p along the k rows of V, as ``derivs``."""
+        """One dual pass of ``f`` at p along the k rows of V, shape ``(k,
+        ...)``; the result's leading axis indexes the rows."""
         lvl = push_level()
         try:
             y = f(Dual(lvl, p, V))
@@ -136,10 +111,23 @@ class DiffEngine:
 
     def deriv(self, f, p, v):
         """Directional derivative of a scalar/vector/matrix closure at p along
-        v: the one row of :meth:`derivs` along ``v[None]``."""
+        v, one direction shared by a batch or one per point.
+
+        At a float point or batch, in either mode, it is the
+        :meth:`jacobian` contracted with v; at a dual point one dual pass
+        along v, which may be a dual, seeds every point.
+        """
         if not isinstance(v, Dual):
             v = np.asarray(v, dtype=float)
-        return self.derivs(f, p, v[None])[0]
+        if not is_float_point(p):
+            # one row, and a direction shared by a batch stands behind its
+            # singleton axes
+            v = reshape(v, (1,) * (p.ndim - ndim(v) + 1) + shape(v))
+            return self._pass(f, p, v)[0]
+        jac = self.jacobian(f, p)
+        # v meets the Jacobian's last axis at every point and entry
+        v = v.reshape(v.shape[:-1] + (1,) * (jac.ndim - p.ndim) + v.shape[-1:])
+        return np.einsum('...l,...l->...', jac, v)
 
     def jacobian(self, f, p):
         """Full coordinate Jacobian; result has one trailing axis of length dim.
@@ -286,8 +274,8 @@ def tail(T, M):
 
 def columns(x):
     """The m columns of x, shape ``(*batch, d, m)``, as m vectors stacked in
-    front, ``(m, *batch, d)``, C-ordered like the rows ``derivs`` contracts,
-    so that a contraction over their last axis keeps the rows' bits."""
+    front, ``(m, *batch, d)``, C-ordered, so that a contraction over their
+    last axis keeps the bits of each column alone."""
     return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 

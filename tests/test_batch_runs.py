@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import triadlab
-from triadlab import DiffEngine, catalog, contact, runner
+from triadlab import DiffEngine, catalog, runner
 from triadlab.ad import Dual
 from triadlab.checks import (CHECKS, StrictContactMap, check_axioms,
                              check_cr_form, check_lemma_suite,
@@ -335,15 +335,10 @@ def test_each_c_of_a_sweep_has_the_records_of_a_one_value_sweep(ex_id, mode):
     lambda t, p: check_lemma_suite(t, p, seed=5)], ids=["axioms", "lemmas"])
 def test_a_batch_makes_as_many_reeb_solves_as_one_point(monkeypatch, family):
     """Each stencil a family evaluates at one point, it evaluates once at a
-    batch, with the batch's axis inside.  The store bounds the points it
-    holds, so the batch of 8 gets 8 times the bound: it then holds the same
-    stencils, and no stencil is evicted and solved again at one size only.
-    """
+    batch, with the batch's axis inside."""
     solves = _count_batch_reeb_solves(monkeypatch)
     shapes = []
     for size in (1, 8):
-        monkeypatch.setattr(contact, "POINT_CACHE_SIZE",
-                            size * contact.POINT_CACHE_SIZE)
         t = _CAT["r5-perturbed-J"].build(DiffEngine("fd"))
         pts = t.sample_points(size, seed=43)
         p = pts[0] if size == 1 else pts

@@ -145,7 +145,7 @@ def _to_rounding(got, want):
 @pytest.mark.parametrize("ex_id", sorted(_CAT))
 def test_ad_derivs_at_a_batch_are_each_point_to_rounding(ex_id):
     """An ``ad`` pass at a batch seeds every point at once, and every field
-    reads the batch's seed tables: ``derivs`` along shared and per-point
+    reads the batch's seed tables: ``deriv`` along shared and per-point
     directions and ``jacobian`` each match the per-point results to 1e-15.
     ``dlam_any`` is the nested case: its dual pass takes d lam at a dual
     batch."""
@@ -158,16 +158,19 @@ def test_ad_derivs_at_a_batch_are_each_point_to_rounding(ex_id):
     w = rng.standard_normal((3, tb.dim))         # a vector per point
     eng = tb.engine
     for name, f in _closures(tb, pts, w).items():
-        jac, dv, dw = (eng.jacobian(f, pts), eng.derivs(f, pts, V),
-                       eng.derivs(f, pts, W))
+        jac = eng.jacobian(f, pts)
+        dv = [eng.deriv(f, pts, v) for v in V]
+        dw = [eng.deriv(f, pts, Wk) for Wk in W]
         for i, q in enumerate(pts):
             g = _closures(tp, pts, w[i])[name]
             assert _to_rounding(jac[i], tp.engine.jacobian(g, q)), \
                 (ex_id, name)
-            assert _to_rounding(dv[:, i], tp.engine.derivs(g, q, V)), \
-                (ex_id, name)
-            assert _to_rounding(dw[:, i], tp.engine.derivs(g, q, W[:, i])), \
-                (ex_id, name)
+            for k in range(2):
+                assert _to_rounding(dv[k][i], tp.engine.deriv(g, q, V[k])), \
+                    (ex_id, name)
+                assert _to_rounding(dw[k][i],
+                                    tp.engine.deriv(g, q, W[k, i])), \
+                    (ex_id, name)
 
 
 def test_a_seed_is_kept_per_batch_shape():
@@ -202,7 +205,7 @@ def test_a_constant_field_has_the_shape_of_its_point():
         for f in (shared, own):
             jac = eng.jacobian(f, pts)
             assert jac.shape == (3, 5, 5) and not jac.any(), mode
-            assert not eng.derivs(f, pts, w[None]).any(), mode
+            assert not eng.deriv(f, pts, w).any(), mode
 
 
 def test_reeb_guard_checks_every_point_of_a_batch():

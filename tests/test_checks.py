@@ -370,3 +370,21 @@ def test_max_residual_keeps_nan_and_reports_write_it_unevaluable():
     assert _canon(np.nan) == "%.12e" % RESIDUAL_UNEVALUABLE
     assert _canon(np.inf) == "%.12e" % RESIDUAL_UNEVALUABLE
     assert _canon(-np.inf) == "%.12e" % -RESIDUAL_UNEVALUABLE
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+def test_the_families_on_one_triad_and_batch_build_one_cholesky_frame(
+        monkeypatch, mode):
+    """The axioms, ``cr-form``, scaling and the lemma suite read their
+    g-orthonormal frame from the triad's store."""
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: calls.append(a.shape) or cholesky(a))
+    t = _CAT["r5-perturbed-J"].build(DiffEngine(mode))
+    pts = t.sample_points(3, seed=7)
+    check_axioms(t, (0.0,), pts)
+    check_cr_form(t, (0.0,), pts)
+    check_scaling(t, 2.0, pts)
+    check_lemma_suite(t, pts)
+    assert calls == [(3, 5, 5)]

@@ -1,13 +1,11 @@
 """Contact triads: frozen structure values, defining equations, compatibility."""
 
-import math
-
 import numpy as np
 import pytest
 
-from triadlab import (ContactTriad, DiffEngine, catalog, contact,
-                      perturbed_triad, standard_triad, t3_triad)
-from triadlab.runner import RunConfig, emit_report, run_suite
+from triadlab import (ContactTriad, DiffEngine, catalog, perturbed_triad,
+                      standard_triad, t3_triad)
+from triadlab.runner import RunConfig, run_suite
 
 from oracles import (compatibility, contact_coefficient, fd_jacobian,
                      flow_lie_derivative_endo, j_squared_residual)
@@ -195,81 +193,47 @@ def test_reeb_guard_rejects_nan_contact_form():
         t.reeb_any(np.array([0.1, 0.2, 0.3]))
 
 
-# -- the bounded per-point store ----------------------------------------------
+# -- the per-point store ------------------------------------------------------
 
 
-def _points_held(key) -> int:
-    """Points in one store entry: a point's bytes, or a batch's (shape,
-    bytes)."""
-    return 1 if isinstance(key, bytes) else math.prod(key[0][:-1])
+def _key(x):
+    return (x.shape, x.tobytes())
 
 
-def test_fd_run_keeps_at_most_the_store_size_per_triad(monkeypatch):
-    """An fd derivative puts its stencil in the store; an unbounded store
-    keeps every one of them (about 10 000 (tag, point) entries after this
-    run)."""
-    held = []
-    widest = [0]
-    init = ContactTriad.__init__
-    cached = ContactTriad._cached
-
-    def keep(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        held.append(self)
-
-    def track(self, tag, q, fn):
-        if isinstance(q, np.ndarray):
-            widest[0] = max(widest[0], q.size // self.dim)
-        return cached(self, tag, q, fn)
-
-    monkeypatch.setattr(ContactTriad, "__init__", keep)
-    monkeypatch.setattr(ContactTriad, "_cached", track)
-    run_suite(RunConfig(example_id="r3-standard", points=8, mode="fd"))
-    assert held
-    points = [sum(_points_held(k) for k in t._cache) for t in held]
-    assert points == [t._held for t in held]
-    assert max(points) <= contact.POINT_CACHE_SIZE
-    # an entry is dropped only to make room, so the fullest store is within
-    # one entry (the widest the run stores) of the bound
-    assert max(points) > contact.POINT_CACHE_SIZE - widest[0]
-
-
-def test_store_lru_order_and_eviction(monkeypatch):
-    monkeypatch.setattr(contact, "POINT_CACHE_SIZE", 2)
-    t = standard_triad(1)
+def test_store_keeps_every_entry_for_the_triads_life():
+    """Points and batches, however wide, each keep their own entry, and a
+    point's entry holds the tables its pipelines built."""
+    t = standard_triad(1, engine=DiffEngine("fd"))
     a, b, c = t.sample_points(3, seed=5)
+    wide = t.sample_points(300, seed=6)
     lam_a = t.lam_any(a)
     t.lam_any(b)
-    assert t.lam_any(a) is lam_a          # a hit moves a to the end
-    t.lam_any(c)                          # so b is the oldest and is dropped
-    assert list(t._cache) == [a.tobytes(), c.tobytes()]
-    t.reeb_any(a)
-    assert set(t._cache[a.tobytes()]) == {"lam", "dlam", "reeb"}
-
-
-def test_a_batch_wider_than_the_store_is_held_apart(monkeypatch):
-    """Stored, it would push out every entry, the sample points' among them,
-    and each would be built again once the wide stencil is done."""
-    monkeypatch.setattr(contact, "POINT_CACHE_SIZE", 4)
-    t = standard_triad(1, engine=DiffEngine("fd"))
-    pts, wide = t.sample_points(3, seed=5), t.sample_points(5, seed=6)
-    reeb = t.reeb_any(pts)
     wide_reeb = t.reeb_any(wide)
-    assert t.reeb_any(wide) is wide_reeb       # held for the latest one
-    assert list(t._cache) == [(pts.shape, pts.tobytes())]
-    assert t._held == 3 and t.reeb_any(pts) is reeb
-    t.reeb_any(wide[::-1].copy())             # another wide batch replaces it
-    assert t.reeb_any(wide) is not wide_reeb
+    t.lam_any(c)
+    t.reeb_any(a)
+    assert list(t._cache) == [_key(a), _key(b), _key(wide), _key(c)]
+    assert set(t._cache[_key(a)]) == {"lam", "dlam", "reeb"}
+    assert t.lam_any(a) is lam_a and t.reeb_any(wide) is wide_reeb
 
 
-@pytest.mark.parametrize("example_id, mode", [("r3-standard", "fd"),
-                                              ("r3-perturbed-J", "ad")])
-def test_eviction_leaves_reports_byte_identical(monkeypatch, example_id, mode):
-    def report():
-        return emit_report(run_suite(RunConfig(example_id=example_id,
-                                               points=2, seed=4, mode=mode)),
-                           "json")
+@pytest.mark.parametrize("ex_id", ["r3-standard", "r5-perturbed-J"])
+def test_an_fd_run_makes_as_many_reeb_solves_at_300_points_as_at_8(
+        monkeypatch, ex_id):
+    """Each stencil of a run is solved once, however many points the batch
+    holds: a store that evicts makes the batch and its stencils push each
+    other out, and they are solved again."""
+    solves = []
+    impl = ContactTriad._reeb_impl
 
-    want = report()
-    monkeypatch.setattr(contact, "POINT_CACHE_SIZE", 4)
-    assert report() == want
+    def counted(self, q):
+        solves.append(1)
+        return impl(self, q)
+
+    monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
+    counts = []
+    for points in (8, 300):
+        del solves[:]
+        run_suite(RunConfig(example_id=ex_id, points=points, seed=2,
+                            mode="fd", c_values=(0.0,)))
+        counts.append(len(solves))
+    assert counts[0] == counts[1], counts

@@ -1,9 +1,11 @@
-"""Stacked directions: ``derivs`` differentiates along every row of a matrix.
+"""Directional derivatives: ``deriv`` along v is the Jacobian contracted
+with v.
 
-At a float point ``derivs`` is the point's Jacobian contracted with the
-rows, in both modes, so every field reads the point's one identity seed; in
-``fd`` mode a row carries the bits of ``deriv`` along that row, in ``ad``
-mode it agrees with ``deriv`` to rounding.
+At a float point or batch ``deriv`` reads the point's one identity seed, in
+both modes, so every field reads the same seed.  In ``fd`` mode it carries
+the bits of the Jacobian contracted with v, alone or as one row of a stack
+of directions; in ``ad`` mode it agrees with one dual pass along v to
+rounding.
 """
 
 import numpy as np
@@ -49,20 +51,30 @@ def _bytes(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _contract(jac, V, out_ndim):
+    """jac's last axis met with each row of V, as (k, *batch, *out)."""
+    V = V.reshape(V.shape[:-1] + (1,) * out_ndim + V.shape[-1:])
+    return np.einsum('...l,...l->...', jac, V)
+
+
 def test_fd_derivs_rows_are_deriv_bit_for_bit():
+    """The Jacobian contracted with every row of V at once, as a stack of
+    columns is, has in each row the bits of ``deriv`` along that row."""
     for ex_id, t, p, V, fields in _cases("fd"):
         for name, f in fields.items():
-            rows = t.engine.derivs(f, p, V)
-            assert len(rows) == len(V), (ex_id, name)
+            jac = t.engine.jacobian(f, p)
+            rows = _contract(jac, V, jac.ndim - 1)
             for row, v in zip(rows, V):
                 assert _bytes(row) == _bytes(t.engine.deriv(f, p, v)), \
                     (ex_id, name)
 
 
 def test_ad_derivs_rows_are_deriv_to_rounding():
+    """One dual pass along every row of V against ``deriv`` along each
+    row, the Jacobian contracted with it."""
     for ex_id, t, p, V, fields in _cases("ad"):
         for name, f in fields.items():
-            rows = np.asarray(t.engine.derivs(f, p, V), dtype=float)
+            rows = np.asarray(t.engine._pass(f, p, V), dtype=float)
             want = np.array([t.engine.deriv(f, p, v) for v in V], dtype=float)
             assert rows.shape == want.shape, (ex_id, name)
             scale = max(1.0, np.max(np.abs(want)))
@@ -71,8 +83,10 @@ def test_ad_derivs_rows_are_deriv_to_rounding():
 
 def test_derivs_of_a_constant_closure_are_zero_rows():
     p = np.array([0.1, 0.2, 0.3])
-    V = np.eye(3)[:2]
-    got = DiffEngine("ad").derivs(lambda q: np.ones(4), p, V)
+    eng = DiffEngine("ad")
+    got = np.stack([eng.deriv(lambda q: np.ones(4), p, v) for v in np.eye(3)])
+    assert got.shape == (3, 4) and not got.any()
+    got = eng._pass(lambda q: np.ones(4), p, np.eye(3)[:2])
     assert got.shape == (2, 4) and not got.any()
 
 
@@ -122,47 +136,46 @@ def test_fd_nijenhuis_and_axioms_make_no_batch_reeb_solve(monkeypatch, ex_id):
     assert solves == []
 
 
-def _contract(jac, V, out_ndim):
-    """jac's last axis met with each row of V, as (k, *batch, *out)."""
-    V = V.reshape(V.shape[:-1] + (1,) * out_ndim + V.shape[-1:])
-    return np.einsum('...l,...l->...', jac, V)
-
-
 def test_fd_derivs_is_the_jacobian_contracted_with_v_bit_for_bit():
-    """At a point and at a batch, with directions shared by the batch and
-    with one set of directions per point."""
+    """At a point and at a batch, along a direction shared by the batch and
+    along one direction per point."""
     for ex_id, t, p, V, fields in _cases("fd"):
         P = t.sample_points(3, seed=47)
         per_point = np.random.default_rng(48).standard_normal(
             (len(V),) + P.shape)
         for name, f in fields.items():
-            for q, W, batch in ((p, V, ()), (P, V[:, None], (3,)),
-                                (P, per_point, (3,))):
+            for q, W in ((p, V), (P, V), (P, per_point)):
                 jac = t.engine.jacobian(f, q)
-                want = _contract(jac, W, jac.ndim - 1 - len(batch))
-                got = t.engine.derivs(f, q, W)
-                assert got.shape == want.shape, (ex_id, name, batch)
-                assert _bytes(got) == _bytes(want), (ex_id, name, batch)
+                for w in W:
+                    # a shared direction stands behind the batch's axes
+                    w1 = w.reshape((1,) * (q.ndim - w.ndim) + w.shape)
+                    want = _contract(jac, w1[None], jac.ndim - q.ndim)[0]
+                    got = t.engine.deriv(f, q, w)
+                    assert got.shape == want.shape, (ex_id, name, w.shape)
+                    assert _bytes(got) == _bytes(want), (ex_id, name, w.shape)
 
 
 def test_fd_derivs_at_a_float_batch_differentiates_every_point_along_every_row():
     P = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    got = DiffEngine("fd").derivs(lambda q: q[..., 0] * q[..., 1], P,
-                                  np.eye(3)[:2])
+    eng = DiffEngine("fd")
+    got = np.stack([eng.deriv(lambda q: q[..., 0] * q[..., 1], P, v)
+                    for v in np.eye(3)[:2]])
     assert np.allclose(got.T, [[2.0, 1.0], [5.0, 4.0]], atol=1e-8)
 
 
 @pytest.mark.parametrize("batch", [4, 3])
 def test_fd_derivs_at_a_float_batch_is_per_point_bit_for_bit(batch):
-    """Batch size equal to the number of rows, and different from it."""
+    """Batch size equal to the number of directions, and different from
+    it."""
     for ex_id, t, _, V, fields in _cases("fd"):
         P = t.sample_points(batch, seed=45)
         for name, f in fields.items():
-            rows = t.engine.derivs(f, P, V)
-            assert rows.shape[:2] == (len(V), batch), (ex_id, name)
-            for i, q in enumerate(P):
-                assert _bytes(rows[:, i]) == _bytes(t.engine.derivs(f, q, V)), \
-                    (ex_id, name, i)
+            for v in V:
+                got = t.engine.deriv(f, P, v)
+                assert len(got) == batch, (ex_id, name)
+                for i, q in enumerate(P):
+                    assert _bytes(got[i]) == _bytes(t.engine.deriv(f, q, v)), \
+                        (ex_id, name, i)
 
 
 @pytest.mark.parametrize("mode", ["fd", "ad"])
@@ -175,11 +188,11 @@ def test_jacobian_is_derivs_along_the_identity(mode):
         for q in points:
             for name, f in fields.items():
                 jac = np.asarray(t.engine.jacobian(f, q), dtype=float)
-                rows = np.asarray(t.engine.derivs(f, q, eye), dtype=float)
                 for l in range(t.dim):
+                    row = np.asarray(t.engine.deriv(f, q, eye[l]), dtype=float)
                     if mode == "fd":
-                        assert _bytes(jac[..., l]) == _bytes(rows[l]), \
+                        assert _bytes(jac[..., l]) == _bytes(row), \
                             (ex_id, name, l)
                     else:
-                        assert np.array_equal(jac[..., l], rows[l]), \
+                        assert np.array_equal(jac[..., l], row), \
                             (ex_id, name, l)

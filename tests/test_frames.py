@@ -177,11 +177,11 @@ def test_frames_with_the_same_columns_share_the_triad_store(monkeypatch, mode):
     t = _CAT["r5-perturbed-J"].build(DiffEngine(mode))
     p = t.sample_points(1, seed=9)[0]
     t.jac_reeb_at(p)
-    held, entries = t._held, len(t._cache)
+    entries = len(t._cache)
     first = build_unitary_frame(t, p)
     F = first.matrix_any(p)
     jacF = first.jac_frame_at(p)
-    assert (t._held, len(t._cache)) == (held, entries)
+    assert len(t._cache) == entries
 
     runs = []
     gram_schmidt = frames._gram_schmidt

@@ -89,7 +89,7 @@ def test_a_dual_that_is_not_the_seed_gets_its_own_values():
     inside = []
     t.engine.jacobian(
         lambda q: inside.append(t.engine.jacobian(t.reeb_any, p)) or q, p)
-    tables = t._cache[p.tobytes()]
+    tables = t._cache[(p.shape, p.tobytes())]
     assert tables[("reeb", 2)] is not tables[("reeb", 1)] is shared
     assert tables[("reeb", 2)].lvl == 2
     assert np.array_equal(inside[0], jac)

@@ -4,9 +4,11 @@
 
 BASE and HEAD are roots of triadlab checkouts, each holding ``src/triadlab``.
 For every catalog example, seed (11 and 12), engine mode (``ad``, ``fd``)
-and run kind (normal, ``--negative-controls``), at 4 points, the script runs
-``run_suite`` and ``emit_report`` in both checkouts, each in its own fresh
-interpreter, and compares the JSON reports.  It prints:
+and run kind (normal, ``--negative-controls``), at 4 points, and for one
+wide run (r5-perturbed-J, seed 11, ``fd``, normal, 300 points), 57 reports
+in all, the script runs ``run_suite`` and ``emit_report`` in both
+checkouts, each in its own fresh interpreter, and compares the JSON
+reports.  It prints:
 
 * every verdict change (a record's ``passed``, or a report's ``ok``);
 * every change to a report's record list (name, variant, point index) or to
@@ -36,6 +38,10 @@ MODES = ("ad", "fd")
 KINDS = (False, True)          # negative_controls
 SEEDS = (11, 12)
 POINTS = 4
+# (example, seed, mode, negative controls, points): one batch far wider
+# than the others, so that a per-point store policy that depends on the
+# batch width shows in the reports
+WIDE = ("r5-perturbed-J", 11, "fd", False, 300)
 MAX_MOVE = 1e-13
 
 
@@ -44,17 +50,18 @@ def emit(out_path: str) -> None:
     import triadlab
 
     reports = {}
-    for ex in sorted(triadlab.catalog()):
-        for seed in SEEDS:
-            for mode in MODES:
-                for controls in KINDS:
-                    cfg = triadlab.RunConfig(example_id=ex, points=POINTS,
-                                             seed=seed, mode=mode,
-                                             negative_controls=controls)
-                    rep = triadlab.run_suite(cfg)
-                    key = "%s seed=%d %s%s" % (ex, seed, mode,
-                                               " controls" if controls else "")
-                    reports[key] = triadlab.emit_report(rep, "json").decode()
+    configs = [(ex, seed, mode, controls, POINTS)
+               for ex in sorted(triadlab.catalog()) for seed in SEEDS
+               for mode in MODES for controls in KINDS]
+    for ex, seed, mode, controls, points in configs + [WIDE]:
+        cfg = triadlab.RunConfig(example_id=ex, points=points, seed=seed,
+                                 mode=mode, negative_controls=controls)
+        rep = triadlab.run_suite(cfg)
+        key = "%s seed=%d %s%s" % (ex, seed, mode,
+                                   " controls" if controls else "")
+        if points != POINTS:
+            key += " points=%d" % points
+        reports[key] = triadlab.emit_report(rep, "json").decode()
     with open(out_path, "w") as fh:
         json.dump(reports, fh)
 
