@@ -93,11 +93,6 @@ class CheckResult:
     passed: bool
     point: np.ndarray
 
-    def at(self, i: int) -> "CheckResult":
-        """The result at point i of a batch."""
-        return CheckResult(self.name, self.anchor, self.residual[i],
-                           self.tolerance, self.passed[i], self.point[i])
-
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -453,15 +448,15 @@ class StrictContactMap:
 
 
 def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
-    """The triad (lam, phi^*J) on the same chart, for strict phi."""
+    """The triad (lam, phi^*J) on the same chart, for strict phi.  Since
+    phi^*lam = lam, it has the base triad's lam, d lam, Reeb field and Pi,
+    and reads their tables from the base triad's store."""
     def j_pull(q):
         dphi = cmap.differential(q)
         Jq = triad.j_any(cmap.forward(q))
         return solve(dphi, dot(Jq, dphi))
 
-    return ContactTriad(triad.dim, triad.lam, j_pull, triad.domain,
-                        engine=triad.engine,
-                        label=triad.label + "<-" + cmap.label)
+    return triad.with_j(j_pull, triad.label + "<-" + cmap.label)
 
 
 def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,

@@ -21,7 +21,10 @@ evaluation.
 Float-point evaluations live in one store per triad, kept as long as the
 triad, that is, for one request.  An entry is a point or a batch, keyed by
 its (shape, bytes), and holds its {tag: value} tables, the Gamma tables of
-:mod:`triadlab.connections` among them.  The engine's identity seed at a
+:mod:`triadlab.connections` among them.  A triad (lam, J') made by
+:meth:`ContactTriad.with_j`, a pulled triad say, keeps the tables that
+depend on lam and the engine only (lam, d lam, the Reeb field, Pi and their
+Jacobians) in its parent's store.  The engine's identity seed at a
 float point or batch (the dual whose tangent is the array
 :meth:`~triadlab.engine.DiffEngine.jacobian` holds for that shape) keeps
 its tables in the point's own entry, under (tag, level): lam, d lam, the
@@ -74,6 +77,7 @@ class ContactTriad:
         self.label = label
         self._eye = np.eye(dim)
         self._cache: dict = {}
+        self._lam_cache = self._cache   # the store of lam's own tables
         self._lone = (None, {})         # (dual point, tables) of a pass
 
     @classmethod
@@ -106,22 +110,23 @@ class ContactTriad:
 
     # -- caching ---------------------------------------------------------
 
-    def _cached(self, tag, q, fn):
+    def _cached(self, tag, q, fn, store=None):
         """``fn(q)``, memoised under ``tag`` in the tables held for point q.
 
-        ``_cache`` maps a float point's or batch's (shape, bytes) to its
-        {tag: value} tables.  The engine's identity seed at a float point is
-        held there too, under (tag, level): a seed made inside a running
-        pass has a higher level, and a translate q + s of a seed keeps its
-        tangent, so it is the seed at q + s.  Any other dual point is the
-        seed of one pass, its tables held for the latest such point only.
+        ``store`` (``_cache`` by default) maps a float point's or batch's
+        (shape, bytes) to its {tag: value} tables.  The engine's identity
+        seed at a float point is held there too, under (tag, level): a seed
+        made in a running pass has a higher level, and a translate q + s of
+        a seed keeps its tangent, so it is the seed at q + s.  Any other dual
+        point seeds one pass, its tables held for the latest such point only.
         """
         x = q
         if (isinstance(q, Dual) and is_float_point(q.re)
                 and q.du is self.engine._eyes.get(q.shape)):
             x, tag = q.re, (tag, q.lvl)
         if is_float_point(x):
-            tables = self._cache.setdefault((x.shape, x.tobytes()), {})
+            store = self._cache if store is None else store
+            tables = store.setdefault((x.shape, x.tobytes()), {})
         else:
             if x is not self._lone[0]:
                 self._lone = (x, {})
@@ -131,13 +136,16 @@ class ContactTriad:
             hit = tables[tag] = fn(q)
         return hit
 
+    def _lam_cached(self, tag, q, fn):
+        return self._cached(tag, q, fn, self._lam_cache)
+
     # -- pointwise pipelines (valid at float or dual points) -------------
 
     def lam_any(self, q):
-        return self._cached("lam", q, self.lam)
+        return self._lam_cached("lam", q, self.lam)
 
     def dlam_any(self, q):
-        return self._cached("dlam", q, lambda x: self.engine.exterior_derivative(self.lam, x))
+        return self._lam_cached("dlam", q, lambda x: self.engine.exterior_derivative(self.lam, x))
 
     def _reeb_impl(self, q):
         lam = self.lam_any(q)
@@ -159,12 +167,12 @@ class ContactTriad:
         return X
 
     def reeb_any(self, q):
-        return self._cached("reeb", q, self._reeb_impl)
+        return self._lam_cached("reeb", q, self._reeb_impl)
 
     def pi_any(self, q):
         def impl(x):
             return outer(-self.reeb_any(x), self.lam_any(x), self._eye)
-        return self._cached("pi", q, impl)
+        return self._lam_cached("pi", q, impl)
 
     def j_any(self, q):
         return self._cached("j", q, self._j_closure or self._frame_j)
@@ -184,10 +192,10 @@ class ContactTriad:
         return self._cached("metric_inv", p, lambda x: np.linalg.inv(self.metric_any(x)))
 
     def jac_lam_at(self, p):
-        return self._cached("jac_lam", p, lambda x: self.engine.jacobian(self.lam_any, x))
+        return self._lam_cached("jac_lam", p, lambda x: self.engine.jacobian(self.lam_any, x))
 
     def jac_reeb_at(self, p):
-        return self._cached("jac_reeb", p, lambda x: self.engine.jacobian(self.reeb_any, x))
+        return self._lam_cached("jac_reeb", p, lambda x: self.engine.jacobian(self.reeb_any, x))
 
     def jac_j_at(self, p):
         return self._cached("jac_j", p, lambda x: self.engine.jacobian(self.j_any, x))
@@ -240,6 +248,14 @@ class ContactTriad:
                             self._j_closure or self.j_any,
                             self.domain, engine=self.engine,
                             label=self.label + "*scaled(%g)" % a)
+
+    def with_j(self, j_full: Callable, label: str) -> "ContactTriad":
+        """The triad (lam, J') on the same chart and engine; it reads and
+        writes lam's own tables (``_lam_cache``) in this triad's store."""
+        triad = ContactTriad(self.dim, self.lam, j_full, self.domain,
+                             engine=self.engine, label=label)
+        triad._lam_cache = self._lam_cache
+        return triad
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         lo, hi = self.domain

@@ -12,9 +12,11 @@ one-point batch ``pts[i:i+1]`` (a frame whose Gram-Schmidt would pick other
 chart columns at some points raises there).  A run never aborts
 because one check raised; the failure is recorded under each name and
 variant the family emits, with an unevaluable-residual sentinel, and the
-run moves on.  Records are
-aggregated in a deterministic order (check name, variant, point index) so
-that a fixed configuration always serializes to identical bytes.
+run moves on.  A family call yields groups (result, variant, first point's
+index, note); ``_records`` sorts them by (check name, variant), merges a
+key's several groups (one per c, or per rerun point) by point index, and
+expands each group with one ``tolist`` of its residuals and one of its
+verdicts, so a fixed configuration always serializes to identical bytes.
 
 ``_canon`` defines those bytes: sorted keys, every float as ``%.12e``, a
 non-finite one as the unevaluable sentinel.  ``emit_report`` writes the
@@ -31,12 +33,13 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
 from numbers import Integral, Real
 
 import numpy as np
 
 from .catalog import catalog
-from .checks import (CHECKS, SAMPLES, CheckResult, check_axioms,
+from .checks import (CHECKS, SAMPLES, check_axioms,
                      check_cr_form, check_lemma_suite, check_naturality,
                      check_scaling, fault_flipped_b1, fault_levi_civita,
                      fault_scale_mismatch, fault_wrong_c, family_names,
@@ -73,7 +76,7 @@ class RunConfig:
     def validate(self, cat=None) -> None:
         if cat is None:
             cat = catalog()
-        if self.example_id not in cat:
+        if not isinstance(self.example_id, str) or self.example_id not in cat:
             raise ConfigError("unknown example %r; run list-examples"
                               % self.example_id)
         if isinstance(self.c_values, Iterable):
@@ -136,45 +139,51 @@ class Report:
         }
 
 
-def _record(cr: CheckResult, variant: str, point_index: int,
-            note: str = "") -> dict:
-    residual = float(cr.residual)
-    return {
-        "name": cr.name,
-        "variant": variant,
-        "point_index": int(point_index),
-        "residual": residual,
-        "tolerance": float(cr.tolerance),
-        "passed": bool(cr.passed),
-        "anchor": cr.anchor,
-        "point": cr.point.tolist(),
-        "note": note or ("" if math.isfinite(residual)
-                         else "error: residual is not finite"),
-    }
-
-
-def _run_family(records, names, variants, fn, pts, first=0) -> None:
-    """Append fn(pts)'s records, one list of results per variant, at each
-    point of the batch pts, whose first point has index ``first``.
+def _run_family(groups, names, variants, fn, pts, first=0) -> None:
+    """Append fn(pts)'s results, one list per variant, as groups (result,
+    variant, index of the batch's first point, note).
 
     A family that raises on a batch of several points runs again on each
-    one-point batch; one that raises on one point gets one error record per
-    expected name and variant there.
+    one-point batch ``pts[i:i+1]``, whose first point has index first + i;
+    one that raises on one point gets one error result per expected name
+    and variant there.
     """
     try:
         out, note = fn(pts), ""
     except Exception as exc:  # recorded, never fatal for the run
         if len(pts) > 1:
             for i in range(len(pts)):
-                _run_family(records, names, variants, fn, pts[i:i + 1],
+                _run_family(groups, names, variants, fn, pts[i:i + 1],
                             first + i)
             return
         out = [[make_result(n, [RESIDUAL_UNEVALUABLE], pts)
                 for n in names]] * len(variants)
         note = "error: " + repr(exc)
-    records.extend(_record(cr.at(i), variant, first + i, note)
-                   for variant, group in zip(variants, out)
-                   for i in range(len(pts)) for cr in group)
+    groups.extend((cr, variant, first, note)
+                  for variant, group in zip(variants, out) for cr in group)
+
+
+def _records(groups, rows) -> list:
+    """The groups' records in the order (name, variant, point index), point
+    i's row read from rows[i]; a tie keeps the order of its groups."""
+    def key(group):
+        return group[0].name, group[1]
+
+    records: list = []
+    for (name, variant), run in groupby(sorted(groups, key=key), key=key):
+        run = list(run)
+        part = [{"name": name, "variant": variant, "point_index": i,
+                 "residual": r, "tolerance": cr.tolerance, "passed": ok,
+                 "anchor": cr.anchor, "point": rows[i],
+                 "note": note or ("" if math.isfinite(r)
+                                  else "error: residual is not finite")}
+                for cr, _, first, note in run
+                for i, (r, ok) in enumerate(zip(cr.residual.tolist(),
+                                                cr.passed.tolist()), first)]
+        if len(run) > 1:    # one group per c, or per rerun point
+            part.sort(key=lambda r: r["point_index"])
+        records += part
+    return records
 
 
 def _projected_nijenhuis_scale(triad, pts) -> float:
@@ -241,10 +250,10 @@ def run_suite(config: RunConfig) -> Report:
                   lambda q, m=m: [[check_naturality(triad, m, 0.0, q)]])
                  for m in spec.maps]
 
-    records: list = []
+    groups: list = []
     for family, variants, fn in rows:
-        _run_family(records, family_names(family, cs), variants, fn, pts)
-    records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
+        _run_family(groups, family_names(family, cs), variants, fn, pts)
+    records = _records(groups, pts.tolist())
     ok = bool(records) and all(_meets_role(r) for r in records)
     return Report(config=config.to_dict(), engine=_engine_info(engine),
                   example=_example_info(spec), records=records,

@@ -39,7 +39,12 @@ functions are the einsum forms of the package's table contractions
 (Christoffel, Nijenhuis, B1, the covariant derivatives of J and g, the
 frame one-forms, a slot-by-slot frame read and a matrix on a table's first
 slot), the references for the stacked matmuls that replaced them.
+``per_point_records`` is the runner's former record expansion, one dict
+per point of each family result and then a stable sort, the reference for
+its expansion of whole groups.
 """
+
+import math
 
 import numpy as np
 
@@ -493,3 +498,25 @@ def in_frame_einsum(T, *bases):
 def lead_einsum(M, T):
     """M applied to the first slot of a table T[k, i, j]."""
     return np.einsum('...ka,...aij->...kij', M, T)
+
+
+def per_point_records(groups):
+    """Report records of groups (result, variant, index of the first point,
+    note), built point by point and stably sorted by (name, variant, point
+    index); a result may be at one point or at a batch."""
+    records = []
+    for cr, variant, first, note in groups:
+        residual = np.reshape(cr.residual, -1)
+        passed = np.reshape(cr.passed, -1)
+        point = np.reshape(cr.point, (len(residual), -1))
+        for i in range(len(residual)):
+            r = float(residual[i])
+            records.append({
+                "name": cr.name, "variant": variant, "point_index": first + i,
+                "residual": r, "tolerance": float(cr.tolerance),
+                "passed": bool(passed[i]), "anchor": cr.anchor,
+                "point": point[i].tolist(),
+                "note": note or ("" if math.isfinite(r)
+                                 else "error: residual is not finite")})
+    records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
+    return records

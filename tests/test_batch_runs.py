@@ -28,6 +28,7 @@ from triadlab.contact import ContactTriad
 from triadlab.frames import FrameRankError, build_unitary_frame
 from triadlab.runner import RunConfig, run_suite
 
+from oracles import per_point_records
 from test_derivs import _count_batch_reeb_solves
 
 _CAT = catalog()
@@ -84,7 +85,7 @@ def _assert_every_family_at_a_batch_is_each_point(ex_id, mode):
                 assert rb.residual.shape == (8,), (label, rb.name)
                 assert _same(rb.residual[i], rs.residual, mode), \
                     (ex_id, label, rb.name, i)
-                assert rb.at(i).point.tobytes() == pts[i].tobytes()
+                assert rb.point[i].tobytes() == pts[i].tobytes()
 
 
 @pytest.mark.parametrize("ex_id", sorted(_CAT))
@@ -172,12 +173,12 @@ def _assert_other_frames_run_point_by_point(controls, mode):
         return runner._frame_records(t, CS, p, 0)
 
     variant = "c=0" if controls else "frame"
-    want = [runner._record(cr, variant, i)
-            for i, p in enumerate(t.sample_points(4, 0))
-            for cr in _results(family(p))]
+    want = per_point_records([(cr, variant, i, "")
+                              for i, p in enumerate(t.sample_points(4, 0))
+                              for cr in _results(family(p))])
     names = {r["name"] for r in want}
     got = [r for r in rep.records if r["name"] in names]
-    assert got == sorted(want, key=lambda r: (r["name"], r["point_index"]))
+    assert got == want
     assert all(r["note"] == "" for r in got)
 
 
@@ -191,6 +192,47 @@ def test_frames_that_pick_other_columns_at_some_points_run_point_by_point(
 def test_ad_frames_that_pick_other_columns_at_some_points_run_point_by_point(
         controls):
     _assert_other_frames_run_point_by_point(controls, "ad")
+
+
+def _records_and_their_oracle(monkeypatch, run):
+    """A run's records, and the oracle's from the groups its families
+    returned, in the order they returned them."""
+    groups: list = []
+    real = runner._run_family
+
+    def kept(out, *args, **kwargs):
+        real(out, *args, **kwargs)
+        groups[:] = out
+
+    monkeypatch.setattr(runner, "_run_family", kept)
+    return run().records, groups, per_point_records(groups)
+
+
+@pytest.mark.parametrize("mode", ["fd", "ad"])
+@pytest.mark.parametrize("controls", [False, True])
+def test_records_are_each_groups_points_in_a_stable_sort(
+        monkeypatch, mode, controls):
+    records, groups, want = _records_and_their_oracle(
+        monkeypatch, lambda: run_suite(RunConfig(
+            example_id="r5-perturbed-J", points=3, seed=5, mode=mode,
+            negative_controls=controls)))
+    assert len(want) == 3 * len(groups) and records == want
+    if not controls:    # one group per c under one key
+        assert sum(cr.name == "frame-coefficient-rederivation"
+                   for cr, *_ in groups) == 3
+
+
+@pytest.mark.parametrize("mode", ["fd", "ad"])
+def test_records_of_point_by_point_reruns_are_merged_by_point(
+        monkeypatch, mode):
+    records, groups, want = _records_and_their_oracle(
+        monkeypatch, lambda: _run_with(
+            "t3-tight", _t3_with_a_reeb_aligned_point, points=4, seed=0,
+            c_values=CS, mode=mode))
+    assert records == want
+    firsts = [first for cr, _, first, _ in groups
+              if cr.name == "frame-coefficient-rederivation"]
+    assert firsts == [i for i in range(4) for _ in CS]
 
 
 @pytest.mark.parametrize("mode", ["fd", "ad"])

@@ -124,6 +124,28 @@ def test_pullback_triad_reproduces_structures():
         assert np.max(np.abs(pulled.j_any(p) - want_j)) < 1e-10
 
 
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+def test_a_pulled_triad_reads_the_base_triads_lam_tables(monkeypatch, mode):
+    """phi^* lam = lam, so the pulled triad makes no Reeb solve of its own
+    once the base triad has solved at the batch, its seed or its stencil."""
+    spec = _CAT["r5-perturbed-J"]
+    t = spec.build(DiffEngine(mode))
+    pts = t.sample_points(3, seed=4)
+    check_axioms(t, (0.0,), pts)
+    reeb_impl, solvers = ContactTriad._reeb_impl, []
+
+    def counted(triad, q):
+        solvers.append(triad)
+        return reeb_impl(triad, q)
+
+    monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
+    for cmap in spec.maps:
+        assert check_naturality(t, cmap, 0.0, pts).passed.all()
+        pulled = pullback_triad(t, cmap)
+        assert pulled.reeb_any(pts) is t.reeb_any(pts)
+    assert not any(triad is not t for triad in solvers)
+
+
 def test_lemma_suite_names_and_pass():
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()

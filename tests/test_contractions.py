@@ -120,11 +120,11 @@ def test_frame_records_build_one_forms_and_frame_once(monkeypatch, mode):
     builds, at_p = Counter(), []
     cached, gram_schmidt = ContactTriad._cached, frames._gram_schmidt
 
-    def counted(self, tag, q, fn):
+    def counted(self, tag, q, fn, *store):
         def build(x):
             builds[tag] += 1
             return fn(x)
-        return cached(self, tag, q, build)
+        return cached(self, tag, q, build, *store)
 
     def counted_gs(triad, q, *args):
         if isinstance(q, np.ndarray) and q.shape == p.shape:

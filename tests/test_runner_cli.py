@@ -65,7 +65,9 @@ def test_config_validation_rejects_bad_inputs():
                                         ("negative_controls", "no"),
                                         ("c_values", 0.0), ("seed", True),
                                         ("points", True),
-                                        ("c_values", [True])])
+                                        ("c_values", [True]),
+                                        ("example_id", ["r3-standard"]),
+                                        ("example_id", {"r3-standard": 1})])
 def test_config_validation_rejects_values_of_the_wrong_type(field, bad):
     """A config error, not a TypeError or ValueError from deep in the run,
     and no bool read as a number."""
