@@ -189,57 +189,61 @@ class ExampleSpec:
         return self.factory(engine)
 
 
+# Built once per process; the closures they hold keep no state.
+_ENTRIES = (
+    ExampleSpec(
+        id="r3-standard", dim=3,
+        description="lam = dz - y dx on a box in R^3, standard rotation J",
+        factory=lambda engine=None: standard_triad(1, engine),
+        maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
+              _axis_shift(3, 2, 0.3, "vertical-shift+0.3"),
+              _shear(3, 0.4))),
+    ExampleSpec(
+        id="r5-standard", dim=5,
+        description="lam = dz - y1 dx1 - y2 dx2 on a box in R^5, "
+                    "blockwise rotation J",
+        factory=lambda engine=None: standard_triad(2, engine),
+        maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
+              _axis_shift(5, 4, 0.3, "vertical-shift+0.3"),
+              _shear(5, 0.4))),
+    ExampleSpec(
+        id="r7-standard", dim=7,
+        description="standard contact form on a box in R^7, "
+                    "blockwise rotation J",
+        factory=lambda engine=None: standard_triad(3, engine),
+        maps=(_axis_shift(7, 6, 0.3, "vertical-shift+0.3"),)),
+    ExampleSpec(
+        id="r9-standard", dim=9,
+        description="standard contact form on a box in R^9, "
+                    "blockwise rotation J",
+        factory=lambda engine=None: standard_triad(4, engine),
+        maps=(_axis_shift(9, 8, 0.3, "vertical-shift+0.3"),)),
+    ExampleSpec(
+        id="t3-tight", dim=3,
+        description="lam = cos z dx + sin z dy on one periodic chart "
+                    "[0, 2pi)^3 of the three-torus",
+        factory=lambda engine=None: t3_triad(engine),
+        maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
+              _axis_shift(3, 1, 0.5, "y-shift+0.5"),
+              _t3_reeb_flow(0.4))),
+    ExampleSpec(
+        id="r3-perturbed-J", dim=3,
+        description="lam = dz - y dx with a z-dependent sheared J "
+                    "(eps = 0.1); the structure drifts along Reeb orbits",
+        factory=lambda engine=None: perturbed_triad(1, 0.1, engine),
+        maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
+              _axis_shift(3, 2, 0.3, "vertical-shift+0.3"))),
+    ExampleSpec(
+        id="r5-perturbed-J", dim=5,
+        description="standard contact form on R^5 with the z-dependent "
+                    "sheared J on the first block (eps = 0.1)",
+        factory=lambda engine=None: perturbed_triad(2, 0.1, engine),
+        maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
+              _axis_shift(5, 4, 0.3, "vertical-shift+0.3"))),
+)
+
+
 def catalog() -> dict:
-    """All built-in examples, keyed by id, in stable order."""
-    entries = [
-        ExampleSpec(
-            id="r3-standard", dim=3,
-            description="lam = dz - y dx on a box in R^3, standard rotation J",
-            factory=lambda engine=None: standard_triad(1, engine),
-            maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
-                  _axis_shift(3, 2, 0.3, "vertical-shift+0.3"),
-                  _shear(3, 0.4))),
-        ExampleSpec(
-            id="r5-standard", dim=5,
-            description="lam = dz - y1 dx1 - y2 dx2 on a box in R^5, "
-                        "blockwise rotation J",
-            factory=lambda engine=None: standard_triad(2, engine),
-            maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
-                  _axis_shift(5, 4, 0.3, "vertical-shift+0.3"),
-                  _shear(5, 0.4))),
-        ExampleSpec(
-            id="r7-standard", dim=7,
-            description="standard contact form on a box in R^7, "
-                        "blockwise rotation J",
-            factory=lambda engine=None: standard_triad(3, engine),
-            maps=(_axis_shift(7, 6, 0.3, "vertical-shift+0.3"),)),
-        ExampleSpec(
-            id="r9-standard", dim=9,
-            description="standard contact form on a box in R^9, "
-                        "blockwise rotation J",
-            factory=lambda engine=None: standard_triad(4, engine),
-            maps=(_axis_shift(9, 8, 0.3, "vertical-shift+0.3"),)),
-        ExampleSpec(
-            id="t3-tight", dim=3,
-            description="lam = cos z dx + sin z dy on one periodic chart "
-                        "[0, 2pi)^3 of the three-torus",
-            factory=lambda engine=None: t3_triad(engine),
-            maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
-                  _axis_shift(3, 1, 0.5, "y-shift+0.5"),
-                  _t3_reeb_flow(0.4))),
-        ExampleSpec(
-            id="r3-perturbed-J", dim=3,
-            description="lam = dz - y dx with a z-dependent sheared J "
-                        "(eps = 0.1); the structure drifts along Reeb orbits",
-            factory=lambda engine=None: perturbed_triad(1, 0.1, engine),
-            maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
-                  _axis_shift(3, 2, 0.3, "vertical-shift+0.3"))),
-        ExampleSpec(
-            id="r5-perturbed-J", dim=5,
-            description="standard contact form on R^5 with the z-dependent "
-                        "sheared J on the first block (eps = 0.1)",
-            factory=lambda engine=None: perturbed_triad(2, 0.1, engine),
-            maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
-                  _axis_shift(5, 4, 0.3, "vertical-shift+0.3"))),
-    ]
-    return {e.id: e for e in entries}
+    """All built-in examples, keyed by id, in stable order: a fresh dict on
+    each call, of entries built once."""
+    return {e.id: e for e in _ENTRIES}

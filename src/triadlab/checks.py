@@ -25,9 +25,9 @@ reads its own generator ``field_rng(seed, name, label, point)`` (see
 :func:`draws`), keyed by the point's coordinate bytes and not by its index,
 so no record's draws depend on another's, two points of a batch read
 different draws, and a point re-run alone reads the draws it read in the
-batch.  The draws take no c.  A record's Y and Z draws are the columns of
-one field, so each record differentiates that field and its J-image once,
-and its brackets and Lie derivatives come stacked over the samples in
+batch.  The draws take no c.  The draws the three records differentiate
+are the columns of one field, differentiated with its J-image in one pass,
+and their brackets and Lie derivatives come stacked over the samples in
 front of the batch axes.  Every family takes a point or a batch of points,
 shape ``(*batch, dim)``, and reports one residual per point.  A family that
 reads the run's c sweep
@@ -60,18 +60,18 @@ from .connections import (
     PullbackConnection,
     TriadConnection,
     covariant_derivative_two_form,
+    field_jet,
     j_brackets,
     nabla_j,
     nabla_lam,
     nabla_metric,
-    nijenhuis,
     tensor_P,
     torsion_tensor,
     triad_connection,
 )
-from .contact import ContactTriad, j_image, xi_section
-from .engine import (columns, dot, inner, lead, matvec, max_residual, solve,
-                     tail)
+from .contact import ContactTriad, xi_section
+from .engine import (columns, dot, inner, lead, lie_endo, matvec,
+                     max_residual, solve, tail)
 
 TOL_ALGEBRAIC = 1e-8
 TOL_DERIVATIVE = 1e-7
@@ -488,7 +488,6 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     Each record that draws reads its own generator, keyed by its name."""
     p = np.asarray(p, dtype=float)
     d = triad.dim
-    engine = triad.engine
     G = triad.metric_any(p)
     A = triad.dlam_any(p)
     J = triad.j_any(p)
@@ -599,16 +598,24 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     r = _in_frame(np.einsum('...abl,...a->...bl', ng, X), Bx, Bx)
     out.append(make_result("semi-connection-reeb-metric-dual", r, p))
 
+    # The three drawn records, each on its own draws: quarter-N's Y and Z
+    # (and a unit Reeb-slot draw u), torsion-split's Y and p-antisymmetrized's
+    # Y and Z are the 5m columns of one field, in one Jacobian pass.
+    Wq = draws(triad, p, seed, "semi-connection-torsion-quarter-n",
+               (d, 2 * samples + 1))
+    Wt = draws(triad, p, seed, "torsion-split-values", (d, 2 * samples))
+    Wp = draws(triad, p, seed, "p-antisymmetrized-bracket", (d, 2 * samples))
+    jet = field_jet(triad, xi_section(triad, np.concatenate(
+        [Wq[..., 1:], Wt[..., :samples], Wp], axis=-1)), p)
+    (f, jf), (df, djf) = jet
+    cols = [slice(k * samples, (k + 1) * samples) for k in range(5)]
+
     # Torsion of the intermediate connection: quarter Nijenhuis, no lam part.
-    # N is taken from the brackets of the fields, apart from the table: one
-    # field holds every Y and Z draw as its columns.  The Reeb slot takes a
-    # unit draw u.
-    W = draws(triad, p, seed, "semi-connection-torsion-quarter-n",
-              (d, 2 * samples + 1))
-    u = W[..., 0] / np.linalg.norm(W[..., 0], axis=-1)[..., None]
-    F = xi_section(triad, W[..., 1:])
-    y, z = np.split(columns(F(p)), 2)
-    t, n = torsion_tensor(tmp, p, y, z), nijenhuis(triad, F, p)
+    # N is taken from the brackets of the fields, apart from the table.
+    u = Wq[..., 0] / np.linalg.norm(Wq[..., 0], axis=-1)[..., None]
+    t = torsion_tensor(tmp, p, f[cols[0]], f[cols[1]])
+    b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(jet, cols[0], cols[1])
+    n = b_jj - b_yz - matvec(J, b_y_jz) - matvec(J, b_jy_z)
     r = max_residual(_worst(matvec(P, t) - 0.25 * matvec(P, n)),
                      np.abs(inner(lam, t)))
     r = max_residual(_worst(torsion_tensor(tmp, p, X, u)), np.max(r, axis=0))
@@ -627,12 +634,11 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     r = np.max(_in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
         sweep, p)) - (1.0 + c) * A, Bx, Bx), axis=0)
     # Only the Y draws are differentiated: Z is read at p.
-    W = draws(triad, p, seed, "torsion-split-values", (d, 2 * samples))
-    Yf = xi_section(triad, W[..., :samples])
-    y, z = columns(Yf(p)), columns(xi_section(triad, W[..., samples:])(p))
+    y = f[cols[2]]
+    z = columns(xi_section(triad, Wt[..., samples:])(p))
     dJ = triad.jac_j_at(p)
-    l_jy = engine.lie_derivative_endo(j_image(triad, Yf), J, dJ, p)
-    l_y = engine.lie_derivative_endo(Yf, J, dJ, p)
+    l_jy = lie_endo(jf[cols[2]], djf[cols[2]], J, dJ)
+    l_y = lie_endo(y, df[cols[2]], J, dJ)
     lie_side = 0.25 * (matvec(l_jy, z) + matvec(l_y, matvec(J, z)))
     t0 = matvec(P, torsion_tensor(conn0, p, y, z))
     r = max_residual(r, np.max(_worst(t0 - lie_side), axis=0))
@@ -649,11 +655,9 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # The antisymmetrisation of P as a bracket combination, on the brackets
     # of drawn fields: the field path, apart from the tables, in both modes.
-    F = xi_section(triad, draws(triad, p, seed, "p-antisymmetrized-bracket",
-                                (d, 2 * samples)))
-    y, z = np.split(columns(F(p)), 2)
+    y, z = f[cols[3]], f[cols[4]]
     lhs = -tensor_P(triad, y, z, p) + tensor_P(triad, z, y, p)
-    b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(triad, F, p)
+    b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(jet, cols[3], cols[4])
     rhs = 0.25 * (b_jj - matvec(P, b_yz) - matvec(J, b_jy_z)
                   - matvec(J, b_y_jz))
     out.append(make_result("p-antisymmetrized-bracket",

@@ -26,11 +26,11 @@ store's tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read
 it.  The pull-back phi^* nabla through a strict contact map is one more
 table, in the pulled triad's store (:class:`PullbackConnection`).
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
-``nijenhuis`` takes N_J from the brackets of fields, apart from the store's
-table ``ContactTriad.nijenhuis_at``: one field closure holds every pair
-(Y_i, Z_i) as its columns, and its Jacobian on the point's identity seed,
-and that of its J-image, contracted column by column with the partner
-columns' values give every bracket, in two Jacobian passes.
+``field_jet`` differentiates a field of columns and its J-image in one
+Jacobian pass on the point's identity seed; ``j_brackets`` contracts each
+column's Jacobian with its partner's value.  ``nijenhuis`` takes N_J so
+from the brackets of fields, apart from the store's table
+``ContactTriad.nijenhuis_at``.
 
 ``nabla_j``, ``nabla_metric`` and ``nabla_lam`` are the covariant
 derivatives of J, g and lam as whole tables, each one formula over a Gamma
@@ -44,17 +44,18 @@ Tables, tensors and covariant derivatives take a float point or a batch of
 them, with vectors shared by the batch or one per point; each entry keeps
 the bits of its single-point evaluation.  A stack of vectors, such as the
 columns of a drawn field, carries its stack axis in front, ``(m, *batch,
-d)``: ``torsion_tensor``, ``tensor_P`` and
-``_lc_nabla_j`` read it by broadcasting, and the brackets and the Nijenhuis
-tensor of a field's column pairs come stacked so.
+d)``: ``torsion_tensor``, ``tensor_P`` and ``_lc_nabla_j`` read it by
+broadcasting, and the brackets and the Nijenhuis tensor come stacked so.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .contact import ContactTriad, j_image
-from .engine import columns, dot, is_float_point, lead, matvec, solve, tail
+from .ad import stack
+from .contact import ContactTriad
+from .engine import (colmul, columns, dot, is_float_point, lead, matvec, solve,
+                     tail)
 
 
 class LocalConnection:
@@ -189,29 +190,28 @@ def torsion_tensor(conn: LocalConnection, p, u, v):
     return conn.gamma_apply(p, u, v) - conn.gamma_apply(p, v, u)
 
 
-def j_brackets(triad: ContactTriad, F, p):
-    """The brackets [JY, JZ], [Y, Z], [Y, JZ] and [JY, Z] at p, column by
-    column, for the pairs (Y_i, Z_i) = (F_i, F_{m+i}) of the columns of a
-    field F of 2m columns, shape ``(*batch, d, 2m)``; each bracket is stacked
-    over i in front, ``(m, *batch, d)``.
+def field_jet(triad: ContactTriad, F, p):
+    """((f, jf), (df, djf)): the k columns of a field F, ``(*batch, d, k)``,
+    and of its J-image at p, and their Jacobians, stacked over the columns
+    in front.  F runs once, beside its J-image, in one Jacobian pass."""
+    def with_j(q):
+        f = F(q)
+        return stack([f, colmul(triad.j_any(q), f)])
+    v, dv = with_j(p), triad.engine.jacobian(with_j, p)
+    return ((columns(v[..., 0]), columns(v[..., 1])),
+            (np.moveaxis(dv[..., 0, :], -2, 0),
+             np.moveaxis(dv[..., 1, :], -2, 0)))
 
-    One Jacobian pass differentiates F and one its J-image, and [A, B] =
-    DB(A) - DA(B) contracts each column's Jacobian with its partner's value,
-    as ``deriv`` contracts a Jacobian with a direction.
-    """
-    (y, z), (dy, dz) = _halves(triad.engine, F, p)
-    (jy, jz), (djy, djz) = _halves(triad.engine, j_image(triad, F), p)
+
+def j_brackets(jet, ys: slice, zs: slice):
+    """[JY, JZ], [Y, Z], [Y, JZ] and [JY, Z] for the pairs (Y_i, Z_i) of the
+    columns ys and zs of a :func:`field_jet`, stacked over i in front; each
+    column's Jacobian meets its partner's value, as in ``deriv``."""
+    (f, jf), (df, djf) = jet
+    y, dy, z, dz = f[ys], df[ys], f[zs], df[zs]
+    jy, djy, jz, djz = jf[ys], djf[ys], jf[zs], djf[zs]
     return (_bracket(jy, djy, jz, djz), _bracket(y, dy, z, dz),
             _bracket(y, dy, jz, djz), _bracket(jy, djy, z, dz))
-
-
-def _halves(engine, F, p):
-    """The first and second halves of F's columns at p and of their
-    Jacobians, each stacked in front: ((y, z), (dy, dz))."""
-    f = columns(F(p))
-    df = np.moveaxis(engine.jacobian(F, p), -2, 0)
-    m = len(f) // 2
-    return (f[:m], f[m:]), (df[:m], df[m:])
 
 
 def _bracket(a, da, b, db):
@@ -223,9 +223,12 @@ def _bracket(a, da, b, db):
 
 def nijenhuis(triad: ContactTriad, F, p):
     """N(Y, Z) = [JY, JZ] - [Y, Z] - J[Y, JZ] - J[JY, Z] (no factor-2
-    convention) from the brackets of the fields themselves, for the column
-    pairs of F as in :func:`j_brackets`, stacked in front."""
-    t1, t2, b3, b4 = j_brackets(triad, F, p)
+    convention) from the brackets of the fields themselves, for the pairs
+    (Y_i, Z_i) = (F_i, F_{m+i}) of the columns of a field F of 2m columns,
+    stacked over i in front."""
+    jet = field_jet(triad, F, p)
+    m = len(jet[0][0]) // 2
+    t1, t2, b3, b4 = j_brackets(jet, slice(m), slice(m, None))
     J = triad.j_any(p)
     return t1 - t2 - matvec(J, b3) - matvec(J, b4)
 

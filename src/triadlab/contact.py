@@ -32,17 +32,16 @@ Reeb solve, Pi, J, g and a frame run once there for every Jacobian table
 and every field differentiated at the point.  Any other dual point is the
 seed of one differentiation pass, so its values are memoised on the point's
 identity, for the latest such point only: within a pass the Reeb solve and
-d lam run once, however many pipelines read them.
+d lam run once, however many pipelines read them.  :meth:`split_batch`
+moves a batch's tables, its stencil's and seed's too, to each of its pieces.
 
-The fields the checks differentiate are plain closures built here:
+The fields the checks differentiate are plain closures:
 :func:`xi_section` turns a ``(*batch, d, m)`` matrix W of each point's
-draws into the m sections q -> Pi(q) W, and :func:`j_image` a field of
-columns F into q -> J(q) F(q).  One closure serves a point and a batch
-alike, and each column is its own stacked matvec, so it has the bits of the
-one-vector field.  The engine differentiates them like any closure, every
-column in one pass; their Jacobian formulas, (d Pi) w = -lam(w) dX -
-X (w^T d lam) and (dJ) y + J dY, and their one-vector forms live only in
-the test suite's oracles (``tests/oracles.py``), as references.
+draws into the m sections q -> Pi(q) W, one closure for a point and a batch
+alike, each column its own stacked matvec, so it has the bits of the
+one-vector field.  Its Jacobian formula, (d Pi) w = -lam(w) dX - X (w^T d
+lam), and its one-vector form live only in the test suite's oracles
+(``tests/oracles.py``), as references.
 """
 
 from __future__ import annotations
@@ -135,6 +134,22 @@ class ContactTriad:
         if hit is None:
             hit = tables[tag] = fn(q)
         return hit
+
+    def split_batch(self, U, count: int) -> None:
+        """Move the tables held for the batch U, shape ``(N, dim)``, and in
+        ``fd`` for its stencil, to the entries of U's ``count`` equal
+        consecutive pieces, each cut along the batch axis and keyed as if
+        built alone (the seed's tables too); an existing entry is kept."""
+        n = len(U) // count
+        held = [(U, 0)] + ([(self.engine.stencil(U), 2)]
+                           if self.engine.mode == "fd" else [])
+        for x, axis in held:
+            tables = self._cache.pop((x.shape, x.tobytes()), {})
+            for i in range(0, len(U), n):
+                s = (slice(None),) * axis + (slice(i, i + n),)
+                piece = np.ascontiguousarray(x[s])
+                self._cache.setdefault((piece.shape, piece.tobytes()), {
+                    tag: _cut(v, s) for tag, v in tables.items()})
 
     def _lam_cached(self, tag, q, fn):
         return self._cached(tag, q, fn, self._lam_cache)
@@ -263,6 +278,16 @@ class ContactTriad:
         return lo + (hi - lo) * rng.random((count, self.dim))
 
 
+def _cut(x, s: tuple):
+    """x[s] for a tuple s of slices whose last cuts a batch axis; a dual's
+    tangent takes s behind its direction axes, and a broadcast singleton
+    batch axis stays whole."""
+    if isinstance(x, Dual):
+        return Dual(x.lvl, _cut(x.re, s),
+                    _cut(x.du, (slice(None),) * x.nk + s))
+    return x if x.shape[len(s) - 1] == 1 else x[s]
+
+
 # -- sections ----------------------------------------------------------------
 
 
@@ -273,7 +298,3 @@ def xi_section(triad: ContactTriad, W):
     W = np.asarray(W, dtype=float)
     return lambda q: colmul(triad.pi_any(q), W)
 
-
-def j_image(triad: ContactTriad, F):
-    """The field q -> J(q) F(q) of a field of columns F."""
-    return lambda q: colmul(triad.j_any(q), F(q))

@@ -60,7 +60,6 @@ import numpy as np
 from .ad import (Dual, matmul, ndim, parts, pop_level, push_level, reshape,
                  shape, top_level, transpose)
 
-VectorField = Callable[[np.ndarray], np.ndarray]
 OneForm = Callable[[np.ndarray], np.ndarray]
 
 
@@ -109,6 +108,20 @@ class DiffEngine:
             return np.zeros((len(V),) + shape(y))
         return y.du
 
+    def _eye(self, s: tuple):
+        """The identity seed for points of shape s, held once per shape."""
+        E = self._eyes.get(s)
+        if E is None:
+            E = self._eyes[s] = np.eye(s[-1]).reshape(
+                s[-1:] + (1,) * (len(s) - 1) + s[-1:])
+        return E
+
+    def stencil(self, p):
+        """The ``fd`` identity stencil ``[p + h e_l, p - h e_l]`` at a float
+        point or batch, shape ``(2, dim, *batch, dim)``."""
+        # p + (-h e_l) has the bits of p - h e_l
+        return p + np.multiply.outer(self._sides, self._eye(shape(p)))
+
     def deriv(self, f, p, v):
         """Directional derivative of a scalar/vector/matrix closure at p along
         v, one direction shared by a batch or one per point.
@@ -140,16 +153,10 @@ class DiffEngine:
         ``[p + h e_l, p - h e_l]``, its central differences in a C-ordered
         copy.
         """
-        s = shape(p)
-        E = self._eyes.get(s)
-        if E is None:
-            E = self._eyes[s] = np.eye(s[-1]).reshape(
-                s[-1:] + (1,) * (len(s) - 1) + s[-1:])
         if self.mode == "ad":
-            D = self._pass(f, p, E)
+            D = self._pass(f, p, self._eye(shape(p)))
             return transpose(D, tuple(range(1, ndim(D))) + (0,))
-        # p + (-h e_l) has the bits of p - h e_l
-        pts = p + np.multiply.outer(self._sides, E)
+        pts = self.stencil(p)
         y = f(pts)
         if shape(y)[:p.ndim + 1] != pts.shape[:-1]:
             raise ValueError(
@@ -170,17 +177,6 @@ class DiffEngine:
         """
         jac = self.jacobian(alpha, p)            # jac[..., i, l] = d_l alpha_i
         return jac.mT - jac
-
-    def lie_derivative_endo(self, X: VectorField, A, dA, p):
-        """Lie derivatives of a (1,1)-tensor along each column of X, a field
-        of m columns, shape ``(*batch, d, m)``, stacked in front, ``(m,
-        *batch, d, d)``, at a float point or batch.
-
-        A and dA are the tensor's value and Jacobian table at p, as the
-        triad's store holds them for J; X gets one Jacobian pass.
-        """
-        return lie_endo(columns(X(p)), np.moveaxis(self.jacobian(X, p), -2, 0),
-                        A, dA)
 
 
 # -- dense linear algebra over float arrays or duals -----------------------

@@ -1,7 +1,9 @@
 """Suite orchestration: sample points, run every check, emit stable reports.
 
 A run, in either mode, calls each check family once, on the batch of its
-sample points and the whole c sweep, the frame families among them.
+sample points and the whole c sweep, the frame families among them.  A
+normal run first builds the Gamma table naturality reads at the sample
+points and every map's images in one batch, split among them.
 ``check_axioms`` and ``check_cr_form`` return one group of results per c,
 recorded under the variant ``c=%g``; ``RunConfig`` rejects a sweep in which
 two values print as the same variant.  The frame re-derivation keeps the
@@ -235,6 +237,8 @@ def run_suite(config: RunConfig) -> Report:
                      ("fault_levi_civita", ("",),
                       lambda q: [[fault_levi_civita(triad, q)]])]
     else:
+        if spec.maps:
+            _base_batch(triad, pts, spec.maps)
         rows = [("check_axioms", swept,
                  lambda q: check_axioms(triad, cs, q)),
                 ("check_cr_form", swept,
@@ -258,6 +262,18 @@ def run_suite(config: RunConfig) -> Report:
     return Report(config=config.to_dict(), engine=_engine_info(engine),
                   example=_example_info(spec), records=records,
                   summary=_summarize(records), ok=ok)
+
+
+def _base_batch(triad, pts, maps) -> None:
+    """Build the Gamma table naturality reads (c = 0) in one batch, at the
+    sample points and at every map's images, and split it among them.  If
+    that raises, nothing is split and each family builds its own points."""
+    try:
+        U = np.concatenate([pts] + [m.forward(pts) for m in maps])
+        triad_connection(triad, 0.0).gamma_tensor(U)
+    except Exception:   # the families record it where it arises
+        return
+    triad.split_batch(U, len(maps) + 1)
 
 
 def _frame_records(triad, cs, p, seed):

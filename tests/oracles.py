@@ -30,8 +30,11 @@ reference for the covariant-derivative tables of J, g and lam.
 ``j_field`` and ``lie_derivative_endo_fields`` are the one-vector forms of
 the package's sections, J-images and Lie derivatives, which take a field of
 columns, the references for each stacked column; ``column`` and ``pair``
-turn one or two vector fields into a field of columns.  The Jacobian formulas
-of a distribution section, a J-image and a coframe
+turn one or two vector fields into a field of columns.  ``j_image`` (the
+J-image of a field of columns) and ``lie_derivative_endo`` (the package's
+``lie_endo`` on one Jacobian pass of a closure) are the closure forms of
+what the package reads from the columns of one ``field_jet``.  The
+Jacobian formulas of a distribution section, a J-image and a coframe
 (``xi_section_jacobian``, ``j_image_jacobian``, ``coframe_jacobian``) are
 the references for the engine's Jacobians of those fields; the package
 itself differentiates every field through the engine.  The ``*_einsum``
@@ -50,7 +53,8 @@ import numpy as np
 
 from triadlab.ad import Dual, shape, stack
 from triadlab.connections import covariant_derivative_form
-from triadlab.engine import inner, is_float_point, matvec, max_residual, solve
+from triadlab.engine import (colmul, columns, inner, is_float_point, lie_endo,
+                             matvec, max_residual, solve)
 
 
 def directional_derivative(engine, f, p, v):
@@ -126,9 +130,16 @@ def xi_field(triad, w):
 
 
 def j_field(triad, Yf):
-    """The vector field q -> J(q) Y(q): the one-vector form of the package's
+    """The vector field q -> J(q) Y(q): the one-vector form of
     ``j_image``."""
     return lambda q: matvec(triad.j_any(q), Yf(q))
+
+
+def j_image(triad, F):
+    """The field q -> J(q) F(q) of a field of columns F, each column its own
+    stacked matvec: the J-image columns of the package's ``field_jet`` as a
+    closure of their own."""
+    return lambda q: colmul(triad.j_any(q), F(q))
 
 
 def column(Xf):
@@ -142,10 +153,20 @@ def pair(Xf, Yf):
     return lambda q: stack([Xf(q), Yf(q)])
 
 
+def lie_derivative_endo(engine, X, A, dA, p):
+    """Lie derivatives of a (1,1)-tensor along each column of X, a field of
+    m columns, stacked in front, ``(m, *batch, d, d)``, at a float point or
+    batch, from one Jacobian pass of X; A and dA are the tensor's value and
+    Jacobian table at p.  The package's ``lie_endo`` on a closure, as its
+    drawn records read it on the columns of a ``field_jet``."""
+    return lie_endo(columns(X(p)), np.moveaxis(engine.jacobian(X, p), -2, 0),
+                    A, dA)
+
+
 def lie_derivative_endo_fields(engine, X, A, p):
     """(L_X A)(Y) = [X, AY] - A[X, Y] for a vector field X and a matrix
-    field A, each differentiated on its own: the per-vector form of the
-    package's ``lie_derivative_endo``."""
+    field A, each differentiated on its own: the per-vector form of
+    ``lie_derivative_endo``."""
     dX = engine.jacobian(X, p)
     Ap = A(p)
     return engine.deriv(A, p, X(p)) - dX @ Ap + Ap @ dX

@@ -30,18 +30,19 @@ from triadlab.checks import (
     _frame,
     _in_frame,
     field_rng,
-    nijenhuis,
     pullback_triad,
 )
 from triadlab.connections import (
     LeviCivitaConnection,
     PullbackConnection,
+    nijenhuis,
     tensor_B1,
     triad_connection,
 )
 from triadlab.frames import build_unitary_frame, cross_check_gamma
 
-from oracles import column, j_field, pair, torsion, xi_field
+from oracles import (column, j_field, lie_derivative_endo, pair, torsion,
+                     xi_field)
 
 _CAT = catalog()
 
@@ -153,8 +154,8 @@ def test_criterion_05_torsion_splits_into_form_and_plane_parts():
                                - (1.0 + c) * float(Yf(p) @ dlam @ Zf(p)))
                 assert form_gap <= 1e-8, (ex_id, c, form_gap)
                 worst_form = max(worst_form, form_gap)
-                L_jy, L_y = (eng.lie_derivative_endo(
-                    column(F), J, t.jac_j_at(p), p)[0]
+                L_jy, L_y = (lie_derivative_endo(
+                    eng, column(F), J, t.jac_j_at(p), p)[0]
                     for F in (j_field(t, Yf), Yf))
                 plane = Pi @ T - 0.25 * (L_jy @ Zf(p) + L_y @ (J @ Zf(p)))
                 plane_gap = float(np.max(np.abs(plane)))

@@ -1,0 +1,124 @@
+"""A normal run builds the Gamma table naturality reads once, at the sample
+points and every map's images in one batch, and splits its tables among
+them.
+
+Each piece's tables must carry the bits of the same tables built at that
+point set alone, the ``fd`` stencil's and the ``ad`` seed's among them, so
+no report changes; a batch whose build raises is not split, and each family
+then meets the error where it arises.
+"""
+
+import numpy as np
+import pytest
+
+from triadlab import DiffEngine, catalog, runner
+from triadlab.ad import Dual
+from triadlab.checks import StrictContactMap
+from triadlab.connections import triad_connection
+from triadlab.contact import ContactTriad
+from triadlab.runner import RunConfig, run_suite
+
+from test_batch_runs import _assert_only_point_errs, _run_with, _value
+
+_CAT = catalog()
+
+
+def _bits(x):
+    """A table's shape and bytes, a dual's value and tangent in turn."""
+    if isinstance(x, Dual):
+        return ("dual", x.lvl, _bits(x.re), _bits(x.du))
+    x = np.asarray(x)
+    return x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def test_a_normal_run_solves_for_the_reeb_field_once_per_point_set(
+        monkeypatch):
+    """r3-standard, ``fd``, 8 points: the sample points and the three maps'
+    images share one Reeb solve at the batch and one at its stencil, where
+    building each point set alone took 13 solves."""
+    calls = []
+    reeb = ContactTriad._reeb_impl
+
+    def counted(self, q):
+        calls.append(q.shape)
+        return reeb(self, q)
+    monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
+    run_suite(RunConfig(example_id="r3-standard", points=8, seed=5,
+                        mode="fd"))
+    assert len(calls) == 7, calls
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_each_piece_of_the_batch_has_the_tables_of_its_points_alone(
+        ex_id, mode):
+    """Every table the split puts at the sample points and at each map's
+    images, the ``fd`` stencil's entry and the ``ad`` seed's tables among
+    them, equals bit for bit the table a fresh triad builds at that point
+    set alone."""
+    spec = _CAT[ex_id]
+    t = spec.build(DiffEngine(mode))
+    pts = t.sample_points(3, seed=5)
+    runner._base_batch(t, pts, spec.maps)
+    pieces = [pts] + [m.forward(pts) for m in spec.maps]
+    for x in pieces:
+        alone = spec.build(DiffEngine(mode))
+        triad_connection(alone, 0.0).gamma_tensor(x)
+        assert alone._cache, ex_id
+        for key, tables in alone._cache.items():
+            split = t._cache[key]
+            assert list(split) == list(tables), (ex_id, key[0])
+            for tag, value in tables.items():
+                assert _bits(split[tag]) == _bits(value), (ex_id, key[0], tag)
+    assert len(t._cache) == len(pieces) * (2 if mode == "fd" else 1)
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+def test_a_batch_whose_build_raises_is_not_split(mode):
+    """A map that sends one image to a NaN point makes the batch's Reeb
+    solve raise: nothing is split, and only that point's naturality record
+    errs."""
+    config = dict(points=5, seed=6, c_values=(0.0,), mode=mode)
+    spec = _CAT["r3-standard"]
+    healthy = _run_with("r3-standard", maps=spec.maps[:1], **config)
+    assert healthy.ok
+    pts = np.array([r["point"] for r in healthy.records
+                    if r["name"] == "naturality-pullback"])
+    bad = int(np.argmax(pts[:, 0]))
+    cut = 0.5 * (pts[bad, 0] + np.sort(pts[:, 0])[-2])
+    shift = spec.maps[0].forward
+
+    def forward(q):         # the image of the point beyond the cut is NaN
+        return shift(q) + np.where(_value(q)[..., :1] > cut, np.nan, 0.0)
+
+    broken = StrictContactMap(spec.maps[0].label, forward,
+                              spec.maps[0].inverse, spec.maps[0].differential)
+    t = spec.build(DiffEngine(mode))
+    runner._base_batch(t, t.sample_points(5, 6), (broken,))
+    assert all(key[0][-2] == 10 for key in t._cache), "the batch was split"
+    rep = _run_with("r3-standard", maps=(broken,), **config)
+    _assert_only_point_errs(rep, healthy, bad, mode)
+    errs = [r for r in rep.records if r["note"].startswith("error:")]
+    assert [(r["name"], r["point_index"]) for r in errs] == \
+        [("naturality-pullback", bad)]
+
+
+def test_the_split_keeps_broadcast_tangent_axes_and_existing_entries():
+    """A dual table is cut along its value's batch axis and its tangent's,
+    except where the tangent's batch axis is a broadcast singleton, as the
+    seed's own is; a piece that already has an entry keeps it."""
+    t = _CAT["r3-standard"].build(DiffEngine("ad"))
+    U = t.sample_points(4, seed=1)
+    seed = t.engine._eye(U.shape)                  # shape (3, 1, 3)
+    full = np.arange(36.0).reshape(3, 4, 3)
+    t._cache[U.shape, U.tobytes()] = {("lam", 1): Dual(1, U, seed),
+                                      ("reeb", 1): Dual(1, U, full)}
+    kept = {"tag": "kept"}
+    t._cache[(2, 3), U[2:].tobytes()] = kept
+    t.split_batch(U, 2)
+    tables = t._cache[(2, 3), U[:2].tobytes()]
+    assert tables[("lam", 1)].du is seed
+    assert _bits(tables[("lam", 1)].re) == _bits(U[:2])
+    assert _bits(tables[("reeb", 1)].du) == _bits(full[:, :2])
+    assert t._cache[(2, 3), U[2:].tobytes()] is kept
+    assert (U.shape, U.tobytes()) not in t._cache

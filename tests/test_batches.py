@@ -15,10 +15,10 @@ import pytest
 
 from triadlab import ContactTriad, DiffEngine, ad, catalog, standard_triad
 from triadlab.checks import pullback_triad
-from triadlab.contact import j_image, xi_section
+from triadlab.contact import xi_section
 from triadlab.frames import build_unitary_frame
 
-from oracles import const_field, j_field, metric_pair, xi_field
+from oracles import const_field, j_field, j_image, metric_pair, xi_field
 
 _CAT = catalog()
 

@@ -116,3 +116,13 @@ def test_builders_accept_alternate_engine():
         if ex_id in COEFFS:
             p = t_ad.sample_points(1, seed=28)[0]
             assert abs(contact_coefficient(t_fd, p) - COEFFS[ex_id]) < 1e-6
+
+
+def test_catalog_returns_a_fresh_dict_of_entries_built_once():
+    """Two calls return equal but distinct dicts of the same entries, and
+    editing one leaves the next call's dict unchanged."""
+    first, second = catalog(), catalog()
+    assert first == second and first is not second
+    assert all(first[k] is second[k] for k in first)
+    first["r3-standard"] = first.pop("t3-tight")
+    assert catalog() == second

@@ -25,7 +25,7 @@ from triadlab.checks import (
     field_rng,
     pullback_triad,
 )
-from triadlab.connections import TriadConnection, nijenhuis, triad_connection
+from triadlab.connections import TriadConnection, triad_connection
 from triadlab.engine import max_residual
 
 from oracles import roundtrip_residual
@@ -260,26 +260,31 @@ def _nan_christoffel(triad):
     return triad
 
 
-def test_lemma_suite_takes_the_quarter_n_torsion_from_one_field_bracket_call(
-        monkeypatch):
-    """semi-connection-torsion-quarter-n takes N from the brackets of fields,
-    apart from the table every other Nijenhuis record reads: one
-    field-bracket ``nijenhuis`` call with ``samples`` columns, in both modes
-    and at a point or a batch."""
+def test_a_warm_lemma_suite_makes_two_jacobian_passes(monkeypatch):
+    """With every table built, the lemma suite makes two Jacobian passes,
+    in both modes and at a point or a batch: one of the field whose 5
+    ``samples`` columns hold the draws the three drawn records
+    differentiate, beside their J-images, and one of d lam for
+    ``reeb-parallel-two-form``."""
+    jacobian = DiffEngine.jacobian
     calls = []
 
-    def counted(*args):
-        calls.append(nijenhuis(*args))
-        return calls[-1]
-    monkeypatch.setattr("triadlab.checks.nijenhuis", counted)
+    def counted(self, f, p):
+        calls.append(f)
+        return jacobian(self, f, p)
     for mode in ("ad", "fd"):
         t = _CAT["r5-perturbed-J"].build(triadlab.DiffEngine(mode=mode))
         for samples in (1, 3):
             for p in (t.sample_points(1, 3)[0], t.sample_points(2, 3)):
+                check_lemma_suite(t, p, samples=samples)
+                monkeypatch.setattr(DiffEngine, "jacobian", counted)
                 del calls[:]
                 check_lemma_suite(t, p, samples=samples)
-                assert [n.shape for n in calls] == [(samples,) + p.shape], \
+                monkeypatch.undo()
+                assert len(calls) == 2, (mode, samples, calls)
+                assert calls[0](p).shape == p.shape + (5 * samples, 2), \
                     (mode, samples)
+                assert calls[1] == t.dlam_any, (mode, samples)
 
 
 def test_a_doubled_nijenhuis_table_leaves_the_quarter_n_torsion_alone():

@@ -14,10 +14,10 @@ import pytest
 from triadlab import DiffEngine, catalog
 from triadlab.checks import check_axioms
 from triadlab.connections import nijenhuis, triad_connection
-from triadlab.contact import ContactTriad, j_image, xi_section
+from triadlab.contact import ContactTriad, xi_section
 
-from oracles import (const_field, j_field, metric_pair, nijenhuis_closures,
-                     pair, xi_field)
+from oracles import (const_field, j_field, j_image, metric_pair,
+                     nijenhuis_closures, pair, xi_field)
 
 _CAT = catalog()
 PIPELINES = ("lam_any", "dlam_any", "reeb_any", "pi_any", "j_any",

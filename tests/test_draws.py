@@ -1,10 +1,10 @@
 """The drawn records: per-point draws, with the samples as one stacked axis.
 
 Each record that draws fields reads every point's own generator, keyed by
-the point's coordinates, and differentiates one field whose columns hold
-all of its draws.  Each stacked column must match the per-sample form of
-its bracket, Lie derivative or tensor (``tests/oracles.py``), and a
-request makes one pair of Jacobian passes per drawn record.
+the point's coordinates.  The draws the three records differentiate are
+the columns of one field, whose columns and J-images one Jacobian pass
+differentiates.  Each stacked column must match the per-sample form of
+its bracket, Lie derivative or tensor (``tests/oracles.py``).
 """
 
 import numpy as np
@@ -13,10 +13,10 @@ import pytest
 import triadlab
 from triadlab import DiffEngine, catalog
 from triadlab.checks import check_lemma_suite, draws
-from triadlab.connections import (j_brackets, nijenhuis, tensor_P,
+from triadlab.connections import (field_jet, j_brackets, nijenhuis, tensor_P,
                                   torsion_tensor, triad_connection)
-from triadlab.contact import j_image, xi_section
-from triadlab.engine import columns
+from triadlab.contact import xi_section
+from triadlab.engine import columns, lie_endo
 
 from oracles import (j_field, lie_bracket, lie_derivative_endo_fields,
                      nijenhuis_closures, xi_field)
@@ -78,10 +78,11 @@ def test_stacked_columns_match_their_per_sample_references(ex_id, mode):
     J, dJ = t.j_any(pts), t.jac_j_at(pts)
     y, z = np.split(columns(F(pts)), 2)
     conn = triad_connection(t, 0.0)
-    stacked = {"brackets": np.array(j_brackets(t, F, pts)),
+    (f, jf), (df, djf) = jet = field_jet(t, F, pts)
+    stacked = {"brackets": np.array(j_brackets(jet, slice(m), slice(m, None))),
                "nijenhuis": nijenhuis(t, F, pts),
-               "lie": eng.lie_derivative_endo(F, J, dJ, pts),
-               "lie-j": eng.lie_derivative_endo(j_image(t, F), J, dJ, pts),
+               "lie": lie_endo(f, df, J, dJ),
+               "lie-j": lie_endo(jf, djf, J, dJ),
                "tensor-p": tensor_P(t, y, z, pts),
                "torsion": torsion_tensor(conn, pts, y, z)}
     worst = {}
@@ -116,10 +117,12 @@ def test_stacked_columns_match_their_per_sample_references(ex_id, mode):
     assert all(gap <= bound for gap in worst.values()), worst
 
 
-def test_an_ad_request_makes_one_pair_of_jacobian_passes_per_drawn_record(
+def test_an_ad_request_makes_one_jacobian_pass_for_the_drawn_records(
         monkeypatch):
-    """One r7-standard ``ad`` request at 2 points makes at most 29 Jacobian
-    passes; with a sample loop per drawn record it made 59."""
+    """One r7-standard ``ad`` request at 2 points makes 18 Jacobian passes:
+    one for the three drawn records and one base batch for the sample
+    points and the map's images.  With a pair of passes per drawn record
+    and per point set it made 27, with a sample loop per record 59."""
     calls = []
     jacobian = DiffEngine.jacobian
 
@@ -130,5 +133,5 @@ def test_an_ad_request_makes_one_pair_of_jacobian_passes_per_drawn_record(
     report = triadlab.run_suite(triadlab.RunConfig(
         example_id="r7-standard", points=2, mode="ad"))
     assert not any(r["note"] for r in report.records)
-    assert len(calls) <= 29, len(calls)
+    assert len(calls) == 18, len(calls)
 

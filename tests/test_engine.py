@@ -8,8 +8,8 @@ from triadlab.ad import Dual, array, cos, exp, sin, sqrt, stack
 from triadlab.engine import dot, inner, inv, outer, solve
 
 from oracles import (column, directional_derivative, fd_jacobian,
-                     lie_bracket, flow_lie_derivative_endo, lu_solve_generic,
-                     numeric_directional)
+                     lie_bracket, lie_derivative_endo, flow_lie_derivative_endo,
+                     lu_solve_generic, numeric_directional)
 
 
 def test_engine_rejects_bad_mode_and_step():
@@ -147,8 +147,8 @@ def test_lie_derivative_endo_trivial_cases():
         zero = q[0] * 0
         return array([zero + 1.0, zero, zero])
 
-    got = eng.lie_derivative_endo(column(coord_field), A,
-                                  np.zeros((3, 3, 3)), p)[0]
+    got = lie_derivative_endo(eng, column(coord_field), A,
+                              np.zeros((3, 3, 3)), p)[0]
     assert np.max(np.abs(got)) < 1e-13
 
 
@@ -158,8 +158,8 @@ def test_lie_derivative_endo_matches_flow_oracle():
         triad = catalog()[ex_id].build()
         eng = triad.engine
         p = triad.sample_points(1, seed=31)[0]
-        got = eng.lie_derivative_endo(column(triad.reeb_any), triad.j_any(p),
-                                      triad.jac_j_at(p), p)[0]
+        got = lie_derivative_endo(eng, column(triad.reeb_any),
+                                  triad.j_any(p), triad.jac_j_at(p), p)[0]
         want = flow_lie_derivative_endo(
             triad.reeb_any,
             lambda q: fd_jacobian(triad.reeb_any, q),

@@ -8,10 +8,10 @@ from triadlab import ContactTriad, DiffEngine, catalog
 from triadlab.ad import Dual
 from triadlab.connections import (LeviCivitaConnection, TriadConnection,
                                   nijenhuis, tensor_B1, tensor_B2)
-from triadlab.contact import j_image, xi_section
+from triadlab.contact import xi_section
 from triadlab.frames import build_unitary_frame
 
-from oracles import (coframe_jacobian, const_field, j_field,
+from oracles import (coframe_jacobian, const_field, j_field, j_image,
                      j_image_jacobian, nijenhuis_closures, pair, xi_field,
                      xi_section_jacobian)
 

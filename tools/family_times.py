@@ -10,9 +10,13 @@ first-call set-up is not timed, as in ``tools/ab_times.py``.  Each family
 function the runner calls, and ``emit_report``, is wrapped by a timer for
 the run; the script prints each one's total wall time, its share of the
 total and its call count, then the total wall time of the requests.  The
-line ``run_suite (outside families)`` is ``run_suite``'s wall time minus
-that of the wrapped functions it called: record assembly, sampling and
-set-up.  So a request splits into families, that line and ``emit_report``.
+base batch, the Gamma table naturality reads built once at the sample
+points and every map's images (``_base_batch``), is timed as its own line,
+in a checkout that has it; without it, that work lands in the families
+that read the table.  The line ``run_suite (outside families)`` is
+``run_suite``'s wall time minus that of the wrapped functions it called:
+record assembly, sampling and set-up.  So a request splits into families,
+the base batch, that line and ``emit_report``.
 ``triadbench/`` is only read.
 """
 
@@ -36,12 +40,14 @@ OUTSIDE = "run_suite (outside families)"
 @contextlib.contextmanager
 def family_timers(pkg, spent: Counter, calls: Counter):
     """Within the block, every family that ``pkg``'s check registry names,
-    the Nijenhuis gate of the controls, ``emit_report`` and ``run_suite``,
-    as ``pkg.runner`` binds them, add their wall time to ``spent`` and
-    their calls to ``calls``, under their names."""
+    the Nijenhuis gate of the controls, the base batch (where ``pkg`` has
+    one), ``emit_report`` and ``run_suite``, as ``pkg.runner`` binds them,
+    add their wall time to ``spent`` and their calls to ``calls``, under
+    their names."""
     runner = pkg.runner
     names = ({spec.family for spec in pkg.checks.CHECKS.values()}
-             | {"_projected_nijenhuis_scale", "emit_report", "run_suite"})
+             | {"_projected_nijenhuis_scale", "emit_report", "run_suite"}
+             | {"_base_batch"} & set(vars(runner)))
     originals = {name: getattr(runner, name) for name in sorted(names)}
 
     def wrap(name, fn):
