@@ -8,9 +8,12 @@ of a *lower* perturbation level, which is what makes second-order nesting
 (derivatives of quantities that are themselves computed by differentiation)
 work without perturbation confusion.  A scalar is a dual with a 0-d value.
 
-Because the tangent axes lead, numpy broadcasting and ``matmul`` batching
-apply the product rule to whole arrays; singleton value axes are inserted
-after K only where two operands' value ranks differ.
+This holds for every dual, the engine's identity seed too: its tangent is
+a read-only broadcast view, so no operation writes into a tangent, and
+adding a float shift returns the seed's tangent array itself.  Because the
+tangent axes lead, numpy broadcasting and ``matmul`` batching apply the
+product rule to whole arrays; singleton value axes are inserted after K
+only where two operands' value ranks differ.
 
 Numpy never treats a dual as an array: ``__array_ufunc__ = None`` and a
 raising ``__array__`` make a ufunc, ``np.dot`` or ``np.array`` on a dual fail
@@ -71,13 +74,13 @@ def _pad(t, nk: int, n: int):
     return reshape(t, s[:nk] + (1,) * n + s[nk:])
 
 
-def _broadcast(t, s):
+def broadcast_to(t, s):
     """Broadcast the array or dual t to the value shape s."""
     if shape(t) == s:
         return t
     if isinstance(t, Dual):
         k = shape(t.du)[:t.nk]
-        return Dual(t.lvl, _broadcast(t.re, s), _broadcast(t.du, k + s))
+        return Dual(t.lvl, broadcast_to(t.re, s), broadcast_to(t.du, k + s))
     return np.broadcast_to(t, s)
 
 
@@ -233,7 +236,7 @@ def _sum_tangent(re, x0, x1, y0, y1, minus: bool):
         return a - b if minus else a + b
     t, r = (x1, rx) if y1 is None else (y1, ry)
     nk = ndim(t) - r
-    t = _broadcast(_pad(t, nk, ndim(re) - r), shape(t)[:nk] + shape(re))
+    t = broadcast_to(_pad(t, nk, ndim(re) - r), shape(t)[:nk] + shape(re))
     return -t if minus and y1 is not None else t
 
 

@@ -29,11 +29,11 @@ float point or batch (the dual whose tangent is the array
 :meth:`~triadlab.engine.DiffEngine.jacobian` holds for that shape) keeps
 its tables in the point's own entry, under (tag, level): lam, d lam, the
 Reeb solve, Pi, J, g and a frame run once there for every Jacobian table
-and every field differentiated at the point.  Any other dual point is the
-seed of one differentiation pass, so its values are memoised on the point's
-identity, for the latest such point only: within a pass the Reeb solve and
-d lam run once, however many pipelines read them.  :meth:`split_batch`
-moves a batch's tables, its stencil's and seed's too, to each of its pieces.
+and every field differentiated at the point.  A translate of the seed keeps
+the seed's tangent, so it is the seed at the moved points and reads their
+tables.  Any other dual point is evaluated and not memoised, so the store
+holds float points and seeds only.  :meth:`split_batch` moves a batch's
+tables, its stencil's and seed's too, to each of its pieces.
 
 The fields the checks differentiate are plain closures:
 :func:`xi_section` turns a ``(*batch, d, m)`` matrix W of each point's
@@ -77,7 +77,6 @@ class ContactTriad:
         self._eye = np.eye(dim)
         self._cache: dict = {}
         self._lam_cache = self._cache   # the store of lam's own tables
-        self._lone = (None, {})         # (dual point, tables) of a pass
 
     @classmethod
     def from_frame_action(cls, dim, lam, xi_frame, frame_j, domain,
@@ -114,22 +113,19 @@ class ContactTriad:
 
         ``store`` (``_cache`` by default) maps a float point's or batch's
         (shape, bytes) to its {tag: value} tables.  The engine's identity
-        seed at a float point is held there too, under (tag, level): a seed
-        made in a running pass has a higher level, and a translate q + s of
-        a seed keeps its tangent, so it is the seed at q + s.  Any other dual
-        point seeds one pass, its tables held for the latest such point only.
+        seed at a float point or batch is held there too, under (tag,
+        level): a seed made in a running pass has a higher level, and a
+        translate q + s of a seed keeps its tangent, so it is the seed at
+        q + s.  At any other dual point ``fn(q)`` is evaluated, not held.
         """
         x = q
         if (isinstance(q, Dual) and is_float_point(q.re)
                 and q.du is self.engine._eyes.get(q.shape)):
             x, tag = q.re, (tag, q.lvl)
-        if is_float_point(x):
-            store = self._cache if store is None else store
-            tables = store.setdefault((x.shape, x.tobytes()), {})
-        else:
-            if x is not self._lone[0]:
-                self._lone = (x, {})
-            tables = self._lone[1]
+        if not is_float_point(x):
+            return fn(q)
+        store = self._cache if store is None else store
+        tables = store.setdefault((x.shape, x.tobytes()), {})
         hit = tables.get(tag)
         if hit is None:
             hit = tables[tag] = fn(q)
@@ -149,7 +145,7 @@ class ContactTriad:
                 s = (slice(None),) * axis + (slice(i, i + n),)
                 piece = np.ascontiguousarray(x[s])
                 self._cache.setdefault((piece.shape, piece.tobytes()), {
-                    tag: _cut(v, s) for tag, v in tables.items()})
+                    tag: v[s] for tag, v in tables.items()})
 
     def _lam_cached(self, tag, q, fn):
         return self._cached(tag, q, fn, self._lam_cache)
@@ -276,16 +272,6 @@ class ContactTriad:
         lo, hi = self.domain
         rng = np.random.default_rng(seed)
         return lo + (hi - lo) * rng.random((count, self.dim))
-
-
-def _cut(x, s: tuple):
-    """x[s] for a tuple s of slices whose last cuts a batch axis; a dual's
-    tangent takes s behind its direction axes, and a broadcast singleton
-    batch axis stays whole."""
-    if isinstance(x, Dual):
-        return Dual(x.lvl, _cut(x.re, s),
-                    _cut(x.du, (slice(None),) * x.nk + s))
-    return x if x.shape[len(s) - 1] == 1 else x[s]
 
 
 # -- sections ----------------------------------------------------------------

@@ -10,13 +10,14 @@ differences (``mode="fd"``, an independent cross-check path).
 :meth:`DiffEngine.deriv` takes the derivative of a closure at p along one
 direction ``v``: shape ``(dim,)``, shared by every point of a batch, or
 ``(*batch, dim)``, one per point.  :meth:`DiffEngine.jacobian` reads the
-identity seed the engine holds for each point shape: in ``ad`` mode one
+identity seed the engine holds for each point shape, ``(dim, *batch,
+dim)``, one identity broadcast over the batch axes: in ``ad`` mode one
 :class:`~triadlab.ad.Dual` whose tangent is that seed, every direction and
 every point of a batch at once; in ``fd`` mode one call of the closure on
 the stacked ``(2, dim, *batch, dim)`` identity stencil ``[p + h e_l, p - h
 e_l]``.  At a float point or batch, ``deriv`` along any v is that Jacobian
 contracted with v, in both modes.  Only at a dual point does it run its own
-dual pass along v.
+dual pass along v, broadcast over the point's batch axes.
 
 So every closure the engine differentiates takes a point with leading batch
 axes, shape ``(..., dim)``, and returns its value at every point of the
@@ -53,12 +54,13 @@ and tangent arrays themselves: no elimination runs over dual scalars.
 from __future__ import annotations
 
 from functools import reduce
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .ad import (Dual, matmul, ndim, parts, pop_level, push_level, reshape,
-                 shape, top_level, transpose)
+from .ad import (Dual, broadcast_to, matmul, ndim, parts, pop_level,
+                 push_level, reshape, shape, top_level, transpose)
 
 OneForm = Callable[[np.ndarray], np.ndarray]
 
@@ -86,9 +88,10 @@ class DiffEngine:
     def __init__(self, mode: str = "ad", step: float = 1e-4):
         if mode not in ("ad", "fd"):
             raise ValueError("mode must be 'ad' or 'fd', got %r" % (mode,))
-        if not 0 < step < np.inf:
-            raise ValueError("finite-difference step must be positive and "
-                             "finite")
+        if isinstance(step, bool) or not (isinstance(step, Real)
+                                          and 0 < step < np.inf):
+            raise ValueError("fd step must be a positive finite real, got %r"
+                             % (step,))
         self.mode = mode
         self.step = float(step)
         self._sides = np.array([self.step, -self.step])  # fd stencil sides
@@ -109,11 +112,12 @@ class DiffEngine:
         return y.du
 
     def _eye(self, s: tuple):
-        """The identity seed for points of shape s, held once per shape."""
+        """The identity seed for points of shape s, ``(dim, *s)``: one
+        identity broadcast over s's batch axes, held once per shape."""
         E = self._eyes.get(s)
         if E is None:
-            E = self._eyes[s] = np.eye(s[-1]).reshape(
-                s[-1:] + (1,) * (len(s) - 1) + s[-1:])
+            E = self._eyes[s] = np.moveaxis(
+                np.broadcast_to(np.eye(s[-1]), s + s[-1:]), -2, 0)
         return E
 
     def stencil(self, p):
@@ -133,10 +137,9 @@ class DiffEngine:
         if not isinstance(v, Dual):
             v = np.asarray(v, dtype=float)
         if not is_float_point(p):
-            # one row, and a direction shared by a batch stands behind its
-            # singleton axes
+            # one row, and a direction shared by a batch broadcast over it
             v = reshape(v, (1,) * (p.ndim - ndim(v) + 1) + shape(v))
-            return self._pass(f, p, v)[0]
+            return self._pass(f, p, broadcast_to(v, (1,) + p.shape))[0]
         jac = self.jacobian(f, p)
         # v meets the Jacobian's last axis at every point and entry
         v = v.reshape(v.shape[:-1] + (1,) * (jac.ndim - p.ndim) + v.shape[-1:])

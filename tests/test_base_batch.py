@@ -13,7 +13,7 @@ import pytest
 
 from triadlab import DiffEngine, catalog, runner
 from triadlab.ad import Dual
-from triadlab.checks import StrictContactMap
+from triadlab.checks import StrictContactMap, pullback_triad
 from triadlab.connections import triad_connection
 from triadlab.contact import ContactTriad
 from triadlab.runner import RunConfig, run_suite
@@ -105,11 +105,11 @@ def test_a_batch_whose_build_raises_is_not_split(mode):
 
 def test_the_split_keeps_broadcast_tangent_axes_and_existing_entries():
     """A dual table is cut along its value's batch axis and its tangent's,
-    except where the tangent's batch axis is a broadcast singleton, as the
-    seed's own is; a piece that already has an entry keeps it."""
+    the seed's too, whose cut tangent stays a broadcast view; a piece that
+    already has an entry keeps it."""
     t = _CAT["r3-standard"].build(DiffEngine("ad"))
     U = t.sample_points(4, seed=1)
-    seed = t.engine._eye(U.shape)                  # shape (3, 1, 3)
+    seed = t.engine._eye(U.shape)                  # shape (3, 4, 3)
     full = np.arange(36.0).reshape(3, 4, 3)
     t._cache[U.shape, U.tobytes()] = {("lam", 1): Dual(1, U, seed),
                                       ("reeb", 1): Dual(1, U, full)}
@@ -117,8 +117,67 @@ def test_the_split_keeps_broadcast_tangent_axes_and_existing_entries():
     t._cache[(2, 3), U[2:].tobytes()] = kept
     t.split_batch(U, 2)
     tables = t._cache[(2, 3), U[:2].tobytes()]
-    assert tables[("lam", 1)].du is seed
     assert _bits(tables[("lam", 1)].re) == _bits(U[:2])
+    assert _bits(tables[("lam", 1)].du) == _bits(seed[:, :2])
+    assert tables[("lam", 1)].du.strides[1] == 0
     assert _bits(tables[("reeb", 1)].du) == _bits(full[:, :2])
     assert t._cache[(2, 3), U[2:].tobytes()] is kept
     assert (U.shape, U.tobytes()) not in t._cache
+
+
+def _count_dual_work(monkeypatch):
+    """Counters of ``_reeb_impl`` and ``_frame_j`` calls at dual points
+    and of every ``DiffEngine.jacobian`` call."""
+    n = {"reeb": 0, "frame_j": 0, "jacobian": 0}
+
+    def at_duals(name, fn):
+        def counted(self, q):
+            n[name] += isinstance(q, Dual)
+            return fn(self, q)
+        return counted
+
+    def jacobian(self, f, p, _jacobian=DiffEngine.jacobian):
+        n["jacobian"] += 1
+        return _jacobian(self, f, p)
+    monkeypatch.setattr(ContactTriad, "_reeb_impl",
+                        at_duals("reeb", ContactTriad._reeb_impl))
+    monkeypatch.setattr(ContactTriad, "_frame_j",
+                        at_duals("frame_j", ContactTriad._frame_j))
+    monkeypatch.setattr(DiffEngine, "jacobian", jacobian)
+    return n
+
+
+def test_a_pulled_triad_reads_the_base_seed_tables_at_a_translation(
+        monkeypatch):
+    """r7-standard, ``ad``, 2 points: after the base batch, the J Jacobian
+    of the vertical shift's pulled triad reads the seed tables the split
+    put at the map's images, with no Reeb or J solve of its own."""
+    spec = _CAT["r7-standard"]
+    t = spec.build(DiffEngine("ad"))
+    pts = t.sample_points(2, seed=3)
+    runner._base_batch(t, pts, spec.maps)
+    n = _count_dual_work(monkeypatch)
+    pullback_triad(t, spec.maps[0]).jac_j_at(pts)
+    assert (n["reeb"], n["frame_j"]) == (0, 0), n
+
+
+# (Reeb solves at duals, J solves at duals, Jacobian passes) of one normal
+# ``ad`` request at 2 points, seed 3
+_AD_WORK = {"r3-standard": (4, 2, 25), "r5-standard": (4, 2, 25),
+            "t3-tight": (4, 2, 25), "r7-standard": (2, 1, 17),
+            "r9-standard": (2, 1, 17), "r3-perturbed-J": (2, 1, 20),
+            "r5-perturbed-J": (2, 1, 20)}
+
+
+@pytest.mark.parametrize("ex_id", sorted(_CAT))
+def test_an_ad_request_makes_a_pinned_count_of_dual_solves(ex_id,
+                                                            monkeypatch):
+    """Dual points other than a seed are evaluated, not memoised; a
+    translation's, a shear's and a Reeb flow's image of the seed still
+    cost no more Reeb solves, J solves or Jacobian passes than the
+    counts pinned here, which are below those of a store that memoised
+    the latest such dual (5, 4, 26; 3, 2, 18; 4, 3, 22 by row)."""
+    n = _count_dual_work(monkeypatch)
+    rep = run_suite(RunConfig(example_id=ex_id, points=2, seed=3, mode="ad"))
+    assert not any(r["note"] for r in rep.records)
+    assert (n["reeb"], n["frame_j"], n["jacobian"]) == _AD_WORK[ex_id], n

@@ -175,7 +175,8 @@ def test_ad_derivs_at_a_batch_are_each_point_to_rounding(ex_id):
 
 def test_a_seed_is_kept_per_batch_shape():
     """Two batches that hold the same bytes in other shapes get their own
-    seeds and their own seed tables."""
+    seeds and their own seed tables.  A seed has its full tangent shape
+    ``(dim, *batch, dim)``: one identity, broadcast over the batch axes."""
     t = _CAT["r3-standard"].build(DiffEngine())
     pts = t.sample_points(4, seed=1)
     assert t.engine.jacobian(t.reeb_any, pts).shape == (4, 3, 3)
@@ -184,10 +185,40 @@ def test_a_seed_is_kept_per_batch_shape():
     assert _to_rounding(nested.reshape(4, 3, 3),
                         t.engine.jacobian(t.reeb_any, pts))
     eyes = t.engine._eyes
-    assert eyes[(4, 3)].shape == (3, 1, 3)
-    assert eyes[(2, 2, 3)].shape == (3, 1, 1, 3)
+    assert eyes[(4, 3)].shape == (3, 4, 3)
+    assert eyes[(2, 2, 3)].shape == (3, 2, 2, 3)
+    for E in eyes.values():
+        assert E.strides[1:-1] == (0,) * (E.ndim - 2)
+        assert not E.flags.writeable
+        one = np.eye(3).reshape((3,) + (1,) * (E.ndim - 2) + (3,))
+        assert (E == one).all()
     seeded = [tables[("reeb", 1)] for tables in t._cache.values()]
     assert len(seeded) == 2 and seeded[0] is not seeded[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_translated_seed_keeps_the_seed_at_every_batch_size(n):
+    """A translation's image of the seed at n points has the seed itself as
+    its tangent, so the store reads it as the seed at the image points."""
+    t = _CAT["r3-standard"].build(DiffEngine())
+    pts = t.sample_points(n, seed=4)
+    E = t.engine._eye(pts.shape)
+    for m in _CAT["r3-standard"].maps[:2]:          # the two translations
+        moved = m.forward(ad.Dual(1, pts, E))
+        assert moved.du is E
+        assert moved.re.tobytes() == m.forward(pts).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_seed_indexed_at_a_point_is_that_points_seed(n):
+    """Entry i of the seed at a batch holds point i and the identity."""
+    t = _CAT["r5-standard"].build(DiffEngine())
+    pts = t.sample_points(n, seed=4)
+    seed = ad.Dual(1, pts, t.engine._eye(pts.shape))
+    for i in range(n):
+        q = seed[i]
+        assert q.re.tobytes() == pts[i].tobytes()
+        assert q.du.shape == (5, 5) and (q.du == np.eye(5)).all()
 
 
 def test_a_constant_field_has_the_shape_of_its_point():

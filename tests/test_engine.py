@@ -15,9 +15,29 @@ from oracles import (column, directional_derivative, fd_jacobian,
 def test_engine_rejects_bad_mode_and_step():
     with pytest.raises(ValueError):
         DiffEngine(mode="symbolic")
-    for step in (0.0, -1e-4, np.inf, np.nan):
+    for step in (0.0, -1e-4, np.inf, np.nan, True, "1e-4", None, 1e-4j):
         with pytest.raises(ValueError):
             DiffEngine(mode="fd", step=step)
+
+
+def test_a_shared_direction_at_a_dual_batch_has_the_full_tangent_shape():
+    """At a dual batch, a direction shared by the batch enters the inner
+    pass broadcast over the batch axes, and gives the second derivatives
+    one direction per point gives."""
+    eng = DiffEngine()
+    P = np.array([[0.5, 1.5, -0.3], [1.0, -2.0, 0.7]])
+    v = np.array([1.0, 2.0, -1.0])
+    seen = []
+
+    def f(r):
+        seen.append(r)
+        return sin(r[..., 0] * r[..., 1]) + r[..., 2] * r[..., 2]
+
+    shared = eng.jacobian(lambda q: eng.deriv(f, q, v), P)
+    assert seen[0].du.shape == (1,) + P.shape
+    own = eng.jacobian(
+        lambda q: eng.deriv(f, q, np.broadcast_to(v, P.shape)), P)
+    assert np.allclose(shared, own, rtol=0.0, atol=1e-14)
 
 
 def test_directional_derivative_polynomial_exact():

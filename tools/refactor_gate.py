@@ -4,11 +4,11 @@
 
 BASE and HEAD are roots of triadlab checkouts, each holding ``src/triadlab``.
 For every catalog example, seed (11 and 12), engine mode (``ad``, ``fd``)
-and run kind (normal, ``--negative-controls``), at 4 points, and for one
-wide run (r5-perturbed-J, seed 11, ``fd``, normal, 300 points), 57 reports
-in all, the script runs ``run_suite`` and ``emit_report`` in both
-checkouts, each in its own fresh interpreter, and compares the JSON
-reports.  It prints:
+and run kind (normal, ``--negative-controls``), at 4 points, and for two
+wide runs (r5-perturbed-J, seed 11, ``fd``, normal, 300 points; r9-standard,
+seed 11, ``ad``, normal, 300 points), 58 reports in all, the script runs
+``run_suite`` and ``emit_report`` in both checkouts, each in its own fresh
+interpreter, and compares the JSON reports.  It prints:
 
 * every verdict change (a record's ``passed``, or a report's ``ok``);
 * every change to a report's record list (name, variant, point index) or to
@@ -38,10 +38,11 @@ MODES = ("ad", "fd")
 KINDS = (False, True)          # negative_controls
 SEEDS = (11, 12)
 POINTS = 4
-# (example, seed, mode, negative controls, points): one batch far wider
-# than the others, so that a per-point store policy that depends on the
-# batch width shows in the reports
-WIDE = ("r5-perturbed-J", 11, "fd", False, 300)
+# (example, seed, mode, negative controls, points): batches far wider
+# than the others, one per mode, so that a store policy or a seed layout
+# that depends on the batch width shows in the reports
+WIDE = (("r5-perturbed-J", 11, "fd", False, 300),
+        ("r9-standard", 11, "ad", False, 300))
 MAX_MOVE = 1e-13
 
 
@@ -53,7 +54,7 @@ def emit(out_path: str) -> None:
     configs = [(ex, seed, mode, controls, POINTS)
                for ex in sorted(triadlab.catalog()) for seed in SEEDS
                for mode in MODES for controls in KINDS]
-    for ex, seed, mode, controls, points in configs + [WIDE]:
+    for ex, seed, mode, controls, points in configs + list(WIDE):
         cfg = triadlab.RunConfig(example_id=ex, points=points, seed=seed,
                                  mode=mode, negative_controls=controls)
         rep = triadlab.run_suite(cfg)
