@@ -42,9 +42,9 @@ The registry :data:`CHECKS` declares every check once: the one-line
 statement of its identity (what the CLI's ``describe-check`` prints), its
 tolerance, the family function that emits it, and whether it is a
 control.  ``make_result`` reads the tolerance and the statement from it.
-Fault injections (``fault_*``) deliberately break one ingredient and must
-push at least one residual far above tolerance; they are the suite's own
-sensitivity controls.
+Each control breaks one ingredient and runs the identity kernel of the check
+it pairs with on its fault's tables, so it tests that check's code; it must
+push its residual far above tolerance.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .connections import (
     LeviCivitaConnection,
     PullbackConnection,
     TriadConnection,
+    b1_table,
     covariant_derivative_two_form,
     field_jet,
     j_brackets,
@@ -305,10 +306,9 @@ def _in_frame(T, *bases):
     return _worst(T, m)
 
 
-def _torsion_table(conn, p):
-    """T[k, i, j] = T(e_i, e_j)^k from the connection's Gamma table."""
-    g = conn.gamma_tensor(p)
-    return g - g.swapaxes(-1, -2)
+def _torsion_table(gamma):
+    """T[k, i, j] = T(e_i, e_j)^k of the Gamma table ``gamma``."""
+    return gamma - gamma.swapaxes(-1, -2)
 
 
 def _reeb_cov_matrix(conn, p) -> np.ndarray:
@@ -316,6 +316,31 @@ def _reeb_cov_matrix(conn, p) -> np.ndarray:
     t = conn.triad
     return t.jac_reeb_at(p) + np.einsum('...kil,...l->...ki',
                                         conn.gamma_tensor(p), t.reeb_any(p))
+
+
+# -- identity kernels: a check passes its tables, a control its fault's ----
+
+
+def _j_defect(nj, P, L, B, Bx):
+    """Pi (nabla_u J) Y = Pi nabla_u (J Y) - J Pi nabla_u Y on xi sections."""
+    return _in_frame(lead(P, nj), L, Bx, B)
+
+
+def _metric_defects(ng, X, B, Bx):
+    """(nabla_u g)(Y, Z) on xi sections, and g(nabla_y X, Z) + g(X, nabla_y Z)
+    = -(nabla_y g)(X, Z) for y in xi, as g(X, Z) = 0, from the table ``ng``."""
+    return (_in_frame(ng, Bx, Bx, B),
+            _in_frame(np.einsum('...abl,...a->...bl', ng, X), Bx, Bx))
+
+
+def _coupling_gap(M, J, cP, L, Bx):
+    """nabla_{J y} X + J nabla_y X - c y on xi, from M v = nabla_v X."""
+    return _in_frame(dot(M, J) + dot(J, M) - cP, L, Bx)
+
+
+def _gamma_gap(a, b, offset, L, B):
+    """The gap a - b - offset of two Gamma tables, read in the basis B."""
+    return _in_frame(a - b - offset, L, B, B)
 
 
 # -- axiom battery ---------------------------------------------------------
@@ -341,16 +366,13 @@ def check_axioms(triad: ContactTriad, c_values, p) -> list:
     gamma = conn.gamma_tensor(p)
     J, P, X = triad.j_any(p), triad.pi_any(p), triad.reeb_any(p)
     L, B, Bx = _frame(triad, p)
-    ng = nabla_metric(triad, gamma, p)
-    t = _torsion_table(conn, p)
+    t = _torsion_table(gamma)
     M = _reeb_cov_matrix(conn, p)
-
-    # (1) for sections Y, Z of the distribution, Pi nabla_u (J Y) -
-    # J Pi nabla_u Y = Pi (nabla_u J) Y, and u[g(Y, Z)] - g(Pi nabla_u Y, Z)
-    # - g(Y, Pi nabla_u Z) = (nabla_u g)(Y, Z), since g(X, Z) = lam(Z) = 0
-    r_herm = max_residual(
-        _in_frame(lead(P, nabla_j(triad, gamma, p)), L, Bx, B),
-        _in_frame(ng, Bx, Bx, B))
+    # (1) J-linearity and the metric on the distribution, where g(X, Z) =
+    # lam(Z) = 0; (6) the Reeb/metric duality
+    r_metric, r_dual = _metric_defects(nabla_metric(triad, gamma, p), X, B, Bx)
+    r_herm = max_residual(_j_defect(nabla_j(triad, gamma, p), P, L, B, Bx),
+                          r_metric)
     # (2) Pi T(J v, v) = 0 on the distribution, polarised:
     # tj[k, y, z] = Pi T(J e_y, e_z), and tj + tj^T vanishes
     tj = dot(J.mT[..., None, :, :], lead(P, t))
@@ -361,11 +383,7 @@ def check_axioms(triad: ContactTriad, c_values, p) -> list:
     r_inv = max_residual(_in_frame(matvec(M, X), L),
                          _in_frame(matvec(M.mT, triad.lam_any(p)), Bx))
     # (5;c) the parameter coupling nabla_{J y} X + J nabla_y X = c y
-    r_cr = _in_frame(dot(M, J) + dot(J, M)
-                     - _c_axis(conn, p.ndim + 1) * P, L, Bx)
-    # (6) for y in the distribution and a section Z of it, g(nabla_y X, Z)
-    # + g(X, nabla_y Z) = -(nabla_y g)(X, Z), since g(X, Z) = 0
-    r_dual = _in_frame(np.einsum('...abl,...a->...bl', ng, X), Bx, Bx)
+    r_cr = _coupling_gap(M, J, _c_axis(conn, p.ndim + 1) * P, L, Bx)
     return _per_c(conn, family_names("check_axioms"),
                   (r_herm, r_xtor, r_rtor, r_inv, r_cr, r_dual), p)
 
@@ -415,10 +433,10 @@ def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
     # k[v, u] = -(1/a - 1) g(Pi v, nabla_{Pi u} X)
     k = -(1.0 / a - 1.0) * dot(Pi.mT, dot(G, dot(_reeb_cov_matrix(conn_b, p),
                                                   Pi)))
-    diff = (conn_s.gamma_tensor(p) - conn_b.gamma_tensor(p)
-            - X[..., :, None, None] * k.mT[..., None, :, :])
     L, B, _ = _frame(triad, p)
-    return make_result("scaling-transfer", _in_frame(diff, L, B, B), p)
+    r = _gamma_gap(conn_s.gamma_tensor(p), conn_b.gamma_tensor(p),
+                   X[..., :, None, None] * k.mT[..., None, :, :], L, B)
+    return make_result("scaling-transfer", r, p)
 
 
 # -- naturality ------------------------------------------------------------
@@ -474,8 +492,8 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
     direct = triad_connection(pulled, c)
     through = PullbackConnection(triad_connection(triad, c), cmap, pulled)
     L, B, _ = _frame(pulled, p)
-    diff = through.gamma_tensor(p) - direct.gamma_tensor(p)
-    return make_result("naturality-pullback", _in_frame(diff, L, B, B), p)
+    r = _gamma_gap(through.gamma_tensor(p), direct.gamma_tensor(p), 0.0, L, B)
+    return make_result("naturality-pullback", r, p)
 
 
 # -- the supporting identity suite ----------------------------------------
@@ -575,10 +593,9 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     out.append(make_result("lc-reeb-covariant-slope", _worst(m, 2), p))
 
     # J-linearity of the intermediate (parameter -1) connection on
-    # distribution sections Y: Pi nabla_u (J Y) - J Pi nabla_u Y =
-    # Pi (nabla_u J) Y, as in axiom-hermitian.
+    # distribution sections, as in axiom-hermitian.
     g_tmp = tmp.gamma_tensor(p)
-    r = _in_frame(lead(P, nabla_j(triad, g_tmp, p)), Lg, Bx, B)
+    r = _j_defect(nabla_j(triad, g_tmp, p), P, Lg, B, Bx)
     out.append(make_result("semi-connection-j-linearity", r, p))
 
     # Metric skew property of the obstruction tensor P, as the table
@@ -588,15 +605,11 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     out.append(make_result("p-tensor-metric-skew",
                            _in_frame(gp + gp.swapaxes(-1, -3), Bx, Bx, Bx), p))
 
-    # Metric property of the intermediate connection on distribution
-    # sections, u[g(Y, Z)] - g(nabla_u Y, Z) - g(Y, nabla_u Z) =
-    # (nabla_u g)(Y, Z), and its Reeb/metric duality g(nabla_y X, Z) +
-    # g(X, nabla_y Z) = -(nabla_y g)(X, Z) for y in the distribution.
-    ng = nabla_metric(triad, g_tmp, p)
-    out.append(make_result("semi-connection-metric",
-                           _in_frame(ng, Bx, Bx, B), p))
-    r = _in_frame(np.einsum('...abl,...a->...bl', ng, X), Bx, Bx)
-    out.append(make_result("semi-connection-reeb-metric-dual", r, p))
+    # Metric property and Reeb/metric duality of the intermediate
+    # connection, as in axiom-hermitian and axiom-reeb-metric-dual.
+    r_metric, r_dual = _metric_defects(nabla_metric(triad, g_tmp, p), X, B, Bx)
+    out.append(make_result("semi-connection-metric", r_metric, p))
+    out.append(make_result("semi-connection-reeb-metric-dual", r_dual, p))
 
     # The three drawn records, each on its own draws: quarter-N's Y and Z
     # (and a unit Reeb-slot draw u), torsion-split's Y and p-antisymmetrized's
@@ -632,7 +645,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     # Torsion split values across the family: the lam part as whole tables,
     # the Lie part on drawn sections.
     r = np.max(_in_frame(np.einsum('...k,...kij->...ij', lam, _torsion_table(
-        sweep, p)) - (1.0 + c) * A, Bx, Bx), axis=0)
+        sweep.gamma_tensor(p))) - (1.0 + c) * A, Bx, Bx), axis=0)
     # Only the Y draws are differentiated: Z is read at p.
     y = f[cols[2]]
     z = columns(xi_section(triad, Wt[..., samples:])(p))
@@ -646,7 +659,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # Type symmetries of the projected torsion; tjy[k, y, z] = Pi T(J e_y,
     # e_z) and tjz[k, y, z] = Pi T(e_y, J e_z).
-    pt = lead(P, _torsion_table(conn0, p))
+    pt = lead(P, _torsion_table(conn0.gamma_tensor(p)))
     tjy = dot(J.mT[..., None, :, :], pt)
     tjz = tail(pt, J)
     r = max_residual(_in_frame(tjy - tjz, Lg, Bx, Bx),
@@ -675,16 +688,17 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
 
 def fault_flipped_b1(triad: ContactTriad, p) -> CheckResult:
-    """Quarter-Nijenhuis torsion residual with the first correction negated.
+    """Quarter-Nijenhuis torsion residual of Christoffel - B1: the c = -1
+    member, whose B2 weight is 0, with the first correction negated.
 
     On any triad with nonvanishing projected Nijenhuis tensor the residual
     equals half its norm, so the check must FAIL there.
     """
     p = np.asarray(p, dtype=float)
-    conn = TriadConnection(triad, -1.0, b1_sign=-1.0)
+    gamma = triad.christoffel_at(p) - b1_table(triad, p)
     L, _, Bx = _frame(triad, p)
     # Pi projects away the X term of the sections' bracket form of N
-    t = lead(triad.pi_any(p), _torsion_table(conn, p)
+    t = lead(triad.pi_any(p), _torsion_table(gamma)
              - 0.25 * triad.nijenhuis_at(p))
     return make_result("fault-flipped-correction", _in_frame(t, L, Bx, Bx), p)
 
@@ -693,10 +707,9 @@ def fault_wrong_c(triad: ContactTriad, p) -> CheckResult:
     """Parameter coupling of the c = 1 member against the c = 0 axiom,
     nabla_{J y} X + J nabla_y X = 0 on the distribution."""
     p = np.asarray(p, dtype=float)
-    M = _reeb_cov_matrix(triad_connection(triad, 1.0), p)
-    J = triad.j_any(p)
     L, _, Bx = _frame(triad, p)
-    r = _in_frame(dot(M, J) + dot(J, M), L, Bx)
+    r = _coupling_gap(_reeb_cov_matrix(triad_connection(triad, 1.0), p),
+                      triad.j_any(p), 0.0, L, Bx)
     return make_result("fault-wrong-family-parameter", r, p)
 
 
@@ -711,15 +724,14 @@ def fault_levi_civita(triad: ContactTriad, p) -> CheckResult:
     """
     p = np.asarray(p, dtype=float)
     L, B, Bx = _frame(triad, p)
-    r = _in_frame(lead(triad.pi_any(p), triad.nabla_j_at(p)), L, Bx, B)
+    r = _j_defect(triad.nabla_j_at(p), triad.pi_any(p), L, B, Bx)
     return make_result("fault-levi-civita-not-complex-linear", r, p)
 
 
 def fault_scale_mismatch(triad: ContactTriad, a: float, p) -> CheckResult:
     """Residual between nabla^{a lam; 1} and the UNscaled parameter-1 member."""
     p = np.asarray(p, dtype=float)
-    conn_s = triad_connection(triad.scaled(a), 1.0)
-    conn_b = triad_connection(triad, 1.0)
-    diff = conn_s.gamma_tensor(p) - conn_b.gamma_tensor(p)
     L, B, _ = _frame(triad, p)
-    return make_result("fault-scale-mismatch", _in_frame(diff, L, B, B), p)
+    r = _gamma_gap(triad_connection(triad.scaled(a), 1.0).gamma_tensor(p),
+                   triad_connection(triad, 1.0).gamma_tensor(p), 0.0, L, B)
+    return make_result("fault-scale-mismatch", r, p)

@@ -12,19 +12,20 @@ with the two correction tensors given by their closed forms:
 
 where X is the Reeb field.  The table Gamma = Christoffel + B1 + B2(c)
 depends only on the triad, c and the point, so it lives in the triad's
-per-point store under ("gamma", c, b1_sign), and ``gamma_apply`` reads it.
-c enters only through the weight (1+c)/2 of B2, so the table is assembled
-as (Christoffel + b1_sign B1) + weight * B2(unit weight) from two
-c-independent tables, each built once per point with stacked matmuls over
-the store's tables and held there under ("gamma-base", b1_sign) and "b2-unit".
-A connection over a sweep of c values holds one table stacked over the
-sweep, shape ``(C, *batch, d, d, d)``, under ("gamma", (c_1, .., c_C),
-b1_sign); each slice has the bits of the one-c table, and every tensor or
-covariant derivative read from it carries the sweep's axis in front of the
-batch's.  nabla^LC J, the Levi-Civita case of ``nabla_j``, is one of the
-store's tables (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read
-it.  The pull-back phi^* nabla through a strict contact map is one more
-table, in the pulled triad's store (:class:`PullbackConnection`).
+per-point store under ("gamma", c), and ``gamma_apply`` reads it.  c
+enters only through the weight (1+c)/2 of B2, so the table is assembled as
+(Christoffel + B1) + weight * B2(unit weight) from two c-independent
+tables, each built once per point with stacked matmuls over the store's
+tables and held there under "gamma-base" and "b2-unit".  :func:`b1_table`
+builds B1, here and for the flipped-B1 control.  A connection over a sweep
+of c values holds one table stacked over the sweep, shape ``(C, *batch,
+d, d, d)``, under ("gamma", (c_1, .., c_C)); each slice has the bits of
+the one-c table, and every tensor or covariant derivative read from it
+carries the sweep's axis in front of the batch's.  nabla^LC J, the
+Levi-Civita case of ``nabla_j``, is one of the store's tables
+(``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.  The
+pull-back phi^* nabla through a strict contact map is one more table, in
+the pulled triad's store (:class:`PullbackConnection`).
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 ``field_jet`` differentiates a field of columns and its J-image in one
 Jacobian pass on the point's identity seed; ``j_brackets`` contracts each
@@ -124,43 +125,39 @@ def _bilinear(G, u, v):
     return matvec(matvec(G, v[..., None, :]), u)
 
 
+def b1_table(triad: ContactTriad, p):
+    """B1[k, i, j] = -1/2 J[k, a] nj[a, b, l] P[l, i] P[b, j], the first
+    correction, from the triad's nabla^LC J table."""
+    J, P = triad.j_any(p), triad.pi_any(p)
+    njp = tail(triad.nabla_j_at(p), P).swapaxes(-1, -2)
+    return -0.5 * lead(J, tail(njp, P))
+
+
 class TriadConnection(LocalConnection):
     """Member of the canonical family, assembled as LC + B1 + B2(c); given a
     sequence of c values, the members over that sweep, one per leading entry
-    of its tables.
+    of its tables."""
 
-    ``b1_sign`` exists only for fault injection in the negative controls;
-    every real construction uses the default +1.
-    """
-
-    def __init__(self, triad: ContactTriad, c, b1_sign: float = 1.0):
+    def __init__(self, triad: ContactTriad, c):
         super().__init__(triad)
         self.c = np.asarray(c, dtype=float)
-        self.b1_sign = float(b1_sign)
         self.label = "triad(c=%s)" % ",".join("%g" % x for x in self.c.flat)
         self.table_tag = ("gamma", self.c.tolist() if self.c.ndim == 0
-                          else tuple(self.c.tolist()), self.b1_sign)
+                          else tuple(self.c.tolist()))
 
     def gamma_apply(self, p, u, v):
         return _bilinear(self.gamma_tensor(p), u, v)
 
     def gamma_table(self, p):
-        """Christoffel + b1_sign B1 + B2(c) as one table [k, i, j], stacked
-        over the sweep's axis for a sequence of c values."""
-        base = self.triad._cached(("gamma-base", self.b1_sign), p,
-                                  self._base_table)
-        b2 = self.triad._cached("b2-unit", p, self._b2_unit_table)
+        """Christoffel + B1 + B2(c) as one table [k, i, j], stacked over the
+        sweep's axis for a sequence of c values; Christoffel + B1, the part
+        that c leaves alone, is held once per point."""
+        t = self.triad
+        base = t._cached("gamma-base", p,
+                         lambda x: t.christoffel_at(x) + b1_table(t, x))
+        b2 = t._cached("b2-unit", p, self._b2_unit_table)
         w = 0.5 * (1.0 + self.c)
         return base + w.reshape(w.shape + (1,) * b2.ndim) * b2
-
-    def _base_table(self, p):
-        """Christoffel + b1_sign B1: the part of Gamma that c leaves alone."""
-        t = self.triad
-        J, P = t.j_any(p), t.pi_any(p)
-        # B1[k, i, j] = -1/2 J[k, a] nj[a, b, l] P[l, i] P[b, j]
-        njp = tail(t.nabla_j_at(p), P).swapaxes(-1, -2)
-        b1 = -0.5 * lead(J, tail(njp, P))
-        return t.christoffel_at(p) + self.b1_sign * b1
 
     def _b2_unit_table(self, p):
         """B2 at the weight (1+c)/2 = 1."""
@@ -173,8 +170,7 @@ class TriadConnection(LocalConnection):
                 + X[..., None, None] * jg[..., None, :, :])
 
 
-def triad_connection(triad: ContactTriad, c: float) -> TriadConnection:
-    return TriadConnection(triad, c)
+triad_connection = TriadConnection
 
 
 # -- tensors built from a connection --------------------------------------

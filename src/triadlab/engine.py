@@ -63,6 +63,7 @@ from .ad import (Dual, broadcast_to, matmul, ndim, parts, pop_level,
                  push_level, reshape, shape, top_level, transpose)
 
 OneForm = Callable[[np.ndarray], np.ndarray]
+FD_STEP = 1e-4     # the default fd step, of an engine and of a run
 
 
 def is_float_point(q) -> bool:
@@ -85,7 +86,7 @@ class DiffEngine:
         finite differences with step ``step``.
     """
 
-    def __init__(self, mode: str = "ad", step: float = 1e-4):
+    def __init__(self, mode: str = "ad", step: float = FD_STEP):
         if mode not in ("ad", "fd"):
             raise ValueError("mode must be 'ad' or 'fd', got %r" % (mode,))
         if isinstance(step, bool) or not (isinstance(step, Real)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ad
-from .checks import _worst
+from .checks import _torsion_table, _worst
 from .contact import ContactTriad
 from .connections import LocalConnection, TriadConnection
 from .engine import dot, inner, inv, lead, matvec, max_residual, tail
@@ -152,28 +152,27 @@ def connection_one_forms(conn: LocalConnection, frame: MovingFrame, p) -> np.nda
             else impl(p))
 
 
-def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p,
-                                include_torsion: bool = True):
-    """Max residual of d theta^i + Omega^i_k ^ theta^k - T^i on chart bivectors.
-
-    Passing ``include_torsion=False`` deliberately drops the torsion forms;
-    for the triad connection this must expose a residual of order |d lam|,
-    which is the negative control for this identity.
-    """
-    p = np.asarray(p, dtype=float)
-    theta = frame.coframe_any(p)
-    jacT = frame.jac_coframe_at(p)
-    dtheta = jacT.swapaxes(-1, -2) - jacT
+def structure_gap(theta, jac_coframe, one_forms, torsion_forms):
+    """Max residual of d theta^i + Omega^i_k ^ theta^k - torsion_forms^i on
+    chart bivectors, from the coframe, its Jacobian table and the frame
+    coefficients gamma[i, k, j]."""
+    dtheta = jac_coframe.swapaxes(-1, -2) - jac_coframe
     # omega_b[i, j, a] = gamma[i, k, j] theta[k, a]; the wedge, likewise
     theta_k = theta[..., None, :, :]
-    omega_b = dot(connection_one_forms(conn, frame, p).mT, theta_k)
+    omega_b = dot(one_forms.mT, theta_k)
     wedge = dot(omega_b.mT, theta_k)
     wedge = wedge - wedge.swapaxes(-1, -2)
-    res = dtheta + wedge
-    if include_torsion:
-        gt = conn.gamma_tensor(p)
-        res = res - lead(theta, gt - gt.swapaxes(-1, -2))
-    return _worst(res, 3)
+    return _worst(dtheta + wedge - torsion_forms, 3)
+
+
+def structure_equation_residual(conn: LocalConnection, frame: MovingFrame, p):
+    """Max residual of d theta^i + Omega^i_k ^ theta^k - T^i on chart
+    bivectors, T^i the torsion two-forms theta^i(T) of ``conn``."""
+    p = np.asarray(p, dtype=float)
+    theta = frame.coframe_any(p)
+    return structure_gap(theta, frame.jac_coframe_at(p),
+                         connection_one_forms(conn, frame, p),
+                         lead(theta, _torsion_table(conn.gamma_tensor(p))))
 
 
 def gamma_from_axioms(triad: ContactTriad, c, frame: MovingFrame, p):

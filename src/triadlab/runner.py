@@ -47,9 +47,10 @@ from .checks import (CHECKS, SAMPLES, check_axioms,
                      fault_scale_mismatch, fault_wrong_c, family_names,
                      make_result, _in_frame)
 from .connections import triad_connection
-from .engine import DiffEngine
-from .frames import (build_unitary_frame, cross_check_gamma,
-                     skew_hermitian_check, structure_equation_residual)
+from .engine import FD_STEP, DiffEngine
+from .frames import (build_unitary_frame, connection_one_forms,
+                     cross_check_gamma, skew_hermitian_check,
+                     structure_equation_residual, structure_gap)
 
 SCHEMA_VERSION = "1"
 RESIDUAL_UNEVALUABLE = 1e300
@@ -71,7 +72,7 @@ class RunConfig:
     points: int = 5
     seed: int = 0
     mode: str = "ad"
-    fd_step: float = 1e-4
+    fd_step: float = FD_STEP
     fmt: str = "json"
     negative_controls: bool = False
 
@@ -291,8 +292,8 @@ def _frame_records(triad, cs, p, seed):
 
 def _dropped_torsion_control(triad, p, seed):
     frame = build_unitary_frame(triad, p, seed=seed)
-    conn0 = triad_connection(triad, 0.0)
-    r = structure_equation_residual(conn0, frame, p, include_torsion=False)
+    om = connection_one_forms(triad_connection(triad, 0.0), frame, p)
+    r = structure_gap(frame.coframe_any(p), frame.jac_coframe_at(p), om, 0.0)
     return make_result("control-structure-equation-dropped-torsion", r, p)
 
 

@@ -1,6 +1,8 @@
 """The verification battery: axioms, form holomorphicity, scaling, naturality,
 identity suite, and the deliberate fault injections."""
 
+import importlib
+import sys
 import zlib
 
 import numpy as np
@@ -25,8 +27,9 @@ from triadlab.checks import (
     field_rng,
     pullback_triad,
 )
-from triadlab.connections import TriadConnection, triad_connection
+from triadlab.connections import triad_connection
 from triadlab.engine import max_residual
+from triadlab.runner import RunConfig, _meets_role, run_suite
 
 from oracles import roundtrip_residual
 
@@ -197,11 +200,9 @@ def test_a_flipped_b1_fails_the_hermitian_axiom_and_semi_j_linearity(
         mode, monkeypatch):
     """With B1's sign flipped in every family member, the J-linearity read
     from the nabla J table breaks on r5-perturbed-J at every point."""
-    def flipped(triad, c, b1_sign=1.0):
-        return TriadConnection(triad, c, b1_sign=-1.0)
-
-    monkeypatch.setattr("triadlab.checks.TriadConnection", flipped)
-    monkeypatch.setattr("triadlab.checks.triad_connection", flipped)
+    b1 = triadlab.connections.b1_table
+    monkeypatch.setattr("triadlab.connections.b1_table",
+                        lambda triad, p: -b1(triad, p))
     t = _CAT["r5-perturbed-J"].build(DiffEngine(mode))
     pts = t.sample_points(4, seed=9)
     for group in check_axioms(t, (-1.0, 0.0, 1.0), pts):
@@ -209,6 +210,65 @@ def test_a_flipped_b1_fails_the_hermitian_axiom_and_semi_j_linearity(
         assert np.all(herm.residual >= 1e-2), herm.residual
     semi = {r.name: r for r in check_lemma_suite(t, pts)}
     assert np.all(semi["semi-connection-j-linearity"].residual >= 1e-2)
+
+
+# (control, the identity kernel it shares, the check it pairs with)
+CONTROL_KERNELS = [
+    ("fault-flipped-correction", "_torsion_table", "axiom-xi-torsion"),
+    ("fault-wrong-family-parameter", "_coupling_gap", "axiom-cr-coupling"),
+    ("fault-levi-civita-not-complex-linear", "_j_defect",
+     "semi-connection-j-linearity"),
+    ("fault-scale-mismatch", "_gamma_gap", "scaling-transfer"),
+    ("control-structure-equation-dropped-torsion", "structure_gap",
+     "structure-equation"),
+]
+
+
+@pytest.mark.parametrize("control, kernel, check", CONTROL_KERNELS)
+def test_each_control_runs_the_identity_kernel_of_its_check(
+        control, kernel, check, monkeypatch):
+    """A spy on the kernel, under every name the package binds it, sees a
+    call from the control's family and one from its check's.  Zeroed, the
+    kernel silences the control and zeroes the check's residual, except that
+    fault-flipped-correction keeps the quarter-N value it compares the
+    torsion with: it halves, and still fires."""
+    mods = [importlib.import_module("triadlab." + m)
+            for m in ("checks", "frames", "runner")]
+    real = next(getattr(m, kernel) for m in mods if hasattr(m, kernel))
+    callers, zero = set(), []
+
+    def spy(*args):
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return real(*args) * 0.0 if zero else real(*args)
+
+    for m in mods:
+        if getattr(m, kernel, None) is real:
+            monkeypatch.setattr(m, kernel, spy)
+
+    def records():
+        return {(r["name"], r["point_index"]): r
+                for controls in (False, True)
+                for r in run_suite(RunConfig("r5-perturbed-J", points=2,
+                                             negative_controls=controls)
+                                   ).records if r["name"] in (control, check)}
+
+    healthy = records()
+    assert {CHECKS[control].family, CHECKS[check].family} <= callers
+    zero.append(True)
+    zeroed = records()
+    assert sorted(zeroed) == sorted(healthy) and len(healthy) == 4
+    for key, r in zeroed.items():
+        assert _meets_role(healthy[key]), key
+        if r["name"] == check:
+            assert r["residual"] == 0.0, key
+        elif control == "fault-flipped-correction":
+            half = 0.5 * healthy[key]["residual"]
+            assert abs(r["residual"] - half) <= 1e-9 * half and _meets_role(r)
+        else:
+            assert not _meets_role(r), key
 
 
 def test_a_reversed_c_axis_fails_the_coupling_axiom(monkeypatch):

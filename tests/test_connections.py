@@ -135,16 +135,15 @@ def test_each_slice_of_the_stacked_table_is_the_one_c_table(ex_id, mode):
     pts = t.sample_points(3, seed=8)
     cs = (-1.0, 0.0, 1.0, 0.25)
     for p in (pts[0], pts):
-        for b1_sign in (1.0, -1.0):
-            table = TriadConnection(t, cs, b1_sign=b1_sign).gamma_tensor(p)
-            assert table.shape == (len(cs),) + p.shape[:-1] + (t.dim,) * 3
-            for k, c in enumerate(cs):
-                one = TriadConnection(t, c, b1_sign=b1_sign).gamma_tensor(p)
-                assert one.shape == p.shape[:-1] + (t.dim,) * 3
-                assert table[k].tobytes() == one.tobytes(), (c, b1_sign)
-            alone = TriadConnection(t, (0.0,), b1_sign).gamma_tensor(p)
-            assert alone.shape == (1,) + table.shape[1:]
-            assert alone[0].tobytes() == table[1].tobytes()
+        table = TriadConnection(t, cs).gamma_tensor(p)
+        assert table.shape == (len(cs),) + p.shape[:-1] + (t.dim,) * 3
+        for k, c in enumerate(cs):
+            one = TriadConnection(t, c).gamma_tensor(p)
+            assert one.shape == p.shape[:-1] + (t.dim,) * 3
+            assert table[k].tobytes() == one.tobytes(), c
+        alone = TriadConnection(t, (0.0,)).gamma_tensor(p)
+        assert alone.shape == (1,) + table.shape[1:]
+        assert alone[0].tobytes() == table[1].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["ad", "fd"])

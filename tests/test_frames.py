@@ -104,8 +104,10 @@ def test_structure_equation_dropped_torsion_control():
     t = _CAT["r3-standard"].build()
     p = t.sample_points(1, seed=5)[0]
     fr = build_unitary_frame(t, p)
-    res = structure_equation_residual(triad_connection(t, 0.0), fr, p,
-                                      include_torsion=False)
+    om = connection_one_forms(triad_connection(t, 0.0), fr, p)
+    # the torsion-free structure form d theta + Omega ^ theta
+    res = frames.structure_gap(fr.coframe_any(p), fr.jac_coframe_at(p), om,
+                               0.0)
     assert res > 0.5
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from triadlab import ContactTriad, DiffEngine, catalog
 from triadlab.ad import Dual
 from triadlab.connections import (LeviCivitaConnection, TriadConnection,
-                                  nijenhuis, tensor_B1, tensor_B2)
+                                  b1_table, nijenhuis, tensor_B1, tensor_B2)
 from triadlab.contact import xi_section
 from triadlab.frames import build_unitary_frame
 
@@ -111,23 +111,27 @@ def test_gamma_table_matches_levi_civita_plus_corrections():
     for ex_id, t, p, rng in _cases():
         lc = LeviCivitaConnection(t)
         eye = np.eye(t.dim)
-        for b1_sign in (1.0, -1.0):
-            for c in (-1.0, 0.0, 1.0):
-                table = TriadConnection(t, c, b1_sign=b1_sign).gamma_tensor(p)
-                # The table lives in the triad's store: a second connection
-                # with the same (c, b1_sign) reads the same object, a
-                # flipped B1 another one.
-                twin = TriadConnection(t, c, b1_sign=b1_sign).gamma_tensor(p)
-                flipped = TriadConnection(t, c, b1_sign=-b1_sign)
-                assert twin is table, (ex_id, c, b1_sign)
-                assert flipped.gamma_tensor(p) is not table, (ex_id, c)
-                for i in range(t.dim):
-                    for j in range(t.dim):
-                        u, v = eye[i], eye[j]
-                        want = (lc.gamma_apply(p, u, v)
-                                + b1_sign * tensor_B1(t, u, v, p)
-                                + tensor_B2(t, c, u, v, p))
-                        assert _close(table[:, i, j], want), (ex_id, c, i, j)
+        # fault_flipped_b1's table: the c = -1 member with B1 negated
+        flipped = t.christoffel_at(p) - b1_table(t, p)
+        for c in (-1.0, 0.0, 1.0):
+            table = TriadConnection(t, c).gamma_tensor(p)
+            # The table lives in the triad's store: a second connection
+            # with the same c reads the same object, a flipped B1 another
+            # one.
+            twin = TriadConnection(t, c).gamma_tensor(p)
+            assert twin is table, (ex_id, c)
+            assert flipped is not table, (ex_id, c)
+            for i in range(t.dim):
+                for j in range(t.dim):
+                    u, v = eye[i], eye[j]
+                    b1 = tensor_B1(t, u, v, p)
+                    want = (lc.gamma_apply(p, u, v) + b1
+                            + tensor_B2(t, c, u, v, p))
+                    assert _close(table[:, i, j], want), (ex_id, c, i, j)
+                    if c == -1.0:
+                        assert _close(flipped[:, i, j],
+                                      lc.gamma_apply(p, u, v) - b1), \
+                            (ex_id, i, j)
 
 
 def test_coframe_jacobian_table_is_the_jet_in_ad_and_the_closure_in_fd():

@@ -8,14 +8,15 @@ seed (by default 0-11 and 1486393352) and run kind (normal and
 ``--negative-controls``), the script runs ``run_suite`` in ``fd`` mode at
 6 points over the default c sweep and reads each record's verdict.
 
-A check record fails when it does not pass; ``cr-form-xi`` at c != 0 fails
-by design and is not counted.  A control record fires when it fails on an
-evaluable residual.  The script prints, for each example, the failure
-count and the worst residual as a share of its tolerance, with the seed,
-the point index and the name and variant of the record that reached it;
-then the failure count of each record name that failed, and how many
-controls fired.  It exits 1 if
-any check record failed or any control did not fire, else 0.
+Whether a check record failed or a control record fired is the checkout's
+own rule, ``runner._meets_role``: a check fails when it does not pass, and
+a control fires when it fails on an evaluable residual.  ``cr-form-xi`` at
+c != 0 fails by design and is not counted.  The script prints, for each
+example, the failure count and the worst residual as a share of its
+tolerance, with the seed, the point index and the name and variant of the
+record that reached it; then the failure count of each record name that
+failed, and how many controls fired.  It exits 1 if any check record
+failed or any control did not fire, else 0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def by_design(record: dict) -> bool:
     return record["name"] == "cr-form-xi" and record["variant"] != "c=0"
 
 
-def sweep(triadlab, checks, seeds) -> dict:
+def sweep(triadlab, checks, runner, seeds) -> dict:
     """Per-example failures and worst ratios, per-name failures, and the
     count of controls run and of those that did not fire."""
     fails, worst, names = Counter(), {}, Counter()
@@ -48,10 +49,10 @@ def sweep(triadlab, checks, seeds) -> dict:
                                          seed=seed, mode="fd",
                                          negative_controls=kind)
                 for r in triadlab.run_suite(cfg).records:
+                    met = runner._meets_role(r)
                     if checks.CHECKS[r["name"]].control:
                         controls += 1
-                        silent += (r["passed"]
-                                   or r["note"].startswith("error:"))
+                        silent += not met
                         continue
                     if by_design(r):
                         continue
@@ -62,7 +63,7 @@ def sweep(triadlab, checks, seeds) -> dict:
                         name = r["name"] + (" " + r["variant"]
                                             if r["variant"] else "")
                         worst[ex] = (ratio, name, seed, r["point_index"])
-                    if not r["passed"]:
+                    if not met:
                         fails[ex] += 1
                         names[r["name"]] += 1
     return {"fails": fails, "worst": worst, "names": names,
@@ -77,9 +78,9 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     import triadlab
-    from triadlab import checks
+    from triadlab import checks, runner
 
-    out = sweep(triadlab, checks, args.seeds)
+    out = sweep(triadlab, checks, runner, args.seeds)
     print("fd sweep of %s: seeds %s, %d points, both run kinds"
           % (args.root, " ".join(map(str, args.seeds)), POINTS))
     print("%-16s %8s %12s %10s %5s  %s" % ("example", "failures",

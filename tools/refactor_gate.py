@@ -18,7 +18,9 @@ interpreter, and compares the JSON reports.  It prints:
 * for each mode and record name, the worst residual as a share of its
   tolerance in BASE and in HEAD, and the name's worst move if it moved;
 * how many reports match byte for byte, and the key of each that does not;
-* the total and non-blank line counts of ``src/triadlab`` in each checkout.
+* the total, non-blank and code line counts of ``src/triadlab`` in each
+  checkout, a code line being a non-blank line outside docstrings and
+  comments.
 
 It exits 1 if a verdict, a record list or a non-residual field differs, or
 if a residual moves by more than 1e-13, the refactor bound, else 0.
@@ -27,12 +29,15 @@ if a residual moves by more than 1e-13, the refactor bound, else 0.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 MODES = ("ad", "fd")
 KINDS = (False, True)          # negative_controls
@@ -81,17 +86,43 @@ def load(path: str) -> dict:
         return json.load(fh)
 
 
+# tokens that hold no code
+_NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER)
+
+
+def code_lines(text: str) -> set:
+    """Numbers of the non-blank lines of the module source ``text`` that
+    hold code: outside docstrings, and not a comment alone."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(
+                                 node, clean=False) is not None:
+            doc = node.body[0]
+            docs.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = text.splitlines()
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return {n for n in code - docs if lines[n - 1].strip()}
+
+
 def source_lines(root: str) -> tuple:
-    """Total and non-blank lines of the ``.py`` files under src/triadlab."""
-    total = nonblank = 0
+    """Total, non-blank and code lines of the ``.py`` files under
+    src/triadlab."""
+    total = nonblank = code = 0
     for folder, _, names in os.walk(os.path.join(root, "src", "triadlab")):
         for name in names:
             if name.endswith(".py"):
                 with open(os.path.join(folder, name)) as fh:
-                    lines = fh.read().splitlines()
+                    text = fh.read()
+                lines = text.splitlines()
                 total += len(lines)
                 nonblank += sum(1 for line in lines if line.strip())
-    return total, nonblank
+                code += len(code_lines(text))
+    return total, nonblank, code
 
 
 def record_key(r: dict) -> tuple:
@@ -186,7 +217,7 @@ def main(argv=None) -> int:
             return 2
         base, head = (load(path) for path in outs)
     for label, root in (("BASE", args.base), ("HEAD", args.head)):
-        print("%s src/triadlab: %d lines, %d non-blank"
+        print("%s src/triadlab: %d lines, %d non-blank, %d code"
               % ((label,) + source_lines(root)))
     return compare(base, head)
 
