@@ -500,7 +500,6 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
 
 
 def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
-                      samples: int = SAMPLES,
                       c_values=(-1.0, 0.0, 1.0)) -> list:
     """Every supporting identity behind the family, one CheckResult each.
     Each record that draws reads its own generator, keyed by its name."""
@@ -613,15 +612,15 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
 
     # The three drawn records, each on its own draws: quarter-N's Y and Z
     # (and a unit Reeb-slot draw u), torsion-split's Y and p-antisymmetrized's
-    # Y and Z are the 5m columns of one field, in one Jacobian pass.
+    # Y and Z are the 5 * SAMPLES columns of one field, in one Jacobian pass.
     Wq = draws(triad, p, seed, "semi-connection-torsion-quarter-n",
-               (d, 2 * samples + 1))
-    Wt = draws(triad, p, seed, "torsion-split-values", (d, 2 * samples))
-    Wp = draws(triad, p, seed, "p-antisymmetrized-bracket", (d, 2 * samples))
+               (d, 2 * SAMPLES + 1))
+    Wt = draws(triad, p, seed, "torsion-split-values", (d, 2 * SAMPLES))
+    Wp = draws(triad, p, seed, "p-antisymmetrized-bracket", (d, 2 * SAMPLES))
     jet = field_jet(triad, xi_section(triad, np.concatenate(
-        [Wq[..., 1:], Wt[..., :samples], Wp], axis=-1)), p)
+        [Wq[..., 1:], Wt[..., :SAMPLES], Wp], axis=-1)), p)
     (f, jf), (df, djf) = jet
-    cols = [slice(k * samples, (k + 1) * samples) for k in range(5)]
+    cols = [slice(k * SAMPLES, (k + 1) * SAMPLES) for k in range(5)]
 
     # Torsion of the intermediate connection: quarter Nijenhuis, no lam part.
     # N is taken from the brackets of the fields, apart from the table.
@@ -648,7 +647,7 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
         sweep.gamma_tensor(p))) - (1.0 + c) * A, Bx, Bx), axis=0)
     # Only the Y draws are differentiated: Z is read at p.
     y = f[cols[2]]
-    z = columns(xi_section(triad, Wt[..., samples:])(p))
+    z = columns(xi_section(triad, Wt[..., SAMPLES:])(p))
     dJ = triad.jac_j_at(p)
     l_jy = lie_endo(jf[cols[2]], djf[cols[2]], J, dJ)
     l_y = lie_endo(y, df[cols[2]], J, dJ)

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fd-step", type=float, default=RunConfig.fd_step,
                     metavar="H", help="step for fd mode (default %(default)g)")
     pc.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                    default=RunConfig.fmt)
+                    default="json")
     pc.add_argument("--out", default=None, metavar="PATH",
                     help="write the report here instead of stdout; relative "
                          "paths resolve against $%s when set" % ENV_OUT_DIR)
@@ -79,7 +79,7 @@ def _cmd_check(args) -> int:
         return 2
     config = RunConfig(example_id=args.example, c_values=cvals,
                        points=args.points, seed=args.seed, mode=args.mode,
-                       fd_step=args.fd_step, fmt=args.fmt,
+                       fd_step=args.fd_step,
                        negative_controls=args.negative_controls)
     try:
         report = run_suite(config)

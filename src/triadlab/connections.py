@@ -25,7 +25,8 @@ carries the sweep's axis in front of the batch's.  nabla^LC J, the
 Levi-Civita case of ``nabla_j``, is one of the store's tables
 (``ContactTriad.nabla_j_at``); B1 and ``_lc_nabla_j`` read it.  The
 pull-back phi^* nabla through a strict contact map is one more table, in
-the pulled triad's store (:class:`PullbackConnection`).
+the pulled triad's store (:class:`PullbackConnection`), named by the map's
+label and the base connection's ``table_tag``.
 ``tensor_B1`` / ``tensor_B2`` evaluate the corrections on single vectors.
 ``field_jet`` differentiates a field of columns and its J-image in one
 Jacobian pass on the point's identity seed; ``j_brackets`` contracts each
@@ -81,7 +82,6 @@ class LocalConnection:
 
 
 class LeviCivitaConnection(LocalConnection):
-    label = "levi-civita"
     table_tag = "christoffel"
 
     def gamma_apply(self, p, u, v):
@@ -141,7 +141,6 @@ class TriadConnection(LocalConnection):
     def __init__(self, triad: ContactTriad, c):
         super().__init__(triad)
         self.c = np.asarray(c, dtype=float)
-        self.label = "triad(c=%s)" % ",".join("%g" % x for x in self.c.flat)
         self.table_tag = ("gamma", self.c.tolist() if self.c.ndim == 0
                           else tuple(self.c.tolist()))
 
@@ -298,7 +297,7 @@ class PullbackConnection(LocalConnection):
     def __init__(self, base: LocalConnection, cmap, pulled: ContactTriad):
         super().__init__(pulled)
         self.base, self.cmap = base, cmap
-        self.table_tag = ("pullback", cmap.label, base.label)
+        self.table_tag = ("pullback", cmap.label, base.table_tag)
 
     def gamma_table(self, p):
         cm = self.cmap

@@ -24,16 +24,17 @@ its (shape, bytes), and holds its {tag: value} tables, the Gamma tables of
 :mod:`triadlab.connections` among them.  A triad (lam, J') made by
 :meth:`ContactTriad.with_j`, a pulled triad say, keeps the tables that
 depend on lam and the engine only (lam, d lam, the Reeb field, Pi and their
-Jacobians) in its parent's store.  The engine's identity seed at a
-float point or batch (the dual whose tangent is the array
-:meth:`~triadlab.engine.DiffEngine.jacobian` holds for that shape) keeps
-its tables in the point's own entry, under (tag, level): lam, d lam, the
-Reeb solve, Pi, J, g and a frame run once there for every Jacobian table
-and every field differentiated at the point.  A translate of the seed keeps
-the seed's tangent, so it is the seed at the moved points and reads their
-tables.  Any other dual point is evaluated and not memoised, so the store
-holds float points and seeds only.  :meth:`split_batch` moves a batch's
-tables, its stencil's and seed's too, to each of its pieces.
+Jacobians) in its parent's store, through the parent's ``_cached``.  The
+engine's identity seed at a float point or batch (the dual whose tangent is
+the array :meth:`~triadlab.engine.DiffEngine.jacobian` holds for that
+shape) keeps its tables in the point's own entry, under (tag, level): lam,
+d lam, the Reeb solve, Pi, J, g and a frame run once there for every
+Jacobian table and every field differentiated at the point.  A translate of
+the seed keeps the seed's tangent, so it is the seed at the moved points
+and reads their tables.  Any other dual point is evaluated and not
+memoised, so the store holds float points and seeds only.
+:meth:`split_batch` moves a batch's tables, its stencil's and seed's too,
+to each of its pieces.
 
 The fields the checks differentiate are plain closures:
 :func:`xi_section` turns a ``(*batch, d, m)`` matrix W of each point's
@@ -76,7 +77,7 @@ class ContactTriad:
         self.label = label
         self._eye = np.eye(dim)
         self._cache: dict = {}
-        self._lam_cache = self._cache   # the store of lam's own tables
+        self._lam_owner = None    # the triad whose store holds lam's tables
 
     @classmethod
     def from_frame_action(cls, dim, lam, xi_frame, frame_j, domain,
@@ -108,15 +109,15 @@ class ContactTriad:
 
     # -- caching ---------------------------------------------------------
 
-    def _cached(self, tag, q, fn, store=None):
+    def _cached(self, tag, q, fn):
         """``fn(q)``, memoised under ``tag`` in the tables held for point q.
 
-        ``store`` (``_cache`` by default) maps a float point's or batch's
-        (shape, bytes) to its {tag: value} tables.  The engine's identity
-        seed at a float point or batch is held there too, under (tag,
-        level): a seed made in a running pass has a higher level, and a
-        translate q + s of a seed keeps its tangent, so it is the seed at
-        q + s.  At any other dual point ``fn(q)`` is evaluated, not held.
+        ``_cache`` maps a float point's or batch's (shape, bytes) to its
+        {tag: value} tables.  The engine's identity seed at a float point
+        or batch is held there too, under (tag, level): a seed made in a
+        running pass has a higher level, and a translate q + s of a seed
+        keeps its tangent, so it is the seed at q + s.  At any other dual
+        point ``fn(q)`` is evaluated, not held.
         """
         x = q
         if (isinstance(q, Dual) and is_float_point(q.re)
@@ -124,8 +125,7 @@ class ContactTriad:
             x, tag = q.re, (tag, q.lvl)
         if not is_float_point(x):
             return fn(q)
-        store = self._cache if store is None else store
-        tables = store.setdefault((x.shape, x.tobytes()), {})
+        tables = self._cache.setdefault((x.shape, x.tobytes()), {})
         hit = tables.get(tag)
         if hit is None:
             hit = tables[tag] = fn(q)
@@ -148,7 +148,7 @@ class ContactTriad:
                     tag: v[s] for tag, v in tables.items()})
 
     def _lam_cached(self, tag, q, fn):
-        return self._cached(tag, q, fn, self._lam_cache)
+        return (self._lam_owner or self)._cached(tag, q, fn)
 
     # -- pointwise pipelines (valid at float or dual points) -------------
 
@@ -262,10 +262,10 @@ class ContactTriad:
 
     def with_j(self, j_full: Callable, label: str) -> "ContactTriad":
         """The triad (lam, J') on the same chart and engine; it reads and
-        writes lam's own tables (``_lam_cache``) in this triad's store."""
+        writes lam's own tables in this triad's store (``_lam_owner``)."""
         triad = ContactTriad(self.dim, self.lam, j_full, self.domain,
                              engine=self.engine, label=label)
-        triad._lam_cache = self._lam_cache
+        triad._lam_owner = self._lam_owner or self
         return triad
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:

@@ -62,7 +62,6 @@ import numpy as np
 from .ad import (Dual, broadcast_to, matmul, ndim, parts, pop_level,
                  push_level, reshape, shape, top_level, transpose)
 
-OneForm = Callable[[np.ndarray], np.ndarray]
 FD_STEP = 1e-4     # the default fd step, of an engine and of a run
 
 
@@ -172,7 +171,7 @@ class DiffEngine:
 
     # -- named operations ------------------------------------------------
 
-    def exterior_derivative(self, alpha: OneForm, p):
+    def exterior_derivative(self, alpha: Callable, p):
         """d(alpha) as the exactly antisymmetric matrix of a two-form.
 
         Entry [i, j] equals (d alpha)(e_i, e_j) = d_i alpha_j - d_j alpha_i,

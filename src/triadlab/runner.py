@@ -21,10 +21,12 @@ expands each group with one ``tolist`` of its residuals and one of its
 verdicts, so a fixed configuration always serializes to identical bytes.
 
 ``_canon`` defines those bytes: sorted keys, every float as ``%.12e``, a
-non-finite one as the unevaluable sentinel.  ``emit_report`` writes the
-header and summary through it, and each record from one template of its
-nine keys, formatting every string and every point once per report; CSV
-writes its numbers with the same ``_number``.
+non-finite one as the unevaluable sentinel.  ``emit_report(report, fmt)``
+alone picks the format; a run's config holds none, and the config a JSON
+report echoes says ``"format":"json"``.  It writes the header and summary
+through ``_canon``, and each record from one template of its nine keys,
+formatting every string and every point once per report; CSV writes its
+numbers with the same ``_number``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class RunConfig:
     seed: int = 0
     mode: str = "ad"
     fd_step: float = FD_STEP
-    fmt: str = "json"
     negative_controls: bool = False
 
     def validate(self, cat=None) -> None:
@@ -99,8 +100,6 @@ class RunConfig:
             raise ConfigError("point count must be an integer >= 1")
         if self.mode not in ("ad", "fd"):
             raise ConfigError("mode must be 'ad' or 'fd'")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError("format must be 'json' or 'csv'")
         if not (_num(Real, self.fd_step) and 0.0 < self.fd_step < math.inf):
             raise ConfigError("fd step must be positive and finite")
         if not isinstance(self.negative_controls, (bool, np.bool_)):
@@ -114,7 +113,7 @@ class RunConfig:
             "seed": int(self.seed),
             "mode": self.mode,
             "fd_step": float(self.fd_step),
-            "format": self.fmt,
+            "format": "json",     # only a JSON report carries its config
             "negative_controls": bool(self.negative_controls),
             "samples": SAMPLES,
         }
@@ -128,18 +127,9 @@ class Report:
     records: list
     summary: dict
     ok: bool
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "ok": self.ok,
-            "config": self.config,
-            "engine": self.engine,
-            "example": self.example,
-            "records": self.records,
-            "summary": self.summary,
-        }
+        return dict(vars(self), schema_version=SCHEMA_VERSION)
 
 
 def _run_family(groups, names, variants, fn, pts, first=0) -> None:
@@ -260,9 +250,13 @@ def run_suite(config: RunConfig) -> Report:
         _run_family(groups, family_names(family, cs), variants, fn, pts)
     records = _records(groups, pts.tolist())
     ok = bool(records) and all(_meets_role(r) for r in records)
-    return Report(config=config.to_dict(), engine=_engine_info(engine),
-                  example=_example_info(spec), records=records,
-                  summary=_summarize(records), ok=ok)
+    return Report(config=config.to_dict(),
+                  engine={"mode": engine.mode, "fd_step": float(engine.step),
+                          "numpy": np.__version__},
+                  example={"id": spec.id, "dim": int(spec.dim),
+                           "description": spec.description,
+                           "maps": [m.label for m in spec.maps]},
+                  records=records, summary=_summarize(records), ok=ok)
 
 
 def _base_batch(triad, pts, maps) -> None:
@@ -310,17 +304,6 @@ def _summarize(records) -> dict:
         if m == m and not m > x:
             s["max_residual"] = x
     return summary
-
-
-def _engine_info(engine: DiffEngine) -> dict:
-    return {"mode": engine.mode, "fd_step": float(engine.step),
-            "numpy": np.__version__}
-
-
-def _example_info(spec) -> dict:
-    return {"id": spec.id, "dim": int(spec.dim),
-            "description": spec.description,
-            "maps": [m.label for m in spec.maps]}
 
 
 # -- serialization ---------------------------------------------------------

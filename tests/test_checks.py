@@ -13,6 +13,7 @@ import triadlab
 from triadlab import ContactTriad, DiffEngine, catalog, standard_triad
 from triadlab.checks import (
     CHECKS,
+    SAMPLES,
     StrictContactMap,
     check_axioms,
     check_cr_form,
@@ -323,7 +324,7 @@ def _nan_christoffel(triad):
 def test_a_warm_lemma_suite_makes_two_jacobian_passes(monkeypatch):
     """With every table built, the lemma suite makes two Jacobian passes,
     in both modes and at a point or a batch: one of the field whose 5
-    ``samples`` columns hold the draws the three drawn records
+    ``SAMPLES`` columns hold the draws the three drawn records
     differentiate, beside their J-images, and one of d lam for
     ``reeb-parallel-two-form``."""
     jacobian = DiffEngine.jacobian
@@ -334,17 +335,15 @@ def test_a_warm_lemma_suite_makes_two_jacobian_passes(monkeypatch):
         return jacobian(self, f, p)
     for mode in ("ad", "fd"):
         t = _CAT["r5-perturbed-J"].build(triadlab.DiffEngine(mode=mode))
-        for samples in (1, 3):
-            for p in (t.sample_points(1, 3)[0], t.sample_points(2, 3)):
-                check_lemma_suite(t, p, samples=samples)
-                monkeypatch.setattr(DiffEngine, "jacobian", counted)
-                del calls[:]
-                check_lemma_suite(t, p, samples=samples)
-                monkeypatch.undo()
-                assert len(calls) == 2, (mode, samples, calls)
-                assert calls[0](p).shape == p.shape + (5 * samples, 2), \
-                    (mode, samples)
-                assert calls[1] == t.dlam_any, (mode, samples)
+        for p in (t.sample_points(1, 3)[0], t.sample_points(2, 3)):
+            check_lemma_suite(t, p)
+            monkeypatch.setattr(DiffEngine, "jacobian", counted)
+            del calls[:]
+            check_lemma_suite(t, p)
+            monkeypatch.undo()
+            assert len(calls) == 2, (mode, calls)
+            assert calls[0](p).shape == p.shape + (5 * SAMPLES, 2), mode
+            assert calls[1] == t.dlam_any, mode
 
 
 def test_a_doubled_nijenhuis_table_leaves_the_quarter_n_torsion_alone():

@@ -233,7 +233,7 @@ def test_nabla_tables_match_the_sampled_field_forms(ex_id):
             }
             for name, (table, field) in pairs.items():
                 gap = np.max(np.abs(table - np.asarray(field, dtype=float)))
-                assert gap <= 1e-12, (ex_id, conn.label, name, gap)
+                assert gap <= 1e-12, (ex_id, conn.table_tag, name, gap)
 
 
 def test_first_stage_is_family_at_minus_one():

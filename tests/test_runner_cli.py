@@ -14,7 +14,7 @@ import pytest
 import triadlab
 from triadlab.checks import CHECKS
 from triadlab.cli import main
-from triadlab.engine import max_residual
+from triadlab.engine import FD_STEP, max_residual
 from triadlab.runner import (
     RESIDUAL_UNEVALUABLE,
     ConfigError,
@@ -43,8 +43,6 @@ def test_config_validation_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         RunConfig(example_id="r3-standard", mode="symbolic").validate()
     with pytest.raises(ConfigError):
-        RunConfig(example_id="r3-standard", fmt="xml").validate()
-    with pytest.raises(ConfigError):
         RunConfig(example_id="r3-standard", fd_step=0.0).validate()
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigError):
@@ -55,6 +53,15 @@ def test_config_validation_rejects_bad_inputs():
                       fd_step=bad).validate()
     with pytest.raises(ConfigError):
         RunConfig(example_id="r3-standard", seed=-1).validate()
+
+
+def test_the_report_format_is_emit_reports_alone():
+    """A run's config holds no format, so a report cannot say one format
+    and be written in another; ``emit_report`` rejects an unknown one."""
+    with pytest.raises(TypeError):
+        RunConfig(example_id="r3-standard", fmt="csv")
+    with pytest.raises(ConfigError):
+        emit_report(run_suite(RunConfig(**SMALL)), "xml")
 
 
 @pytest.mark.parametrize("field, bad", [("points", "3"), ("points", 2.0),
@@ -325,7 +332,7 @@ def test_json_report_is_byte_deterministic():
     b = emit_report(run_suite(RunConfig(**SMALL)), "json")
     assert a == b
     assert a.endswith(b"\n")
-    assert b'"fd_step":1.000000000000e-04' in a
+    assert b'"fd_step":%.12e' % FD_STEP in a
 
 
 RECORD_KEYS = ["anchor", "name", "note", "passed", "point", "point_index",
