@@ -290,9 +290,11 @@ def stack(items):
     """Stack items along a new last axis; any item may be a dual.
 
     Float items broadcast against each other, so a batch of entries can
-    stand next to constants.  The value is built from the items' values in
-    one call; the tangent is zero except at the items that are duals of the
-    top level.
+    stand next to constants.  The value is the stack of the items' values.
+    The tangent is the stack of the items' tangents at the top level, a
+    constant item's being one zero of shape K + the value's batch shape,
+    with K the tangent axes of the first item of that level; a tangent that
+    is itself a dual is stacked by the same rule, one level down.
     """
     lvl = 0
     for x in items:
@@ -306,37 +308,21 @@ def stack(items):
             s = np.broadcast_shapes(*shapes)
             items = [np.broadcast_to(x, s) for x in items]
         return np.stack(items, axis=-1)
-    values, live, tangents = [], [], []
-    for i, x in enumerate(items):
-        if isinstance(x, Dual) and x.lvl == lvl:
-            live.append(i)
-            tangents.append(x.du)
-            values.append(x.re)
-        else:
-            values.append(x)
-    re = stack(values)
-    t0 = tangents[0]
-    k = shape(t0)[:ndim(t0) - ndim(values[live[0]])]
-    if any(isinstance(t, Dual) for t in tangents):
-        zero = np.zeros(k + shape(values[0]))
-        slots = [zero] * len(items)
-        for i, t in zip(live, tangents):
-            slots[i] = t
-        return Dual(lvl, re, stack(slots))
-    du = np.zeros(k + shape(re))
-    du[..., live] = np.stack(tangents, axis=-1)
-    return Dual(lvl, re, du)
+    live = [isinstance(x, Dual) and x.lvl == lvl for x in items]
+    re = stack([x.re if on else x for x, on in zip(items, live)])
+    first = items[live.index(True)]
+    zero = np.zeros(shape(first.du)[:first.nk] + shape(re)[:-1])
+    return Dual(lvl, re, stack([x.du if on else zero
+                                for x, on in zip(items, live)]))
 
 
 def array(rows):
     """``np.array(rows, dtype=float)`` for a vector or a matrix given as
     (nested) lists of entries: scalars, duals, or float batches of scalars,
-    whose batch axes then lead the result."""
+    whose batch axes then lead the result.  A matrix is the :func:`stack` of
+    its entries, reshaped."""
     if isinstance(rows[0], (list, tuple)):
-        flat = [x for row in rows for x in row]
-        if not any(isinstance(x, Dual) or ndim(x) for x in flat):
-            return np.array(rows, dtype=float)
-        s = stack(flat)
+        s = stack([x for row in rows for x in row])
         return reshape(s, shape(s)[:-1] + (len(rows), len(rows[0])))
     return stack(list(rows))
 

@@ -94,23 +94,25 @@ def _t3_xi_frame(q):
 # -- triad builders --------------------------------------------------------
 
 
-def standard_triad(n: int, engine: DiffEngine | None = None) -> ContactTriad:
+def _r2n1_triad(n: int, frame_j: Callable, name: str,
+                engine: DiffEngine | None) -> ContactTriad:
+    """The triad of ``_r2n1_lam(n)`` on a box, with J acting on the first
+    2n coordinate columns by ``frame_j``."""
     d = 2 * n + 1
     dom = (-BOX * np.ones(d), BOX * np.ones(d))
     return ContactTriad.from_frame_action(
-        d, _r2n1_lam(n), _first_columns(d, 2 * n),
-        lambda q: _rotation_blocks(n), dom, engine=engine,
-        label="r%d-standard" % d)
+        d, _r2n1_lam(n), _first_columns(d, 2 * n), frame_j, dom,
+        engine=engine, label="r%d-%s" % (d, name))
+
+
+def standard_triad(n: int, engine: DiffEngine | None = None) -> ContactTriad:
+    return _r2n1_triad(n, lambda q: _rotation_blocks(n), "standard", engine)
 
 
 def perturbed_triad(n: int, eps: float,
                     engine: DiffEngine | None = None) -> ContactTriad:
-    d = 2 * n + 1
-    dom = (-BOX * np.ones(d), BOX * np.ones(d))
-    return ContactTriad.from_frame_action(
-        d, _r2n1_lam(n), _first_columns(d, 2 * n),
-        _perturbed_frame_j(n, eps, d - 1), dom, engine=engine,
-        label="r%d-perturbed-J(%g)" % (d, eps))
+    return _r2n1_triad(n, _perturbed_frame_j(n, eps, 2 * n),
+                       "perturbed-J(%g)" % eps, engine)
 
 
 def t3_triad(engine: DiffEngine | None = None) -> ContactTriad:
@@ -123,14 +125,22 @@ def t3_triad(engine: DiffEngine | None = None) -> ContactTriad:
 # -- strict chart symmetries ----------------------------------------------
 
 
-def _translation(dim: int, shift, label: str) -> StrictContactMap:
-    shift = np.asarray(shift, dtype=float)
-    eye = np.eye(dim)
+def _constant_map(label: str, M: np.ndarray, move: Callable,
+                  amount: float) -> StrictContactMap:
+    """The map q -> move(q, amount), with inverse q -> move(q, -amount),
+    whose differential is the constant matrix M."""
     return StrictContactMap(label=label,
-                            forward=lambda q: q + shift,
-                            inverse=lambda q: q - shift,
+                            forward=lambda q: move(q, amount),
+                            inverse=lambda q: move(q, -amount),
                             differential=lambda q: np.broadcast_to(
-                                eye, ad.shape(q)[:-1] + eye.shape))
+                                M, ad.shape(q)[:-1] + M.shape))
+
+
+def _axis_shift(dim: int, axis: int, amount: float,
+                label: str) -> StrictContactMap:
+    """The translation by ``amount`` along chart coordinate ``axis``."""
+    e = np.eye(dim)[axis]
+    return _constant_map(label, np.eye(dim), lambda q, s: q + s * e, amount)
 
 
 def _shear(dim: int, b: float) -> StrictContactMap:
@@ -138,15 +148,8 @@ def _shear(dim: int, b: float) -> StrictContactMap:
     M = np.eye(dim)
     M[dim - 1, 0] = b
     e1, ez = np.eye(dim)[1], np.eye(dim)[dim - 1]
-
-    def move(q, s):
-        return q + s * (e1 + q[..., :1] * ez)
-
-    return StrictContactMap(label="shear+%g" % b,
-                            forward=lambda q: move(q, b),
-                            inverse=lambda q: move(q, -b),
-                            differential=lambda q: np.broadcast_to(
-                                M, ad.shape(q)[:-1] + M.shape))
+    return _constant_map("shear+%g" % b, M,
+                         lambda q, s: q + s * (e1 + q[..., :1] * ez), b)
 
 
 def _t3_reeb_flow(t: float) -> StrictContactMap:
@@ -165,28 +168,22 @@ def _t3_reeb_flow(t: float) -> StrictContactMap:
                             differential=differential)
 
 
-def _axis_shift(dim: int, axis: int, amount: float,
-                label: str) -> StrictContactMap:
-    shift = np.zeros(dim)
-    shift[axis] = amount
-    return _translation(dim, shift, label)
-
-
 # -- the catalog -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """One catalog entry: an id, a triad builder, and its strict symmetries."""
+    """One catalog entry: an id, a triad builder, and its strict symmetries.
+
+    ``build(engine=None)`` makes the entry's triad on ``engine``, a fresh
+    ``ad`` engine when none is given.
+    """
 
     id: str
     dim: int
     description: str
-    factory: Callable
+    build: Callable
     maps: tuple = ()
-
-    def build(self, engine: DiffEngine | None = None) -> ContactTriad:
-        return self.factory(engine)
 
 
 # Built once per process; the closures they hold keep no state.
@@ -194,7 +191,7 @@ _ENTRIES = (
     ExampleSpec(
         id="r3-standard", dim=3,
         description="lam = dz - y dx on a box in R^3, standard rotation J",
-        factory=lambda engine=None: standard_triad(1, engine),
+        build=lambda engine=None: standard_triad(1, engine),
         maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
               _axis_shift(3, 2, 0.3, "vertical-shift+0.3"),
               _shear(3, 0.4))),
@@ -202,7 +199,7 @@ _ENTRIES = (
         id="r5-standard", dim=5,
         description="lam = dz - y1 dx1 - y2 dx2 on a box in R^5, "
                     "blockwise rotation J",
-        factory=lambda engine=None: standard_triad(2, engine),
+        build=lambda engine=None: standard_triad(2, engine),
         maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
               _axis_shift(5, 4, 0.3, "vertical-shift+0.3"),
               _shear(5, 0.4))),
@@ -210,19 +207,19 @@ _ENTRIES = (
         id="r7-standard", dim=7,
         description="standard contact form on a box in R^7, "
                     "blockwise rotation J",
-        factory=lambda engine=None: standard_triad(3, engine),
+        build=lambda engine=None: standard_triad(3, engine),
         maps=(_axis_shift(7, 6, 0.3, "vertical-shift+0.3"),)),
     ExampleSpec(
         id="r9-standard", dim=9,
         description="standard contact form on a box in R^9, "
                     "blockwise rotation J",
-        factory=lambda engine=None: standard_triad(4, engine),
+        build=lambda engine=None: standard_triad(4, engine),
         maps=(_axis_shift(9, 8, 0.3, "vertical-shift+0.3"),)),
     ExampleSpec(
         id="t3-tight", dim=3,
         description="lam = cos z dx + sin z dy on one periodic chart "
                     "[0, 2pi)^3 of the three-torus",
-        factory=lambda engine=None: t3_triad(engine),
+        build=t3_triad,
         maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
               _axis_shift(3, 1, 0.5, "y-shift+0.5"),
               _t3_reeb_flow(0.4))),
@@ -230,14 +227,14 @@ _ENTRIES = (
         id="r3-perturbed-J", dim=3,
         description="lam = dz - y dx with a z-dependent sheared J "
                     "(eps = 0.1); the structure drifts along Reeb orbits",
-        factory=lambda engine=None: perturbed_triad(1, 0.1, engine),
+        build=lambda engine=None: perturbed_triad(1, 0.1, engine),
         maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
               _axis_shift(3, 2, 0.3, "vertical-shift+0.3"))),
     ExampleSpec(
         id="r5-perturbed-J", dim=5,
         description="standard contact form on R^5 with the z-dependent "
                     "sheared J on the first block (eps = 0.1)",
-        factory=lambda engine=None: perturbed_triad(2, 0.1, engine),
+        build=lambda engine=None: perturbed_triad(2, 0.1, engine),
         maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
               _axis_shift(5, 4, 0.3, "vertical-shift+0.3"))),
 )

@@ -68,7 +68,6 @@ from .connections import (
     nabla_metric,
     tensor_P,
     torsion_tensor,
-    triad_connection,
 )
 from .contact import ContactTriad, xi_section
 from .engine import (columns, dot, inner, lead, lie_endo, matvec,
@@ -425,8 +424,8 @@ def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
     if not a > 0:
         raise ValueError("scale factor must be positive")
     p = np.asarray(p, dtype=float)
-    conn_s = triad_connection(triad.scaled(a), 1.0)
-    conn_b = triad_connection(triad, a)
+    conn_s = TriadConnection(triad.scaled(a), 1.0)
+    conn_b = TriadConnection(triad, a)
     X = triad.reeb_any(p)
     Pi = triad.pi_any(p)
     G = triad.metric_any(p)
@@ -489,8 +488,8 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
             "at %s" % (cmap.label, strict, p))
 
     pulled = pullback_triad(triad, cmap)
-    direct = triad_connection(pulled, c)
-    through = PullbackConnection(triad_connection(triad, c), cmap, pulled)
+    direct = TriadConnection(pulled, c)
+    through = PullbackConnection(TriadConnection(triad, c), cmap, pulled)
     L, B, _ = _frame(pulled, p)
     r = _gamma_gap(through.gamma_tensor(p), direct.gamma_tensor(p), 0.0, L, B)
     return make_result("naturality-pullback", r, p)
@@ -514,8 +513,8 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     L = triad.lie_reeb_j_at(p)
     N = triad.nijenhuis_at(p)
     lc = LeviCivitaConnection(triad)
-    tmp = triad_connection(triad, -1.0)
-    conn0 = triad_connection(triad, 0.0)
+    tmp = TriadConnection(triad, -1.0)
+    conn0 = TriadConnection(triad, 0.0)
 
     out = []
 
@@ -707,7 +706,7 @@ def fault_wrong_c(triad: ContactTriad, p) -> CheckResult:
     nabla_{J y} X + J nabla_y X = 0 on the distribution."""
     p = np.asarray(p, dtype=float)
     L, _, Bx = _frame(triad, p)
-    r = _coupling_gap(_reeb_cov_matrix(triad_connection(triad, 1.0), p),
+    r = _coupling_gap(_reeb_cov_matrix(TriadConnection(triad, 1.0), p),
                       triad.j_any(p), 0.0, L, Bx)
     return make_result("fault-wrong-family-parameter", r, p)
 
@@ -731,6 +730,6 @@ def fault_scale_mismatch(triad: ContactTriad, a: float, p) -> CheckResult:
     """Residual between nabla^{a lam; 1} and the UNscaled parameter-1 member."""
     p = np.asarray(p, dtype=float)
     L, B, _ = _frame(triad, p)
-    r = _gamma_gap(triad_connection(triad.scaled(a), 1.0).gamma_tensor(p),
-                   triad_connection(triad, 1.0).gamma_tensor(p), 0.0, L, B)
+    r = _gamma_gap(TriadConnection(triad.scaled(a), 1.0).gamma_tensor(p),
+                   TriadConnection(triad, 1.0).gamma_tensor(p), 0.0, L, B)
     return make_result("fault-scale-mismatch", r, p)

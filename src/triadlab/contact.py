@@ -256,7 +256,7 @@ class ContactTriad:
             raise ValueError("scale factor must be positive and finite")
         base_lam = self.lam
         return ContactTriad(self.dim, lambda q: a * base_lam(q),
-                            self._j_closure or self.j_any,
+                            self.j_any,
                             self.domain, engine=self.engine,
                             label=self.label + "*scaled(%g)" % a)
 

@@ -195,14 +195,6 @@ def _floats(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-_FLOAT = np.dtype(float)
-
-
-def _is_floats(a) -> bool:
-    """True for a float64 ndarray, which goes straight to numpy."""
-    return type(a) is np.ndarray and a.dtype is _FLOAT
-
-
 def _solve_columns(A, R, nk: int):
     """Solve A X = R for every tangent slice of R in one solve.
 
@@ -237,8 +229,6 @@ def _solve(A, B):
 
 def solve(A, B):
     """Solve A x = B; works for float and dual-valued systems."""
-    if _is_floats(A) and _is_floats(B):
-        return np.linalg.solve(A, B)
     return _solve(A, B)
 
 

@@ -48,7 +48,7 @@ from .checks import (CHECKS, SAMPLES, check_axioms,
                      check_scaling, fault_flipped_b1, fault_levi_civita,
                      fault_scale_mismatch, fault_wrong_c, family_names,
                      make_result, _in_frame)
-from .connections import triad_connection
+from .connections import TriadConnection
 from .engine import FD_STEP, DiffEngine
 from .frames import (build_unitary_frame, connection_one_forms,
                      cross_check_gamma, skew_hermitian_check,
@@ -265,7 +265,7 @@ def _base_batch(triad, pts, maps) -> None:
     that raises, nothing is split and each family builds its own points."""
     try:
         U = np.concatenate([pts] + [m.forward(pts) for m in maps])
-        triad_connection(triad, 0.0).gamma_tensor(U)
+        TriadConnection(triad, 0.0).gamma_tensor(U)
     except Exception:   # the families record it where it arises
         return
     triad.split_batch(U, len(maps) + 1)
@@ -276,7 +276,7 @@ def _frame_records(triad, cs, p, seed):
     out = [make_result("frame-orthonormality", frame.gram_residual(p), p)]
     out += [make_result("frame-coefficient-rederivation", disc, p)
             for disc in cross_check_gamma(triad, cs, frame, p)]
-    conn0 = triad_connection(triad, 0.0)
+    conn0 = TriadConnection(triad, 0.0)
     out.append(make_result("structure-equation",
                            structure_equation_residual(conn0, frame, p), p))
     out.append(make_result("frame-skew-hermitian",
@@ -286,7 +286,7 @@ def _frame_records(triad, cs, p, seed):
 
 def _dropped_torsion_control(triad, p, seed):
     frame = build_unitary_frame(triad, p, seed=seed)
-    om = connection_one_forms(triad_connection(triad, 0.0), frame, p)
+    om = connection_one_forms(TriadConnection(triad, 0.0), frame, p)
     r = structure_gap(frame.coframe_any(p), frame.jac_coframe_at(p), om, 0.0)
     return make_result("control-structure-equation-dropped-torsion", r, p)
 

@@ -103,7 +103,7 @@ def _run_with(example_id, build=None, maps=None, **config):
     cat = catalog()
     spec = cat[example_id]
     cat[example_id] = dataclasses.replace(
-        spec, factory=build or spec.factory,
+        spec, build=build or spec.build,
         maps=spec.maps if maps is None else maps)
     real = triadlab.runner.catalog
     triadlab.runner.catalog = lambda: cat

@@ -221,6 +221,50 @@ def test_a_seed_indexed_at_a_point_is_that_points_seed(n):
         assert q.du.shape == (5, 5) and (q.du == np.eye(5)).all()
 
 
+def _hessian(eng, f, P):
+    return eng.jacobian(lambda q: eng.jacobian(f, q), P)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_second_derivative_of_a_stack_led_by_a_constant_is_each_point(n):
+    """At a nested level the zero tangent of a constant entry has the
+    stack's batch shape whichever entry is live, so a second derivative at
+    a batch is the one at each point, and does not depend on where the
+    constant stands."""
+    eng = DiffEngine()
+    P = np.random.default_rng(6).standard_normal((n, 3))
+    f = lambda q: ad.stack([0.0, q[..., 0] * q[..., 1]])
+    swapped = lambda q: ad.stack([q[..., 0] * q[..., 1], 0.0])
+    H = _hessian(eng, f, P)
+    assert H.shape == (n, 2, 3, 3)
+    assert (H == _hessian(eng, swapped, P)[:, ::-1]).all()
+    for i, q in enumerate(P):
+        assert (H[i] == _hessian(eng, f, q)).all()
+    want = np.zeros((2, 3, 3))
+    want[1, 0, 1] = want[1, 1, 0] = 1.0
+    assert (H == want).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_second_derivative_of_the_t3_reeb_flow_differential_at_a_batch(n):
+    """The differential of t3-tight's reeb-flow+0.4 has the entries
+    -t sin z and t cos z in its last column, behind constant entries; its
+    second derivative at a batch is each point's and the closed form."""
+    t = 0.4
+    cmap = _CAT["t3-tight"].maps[2]
+    assert cmap.label == "reeb-flow+0.4"
+    eng = DiffEngine()
+    P = _CAT["t3-tight"].build(eng).sample_points(n, seed=7)
+    H = _hessian(eng, cmap.differential, P)
+    assert H.shape == (n, 3, 3, 3, 3)
+    for i, q in enumerate(P):
+        assert _to_rounding(H[i], _hessian(eng, cmap.differential, q))
+    want = np.zeros((n, 3, 3, 3, 3))
+    want[:, 0, 2, 2, 2] = t * np.sin(P[:, 2])
+    want[:, 1, 2, 2, 2] = -t * np.cos(P[:, 2])
+    assert _to_rounding(H, want)
+
+
 def test_a_constant_field_has_the_shape_of_its_point():
     """One vector shared by a batch, or one vector per point, also on the
     ``fd`` stencil of a batch; its derivatives vanish in both modes."""

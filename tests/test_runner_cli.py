@@ -128,7 +128,7 @@ def test_nan_j_gives_error_records_not_a_hang(monkeypatch):
         return triadlab.ContactTriad(t.dim, t.lam, nan_j, t.domain,
                                      engine=engine, label=t.label)
 
-    cat["r3-standard"] = dataclasses.replace(spec, factory=nan_j_triad)
+    cat["r3-standard"] = dataclasses.replace(spec, build=nan_j_triad)
     monkeypatch.setattr("triadlab.runner.catalog", lambda: cat)
     rep = run_suite(RunConfig(**SMALL))
     assert not rep.ok
