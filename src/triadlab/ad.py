@@ -293,8 +293,10 @@ def stack(items):
     stand next to constants.  The value is the stack of the items' values.
     The tangent is the stack of the items' tangents at the top level, a
     constant item's being one zero of shape K + the value's batch shape,
-    with K the tangent axes of the first item of that level; a tangent that
-    is itself a dual is stacked by the same rule, one level down.
+    with K the tangent axes of the first item of that level, and a live
+    item of lower rank than the batch padded after its own K axes, so that
+    it broadcasts over the batch; a tangent that is itself a dual is
+    stacked by the same rule, one level down.
     """
     lvl = 0
     for x in items:
@@ -312,7 +314,8 @@ def stack(items):
     re = stack([x.re if on else x for x, on in zip(items, live)])
     first = items[live.index(True)]
     zero = np.zeros(shape(first.du)[:first.nk] + shape(re)[:-1])
-    return Dual(lvl, re, stack([x.du if on else zero
+    return Dual(lvl, re, stack([_pad(x.du, x.nk, ndim(re) - 1 - x.ndim)
+                                if on else zero
                                 for x, on in zip(items, live)]))
 
 

@@ -49,6 +49,8 @@ push its residual far above tolerance.
 
 from __future__ import annotations
 
+import math
+import random
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -249,29 +251,33 @@ def make_result(name: str, residual, p) -> CheckResult:
 # -- seeded draws ----------------------------------------------------------
 
 
-def field_rng(seed: int, *tags) -> np.random.Generator:
+def field_rng(seed: int, *tags) -> random.Random:
     """Deterministic generator keyed by a seed plus tags: a float array, such
-    as a chart point, by all of its bytes, any other tag by the CRC-32 of
-    its string.  The key is one uint32 array, the seed's 32-bit words first,
-    low word first, as numpy splits a large int; numpy hashes an array
-    faster than a list of ints."""
+    as a chart point, by all of its float64 bytes, any other tag by the
+    CRC-32 of its string.  The key is one ``bytes``, the seed's
+    little-endian 32-bit words first, so every bit of a large seed counts;
+    ``random.Random`` seeds from it through SHA-512, so ``PYTHONHASHSEED``
+    cannot reach the stream."""
     seed = int(seed)
     words = max(1, (seed.bit_length() + 31) // 32)
-    key = [np.frombuffer(seed.to_bytes(4 * words, "little"), dtype=np.uint32)]
+    key = [seed.to_bytes(4 * words, "little")]
     for t in tags:
-        key.append(np.ascontiguousarray(t, dtype=float).view(np.uint32)
+        key.append(np.ascontiguousarray(t, dtype="<f8").tobytes()
                    if isinstance(t, np.ndarray) else
-                   np.array([zlib.crc32(str(t).encode())], dtype=np.uint32))
-    return np.random.default_rng(np.concatenate(key))
+                   zlib.crc32(str(t).encode()).to_bytes(4, "little"))
+    return random.Random(b"".join(key))
 
 
 def draws(triad: ContactTriad, p, seed: int, name: str, shape: tuple):
-    """Each point's own Gaussian draws of ``shape``, ``(*batch, *shape)``,
-    from ``field_rng(seed, name, triad.label, point)``: a point reads the
-    same draws alone as in any batch."""
+    """Each point's own Gaussian draws of ``shape``, ``(*batch, *shape)``:
+    ``prod(shape)`` values of ``gauss(0.0, 1.0)`` from ``field_rng(seed,
+    name, triad.label, point)``, so a point reads the same draws alone as
+    in any batch.  ``gauss`` computes with ``math``, so the draws do not
+    depend on the CPU's vector paths."""
     pts = p.reshape(-1, p.shape[-1])
-    W = [field_rng(seed, name, triad.label, q).standard_normal(shape)
-         for q in pts]
+    size = math.prod(shape)
+    rngs = (field_rng(seed, name, triad.label, q) for q in pts)
+    W = [[rng.gauss(0.0, 1.0) for _ in range(size)] for rng in rngs]
     return np.reshape(W, p.shape[:-1] + shape)
 
 

@@ -48,6 +48,7 @@ lam), and its one-vector form live only in the test suite's oracles
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable
 
 import numpy as np
@@ -269,9 +270,12 @@ class ContactTriad:
         return triad
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
+        """``count`` points of the chart's box, ``(count, dim)``: lo +
+        (hi - lo) u, u read row by row from ``random.Random(seed).random()``."""
         lo, hi = self.domain
-        rng = np.random.default_rng(seed)
-        return lo + (hi - lo) * rng.random((count, self.dim))
+        rng = random.Random(seed)
+        u = [rng.random() for _ in range(count * self.dim)]
+        return lo + (hi - lo) * np.reshape(u, (count, self.dim))
 
 
 # -- sections ----------------------------------------------------------------

@@ -44,10 +44,13 @@ frame one-forms, a slot-by-slot frame read and a matrix on a table's first
 slot), the references for the stacked matmuls that replaced them.
 ``per_point_records`` is the runner's former record expansion, one dict
 per point of each family result and then a stable sort, the reference for
-its expansion of whole groups.
+its expansion of whole groups.  ``numpy_field_rng`` is numpy's generator
+under the key that ``field_rng`` once fed it, the source of the vectors of
+the tests that predate the package's own generator.
 """
 
 import math
+import zlib
 
 import numpy as np
 
@@ -541,3 +544,17 @@ def per_point_records(groups):
                                  else "error: residual is not finite")})
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))
     return records
+
+
+def numpy_field_rng(seed: int, *tags):
+    """``np.random.default_rng`` of one uint32 key: the seed's 32-bit words,
+    low word first, then per tag a float array's float64 words or the
+    CRC-32 of any other tag's string."""
+    seed = int(seed)
+    words = max(1, (seed.bit_length() + 31) // 32)
+    key = [np.frombuffer(seed.to_bytes(4 * words, "little"), dtype=np.uint32)]
+    for t in tags:
+        key.append(np.ascontiguousarray(t, dtype=float).view(np.uint32)
+                   if isinstance(t, np.ndarray) else
+                   np.array([zlib.crc32(str(t).encode())], dtype=np.uint32))
+    return np.random.default_rng(np.concatenate(key))

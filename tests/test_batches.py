@@ -265,6 +265,20 @@ def test_second_derivative_of_the_t3_reeb_flow_differential_at_a_batch(n):
     assert _to_rounding(H, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_live_dual_of_lower_rank_than_the_batch_is_each_entry(n):
+    """A scalar dual stacked beside a batch of n constants, in either order,
+    broadcasts over the batch: at each entry the value and the tangent are
+    those of the dual stacked beside that entry alone."""
+    x = ad.Dual(1, 0.5, np.array([1.0, 2.0, 3.0]))
+    for items, alone in (([x, np.ones(n)], [x, 1.0]),
+                         ([np.ones(n), x], [1.0, x])):
+        s, one = ad.stack(items), ad.stack(alone)
+        assert s.re.shape == (n, 2) and s.du.shape == (3, n, 2)
+        for b in range(n):
+            assert (s.re[b] == one.re).all() and (s.du[:, b] == one.du).all()
+
+
 def test_a_constant_field_has_the_shape_of_its_point():
     """One vector shared by a batch, or one vector per point, also on the
     ``fd`` stencil of a batch; its derivatives vanish in both modes."""

@@ -2,6 +2,7 @@
 identity suite, and the deliberate fault injections."""
 
 import importlib
+import random
 import sys
 import zlib
 
@@ -15,6 +16,8 @@ from triadlab.checks import (
     CHECKS,
     SAMPLES,
     StrictContactMap,
+    _frame,
+    _j_defect,
     check_axioms,
     check_cr_form,
     check_lemma_suite,
@@ -29,7 +32,7 @@ from triadlab.checks import (
     pullback_triad,
 )
 from triadlab.connections import triad_connection
-from triadlab.engine import max_residual
+from triadlab.engine import lead, max_residual, tail
 from triadlab.runner import RunConfig, _meets_role, run_suite
 
 from oracles import roundtrip_residual
@@ -199,18 +202,27 @@ def test_fault_levi_civita_hermitian_defect():
 @pytest.mark.parametrize("mode", ["ad", "fd"])
 def test_a_flipped_b1_fails_the_hermitian_axiom_and_semi_j_linearity(
         mode, monkeypatch):
-    """With B1's sign flipped in every family member, the J-linearity read
-    from the nabla J table breaks on r5-perturbed-J at every point."""
-    b1 = triadlab.connections.b1_table
-    monkeypatch.setattr("triadlab.connections.b1_table",
-                        lambda triad, p: -b1(triad, p))
+    """With B1's sign flipped in every family member, Gamma moves by
+    delta = -2 B1 and nabla J by tail(delta, J)^T - lead(J, delta)^T, which
+    nabla J is linear in.  So on r5-perturbed-J the hermitian axiom, at every
+    c, and the semi-connection's J-linearity read the J-defect of that move,
+    and it breaks them at every point."""
     t = _CAT["r5-perturbed-J"].build(DiffEngine(mode))
     pts = t.sample_points(4, seed=9)
-    for group in check_axioms(t, (-1.0, 0.0, 1.0), pts):
-        herm = {r.name: r for r in group}["axiom-hermitian"]
-        assert np.all(herm.residual >= 1e-2), herm.residual
-    semi = {r.name: r for r in check_lemma_suite(t, pts)}
-    assert np.all(semi["semi-connection-j-linearity"].residual >= 1e-2)
+    b1 = triadlab.connections.b1_table
+    delta, J = -2.0 * b1(t, pts), t.j_any(pts)
+    move = tail(delta, J).swapaxes(-1, -2) - lead(J, delta).swapaxes(-1, -2)
+    want = _j_defect(move, t.pi_any(pts), *_frame(t, pts))
+    monkeypatch.setattr("triadlab.connections.b1_table",
+                        lambda triad, p: -b1(triad, p))
+    got = [{r.name: r for r in group}["axiom-hermitian"]
+           for group in check_axioms(t, (-1.0, 0.0, 1.0), pts)]
+    got.append({r.name: r for r in check_lemma_suite(t, pts)}[
+        "semi-connection-j-linearity"])
+    for res in got:
+        assert np.allclose(res.residual, want, rtol=1e-9, atol=0), \
+            (res.name, res.residual, want)
+        assert not res.passed.any(), (res.name, res.residual)
 
 
 # (control, the identity kernel it shares, the check it pairs with)
@@ -296,22 +308,34 @@ def test_a_nan_j_fails_the_axioms_and_cr_form_with_nan_residuals():
             res.name
 
 
+def _gauss(rng, n=4):
+    return [rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
 def test_field_rng_deterministic_and_tag_sensitive():
-    a = field_rng(3, "alpha", 2.0).standard_normal(4)
-    b = field_rng(3, "alpha", 2.0).standard_normal(4)
-    c = field_rng(3, "beta", 2.0).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    """The same seed and tags give the same draws; changing one tag, a
+    string, a number or one bit of an array, or dropping one, changes
+    them."""
+    p = np.array([0.25, -0.5, 1.0])
+    q = p.copy()
+    q[1] = np.nextafter(q[1], 0.0)
+    a = _gauss(field_rng(3, "alpha", 2.0, p))
+    assert a == _gauss(field_rng(3, "alpha", 2.0, p))
+    for tags in (("beta", 2.0, p), ("alpha", 3.0, p), ("alpha", 2.0, q),
+                 ("alpha", 2.0)):
+        assert _gauss(field_rng(3, *tags)) != a, tags
 
 
 def test_field_rng_keeps_every_bit_of_the_seed():
-    """Seeds that differ only above bit 31 sample different points, so they
-    draw different vectors too; a seed below 2**32 keeps its draws."""
-    a = field_rng(1, "alpha").standard_normal(4)
-    b = field_rng(2**32 + 1, "alpha").standard_normal(4)
-    assert not np.array_equal(a, b)
-    words = [1, zlib.crc32(b"alpha")]
-    assert np.array_equal(a, np.random.default_rng(words).standard_normal(4))
+    """Seeds that differ only above bit 31 draw different vectors: the key
+    is the seed's little-endian 32-bit words, then each tag's bytes (here
+    the CRC-32 of a string), as one ``bytes`` seed of ``random.Random``."""
+    a = _gauss(field_rng(1, "alpha"))
+    b = _gauss(field_rng(2**32 + 1, "alpha"))
+    assert a != b
+    tag = zlib.crc32(b"alpha").to_bytes(4, "little")
+    assert a == _gauss(random.Random((1).to_bytes(4, "little") + tag))
+    assert b == _gauss(random.Random((2**32 + 1).to_bytes(8, "little") + tag))
 
 
 def _nan_christoffel(triad):

@@ -7,6 +7,8 @@ from triadlab import (ContactTriad, DiffEngine, catalog, perturbed_triad,
                       standard_triad, t3_triad)
 from triadlab.runner import RunConfig, run_suite
 
+from test_base_batch import _reeb_solves
+
 from oracles import (compatibility, contact_coefficient, fd_jacobian,
                      flow_lie_derivative_endo, j_squared_residual)
 
@@ -221,19 +223,11 @@ def test_an_fd_run_makes_as_many_reeb_solves_at_300_points_as_at_8(
         monkeypatch, ex_id):
     """Each stencil of a run is solved once, however many points the batch
     holds: a store that evicts makes the batch and its stencils push each
-    other out, and they are solved again."""
-    solves = []
-    impl = ContactTriad._reeb_impl
-
-    def counted(self, q):
-        solves.append(1)
-        return impl(self, q)
-
-    monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
-    counts = []
+    other out, and they are solved again.  Beside them, a pulled triad may
+    solve at most once, at its map's image of the points' stencil (see
+    ``_reeb_solves``)."""
     for points in (8, 300):
-        del solves[:]
-        run_suite(RunConfig(example_id=ex_id, points=points, seed=2,
-                            mode="fd", c_values=(0.0,)))
-        counts.append(len(solves))
-    assert counts[0] == counts[1], counts
+        at_u, at_stencil, scaled, extra = _reeb_solves(
+            monkeypatch, ex_id, points, 2, c_values=(0.0,))
+        assert (at_u, at_stencil, scaled) == (1, 1, 2), points
+        assert extra <= len(_CAT[ex_id].maps), (points, extra)

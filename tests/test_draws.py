@@ -7,12 +7,16 @@ differentiates.  Each stacked column must match the per-sample form of
 its bracket, Lie derivative or tensor (``tests/oracles.py``).
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import triadlab
 from triadlab import DiffEngine, catalog
-from triadlab.checks import check_lemma_suite, draws
+from triadlab.checks import check_lemma_suite, draws, field_rng
 from triadlab.connections import (field_jet, j_brackets, nijenhuis, tensor_P,
                                   torsion_tensor, triad_connection)
 from triadlab.contact import xi_section
@@ -59,6 +63,37 @@ def test_draws_are_keyed_by_seed_record_label_and_point():
                   draws(t.scaled(2.0), pts, 0, "p-antisymmetrized-bracket",
                         (3, 2))):
         assert not np.isin(W, other).any()
+
+
+def test_the_point_and_draw_streams_are_pinned():
+    """Known answers: the first sample point of r3-standard at seed 0 and
+    the first draws of ``field_rng(1, "alpha")``, so that any change to
+    either stream shows."""
+    p = _CAT["r3-standard"].build().sample_points(1, seed=0)[0]
+    assert p.tolist() == [1.0332655545751441, 0.7738632088209076,
+                          -0.238285257507465]
+    rng = field_rng(1, "alpha")
+    assert [rng.gauss(0.0, 1.0) for _ in range(3)] == [
+        1.2441634131042938, 0.09252776737553653, -0.020659908805504057]
+
+
+def test_serving_requests_does_not_load_numpy_random():
+    """A fresh interpreter serves an ``ad`` request, an ``fd`` request and a
+    controls request with no module of ``numpy.random`` loaded."""
+    code = "\n".join([
+        "import sys",
+        "from triadlab import RunConfig, emit_report, run_suite",
+        "for kw in ({}, {'mode': 'fd'}, {'negative_controls': True}):",
+        "    emit_report(run_suite(RunConfig('r5-perturbed-J', points=2,"
+        " **kw)), 'json')",
+        "loaded = [m for m in sys.modules if m.startswith('numpy.random')]",
+        "sys.exit('loaded: %s' % loaded if loaded else 0)"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triadlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("mode", ["ad", "fd"])
