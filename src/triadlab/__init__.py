@@ -8,10 +8,10 @@ machine precision with forward-mode derivatives.
 """
 
 from .ad import Dual
-from .catalog import ExampleSpec, catalog, perturbed_triad, standard_triad, t3_triad
-from .checks import (CheckResult, StrictContactMap, check_axioms,
-                     check_cr_form, check_lemma_suite, check_naturality,
-                     check_scaling)
+from .catalog import (ExampleSpec, StrictContactMap, catalog, perturbed_triad,
+                      standard_triad, t3_triad)
+from .checks import (CheckResult, check_axioms, check_cr_form,
+                     check_lemma_suite, check_naturality, check_scaling)
 from .connections import (LeviCivitaConnection, TriadConnection,
                           triad_connection)
 from .contact import ContactTriad

@@ -1,5 +1,8 @@
 """Built-in example triads and the strict chart symmetries they carry.
 
+Every map is a ``StrictContactMap`` made by ``_strict_map`` from a move
+q -> move(q, s), run by +amount forward and by -amount back.
+
 All closures are written to stay evaluable when the chart point is an
 array dual or a float batch of points, shape ``(..., dim)``: they index
 coordinates as ``q[..., i]`` and use whole-array arithmetic, ``ad``'s
@@ -20,9 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import ad
-from .checks import StrictContactMap
 from .contact import ContactTriad
-from .engine import DiffEngine
+from .engine import DiffEngine, matvec
 
 BOX = 1.5
 
@@ -125,22 +127,47 @@ def t3_triad(engine: DiffEngine | None = None) -> ContactTriad:
 # -- strict chart symmetries ----------------------------------------------
 
 
-def _constant_map(label: str, M: np.ndarray, move: Callable,
-                  amount: float) -> StrictContactMap:
-    """The map q -> move(q, amount), with inverse q -> move(q, -amount),
-    whose differential is the constant matrix M."""
-    return StrictContactMap(label=label,
-                            forward=lambda q: move(q, amount),
-                            inverse=lambda q: move(q, -amount),
-                            differential=lambda q: np.broadcast_to(
-                                M, ad.shape(q)[:-1] + M.shape))
+@dataclass(frozen=True)
+class StrictContactMap:
+    """A chart diffeomorphism preserving the contact form, in closed form.
+
+    ``differential(q)`` must stay evaluable when q carries derivative
+    payloads, since pulled-back structures get differentiated through it,
+    and keep q's batch axes, shape ``(*batch, dim, dim)``, even if constant.
+    """
+
+    label: str
+    forward: Callable
+    inverse: Callable
+    differential: Callable
+
+    def strictness_residual(self, triad: ContactTriad, pts) -> float:
+        """Largest |phi^* lam - lam| over a point or a batch of points,
+        evaluated in one call."""
+        q = np.asarray(pts, dtype=float)
+        dphi = np.asarray(self.differential(q), dtype=float)
+        pulled = matvec(dphi.mT, triad.lam_any(self.forward(q)))
+        return float(np.max(np.abs(pulled - triad.lam_any(q))))
+
+
+def _strict_map(label: str, move: Callable, amount: float,
+                differential: Callable) -> StrictContactMap:
+    """The map q -> move(q, amount), with inverse q -> move(q, -amount)."""
+    return StrictContactMap(label, lambda q: move(q, amount),
+                            lambda q: move(q, -amount), differential)
+
+
+def _constant(M: np.ndarray) -> Callable:
+    """The differential q -> M, broadcast over q's batch axes."""
+    return lambda q: np.broadcast_to(M, ad.shape(q)[:-1] + M.shape)
 
 
 def _axis_shift(dim: int, axis: int, amount: float,
-                label: str) -> StrictContactMap:
-    """The translation by ``amount`` along chart coordinate ``axis``."""
+                name: str) -> StrictContactMap:
+    """The translation ``<name>-shift+<amount>`` along coordinate ``axis``."""
     e = np.eye(dim)[axis]
-    return _constant_map(label, np.eye(dim), lambda q, s: q + s * e, amount)
+    return _strict_map("%s-shift+%g" % (name, amount), lambda q, s: q + s * e,
+                       amount, _constant(np.eye(dim)))
 
 
 def _shear(dim: int, b: float) -> StrictContactMap:
@@ -148,8 +175,9 @@ def _shear(dim: int, b: float) -> StrictContactMap:
     M = np.eye(dim)
     M[dim - 1, 0] = b
     e1, ez = np.eye(dim)[1], np.eye(dim)[dim - 1]
-    return _constant_map("shear+%g" % b, M,
-                         lambda q, s: q + s * (e1 + q[..., :1] * ez), b)
+    return _strict_map("shear+%g" % b,
+                       lambda q, s: q + s * (e1 + q[..., :1] * ez), b,
+                       _constant(M))
 
 
 def _t3_reeb_flow(t: float) -> StrictContactMap:
@@ -162,10 +190,7 @@ def _t3_reeb_flow(t: float) -> StrictContactMap:
         return ad.array([[1.0, 0.0, -t * s], [0.0, 1.0, t * c],
                          [0.0, 0.0, 1.0]])
 
-    return StrictContactMap(label="reeb-flow+%g" % t,
-                            forward=lambda q: flow(q, t),
-                            inverse=lambda q: flow(q, -t),
-                            differential=differential)
+    return _strict_map("reeb-flow+%g" % t, flow, t, differential)
 
 
 # -- the catalog -----------------------------------------------------------
@@ -176,7 +201,7 @@ class ExampleSpec:
     """One catalog entry: an id, a triad builder, and its strict symmetries.
 
     ``build(engine=None)`` makes the entry's triad on ``engine``, a fresh
-    ``ad`` engine when none is given.
+    ``ad`` engine when none is given.  ``_r2n1`` makes the r2n+1 entries.
     """
 
     id: str
@@ -186,57 +211,47 @@ class ExampleSpec:
     maps: tuple = ()
 
 
+def _r2n1(n: int, eps: float | None, description: str, shifts: tuple,
+          shear: float | None = None) -> ExampleSpec:
+    """The entry of ``standard_triad(n)``, or of ``perturbed_triad(n, eps)``
+    if eps is given, with one ``_axis_shift(2n + 1, *s)`` per s of
+    ``shifts`` (axis -1 is z), then the shear by ``shear``, if any."""
+    d = 2 * n + 1
+    if eps is None:
+        kind, build = "standard", lambda engine=None: standard_triad(n, engine)
+    else:
+        kind, build = ("perturbed-J",
+                       lambda engine=None: perturbed_triad(n, eps, engine))
+    maps = tuple(_axis_shift(d, *s) for s in shifts)
+    if shear is not None:
+        maps += (_shear(d, shear),)
+    return ExampleSpec("r%d-%s" % (d, kind), d, description, build, maps)
+
+
 # Built once per process; the closures they hold keep no state.
 _ENTRIES = (
-    ExampleSpec(
-        id="r3-standard", dim=3,
-        description="lam = dz - y dx on a box in R^3, standard rotation J",
-        build=lambda engine=None: standard_triad(1, engine),
-        maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
-              _axis_shift(3, 2, 0.3, "vertical-shift+0.3"),
-              _shear(3, 0.4))),
-    ExampleSpec(
-        id="r5-standard", dim=5,
-        description="lam = dz - y1 dx1 - y2 dx2 on a box in R^5, "
-                    "blockwise rotation J",
-        build=lambda engine=None: standard_triad(2, engine),
-        maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
-              _axis_shift(5, 4, 0.3, "vertical-shift+0.3"),
-              _shear(5, 0.4))),
-    ExampleSpec(
-        id="r7-standard", dim=7,
-        description="standard contact form on a box in R^7, "
-                    "blockwise rotation J",
-        build=lambda engine=None: standard_triad(3, engine),
-        maps=(_axis_shift(7, 6, 0.3, "vertical-shift+0.3"),)),
-    ExampleSpec(
-        id="r9-standard", dim=9,
-        description="standard contact form on a box in R^9, "
-                    "blockwise rotation J",
-        build=lambda engine=None: standard_triad(4, engine),
-        maps=(_axis_shift(9, 8, 0.3, "vertical-shift+0.3"),)),
+    _r2n1(1, None, "lam = dz - y dx on a box in R^3, standard rotation J",
+          ((0, 0.7, "x"), (-1, 0.3, "vertical")), shear=0.4),
+    _r2n1(2, None, "lam = dz - y1 dx1 - y2 dx2 on a box in R^5, "
+                   "blockwise rotation J",
+          ((0, 0.5, "x1"), (-1, 0.3, "vertical")), shear=0.4),
+    _r2n1(3, None, "standard contact form on a box in R^7, "
+                   "blockwise rotation J", ((-1, 0.3, "vertical"),)),
+    _r2n1(4, None, "standard contact form on a box in R^9, "
+                   "blockwise rotation J", ((-1, 0.3, "vertical"),)),
     ExampleSpec(
         id="t3-tight", dim=3,
         description="lam = cos z dx + sin z dy on one periodic chart "
                     "[0, 2pi)^3 of the three-torus",
         build=t3_triad,
-        maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
-              _axis_shift(3, 1, 0.5, "y-shift+0.5"),
+        maps=(_axis_shift(3, 0, 0.7, "x"), _axis_shift(3, 1, 0.5, "y"),
               _t3_reeb_flow(0.4))),
-    ExampleSpec(
-        id="r3-perturbed-J", dim=3,
-        description="lam = dz - y dx with a z-dependent sheared J "
-                    "(eps = 0.1); the structure drifts along Reeb orbits",
-        build=lambda engine=None: perturbed_triad(1, 0.1, engine),
-        maps=(_axis_shift(3, 0, 0.7, "x-shift+0.7"),
-              _axis_shift(3, 2, 0.3, "vertical-shift+0.3"))),
-    ExampleSpec(
-        id="r5-perturbed-J", dim=5,
-        description="standard contact form on R^5 with the z-dependent "
-                    "sheared J on the first block (eps = 0.1)",
-        build=lambda engine=None: perturbed_triad(2, 0.1, engine),
-        maps=(_axis_shift(5, 0, 0.5, "x1-shift+0.5"),
-              _axis_shift(5, 4, 0.3, "vertical-shift+0.3"))),
+    _r2n1(1, 0.1, "lam = dz - y dx with a z-dependent sheared J "
+                  "(eps = 0.1); the structure drifts along Reeb orbits",
+          ((0, 0.7, "x"), (-1, 0.3, "vertical"))),
+    _r2n1(2, 0.1, "standard contact form on R^5 with the z-dependent "
+                  "sheared J on the first block (eps = 0.1)",
+          ((0, 0.5, "x1"), (-1, 0.3, "vertical"))),
 )
 
 

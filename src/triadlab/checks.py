@@ -53,7 +53,6 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,7 +70,8 @@ from .connections import (
     tensor_P,
     torsion_tensor,
 )
-from .contact import ContactTriad, xi_section
+from .catalog import StrictContactMap
+from .contact import ContactTriad, seed_int, xi_section
 from .engine import (columns, dot, inner, lead, lie_endo, matvec,
                      max_residual, solve, tail)
 
@@ -257,8 +257,9 @@ def field_rng(seed: int, *tags) -> random.Random:
     CRC-32 of its string.  The key is one ``bytes``, the seed's
     little-endian 32-bit words first, so every bit of a large seed counts;
     ``random.Random`` seeds from it through SHA-512, so ``PYTHONHASHSEED``
-    cannot reach the stream."""
-    seed = int(seed)
+    cannot reach the stream.  ``seed`` must be an integer >= 0
+    (``seed_int``)."""
+    seed = seed_int(seed)
     words = max(1, (seed.bit_length() + 31) // 32)
     key = [seed.to_bytes(4 * words, "little")]
     for t in tags:
@@ -427,8 +428,6 @@ def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
     g-orthonormal frame, every slot at once, and pins the whole
     relationship rather than a projection of it.
     """
-    if not a > 0:
-        raise ValueError("scale factor must be positive")
     p = np.asarray(p, dtype=float)
     conn_s = TriadConnection(triad.scaled(a), 1.0)
     conn_b = TriadConnection(triad, a)
@@ -445,29 +444,6 @@ def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
 
 
 # -- naturality ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrictContactMap:
-    """A chart diffeomorphism preserving the contact form, in closed form.
-
-    ``differential(q)`` must stay evaluable when q carries derivative
-    payloads, since pulled-back structures get differentiated through it,
-    and keep q's batch axes, shape ``(*batch, dim, dim)``, even if constant.
-    """
-
-    label: str
-    forward: Callable
-    inverse: Callable
-    differential: Callable
-
-    def strictness_residual(self, triad: ContactTriad, pts) -> float:
-        """Largest |phi^* lam - lam| over a point or a batch of points,
-        evaluated in one call."""
-        q = np.asarray(pts, dtype=float)
-        dphi = np.asarray(self.differential(q), dtype=float)
-        pulled = matvec(dphi.mT, triad.lam_any(self.forward(q)))
-        return float(np.max(np.abs(pulled - triad.lam_any(q))))
 
 
 def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:

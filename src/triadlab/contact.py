@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import random
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,14 @@ from .engine import (DiffEngine, colmul, dot, inner, is_float_point, lead,
                      lie_endo, matvec, outer, solve, tail)
 
 REEB_RESIDUAL_TOL = 1e-10
+
+
+def seed_int(seed) -> int:
+    """``seed`` as an int; ValueError unless it is an integer >= 0 other
+    than a bool, the rule ``RunConfig.validate`` applies."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, not %r" % (seed,))
+    return int(seed)
 
 
 class ContactTriad:
@@ -271,9 +280,10 @@ class ContactTriad:
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """``count`` points of the chart's box, ``(count, dim)``: lo +
-        (hi - lo) u, u read row by row from ``random.Random(seed).random()``."""
+        (hi - lo) u, u read row by row from ``random.Random(seed).random()``;
+        ``seed`` must be an integer >= 0 (``seed_int``)."""
         lo, hi = self.domain
-        rng = random.Random(seed)
+        rng = random.Random(seed_int(seed))
         u = [rng.random() for _ in range(count * self.dim)]
         return lo + (hi - lo) * np.reshape(u, (count, self.dim))
 

@@ -13,7 +13,8 @@ import pytest
 
 from triadlab import DiffEngine, catalog, runner
 from triadlab.ad import Dual
-from triadlab.checks import StrictContactMap, pullback_triad
+from triadlab.catalog import StrictContactMap
+from triadlab.checks import pullback_triad
 from triadlab.connections import triad_connection
 from triadlab.contact import ContactTriad
 from triadlab.runner import RunConfig, run_suite

@@ -18,12 +18,12 @@ import pytest
 import triadlab
 from triadlab import DiffEngine, catalog, runner
 from triadlab.ad import Dual
-from triadlab.checks import (CHECKS, StrictContactMap, check_axioms,
-                             check_cr_form, check_lemma_suite,
-                             check_naturality, check_scaling,
-                             fault_flipped_b1, fault_levi_civita,
-                             fault_scale_mismatch, fault_wrong_c,
-                             family_names)
+from triadlab.catalog import StrictContactMap
+from triadlab.checks import (CHECKS, check_axioms, check_cr_form,
+                             check_lemma_suite, check_naturality,
+                             check_scaling, fault_flipped_b1,
+                             fault_levi_civita, fault_scale_mismatch,
+                             fault_wrong_c, family_names)
 from triadlab.contact import ContactTriad
 from triadlab.frames import FrameRankError, build_unitary_frame
 from triadlab.runner import RunConfig, run_suite

@@ -37,6 +37,11 @@ def test_catalog_ids_and_dimensions():
         assert spec.description
 
 
+def test_each_entry_declares_the_dimension_its_triad_has():
+    for ex_id, spec in _CAT.items():
+        assert spec.build().dim == spec.dim, ex_id
+
+
 def test_contact_condition_everywhere():
     for ex_id, spec in _CAT.items():
         t = spec.build()

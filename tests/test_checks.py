@@ -12,10 +12,10 @@ import pytest
 import triadlab
 
 from triadlab import ContactTriad, DiffEngine, catalog, standard_triad
+from triadlab.catalog import StrictContactMap
 from triadlab.checks import (
     CHECKS,
     SAMPLES,
-    StrictContactMap,
     _frame,
     _j_defect,
     check_axioms,
@@ -90,10 +90,13 @@ def test_scaling_transfer_law():
 
 
 def test_scaling_rejects_nonpositive_factor():
+    """The check and its control take ``ContactTriad.scaled``'s rule: a
+    factor that is not positive and finite raises."""
     t = standard_triad(1)
-    for a in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            check_scaling(t, a, np.zeros(3))
+    for fn in (check_scaling, fault_scale_mismatch):
+        for a in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="scale factor"):
+                fn(t, a, np.zeros(3))
 
 
 def test_naturality_all_catalog_maps():
@@ -306,6 +309,14 @@ def test_a_nan_j_fails_the_axioms_and_cr_form_with_nan_residuals():
             t, (0.0,), pts)[0]:
         assert np.isnan(res.residual).all() and not res.passed.any(), \
             res.name
+
+
+def test_field_rng_takes_only_integer_seeds_at_least_zero():
+    """The seed rule of ``sample_points``: -1 raises ValueError, not
+    ``OverflowError``, and a fractional or bool seed is not truncated."""
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            field_rng(seed, "alpha")
 
 
 def _gauss(rng, n=4):

@@ -177,6 +177,18 @@ def test_sample_points_inside_domain_and_deterministic():
         assert np.all(pts <= np.asarray(hi) + 1e-12), ex_id
 
 
+def test_sample_points_take_only_integer_seeds_at_least_zero():
+    """A negative, fractional or bool seed raises, as ``RunConfig`` rejects
+    it, rather than aliasing -3 to 3, hashing 1.5 or reading True as 1; a
+    numpy integer reads as the int it holds."""
+    t = standard_triad(1)
+    for seed in (-3, 1.5, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            t.sample_points(2, seed)
+    assert np.array_equal(t.sample_points(2, np.int64(3)),
+                          t.sample_points(2, 3))
+
+
 def test_fd_engine_triad_matches_ad_engine_triad():
     t_ad = standard_triad(1)
     t_fd = standard_triad(1, engine=DiffEngine(mode="fd", step=1e-4))
