@@ -1,19 +1,21 @@
 """Nested forward-mode dual numbers over whole numpy arrays.
 
 A :class:`Dual` holds a value array ``re`` and a tangent array ``du`` whose
-*leading* axes K index the perturbation directions: ``du.shape == K +
-re.shape``, with K = () for one direction or (k,) for a seeded block of k
-directions (a whole Jacobian in one pass).  Either slot may hold a ``Dual``
-of a *lower* perturbation level, which is what makes second-order nesting
-(derivatives of quantities that are themselves computed by differentiation)
-work without perturbation confusion.  A scalar is a dual with a 0-d value.
+*leading* axis indexes a block of k >= 1 perturbation directions:
+``du.shape == (k,) + re.shape``, k = 1 for one direction, k = dim for a
+whole Jacobian in one pass (vector forward mode).  Either slot may hold a
+``Dual`` of a *lower* perturbation level, which is what makes second-order
+nesting (derivatives of quantities that are themselves computed by
+differentiation) work without perturbation confusion.  A scalar is a dual
+with a 0-d value.
 
 This holds for every dual, the engine's identity seed too: its tangent is
 a read-only broadcast view, so no operation writes into a tangent, and
 adding a float shift returns the seed's tangent array itself.  Because the
-tangent axes lead, numpy broadcasting and ``matmul`` batching apply the
-product rule to whole arrays; singleton value axes are inserted after K
-only where two operands' value ranks differ.
+direction axis leads, numpy broadcasting and ``matmul`` batching apply the
+product rule to whole arrays.  There is one rank rule, :func:`_lift`: each
+operand's tangent is lifted to the value rank of the result, by singleton
+value axes inserted behind its direction axis.
 
 Numpy never treats a dual as an array: ``__array_ufunc__ = None`` and a
 raising ``__array__`` make a ufunc, ``np.dot`` or ``np.array`` on a dual fail
@@ -66,12 +68,14 @@ def transpose(x, axes):
     return x.transpose(axes) if isinstance(x, Dual) else np.transpose(x, axes)
 
 
-def _pad(t, nk: int, n: int):
-    """Insert n singleton axes after the nk leading tangent axes of t."""
+def _lift(t, r: int):
+    """The tangent t with singleton value axes inserted after its direction
+    axis, up to value rank r; t itself if its value rank is r or more."""
+    n = r + 1 - ndim(t)
     if n <= 0:
         return t
     s = shape(t)
-    return reshape(t, s[:nk] + (1,) * n + s[nk:])
+    return reshape(t, s[:1] + (1,) * n + s[1:])
 
 
 def broadcast_to(t, s):
@@ -79,8 +83,8 @@ def broadcast_to(t, s):
     if shape(t) == s:
         return t
     if isinstance(t, Dual):
-        k = shape(t.du)[:t.nk]
-        return Dual(t.lvl, broadcast_to(t.re, s), broadcast_to(t.du, k + s))
+        return Dual(t.lvl, broadcast_to(t.re, s),
+                    broadcast_to(_lift(t.du, len(s)), shape(t.du)[:1] + s))
     return np.broadcast_to(t, s)
 
 
@@ -123,51 +127,35 @@ class Dual:
     def ndim(self) -> int:
         return ndim(self.re)
 
-    @property
-    def nk(self) -> int:
-        """Number of leading tangent axes of ``du``."""
-        return ndim(self.du) - ndim(self.re)
-
-    # Array-kind probes (``A.dtype``, ``A.flat``) see one opaque element.
+    # The benchmark tracer's ``_solve_kind`` tells a dual solve from a float
+    # one by ``A.dtype`` and ``A.flat``: a dual shows as one opaque element.
     dtype = np.dtype(object)
 
     @property
     def flat(self):
         return iter((self,))
 
-    def __len__(self):
-        return self.shape[0]
-
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Dual(self.lvl, self.re[idx],
-                    self.du[(slice(None),) * self.nk + idx])
+        return Dual(self.lvl, self.re[idx], self.du[(slice(None),) + idx])
 
     def take(self, indices, axis: int = -1):
         """Entries ``indices`` along the last value axis, like
-        ``ndarray.take``; the tangent axes lead, so it is du's last axis too."""
+        ``ndarray.take``; the direction axis leads, so it is du's last axis
+        too."""
         if axis != -1:
             raise ValueError("Dual.take supports axis=-1 only")
         return Dual(self.lvl, self.re.take(indices, axis=-1),
                     self.du.take(indices, axis=-1))
 
     def reshape(self, s: tuple):
-        nk = self.nk
         return Dual(self.lvl, reshape(self.re, s),
-                    reshape(self.du, shape(self.du)[:nk] + tuple(s)))
+                    reshape(self.du, shape(self.du)[:1] + tuple(s)))
 
-    def transpose(self, axes: tuple | None = None):
-        if axes is None:
-            axes = tuple(range(self.ndim))[::-1]
-        nk = self.nk
+    def transpose(self, axes: tuple):
         return Dual(self.lvl, transpose(self.re, axes),
-                    transpose(self.du, tuple(range(nk))
-                               + tuple(nk + a for a in axes)))
-
-    @property
-    def T(self):
-        return self.transpose()
+                    transpose(self.du, (0,) + tuple(1 + a for a in axes)))
 
     @property
     def mT(self):
@@ -185,7 +173,7 @@ class Dual:
         x0, x1 = parts(self, lvl)
         y0, y1 = parts(o, lvl)
         re = x0 + y0
-        return Dual(lvl, re, _sum_tangent(re, x0, x1, y0, y1, False))
+        return Dual(lvl, re, _sum_tangent(re, x1, y1, False))
 
     __radd__ = __add__
 
@@ -194,7 +182,7 @@ class Dual:
         x0, x1 = parts(self, lvl)
         y0, y1 = parts(o, lvl)
         re = x0 - y0
-        return Dual(lvl, re, _sum_tangent(re, x0, x1, y0, y1, True))
+        return Dual(lvl, re, _sum_tangent(re, x1, y1, True))
 
     def __rsub__(self, o):
         return (-self) + o
@@ -203,14 +191,15 @@ class Dual:
         lvl = top_level(self, o)
         x0, x1 = parts(self, lvl)
         y0, y1 = parts(o, lvl)
-        rx, ry = ndim(x0), ndim(y0)
+        re = x0 * y0
+        r = ndim(re)
         du = None
         if x1 is not None:
-            du = _pad(x1, ndim(x1) - rx, ry - rx) * y0
+            du = _lift(x1, r) * y0
         if y1 is not None:
-            t = x0 * _pad(y1, ndim(y1) - ry, rx - ry)
+            t = x0 * _lift(y1, r)
             du = t if du is None else du + t
-        return Dual(lvl, x0 * y0, du)
+        return Dual(lvl, re, du)
 
     __rmul__ = __mul__
 
@@ -227,16 +216,14 @@ class Dual:
         return matmul(o, self)
 
 
-def _sum_tangent(re, x0, x1, y0, y1, minus: bool):
-    """Tangent of x0 + y0 (or x0 - y0), broadcast to K + shape(re)."""
-    rx, ry = ndim(x0), ndim(y0)
+def _sum_tangent(re, x1, y1, minus: bool):
+    """Tangent of x0 + y0 (or x0 - y0), broadcast to (k,) + shape(re)."""
+    r = ndim(re)
     if x1 is not None and y1 is not None:
-        a = _pad(x1, ndim(x1) - rx, ry - rx)
-        b = _pad(y1, ndim(y1) - ry, rx - ry)
+        a, b = _lift(x1, r), _lift(y1, r)
         return a - b if minus else a + b
-    t, r = (x1, rx) if y1 is None else (y1, ry)
-    nk = ndim(t) - r
-    t = broadcast_to(_pad(t, nk, ndim(re) - r), shape(t)[:nk] + shape(re))
+    t = _lift(x1 if y1 is None else y1, r)
+    t = broadcast_to(t, shape(t)[:1] + shape(re))
     return -t if minus and y1 is not None else t
 
 
@@ -245,13 +232,13 @@ def _div(x, y):
     x0, x1 = parts(x, lvl)
     y0, y1 = parts(y, lvl)
     q = x0 / y0
-    rx, ry = ndim(x0), ndim(y0)
+    r = ndim(q)
     if y1 is None:
-        return Dual(lvl, q, _pad(x1, ndim(x1) - rx, ry - rx) / y0)
-    qdy = q * _pad(y1, ndim(y1) - ry, rx - ry)
-    if x1 is None:
-        return Dual(lvl, q, -qdy / y0)
-    return Dual(lvl, q, (_pad(x1, ndim(x1) - rx, ry - rx) - qdy) / y0)
+        du = _lift(x1, r)
+    else:
+        qdy = q * _lift(y1, r)
+        du = -qdy if x1 is None else _lift(x1, r) - qdy
+    return Dual(lvl, q, du / y0)
 
 
 def matmul(x, y):
@@ -259,7 +246,7 @@ def matmul(x, y):
 
     The tangent is dx @ y + x @ dy; a vector operand is promoted to a matrix
     the way matmul itself does it, so the rule only meets operands of rank
-    two or more, whose batch axes broadcast behind the tangent axes.
+    two or more, whose batch axes broadcast behind the direction axis.
     """
     lvl = top_level(x, y)
     if not lvl:
@@ -271,14 +258,15 @@ def matmul(x, y):
         y = y[:, None]
     x0, x1 = parts(x, lvl)
     y0, y1 = parts(y, lvl)
-    rx, ry = ndim(x0), ndim(y0)
+    re = x0 @ y0
+    r = ndim(re)
     du = None
     if x1 is not None:
-        du = _pad(x1, ndim(x1) - rx, ry - rx) @ y0
+        du = _lift(x1, r) @ y0
     if y1 is not None:
-        t = x0 @ _pad(y1, ndim(y1) - ry, rx - ry)
+        t = x0 @ _lift(y1, r)
         du = t if du is None else du + t
-    out = Dual(lvl, x0 @ y0, du)
+    out = Dual(lvl, re, du)
     if col:
         out = out[..., 0]
     if row:
@@ -291,12 +279,11 @@ def stack(items):
 
     Float items broadcast against each other, so a batch of entries can
     stand next to constants.  The value is the stack of the items' values.
-    The tangent is the stack of the items' tangents at the top level, a
-    constant item's being one zero of shape K + the value's batch shape,
-    with K the tangent axes of the first item of that level, and a live
-    item of lower rank than the batch padded after its own K axes, so that
-    it broadcasts over the batch; a tangent that is itself a dual is
-    stacked by the same rule, one level down.
+    The tangent is the stack of the items' tangents at the top level, each
+    lifted to the value's batch rank, so that it broadcasts over the batch,
+    and a constant item's being one zero of shape (k,) + the value's batch
+    shape, with k the directions of the first item of that level; a tangent
+    that is itself a dual is stacked by the same rule, one level down.
     """
     lvl = 0
     for x in items:
@@ -313,9 +300,9 @@ def stack(items):
     live = [isinstance(x, Dual) and x.lvl == lvl for x in items]
     re = stack([x.re if on else x for x, on in zip(items, live)])
     first = items[live.index(True)]
-    zero = np.zeros(shape(first.du)[:first.nk] + shape(re)[:-1])
-    return Dual(lvl, re, stack([_pad(x.du, x.nk, ndim(re) - 1 - x.ndim)
-                                if on else zero
+    zero = np.zeros(shape(first.du)[:1] + shape(re)[:-1])
+    r = ndim(re) - 1
+    return Dual(lvl, re, stack([_lift(x.du, r) if on else zero
                                 for x, on in zip(items, live)]))
 
 

@@ -108,7 +108,7 @@ class DiffEngine:
         finally:
             pop_level()
         if not (isinstance(y, Dual) and y.lvl == lvl):
-            return np.zeros((len(V),) + shape(y))
+            return np.zeros(shape(V)[:1] + shape(y))
         return y.du
 
     def _eye(self, s: tuple):
@@ -187,7 +187,7 @@ class DiffEngine:
 # Forward-mode matrix rules (Giles 2008): X = A^-1 B has tangent
 # A^-1 (dB - dA X), and C = A B has tangent dA B + A dB.  They are applied one
 # perturbation level at a time to a dual's value and tangent arrays (the
-# tangent axes lead, so matmul batches over them), and the recursion ends in
+# direction axis leads, so matmul batches over it), and the recursion ends in
 # numpy.linalg.solve / np.matmul on float arrays.
 
 
@@ -195,22 +195,20 @@ def _floats(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def _solve_columns(A, R, nk: int):
-    """Solve A X = R for every tangent slice of R in one solve.
+def _solve_columns(A, R):
+    """Solve A X = R for every direction of the tangent R in one solve.
 
-    The nk leading tangent axes of R are folded into extra columns, behind
-    the batch axes, which stay.
+    R's leading direction axis is folded into extra columns, behind the
+    batch axes, which stay.
     """
-    if not nk:
-        return _solve(A, R)
     s = shape(R)
-    keep = s[nk:-1] or s[nk:]       # a vector's one axis, or a matrix's rows
-    cols = transpose(R, tuple(range(nk, len(s))) + tuple(range(nk)))
+    keep = s[1:-1] or s[1:]         # a vector's one axis, or a matrix's rows
+    cols = transpose(R, tuple(range(1, len(s))) + (0,))
     X = _solve(A, reshape(cols, keep + (-1,)))
-    value = shape(X)[:-1] + s[nk + len(keep):]
+    value = shape(X)[:-1] + s[1 + len(keep):]
     m = len(value)
-    X = reshape(X, value + s[:nk])
-    return transpose(X, tuple(range(m, m + nk)) + tuple(range(m)))
+    X = reshape(X, value + s[:1])
+    return transpose(X, (m,) + tuple(range(m)))
 
 
 def _solve(A, B):
@@ -224,7 +222,7 @@ def _solve(A, B):
     if A1 is not None:
         AX = matmul(A1, X0)
         R = -AX if R is None else R - AX
-    return Dual(lvl, X0, _solve_columns(A0, R, ndim(R) - ndim(X0)))
+    return Dual(lvl, X0, _solve_columns(A0, R))
 
 
 def solve(A, B):

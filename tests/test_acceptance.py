@@ -329,14 +329,14 @@ def test_criterion_12_dual_engine_coefficient_agreement():
         t_ad = spec.build()
         t_fd = spec.build(engine=fd)
         for p in t_ad.sample_points(10, seed=1012):
-            pairs = [(triad_connection(t_ad, c), triad_connection(t_fd, c))
+            pairs = [(c, triad_connection(t_ad, c), triad_connection(t_fd, c))
                      for c in (-1.0, 0.0, 1.0)]
-            pairs.append((LeviCivitaConnection(t_ad),
+            pairs.append((None, LeviCivitaConnection(t_ad),
                           LeviCivitaConnection(t_fd)))
-            for ca, cf in pairs:
+            for c, ca, cf in pairs:
                 d = float(np.max(np.abs(ca.gamma_tensor(p)
                                         - cf.gamma_tensor(p))))
-                assert d <= 1e-6, (ex_id, ca.label, d)
+                assert d <= 1e-6, (ex_id, type(ca).__name__, c, d)
                 worst = max(worst, d)
     _report(12, "worst engine disagreement %.2e (tol 1e-6), step 1e-4"
             % worst)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from triadlab import DiffEngine, catalog
-from triadlab.ad import Dual, array, cos, exp, sin, sqrt, stack
+from triadlab.ad import (Dual, array, broadcast_to, cos, exp, sin, sqrt,
+                         stack)
 from triadlab.engine import dot, inner, inv, outer, solve
 
 from oracles import (column, directional_derivative, fd_jacobian,
@@ -216,7 +217,7 @@ def _mixed_ranks(q):
     s = q[0] * q[1]
     M = outer(q, sin(q))
     v = M @ q / (2.0 + s) - s * q + exp(q) / sqrt(1.0 + q * q)
-    return stack([v, q * q, cos(q)]).T @ (M - 1.0)
+    return stack([v, q * q, cos(q)]).mT @ (M - 1.0)
 
 
 def test_mixed_rank_array_duals_against_central_differences():
@@ -244,6 +245,15 @@ def test_numpy_refuses_duals():
                  lambda: np.array([x, x])):
         with pytest.raises(TypeError):
             call()
+
+
+def test_broadcast_to_lifts_a_dual_of_lower_rank():
+    """A dual broadcasts as its value does: its tangent gains the new value
+    axes behind the direction axis, not in front of it."""
+    x = Dual(1, np.array([0.3, -0.2, 0.5]), np.arange(15.0).reshape(5, 3))
+    y = broadcast_to(x, (2, 3))
+    assert y.shape == (2, 3)
+    assert np.array_equal(y.du, np.broadcast_to(x.du[:, None], (5, 2, 3)))
 
 
 # -- linear algebra over dual scalars --------------------------------------
@@ -367,7 +377,7 @@ def _coeffs(x, levels):
         re, du = x.re, x.du
     else:
         re, du = x, np.zeros(tshape)
-    slots = [du[i] for i in np.ndindex(*tshape)] if tshape else [du]
+    slots = [du[i] for i in np.ndindex(*tshape)]
     return np.concatenate([_coeffs(re, rest)]
                           + [_coeffs(g, rest) for g in slots])
 
@@ -381,15 +391,15 @@ def _random_dual(rng, levels, keep=1.0):
     if rng.random() > keep:
         return re
     slots = [_random_dual(rng, rest, keep) for _ in range(int(np.prod(tshape)))]
-    du = slots[0] if tshape == () else array(slots).reshape(tshape)
+    du = array(slots).reshape(tshape)
     return Dual(lvl, re, du)
 
 
 @pytest.mark.parametrize("levels", [
-    [(1, ())],
+    [(1, (1,))],
     [(1, (3,))],
-    [(2, ()), (1, (2,))],
-    [(2, (2,)), (1, ())],
+    [(2, (1,)), (1, (2,))],
+    [(2, (2,)), (1, (1,))],
 ])
 def test_solve_and_inv_agree_with_dual_lu_oracle(levels):
     rng = np.random.default_rng(len(levels) * 10 + len(levels[0][1]))

@@ -6,7 +6,10 @@ benchmark's self-test.  The lists below are the names a refactor keeps."""
 import importlib.util
 import os
 
+import numpy as np
+
 from triadlab import catalog
+from triadlab.ad import Dual
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,3 +52,12 @@ def test_builds_read_the_contact_forms_by_name_when_they_run(monkeypatch):
         t = spec.build()
         t.lam_any(t.sample_points(1, 0))
     assert sorted(set(map(str, calls))) == ["1", "2", "3", "4", "t3"]
+
+
+def test_the_tracer_tells_a_dual_solve_from_a_float_one():
+    """``engine.solve.dual_calls`` counts the solves whose matrix is a dual:
+    ``_solve_kind`` reads ``Dual.dtype`` and ``Dual.flat`` to tell them."""
+    tracer = _tracer()
+    A = np.eye(2)
+    assert tracer._solve_kind(A) == "float_calls"
+    assert tracer._solve_kind(Dual(1, A, np.zeros((1, 2, 2)))) == "dual_calls"
