@@ -10,8 +10,8 @@ machine precision with forward-mode derivatives.
 from .ad import Dual
 from .catalog import (ExampleSpec, StrictContactMap, catalog, perturbed_triad,
                       standard_triad, t3_triad)
-from .checks import (CheckResult, check_axioms, check_cr_form,
-                     check_lemma_suite, check_naturality, check_scaling)
+from .checks import (check_axioms, check_cr_form, check_lemma_suite,
+                     check_naturality, check_scaling)
 from .connections import (LeviCivitaConnection, TriadConnection,
                           triad_connection)
 from .contact import ContactTriad
@@ -23,10 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual", "DiffEngine", "ContactTriad", "ExampleSpec", "catalog",
-    "standard_triad", "perturbed_triad", "t3_triad", "CheckResult",
-    "StrictContactMap", "check_axioms", "check_cr_form", "check_lemma_suite",
-    "check_naturality", "check_scaling", "LeviCivitaConnection",
-    "TriadConnection", "triad_connection", "MovingFrame",
-    "build_unitary_frame", "cross_check_gamma", "Report", "RunConfig",
-    "emit_report", "run_suite", "__version__",
+    "standard_triad", "perturbed_triad", "t3_triad", "StrictContactMap",
+    "check_axioms", "check_cr_form", "check_lemma_suite", "check_naturality",
+    "check_scaling", "LeviCivitaConnection", "TriadConnection",
+    "triad_connection", "MovingFrame", "build_unitary_frame",
+    "cross_check_gamma", "Report", "RunConfig", "emit_report", "run_suite",
+    "__version__",
 ]

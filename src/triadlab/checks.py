@@ -1,9 +1,9 @@
 """Residual battery for the connection family.
 
 Every check evaluates one identity the family is supposed to satisfy and
-reports the worst residual it saw, together with the tolerance it is held
-to.  An identity that reads only the triad's per-point tables (g, J, Pi,
-d lam, L_X J, nabla^LC J, the Nijenhuis tensor N, the Gamma tables and the
+reports the worst residual it saw; the runner holds it to its tolerance.
+An identity that reads only the triad's per-point tables (g, J, Pi, d lam,
+L_X J, nabla^LC J, the Nijenhuis tensor N, the Gamma tables and the
 covariant derivatives of J, g and lam built from them) is evaluated on the
 whole table: every slot is contracted with the g-orthonormal basis
 B = L^-T, where G = L L^T (Pi B for a distribution slot), a vector output
@@ -36,12 +36,15 @@ suite, and the frame re-derivation) is called once for the whole sweep: it
 reads the Gamma table stacked over the sweep
 (:class:`~triadlab.connections.TriadConnection`), and every table built
 from it carries the sweep's axis in front of the batch's.
-``check_axioms`` and ``check_cr_form`` return one list of results per c.
 
-The registry :data:`CHECKS` declares every check once: the one-line
-statement of its identity (what the CLI's ``describe-check`` prints), its
-tolerance, the family function that emits it, and whether it is a
-control.  ``make_result`` reads the tolerance and the statement from it.
+Every family returns only its residuals, ``{name: residual}`` in registry
+order, each of shape ``(*batch,)``; those of ``check_axioms`` and
+``check_cr_form``, and the frame re-derivation's, keep the sweep's axis in
+front, ``(C, *batch)``.  The registry :data:`CHECKS` declares every check
+once: the one-line statement of its identity (what the CLI's
+``describe-check`` prints), its tolerance, the family function that emits
+it, and whether it is a control.  The runner's record builder alone reads
+the tolerance and the statement from it and decides each verdict.
 Each control breaks one ingredient and runs the identity kernel of the check
 it pairs with on its fault's tables, so it tests that check's code; it must
 push its residual far above tolerance.
@@ -83,24 +86,11 @@ STRICTNESS_TOL = 1e-9
 SAMPLES = 3
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one named residual check at one chart point, or at each
-    point of a batch, with one residual, verdict and point per point."""
-
-    name: str
-    anchor: str
-    residual: float
-    tolerance: float
-    passed: bool
-    point: np.ndarray
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """One check's identity, tolerance, emitting function (as the runner
-    module binds it) and role; a control must fail, and a ``per_c`` check
-    is emitted once per family parameter by one call of its family."""
+    module binds it) and role; a control must fail, and a ``per_c`` check's
+    residual carries the sweep's axis in front, one row per c."""
 
     anchor: str
     tolerance: float
@@ -237,17 +227,6 @@ def family_names(family: str, c_values=()) -> tuple:
                  for _ in (c_values if spec.per_c else (None,)))
 
 
-def make_result(name: str, residual, p) -> CheckResult:
-    """The record of check ``name``, held to its declared tolerance; at a
-    batch, with one residual, verdict and point per point."""
-    spec = CHECKS[name]
-    residual = np.asarray(residual, dtype=float)[()]
-    return CheckResult(name=name, anchor=spec.anchor, residual=residual,
-                       tolerance=spec.tolerance,
-                       passed=residual <= spec.tolerance,
-                       point=np.asarray(p, dtype=float))
-
-
 # -- seeded draws ----------------------------------------------------------
 
 
@@ -357,16 +336,9 @@ def _c_axis(conn: TriadConnection, ndim: int) -> np.ndarray:
     return conn.c.reshape(conn.c.shape + (1,) * ndim)
 
 
-def _per_c(conn: TriadConnection, names, residuals, p) -> list:
-    """One list of results per c of the sweep, from residuals whose leading
-    axis is the sweep's."""
-    return [[make_result(n, r[k], p) for n, r in zip(names, residuals)]
-            for k in range(len(conn.c))]
-
-
-def check_axioms(triad: ContactTriad, c_values, p) -> list:
-    """One list per c of ``c_values``: a CheckResult per defining axiom of
-    the family member at that c, each read from whole tables."""
+def check_axioms(triad: ContactTriad, c_values, p) -> dict:
+    """The residual of each defining axiom, read from whole tables, of shape
+    ``(C, *batch)``: row k is the family member at ``c_values[k]``."""
     p = np.asarray(p, dtype=float)
     conn = TriadConnection(triad, c_values)
     gamma = conn.gamma_tensor(p)
@@ -390,13 +362,14 @@ def check_axioms(triad: ContactTriad, c_values, p) -> list:
                          _in_frame(matvec(M.mT, triad.lam_any(p)), Bx))
     # (5;c) the parameter coupling nabla_{J y} X + J nabla_y X = c y
     r_cr = _coupling_gap(M, J, _c_axis(conn, p.ndim + 1) * P, L, Bx)
-    return _per_c(conn, family_names("check_axioms"),
-                  (r_herm, r_xtor, r_rtor, r_inv, r_cr, r_dual), p)
+    return dict(zip(family_names("check_axioms"),
+                    (r_herm, r_xtor, r_rtor, r_inv, r_cr, r_dual)))
 
 
-def check_cr_form(triad: ContactTriad, c_values, p) -> list:
-    """One list per c of ``c_values``: both holomorphicity residuals of the
-    contact form under nabla^c, read from the table of nabla^c lam."""
+def check_cr_form(triad: ContactTriad, c_values, p) -> dict:
+    """Both holomorphicity residuals of the contact form under nabla^c, read
+    from the table of nabla^c lam, of shape ``(C, *batch)`` as in
+    :func:`check_axioms`."""
     p = np.asarray(p, dtype=float)
     conn = TriadConnection(triad, c_values)
     nl = nabla_lam(triad, conn.gamma_tensor(p), p)
@@ -405,10 +378,10 @@ def check_cr_form(triad: ContactTriad, c_values, p) -> list:
     # nabla_X lam, and nabla_y lam + J^T nabla_{J y} lam on the distribution
     r_reeb = _in_frame(matvec(nl, triad.reeb_any(p)), B)
     r_xi = _in_frame(nl + dot(J.mT, dot(nl, J)), B, Bx)
-    return _per_c(conn, family_names("check_cr_form"), (r_reeb, r_xi), p)
+    return {"cr-form-reeb": r_reeb, "cr-form-xi": r_xi}
 
 
-def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
+def check_scaling(triad: ContactTriad, a: float, p) -> dict:
     """Verify the exact transfer law between nabla^{a lam; 1} and nabla^{lam; a}.
 
     Rescaling the contact form by a > 0 turns the family parameter 1 into a:
@@ -440,7 +413,7 @@ def check_scaling(triad: ContactTriad, a: float, p) -> CheckResult:
     L, B, _ = _frame(triad, p)
     r = _gamma_gap(conn_s.gamma_tensor(p), conn_b.gamma_tensor(p),
                    X[..., :, None, None] * k.mT[..., None, :, :], L, B)
-    return make_result("scaling-transfer", r, p)
+    return {"scaling-transfer": r}
 
 
 # -- naturality ------------------------------------------------------------
@@ -459,7 +432,7 @@ def pullback_triad(triad: ContactTriad, cmap: StrictContactMap) -> ContactTriad:
 
 
 def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
-                     p) -> CheckResult:
+                     p) -> dict:
     """phi^* nabla^c against nabla^c of the pulled triad (lam, phi^* J), on
     their whole Gamma tables read in that triad's g-orthonormal frame."""
     p = np.asarray(p, dtype=float)
@@ -474,16 +447,16 @@ def check_naturality(triad: ContactTriad, cmap: StrictContactMap, c: float,
     through = PullbackConnection(TriadConnection(triad, c), cmap, pulled)
     L, B, _ = _frame(pulled, p)
     r = _gamma_gap(through.gamma_tensor(p), direct.gamma_tensor(p), 0.0, L, B)
-    return make_result("naturality-pullback", r, p)
+    return {"naturality-pullback": r}
 
 
 # -- the supporting identity suite ----------------------------------------
 
 
 def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
-                      c_values=(-1.0, 0.0, 1.0)) -> list:
-    """Every supporting identity behind the family, one CheckResult each.
-    Each record that draws reads its own generator, keyed by its name."""
+                      c_values=(-1.0, 0.0, 1.0)) -> dict:
+    """The residual of every supporting identity behind the family.  Each
+    record that draws reads its own generator, keyed by its name."""
     p = np.asarray(p, dtype=float)
     d = triad.dim
     G = triad.metric_any(p)
@@ -497,22 +470,20 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     lc = LeviCivitaConnection(triad)
     tmp = TriadConnection(triad, -1.0)
     conn0 = TriadConnection(triad, 0.0)
-
-    out = []
+    out = {}
 
     # d lam(JY, JZ) = d lam(Y, Z): all vectors at once.
-    m = dot(J.mT, dot(A, J)) - dot(P.mT, dot(A, P))
-    out.append(make_result("two-form-j-invariance", _worst(m, 2), p))
+    out["two-form-j-invariance"] = _worst(
+        dot(J.mT, dot(A, J)) - dot(P.mT, dot(A, P)), 2)
 
     # g-symmetry of L = L_X J on the distribution.
     gl = dot(G, L)
-    m = dot(P.mT, dot(gl - gl.mT, P))
-    out.append(make_result("reeb-lie-j-symmetry", _worst(m, 2), p))
+    out["reeb-lie-j-symmetry"] = _worst(dot(P.mT, dot(gl - gl.mT, P)), 2)
 
     # Reeb orbits are geodesics; nabla^LC X is distribution-valued.
     mlc = _reeb_cov_matrix(lc, p)
-    r = max_residual(_worst(matvec(mlc, X)), _worst(matvec(mlc.mT, lam)))
-    out.append(make_result("reeb-geodesic-foliation", r, p))
+    out["reeb-geodesic-foliation"] = max_residual(
+        _worst(matvec(mlc, X)), _worst(matvec(mlc.mT, lam)))
 
     # The tensorial records below read whole tables: every slot contracted
     # with the g-orthonormal basis B (Pi B for a distribution slot), a
@@ -530,66 +501,62 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     pair = (2.0 * gnj - lead(dot(G, J).mT, N)
             + gjj[..., :, :, None] * lam[..., None, None, :]
             - gjj[..., :, None, :] * lam[..., None, :, None])
-    out.append(make_result("lc-j-derivative-pairing",
-                           _in_frame(pair, B, B, B), p))
+    out["lc-j-derivative-pairing"] = _in_frame(pair, B, B, B)
 
     # Reeb-slot specialisations of the same pairing; on distribution slots
     # the X term is paired with Jx, and g(X, Jx) = 0.
-    r = max_residual(
+    out["lc-j-derivative-reeb-slots"] = max_residual(
         _in_frame(2.0 * np.einsum('...lba,...b->...la', gnj, X) + gl - G,
                   Bx, Bx),
         _in_frame(2.0 * np.einsum('...lba,...a->...lb', gnj, X) - gl + G,
                   Bx, Bx),
         _in_frame(pair, Bx, Bx, Bx))
-    out.append(make_result("lc-j-derivative-reeb-slots", r, p))
 
     # Nijenhuis tensor with the Reeb field in a slot.  For a distribution
     # section Z, lam(X) = 1 and lam(Z) = 0 are constant, so lam([X, Z]) =
     # -d lam(X, Z), which is 0 since X -| d lam = 0.
     jl = dot(J, L)
-    r = max_residual(
+    out["nijenhuis-reeb-slots"] = max_residual(
         _in_frame(np.einsum('...kij,...i->...kj', N, X) + jl, Lg, Bx),
         _in_frame(np.einsum('...kij,...j->...ki', N, X) - jl, Lg, Bx))
-    out.append(make_result("nijenhuis-reeb-slots", r, p))
 
     # J-shuffles of the Nijenhuis tensor on distribution sections and their
     # J-images: J or Pi projects the X term away.  nyj[k, i, j] = N(e_i, J e_j).
     nyj = tail(N, J)
-    r = max_residual(
+    out["nijenhuis-j-shuffle"] = max_residual(
         _in_frame(lead(J, nyj) - lead(P, N), Lg, Bx, Bx),
         _in_frame(lead(P, nyj + nyj.swapaxes(-1, -2)), Lg, Bx, Bx))
-    out.append(make_result("nijenhuis-j-shuffle", r, p))
 
     # Antilinear cancellation of nabla^LC J.
-    r = _in_frame(lead(P, njj) + jnj, Lg, Bx, Bx)
-    out.append(make_result("lc-j-antilinear-cancellation", r, p))
+    out["lc-j-antilinear-cancellation"] = _in_frame(lead(P, njj) + jnj, Lg,
+                                                    Bx, Bx)
 
     # J is Levi-Civita parallel in the Reeb direction: nabla^LC J along X.
-    r = _worst(np.einsum('...abl,...l->...ab', nj, X), 2)
-    out.append(make_result("lc-reeb-parallel-j", r, p))
+    out["lc-reeb-parallel-j"] = _worst(
+        np.einsum('...abl,...l->...ab', nj, X), 2)
 
     # Levi-Civita covariant derivative of the Reeb field on the distribution.
-    m = dot(mlc - 0.5 * J - 0.5 * dot(L, J), P)
-    out.append(make_result("lc-reeb-covariant-slope", _worst(m, 2), p))
+    out["lc-reeb-covariant-slope"] = _worst(
+        dot(mlc - 0.5 * J - 0.5 * dot(L, J), P), 2)
 
     # J-linearity of the intermediate (parameter -1) connection on
     # distribution sections, as in axiom-hermitian.
     g_tmp = tmp.gamma_tensor(p)
-    r = _j_defect(nabla_j(triad, g_tmp, p), P, Lg, B, Bx)
-    out.append(make_result("semi-connection-j-linearity", r, p))
+    out["semi-connection-j-linearity"] = _j_defect(
+        nabla_j(triad, g_tmp, p), P, Lg, B, Bx)
 
     # Metric skew property of the obstruction tensor P, as the table
     # tp[k, x, y] = P(e_x, e_y)^k; s[z, x, y] = <z, P(x, y)> + <y, P(x, z)>.
     tp = 0.25 * (njj + jnj + 2.0 * jnj.swapaxes(-1, -2))
     gp = lead(G, tp)
-    out.append(make_result("p-tensor-metric-skew",
-                           _in_frame(gp + gp.swapaxes(-1, -3), Bx, Bx, Bx), p))
+    out["p-tensor-metric-skew"] = _in_frame(gp + gp.swapaxes(-1, -3), Bx,
+                                            Bx, Bx)
 
     # Metric property and Reeb/metric duality of the intermediate
     # connection, as in axiom-hermitian and axiom-reeb-metric-dual.
-    r_metric, r_dual = _metric_defects(nabla_metric(triad, g_tmp, p), X, B, Bx)
-    out.append(make_result("semi-connection-metric", r_metric, p))
-    out.append(make_result("semi-connection-reeb-metric-dual", r_dual, p))
+    (out["semi-connection-metric"],
+     out["semi-connection-reeb-metric-dual"]) = _metric_defects(
+        nabla_metric(triad, g_tmp, p), X, B, Bx)
 
     # The three drawn records, each on its own draws: quarter-N's Y and Z
     # (and a unit Reeb-slot draw u), torsion-split's Y and p-antisymmetrized's
@@ -611,16 +578,15 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     n = b_jj - b_yz - matvec(J, b_y_jz) - matvec(J, b_jy_z)
     r = max_residual(_worst(matvec(P, t) - 0.25 * matvec(P, n)),
                      np.abs(inner(lam, t)))
-    r = max_residual(_worst(torsion_tensor(tmp, p, X, u)), np.max(r, axis=0))
-    out.append(make_result("semi-connection-torsion-quarter-n", r, p))
+    out["semi-connection-torsion-quarter-n"] = max_residual(
+        _worst(torsion_tensor(tmp, p, X, u)), np.max(r, axis=0))
 
     # Covariant derivative of the Reeb field across the family, on the
     # table stacked over the sweep.
     sweep = TriadConnection(triad, c_values)
     c = _c_axis(sweep, p.ndim + 1)
     m = dot(_reeb_cov_matrix(sweep, p) + 0.5 * c * J - 0.5 * dot(L, J), P)
-    out.append(make_result("reeb-covariant-family",
-                           np.max(_worst(m, 2), axis=0), p))
+    out["reeb-covariant-family"] = np.max(_worst(m, 2), axis=0)
 
     # Torsion split values across the family: the lam part as whole tables,
     # the Lie part on drawn sections.
@@ -634,17 +600,17 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     l_y = lie_endo(y, df[cols[2]], J, dJ)
     lie_side = 0.25 * (matvec(l_jy, z) + matvec(l_y, matvec(J, z)))
     t0 = matvec(P, torsion_tensor(conn0, p, y, z))
-    r = max_residual(r, np.max(_worst(t0 - lie_side), axis=0))
-    out.append(make_result("torsion-split-values", r, p))
+    out["torsion-split-values"] = max_residual(
+        r, np.max(_worst(t0 - lie_side), axis=0))
 
     # Type symmetries of the projected torsion; tjy[k, y, z] = Pi T(J e_y,
     # e_z) and tjz[k, y, z] = Pi T(e_y, J e_z).
     pt = lead(P, _torsion_table(conn0.gamma_tensor(p)))
     tjy = dot(J.mT[..., None, :, :], pt)
     tjz = tail(pt, J)
-    r = max_residual(_in_frame(tjy - tjz, Lg, Bx, Bx),
-                     _in_frame(lead(J, tjy) - pt, Lg, Bx, Bx))
-    out.append(make_result("torsion-type-symmetries", r, p))
+    out["torsion-type-symmetries"] = max_residual(
+        _in_frame(tjy - tjz, Lg, Bx, Bx),
+        _in_frame(lead(J, tjy) - pt, Lg, Bx, Bx))
 
     # The antisymmetrisation of P as a bracket combination, on the brackets
     # of drawn fields: the field path, apart from the tables, in both modes.
@@ -653,21 +619,18 @@ def check_lemma_suite(triad: ContactTriad, p, seed: int = 0,
     b_jj, b_yz, b_y_jz, b_jy_z = j_brackets(jet, cols[3], cols[4])
     rhs = 0.25 * (b_jj - matvec(P, b_yz) - matvec(J, b_jy_z)
                   - matvec(J, b_y_jz))
-    out.append(make_result("p-antisymmetrized-bracket",
-                           np.max(_worst(lhs - rhs), axis=0), p))
+    out["p-antisymmetrized-bracket"] = np.max(_worst(lhs - rhs), axis=0)
 
     # d lam is parallel along the Reeb direction for the canonical member.
-    r = _worst(covariant_derivative_two_form(conn0, triad.dlam_any,
-                                             triad.reeb_any, p), 2)
-    out.append(make_result("reeb-parallel-two-form", r, p))
-
+    out["reeb-parallel-two-form"] = _worst(covariant_derivative_two_form(
+        conn0, triad.dlam_any, triad.reeb_any, p), 2)
     return out
 
 
 # -- fault injections ------------------------------------------------------
 
 
-def fault_flipped_b1(triad: ContactTriad, p) -> CheckResult:
+def fault_flipped_b1(triad: ContactTriad, p) -> dict:
     """Quarter-Nijenhuis torsion residual of Christoffel - B1: the c = -1
     member, whose B2 weight is 0, with the first correction negated.
 
@@ -680,20 +643,20 @@ def fault_flipped_b1(triad: ContactTriad, p) -> CheckResult:
     # Pi projects away the X term of the sections' bracket form of N
     t = lead(triad.pi_any(p), _torsion_table(gamma)
              - 0.25 * triad.nijenhuis_at(p))
-    return make_result("fault-flipped-correction", _in_frame(t, L, Bx, Bx), p)
+    return {"fault-flipped-correction": _in_frame(t, L, Bx, Bx)}
 
 
-def fault_wrong_c(triad: ContactTriad, p) -> CheckResult:
+def fault_wrong_c(triad: ContactTriad, p) -> dict:
     """Parameter coupling of the c = 1 member against the c = 0 axiom,
     nabla_{J y} X + J nabla_y X = 0 on the distribution."""
     p = np.asarray(p, dtype=float)
     L, _, Bx = _frame(triad, p)
     r = _coupling_gap(_reeb_cov_matrix(TriadConnection(triad, 1.0), p),
                       triad.j_any(p), 0.0, L, Bx)
-    return make_result("fault-wrong-family-parameter", r, p)
+    return {"fault-wrong-family-parameter": r}
 
 
-def fault_levi_civita(triad: ContactTriad, p) -> CheckResult:
+def fault_levi_civita(triad: ContactTriad, p) -> dict:
     """J-linearity failure of the Levi-Civita connection.
 
     The Levi-Civita connection is torsion free, so it trivially passes the
@@ -705,13 +668,13 @@ def fault_levi_civita(triad: ContactTriad, p) -> CheckResult:
     p = np.asarray(p, dtype=float)
     L, B, Bx = _frame(triad, p)
     r = _j_defect(triad.nabla_j_at(p), triad.pi_any(p), L, B, Bx)
-    return make_result("fault-levi-civita-not-complex-linear", r, p)
+    return {"fault-levi-civita-not-complex-linear": r}
 
 
-def fault_scale_mismatch(triad: ContactTriad, a: float, p) -> CheckResult:
+def fault_scale_mismatch(triad: ContactTriad, a: float, p) -> dict:
     """Residual between nabla^{a lam; 1} and the UNscaled parameter-1 member."""
     p = np.asarray(p, dtype=float)
     L, B, _ = _frame(triad, p)
     r = _gamma_gap(TriadConnection(triad.scaled(a), 1.0).gamma_tensor(p),
                    TriadConnection(triad, 1.0).gamma_tensor(p), 0.0, L, B)
-    return make_result("fault-scale-mismatch", r, p)
+    return {"fault-scale-mismatch": r}

@@ -3,9 +3,10 @@
 A run, in either mode, calls each check family once, on the batch of its
 sample points and the whole c sweep, the frame families among them.  A
 normal run first builds the Gamma table naturality reads at the sample
-points and every map's images in one batch, split among them.
-``check_axioms`` and ``check_cr_form`` return one group of results per c,
-recorded under the variant ``c=%g``; ``RunConfig`` rejects a sweep in which
+points and every map's images in one batch, split among them.  Each
+family returns its residuals by name.  ``check_axioms`` and
+``check_cr_form`` keep the sweep's axis in front, and row k is recorded
+under the variant ``c=%g`` of c_k; ``RunConfig`` rejects a sweep in which
 two values print as the same variant.  The frame re-derivation keeps the
 variant ``frame``, with one record per c.  The run builds its table of
 families once, and each row's function takes a batch of points: a family
@@ -14,11 +15,13 @@ one-point batch ``pts[i:i+1]`` (a frame whose Gram-Schmidt would pick other
 chart columns at some points raises there).  A run never aborts
 because one check raised; the failure is recorded under each name and
 variant the family emits, with an unevaluable-residual sentinel, and the
-run moves on.  A family call yields groups (result, variant, first point's
-index, note); ``_records`` sorts them by (check name, variant), merges a
-key's several groups (one per c, or per rerun point) by point index, and
-expands each group with one ``tolist`` of its residuals and one of its
-verdicts, so a fixed configuration always serializes to identical bytes.
+run moves on.  A family call yields groups (name, variant, residuals, first
+point's index, note), one per row of each residual.  ``_records`` alone
+holds them to the registry: it sorts them by (check name, variant), merges
+a key's several groups (one per c, or per rerun point) by point index, and
+gives each record its check's tolerance and anchor and the verdict
+residual <= tolerance, so a fixed configuration always serializes to
+identical bytes.
 
 ``_canon`` defines those bytes: sorted keys, every float as ``%.12e``, a
 non-finite one as the unevaluable sentinel.  ``emit_report(report, fmt)``
@@ -47,8 +50,9 @@ from .checks import (CHECKS, SAMPLES, check_axioms,
                      check_cr_form, check_lemma_suite, check_naturality,
                      check_scaling, fault_flipped_b1, fault_levi_civita,
                      fault_scale_mismatch, fault_wrong_c, family_names,
-                     make_result, _in_frame)
+                     _in_frame)
 from .connections import TriadConnection
+from .contact import seed_int
 from .engine import FD_STEP, DiffEngine
 from .frames import (build_unitary_frame, connection_one_forms,
                      cross_check_gamma, skew_hermitian_check,
@@ -94,8 +98,10 @@ class RunConfig:
         if len(set(variants)) < len(variants):
             raise ConfigError("two values of the c sweep print as the same "
                               "variant: %s" % ", ".join(variants))
-        if not _num(Integral, self.seed) or self.seed < 0:
-            raise ConfigError("seed must be an integer >= 0")
+        try:
+            seed_int(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not _num(Integral, self.points) or self.points < 1:
             raise ConfigError("point count must be an integer >= 1")
         if self.mode not in ("ad", "fd"):
@@ -133,46 +139,52 @@ class Report:
 
 
 def _run_family(groups, names, variants, fn, pts, first=0) -> None:
-    """Append fn(pts)'s results, one list per variant, as groups (result,
-    variant, index of the batch's first point, note).
+    """Append fn(pts)'s residuals as groups (name, variant, residuals,
+    index of the batch's first point, note), one per row of a residual:
+    row k of one stacked over the sweep takes variant k of a swept family,
+    or a ``per_c`` entry's one variant.
 
     A family that raises on a batch of several points runs again on each
     one-point batch ``pts[i:i+1]``, whose first point has index first + i;
-    one that raises on one point gets one error result per expected name
-    and variant there.
+    one that raises on one point gets one unevaluable residual per expected
+    name and variant there.
     """
     try:
-        out, note = fn(pts), ""
+        out = fn(pts)
     except Exception as exc:  # recorded, never fatal for the run
         if len(pts) > 1:
             for i in range(len(pts)):
                 _run_family(groups, names, variants, fn, pts[i:i + 1],
                             first + i)
             return
-        out = [[make_result(n, [RESIDUAL_UNEVALUABLE], pts)
-                for n in names]] * len(variants)
-        note = "error: " + repr(exc)
-    groups.extend((cr, variant, first, note)
-                  for variant, group in zip(variants, out) for cr in group)
+        groups.extend((n, v, [RESIDUAL_UNEVALUABLE], first,
+                       "error: " + repr(exc)) for v in variants for n in names)
+        return
+    for name, r in out.items():
+        rows = np.asarray(r, dtype=float).reshape(-1, len(pts)).tolist()
+        groups.extend((name, variants[k % len(variants)], row, first, "")
+                      for k, row in enumerate(rows))
 
 
 def _records(groups, rows) -> list:
     """The groups' records in the order (name, variant, point index), point
-    i's row read from rows[i]; a tie keeps the order of its groups."""
+    i's row read from rows[i]; a tie keeps the order of its groups.  Each
+    record takes its check's tolerance and anchor from the registry, and
+    passes when its residual is at most that tolerance."""
     def key(group):
-        return group[0].name, group[1]
+        return group[:2]
 
     records: list = []
     for (name, variant), run in groupby(sorted(groups, key=key), key=key):
-        run = list(run)
+        spec, run = CHECKS[name], list(run)
         part = [{"name": name, "variant": variant, "point_index": i,
-                 "residual": r, "tolerance": cr.tolerance, "passed": ok,
-                 "anchor": cr.anchor, "point": rows[i],
+                 "residual": r, "tolerance": spec.tolerance,
+                 "passed": r <= spec.tolerance, "anchor": spec.anchor,
+                 "point": rows[i],
                  "note": note or ("" if math.isfinite(r)
                                   else "error: residual is not finite")}
-                for cr, _, first, note in run
-                for i, (r, ok) in enumerate(zip(cr.residual.tolist(),
-                                                cr.passed.tolist()), first)]
+                for _, _, residuals, first, note in run
+                for i, r in enumerate(residuals, first)]
         if len(run) > 1:    # one group per c, or per rerun point
             part.sort(key=lambda r: r["point_index"])
         records += part
@@ -212,37 +224,34 @@ def run_suite(config: RunConfig) -> Report:
     with_j_controls = config.negative_controls and not (
         _projected_nijenhuis_scale(triad, pts) <= 1e-3)
 
-    # (family, variants, fn): fn(q) gives one list of results per variant
+    # (family, variants, fn): fn(q) gives the family's residuals by name
     # at each point of the batch q
     if config.negative_controls:
-        rows = [
-            ("fault_wrong_c", ("",),
-             lambda q: [[fault_wrong_c(triad, q)]]),
-            ("fault_scale_mismatch", ("a=2",),
-             lambda q: [[fault_scale_mismatch(triad, 2.0, q)]]),
-            ("_dropped_torsion_control", ("c=0",),
-             lambda q: [[_dropped_torsion_control(triad, q, seed)]])]
+        rows = [("fault_wrong_c", ("",), lambda q: fault_wrong_c(triad, q)),
+                ("fault_scale_mismatch", ("a=2",),
+                 lambda q: fault_scale_mismatch(triad, 2.0, q)),
+                ("_dropped_torsion_control", ("c=0",),
+                 lambda q: _dropped_torsion_control(triad, q, seed))]
         if with_j_controls:
             rows += [("fault_flipped_b1", ("",),
-                      lambda q: [[fault_flipped_b1(triad, q)]]),
+                      lambda q: fault_flipped_b1(triad, q)),
                      ("fault_levi_civita", ("",),
-                      lambda q: [[fault_levi_civita(triad, q)]])]
+                      lambda q: fault_levi_civita(triad, q))]
     else:
         if spec.maps:
             _base_batch(triad, pts, spec.maps)
-        rows = [("check_axioms", swept,
-                 lambda q: check_axioms(triad, cs, q)),
+        rows = [("check_axioms", swept, lambda q: check_axioms(triad, cs, q)),
                 ("check_cr_form", swept,
                  lambda q: check_cr_form(triad, cs, q)),
                 ("check_lemma_suite", ("",),
-                 lambda q: [check_lemma_suite(triad, q, seed=seed,
-                                              c_values=cs)]),
+                 lambda q: check_lemma_suite(triad, q, seed=seed,
+                                             c_values=cs)),
                 ("_frame_records", ("frame",),
-                 lambda q: [_frame_records(triad, cs, q, seed)]),
+                 lambda q: _frame_records(triad, cs, q, seed)),
                 ("check_scaling", ("a=2",),
-                 lambda q: [[check_scaling(triad, 2.0, q)]])]
+                 lambda q: check_scaling(triad, 2.0, q))]
         rows += [("check_naturality", (m.label,),
-                  lambda q, m=m: [[check_naturality(triad, m, 0.0, q)]])
+                  lambda q, m=m: check_naturality(triad, m, 0.0, q))
                  for m in spec.maps]
 
     groups: list = []
@@ -273,22 +282,19 @@ def _base_batch(triad, pts, maps) -> None:
 
 def _frame_records(triad, cs, p, seed):
     frame = build_unitary_frame(triad, p, seed=seed)
-    out = [make_result("frame-orthonormality", frame.gram_residual(p), p)]
-    out += [make_result("frame-coefficient-rederivation", disc, p)
-            for disc in cross_check_gamma(triad, cs, frame, p)]
     conn0 = TriadConnection(triad, 0.0)
-    out.append(make_result("structure-equation",
-                           structure_equation_residual(conn0, frame, p), p))
-    out.append(make_result("frame-skew-hermitian",
-                           skew_hermitian_check(conn0, frame, p), p))
-    return out
+    return {"frame-orthonormality": frame.gram_residual(p),
+            "frame-coefficient-rederivation":
+                cross_check_gamma(triad, cs, frame, p),
+            "structure-equation": structure_equation_residual(conn0, frame, p),
+            "frame-skew-hermitian": skew_hermitian_check(conn0, frame, p)}
 
 
 def _dropped_torsion_control(triad, p, seed):
     frame = build_unitary_frame(triad, p, seed=seed)
     om = connection_one_forms(TriadConnection(triad, 0.0), frame, p)
-    r = structure_gap(frame.coframe_any(p), frame.jac_coframe_at(p), om, 0.0)
-    return make_result("control-structure-equation-dropped-torsion", r, p)
+    return {"control-structure-equation-dropped-torsion": structure_gap(
+        frame.coframe_any(p), frame.jac_coframe_at(p), om, 0.0)}
 
 
 def _summarize(records) -> dict:

@@ -43,7 +43,8 @@ functions are the einsum forms of the package's table contractions
 frame one-forms, a slot-by-slot frame read and a matrix on a table's first
 slot), the references for the stacked matmuls that replaced them.
 ``per_point_records`` is the runner's former record expansion, one dict
-per point of each family result and then a stable sort, the reference for
+per point of each group of residuals, its check's tolerance, anchor and
+verdict read from the registry, and then a stable sort, the reference for
 its expansion of whole groups.  ``numpy_field_rng`` is numpy's generator
 under the key that ``field_rng`` once fed it, the source of the vectors of
 the tests that predate the package's own generator.
@@ -55,6 +56,7 @@ import zlib
 import numpy as np
 
 from triadlab.ad import Dual, shape, stack
+from triadlab.checks import CHECKS
 from triadlab.connections import covariant_derivative_form
 from triadlab.engine import (colmul, columns, inner, is_float_point, lie_endo,
                              matvec, max_residual, solve)
@@ -524,22 +526,21 @@ def lead_einsum(M, T):
     return np.einsum('...ka,...aij->...kij', M, T)
 
 
-def per_point_records(groups):
-    """Report records of groups (result, variant, index of the first point,
-    note), built point by point and stably sorted by (name, variant, point
-    index); a result may be at one point or at a batch."""
+def per_point_records(groups, points):
+    """Report records of groups (name, variant, residuals, index of the
+    first point, note), built point by point and stably sorted by (name,
+    variant, point index); residual i of a group is at points[first + i],
+    and is held to its check's registry tolerance."""
     records = []
-    for cr, variant, first, note in groups:
-        residual = np.reshape(cr.residual, -1)
-        passed = np.reshape(cr.passed, -1)
-        point = np.reshape(cr.point, (len(residual), -1))
-        for i in range(len(residual)):
-            r = float(residual[i])
+    for name, variant, residuals, first, note in groups:
+        spec = CHECKS[name]
+        for i, r in enumerate(np.reshape(residuals, -1).tolist(), first):
             records.append({
-                "name": cr.name, "variant": variant, "point_index": first + i,
-                "residual": r, "tolerance": float(cr.tolerance),
-                "passed": bool(passed[i]), "anchor": cr.anchor,
-                "point": point[i].tolist(),
+                "name": name, "variant": variant, "point_index": i,
+                "residual": r, "tolerance": float(spec.tolerance),
+                "passed": bool(np.float64(r) <= spec.tolerance),
+                "anchor": spec.anchor,
+                "point": np.asarray(points[i], dtype=float).tolist(),
                 "note": note or ("" if math.isfinite(r)
                                  else "error: residual is not finite")})
     records.sort(key=lambda r: (r["name"], r["variant"], r["point_index"]))

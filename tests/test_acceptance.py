@@ -59,9 +59,9 @@ def test_criterion_01_axioms_hold_on_every_example():
     for ex_id, spec in _CAT.items():
         t = spec.build()
         for p in t.sample_points(20, seed=1001):
-            for res in check_axioms(t, (0.0,), p)[0]:
-                assert res.residual <= 1e-8, (ex_id, res.name, res.residual)
-                worst = max(worst, res.residual)
+            for name, (r,) in check_axioms(t, (0.0,), p).items():
+                assert r <= 1e-8, (ex_id, name, r)
+                worst = max(worst, r)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, elapsed
     _report(1, "worst residual %.2e (tol 1e-8), %d examples x 20 points, "
@@ -74,9 +74,9 @@ def test_criterion_02_axioms_hold_across_parameter_family():
         t = spec.build()
         for p in t.sample_points(4, seed=1002):
             for c in (-1.0, 0.0, 1.0):
-                for res in check_axioms(t, (c,), p)[0]:
-                    assert res.residual <= 1e-8, (ex_id, c, res.name)
-                    worst = max(worst, res.residual)
+                for name, (r,) in check_axioms(t, (c,), p).items():
+                    assert r <= 1e-8, (ex_id, c, name)
+                    worst = max(worst, r)
     _report(2, "worst residual %.2e (tol 1e-8), c in {-1,0,1}" % worst)
 
 
@@ -194,12 +194,12 @@ def test_criterion_07_contact_form_parallel_only_at_zero():
     for ex_id, spec in _CAT.items():
         t = spec.build()
         p = t.sample_points(1, seed=1007)[0]
-        reeb, xi = check_cr_form(t, (0.0,), p)[0]
-        assert reeb.residual <= 1e-8 and xi.residual <= 1e-8, ex_id
-        worst = max(worst, reeb.residual, xi.residual)
-        _, xi_bad = check_cr_form(t, (1.0,), p)[0]
-        assert xi_bad.residual >= 1e-3, (ex_id, xi_bad.residual)
-        least_defect = min(least_defect, xi_bad.residual)
+        (reeb,), (xi,) = check_cr_form(t, (0.0,), p).values()
+        assert reeb <= 1e-8 and xi <= 1e-8, ex_id
+        worst = max(worst, reeb, xi)
+        (xi_bad,) = check_cr_form(t, (1.0,), p)["cr-form-xi"]
+        assert xi_bad >= 1e-3, (ex_id, xi_bad)
+        least_defect = min(least_defect, xi_bad)
     _report(7, "parallel residual %.2e (tol 1e-8); c=1 defect >= %.2e "
             "(control fails as required)" % (worst, least_defect))
 
@@ -213,13 +213,13 @@ def test_criterion_08_scaling_transfer_amended_law():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=1008)[0]
         for a in (2.0, 0.5):
-            res = check_scaling(t, a, p)
-            assert res.residual <= 1e-7, (ex_id, a, res.residual)
-            worst = max(worst, res.residual)
-        exact = check_scaling(t, 1.0, p)
-        assert exact.residual <= 1e-12, (ex_id, exact.residual)
-        naive = fault_scale_mismatch(t, 2.0, p)
-        assert naive.residual >= 1e-3, (ex_id, naive.residual)
+            r = check_scaling(t, a, p)["scaling-transfer"]
+            assert r <= 1e-7, (ex_id, a, r)
+            worst = max(worst, r)
+        exact = check_scaling(t, 1.0, p)["scaling-transfer"]
+        assert exact <= 1e-12, (ex_id, exact)
+        naive = fault_scale_mismatch(t, 2.0, p)["fault-scale-mismatch"]
+        assert naive >= 1e-3, (ex_id, naive)
     _report(8, "(amended) transfer law %.2e (tol 1e-7); naive "
             "identification fails by >= 1e-3 as expected" % worst)
 
@@ -243,15 +243,16 @@ def test_criterion_09_naturality_under_strict_maps():
         t = spec.build()
         for p in t.sample_points(2, seed=1009):
             for cmap in spec.maps:
-                res = check_naturality(t, cmap, 0.0, p)
-                assert res.residual <= 1e-7, (ex_id, cmap.label, res.residual)
-                worst = max(worst, res.residual)
+                r = check_naturality(t, cmap, 0.0, p)["naturality-pullback"]
+                assert r <= 1e-7, (ex_id, cmap.label, r)
+                worst = max(worst, r)
                 count += 1
     t = _CAT["r3-standard"].build()
     p = t.sample_points(1, seed=1009)[0]
-    res = check_naturality(t, _CAT["r3-standard"].maps[0], 1.0, p)
-    assert res.residual <= 1e-7
-    worst = max(worst, res.residual)
+    r = check_naturality(t, _CAT["r3-standard"].maps[0], 1.0, p)[
+        "naturality-pullback"]
+    assert r <= 1e-7
+    worst = max(worst, r)
 
     wrong_c, no_dm = np.inf, np.inf
     for mode in ("ad", "fd"):
@@ -294,9 +295,9 @@ def test_criterion_10_identity_suite_all_examples():
     for ex_id, spec in _CAT.items():
         t = spec.build()
         for p in t.sample_points(3, seed=1010):
-            for res in check_lemma_suite(t, p, seed=10):
-                assert res.residual <= 1e-7, (ex_id, res.name, res.residual)
-                worst = max(worst, res.residual)
+            for name, r in check_lemma_suite(t, p, seed=10).items():
+                assert r <= 1e-7, (ex_id, name, r)
+                worst = max(worst, r)
                 total += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, elapsed
@@ -309,9 +310,9 @@ def test_criterion_11_fault_injections_fire():
     p5 = t5.sample_points(1, seed=1011)[0]
     t3 = _CAT["r3-standard"].build()
     p3 = t3.sample_points(1, seed=1011)[0]
-    flipped = fault_flipped_b1(t5, p5).residual
-    wrong = fault_wrong_c(t3, p3).residual
-    lc = fault_levi_civita(t5, p5).residual
+    (flipped,) = fault_flipped_b1(t5, p5).values()
+    (wrong,) = fault_wrong_c(t3, p3).values()
+    (lc,) = fault_levi_civita(t5, p5).values()
     assert flipped >= 1e-3, flipped
     assert wrong >= 1e-3, wrong
     assert lc >= 1e-3, lc

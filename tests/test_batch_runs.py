@@ -39,9 +39,9 @@ SEED = 7
 def _families(spec, t, p):
     """(label, call) for every family at p, a point or a batch."""
     calls = [("axioms c=%g" % c,
-              lambda c=c: check_axioms(t, (c,), p)[0]) for c in CS]
+              lambda c=c: check_axioms(t, (c,), p)) for c in CS]
     calls += [("cr-form c=%g" % c,
-               lambda c=c: check_cr_form(t, (c,), p)[0])
+               lambda c=c: check_cr_form(t, (c,), p))
               for c in CS]
     calls += [("naturality " + m.label,
                lambda m=m: check_naturality(t, m, 0.0, p))
@@ -59,10 +59,6 @@ def _families(spec, t, p):
     return calls
 
 
-def _results(out):
-    return [out] if isinstance(out, triadlab.CheckResult) else list(out)
-
-
 def _same(got, want, mode) -> bool:
     """The same bits in ``fd``; in ``ad``, within the refactor bound 1e-13."""
     got, want = np.float64(got), np.float64(want)
@@ -77,15 +73,16 @@ def _assert_every_family_at_a_batch_is_each_point(ex_id, mode):
     pts = tb.sample_points(8, seed=31)
     at_points = [dict(_families(spec, tp, q)) for q in pts]
     for label, call in _families(spec, tb, pts):
-        batch = _results(call())
+        batch = call()
         for i, per_point in enumerate(at_points):
-            single = _results(per_point[label]())
-            assert [r.name for r in batch] == [r.name for r in single]
-            for rb, rs in zip(batch, single):
-                assert rb.residual.shape == (8,), (label, rb.name)
-                assert _same(rb.residual[i], rs.residual, mode), \
-                    (ex_id, label, rb.name, i)
-                assert rb.point[i].tobytes() == pts[i].tobytes()
+            single = per_point[label]()
+            assert list(batch) == list(single)
+            for name, rb in batch.items():
+                rs = np.asarray(single[name])
+                assert rb.shape == rs.shape + (8,), (label, name)
+                # one row per c of a residual stacked over the sweep
+                for row, want in zip(rb.reshape(-1, 8), rs.reshape(-1)):
+                    assert _same(row[i], want, mode), (ex_id, label, name, i)
 
 
 @pytest.mark.parametrize("ex_id", sorted(_CAT))
@@ -173,9 +170,11 @@ def _assert_other_frames_run_point_by_point(controls, mode):
         return runner._frame_records(t, CS, p, 0)
 
     variant = "c=0" if controls else "frame"
-    want = per_point_records([(cr, variant, i, "")
-                              for i, p in enumerate(t.sample_points(4, 0))
-                              for cr in _results(family(p))])
+    pts = t.sample_points(4, 0)
+    want = per_point_records([(name, variant, [r], i, "")
+                              for i, p in enumerate(pts)
+                              for name, res in family(p).items()
+                              for r in np.reshape(res, -1)], pts)
     names = {r["name"] for r in want}
     got = [r for r in rep.records if r["name"] in names]
     assert got == want
@@ -194,9 +193,10 @@ def test_ad_frames_that_pick_other_columns_at_some_points_run_point_by_point(
     _assert_other_frames_run_point_by_point(controls, "ad")
 
 
-def _records_and_their_oracle(monkeypatch, run):
+def _records_and_their_oracle(monkeypatch, run, pts):
     """A run's records, and the oracle's from the groups its families
-    returned, in the order they returned them."""
+    returned, in the order they returned them, at the run's sample points
+    ``pts``."""
     groups: list = []
     real = runner._run_family
 
@@ -205,7 +205,7 @@ def _records_and_their_oracle(monkeypatch, run):
         groups[:] = out
 
     monkeypatch.setattr(runner, "_run_family", kept)
-    return run().records, groups, per_point_records(groups)
+    return run().records, groups, per_point_records(groups, pts)
 
 
 @pytest.mark.parametrize("mode", ["fd", "ad"])
@@ -215,11 +215,12 @@ def test_records_are_each_groups_points_in_a_stable_sort(
     records, groups, want = _records_and_their_oracle(
         monkeypatch, lambda: run_suite(RunConfig(
             example_id="r5-perturbed-J", points=3, seed=5, mode=mode,
-            negative_controls=controls)))
+            negative_controls=controls)),
+        _CAT["r5-perturbed-J"].build().sample_points(3, 5))
     assert len(want) == 3 * len(groups) and records == want
     if not controls:    # one group per c under one key
-        assert sum(cr.name == "frame-coefficient-rederivation"
-                   for cr, *_ in groups) == 3
+        assert sum(name == "frame-coefficient-rederivation"
+                   for name, *_ in groups) == 3
 
 
 @pytest.mark.parametrize("mode", ["fd", "ad"])
@@ -228,10 +229,11 @@ def test_records_of_point_by_point_reruns_are_merged_by_point(
     records, groups, want = _records_and_their_oracle(
         monkeypatch, lambda: _run_with(
             "t3-tight", _t3_with_a_reeb_aligned_point, points=4, seed=0,
-            c_values=CS, mode=mode))
+            c_values=CS, mode=mode),
+        _t3_with_a_reeb_aligned_point().sample_points(4, 0))
     assert records == want
-    firsts = [first for cr, _, first, _ in groups
-              if cr.name == "frame-coefficient-rederivation"]
+    firsts = [first for name, _, _, first, _ in groups
+              if name == "frame-coefficient-rederivation"]
     assert firsts == [i for i in range(4) for _ in CS]
 
 
@@ -373,7 +375,7 @@ def test_each_c_of_a_sweep_has_the_records_of_a_one_value_sweep(ex_id, mode):
 
 
 @pytest.mark.parametrize("family", [
-    lambda t, p: check_axioms(t, (0.0,), p)[0],
+    lambda t, p: check_axioms(t, (0.0,), p),
     lambda t, p: check_lemma_suite(t, p, seed=5)], ids=["axioms", "lemmas"])
 def test_a_batch_makes_as_many_reeb_solves_as_one_point(monkeypatch, family):
     """Each stencil a family evaluates at one point, it evaluates once at a

@@ -33,11 +33,17 @@ from triadlab.checks import (
 )
 from triadlab.connections import triad_connection
 from triadlab.engine import lead, max_residual, tail
-from triadlab.runner import RunConfig, _meets_role, run_suite
+from triadlab.runner import (RunConfig, _dropped_torsion_control,
+                             _frame_records, _meets_role, run_suite)
 
 from oracles import roundtrip_residual
 
 _CAT = catalog()
+
+
+def _passed(name, residual):
+    """The verdict a record of check ``name`` takes on ``residual``."""
+    return np.asarray(residual) <= CHECKS[name].tolerance
 
 
 def test_axioms_pass_across_catalog_and_parameters():
@@ -45,26 +51,35 @@ def test_axioms_pass_across_catalog_and_parameters():
         t = spec.build()
         for p in t.sample_points(2, seed=111):
             for c in (-1.0, 0.0, 1.0):
-                for res in check_axioms(t, (c,), p)[0]:
-                    assert res.passed, (ex_id, c, res.name, res.residual)
-                    assert res.residual <= 1e-8, (ex_id, c, res.name)
+                for name, (r,) in check_axioms(t, (c,), p).items():
+                    assert _passed(name, r), (ex_id, c, name, r)
+                    assert r <= 1e-8, (ex_id, c, name)
 
 
 def test_axiom_results_carry_anchors_and_points():
-    t = standard_triad(1)
-    p = np.array([0.1, 0.2, 0.3])
-    for res in check_axioms(t, (0.0,), p)[0]:
-        assert res.anchor == CHECKS[res.name].anchor
-        assert np.array_equal(res.point, p)
-        assert res.tolerance > 0
+    """Every record of a run, a control's among them, carries its check's
+    registry anchor and tolerance, and its point is, bit for bit, the run's
+    sample point at its ``point_index``."""
+    spec = _CAT["r5-perturbed-J"]
+    pts = spec.build().sample_points(2, 4)
+    for controls in (False, True):
+        rep = run_suite(RunConfig(spec.id, points=2, seed=4,
+                                  negative_controls=controls))
+        assert {r["point_index"] for r in rep.records} == {0, 1}
+        for r in rep.records:
+            entry = CHECKS[r["name"]]
+            assert r["anchor"] == entry.anchor, r["name"]
+            assert r["tolerance"] == entry.tolerance > 0, r["name"]
+            assert (np.array(r["point"]).tobytes()
+                    == pts[r["point_index"]].tobytes()), r["name"]
 
 
 def test_cr_form_zero_parameter_passes():
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=5)[0]
-        reeb, xi = check_cr_form(t, (0.0,), p)[0]
-        assert reeb.passed and xi.passed, ex_id
+        for name, (r,) in check_cr_form(t, (0.0,), p).items():
+            assert _passed(name, r), (ex_id, name)
 
 
 def test_cr_form_detects_nonzero_parameter():
@@ -73,10 +88,10 @@ def test_cr_form_detects_nonzero_parameter():
     for ex_id in ("r3-standard", "r3-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=6)[0]
-        reeb, xi = check_cr_form(t, (1.0,), p)[0]
-        assert reeb.passed, ex_id          # Reeb-direction parallelism survives
-        assert not xi.passed, ex_id
-        assert xi.residual > 0.3, ex_id
+        (reeb,), (xi,) = check_cr_form(t, (1.0,), p).values()
+        assert _passed("cr-form-reeb", reeb), ex_id   # Reeb parallelism holds
+        assert not _passed("cr-form-xi", xi), ex_id
+        assert xi > 0.3, ex_id
 
 
 def test_scaling_transfer_law():
@@ -84,9 +99,9 @@ def test_scaling_transfer_law():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=7)[0]
         for a in (2.0, 0.5, 3.0):
-            res = check_scaling(t, a, p)
-            assert res.passed and res.residual <= 1e-7, (ex_id, a)
-        assert check_scaling(t, 1.0, p).residual <= 1e-12, ex_id
+            r = check_scaling(t, a, p)["scaling-transfer"]
+            assert _passed("scaling-transfer", r) and r <= 1e-7, (ex_id, a)
+        assert check_scaling(t, 1.0, p)["scaling-transfer"] <= 1e-12, ex_id
 
 
 def test_scaling_rejects_nonpositive_factor():
@@ -105,8 +120,9 @@ def test_naturality_all_catalog_maps():
         p = t.sample_points(1, seed=8)[0]
         for cmap in spec.maps:
             for c in (0.0, 1.0):
-                res = check_naturality(t, cmap, c, p)
-                assert res.passed, (ex_id, cmap.label, c, res.residual)
+                r = check_naturality(t, cmap, c, p)["naturality-pullback"]
+                assert _passed("naturality-pullback", r), \
+                    (ex_id, cmap.label, c, r)
 
 
 def test_naturality_refuses_non_strict_map():
@@ -150,7 +166,8 @@ def test_a_pulled_triad_reads_the_base_triads_lam_tables(monkeypatch, mode):
 
     monkeypatch.setattr(ContactTriad, "_reeb_impl", counted)
     for cmap in spec.maps:
-        assert check_naturality(t, cmap, 0.0, pts).passed.all()
+        assert _passed("naturality-pullback", check_naturality(
+            t, cmap, 0.0, pts)["naturality-pullback"]).all()
         pulled = pullback_triad(t, cmap)
         assert pulled.reeb_any(pts) is t.reeb_any(pts)
     assert not any(triad is not t for triad in solvers)
@@ -161,28 +178,72 @@ def test_lemma_suite_names_and_pass():
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=10)[0]
         results = check_lemma_suite(t, p, seed=5)
-        assert (tuple(r.name for r in results)
-                == family_names("check_lemma_suite"))
-        for r in results:
-            assert r.passed, (ex_id, r.name, r.residual)
-            assert r.residual <= 1e-7, (ex_id, r.name)
+        assert tuple(results) == family_names("check_lemma_suite")
+        for name, r in results.items():
+            assert _passed(name, r), (ex_id, name, r)
+            assert r <= 1e-7, (ex_id, name)
+
+
+CS = (-1.0, 0.0, 1.0)
+# each family the registry names, on the triad t, one of its example's maps
+# m and the batch p, at the sweep CS
+FAMILY_CALLS = {
+    "check_axioms": lambda t, m, p: check_axioms(t, CS, p),
+    "check_cr_form": lambda t, m, p: check_cr_form(t, CS, p),
+    "check_scaling": lambda t, m, p: check_scaling(t, 2.0, p),
+    "check_naturality": lambda t, m, p: check_naturality(t, m, 0.0, p),
+    "check_lemma_suite": lambda t, m, p: check_lemma_suite(t, p, 3, CS),
+    "_frame_records": lambda t, m, p: _frame_records(t, CS, p, 3),
+    "fault_flipped_b1": lambda t, m, p: fault_flipped_b1(t, p),
+    "fault_wrong_c": lambda t, m, p: fault_wrong_c(t, p),
+    "fault_levi_civita": lambda t, m, p: fault_levi_civita(t, p),
+    "fault_scale_mismatch": lambda t, m, p: fault_scale_mismatch(t, 2.0, p),
+    "_dropped_torsion_control":
+        lambda t, m, p: _dropped_torsion_control(t, p, 3),
+}
+
+
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+@pytest.mark.parametrize("family", sorted({spec.family
+                                           for spec in CHECKS.values()}))
+def test_each_family_returns_its_registry_names_and_one_residual_a_point(
+        family, mode):
+    """A family returns ``{name: residual}`` with the names its registry
+    entries give, in their order, so a point where it raises gets the
+    records of a point where it does not.  A residual has shape
+    ``(*batch,)``; the axioms', ``cr-form``'s and a ``per_c`` entry's keep
+    the sweep's axis in front, ``(C, *batch)``."""
+    spec = _CAT["r5-perturbed-J"]
+    t = spec.build(DiffEngine(mode))
+    names = family_names(family, CS)
+    for size in (1, 3):
+        pts = t.sample_points(size, seed=17)
+        out = FAMILY_CALLS[family](t, spec.maps[0], pts)
+        # a per_c name is named once per c, and keyed once
+        assert tuple(out) == tuple(dict.fromkeys(names)), size
+        for name, r in out.items():
+            swept = family in ("check_axioms", "check_cr_form") or (
+                CHECKS[name].per_c)
+            assert np.shape(r) == (len(CS),) * swept + (size,), (name, size)
 
 
 def test_fault_wrong_parameter_always_fires():
+    name = "fault-wrong-family-parameter"
     for ex_id, spec in _CAT.items():
         t = spec.build()
         p = t.sample_points(1, seed=11)[0]
-        res = fault_wrong_c(t, p)
-        assert not res.passed, ex_id
-        assert res.residual >= 1e-3, ex_id
+        r = fault_wrong_c(t, p)[name]
+        assert not _passed(name, r), ex_id
+        assert r >= 1e-3, ex_id
 
 
 def test_fault_scale_mismatch_always_fires():
+    name = "fault-scale-mismatch"
     for ex_id in ("r3-standard", "t3-tight", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
         p = t.sample_points(1, seed=12)[0]
-        res = fault_scale_mismatch(t, 2.0, p)
-        assert not res.passed and res.residual >= 1e-3, ex_id
+        r = fault_scale_mismatch(t, 2.0, p)[name]
+        assert not _passed(name, r) and r >= 1e-3, ex_id
 
 
 def test_fault_flipped_correction_needs_nonintegrable_plane():
@@ -190,16 +251,18 @@ def test_fault_flipped_correction_needs_nonintegrable_plane():
     silent because the plane Nijenhuis part vanishes identically there."""
     t5 = _CAT["r5-perturbed-J"].build()
     p5 = t5.sample_points(1, seed=13)[0]
-    assert fault_flipped_b1(t5, p5).residual >= 1e-3
+    name = "fault-flipped-correction"
+    assert fault_flipped_b1(t5, p5)[name] >= 1e-3
     t3 = _CAT["r3-perturbed-J"].build()
     p3 = t3.sample_points(1, seed=13)[0]
-    assert fault_flipped_b1(t3, p3).residual < 1e-10
+    assert fault_flipped_b1(t3, p3)[name] < 1e-10
 
 
 def test_fault_levi_civita_hermitian_defect():
     t5 = _CAT["r5-perturbed-J"].build()
     p5 = t5.sample_points(1, seed=14)[0]
-    assert fault_levi_civita(t5, p5).residual >= 1e-3
+    assert fault_levi_civita(t5, p5)[
+        "fault-levi-civita-not-complex-linear"] >= 1e-3
 
 
 @pytest.mark.parametrize("mode", ["ad", "fd"])
@@ -218,14 +281,13 @@ def test_a_flipped_b1_fails_the_hermitian_axiom_and_semi_j_linearity(
     want = _j_defect(move, t.pi_any(pts), *_frame(t, pts))
     monkeypatch.setattr("triadlab.connections.b1_table",
                         lambda triad, p: -b1(triad, p))
-    got = [{r.name: r for r in group}["axiom-hermitian"]
-           for group in check_axioms(t, (-1.0, 0.0, 1.0), pts)]
-    got.append({r.name: r for r in check_lemma_suite(t, pts)}[
-        "semi-connection-j-linearity"])
-    for res in got:
-        assert np.allclose(res.residual, want, rtol=1e-9, atol=0), \
-            (res.name, res.residual, want)
-        assert not res.passed.any(), (res.name, res.residual)
+    got = [("axiom-hermitian", r) for r in check_axioms(
+        t, (-1.0, 0.0, 1.0), pts)["axiom-hermitian"]]
+    got.append(("semi-connection-j-linearity", check_lemma_suite(t, pts)[
+        "semi-connection-j-linearity"]))
+    for name, r in got:
+        assert np.allclose(r, want, rtol=1e-9, atol=0), (name, r, want)
+        assert not _passed(name, r).any(), (name, r)
 
 
 # (control, the identity kernel it shares, the check it pairs with)
@@ -296,19 +358,18 @@ def test_a_reversed_c_axis_fails_the_coupling_axiom(monkeypatch):
     for ex_id in ("r3-standard", "r5-perturbed-J"):
         t = _CAT[ex_id].build()
         pts = t.sample_points(3, seed=8)
-        lo, mid, hi = ({r.name: r for r in group}["axiom-cr-coupling"]
-                       for group in check_axioms(t, (-1.0, 0.0, 1.0), pts))
-        assert not lo.passed.any() and not hi.passed.any(), ex_id
-        assert mid.passed.all(), ex_id
+        lo, mid, hi = _passed("axiom-cr-coupling", check_axioms(
+            t, (-1.0, 0.0, 1.0), pts)["axiom-cr-coupling"])
+        assert not lo.any() and not hi.any(), ex_id
+        assert mid.all(), ex_id
 
 
 def test_a_nan_j_fails_the_axioms_and_cr_form_with_nan_residuals():
     t = _nan_j(standard_triad(1))
     pts = t.sample_points(2, seed=2)
-    for res in check_axioms(t, (0.0,), pts)[0] + check_cr_form(
-            t, (0.0,), pts)[0]:
-        assert np.isnan(res.residual).all() and not res.passed.any(), \
-            res.name
+    for name, (r,) in [*check_axioms(t, (0.0,), pts).items(),
+                       *check_cr_form(t, (0.0,), pts).items()]:
+        assert np.isnan(r).all() and not _passed(name, r).any(), name
 
 
 def test_field_rng_takes_only_integer_seeds_at_least_zero():
@@ -388,17 +449,17 @@ def test_a_doubled_nijenhuis_table_leaves_the_quarter_n_torsion_alone():
     ``nijenhuis-j-shuffle`` is homogeneous in N, so it passes either way."""
     spec = _CAT["r5-perturbed-J"]
     p = spec.build().sample_points(2, 3)
-    clean = {r.name: r for r in check_lemma_suite(spec.build(), p)}
+    clean = check_lemma_suite(spec.build(), p)
     t = spec.build()
     table = t.nijenhuis_at
     t.nijenhuis_at = lambda q: 2.0 * table(q)
-    doubled = {r.name: r for r in check_lemma_suite(t, p)}
+    doubled = check_lemma_suite(t, p)
     for name in ("lc-j-derivative-pairing", "nijenhuis-reeb-slots"):
-        assert clean[name].passed.all() and not doubled[name].passed.any(), \
-            name
+        assert (_passed(name, clean[name]).all()
+                and not _passed(name, doubled[name]).any()), name
     name = "semi-connection-torsion-quarter-n"
-    assert clean[name].passed.all()
-    assert doubled[name].residual.tobytes() == clean[name].residual.tobytes()
+    assert _passed(name, clean[name]).all()
+    assert doubled[name].tobytes() == clean[name].tobytes()
 
 
 @pytest.mark.parametrize("table, entry, name", [
@@ -421,25 +482,25 @@ def test_a_one_coefficient_table_defect_fails_at_every_seed(table, entry,
         clean = getattr(t, table)
         setattr(t, table, lambda p: clean(p) + defect)
         p = t.sample_points(1, seed)[0]
-        res = {r.name: r for r in check_lemma_suite(t, p, seed=seed)}[name]
-        assert not res.passed, (seed, res.residual)
+        r = check_lemma_suite(t, p, seed=seed)[name]
+        assert not _passed(name, r), (seed, r)
 
 
 def test_nan_residuals_fail_in_axioms_and_lemma_suite():
     t = _nan_christoffel(_CAT["r5-perturbed-J"].build())
     p = t.sample_points(1, seed=15)[0]
-    axioms = check_axioms(t, (0.0,), p)[0]
+    axioms = check_axioms(t, (0.0,), p)
     assert len(axioms) == 6
-    for res in axioms:
-        assert np.isnan(res.residual) and not res.passed, res.name
+    for name, (r,) in axioms.items():
+        assert np.isnan(r) and not _passed(name, r), name
     # These four identities never read the Christoffel table.
     christoffel_free = {"two-form-j-invariance", "reeb-lie-j-symmetry",
                         "nijenhuis-reeb-slots", "nijenhuis-j-shuffle"}
-    for res in check_lemma_suite(t, p, seed=10):
-        if res.name in christoffel_free:
-            assert res.passed, res.name
+    for name, r in check_lemma_suite(t, p, seed=10).items():
+        if name in christoffel_free:
+            assert _passed(name, r), name
         else:
-            assert np.isnan(res.residual) and not res.passed, res.name
+            assert np.isnan(r) and not _passed(name, r), name
 
 
 def test_nan_residuals_fail_in_scaling_naturality_and_frames():
@@ -448,10 +509,9 @@ def test_nan_residuals_fail_in_scaling_naturality_and_frames():
     spec = _CAT["r5-perturbed-J"]
     t = _nan_christoffel(spec.build())
     p = t.sample_points(1, seed=16)[0]
-    res = check_scaling(t, 2.0, p)
-    assert np.isnan(res.residual) and not res.passed
-    res = check_naturality(t, spec.maps[0], 0.0, p)
-    assert np.isnan(res.residual) and not res.passed
+    for name, r in [*check_scaling(t, 2.0, p).items(),
+                    *check_naturality(t, spec.maps[0], 0.0, p).items()]:
+        assert np.isnan(r) and not _passed(name, r), name
     frame = build_unitary_frame(t, p)
     conn = triad_connection(t, 0.0)
     assert np.isnan(skew_hermitian_check(conn, frame, p))

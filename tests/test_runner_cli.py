@@ -55,6 +55,16 @@ def test_config_validation_rejects_bad_inputs():
         RunConfig(example_id="r3-standard", seed=-1).validate()
 
 
+def test_config_takes_the_seed_rule_of_sample_points():
+    """``RunConfig.validate`` rejects exactly the seeds ``sample_points``
+    rejects, as a config error, and reads a numpy integer as the int it
+    holds."""
+    for seed in (-3, 1.5, True, np.bool_(True), "3", None):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(example_id="r3-standard", seed=seed).validate()
+    RunConfig(example_id="r3-standard", seed=np.int64(3)).validate()
+
+
 def test_the_report_format_is_emit_reports_alone():
     """A run's config holds no format, so a report cannot say one format
     and be written in another; ``emit_report`` rejects an unknown one."""

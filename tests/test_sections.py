@@ -185,9 +185,9 @@ def test_ad_lemma_suite_runs_the_reeb_solve_at_the_seed_once(monkeypatch):
     from triadlab.checks import check_lemma_suite
     t = _CAT["r5-perturbed-J"].build()
     p = t.sample_points(1, seed=3)[0]
-    want = [r.residual for r in check_lemma_suite(t, p)]
+    want = list(check_lemma_suite(t, p).values())
     solves = _count_seed_reeb_solves(monkeypatch)
     t = _CAT["r5-perturbed-J"].build()
-    got = [r.residual for r in check_lemma_suite(t, p)]
+    got = list(check_lemma_suite(t, p).values())
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert solves == [1]
