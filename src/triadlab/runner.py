@@ -81,10 +81,9 @@ class RunConfig:
     fd_step: float = FD_STEP
     negative_controls: bool = False
 
-    def validate(self, cat=None) -> None:
-        if cat is None:
-            cat = catalog()
-        if not isinstance(self.example_id, str) or self.example_id not in cat:
+    def validate(self) -> None:
+        if not (isinstance(self.example_id, str)
+                and self.example_id in catalog()):
             raise ConfigError("unknown example %r; run list-examples"
                               % self.example_id)
         if isinstance(self.c_values, Iterable):
@@ -104,10 +103,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if not _num(Integral, self.points) or self.points < 1:
             raise ConfigError("point count must be an integer >= 1")
-        if self.mode not in ("ad", "fd"):
-            raise ConfigError("mode must be 'ad' or 'fd'")
-        if not (_num(Real, self.fd_step) and 0.0 < self.fd_step < math.inf):
-            raise ConfigError("fd step must be positive and finite")
+        try:
+            DiffEngine(self.mode, self.fd_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(self.negative_controls, (bool, np.bool_)):
             raise ConfigError("negative_controls must be a bool")
 
@@ -211,9 +210,8 @@ def _meets_role(record: dict) -> bool:
 
 
 def run_suite(config: RunConfig) -> Report:
-    cat = catalog()
-    config.validate(cat)
-    spec = cat[config.example_id]
+    config.validate()
+    spec = catalog()[config.example_id]
     engine = DiffEngine(mode=config.mode, step=config.fd_step)
     triad = spec.build(engine)
     pts = triad.sample_points(config.points, config.seed)

@@ -1,11 +1,13 @@
 """``tools/ab_times.py`` loads two checkouts into one process as separate
-packages; the copies must serve a request exactly as the package does."""
+packages; the copies must serve a request exactly as the package does, and
+the family split must account for each request's time."""
 
 import importlib.util
 import os
 import sys
 
 import triadlab
+from triadlab.checks import CHECKS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,3 +35,28 @@ def test_two_copies_side_by_side_give_the_same_report_bytes(tmp_path,
     want = triadlab.emit_report(triadlab.run_suite(
         triadlab.RunConfig(**request)), "json")
     assert reports[0] == reports[1] == want
+
+
+def test_the_family_split_names_the_registry_families_of_the_run_kind(
+        tmp_path, monkeypatch):
+    """Over one round, each side's split names exactly the registry's
+    families of the workload's run kind and the lines outside them, each
+    called, and its lines add up to nearly all of that side's time."""
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    ab = _ab_times()
+    base = ab.load_copy(ROOT, "tl_split_base", str(tmp_path))
+    head = ab.load_copy(ROOT, "tl_split_head", str(tmp_path))
+    for workload, control, extra in (
+            ("controls-catalog", True, "_projected_nijenhuis_scale"),
+            ("fd-wide", False, "_base_batch")):
+        out = ab.compare(base, head, workload, rounds=1, seed=1)
+        want = ({spec.family for spec in CHECKS.values()
+                 if spec.control == control}
+                | {"emit_report", ab.OUTSIDE, extra})
+        assert set(out["families"]) == set(out["calls"]) == want, workload
+        for side, total in enumerate((out["base_s"], out["head_s"])):
+            assert all(calls[side] > 0 for calls in out["calls"].values())
+            share = sum(s[side] for s in out["families"].values()) / total
+            assert 0.95 <= share <= 1.0, (workload, side, share)
+        assert out["identical_reports"] == out["requests"]

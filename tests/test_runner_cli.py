@@ -14,7 +14,7 @@ import pytest
 import triadlab
 from triadlab.checks import CHECKS
 from triadlab.cli import main
-from triadlab.engine import FD_STEP, max_residual
+from triadlab.engine import FD_STEP, DiffEngine, max_residual
 from triadlab.runner import (
     RESIDUAL_UNEVALUABLE,
     ConfigError,
@@ -63,6 +63,21 @@ def test_config_takes_the_seed_rule_of_sample_points():
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(example_id="r3-standard", seed=seed).validate()
     RunConfig(example_id="r3-standard", seed=np.int64(3)).validate()
+
+
+def test_config_takes_the_mode_and_step_rule_of_the_engine():
+    """``RunConfig.validate`` rejects exactly the modes and ``fd`` steps
+    ``DiffEngine`` rejects, as a config error with the engine's message."""
+    for mode, step in (("symbolic", FD_STEP), ("fd", 0.0), ("fd", -1e-4),
+                       ("ad", float("nan")), ("fd", True), ("fd", "1e-4")):
+        with pytest.raises(ValueError) as engine_error:
+            DiffEngine(mode, step)
+        with pytest.raises(ConfigError) as config_error:
+            RunConfig(example_id="r3-standard", mode=mode,
+                      fd_step=step).validate()
+        assert str(config_error.value) == str(engine_error.value)
+    RunConfig(example_id="r3-standard", mode="fd",
+              fd_step=np.float64(1e-3)).validate()
 
 
 def test_the_report_format_is_emit_reports_alone():

@@ -1,4 +1,5 @@
-"""Per-request wall time of two triadlab checkouts, compared in one process.
+"""Per-request wall time of two triadlab checkouts, compared in one process,
+and where it goes.
 
     python3 tools/ab_times.py BASE HEAD --workload fd-wide --rounds 10
 
@@ -15,12 +16,20 @@ request runs through both copies, ``run_suite`` then
 ``emit_report(report, "json")``, and the copy that goes first alternates
 from request to request.  The script prints each copy's total time, the
 ratio HEAD/BASE of the totals, the median and quartiles of the per-request
-ratio, and how many requests gave byte-identical reports.  Over the timed
-rounds, each copy's family functions carry the timers of
-``tools/family_times.py``, so the script then prints each family's time in
-BASE and in HEAD and their ratio: it shows where a change's gain lands.
-``--json`` prints the same figures as one JSON object.  ``triadbench/`` is
-only read.
+ratio, and how many requests gave byte-identical reports.
+
+Over the timed rounds, every family that a copy's check registry names, the
+Nijenhuis gate of the controls (``_projected_nijenhuis_scale``), the base
+batch (``_base_batch``, in a checkout that has it), ``emit_report`` and
+``run_suite``, as the copy's ``runner`` binds them, carry timers.  The line
+``run_suite (outside families)`` is ``run_suite``'s wall time minus that of
+the wrapped functions it called: sampling, set-up and record assembly.  So
+a request splits into these lines.  For each line the script prints, in
+BASE and in HEAD, its seconds, its share of that copy's total and its call
+count, then the ratio HEAD/BASE of its seconds: it shows where a change's
+gain lands.  ``tools/ab_times.py . . --workload W`` gives one checkout's
+split.  ``--json`` prints the same figures as one JSON object.
+``triadbench/`` is only read, and no bytecode is written into a checkout.
 """
 
 from __future__ import annotations
@@ -38,10 +47,12 @@ import time
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "triadbench")]
+sys.dont_write_bytecode = True      # before the first import from a checkout
+sys.path.insert(0, os.path.join(ROOT, "triadbench"))
 
-import family_times  # noqa: E402
 import workloads  # noqa: E402
+
+OUTSIDE = "run_suite (outside families)"
 
 
 def load_copy(root: str, name: str, folder: str):
@@ -51,6 +62,47 @@ def load_copy(root: str, name: str, folder: str):
                     os.path.join(folder, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
     return importlib.import_module(name)
+
+
+@contextlib.contextmanager
+def family_timers(pkg, spent: Counter, calls: Counter):
+    """Within the block, every family that ``pkg``'s check registry names,
+    the Nijenhuis gate of the controls, the base batch (where ``pkg`` has
+    one), ``emit_report`` and ``run_suite``, as ``pkg.runner`` binds them,
+    add their wall time to ``spent`` and their calls to ``calls``, under
+    their names."""
+    runner = pkg.runner
+    names = ({spec.family for spec in pkg.checks.CHECKS.values()}
+             | {"_projected_nijenhuis_scale", "emit_report", "run_suite"}
+             | {"_base_batch"} & set(vars(runner)))
+    originals = {name: getattr(runner, name) for name in sorted(names)}
+
+    def wrap(name, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - t0
+                calls[name] += 1
+        return timed
+
+    for name, fn in originals.items():
+        setattr(runner, name, wrap(name, fn))
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(runner, name, fn)
+
+
+def split_outside(spent: Counter, calls: Counter) -> None:
+    """Replace ``run_suite``'s figures by those of its time outside the
+    other wrapped functions it called."""
+    inside = sum(t for name, t in spent.items()
+                 if name not in ("run_suite", "emit_report"))
+    spent[OUTSIDE] = spent.pop("run_suite", 0.0) - inside
+    calls[OUTSIDE] = calls.pop("run_suite", 0)
 
 
 def serve(pkg, request: dict) -> tuple:
@@ -84,8 +136,7 @@ def compare(base, head, workload: str, rounds: int, seed: int) -> dict:
     calls = [Counter(), Counter()]
     with contextlib.ExitStack() as timers:
         for side, pkg in enumerate((base, head)):
-            timers.enter_context(
-                family_times.family_timers(pkg, spent[side], calls[side]))
+            timers.enter_context(family_timers(pkg, spent[side], calls[side]))
         for r in range(rounds):
             for request in round_requests(workload, seed + r):
                 order = (0, 1) if n % 2 == 0 else (1, 0)
@@ -98,15 +149,17 @@ def compare(base, head, workload: str, rounds: int, seed: int) -> dict:
                 identical += out[0][1] == out[1][1]
                 n += 1
     for side in (0, 1):
-        family_times.split_outside(spent[side], calls[side])
+        split_outside(spent[side], calls[side])
     q1, med, q3 = quartiles(ratios)
-    families = {name: [spent[0][name], spent[1][name]]
-                for name in sorted(set(spent[0]) | set(spent[1]))}
+    names = sorted(set(spent[0]) | set(spent[1]))
     return {"workload": workload, "rounds": rounds, "seed": seed,
             "requests": n, "base_s": totals[0], "head_s": totals[1],
             "total_ratio": totals[1] / totals[0], "ratio_median": med,
             "ratio_q1": q1, "ratio_q3": q3, "identical_reports": identical,
-            "families": families}
+            "families": {name: [spent[0][name], spent[1][name]]
+                         for name in names},
+            "calls": {name: [calls[0][name], calls[1][name]]
+                      for name in names}}
 
 
 def main(argv=None) -> int:
@@ -121,7 +174,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
-    sys.dont_write_bytecode = True
     with tempfile.TemporaryDirectory() as folder:
         sys.path.insert(0, folder)
         base = load_copy(args.base, "tl_base", folder)
@@ -138,11 +190,15 @@ def main(argv=None) -> int:
           % (out["ratio_median"], out["ratio_q1"], out["ratio_q3"]))
     print("byte-identical reports: %d of %d"
           % (out["identical_reports"], out["requests"]))
-    print("%-28s %8s %8s %6s" % ("family", "BASE s", "HEAD s", "ratio"))
+    print("%-28s %8s %6s %6s %8s %6s %6s %6s"
+          % ("family", "BASE s", "share", "calls", "HEAD s", "share", "calls",
+             "ratio"))
     for name, (b, h) in sorted(out["families"].items(),
                                key=lambda kv: -kv[1][0]):
-        print("%-28s %8.3f %8.3f %6s"
-              % (name, b, h, "%.3f" % (h / b) if b else "-"))
+        print("%-28s %8.3f %5.1f%% %6d %8.3f %5.1f%% %6d %6s"
+              % (name, b, 100.0 * b / out["base_s"], out["calls"][name][0],
+                 h, 100.0 * h / out["head_s"], out["calls"][name][1],
+                 "%.3f" % (h / b) if b else "-"))
     return 0
 
 

@@ -8,7 +8,9 @@ and run kind (normal, ``--negative-controls``), at 4 points, and for two
 wide runs (r5-perturbed-J, seed 11, ``fd``, normal, 300 points; r9-standard,
 seed 11, ``ad``, normal, 300 points), 58 reports in all, the script runs
 ``run_suite`` and ``emit_report`` in both checkouts, each in its own fresh
-interpreter, and compares the JSON reports.  It prints:
+interpreter, BASE under ``PYTHONHASHSEED=1`` and HEAD under ``2``, and
+compares the JSON reports.  So ``refactor_gate.py . .`` is also the check
+that no report depends on the hash seed.  It prints:
 
 * every verdict change (a record's ``passed``, or a report's ``ok``);
 * every change to a report's record list (name, variant, point index) or to
@@ -72,9 +74,10 @@ def emit(out_path: str) -> None:
         json.dump(reports, fh)
 
 
-def run_checkout(root: str, out_path: str) -> subprocess.Popen:
+def run_checkout(root: str, out_path: str, hash_seed: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
+    env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
     cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_path]
@@ -209,8 +212,8 @@ def main(argv=None) -> int:
         ap.error("give the BASE and HEAD checkouts")
     with tempfile.TemporaryDirectory() as tmp:
         outs = [os.path.join(tmp, "base.json"), os.path.join(tmp, "head.json")]
-        procs = [run_checkout(root, out)
-                 for root, out in zip((args.base, args.head), outs)]
+        procs = [run_checkout(root, out, hash_seed) for root, out, hash_seed
+                 in zip((args.base, args.head), outs, (1, 2))]
         if any([p.wait() != 0 for p in procs]):
             print("error: a checkout failed to produce its reports",
                   file=sys.stderr)
